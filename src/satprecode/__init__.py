@@ -30,7 +30,6 @@ from .config import ScenarioConfig, parse_config
 from .evaluate import (
     ModcodTable,
     MonteCarloResult,
-    TrialResult,
     beam_rate,
     modcod_lookup,
     run_monte_carlo,
@@ -47,7 +46,7 @@ from .gateway import (
     share_csi,
 )
 from .grouping import UserGroup, group_users, members_array, robust_group_users
-from .linalg import EigDecomposition, eigh_sorted, null_space
+from .linalg import EigDecomposition, eigh_sorted
 from .precoding import (
     Precoder,
     baseline_avg_mmse,
@@ -65,7 +64,6 @@ from .robust import (
     first_order_eigvecs,
     intra_penalty_scale,
     robust_interbeam,
-    robust_intrabeam,
     robust_two_stage,
     weyl_upper_bound,
 )

@@ -16,7 +16,7 @@ beam radius. The peak gain follows the uniform-aperture relation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -24,6 +24,7 @@ from scipy.special import j1
 
 from . import geometry
 from .exceptions import ConfigError, GeometryError
+from .linalg import TrimmedEig, eigh_sorted
 
 __all__ = [
     "LinkBudget",
@@ -425,12 +426,6 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet, budget: LinkBudget,
     return fading[:, None] * g
 
 
-def rain_fade(rows: int, std_db: float, rng_seed) -> np.ndarray:
-    """Log-normal clear-air/rain attenuation factors, one per user."""
-    rng = np.random.default_rng(rng_seed)
-    return 10.0 ** (-np.abs(rng.normal(0.0, std_db, rows)) / 20.0)
-
-
 @dataclass(frozen=True)
 class PhaseModel:
     """Phase-variation model for the feed-to-user paths.
@@ -476,6 +471,8 @@ class ChannelMatrix:
     h: np.ndarray
     beams: int
     users_per_beam: int
+    _other_gram: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h)
@@ -514,6 +511,26 @@ class ChannelMatrix:
     def excluding(self, k: int) -> np.ndarray:
         """(K-1)Q x N matrix of every other beam's rows."""
         return np.delete(self.h, self.beam_rows(k), axis=0)
+
+    def other_gram_eig(self, k: int) -> TrimmedEig:
+        """Eigendecomposition of beam k's other-beam Gram matrix, memoized.
+
+        The Gram matrix is ``excluding(k)^H excluding(k)`` (N x N). Every
+        eigenvalue is kept, descending, but only the eigenvectors of the Q
+        smallest, the directions the inter-beam designs use. Computed once
+        per channel and beam; the arrays are read-only.
+        """
+        eig = self._other_gram.get(k)
+        if eig is None:
+            other = self.excluding(k)
+            full = eigh_sorted(other.conj().T @ other)
+            eig = TrimmedEig(full.eigenvalues,
+                             full.eigenvectors[:, -self.users_per_beam:].copy())
+            eig.eigenvalues.flags.writeable = False
+            eig.tail.flags.writeable = False
+            # Threads racing on a shared channel all get the first result.
+            eig = self._other_gram.setdefault(k, eig)
+        return eig
 
 
 def assemble_channel(gain: np.ndarray, phase: np.ndarray, beams: int,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ScenarioConfig, config_echo, parse_config
+from .config import ScenarioConfig, _parse_floats, config_echo, parse_config
 from .evaluate import run_monte_carlo
 from .exceptions import ConfigError
 from .gateway import make_plan, overhead_per_gateway
@@ -71,9 +71,7 @@ def _load(args) -> ScenarioConfig:
     if args.threads is not None:
         cfg.threads = args.threads
     if getattr(args, "power_dbw", None):
-        cfg.power_sweep_dbw = tuple(
-            float(s) for s in args.power_dbw.split(",") if s.strip()
-        )
+        cfg.power_sweep_dbw = _parse_floats(args.power_dbw)
     cfg.validate()
     return cfg
 

@@ -10,6 +10,7 @@ its own header.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +112,10 @@ class ScenarioConfig:
             raise ConfigError("run.power_mode must be per_feed or total")
         if not self.power_sweep_dbw:
             raise ConfigError("run.power_sweep_dbw must list at least one point")
+        if not all(math.isfinite(p) for p in self.power_sweep_dbw):
+            raise ConfigError("run.power_sweep_dbw must hold finite values")
+        if len(set(self.power_sweep_dbw)) != len(self.power_sweep_dbw):
+            raise ConfigError("run.power_sweep_dbw must not repeat a point")
         if self.trials < 0:
             raise ConfigError("run.trials must be >= 0 (int)")
         if self.csi_error_ratio < 0.0:

@@ -31,7 +31,12 @@ from .channel import (
     place_users,
 )
 from .config import ScenarioConfig, config_echo
-from .exceptions import ConfigError
+from .exceptions import (
+    ConfigError,
+    DegenerateBeamError,
+    InfeasibleChannelError,
+    SingularChannelError,
+)
 from .gateway import assemble_multigateway_precoder, make_plan, share_csi
 from .precoding import baseline_avg_mmse, baseline_four_color, two_stage
 from .robust import robust_two_stage
@@ -42,7 +47,6 @@ __all__ = [
     "sinr",
     "sinr_matrix",
     "beam_rate",
-    "TrialResult",
     "MonteCarloResult",
     "run_monte_carlo",
     "bootstrap_mean_diff_quantiles",
@@ -160,54 +164,30 @@ def sinr(ch: ChannelMatrix, w: np.ndarray, k: int, q: int) -> float:
 
 
 def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
-              bandwidth_factor: float = 1.0) -> float:
-    """Rate of one beam in bit/s: worst user picks the efficiency.
+              bandwidth_factor: float = 1.0):
+    """Beam rate in bit/s: the worst user of the beam picks the efficiency.
 
+    `sinrs` holds linear user SINRs along the last axis: one beam's (Q,)
+    gives a float, all beams' (K, Q) gives a (K,) array.
     `bandwidth_factor` scales the usable band (1/4 for the four-coloring
     baseline).
     """
     sinrs = np.asarray(sinrs, dtype=float)
     if sinrs.size < 1:
         raise ConfigError("need at least one SINR")
-    worst_db = 10.0 * np.log10(max(float(np.min(sinrs)), 1e-300))
+    worst_db = 10.0 * np.log10(np.maximum(np.min(sinrs, axis=-1), 1e-300))
     symbol_rate = bandwidth_factor * budget.bandwidth_hz / (1.0 + budget.rolloff)
     return symbol_rate * table.efficiency(worst_db)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Per-trial evaluation of one scenario at one power point."""
-
-    scenario: str
-    p_total_dbw: float
-    sinr: np.ndarray            # (K, Q) linear
-    min_sinr: np.ndarray        # (K,)
-    rate_bps: np.ndarray        # (K,) full-band rate
-    throughput_bps: np.ndarray  # (K,) after the bandwidth factor
-    rng_seed: int
-
-    def __post_init__(self):
-        if np.any(self.min_sinr > np.min(self.sinr, axis=1) * (1 + 1e-12)):
-            raise ConfigError("min_sinr must not exceed any member SINR")
-
-
-def _trial_result(scenario: str, p_dbw: float, sinrs: np.ndarray,
-                  table: ModcodTable, budget: LinkBudget,
-                  bandwidth_factor: float, seed: int) -> TrialResult:
-    min_sinr = np.min(sinrs, axis=1)
-    full = np.array([beam_rate(s, table, budget) for s in sinrs])
-    thr = np.array(
-        [beam_rate(s, table, budget, bandwidth_factor) for s in sinrs]
-    )
-    return TrialResult(
-        scenario=scenario,
-        p_total_dbw=p_dbw,
-        sinr=sinrs,
-        min_sinr=min_sinr,
-        rate_bps=full,
-        throughput_bps=thr,
-        rng_seed=seed,
-    )
+# Numerical failures the channel model can produce: the cell is skipped.
+# Any other exception is a bug and propagates.
+_MODELLED_FAILURES = (
+    SingularChannelError,
+    InfeasibleChannelError,
+    DegenerateBeamError,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass
@@ -343,7 +323,7 @@ def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
     )
 
 
-def _run_trial(index: int, trial_seed: np.random.SeedSequence,
+def _run_trial(trial_seed: np.random.SeedSequence,
                cfg: ScenarioConfig, layout: BeamLayout, budget: LinkBudget,
                table: ModcodTable, plans: dict):
     """One channel realization evaluated under every scenario and power."""
@@ -391,12 +371,10 @@ def _run_trial(index: int, trial_seed: np.random.SeedSequence,
                 sinrs, factor = _scenario_sinrs(
                     name, ch_true, ch_est, bounds, p_w, cfg, layout, plans
                 )
-                result = _trial_result(
-                    name, p_dbw, sinrs, table, budget, factor, index
-                )
-                out[(name, p_dbw)] = result.throughput_bps
-            except Exception:
+            except _MODELLED_FAILURES:
                 out[(name, p_dbw)] = None
+            else:
+                out[(name, p_dbw)] = beam_rate(sinrs, table, budget, factor)
     return out, members
 
 
@@ -430,7 +408,9 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MonteCarloResult:
 
     Deterministic for a fixed master seed: each trial owns spawned seed
     streams, so results do not depend on execution order or thread count.
-    Per-trial failures are recorded and skipped.
+    Modelled numerical failures (singular or infeasible channels, vanished
+    beams, LAPACK errors) skip their cell and are counted; any other
+    exception propagates.
     """
     cfg.validate()
     budget = _build_budget(cfg)
@@ -453,7 +433,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MonteCarloResult:
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.trials, 0))
 
     def work(t):
-        return t, _run_trial(t, trial_seeds[t], cfg, layout, budget, table, plans)
+        return t, _run_trial(trial_seeds[t], cfg, layout, budget, table, plans)
 
     if cfg.threads > 1 and cfg.trials > 1:
         with concurrent.futures.ThreadPoolExecutor(cfg.threads) as pool:

@@ -1,4 +1,4 @@
-"""Dense Hermitian eigendecomposition and null-space helpers."""
+"""Dense Hermitian eigendecomposition helpers."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative eigenvalue / singular-value floor below which directions are
-# treated as belonging to the null space.
+# Relative eigenvalue floor below which a Gram matrix counts as rank
+# deficient.
 RANK_TOL = 1e-12
 
 
@@ -27,6 +27,19 @@ class EigDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
+@dataclass(frozen=True)
+class TrimmedEig:
+    """Full spectrum of a Hermitian matrix, eigenvectors of its low end only.
+
+    `eigenvalues` is real of shape (n,), descending; `tail` (n x m) holds
+    the eigenvectors of the m smallest eigenvalues, column j matching
+    eigenvalue ``n - m + j``.
+    """
+
+    eigenvalues: np.ndarray
+    tail: np.ndarray
+
+
 def eigh_sorted(a: np.ndarray) -> EigDecomposition:
     """Hermitian eigendecomposition sorted by descending eigenvalue.
 
@@ -36,24 +49,6 @@ def eigh_sorted(a: np.ndarray) -> EigDecomposition:
     w, v = np.linalg.eigh(a)
     order = np.argsort(-w, kind="stable")
     return EigDecomposition(w[order], v[:, order])
-
-
-def null_space(a: np.ndarray, rtol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the right null space of `a` (columns).
-
-    Singular values below ``rtol * s_max`` count as zero. An empty matrix
-    (zero rows) has the full identity as its null space.
-    """
-    a = np.asarray(a)
-    n = a.shape[1]
-    if a.shape[0] == 0:
-        return np.eye(n, dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > rtol * s[0]))
-    return vh[rank:].conj().T
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,7 @@ from .exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from .linalg import RANK_TOL, eigh_sorted, null_space
+from .linalg import RANK_TOL, eigh_sorted  # noqa: F401 (re-exported)
 
 __all__ = [
     "Precoder",
@@ -70,14 +70,18 @@ def _regularizer(ch: ChannelMatrix, p_total: float) -> float:
     return ch.beams * ch.users_per_beam / p_total
 
 
-def mbim_block(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
+def mbim_block(ch: ChannelMatrix, k: int, p_total: float,
+               shift: float = 0.0) -> np.ndarray:
     """Inter-beam block Wa_k of the interference-mitigation design.
 
     Built from the eigendecomposition of the other-beam Gram matrix:
-    ``Wa_k = V (S + (KQ/P_T) I)^(-1/2)`` restricted to the Q columns of
-    smallest eigenvalue, i.e. the directions least aligned with the other
-    beams' channels. With a single beam there is nothing to mitigate and
-    the block degenerates to a scaled truncated identity.
+    ``Wa_k = V (S + (KQ/P_T + shift) I)^(-1/2)`` restricted to the Q
+    columns of smallest eigenvalue, i.e. the directions least aligned with
+    the other beams' channels. A positive `shift` is the robust design's
+    worst-case spectral shift (`satprecode.robust`). Only the nominal
+    design (zero shift) rejects a rank-deficient Gram matrix. With a
+    single beam there is nothing to mitigate and the block degenerates
+    to a scaled truncated identity.
     """
     n = ch.feeds
     q = ch.users_per_beam
@@ -88,16 +92,15 @@ def mbim_block(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
         )
     if ch.beams == 1:
         return np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
-    other = ch.excluding(k)
-    eig = eigh_sorted(other.conj().T @ other)
-    lam_max = max(eig.eigenvalues[0], 0.0)
-    if eig.eigenvalues[-1] <= RANK_TOL * lam_max:
+    eig = ch.other_gram_eig(k)
+    lam = eig.eigenvalues
+    if shift == 0.0 and lam[-1] <= RANK_TOL * max(lam[0], 0.0):
         raise SingularChannelError(
             f"cross-channel Gram matrix of beam {k} is rank deficient"
         )
-    scale = 1.0 / np.sqrt(eig.eigenvalues + _regularizer(ch, p_total))
-    # Descending order: the Q smallest eigenvalues sit in the last columns.
-    return (eig.eigenvectors * scale)[:, -q:]
+    # Descending order: the Q smallest eigenvalues sit at the end.
+    scale = 1.0 / np.sqrt(lam[-q:] + _regularizer(ch, p_total) + shift)
+    return eig.tail * scale
 
 
 def mbim_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
@@ -105,27 +108,28 @@ def mbim_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     return np.hstack([mbim_block(ch, k, p_total) for k in range(ch.beams)])
 
 
+def _regularized_inverse(ch: ChannelMatrix, p_total: float) -> np.ndarray:
+    """``inv(H H^H + (KQ/P_T) I)``, the one matrix behind every RZF block."""
+    reg = _regularizer(ch, p_total) * np.eye(ch.h.shape[0], dtype=complex)
+    return np.linalg.inv(ch.h @ ch.h.conj().T + reg)
+
+
+def _null_basis(ch: ChannelMatrix, k: int, inverse: np.ndarray) -> np.ndarray:
+    if ch.beams == 1:
+        return np.eye(ch.users_per_beam, dtype=complex)
+    basis, _ = np.linalg.qr(inverse[:, ch.beam_rows(k)])
+    return basis
+
+
 def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
     """Null-space basis (KQ x Q) behind the zero-forcing block of beam k.
 
-    Removing beam k's Q rows from ``H H^H + (KQ/P_T) I`` leaves a matrix
-    whose right null space has dimension Q whenever the regularized
-    matrix has full rank; its orthonormal basis is returned.
+    Removing beam k's Q rows from ``A = H H^H + (KQ/P_T) I`` leaves a
+    matrix whose right null space is spanned by beam k's Q columns of
+    ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
+    Their QR factor is the orthonormal basis.
     """
-    q = ch.users_per_beam
-    if ch.beams == 1:
-        return np.eye(q, dtype=complex)
-    reg = ch.h @ ch.h.conj().T + _regularizer(ch, p_total) * np.eye(
-        ch.h.shape[0], dtype=complex
-    )
-    reduced = np.delete(reg, ch.beam_rows(k), axis=0)
-    basis = null_space(reduced)
-    if basis.shape[1] < q:
-        raise InfeasibleChannelError(
-            f"null space of beam {k}'s reduced cross-channel has dimension "
-            f"{basis.shape[1]} < Q = {q}"
-        )
-    return basis[:, :q]
+    return _null_basis(ch, k, _regularized_inverse(ch, p_total))
 
 
 def rzf_block(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
@@ -138,8 +142,14 @@ def rzf_block(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
 
 
 def rzf_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    """All regularized zero-forcing blocks, stacked to N x KQ."""
-    return np.hstack([rzf_block(ch, k, p_total) for k in range(ch.beams)])
+    """All regularized zero-forcing blocks, stacked to N x KQ.
+
+    One regularized inverse serves every beam.
+    """
+    inverse = _regularized_inverse(ch, p_total)
+    return np.hstack(
+        [ch.h.conj().T @ _null_basis(ch, k, inverse) for k in range(ch.beams)]
+    )
 
 
 def intrabeam(z: np.ndarray) -> np.ndarray:
@@ -264,8 +274,4 @@ def baseline_four_color(ch: ChannelMatrix, layout: BeamLayout,
 
 def interbeam_spectra(ch: ChannelMatrix) -> list[np.ndarray]:
     """Per-beam eigenvalue spectra of the other-beam Gram matrices."""
-    out = []
-    for k in range(ch.beams):
-        other = ch.excluding(k)
-        out.append(eigh_sorted(other.conj().T @ other).eigenvalues)
-    return out
+    return [ch.other_gram_eig(k).eigenvalues for k in range(ch.beams)]

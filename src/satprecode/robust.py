@@ -1,13 +1,15 @@
-"""Worst-case robust versions of both precoding stages.
+"""Worst-case robust precoding under norm-bounded channel errors.
 
-The robust designs model the effect of a norm-bounded channel error on
-the eigendecompositions used by the nominal stages. Eigenvalues are
-shifted by a worst-case scalar bound (`eigen_shift_bound`, validated by
-Weyl's inequality) and eigenvectors by a first-order coupling correction.
-Substituting the isotropic worst case into the coupler makes the
-eigenvector correction vanish, so the surviving effect is a stronger
-spectral regularization; the coupling matrices are still formed and
-reported for diagnostics.
+The robust design models the effect of a norm-bounded channel error on
+the eigendecomposition used by the nominal inter-beam stage. Eigenvalues
+are shifted by a worst-case scalar bound epsilon_k (`eigen_shift_bound`,
+validated by Weyl's inequality) and eigenvectors by a first-order
+coupling correction. Substituting the isotropic worst case into the
+coupler makes the eigenvector correction vanish, and the intra-beam
+correction vanishes for a unitary eigenbasis. So the robust precoder is
+the interference-mitigation design with epsilon_k added to its
+regularizer, followed by the nominal intra-beam stage. The coupling
+matrices (`beam_couplers`) are diagnostics only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .channel import ChannelMatrix, PerturbationBounds
 from .exceptions import ConfigError
 from .linalg import EigDecomposition, eigh_sorted
-from .precoding import Precoder, intrabeam, mbim_block, power_control
+from .precoding import Precoder, assemble, mbim_block
 
 __all__ = [
     "DEGENERACY_FLOOR",
@@ -31,9 +33,7 @@ __all__ = [
     "eigen_shift_bound",
     "weyl_upper_bound",
     "intra_penalty_scale",
-    "robust_interbeam_block",
     "robust_interbeam",
-    "robust_intrabeam",
     "robust_two_stage",
     "derive_scalars",
     "beam_couplers",
@@ -99,23 +99,20 @@ def first_order_eigvecs(eig: EigDecomposition, delta_gram: np.ndarray,
     return v @ (r + np.eye(v.shape[1], dtype=complex))
 
 
-def eigen_shift_bound(gamma_hat: float, h_other: np.ndarray) -> float:
+def eigen_shift_bound(gamma_hat: float, lam_max: float) -> float:
     """Worst-case spectral-norm bound on the Gram-matrix perturbation.
 
-    ``gamma_hat**2 + 2 * gamma_hat * lambda_max(H~^H H~)`` bounds the
-    spectral norm of ``D^H H~ + H~^H D + D^H D`` for every error matrix D
-    with norm at most gamma_hat (when the channel norm is at least one).
+    ``gamma_hat**2 + 2 * gamma_hat * lam_max`` bounds the spectral norm
+    of ``D^H H~ + H~^H D + D^H D`` for every error matrix D with norm at
+    most gamma_hat (when the channel norm is at least one). `lam_max` is
+    the largest eigenvalue of ``H~^H H~``, i.e. the squared spectral norm
+    of the other-beam channel H~.
     """
     if gamma_hat < 0.0:
         raise ConfigError("gamma_hat must be >= 0")
     if gamma_hat == 0.0:
         return 0.0
-    h_other = np.asarray(h_other)
-    if h_other.shape[0] == 0:
-        sigma_max = 0.0
-    else:
-        sigma_max = float(np.linalg.norm(h_other, 2) ** 2)
-    return gamma_hat**2 + 2.0 * gamma_hat * sigma_max
+    return gamma_hat**2 + 2.0 * gamma_hat * float(lam_max)
 
 
 def weyl_upper_bound(eigenvalues: np.ndarray, epsilon: float) -> np.ndarray:
@@ -141,106 +138,47 @@ def intra_penalty_scale(gamma_lower: float, eigenvalues: np.ndarray,
     return float(gamma_lower * np.sum(1.0 / np.sqrt(lam + epsilon)))
 
 
-def robust_interbeam_block(ch: ChannelMatrix, k: int,
-                           bounds: PerturbationBounds,
-                           p_total: float) -> np.ndarray:
-    """Robust inter-beam block for beam k.
-
-    The eigenvector basis receives the first-order correction evaluated
-    at the isotropic worst case (which is exactly zero), and the spectrum
-    regularization grows from KQ/P_T to KQ/P_T + epsilon_k. A zero shift
-    carries no uncertainty and delegates to the nominal block, so the
-    robust design reduces to the nominal one exactly.
-    """
-    other = ch.excluding(k)
-    eps = eigen_shift_bound(float(bounds.gamma_tilde_k[k]), other)
-    if eps == 0.0:
-        return mbim_block(ch, k, p_total)
-    q = ch.users_per_beam
-    eig = eigh_sorted(other.conj().T @ other)
-    d = coupling_matrix(eig.eigenvalues, warn=True)
-    sigma = np.diag(eig.eigenvalues)
-    vhv = eig.eigenvectors.conj().T @ (eps * np.eye(ch.feeds)) @ eig.eigenvectors
-    r_hat = d * (vhv @ sigma + sigma @ vhv.conj().T)
-    m_hat = eig.eigenvectors @ (r_hat + np.eye(ch.feeds, dtype=complex))
-    reg = ch.beams * ch.users_per_beam / p_total
-    scale = 1.0 / np.sqrt(eig.eigenvalues + reg + eps)
-    return (m_hat * scale)[:, -q:]
+def _shift_bounds(ch: ChannelMatrix, bounds: PerturbationBounds) -> np.ndarray:
+    """epsilon_k of every beam, from the cached other-beam spectra."""
+    return np.array([
+        eigen_shift_bound(float(bounds.gamma_tilde_k[k]),
+                          ch.other_gram_eig(k).eigenvalues[0])
+        for k in range(ch.beams)
+    ])
 
 
 def robust_interbeam(ch: ChannelMatrix, bounds: PerturbationBounds,
                      p_total: float) -> np.ndarray:
-    """All robust inter-beam blocks, stacked to N x KQ."""
+    """All robust inter-beam blocks, stacked to N x KQ.
+
+    Block k is the interference-mitigation block with its regularizer
+    grown from KQ/P_T to KQ/P_T + epsilon_k. A zero shift carries no
+    uncertainty, so zero bounds reproduce the nominal design exactly.
+    """
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
+    shifts = _shift_bounds(ch, bounds)
     return np.hstack(
-        [robust_interbeam_block(ch, k, bounds, p_total) for k in range(ch.beams)]
+        [mbim_block(ch, k, p_total, shift=shifts[k]) for k in range(ch.beams)]
     )
-
-
-def robust_intrabeam(z: np.ndarray, nu: float,
-                     floor: float = DEGENERACY_FLOOR) -> np.ndarray:
-    """Robust intra-beam vector for the effective channel Z.
-
-    Applies the first-order correction ``nu * N o (L^H L T + T L^H L)``
-    to the eigenbasis L of Z^H Z and returns the normalized first column.
-    With a unitary L the correction vanishes, and nu = 0 delegates to the
-    nominal vector outright. A degenerate leading pair falls back to the
-    nominal vector with a warning.
-    """
-    if nu < 0.0:
-        raise ConfigError("nu must be >= 0")
-    if nu == 0.0:
-        return intrabeam(z)
-    z = np.asarray(z)
-    eig = eigh_sorted(z.conj().T @ z)
-    lam = eig.eigenvalues
-    if lam.size > 1 and abs(lam[0] - lam[1]) < floor * abs(lam[0]):
-        warnings.warn(
-            "leading intra-beam eigenvalues nearly degenerate; "
-            "falling back to the nominal vector",
-            DegenerateSpectrumWarning,
-            stacklevel=2,
-        )
-        return intrabeam(z)
-    coupler = coupling_matrix(lam, floor)
-    l_mat = eig.eigenvectors
-    t_mat = np.diag(lam)
-    lhl = l_mat.conj().T @ l_mat
-    m_hat = nu * coupler * (lhl @ t_mat + t_mat @ lhl)
-    w = (l_mat @ (m_hat + np.eye(lam.size, dtype=complex)))[:, 0]
-    return w / np.linalg.norm(w)
 
 
 def derive_scalars(ch: ChannelMatrix,
                    bounds: PerturbationBounds) -> PerturbationBounds:
     """Fill in the per-beam worst-case scalars epsilon_k and nu_k."""
-    eps = np.empty(ch.beams)
-    nu = np.empty(ch.beams)
-    for k in range(ch.beams):
-        other = ch.excluding(k)
-        eps[k] = eigen_shift_bound(float(bounds.gamma_tilde_k[k]), other)
-        lam = eigh_sorted(other.conj().T @ other).eigenvalues
-        nu[k] = intra_penalty_scale(
-            float(bounds.gamma_lower_k[k]), lam, eps[k]
-        )
+    eps = _shift_bounds(ch, bounds)
+    nu = np.array([
+        intra_penalty_scale(float(bounds.gamma_lower_k[k]),
+                            ch.other_gram_eig(k).eigenvalues, eps[k])
+        for k in range(ch.beams)
+    ])
     return bounds.with_derived(eps, nu)
 
 
 def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
                      p_total: float, mode: str = "per_feed") -> Precoder:
-    """Robust inter-beam stage followed by the robust intra-beam stage."""
-    derived = derive_scalars(ch, bounds)
-    wa = robust_interbeam(ch, bounds, p_total)
-    k_beams = ch.beams
-    q = ch.users_per_beam
-    wb = np.zeros((k_beams * q, k_beams), dtype=complex)
-    for k in range(k_beams):
-        z = ch.beam(k) @ wa[:, k * q:(k + 1) * q]
-        wb[k * q:(k + 1) * q, k] = robust_intrabeam(z, float(derived.nu_k[k]))
-    w_bar = wa @ wb
-    alpha = power_control(w_bar, p_total, mode)
-    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
+    """Robust inter-beam stage followed by the nominal intra-beam stage."""
+    return assemble(ch, robust_interbeam(ch, bounds, p_total), p_total, mode)
 
 
 def beam_couplers(ch: ChannelMatrix, wa: np.ndarray,
@@ -249,8 +187,7 @@ def beam_couplers(ch: ChannelMatrix, wa: np.ndarray,
     q = ch.users_per_beam
     out = []
     for k in range(ch.beams):
-        other = ch.excluding(k)
-        inter = coupling_matrix(eigh_sorted(other.conj().T @ other).eigenvalues, floor)
+        inter = coupling_matrix(ch.other_gram_eig(k).eigenvalues, floor)
         z = ch.beam(k) @ wa[:, k * q:(k + 1) * q]
         intra = coupling_matrix(eigh_sorted(z.conj().T @ z).eigenvalues, floor)
         out.append(PerturbationCouplers(inter=inter, intra=intra))

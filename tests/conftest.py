@@ -25,6 +25,21 @@ def random_channel(beams, users_per_beam, feeds, seed, scale=3.0):
     return ChannelMatrix(h=h, beams=beams, users_per_beam=users_per_beam)
 
 
+def acceptance_corpus(count=100, master_seed=2024):
+    """Random channels with full-rank cross-Grams: K<=7, Q<=3, N<=14."""
+    rng = np.random.default_rng(master_seed)
+    out = []
+    for i in range(count):
+        k = int(rng.integers(2, 8))
+        q = int(rng.integers(2, 4))
+        n_lo = max(k, q)
+        n_hi = min(14, (k - 1) * q)
+        n = int(rng.integers(n_lo, n_hi + 1)) if n_hi > n_lo else n_lo
+        p_total = float(rng.uniform(0.5, 200.0))
+        out.append((random_channel(k, q, n, seed=10_000 + i), p_total))
+    return out
+
+
 def corpus_dims(rng):
     """(K, Q, N) with the cross-Gram full rank and a Q-dim null space."""
     k = int(rng.integers(2, 8))

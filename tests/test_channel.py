@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -296,6 +298,38 @@ class TestChannelMatrixViews:
             other = ch.excluding(k)
             rebuilt = np.insert(other, k * q, ch.beam(k), axis=0)
             assert np.array_equal(rebuilt, ch.h)
+
+    def test_other_gram_eig_is_memoized_and_trimmed(self):
+        ch = random_channel(3, 2, 4, seed=2)
+        eig = ch.other_gram_eig(1)
+        assert ch.other_gram_eig(1) is eig
+        other = ch.excluding(1)
+        full = sp.eigh_sorted(other.conj().T @ other)
+        assert np.array_equal(eig.eigenvalues, full.eigenvalues)
+        assert np.array_equal(eig.tail, full.eigenvectors[:, -2:])
+        assert not eig.tail.flags.writeable
+        assert not eig.eigenvalues.flags.writeable
+
+    def test_other_gram_eig_shared_across_threads(self):
+        ch = random_channel(6, 2, 8, seed=4)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def work():
+                seen.append([ch.other_gram_eig(k) for k in range(ch.beams)])
+
+            pool = [threading.Thread(target=work) for _ in range(8)]
+            for t in pool:
+                t.start()
+            for t in pool:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8
+        for k in range(ch.beams):
+            assert all(run[k] is ch.other_gram_eig(k) for run in seen)
 
     def test_channel_is_read_only(self):
         ch = random_channel(2, 2, 3, seed=3)

@@ -191,6 +191,16 @@ class TestCliVerbs:
         assert ",20.0," in text and ",30.0," in text
         assert ",25.0," not in text
 
+    @pytest.mark.parametrize("points", ["20,abc", "20,nan", "20,20"])
+    def test_sweep_rejects_bad_power_points(self, minimal_cfg, tmp_path,
+                                            capsys, points):
+        out_dir = tmp_path / "out"
+        code = main(["sweep", "--config", str(minimal_cfg), "--out",
+                     str(out_dir), "--power-dbw", points])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_overhead_verb_writes_accounting(self, tmp_path):
         path = tmp_path / "gw.cfg"
         path.write_text(

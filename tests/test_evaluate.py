@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satprecode.evaluate
+import satprecode.linalg
 from satprecode.channel import ChannelMatrix
 from satprecode.config import ScenarioConfig
 from satprecode.evaluate import (
@@ -131,6 +135,16 @@ class TestBeamRate:
         for s in sinrs:
             assert beam <= beam_rate([s], table, budget) + 1e-9
 
+    def test_beam_by_user_array_gives_one_rate_per_beam(self, table, budget):
+        rng = np.random.default_rng(4)
+        sinrs = rng.uniform(0.1, 1000.0, (4, 3))
+        rates = beam_rate(sinrs, table, budget, bandwidth_factor=0.25)
+        assert rates.shape == (4,)
+        for k in range(4):
+            single = beam_rate(sinrs[k], table, budget, bandwidth_factor=0.25)
+            assert isinstance(single, float)
+            assert rates[k] == single
+
     def test_empty_sinrs_rejected(self, table, budget):
         with pytest.raises(ConfigError):
             beam_rate([], table, budget)
@@ -181,6 +195,36 @@ class TestMonteCarlo:
         assert res.skipped[("gw_icp", 25.0)] == 4
         assert res.skipped[("mbim", 25.0)] == 0
         assert np.all(np.isnan(res.throughput["gw_icp"][25.0]))
+
+    def test_unmodelled_exception_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("design bug")
+
+        monkeypatch.setattr(satprecode.evaluate, "two_stage", broken)
+        with pytest.raises(TypeError, match="design bug"):
+            run_monte_carlo(small_config(trials=1))
+
+    def test_each_beam_gram_decomposed_once_per_trial(self, monkeypatch):
+        original = satprecode.linalg.eigh_sorted
+        shapes = []
+
+        def counting(a):
+            shapes.append(a.shape)
+            return original(a)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("satprecode") and vars(mod).get(
+                "eigh_sorted"
+            ) is original:
+                monkeypatch.setattr(mod, "eigh_sorted", counting)
+        cfg = small_config(
+            scenarios=("mbim", "robust"), trials=1, pool_per_beam=6,
+            grouping="robust", csi_error_ratio=0.1,
+            power_sweep_dbw=(25.0, 30.0),
+        )
+        res = run_monte_carlo(cfg)
+        assert res.total_skipped() == 0
+        assert shapes == [(cfg.beams, cfg.beams)] * cfg.beams
 
     def test_robust_and_grouping_scenarios_run(self):
         cfg = small_config(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from satprecode.linalg import eigh_sorted, null_space, random_unitary
+from satprecode.linalg import eigh_sorted, random_unitary
+
+from oracles import null_space
 
 
 def hermitian(n, seed):

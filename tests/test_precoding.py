@@ -20,11 +20,13 @@ from satprecode.precoding import (
     power_control,
     rzf_block,
     rzf_interbeam,
+    rzf_null_basis,
     two_stage,
 )
 from satprecode.evaluate import sinr_matrix
 
-from conftest import random_channel
+import oracles
+from conftest import acceptance_corpus, random_channel
 
 
 class TestMbim:
@@ -85,8 +87,6 @@ class TestRzf:
             assert residual <= 1e-8 * np.linalg.norm(reduced)
 
     def test_block_projects_through_computed_null_basis(self):
-        from satprecode.precoding import rzf_null_basis
-
         ch = random_channel(3, 2, 6, seed=6)
         p = 9.0
         wa = rzf_block(ch, 1, p)
@@ -119,6 +119,20 @@ class TestRzf:
                     np.linalg.norm(ch.beam(j) @ wa)
                     < np.linalg.norm(ch.beam(j) @ raw)
                 )
+
+    def test_matches_svd_null_space_oracle_on_acceptance_corpus(self):
+        for ch, p in acceptance_corpus():
+            for k in range(ch.beams):
+                new = rzf_null_basis(ch, k, p)
+                ref = oracles.rzf_null_basis(ch, k, p)
+                # Same subspace: equal orthogonal projectors.
+                assert np.allclose(new @ new.conj().T, ref @ ref.conj().T,
+                                   atol=1e-8)
+            fast = two_stage(ch, p, interbeam="rzf")
+            slow = assemble(ch, oracles.rzf_interbeam(ch, p), p)
+            np.testing.assert_allclose(
+                sinr_matrix(ch, fast.w), sinr_matrix(ch, slow.w), rtol=1e-6
+            )
 
 
 class TestIntrabeam:

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import satprecode as sp
 from satprecode.channel import PerturbationBounds
+from satprecode.evaluate import sinr_matrix
 from satprecode.exceptions import ConfigError
 from satprecode.linalg import eigh_sorted, random_unitary
 from satprecode.precoding import intrabeam, mbim_interbeam, two_stage
@@ -15,12 +18,13 @@ from satprecode.robust import (
     first_order_eigvecs,
     intra_penalty_scale,
     robust_interbeam,
-    robust_intrabeam,
     robust_two_stage,
     weyl_upper_bound,
 )
 
-from conftest import random_channel
+import oracles
+from conftest import acceptance_corpus, random_channel
+from oracles import robust_intrabeam
 
 
 def spread_hermitian(n, seed, spectrum=None):
@@ -34,12 +38,14 @@ def spread_hermitian(n, seed, spectrum=None):
 
 class TestEigenShiftBound:
     def test_zero_uncertainty_gives_zero(self):
-        assert eigen_shift_bound(0.0, np.ones((3, 3))) == 0.0
+        lam_max = np.linalg.norm(np.ones((3, 3)), 2) ** 2
+        assert eigen_shift_bound(0.0, lam_max) == 0.0
 
     def test_hand_case(self):
         # Cross-Gram with largest eigenvalue four: diag(2, 1) rows.
         h_other = np.diag([2.0, 1.0]).astype(complex)
-        assert eigen_shift_bound(1.0, h_other) == pytest.approx(9.0, rel=1e-12)
+        lam_max = np.linalg.norm(h_other, 2) ** 2
+        assert eigen_shift_bound(1.0, lam_max) == pytest.approx(9.0, rel=1e-12)
 
     def test_bounds_gram_perturbation_spectral_norm(self):
         # Monte Carlo validity: for every error with Frobenius norm at
@@ -48,7 +54,7 @@ class TestEigenShiftBound:
         h_other = 3.0 * (rng.standard_normal((6, 4))
                          + 1j * rng.standard_normal((6, 4)))
         gamma_hat = 2.0
-        eps = eigen_shift_bound(gamma_hat, h_other)
+        eps = eigen_shift_bound(gamma_hat, np.linalg.norm(h_other, 2) ** 2)
         for _ in range(1000):
             d = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
             d *= gamma_hat * rng.uniform() / np.linalg.norm(d)
@@ -58,7 +64,7 @@ class TestEigenShiftBound:
 
     def test_negative_uncertainty_rejected(self):
         with pytest.raises(ConfigError):
-            eigen_shift_bound(-1.0, np.ones((2, 2)))
+            eigen_shift_bound(-1.0, np.linalg.norm(np.ones((2, 2)), 2) ** 2)
 
 
 class TestWeyl:
@@ -169,7 +175,8 @@ class TestRobustInterbeam:
         wa = robust_interbeam(ch, bounds, p)
         for k in range(3):
             other = ch.excluding(k)
-            eps = eigen_shift_bound(float(bounds.gamma_tilde_k[k]), other)
+            eps = eigen_shift_bound(float(bounds.gamma_tilde_k[k]),
+                                    np.linalg.norm(other, 2) ** 2)
             lam, vec = np.linalg.eigh(other.conj().T @ other)
             expected = vec[:, :2][:, ::-1] / np.sqrt(
                 lam[:2][::-1] + 6.0 / p + eps
@@ -269,3 +276,19 @@ class TestRobustPipeline:
             ),
         )
         assert np.all(bigger.epsilon_k >= derived.epsilon_k)
+
+    def test_matches_coupler_pipeline_on_acceptance_corpus(self):
+        # The oracle runs the first-order coupler algebra of both stages;
+        # the library runs shifted mbim plus the nominal intra stage.
+        for i, (ch, p) in enumerate(acceptance_corpus()):
+            est, _, bounds = sp.perturb_channel(ch, 0.05, 700 + i)
+            bounds = bounds.with_lower(1.0)
+            assert np.all(bounds.gamma_tilde_k > 0.0)
+            for mode in ("per_feed", "total"):
+                fast = robust_two_stage(est, bounds, p, mode)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateSpectrumWarning)
+                    slow = oracles.robust_two_stage(est, bounds, p, mode)
+                np.testing.assert_allclose(
+                    sinr_matrix(ch, fast.w), sinr_matrix(ch, slow.w), rtol=1e-6
+                )
