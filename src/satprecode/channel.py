@@ -48,6 +48,10 @@ BOLTZMANN = 1.380649e-23
 # Argument of |2*J1(u)/u|**2 at the -3 dB point, solved once at import.
 _U_HALF = brentq(lambda u: (2.0 * j1(u) / u) ** 2 - 10.0 ** (-0.3), 1.0, 2.0)
 
+# Candidate contour half-widths in ground degrees: 1e-3 doubled 39 times
+# (doubling is exact, so these equal the steps of an iterated search).
+_HALFWIDTH_STEPS = 1e-3 * 2.0 ** np.arange(40)
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -312,10 +316,13 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     rng = np.random.default_rng(rng_seed)
     radius = layout.beam_radius_3db_deg
 
+    halfwidths = _ground_halfwidths_deg(
+        sat, layout.beam_centers, radius, budget.earth_radius_m
+    )
     positions = np.empty((layout.beams, q_sched, 2))
     for k in range(layout.beams):
         lat0, lon0 = layout.beam_centers[k]
-        half = _ground_halfwidth_deg(sat, lat0, lon0, radius, budget.earth_radius_m)
+        half = halfwidths[k]
         cos_lat = math.cos(math.radians(lat0))
         if cos_lat <= 0.0:
             raise GeometryError(f"beam {k} center at the pole is unsupported")
@@ -343,23 +350,32 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     return UserSet(positions=positions, q_served=q_served or q_sched)
 
 
-def _ground_halfwidth_deg(sat: np.ndarray, lat0: float, lon0: float,
-                          radius_deg: float, earth_radius_m: float) -> float:
-    """Half-width (ground degrees) of a box certain to cover the contour."""
+def _ground_halfwidths_deg(sat: np.ndarray, centers: np.ndarray,
+                           radius_deg: float, earth_radius_m: float) -> np.ndarray:
+    """Half-widths (ground degrees) of boxes certain to cover each contour.
+
+    For each beam center, the first step of the doubling sequence
+    `_HALFWIDTH_STEPS` whose northward offset reaches the beam radius seen
+    from the satellite; every beam and step is converted in one pass.
+    """
     if radius_deg <= 0.0:
         raise GeometryError("beam radius must be strictly positive")
-    step = 1e-3
-    for _ in range(40):
-        a_lat = geometry.off_axis_angle_deg(
-            sat, lat0, lon0, lat0 + step, lon0, earth_radius_m
+    lat0, lon0 = centers[:, 0], centers[:, 1]
+    bores = geometry.latlon_to_ecef(lat0, lon0, earth_radius_m) - sat
+    targs = geometry.latlon_to_ecef(
+        lat0[:, None] + _HALFWIDTH_STEPS, lon0[:, None], earth_radius_m
+    ) - sat
+    reach = np.array(
+        [geometry.boresight_angle_deg(b, t) for b, t in zip(bores, targs)]
+    ) >= radius_deg
+    closed = reach.any(axis=1)
+    if not np.all(closed):
+        bad = int(np.argmin(closed))
+        raise GeometryError(
+            f"beam {bad} contour does not close on the visible Earth"
         )
-        if a_lat >= radius_deg:
-            break
-        step *= 2.0
-    else:
-        raise GeometryError("beam contour does not close on the visible Earth")
     # 1.6 margin covers the obliquity stretch of the footprint ellipse.
-    return 1.6 * step
+    return 1.6 * _HALFWIDTH_STEPS[np.argmax(reach, axis=1)]
 
 
 def feed_gain(feed_boresight, user_position, layout: BeamLayout,
@@ -409,11 +425,14 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet, budget: LinkBudget,
     g_r = 10.0 ** (budget.user_antenna_gain_db / 20.0)
     denom = 4.0 * math.pi * (d / budget.wavelength_m) * budget.noise_amplitude
 
+    targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],
+                                   budget.earth_radius_m) - sat
     gains = np.empty((rows, layout.feeds))
     for n in range(layout.feeds):
         bore = layout.feed_boresights[n]
-        theta = geometry.off_axis_angle_deg(
-            sat, bore[0], bore[1], flat[:, 0], flat[:, 1], budget.earth_radius_m
+        theta = geometry.boresight_angle_deg(
+            geometry.latlon_to_ecef(bore[0], bore[1], budget.earth_radius_m) - sat,
+            targ,
         )
         gains[:, n] = pattern_gain(theta, layout.beam_radius_3db_deg)
     g = g_r * np.sqrt(gains) / denom[:, None]

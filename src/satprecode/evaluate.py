@@ -31,12 +31,7 @@ from .channel import (
     place_users,
 )
 from .config import ScenarioConfig, config_echo
-from .exceptions import (
-    ConfigError,
-    DegenerateBeamError,
-    InfeasibleChannelError,
-    SingularChannelError,
-)
+from .exceptions import MODELLED_FAILURES, ConfigError
 from .gateway import assemble_multigateway_precoder, make_plan, share_csi
 from .precoding import baseline_avg_mmse, baseline_four_color, two_stage
 from .robust import robust_two_stage
@@ -178,16 +173,6 @@ def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
     worst_db = 10.0 * np.log10(np.maximum(np.min(sinrs, axis=-1), 1e-300))
     symbol_rate = bandwidth_factor * budget.bandwidth_hz / (1.0 + budget.rolloff)
     return symbol_rate * table.efficiency(worst_db)
-
-
-# Numerical failures the channel model can produce: the cell is skipped.
-# Any other exception is a bug and propagates.
-_MODELLED_FAILURES = (
-    SingularChannelError,
-    InfeasibleChannelError,
-    DegenerateBeamError,
-    np.linalg.LinAlgError,
-)
 
 
 @dataclass
@@ -363,15 +348,28 @@ def _run_trial(trial_seed: np.random.SeedSequence,
     else:
         bounds = PerturbationBounds.zero(cfg.beams)
 
+    # The CSI exchange does not depend on power: one set of views per
+    # gateway scenario, so their decompositions serve every power point.
+    shared = {}
+    for name, plan in plans.items():
+        try:
+            shared[name] = share_csi(ch_est, plan)
+        except MODELLED_FAILURES:
+            shared[name] = None
+
     out = {}
     for p_dbw in cfg.power_sweep_dbw:
         p_w = 10.0 ** (p_dbw / 10.0)
         for name in cfg.scenarios:
+            if name in shared and shared[name] is None:
+                out[(name, p_dbw)] = None
+                continue
             try:
                 sinrs, factor = _scenario_sinrs(
-                    name, ch_true, ch_est, bounds, p_w, cfg, layout, plans
+                    name, ch_true, ch_est, bounds, p_w, cfg, layout, plans,
+                    shared,
                 )
-            except _MODELLED_FAILURES:
+            except MODELLED_FAILURES:
                 out[(name, p_dbw)] = None
             else:
                 out[(name, p_dbw)] = beam_rate(sinrs, table, budget, factor)
@@ -380,7 +378,8 @@ def _run_trial(trial_seed: np.random.SeedSequence,
 
 def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
                     bounds: PerturbationBounds, p_w: float,
-                    cfg: ScenarioConfig, layout: BeamLayout, plans: dict):
+                    cfg: ScenarioConfig, layout: BeamLayout, plans: dict,
+                    shared: dict):
     base = name.split(":")[0]
     if base == "mbim" or base == "rzf":
         pre = two_stage(ch_est, p_w, cfg.power_mode, interbeam=base)
@@ -394,10 +393,9 @@ def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
         pre = robust_two_stage(ch_est, bounds, p_w, cfg.power_mode)
         return sinr_matrix(ch_true, pre.w), 1.0
     if base.startswith("gw_"):
-        plan = plans[name]
-        views = share_csi(ch_est, plan)
         pre = assemble_multigateway_precoder(
-            views, plan, p_w, precoder_kind="mbim", mode=cfg.power_mode
+            shared[name], plans[name], p_w, precoder_kind="mbim",
+            mode=cfg.power_mode,
         )
         return sinr_matrix(ch_true, pre.w), 1.0
     raise ConfigError(f"unknown scenario {name!r}")

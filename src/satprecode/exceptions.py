@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or inconsistent parameter set."""
@@ -19,3 +21,13 @@ class InfeasibleChannelError(RuntimeError):
 
 class DegenerateBeamError(RuntimeError):
     """A beam's effective channel vanished; no intra-beam direction exists."""
+
+
+# Numerical failures the channel model can produce: a Monte Carlo cell that
+# raises one is skipped. Any other exception is a bug and propagates.
+MODELLED_FAILURES = (
+    SingularChannelError,
+    InfeasibleChannelError,
+    DegenerateBeamError,
+    np.linalg.LinAlgError,
+)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelMatrix
-from .exceptions import ConfigError
+from .exceptions import MODELLED_FAILURES, ConfigError
 from .precoding import Precoder, intrabeam, mbim_block, power_control, rzf_block
 
 __all__ = [
@@ -170,16 +170,22 @@ def local_csi(ch: ChannelMatrix, plan: GatewayPlan, g: int) -> np.ndarray:
 class SharedCsiView:
     """Effective channel of one gateway after CSI exchange.
 
-    `h_effective` has all K*Q user rows but only the gateway's own feed
-    columns; `known_rows` flags the rows known exactly. The overhead
-    counter is the number of complex values this gateway transmitted to
-    its peers.
+    `channel` has all K*Q user rows but only the gateway's own feed
+    columns; `known_rows` flags the rows known exactly. The view owns this
+    `ChannelMatrix`, so its memoized decompositions are shared by every
+    power point designed from the view. The overhead counter is the
+    number of complex values this gateway transmitted to its peers.
     """
 
     gateway: int
-    h_effective: np.ndarray
+    channel: ChannelMatrix
     known_rows: np.ndarray
     overhead_complex_count: int
+
+    @property
+    def h_effective(self) -> np.ndarray:
+        """The effective channel's entries (read-only)."""
+        return self.channel.h
 
 
 def _cross_block(ch: ChannelMatrix, plan: GatewayPlan, users_of: int,
@@ -214,7 +220,8 @@ def overhead_per_gateway(plan: GatewayPlan) -> np.ndarray:
 
 def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[SharedCsiView]:
     """Run the CSI exchange and build every gateway's effective channel."""
-    if plan.beams != ch.beams or plan.feeds != ch.feeds:
+    if (plan.beams, plan.feeds, plan.users_per_beam) != (
+            ch.beams, ch.feeds, ch.users_per_beam):
         raise ConfigError("plan and channel dimensions disagree")
     q = ch.users_per_beam
     rows_total = ch.h.shape[0]
@@ -243,7 +250,7 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[SharedCsiView]:
         views.append(
             SharedCsiView(
                 gateway=g,
-                h_effective=eff,
+                channel=ChannelMatrix(h=eff, beams=ch.beams, users_per_beam=q),
                 known_rows=known,
                 overhead_complex_count=int(overhead[g]),
             )
@@ -265,19 +272,17 @@ def assemble_multigateway_precoder(views: list[SharedCsiView],
     if precoder_kind not in ("mbim", "rzf"):
         raise ConfigError(f"unknown precoder kind {precoder_kind!r}")
     block = mbim_block if precoder_kind == "mbim" else rzf_block
-    q = plan.users_per_beam
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
     for view in views:
         g = view.gateway
-        eff = ChannelMatrix(h=view.h_effective, beams=plan.beams,
-                            users_per_beam=q)
+        eff = view.channel
         beams = plan.beam_slice(g)
         for k in range(beams.start, beams.stop):
             try:
                 wa_k = block(eff, k, p_total)
                 z = eff.beam(k) @ wa_k
                 w_bar[plan.feed_slice(g), k] = wa_k @ intrabeam(z)
-            except Exception as exc:
-                raise type(exc)(f"gateway {g}: {exc}") from None
+            except MODELLED_FAILURES as exc:
+                raise type(exc)(f"gateway {g}: {exc}") from exc
     alpha = power_control(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)

@@ -50,8 +50,19 @@ def off_axis_angle_deg(sat_pos: np.ndarray, bore_lat, bore_lon,
 
     Broadcasts over target arrays; the boresight is a single ground point.
     """
-    bore = latlon_to_ecef(bore_lat, bore_lon, earth_radius_m) - sat_pos
-    targ = latlon_to_ecef(target_lat, target_lon, earth_radius_m) - sat_pos
+    return boresight_angle_deg(
+        latlon_to_ecef(bore_lat, bore_lon, earth_radius_m) - sat_pos,
+        latlon_to_ecef(target_lat, target_lon, earth_radius_m) - sat_pos,
+    )
+
+
+def boresight_angle_deg(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
+    """Angle between one boresight vector (3,) and target vectors (..., 3).
+
+    Both vectors point from the satellite to the ground, so callers that
+    test many boresights against the same targets convert the targets
+    once.
+    """
     bu = bore / np.linalg.norm(bore)
     # atan2 of the rejection/projection pair stays accurate at tiny angles,
     # where arccos of a rounded dot product does not.

@@ -1,11 +1,13 @@
 """Reference maths behind the fast precoding paths, kept as test oracles.
 
 These are the direct implementations the library once ran: the SVD null
-space behind the zero-forcing design, and the first-order coupler
-algebra of the robust inter- and intra-beam stages. The library now
-computes the same designs in closed form (one regularized inverse for
-RZF; the shifted interference-mitigation design plus the nominal
-intra-beam stage for the robust precoder). The tests compare the two.
+space behind the zero-forcing design, the first-order coupler algebra of
+the robust inter- and intra-beam stages, and the per-beam doubling
+search for the user-placement box. The library now computes the same
+designs in closed form (one regularized inverse for RZF; the shifted
+interference-mitigation design plus the nominal intra-beam stage for the
+robust precoder) and every beam's box in one pass. The tests compare the
+two.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import warnings
 
 import numpy as np
 
+from satprecode import geometry
 from satprecode.channel import ChannelMatrix, PerturbationBounds
-from satprecode.exceptions import ConfigError, InfeasibleChannelError
+from satprecode.exceptions import ConfigError, GeometryError, InfeasibleChannelError
 from satprecode.linalg import RANK_TOL, eigh_sorted
 from satprecode.precoding import Precoder, intrabeam, mbim_block, power_control
 from satprecode.robust import (
@@ -160,3 +163,22 @@ def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
     w_bar = wa @ wb
     alpha = power_control(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
+
+
+def ground_halfwidth_deg(sat: np.ndarray, lat0: float, lon0: float,
+                         radius_deg: float, earth_radius_m: float) -> float:
+    """Half-width (ground degrees) of a box certain to cover the contour."""
+    if radius_deg <= 0.0:
+        raise GeometryError("beam radius must be strictly positive")
+    step = 1e-3
+    for _ in range(40):
+        a_lat = geometry.off_axis_angle_deg(
+            sat, lat0, lon0, lat0 + step, lon0, earth_radius_m
+        )
+        if a_lat >= radius_deg:
+            break
+        step *= 2.0
+    else:
+        raise GeometryError("beam contour does not close on the visible Earth")
+    # 1.6 margin covers the obliquity stretch of the footprint ellipse.
+    return 1.6 * step

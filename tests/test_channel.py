@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,10 +11,16 @@ from scipy.optimize import brentq
 
 import satprecode as sp
 from satprecode import geometry
-from satprecode.channel import ChannelMatrix, pattern_gain
+from satprecode.channel import ChannelMatrix, _ground_halfwidths_deg, pattern_gain
+from satprecode.config import parse_config
+from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import ConfigError, GeometryError
 
 from conftest import random_channel
+from oracles import ground_halfwidth_deg
+
+SHIPPED_CONFIGS = ("desk.cfg", "figure3_recipe.cfg", "gateway_desk.cfg",
+                   "paper_scale.cfg")
 
 
 class TestLinkBudget:
@@ -122,6 +129,65 @@ class TestPlaceUsers:
     def test_invalid_pool_size_rejected(self, desk_layout, budget):
         with pytest.raises(ConfigError):
             sp.place_users(desk_layout, 0, 1, budget=budget)
+
+
+def assert_halfwidths_match_oracle(layout, budget):
+    sat = budget.satellite_position()
+    radius = layout.beam_radius_3db_deg
+    got = _ground_halfwidths_deg(sat, layout.beam_centers, radius,
+                                 budget.earth_radius_m)
+    want = np.array([
+        ground_halfwidth_deg(sat, lat0, lon0, radius, budget.earth_radius_m)
+        for lat0, lon0 in layout.beam_centers
+    ])
+    assert np.array_equal(got, want)
+
+
+class TestContourHalfwidths:
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_shipped_layouts_match_scalar_search(self, name):
+        ref = resources.files("satprecode.data").joinpath(f"configs/{name}")
+        with resources.as_file(ref) as path:
+            cfg = parse_config(path)
+        budget = _build_budget(cfg)
+        assert_halfwidths_match_oracle(_build_layout(cfg, budget), budget)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        beams=st.integers(1, 19),
+        log_radius=st.floats(-4.0, 0.3),
+        spacing_factor=st.floats(1.0, 8.0),
+        center_lat=st.floats(-60.0, 60.0),
+        center_lon=st.floats(-30.0, 50.0),
+    )
+    def test_random_layouts_match_scalar_search(self, budget, beams,
+                                                log_radius, spacing_factor,
+                                                center_lat, center_lon):
+        radius = 10.0 ** log_radius
+        layout = sp.hex_layout(beams, center_lat, center_lon, radius,
+                               spacing_factor * radius)
+        assert_halfwidths_match_oracle(layout, budget)
+
+    def test_tiny_contour_stops_at_first_step(self, budget):
+        # A 1e-3 degree ground step already spans more than 5e-5 degrees
+        # seen from GEO, so the search stops at once.
+        layout = sp.hex_layout(3, 47.0, 10.0, 5e-5, 1e-3)
+        assert_halfwidths_match_oracle(layout, budget)
+        sat = budget.satellite_position()
+        got = _ground_halfwidths_deg(sat, layout.beam_centers, 5e-5,
+                                     budget.earth_radius_m)
+        assert np.all(got == 1.6e-3)
+
+    def test_contour_wider_than_earth_disk_does_not_close(self, budget):
+        # Seen from GEO the whole Earth lies within about 8.7 degrees of
+        # the sub-satellite point (0, 10), so a 10-degree contour around
+        # it never closes.
+        layout = sp.hex_layout(1, 0.0, 10.0, 10.0, 20.0)
+        sat = budget.satellite_position()
+        with pytest.raises(GeometryError, match="does not close"):
+            ground_halfwidth_deg(sat, 0.0, 10.0, 10.0, budget.earth_radius_m)
+        with pytest.raises(GeometryError, match="beam 0 contour does not close"):
+            sp.place_users(layout, 2, 0, budget=budget)
 
 
 class TestFeedPattern:

@@ -226,6 +226,51 @@ class TestMonteCarlo:
         assert res.total_skipped() == 0
         assert shapes == [(cfg.beams, cfg.beams)] * cfg.beams
 
+    def test_gateway_views_and_decompositions_shared_across_powers(
+            self, monkeypatch):
+        original_eigh = satprecode.linalg.eigh_sorted
+        original_share = satprecode.evaluate.share_csi
+        calls = {"eigh": 0, "share": 0}
+
+        def counting_eigh(a):
+            calls["eigh"] += 1
+            return original_eigh(a)
+
+        def counting_share(*args):
+            calls["share"] += 1
+            return original_share(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("satprecode") and vars(mod).get(
+                "eigh_sorted"
+            ) is original_eigh:
+                monkeypatch.setattr(mod, "eigh_sorted", counting_eigh)
+        monkeypatch.setattr(satprecode.evaluate, "share_csi", counting_share)
+        scenarios = ("gw_ref", "gw_closest:1", "gw_icp", "gw_msvdgc")
+        counts = []
+        for powers in ((40.0,), (40.0, 45.0)):
+            calls.update(eigh=0, share=0)
+            cfg = small_config(beams=12, gateways=3, scenarios=scenarios,
+                               trials=2, power_sweep_dbw=powers)
+            assert run_monte_carlo(cfg).total_skipped() == 0
+            counts.append(dict(calls))
+        # One exchange per (trial, scenario); one decomposition per
+        # (gateway view, own beam), whatever the number of power points.
+        expected = {"share": 2 * len(scenarios),
+                    "eigh": 2 * len(scenarios) * 12}
+        assert counts == [expected, expected]
+
+    def test_failed_csi_exchange_skips_every_power(self, monkeypatch):
+        def broken(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(satprecode.evaluate, "share_csi", broken)
+        cfg = small_config(beams=12, gateways=3, scenarios=("mbim", "gw_icp"),
+                           trials=2, power_sweep_dbw=(40.0, 45.0))
+        res = run_monte_carlo(cfg)
+        assert res.skipped == {("mbim", 40.0): 0, ("mbim", 45.0): 0,
+                               ("gw_icp", 40.0): 2, ("gw_icp", 45.0): 2}
+
     def test_robust_and_grouping_scenarios_run(self):
         cfg = small_config(
             scenarios=("mbim", "robust"), trials=4, pool_per_beam=6,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satprecode.exceptions import ConfigError
+import satprecode.gateway
+from satprecode.exceptions import ConfigError, SingularChannelError
 from satprecode.gateway import (
     assemble_multigateway_precoder,
     local_csi,
@@ -152,6 +153,20 @@ class TestShareCsi:
         for g in range(4):
             assert known[1][g] <= known[2][g] <= known[3][g]
 
+    def test_view_owns_read_only_channel(self):
+        ch = random_channel(6, 2, 6, seed=14)
+        plan = make_plan(6, 6, 2, 3, "msvdgc")
+        for view in share_csi(ch, plan):
+            assert view.h_effective is view.channel.h
+            assert view.channel.beams == 6 and view.channel.users_per_beam == 2
+            assert not view.h_effective.flags.writeable
+
+    def test_plan_for_other_user_count_rejected(self):
+        ch = random_channel(6, 2, 6, seed=15)
+        plan = make_plan(6, 6, 3, 3, "icp")
+        with pytest.raises(ConfigError, match="disagree"):
+            share_csi(ch, plan)
+
 
 class TestOverhead:
     def test_full_sharing_matches_closed_form(self):
@@ -226,8 +241,23 @@ class TestAssemble:
     def test_failures_name_the_gateway(self):
         # A gateway serving a single beam with no shared CSI has a zero
         # cross-Gram and cannot build the interference-mitigation block.
-        ch = random_channel(3, 2, 3, seed=12)
-        plan = make_plan(3, 3, 2, 3, "icp")
+        ch = random_channel(3, 2, 6, seed=12)
+        plan = make_plan(3, 6, 2, 3, "icp")
         views = share_csi(ch, plan)
-        with pytest.raises(Exception, match="gateway 0"):
+        with pytest.raises(SingularChannelError, match="gateway 0") as info:
             assemble_multigateway_precoder(views, plan, 5.0, "mbim")
+        assert isinstance(info.value.__cause__, SingularChannelError)
+
+    def test_unmodelled_errors_propagate_unwrapped(self, monkeypatch):
+        bug = TypeError("x")
+
+        def broken(*args, **kwargs):
+            raise bug
+
+        monkeypatch.setattr(satprecode.gateway, "mbim_block", broken)
+        ch = random_channel(6, 2, 6, seed=13)
+        plan = make_plan(6, 6, 2, 3, "closest", closest_c=2)
+        with pytest.raises(TypeError) as info:
+            assemble_multigateway_precoder(share_csi(ch, plan), plan, 5.0, "mbim")
+        assert info.value is bug
+        assert str(info.value) == "x"

@@ -1,0 +1,43 @@
+"""`results.csv` of every benchmark workload is byte-identical to its reference.
+
+The references in ``perfbench/reference/`` were recorded once per
+(workload, config seed); this runs config seed 0 of each workload through
+the CLI and compares the sha256 of its ``results.csv``. The files under
+``perfbench/`` are only read.
+"""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from satprecode.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_results_match_reference_seed_0(name, tmp_path):
+    cfg = WORKLOADS[name].write_config(0, tmp_path / f"{name}.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    got = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    reference = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
+    assert got == reference["seeds"]["0"]["sha256"]
