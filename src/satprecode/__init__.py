@@ -31,9 +31,7 @@ from .evaluate import (
     ModcodTable,
     MonteCarloResult,
     beam_rate,
-    modcod_lookup,
     run_monte_carlo,
-    sinr,
     sinr_matrix,
 )
 from .gateway import (

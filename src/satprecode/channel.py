@@ -1,7 +1,7 @@
 """Multibeam downlink channel model.
 
 The channel matrix is the entrywise product of a real gain matrix (link
-budget, feed radiation pattern, optional fading) and a unit-modulus phase
+budget, feed radiation pattern) and a unit-modulus phase
 matrix. Rows are stacked beam-major: row ``k*Q + q`` belongs to user q of
 beam k. All objects are immutable after construction and safe to share
 across parallel workers.
@@ -404,17 +404,15 @@ def pattern_gain(theta_deg, radius_3db_deg: float):
     return k_a**2 * taper
 
 
-def build_gain_matrix(layout: BeamLayout, users: UserSet, budget: LinkBudget,
-                      fading: np.ndarray | None = None) -> np.ndarray:
+def build_gain_matrix(layout: BeamLayout, users: UserSet,
+                      budget: LinkBudget) -> np.ndarray:
     """Real gain matrix F = A*G of shape (K*pool, N).
 
-    Entry (kq, n) is ``G_R * a_kqn / (4*pi*(d_kq/lambda) * sqrt(K_B*T_R*B_W))``
-    scaled by the user's fading term: receive antenna amplitude gain, feed
-    amplitude gain, spreading loss at the per-user slant range, all
-    normalized to the receiver noise. The entries are amplitudes (the
-    squared gains are the power gains), so the feed term is the square
-    root of the power pattern. `fading` is a per-user vector (default all
-    ones, clear sky).
+    Entry (kq, n) is ``G_R * a_kqn / (4*pi*(d_kq/lambda) * sqrt(K_B*T_R*B_W))``:
+    receive antenna amplitude gain, feed amplitude gain, spreading loss at
+    the per-user slant range, all normalized to the receiver noise. The
+    entries are amplitudes (the squared gains are the power gains), so the
+    feed term is the square root of the power pattern.
     """
     if users.beams != layout.beams:
         raise ConfigError("users and layout disagree on the number of beams")
@@ -435,14 +433,7 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet, budget: LinkBudget,
             targ,
         )
         gains[:, n] = pattern_gain(theta, layout.beam_radius_3db_deg)
-    g = g_r * np.sqrt(gains) / denom[:, None]
-
-    if fading is None:
-        return g
-    fading = np.asarray(fading, dtype=float)
-    if fading.shape != (rows,):
-        raise ConfigError(f"fading must have one entry per user, shape ({rows},)")
-    return fading[:, None] * g
+    return g_r * np.sqrt(gains) / denom[:, None]
 
 
 @dataclass(frozen=True)

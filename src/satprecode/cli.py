@@ -4,8 +4,9 @@ Verbs:
 
 * ``validate`` - parse a config, echo every effective parameter, exit;
 * ``run``      - execute the configured scenario suite and write the
-                 results CSV (plus an overhead CSV when gateway
-                 scenarios are present) and a human-readable summary;
+                 results CSV (plus an overhead CSV of the simulated
+                 gateway plans that exchange CSI) and a human-readable
+                 summary;
 * ``sweep``    - like ``run`` with the power sweep overridden from the
                  command line;
 * ``overhead`` - gateway CSI-sharing accounting only, no Monte Carlo.
@@ -24,9 +25,14 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig, _parse_floats, config_echo, parse_config
-from .evaluate import run_monte_carlo
-from .exceptions import ConfigError
-from .gateway import make_plan, overhead_per_gateway
+from .evaluate import (
+    _build_budget,
+    _build_layout,
+    gateway_plans,
+    run_monte_carlo,
+)
+from .exceptions import ConfigError, GeometryError
+from .gateway import overhead_per_gateway
 from .io import write_overhead_csv, write_results_csv, write_scenario_curve_csv
 
 MAX_SKIP_FRACTION = 0.10
@@ -92,28 +98,25 @@ def _echo_lines(cfg: ScenarioConfig) -> list[str]:
     return [f"satprecode {__version__}", *config_echo(cfg)]
 
 
-def _gateway_overhead_rows(cfg: ScenarioConfig):
+def _overhead_plans(cfg: ScenarioConfig) -> dict:
+    """The gateway plans `run` simulates, or gateway.gateway_mode's if none."""
+    layout = _build_layout(cfg, _build_budget(cfg))
+    fallback = f"gw_{cfg.gateway_mode}"
+    if cfg.gateway_mode == "closest":
+        fallback += f":{cfg.closest_c}"
+    return gateway_plans(cfg, layout) or gateway_plans(cfg, layout, (fallback,))
+
+
+def _overhead_rows(plans: dict) -> list[tuple]:
+    """One row per gateway of every plan that exchanges CSI."""
     rows = []
-    modes = []
-    for name in cfg.scenarios:
-        base = name.split(":")[0]
-        if base == "gw_icp":
-            modes.append(("icp", None))
-        elif base == "gw_msvdgc":
-            modes.append(("msvdgc", None))
-        elif base == "gw_closest":
-            c = int(name.split(":")[1]) if ":" in name else cfg.closest_c
-            modes.append(("closest", c))
-    if not modes:
-        modes = [(cfg.gateway_mode, cfg.closest_c)]
-    feeds = cfg.beams * cfg.feeds_per_beam
-    for mode, c in modes:
-        if mode == "ref":
+    for plan in plans.values():
+        if plan.mode == "ref":
             continue
-        plan = make_plan(cfg.beams, feeds, cfg.users_per_beam, cfg.gateways,
-                         mode, closest_c=c)
         counts = overhead_per_gateway(plan)
-        label = f"closest:{c}" if mode == "closest" else mode
+        label = plan.mode
+        if plan.mode == "closest":
+            label += f":{plan.closest_c}"
         for g in range(plan.gateways):
             rows.append(
                 (label, plan.gateways, int(plan.beams_per_gateway[g]),
@@ -126,7 +129,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-    except ConfigError as exc:
+        # The overhead verb runs no design, so only bad input can raise here.
+        plans = _overhead_plans(cfg) if args.verb == "overhead" else None
+    except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -147,7 +152,7 @@ def main(argv=None) -> int:
         return 2
 
     if args.verb == "overhead":
-        rows = _gateway_overhead_rows(cfg)
+        rows = _overhead_rows(plans)
         write_overhead_csv(rows, out_dir / "overhead.csv")
         print(f"wrote {out_dir / 'overhead.csv'} ({len(rows)} rows)")
         return 0
@@ -170,11 +175,10 @@ def main(argv=None) -> int:
         curve_path = out_dir / f"curve_{name.replace(':', '-')}.csv"
         write_scenario_curve_csv(cfg.power_sweep_dbw, means, stds, curve_path)
         artifacts.append(curve_path)
-    if any(s.startswith("gw_") for s in cfg.scenarios) and cfg.gateways > 1:
-        rows = _gateway_overhead_rows(cfg)
-        if rows:
-            write_overhead_csv(rows, out_dir / "overhead.csv")
-            artifacts.append(out_dir / "overhead.csv")
+    rows = _overhead_rows(result.plans)
+    if rows:
+        write_overhead_csv(rows, out_dir / "overhead.csv")
+        artifacts.append(out_dir / "overhead.csv")
 
     skipped = result.total_skipped()
     total = result.total_cells()

@@ -26,19 +26,21 @@ def _parse_scenarios(raw: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not names:
         raise ConfigError("run.scenarios must name at least one scenario")
+    if len(set(names)) != len(names):
+        raise ConfigError("run.scenarios must not repeat a scenario")
     for name in names:
-        base = name.split(":")[0]
+        base, _, count = name.partition(":")
         if base not in KNOWN_SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {name!r}; known: {', '.join(KNOWN_SCENARIOS)}"
             )
-        if base == "gw_closest":
-            parts = name.split(":")
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
-                raise ConfigError(
-                    f"scenario {name!r} must carry a cooperation count, "
-                    "e.g. gw_closest:2"
-                )
+        if base != "gw_closest" and name != base:
+            raise ConfigError(f"scenario {name!r} takes no ':' suffix")
+        if base == "gw_closest" and not (count.isdecimal() and int(count) >= 1):
+            raise ConfigError(
+                f"scenario {name!r} must carry a cooperation count, "
+                "e.g. gw_closest:2"
+            )
     return names
 
 
@@ -137,65 +139,41 @@ class ScenarioConfig:
             )
         if self.modcod_file and not Path(self.modcod_file).exists():
             raise ConfigError(f"run.modcod_file does not exist: {self.modcod_file}")
-        _parse_scenarios(",".join(self.scenarios))
-        needs_gw = any(s.startswith("gw_") for s in self.scenarios)
-        if needs_gw and self.gateways < 2 and any(
-            s.split(":")[0] in ("gw_icp", "gw_closest", "gw_msvdgc")
-            for s in self.scenarios
-        ):
+        if (self.gateway_mode == "closest"
+                and not 1 <= self.closest_c < self.gateways):
             raise ConfigError(
-                "gateway scenarios other than gw_ref need gateway.gateways >= 2"
+                f"gateway.closest_c ({self.closest_c}) must lie in "
+                "[1, gateway.gateways) when gateway.gateway_mode = closest"
             )
+        for name in _parse_scenarios(",".join(self.scenarios)):
+            base, _, count = name.partition(":")
+            if base in ("gw_icp", "gw_closest", "gw_msvdgc") and self.gateways < 2:
+                raise ConfigError(
+                    "gateway scenarios other than gw_ref need gateway.gateways >= 2"
+                )
+            if base == "gw_closest" and int(count) >= self.gateways:
+                raise ConfigError(
+                    f"scenario {name!r} must cooperate with fewer than "
+                    f"gateway.gateways ({self.gateways}) peers"
+                )
 
 
-# section -> key -> (attribute, parser, description)
+# section -> key names; each key is the ScenarioConfig attribute of the
+# same name, parsed with its default's type unless listed in _LIST_PARSERS.
 _SCHEMA = {
-    "channel": {
-        "beams": ("beams", int),
-        "feeds_per_beam": ("feeds_per_beam", int),
-        "users_per_beam": ("users_per_beam", int),
-        "pool_per_beam": ("pool_per_beam", int),
-        "center_lat": ("center_lat", float),
-        "center_lon": ("center_lon", float),
-        "beam_radius_3db_deg": ("beam_radius_3db_deg", float),
-        "beam_spacing_deg": ("beam_spacing_deg", float),
-        "phase_model": ("phase_model", str),
-        "phase_sigma_deg": ("phase_sigma_deg", float),
-    },
-    "link_budget": {
-        "satellite_longitude_deg": ("satellite_longitude_deg", float),
-        "satellite_height_m": ("satellite_height_m", float),
-        "earth_radius_m": ("earth_radius_m", float),
-        "carrier_freq_hz": ("carrier_freq_hz", float),
-        "bandwidth_hz": ("bandwidth_hz", float),
-        "rolloff": ("rolloff", float),
-        "user_antenna_gain_db": ("user_antenna_gain_db", float),
-        "g_over_t_db": ("g_over_t_db", float),
-    },
-    "run": {
-        "scenarios": ("scenarios", _parse_scenarios),
-        "trials": ("trials", int),
-        "power_sweep_dbw": ("power_sweep_dbw", _parse_floats),
-        "seed": ("seed", int),
-        "grouping": ("grouping", str),
-        "csi_error_ratio": ("csi_error_ratio", float),
-        "gamma_lower": ("gamma_lower", float),
-        "power_mode": ("power_mode", str),
-        "threads": ("threads", int),
-        "modcod_file": ("modcod_file", str),
-    },
-    "gateway": {
-        "gateways": ("gateways", int),
-        "gateway_mode": ("gateway_mode", str),
-        "closest_c": ("closest_c", int),
-    },
+    "channel": ("beams", "feeds_per_beam", "users_per_beam", "pool_per_beam",
+                "center_lat", "center_lon", "beam_radius_3db_deg",
+                "beam_spacing_deg", "phase_model", "phase_sigma_deg"),
+    "link_budget": ("satellite_longitude_deg", "satellite_height_m",
+                    "earth_radius_m", "carrier_freq_hz", "bandwidth_hz",
+                    "rolloff", "user_antenna_gain_db", "g_over_t_db"),
+    "run": ("scenarios", "trials", "power_sweep_dbw", "seed", "grouping",
+            "csi_error_ratio", "gamma_lower", "power_mode", "threads",
+            "modcod_file"),
+    "gateway": ("gateways", "gateway_mode", "closest_c"),
 }
 
-_SECTION_OF_ATTR = {
-    attr: section
-    for section, keys in _SCHEMA.items()
-    for _, (attr, _parser) in keys.items()
-}
+_LIST_PARSERS = {"scenarios": _parse_scenarios, "power_sweep_dbw": _parse_floats}
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -221,7 +199,7 @@ def parse_config(path) -> ScenarioConfig:
                     f"unknown key {section}.{key}; known keys: "
                     f"{', '.join(_SCHEMA[section])}"
                 )
-            attr, convert = _SCHEMA[section][key]
+            convert = _LIST_PARSERS.get(key, type(getattr(ScenarioConfig, key)))
             try:
                 value = convert(raw)
             except ConfigError:
@@ -230,7 +208,7 @@ def parse_config(path) -> ScenarioConfig:
                 raise ConfigError(
                     f"{section}.{key} expects {convert.__name__}, got {raw!r}"
                 ) from None
-            setattr(cfg, attr, value)
+            setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -239,8 +217,8 @@ def config_echo(cfg: ScenarioConfig) -> list[str]:
     """One ``section.key = value`` line per parameter, defaults included."""
     lines = []
     for section, keys in _SCHEMA.items():
-        for key, (attr, _parser) in keys.items():
-            value = getattr(cfg, attr)
+        for key in keys:
+            value = getattr(cfg, key)
             if isinstance(value, tuple):
                 value = ", ".join(str(v) for v in value)
             lines.append(f"{section}.{key} = {value}")

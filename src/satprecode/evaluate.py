@@ -30,19 +30,23 @@ from .channel import (
     perturb_channel,
     place_users,
 )
-from .config import ScenarioConfig, config_echo
+from .config import _SCHEMA, ScenarioConfig
 from .exceptions import MODELLED_FAILURES, ConfigError
-from .gateway import assemble_multigateway_precoder, make_plan, share_csi
+from .gateway import (
+    GatewayPlan,
+    assemble_multigateway_precoder,
+    make_plan,
+    share_csi,
+)
 from .precoding import baseline_avg_mmse, baseline_four_color, two_stage
 from .robust import robust_two_stage
 
 __all__ = [
     "ModcodTable",
-    "modcod_lookup",
-    "sinr",
     "sinr_matrix",
     "beam_rate",
     "MonteCarloResult",
+    "gateway_plans",
     "run_monte_carlo",
     "bootstrap_mean_diff_quantiles",
 ]
@@ -135,11 +139,6 @@ class ModcodTable:
             return cls.fallback()
 
 
-def modcod_lookup(snir_db: float, table: ModcodTable) -> float:
-    """Efficiency of the highest threshold at or below `snir_db`."""
-    return table.efficiency(snir_db)
-
-
 def sinr_matrix(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     """Linear SINR of every user under precoder W, as a (K, Q) array.
 
@@ -151,11 +150,6 @@ def sinr_matrix(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     signal = amps[np.arange(amps.shape[0]), beam_of_row]
     interference = amps.sum(axis=1) - signal
     return (signal / (interference + 1.0)).reshape(ch.beams, ch.users_per_beam)
-
-
-def sinr(ch: ChannelMatrix, w: np.ndarray, k: int, q: int) -> float:
-    """Linear SINR of user q in beam k."""
-    return float(sinr_matrix(ch, w)[k, q])
 
 
 def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
@@ -180,9 +174,10 @@ class MonteCarloResult:
     """Aggregated Monte Carlo output.
 
     `throughput[scenario][p_dbw]` is a (trials, K) array of per-beam
-    throughput with NaN rows for skipped trials; `selected_members` logs
-    which pool users each trial served, per beam (the first entry of a
-    grouped selection is its seed user).
+    throughput with NaN rows for skipped trials; `plans` maps each
+    ``gw_*`` scenario to the gateway plan it was simulated with;
+    `selected_members` logs which pool users each trial served, per beam
+    (the first entry of a grouped selection is its seed user).
     """
 
     scenarios: tuple[str, ...]
@@ -191,7 +186,7 @@ class MonteCarloResult:
     trials: int
     throughput: dict
     skipped: dict
-    echo: list[str]
+    plans: dict[str, GatewayPlan]
     selected_members: np.ndarray | None = None
 
     def trial_means(self, scenario: str, p_dbw: float) -> np.ndarray:
@@ -248,40 +243,25 @@ def _build_layout(cfg: ScenarioConfig, budget: LinkBudget) -> BeamLayout:
 
 def _build_budget(cfg: ScenarioConfig) -> LinkBudget:
     return LinkBudget(
-        satellite_longitude_deg=cfg.satellite_longitude_deg,
-        satellite_height_m=cfg.satellite_height_m,
-        earth_radius_m=cfg.earth_radius_m,
-        carrier_freq_hz=cfg.carrier_freq_hz,
-        bandwidth_hz=cfg.bandwidth_hz,
-        rolloff=cfg.rolloff,
-        user_antenna_gain_db=cfg.user_antenna_gain_db,
-        g_over_t_db=cfg.g_over_t_db,
+        **{key: getattr(cfg, key) for key in _SCHEMA["link_budget"]}
     )
 
 
-def _gateway_plans(cfg: ScenarioConfig, layout: BeamLayout) -> dict:
+def gateway_plans(cfg: ScenarioConfig, layout: BeamLayout,
+                  scenarios=None) -> dict[str, GatewayPlan]:
+    """The plan of each ``gw_*`` scenario, keyed by scenario name.
+
+    `scenarios` defaults to the configured ones. ``gw_closest:C`` ranks
+    each gateway's peers by the centroid distance of their beam clusters.
+    """
     plans = {}
-    for name in cfg.scenarios:
-        base = name.split(":")[0]
-        if not base.startswith("gw_"):
-            continue
-        if base == "gw_ref":
-            plans[name] = make_plan(
-                cfg.beams, layout.feeds, cfg.users_per_beam, 1, "ref"
-            )
-        elif base == "gw_icp":
-            plans[name] = make_plan(
-                cfg.beams, layout.feeds, cfg.users_per_beam, cfg.gateways, "icp"
-            )
-        elif base == "gw_msvdgc":
-            plans[name] = make_plan(
-                cfg.beams, layout.feeds, cfg.users_per_beam, cfg.gateways, "msvdgc"
-            )
-        else:
-            c = int(name.split(":")[1]) if ":" in name else cfg.closest_c
+    for name in cfg.scenarios if scenarios is None else scenarios:
+        base, _, count = name.partition(":")
+        if base.startswith("gw_"):
             plans[name] = make_plan(
                 cfg.beams, layout.feeds, cfg.users_per_beam, cfg.gateways,
-                "closest", closest_c=c, beam_centers=layout.beam_centers,
+                base[len("gw_"):], closest_c=int(count) if count else None,
+                beam_centers=layout.beam_centers,
             )
     return plans
 
@@ -380,19 +360,18 @@ def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
                     bounds: PerturbationBounds, p_w: float,
                     cfg: ScenarioConfig, layout: BeamLayout, plans: dict,
                     shared: dict):
-    base = name.split(":")[0]
-    if base == "mbim" or base == "rzf":
-        pre = two_stage(ch_est, p_w, cfg.power_mode, interbeam=base)
+    if name == "mbim" or name == "rzf":
+        pre = two_stage(ch_est, p_w, cfg.power_mode, interbeam=name)
         return sinr_matrix(ch_true, pre.w), 1.0
-    if base == "avg_mmse":
+    if name == "avg_mmse":
         pre = baseline_avg_mmse(ch_est, p_w, cfg.power_mode)
         return sinr_matrix(ch_true, pre.w), 1.0
-    if base == "four_color":
+    if name == "four_color":
         return baseline_four_color(ch_true, layout, p_w), 0.25
-    if base == "robust":
+    if name == "robust":
         pre = robust_two_stage(ch_est, bounds, p_w, cfg.power_mode)
         return sinr_matrix(ch_true, pre.w), 1.0
-    if base.startswith("gw_"):
+    if name in plans:
         pre = assemble_multigateway_precoder(
             shared[name], plans[name], p_w, precoder_kind="mbim",
             mode=cfg.power_mode,
@@ -418,7 +397,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MonteCarloResult:
         if cfg.modcod_file
         else ModcodTable.default()
     )
-    plans = _gateway_plans(cfg, layout)
+    plans = gateway_plans(cfg, layout)
 
     cells = {
         (name, p): np.full((cfg.trials, cfg.beams), np.nan)
@@ -459,7 +438,7 @@ def run_monte_carlo(cfg: ScenarioConfig) -> MonteCarloResult:
         trials=cfg.trials,
         throughput=throughput,
         skipped=skipped,
-        echo=config_echo(cfg),
+        plans=plans,
         selected_members=selected,
     )
 

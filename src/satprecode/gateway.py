@@ -182,11 +182,6 @@ class SharedCsiView:
     known_rows: np.ndarray
     overhead_complex_count: int
 
-    @property
-    def h_effective(self) -> np.ndarray:
-        """The effective channel's entries (read-only)."""
-        return self.channel.h
-
 
 def _cross_block(ch: ChannelMatrix, plan: GatewayPlan, users_of: int,
                  feeds_of: int) -> np.ndarray:

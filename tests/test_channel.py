@@ -244,14 +244,6 @@ class TestGainMatrix:
         d = geometry.slant_range_m(sat, 0.0, 10.0, budget.earth_radius_m)
         assert float(d) == pytest.approx(35_786_000.0, rel=1e-9)
 
-    def test_clear_sky_fading_is_identity(self, desk_layout, budget):
-        users = sp.place_users(desk_layout, 2, 3, budget=budget)
-        f_default = sp.build_gain_matrix(desk_layout, users, budget)
-        f_ones = sp.build_gain_matrix(
-            desk_layout, users, budget, fading=np.ones(14)
-        )
-        assert np.array_equal(f_default, f_ones)
-
     def test_doubling_bandwidth_scales_entries_by_inverse_sqrt2(
         self, desk_layout, budget
     ):
@@ -274,11 +266,6 @@ class TestGainMatrix:
         f1 = sp.build_gain_matrix(desk_layout, users, budgets[0])
         f4 = sp.build_gain_matrix(desk_layout, users, budgets[1])
         assert np.array_equal(f1, 2.0 * f4)
-
-    def test_wrong_fading_length_rejected(self, desk_layout, budget):
-        users = sp.place_users(desk_layout, 2, 3, budget=budget)
-        with pytest.raises(ConfigError):
-            sp.build_gain_matrix(desk_layout, users, budget, fading=np.ones(3))
 
 
 class TestPhaseMatrix:

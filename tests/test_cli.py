@@ -1,9 +1,15 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
+import satprecode.evaluate
 from satprecode.cli import main
-from satprecode.config import config_echo, parse_config
+from satprecode.config import ScenarioConfig, config_echo, parse_config
+from satprecode.evaluate import run_monte_carlo
 from satprecode.exceptions import ConfigError
+from satprecode.gateway import overhead_per_gateway
 
 MINIMAL = """
 [channel]
@@ -18,10 +24,33 @@ seed = 3
 """
 
 
+# 13 beams over 3 gateways split 5/4/4: ranking the closest peer by index
+# and by beam-cluster centroid distance disagree for gateway 2.
+UNEQUAL_SPLIT = """
+[channel]
+beams = 13
+
+[run]
+scenarios = gw_closest:1, gw_icp, gw_msvdgc
+trials = 1
+power_sweep_dbw = 40
+
+[gateway]
+gateways = 3
+"""
+
+
 @pytest.fixture
 def minimal_cfg(tmp_path):
     path = tmp_path / "minimal.cfg"
     path.write_text(MINIMAL)
+    return path
+
+
+@pytest.fixture
+def unequal_split_cfg(tmp_path):
+    path = tmp_path / "unequal.cfg"
+    path.write_text(UNEQUAL_SPLIT)
     return path
 
 
@@ -42,6 +71,12 @@ class TestParseConfig:
         for section, keys in _SCHEMA.items():
             for key in keys:
                 assert any(line.startswith(f"{section}.{key} =") for line in echo)
+
+    def test_schema_keys_are_the_config_fields_in_order(self):
+        from satprecode.config import _SCHEMA
+
+        keys = [key for keys in _SCHEMA.values() for key in keys]
+        assert keys == [f.name for f in dataclasses.fields(ScenarioConfig)]
 
     def test_pool_smaller_than_group_names_both_keys(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -69,6 +104,12 @@ class TestParseConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("[run]\ntrials = many\n")
         with pytest.raises(ConfigError, match="run.trials expects int"):
+            parse_config(path)
+
+    def test_float_type_error_names_key_and_type(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("[link_budget]\nrolloff = steep\n")
+        with pytest.raises(ConfigError, match="link_budget.rolloff expects float"):
             parse_config(path)
 
     def test_bad_scenario_rejected(self, tmp_path):
@@ -224,3 +265,82 @@ class TestCliVerbs:
         code = main(["run", "--config", str(path), "--out", str(out_dir)])
         assert code == 1
         assert "skipped" in capsys.readouterr().err
+
+    def test_overhead_counts_the_simulated_plans(self, unequal_split_cfg,
+                                                 tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(unequal_split_cfg), "--out",
+                     str(out_dir)]) == 0
+        with open(out_dir / "overhead.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        plans = run_monte_carlo(parse_config(unequal_split_cfg)).plans
+        expected = []
+        for name, label in (("gw_closest:1", "closest:1"), ("gw_icp", "icp"),
+                            ("gw_msvdgc", "msvdgc")):
+            plan = plans[name]
+            counts = overhead_per_gateway(plan)
+            expected += [
+                [label, "3", str(plan.beams_per_gateway[g]),
+                 str(plan.feeds_per_gateway[g]), str(counts[g])]
+                for g in range(3)
+            ]
+        assert rows == expected
+        # Every gateway's closest cluster is the 5-beam one or sees it.
+        assert [row[4] for row in rows[:3]] == ["40", "40", "40"]
+
+    def test_run_and_overhead_verbs_write_the_same_report(
+            self, unequal_split_cfg, tmp_path):
+        a, b = tmp_path / "run", tmp_path / "overhead"
+        assert main(["run", "--config", str(unequal_split_cfg), "--out",
+                     str(a)]) == 0
+        assert main(["overhead", "--config", str(unequal_split_cfg), "--out",
+                     str(b)]) == 0
+        assert (a / "overhead.csv").read_bytes() == (b / "overhead.csv").read_bytes()
+
+    def test_run_builds_layout_and_plans_once(self, unequal_split_cfg,
+                                              tmp_path, monkeypatch):
+        calls = {"hex_layout": 0, "make_plan": 0}
+        for name in calls:
+            original = getattr(satprecode.evaluate, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(satprecode.evaluate, name, counting)
+        assert main(["run", "--config", str(unequal_split_cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert calls == {"hex_layout": 1, "make_plan": 3}
+
+    @pytest.mark.parametrize("body", [
+        # A cooperation count needs that many peers besides the gateway.
+        "[channel]\nbeams = 12\n[run]\nscenarios = gw_closest:3\n"
+        "[gateway]\ngateways = 3\n",
+        # A repeated name would write every row twice.
+        "[run]\nscenarios = mbim, mbim\n",
+        # The overhead fallback cooperates with closest_c peers.
+        "[channel]\nbeams = 12\n[run]\nscenarios = mbim\n"
+        "[gateway]\ngateways = 3\ngateway_mode = closest\nclosest_c = 3\n",
+        # Only gw_closest carries a count.
+        "[run]\nscenarios = mbim:3\n",
+    ], ids=["closest_count", "repeated_name", "closest_c", "suffix"])
+    @pytest.mark.parametrize("verb", ["validate", "run", "overhead"])
+    def test_bad_scenario_list_exits_2(self, tmp_path, capsys, body, verb):
+        path = tmp_path / "bad.cfg"
+        path.write_text(body.replace("[run]\n", "[run]\ntrials = 1\n"))
+        out_dir = tmp_path / "out"
+        code = main([verb, "--config", str(path), "--out", str(out_dir)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_overhead_verb_rejects_bad_geometry(self, tmp_path, capsys):
+        path = tmp_path / "polar.cfg"
+        path.write_text(
+            "[channel]\nbeams = 12\ncenter_lat = 85\n\n"
+            "[run]\nscenarios = gw_icp\n\n[gateway]\ngateways = 3\n"
+        )
+        out_dir = tmp_path / "out"
+        code = main(["overhead", "--config", str(path), "--out", str(out_dir)])
+        assert code == 2
+        assert "below the horizon" in capsys.readouterr().err

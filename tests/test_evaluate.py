@@ -13,9 +13,7 @@ from satprecode.evaluate import (
     ModcodTable,
     beam_rate,
     bootstrap_mean_diff_quantiles,
-    modcod_lookup,
     run_monte_carlo,
-    sinr,
     sinr_matrix,
 )
 from satprecode.exceptions import ConfigError
@@ -40,7 +38,7 @@ class TestModcodTable:
         assert table.efficiency(t0 - 1e-9) == 0.0
 
     def test_outage_below_minimum(self, table):
-        assert modcod_lookup(-np.inf, table) == 0.0
+        assert table.efficiency(-np.inf) == 0.0
 
     def test_saturation_at_high_snir(self, table):
         assert table.efficiency(50.0) == table.efficiencies[-1]
@@ -72,7 +70,7 @@ class TestSinr:
     def test_single_beam_has_no_interference(self):
         ch = random_channel(1, 2, 3, seed=0)
         w = np.ones((3, 1), dtype=complex)
-        s = sinr(ch, w, 0, 0)
+        s = sinr_matrix(ch, w)[0, 0]
         expected = abs(ch.h[0] @ w[:, 0]) ** 2
         assert s == pytest.approx(expected, rel=1e-12)
 
@@ -89,7 +87,7 @@ class TestSinr:
         ch = ChannelMatrix(h=h, beams=2, users_per_beam=1)
         w = np.array([[1.0, 1.0 / np.sqrt(2)], [0.0, 1.0 / np.sqrt(2)]],
                      dtype=complex)
-        s = sinr(ch, w, 0, 0)
+        s = sinr_matrix(ch, w)[0, 0]
         assert s == pytest.approx(1.0 / (0.5 + 1.0), rel=1e-12)
 
     def test_energy_bookkeeping(self):

@@ -110,8 +110,8 @@ class TestShareCsi:
             g = view.gateway
             assert view.overhead_complex_count == 0
             own = plan.row_slice(g)
-            assert np.array_equal(view.h_effective[own], local_csi(ch, plan, g))
-            foreign = np.delete(view.h_effective, own, axis=0)
+            assert np.array_equal(view.channel.h[own], local_csi(ch, plan, g))
+            foreign = np.delete(view.channel.h, own, axis=0)
             assert not np.any(foreign)
 
     def test_closest_shares_exact_blocks(self):
@@ -123,7 +123,7 @@ class TestShareCsi:
             for l in plan.neighbor_lists[g]:
                 rows = plan.row_slice(l)
                 assert np.array_equal(
-                    view.h_effective[rows],
+                    view.channel.h[rows],
                     ch.h[rows, plan.feed_slice(g)],
                 )
 
@@ -136,7 +136,7 @@ class TestShareCsi:
             for l in range(3):
                 if l == g:
                     continue
-                block = view.h_effective[plan.row_slice(l)]
+                block = view.channel.h[plan.row_slice(l)]
                 assert np.linalg.matrix_rank(block, tol=1e-10) <= 1
                 true_block = ch.h[plan.row_slice(l), plan.feed_slice(g)]
                 u, s, vh = np.linalg.svd(true_block)
@@ -157,9 +157,8 @@ class TestShareCsi:
         ch = random_channel(6, 2, 6, seed=14)
         plan = make_plan(6, 6, 2, 3, "msvdgc")
         for view in share_csi(ch, plan):
-            assert view.h_effective is view.channel.h
             assert view.channel.beams == 6 and view.channel.users_per_beam == 2
-            assert not view.h_effective.flags.writeable
+            assert not view.channel.h.flags.writeable
 
     def test_plan_for_other_user_count_rejected(self):
         ch = random_channel(6, 2, 6, seed=15)
