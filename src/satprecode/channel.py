@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j1
 
 from . import geometry
@@ -45,8 +44,10 @@ __all__ = [
 
 BOLTZMANN = 1.380649e-23
 
-# Argument of |2*J1(u)/u|**2 at the -3 dB point, solved once at import.
-_U_HALF = brentq(lambda u: (2.0 * j1(u) / u) ** 2 - 10.0 ** (-0.3), 1.0, 2.0)
+# Argument of |2*J1(u)/u|**2 at the -3 dB point: the root of
+# (2*J1(u)/u)**2 = 10**-0.3 on [1, 2], as scipy.optimize.brentq finds it.
+# A literal, so importing the package does not import scipy.optimize.
+_U_HALF = 1.6137411963693684
 
 # Candidate contour half-widths in ground degrees: 1e-3 doubled 39 times
 # (doubling is exact, so these equal the steps of an iterated search).
@@ -326,6 +327,7 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
         cos_lat = math.cos(math.radians(lat0))
         if cos_lat <= 0.0:
             raise GeometryError(f"beam {k} center at the pole is unsupported")
+        bore = geometry.latlon_to_ecef(lat0, lon0, budget.earth_radius_m) - sat
         got = 0
         attempts = 0
         while got < q_sched:
@@ -337,8 +339,8 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
             n_draw = max(4 * (q_sched - got), 16)
             lat = lat0 + rng.uniform(-half, half, n_draw)
             lon = lon0 + rng.uniform(-half, half, n_draw) / cos_lat
-            ang = geometry.off_axis_angle_deg(
-                sat, lat0, lon0, lat, lon, budget.earth_radius_m
+            ang = geometry.boresight_angle_deg(
+                bore, geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
             )
             ok = ang <= radius
             take = min(int(np.count_nonzero(ok)), q_sched - got)
@@ -509,6 +511,10 @@ class ChannelMatrix:
     def beam(self, k: int) -> np.ndarray:
         """Q x N channel block of beam k."""
         return self.h[self.beam_rows(k)]
+
+    def beam_blocks(self) -> np.ndarray:
+        """(K, Q, N) view of `h` whose block k is ``beam(k)``."""
+        return self.h.reshape(self.beams, self.users_per_beam, -1)
 
     def user_row(self, k: int, q: int) -> np.ndarray:
         """Stored row of user q in beam k (received amplitude = row @ x)."""

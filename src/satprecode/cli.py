@@ -98,9 +98,8 @@ def _echo_lines(cfg: ScenarioConfig) -> list[str]:
     return [f"satprecode {__version__}", *config_echo(cfg)]
 
 
-def _overhead_plans(cfg: ScenarioConfig) -> dict:
+def _overhead_plans(cfg: ScenarioConfig, layout) -> dict:
     """The gateway plans `run` simulates, or gateway.gateway_mode's if none."""
-    layout = _build_layout(cfg, _build_budget(cfg))
     fallback = f"gw_{cfg.gateway_mode}"
     if cfg.gateway_mode == "closest":
         fallback += f":{cfg.closest_c}"
@@ -129,8 +128,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        # The overhead verb runs no design, so only bad input can raise here.
-        plans = _overhead_plans(cfg) if args.verb == "overhead" else None
+        # Every verb builds the layout here, so a layout that hex_layout
+        # rejects exits 2 on all of them. No design runs yet, so only bad
+        # input can raise.
+        layout = _build_layout(cfg, _build_budget(cfg))
+        plans = _overhead_plans(cfg, layout) if args.verb == "overhead" else None
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -158,7 +160,7 @@ def main(argv=None) -> int:
         return 0
 
     started = time.time()
-    result = run_monte_carlo(cfg)
+    result = run_monte_carlo(cfg, layout)
     elapsed = time.time() - started
 
     write_results_csv(

@@ -324,7 +324,7 @@ def _run_trial(trial_seed: np.random.SeedSequence,
         )
         bounds = PerturbationBounds.from_delta(
             delta, cfg.beams, cfg.users_per_beam
-        ).with_lower(cfg.gamma_lower)
+        )
     else:
         bounds = PerturbationBounds.zero(cfg.beams)
 
@@ -380,18 +380,21 @@ def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
     raise ConfigError(f"unknown scenario {name!r}")
 
 
-def run_monte_carlo(cfg: ScenarioConfig) -> MonteCarloResult:
+def run_monte_carlo(cfg: ScenarioConfig,
+                    layout: BeamLayout | None = None) -> MonteCarloResult:
     """Run the configured scenario suite over seeded channel realizations.
 
     Deterministic for a fixed master seed: each trial owns spawned seed
     streams, so results do not depend on execution order or thread count.
     Modelled numerical failures (singular or infeasible channels, vanished
     beams, LAPACK errors) skip their cell and are counted; any other
-    exception propagates.
+    exception propagates. `layout` is the configured beam layout when the
+    caller has built it already (the CLI does, inside its error boundary).
     """
     cfg.validate()
     budget = _build_budget(cfg)
-    layout = _build_layout(cfg, budget)
+    if layout is None:
+        layout = _build_layout(cfg, budget)
     table = (
         ModcodTable.from_file(cfg.modcod_file)
         if cfg.modcod_file

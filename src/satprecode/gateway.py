@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .exceptions import MODELLED_FAILURES, ConfigError
-from .precoding import Precoder, intrabeam, mbim_block, power_control, rzf_block
+from .precoding import Precoder, intrabeam, mbim_stack, power_control, rzf_stack
 
 __all__ = [
     "GatewayPlan",
@@ -266,18 +266,17 @@ def assemble_multigateway_precoder(views: list[SharedCsiView],
     """
     if precoder_kind not in ("mbim", "rzf"):
         raise ConfigError(f"unknown precoder kind {precoder_kind!r}")
-    block = mbim_block if precoder_kind == "mbim" else rzf_block
+    stack = mbim_stack if precoder_kind == "mbim" else rzf_stack
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
     for view in views:
         g = view.gateway
         eff = view.channel
         beams = plan.beam_slice(g)
-        for k in range(beams.start, beams.stop):
-            try:
-                wa_k = block(eff, k, p_total)
-                z = eff.beam(k) @ wa_k
-                w_bar[plan.feed_slice(g), k] = wa_k @ intrabeam(z)
-            except MODELLED_FAILURES as exc:
-                raise type(exc)(f"gateway {g}: {exc}") from exc
+        try:
+            wa = stack(eff, range(beams.start, beams.stop), p_total)
+            wb = intrabeam(eff.beam_blocks()[beams] @ wa, first_beam=beams.start)
+        except MODELLED_FAILURES as exc:
+            raise type(exc)(f"gateway {g}: {exc}") from exc
+        w_bar[plan.feed_slice(g), beams] = (wa @ wb[:, :, None])[:, :, 0].T
     alpha = power_control(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)

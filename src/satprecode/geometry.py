@@ -65,8 +65,14 @@ def boresight_angle_deg(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
     """
     bu = bore / np.linalg.norm(bore)
     # atan2 of the rejection/projection pair stays accurate at tiny angles,
-    # where arccos of a rounded dot product does not.
-    sin_part = np.linalg.norm(np.cross(targ, bu), axis=-1)
+    # where arccos of a rounded dot product does not. The cross product
+    # targ x bu is filled component by component: the same arithmetic as
+    # np.cross without its broadcasting set-up.
+    cross = np.empty(np.shape(targ))
+    cross[..., 0] = targ[..., 1] * bu[2] - targ[..., 2] * bu[1]
+    cross[..., 1] = targ[..., 2] * bu[0] - targ[..., 0] * bu[2]
+    cross[..., 2] = targ[..., 0] * bu[1] - targ[..., 1] * bu[0]
+    sin_part = np.linalg.norm(cross, axis=-1)
     cos_part = targ @ bu
     return np.degrees(np.arctan2(sin_part, cos_part))
 

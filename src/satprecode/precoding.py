@@ -25,8 +25,10 @@ from .linalg import RANK_TOL, eigh_sorted  # noqa: F401 (re-exported)
 __all__ = [
     "Precoder",
     "mbim_interbeam",
+    "mbim_stack",
     "mbim_block",
     "rzf_interbeam",
+    "rzf_stack",
     "rzf_block",
     "rzf_null_basis",
     "intrabeam",
@@ -70,18 +72,20 @@ def _regularizer(ch: ChannelMatrix, p_total: float) -> float:
     return ch.beams * ch.users_per_beam / p_total
 
 
-def mbim_block(ch: ChannelMatrix, k: int, p_total: float,
-               shift: float = 0.0) -> np.ndarray:
-    """Inter-beam block Wa_k of the interference-mitigation design.
+def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float,
+               shifts: np.ndarray | None = None) -> np.ndarray:
+    """Inter-beam blocks Wa_k of the interference-mitigation design.
 
-    Built from the eigendecomposition of the other-beam Gram matrix:
-    ``Wa_k = V (S + (KQ/P_T + shift) I)^(-1/2)`` restricted to the Q
+    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack,
+    built from each beam's memoized other-beam Gram eigendecomposition:
+    ``Wa_k = V (S + (KQ/P_T + shift_k) I)^(-1/2)`` restricted to the Q
     columns of smallest eigenvalue, i.e. the directions least aligned with
-    the other beams' channels. A positive `shift` is the robust design's
-    worst-case spectral shift (`satprecode.robust`). Only the nominal
-    design (zero shift) rejects a rank-deficient Gram matrix. With a
-    single beam there is nothing to mitigate and the block degenerates
-    to a scaled truncated identity.
+    the other beams' channels. A positive shift is the robust design's
+    worst-case spectral shift (`satprecode.robust`); no `shifts` means the
+    nominal design, all zero. Only beams with zero shift reject a
+    rank-deficient Gram matrix, and the first such beam is named. With a
+    single beam there is nothing to mitigate and the block degenerates to
+    a scaled truncated identity.
     """
     n = ch.feeds
     q = ch.users_per_beam
@@ -91,21 +95,45 @@ def mbim_block(ch: ChannelMatrix, k: int, p_total: float,
             "than served users"
         )
     if ch.beams == 1:
-        return np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
-    eig = ch.other_gram_eig(k)
-    lam = eig.eigenvalues
-    if shift == 0.0 and lam[-1] <= RANK_TOL * max(lam[0], 0.0):
+        block = np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
+        return block[None]
+    if shifts is None:
+        shifts = np.zeros(len(beams))
+    eigs = [ch.other_gram_eig(k) for k in beams]
+    lam = np.array([eig.eigenvalues for eig in eigs])
+    singular = (shifts == 0.0) & (
+        lam[:, -1] <= RANK_TOL * np.maximum(lam[:, 0], 0.0)
+    )
+    if np.any(singular):
         raise SingularChannelError(
-            f"cross-channel Gram matrix of beam {k} is rank deficient"
+            f"cross-channel Gram matrix of beam {beams[np.argmax(singular)]} "
+            "is rank deficient"
         )
     # Descending order: the Q smallest eigenvalues sit at the end.
-    scale = 1.0 / np.sqrt(lam[-q:] + _regularizer(ch, p_total) + shift)
-    return eig.tail * scale
+    scale = 1.0 / np.sqrt(lam[:, -q:] + _regularizer(ch, p_total)
+                          + shifts[:, None])
+    return np.array([eig.tail for eig in eigs]) * scale[:, None, :]
+
+
+def mbim_block(ch: ChannelMatrix, k: int, p_total: float,
+               shift: float = 0.0) -> np.ndarray:
+    """Inter-beam block Wa_k (N x Q) of beam k alone; see `mbim_stack`."""
+    return mbim_stack(ch, range(k, k + 1), p_total, np.array([shift]))[0]
+
+
+def _columns(blocks: np.ndarray) -> np.ndarray:
+    """(K, N, Q) stack of per-beam blocks as the N x KQ matrix [B_0 ... B_K-1]."""
+    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
+
+
+def _blocks(wa: np.ndarray, beams: int) -> np.ndarray:
+    """N x KQ matrix split into its (K, N, Q) stack of beam blocks (a view)."""
+    return wa.reshape(wa.shape[0], beams, -1).transpose(1, 0, 2)
 
 
 def mbim_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     """All inter-beam blocks, horizontally stacked to N x KQ."""
-    return np.hstack([mbim_block(ch, k, p_total) for k in range(ch.beams)])
+    return _columns(mbim_stack(ch, range(ch.beams), p_total))
 
 
 def _regularized_inverse(ch: ChannelMatrix, p_total: float) -> np.ndarray:
@@ -114,10 +142,12 @@ def _regularized_inverse(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     return np.linalg.inv(ch.h @ ch.h.conj().T + reg)
 
 
-def _null_basis(ch: ChannelMatrix, k: int, inverse: np.ndarray) -> np.ndarray:
+def _null_bases(ch: ChannelMatrix, beams: range,
+                inverse: np.ndarray) -> np.ndarray:
+    """(B, KQ, Q) null-space bases of `beams`, one stacked QR."""
     if ch.beams == 1:
-        return np.eye(ch.users_per_beam, dtype=complex)
-    basis, _ = np.linalg.qr(inverse[:, ch.beam_rows(k)])
+        return np.eye(ch.users_per_beam, dtype=complex)[None]
+    basis, _ = np.linalg.qr(_blocks(inverse, ch.beams)[beams])
     return basis
 
 
@@ -129,36 +159,50 @@ def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
     ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
     Their QR factor is the orthonormal basis.
     """
-    return _null_basis(ch, k, _regularized_inverse(ch, p_total))
+    inverse = _regularized_inverse(ch, p_total)
+    return _null_bases(ch, range(k, k + 1), inverse)[0]
+
+
+def rzf_stack(ch: ChannelMatrix, beams: range, p_total: float) -> np.ndarray:
+    """Inter-beam blocks of the regularized zero-forcing design.
+
+    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack: the
+    conjugated channel projected through the null space of the
+    regularized cross-channel with that beam's rows removed. One
+    regularized inverse serves every beam; its column blocks are factored
+    in one stacked QR and projected in one stacked product.
+    """
+    inverse = _regularized_inverse(ch, p_total)
+    return ch.h.conj().T @ _null_bases(ch, beams, inverse)
 
 
 def rzf_block(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
-    """Inter-beam block of the regularized zero-forcing design.
-
-    Projects the conjugated channel through the null space of the
-    regularized cross-channel with beam k's rows removed.
-    """
-    return ch.h.conj().T @ rzf_null_basis(ch, k, p_total)
+    """Inter-beam block (N x Q) of beam k alone; see `rzf_stack`."""
+    return rzf_stack(ch, range(k, k + 1), p_total)[0]
 
 
 def rzf_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    """All regularized zero-forcing blocks, stacked to N x KQ.
+    """All regularized zero-forcing blocks, stacked to N x KQ."""
+    return _columns(rzf_stack(ch, range(ch.beams), p_total))
 
-    One regularized inverse serves every beam.
+
+def intrabeam(z: np.ndarray, first_beam: int = 0) -> np.ndarray:
+    """Unit vectors maximizing ``||Z w||`` (leading right singular vectors).
+
+    `z` is one effective intra-beam channel (Q x Q) or a stack of them
+    (B x Q x Q) for consecutive beams numbered from `first_beam`; the
+    result is one vector (Q,) or a stack (B, Q). An all-zero channel
+    raises DegenerateBeamError naming its beam.
     """
-    inverse = _regularized_inverse(ch, p_total)
-    return np.hstack(
-        [ch.h.conj().T @ _null_basis(ch, k, inverse) for k in range(ch.beams)]
-    )
-
-
-def intrabeam(z: np.ndarray) -> np.ndarray:
-    """Unit vector maximizing ``||Z w||`` (leading right singular vector)."""
     z = np.asarray(z)
-    if not np.any(z):
-        raise DegenerateBeamError("effective intra-beam channel is zero")
+    dead = np.reshape(~np.any(z, axis=(-2, -1)), -1)
+    if np.any(dead):
+        raise DegenerateBeamError(
+            f"beam {first_beam + int(np.argmax(dead))}: "
+            "effective intra-beam channel is zero"
+        )
     _, _, vh = np.linalg.svd(z)
-    return vh[0].conj()
+    return vh[..., 0, :].conj()
 
 
 def power_control(w_unscaled: np.ndarray, p_total: float, mode: str) -> float:
@@ -180,16 +224,17 @@ def power_control(w_unscaled: np.ndarray, p_total: float, mode: str) -> float:
 
 def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
              mode: str = "per_feed") -> Precoder:
-    """Intra-beam stage, power normalization, and final assembly."""
+    """Intra-beam stage, power normalization, and final assembly.
+
+    Every beam's effective channel ``Z_k = H_k Wa_k`` is formed in one
+    stacked product and decomposed in one stacked SVD.
+    """
     k_beams = ch.beams
     q = ch.users_per_beam
+    vectors = intrabeam(ch.beam_blocks() @ _blocks(wa, k_beams))
     wb = np.zeros((k_beams * q, k_beams), dtype=complex)
-    for k in range(k_beams):
-        z = ch.beam(k) @ wa[:, k * q:(k + 1) * q]
-        try:
-            wb[k * q:(k + 1) * q, k] = intrabeam(z)
-        except DegenerateBeamError as exc:
-            raise DegenerateBeamError(f"beam {k}: {exc}") from None
+    beam = np.arange(k_beams)
+    wb.reshape(k_beams, q, k_beams)[beam, :, beam] = vectors
     w_bar = wa @ wb
     alpha = power_control(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
@@ -209,7 +254,7 @@ def two_stage(ch: ChannelMatrix, p_total: float, mode: str = "per_feed",
 
 def beam_average(ch: ChannelMatrix) -> np.ndarray:
     """K x N matrix of per-beam user-row averages."""
-    return np.array([ch.beam(k).mean(axis=0) for k in range(ch.beams)])
+    return ch.beam_blocks().mean(axis=1)
 
 
 def baseline_avg_mmse(ch: ChannelMatrix, p_total: float,
@@ -235,11 +280,9 @@ def four_color_precoder(layout: BeamLayout, p_total: float) -> Precoder:
     Every feed radiates at equal power P_T/N, so the per-feed and total
     power constraints are both met with equality.
     """
-    n = layout.feeds
-    w = np.zeros((n, layout.beams), dtype=complex)
-    amp = np.sqrt(p_total / n)
-    for k in range(layout.beams):
-        w[layout.feed_slice(k), k] = amp
+    amp = np.sqrt(p_total / layout.feeds)
+    w = np.repeat(amp * np.eye(layout.beams, dtype=complex),
+                  layout.feeds_per_beam, axis=0)
     return Precoder(w=w, alpha=1.0, power_mode="per_feed")
 
 
@@ -258,18 +301,12 @@ def baseline_four_color(ch: ChannelMatrix, layout: BeamLayout,
     if colors.min() < 0 or colors.max() > 3:
         raise ConfigError("invalid four-coloring in layout")
     w = four_color_precoder(layout, p_total).w
-    amps = ch.h @ w
-    k_beams, q = ch.beams, ch.users_per_beam
-    sinr = np.empty((k_beams, q))
-    for k in range(k_beams):
-        same = np.nonzero((colors == colors[k]) & (np.arange(k_beams) != k))[0]
-        rows = amps[ch.beam_rows(k)]
-        signal = np.abs(rows[:, k]) ** 2
-        interf = (
-            np.sum(np.abs(rows[:, same]) ** 2, axis=1) if same.size else 0.0
-        )
-        sinr[k] = signal / (interf + 1.0)
-    return sinr
+    k_beams = ch.beams
+    power = np.abs(ch.h @ w).reshape(k_beams, -1, k_beams) ** 2   # (K, Q, K)
+    beam = np.arange(k_beams)
+    same = (colors[:, None] == colors) & (beam[:, None] != beam)
+    interf = np.sum(power * same[:, None, :], axis=2)
+    return power[beam, :, beam] / (interf + 1.0)
 
 
 def interbeam_spectra(ch: ChannelMatrix) -> list[np.ndarray]:

@@ -22,7 +22,7 @@ import numpy as np
 from .channel import ChannelMatrix, PerturbationBounds
 from .exceptions import ConfigError
 from .linalg import EigDecomposition, eigh_sorted
-from .precoding import Precoder, assemble, mbim_block
+from .precoding import Precoder, _columns, assemble, mbim_stack
 
 __all__ = [
     "DEGENERACY_FLOOR",
@@ -157,9 +157,8 @@ def robust_interbeam(ch: ChannelMatrix, bounds: PerturbationBounds,
     """
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
-    shifts = _shift_bounds(ch, bounds)
-    return np.hstack(
-        [mbim_block(ch, k, p_total, shift=shifts[k]) for k in range(ch.beams)]
+    return _columns(
+        mbim_stack(ch, range(ch.beams), p_total, _shift_bounds(ch, bounds))
     )
 
 

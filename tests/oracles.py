@@ -2,11 +2,13 @@
 
 These are the direct implementations the library once ran: the SVD null
 space behind the zero-forcing design, the first-order coupler algebra of
-the robust inter- and intra-beam stages, and the per-beam doubling
-search for the user-placement box. The library now computes the same
-designs in closed form (one regularized inverse for RZF; the shifted
-interference-mitigation design plus the nominal intra-beam stage for the
-robust precoder) and every beam's box in one pass. The tests compare the
+the robust inter- and intra-beam stages, the per-beam doubling search
+for the user-placement box, the per-beam loops of every design stage and
+the `np.cross` form of the off-axis angle. The library now computes the
+same designs in closed form (one regularized inverse for RZF; the
+shifted interference-mitigation design plus the nominal intra-beam stage
+for the robust precoder), every beam's box in one pass, and each design
+stage in one stacked LAPACK call over all beams. The tests compare the
 two.
 """
 
@@ -17,13 +19,29 @@ import warnings
 import numpy as np
 
 from satprecode import geometry
-from satprecode.channel import ChannelMatrix, PerturbationBounds
-from satprecode.exceptions import ConfigError, GeometryError, InfeasibleChannelError
+from satprecode.channel import BeamLayout, ChannelMatrix, PerturbationBounds
+from satprecode.exceptions import (
+    MODELLED_FAILURES,
+    ConfigError,
+    DegenerateBeamError,
+    GeometryError,
+    InfeasibleChannelError,
+    SingularChannelError,
+)
+from satprecode.gateway import GatewayPlan, SharedCsiView
 from satprecode.linalg import RANK_TOL, eigh_sorted
-from satprecode.precoding import Precoder, intrabeam, mbim_block, power_control
+from satprecode.precoding import (
+    Precoder,
+    _regularized_inverse,
+    _regularizer,
+    intrabeam,
+    mbim_block,
+    power_control,
+)
 from satprecode.robust import (
     DEGENERACY_FLOOR,
     DegenerateSpectrumWarning,
+    _shift_bounds,
     coupling_matrix,
     eigen_shift_bound,
     intra_penalty_scale,
@@ -182,3 +200,161 @@ def ground_halfwidth_deg(sat: np.ndarray, lat0: float, lon0: float,
         raise GeometryError("beam contour does not close on the visible Earth")
     # 1.6 margin covers the obliquity stretch of the footprint ellipse.
     return 1.6 * step
+
+
+# Per-beam loops of the design stages, one small LAPACK call per beam.
+
+def intrabeam_per_beam(z: np.ndarray) -> np.ndarray:
+    """Unit vector maximizing ``||Z w||`` (leading right singular vector)."""
+    z = np.asarray(z)
+    if not np.any(z):
+        raise DegenerateBeamError("effective intra-beam channel is zero")
+    _, _, vh = np.linalg.svd(z)
+    return vh[0].conj()
+
+
+def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
+                        shift: float = 0.0) -> np.ndarray:
+    """Inter-beam block Wa_k of the interference-mitigation design."""
+    n = ch.feeds
+    q = ch.users_per_beam
+    if q > n:
+        raise InfeasibleChannelError(
+            f"cannot build an {n} x {q} inter-beam block with fewer feeds "
+            "than served users"
+        )
+    if ch.beams == 1:
+        return np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
+    eig = ch.other_gram_eig(k)
+    lam = eig.eigenvalues
+    if shift == 0.0 and lam[-1] <= RANK_TOL * max(lam[0], 0.0):
+        raise SingularChannelError(
+            f"cross-channel Gram matrix of beam {k} is rank deficient"
+        )
+    # Descending order: the Q smallest eigenvalues sit at the end.
+    scale = 1.0 / np.sqrt(lam[-q:] + _regularizer(ch, p_total) + shift)
+    return eig.tail * scale
+
+
+def mbim_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
+    """All inter-beam blocks, horizontally stacked to N x KQ."""
+    return np.hstack(
+        [mbim_block_per_beam(ch, k, p_total) for k in range(ch.beams)]
+    )
+
+
+def robust_interbeam_per_beam(ch: ChannelMatrix, bounds: PerturbationBounds,
+                              p_total: float) -> np.ndarray:
+    """All robust inter-beam blocks: mbim blocks shifted by epsilon_k."""
+    if bounds.beams != ch.beams:
+        raise ConfigError("bounds and channel disagree on the number of beams")
+    shifts = _shift_bounds(ch, bounds)
+    return np.hstack(
+        [mbim_block_per_beam(ch, k, p_total, shift=shifts[k])
+         for k in range(ch.beams)]
+    )
+
+
+def _null_basis_per_beam(ch: ChannelMatrix, k: int,
+                         inverse: np.ndarray) -> np.ndarray:
+    if ch.beams == 1:
+        return np.eye(ch.users_per_beam, dtype=complex)
+    basis, _ = np.linalg.qr(inverse[:, ch.beam_rows(k)])
+    return basis
+
+
+def rzf_block_per_beam(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
+    """RZF block of beam k from its own QR of the regularized inverse."""
+    return ch.h.conj().T @ _null_basis_per_beam(
+        ch, k, _regularized_inverse(ch, p_total)
+    )
+
+
+def rzf_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
+    """All RZF blocks from one inverse and one QR per beam."""
+    inverse = _regularized_inverse(ch, p_total)
+    return np.hstack(
+        [ch.h.conj().T @ _null_basis_per_beam(ch, k, inverse)
+         for k in range(ch.beams)]
+    )
+
+
+def assemble_per_beam(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
+                      mode: str = "per_feed") -> Precoder:
+    """Intra-beam stage (one SVD per beam), power normalization, assembly."""
+    k_beams = ch.beams
+    q = ch.users_per_beam
+    wb = np.zeros((k_beams * q, k_beams), dtype=complex)
+    for k in range(k_beams):
+        z = ch.beam(k) @ wa[:, k * q:(k + 1) * q]
+        try:
+            wb[k * q:(k + 1) * q, k] = intrabeam_per_beam(z)
+        except DegenerateBeamError as exc:
+            raise DegenerateBeamError(f"beam {k}: {exc}") from None
+    w_bar = wa @ wb
+    alpha = power_control(w_bar, p_total, mode)
+    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
+
+
+def beam_average_per_beam(ch: ChannelMatrix) -> np.ndarray:
+    """K x N matrix of per-beam user-row averages."""
+    return np.array([ch.beam(k).mean(axis=0) for k in range(ch.beams)])
+
+
+def four_color_precoder_per_beam(layout: BeamLayout, p_total: float) -> Precoder:
+    """Each beam driven by its own feeds at equal power P_T/N."""
+    n = layout.feeds
+    w = np.zeros((n, layout.beams), dtype=complex)
+    amp = np.sqrt(p_total / n)
+    for k in range(layout.beams):
+        w[layout.feed_slice(k), k] = amp
+    return Precoder(w=w, alpha=1.0, power_mode="per_feed")
+
+
+def baseline_four_color_per_beam(ch: ChannelMatrix, layout: BeamLayout,
+                                 p_total: float) -> np.ndarray:
+    """Four-coloring SINRs, interference summed over same-color beams."""
+    colors = layout.color_of_beam
+    w = four_color_precoder_per_beam(layout, p_total).w
+    amps = ch.h @ w
+    k_beams, q = ch.beams, ch.users_per_beam
+    sinr = np.empty((k_beams, q))
+    for k in range(k_beams):
+        same = np.nonzero((colors == colors[k]) & (np.arange(k_beams) != k))[0]
+        rows = amps[ch.beam_rows(k)]
+        signal = np.abs(rows[:, k]) ** 2
+        interf = (
+            np.sum(np.abs(rows[:, same]) ** 2, axis=1) if same.size else 0.0
+        )
+        sinr[k] = signal / (interf + 1.0)
+    return sinr
+
+
+def assemble_multigateway_per_beam(views: list[SharedCsiView],
+                                   plan: GatewayPlan, p_total: float,
+                                   precoder_kind: str = "mbim",
+                                   mode: str = "per_feed") -> Precoder:
+    """Block-diagonal multi-gateway precoder, one beam at a time."""
+    block = mbim_block_per_beam if precoder_kind == "mbim" else rzf_block_per_beam
+    w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
+    for view in views:
+        g = view.gateway
+        eff = view.channel
+        beams = plan.beam_slice(g)
+        for k in range(beams.start, beams.stop):
+            try:
+                wa_k = block(eff, k, p_total)
+                z = eff.beam(k) @ wa_k
+                w_bar[plan.feed_slice(g), k] = wa_k @ intrabeam_per_beam(z)
+            except MODELLED_FAILURES as exc:
+                raise type(exc)(f"gateway {g}: {exc}") from exc
+    alpha = power_control(w_bar, p_total, mode)
+    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
+
+
+def boresight_angle_deg_cross(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
+    """Off-axis angle with the rejection taken by `np.cross`."""
+    bu = bore / np.linalg.norm(bore)
+    sin_part = np.linalg.norm(np.cross(targ, bu), axis=-1)
+    cos_part = targ @ bu
+    return np.degrees(np.arctan2(sin_part, cos_part))

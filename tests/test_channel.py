@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 from importlib import resources
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import j1
 
 import satprecode as sp
 from satprecode import geometry
@@ -17,7 +20,7 @@ from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import ConfigError, GeometryError
 
 from conftest import random_channel
-from oracles import ground_halfwidth_deg
+from oracles import boresight_angle_deg_cross, ground_halfwidth_deg
 
 SHIPPED_CONFIGS = ("desk.cfg", "figure3_recipe.cfg", "gateway_desk.cfg",
                    "paper_scale.cfg")
@@ -190,6 +193,38 @@ class TestContourHalfwidths:
             sp.place_users(layout, 2, 0, budget=budget)
 
 
+_COORD = st.floats(-5e7, 5e7, allow_nan=False, allow_infinity=False)
+
+
+class TestBoresightAngle:
+    @settings(deadline=None, max_examples=50)
+    @given(st.tuples(_COORD, _COORD, _COORD),
+           st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=20))
+    def test_equals_the_cross_product_form(self, bore, targets):
+        bore = np.array(bore)
+        if not np.linalg.norm(bore) > 0.0:
+            bore = np.array([1.0, 0.0, 0.0])
+        targ = np.array(targets)
+        assert np.array_equal(
+            geometry.boresight_angle_deg(bore, targ),
+            boresight_angle_deg_cross(bore, targ),
+        )
+
+    def test_equals_the_cross_product_form_on_user_draws(self, desk_layout,
+                                                         budget):
+        sat = budget.satellite_position()
+        users = sp.place_users(desk_layout, 50, 3, budget=budget)
+        flat = users.flat_positions()
+        targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],
+                                       budget.earth_radius_m) - sat
+        for lat, lon in desk_layout.feed_boresights:
+            bore = geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
+            assert np.array_equal(geometry.boresight_angle_deg(bore, targ),
+                                  boresight_angle_deg_cross(bore, targ))
+            assert np.array_equal(geometry.boresight_angle_deg(bore, targ[0]),
+                                  boresight_angle_deg_cross(bore, targ[0]))
+
+
 class TestFeedPattern:
     def test_peak_gain_at_boresight(self, desk_layout, budget):
         bore = desk_layout.feed_boresights[0]
@@ -222,6 +257,28 @@ class TestFeedPattern:
         )
         delta_db = 10 * math.log10(peak / gain)
         assert abs(delta_db - 3.0) < 0.05
+
+    def test_half_power_argument_is_the_root_brentq_finds(self):
+        from satprecode.channel import _U_HALF
+        root = brentq(lambda u: (2.0 * j1(u) / u) ** 2 - 10.0 ** (-0.3),
+                      1.0, 2.0)
+        assert abs(_U_HALF - root) <= 2 * np.spacing(root)
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.1, 0.25, 0.5, 2.0])
+    def test_pattern_is_three_db_down_at_the_beam_radius(self, radius):
+        ratio = pattern_gain(radius, radius) / pattern_gain(0.0, radius)
+        assert ratio == pytest.approx(10.0 ** (-0.3), rel=1e-12)
+
+    def test_importing_the_cli_leaves_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(sp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, satprecode.cli; "
+             "print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert probe.stdout.strip() == "False"
 
     def test_far_sidelobes_at_least_20_db_down(self):
         peak = pattern_gain(0.0, 0.25)

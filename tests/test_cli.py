@@ -344,3 +344,23 @@ class TestCliVerbs:
         code = main(["overhead", "--config", str(path), "--out", str(out_dir)])
         assert code == 2
         assert "below the horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body, message", [
+        ("[channel]\nbeams = 12\ncenter_lat = 85\n", "below the horizon"),
+        ("[channel]\nbeam_radius_3db_deg = 3\nbeam_spacing_deg = 1\n",
+         "share a color"),
+    ], ids=["below_horizon", "color_clash"])
+    @pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+    def test_rejected_layout_exits_2(self, tmp_path, capsys, body, message,
+                                     verb):
+        path = tmp_path / "bad.cfg"
+        path.write_text(body + "\n[run]\ntrials = 1\nscenarios = mbim\n")
+        out_dir = tmp_path / "out"
+        argv = [verb, "--config", str(path), "--out", str(out_dir)]
+        if verb == "sweep":
+            argv += ["--power-dbw", "20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert not out_dir.exists()

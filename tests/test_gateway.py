@@ -253,7 +253,7 @@ class TestAssemble:
         def broken(*args, **kwargs):
             raise bug
 
-        monkeypatch.setattr(satprecode.gateway, "mbim_block", broken)
+        monkeypatch.setattr(satprecode.gateway, "mbim_stack", broken)
         ch = random_channel(6, 2, 6, seed=13)
         plan = make_plan(6, 6, 2, 3, "closest", closest_c=2)
         with pytest.raises(TypeError) as info:

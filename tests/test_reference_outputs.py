@@ -1,9 +1,9 @@
 """`results.csv` of every benchmark workload is byte-identical to its reference.
 
 The references in ``perfbench/reference/`` were recorded once per
-(workload, config seed); this runs config seed 0 of each workload through
-the CLI and compares the sha256 of its ``results.csv``. The files under
-``perfbench/`` are only read.
+(workload, config seed); this runs every config seed of each workload
+through the CLI and compares the sha256 of its ``results.csv``. The files
+under ``perfbench/`` are only read.
 """
 
 import hashlib
@@ -27,17 +27,28 @@ def _load_workloads():
     # Dataclasses resolve their annotations through sys.modules.
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
 
 
-WORKLOADS = _load_workloads()
+_WORKLOADS_MODULE = _load_workloads()
+WORKLOADS = _WORKLOADS_MODULE.WORKLOADS
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_results_match_reference_seed_0(name, tmp_path):
-    cfg = WORKLOADS[name].write_config(0, tmp_path / f"{name}.cfg")
+def _check_reference(name, seed, tmp_path):
+    cfg = WORKLOADS[name].write_config(seed, tmp_path / f"{name}.cfg")
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     got = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     reference = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
-    assert got == reference["seeds"]["0"]["sha256"]
+    assert got == reference["seeds"][str(seed)]["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_results_match_reference_seed_0(name, tmp_path):
+    _check_reference(name, 0, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(1, _WORKLOADS_MODULE.REFERENCE_SEEDS))
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_results_match_reference_other_seeds(name, seed, tmp_path):
+    _check_reference(name, seed, tmp_path)
