@@ -93,6 +93,11 @@ class ScenarioConfig:
     closest_c: int = 2
 
     def validate(self) -> None:
+        for section, keys in _SCHEMA.items():
+            for key in keys:
+                value = getattr(self, key)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{section}.{key} must be finite, got {value}")
         if self.beams < 1:
             raise ConfigError("channel.beams must be >= 1 (int)")
         if self.feeds_per_beam < 1:
@@ -108,6 +113,12 @@ class ScenarioConfig:
             raise ConfigError(
                 "channel.phase_model must be 'uniform' or 'ultra_stable'"
             )
+        if self.phase_sigma_deg < 0.0:
+            raise ConfigError("channel.phase_sigma_deg must be >= 0 (float)")
+        if abs(self.center_lat) > 90.0:
+            raise ConfigError("channel.center_lat must lie in [-90, 90]")
+        if self.beam_spacing_deg <= 0.0:
+            raise ConfigError("channel.beam_spacing_deg must be > 0 (float)")
         if self.grouping not in ("none", "nominal", "robust"):
             raise ConfigError("run.grouping must be none, nominal or robust")
         if self.power_mode not in ("per_feed", "total"):

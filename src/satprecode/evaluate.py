@@ -143,13 +143,16 @@ def sinr_matrix(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     """Linear SINR of every user under precoder W, as a (K, Q) array.
 
     Signal is the user's own beam column, interference the other beams'
-    columns, noise power one (the channel is noise-normalized).
+    columns, noise power one (the channel is noise-normalized). A
+    (P, N, K) stack of precoders gives a (P, K, Q) array.
     """
-    amps = np.abs(ch.h @ w) ** 2                     # (KQ, K)
+    amps = np.abs(ch.h @ w) ** 2                     # (..., KQ, K)
+    rows = amps.shape[-2]
     beam_of_row = np.repeat(np.arange(ch.beams), ch.users_per_beam)
-    signal = amps[np.arange(amps.shape[0]), beam_of_row]
-    interference = amps.sum(axis=1) - signal
-    return (signal / (interference + 1.0)).reshape(ch.beams, ch.users_per_beam)
+    signal = amps[..., np.arange(rows), beam_of_row]
+    interference = amps.sum(axis=-1) - signal
+    return (signal / (interference + 1.0)).reshape(
+        *amps.shape[:-2], ch.beams, ch.users_per_beam)
 
 
 def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
@@ -157,7 +160,8 @@ def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
     """Beam rate in bit/s: the worst user of the beam picks the efficiency.
 
     `sinrs` holds linear user SINRs along the last axis: one beam's (Q,)
-    gives a float, all beams' (K, Q) gives a (K,) array.
+    gives a float, all beams' (K, Q) gives a (K,) array and a power
+    sweep's (P, K, Q) a (P, K) array.
     `bandwidth_factor` scales the usable band (1/4 for the four-coloring
     baseline).
     """
@@ -288,10 +292,14 @@ def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
     )
 
 
-def _run_trial(trial_seed: np.random.SeedSequence,
-               cfg: ScenarioConfig, layout: BeamLayout, budget: LinkBudget,
-               table: ModcodTable, plans: dict):
-    """One channel realization evaluated under every scenario and power."""
+def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
+                    layout: BeamLayout, budget: LinkBudget):
+    """One channel realization: the served users' true and estimated
+    channels, the estimate's error bounds and the served pool members.
+
+    The pool-sized intermediates are released when this returns, so they
+    are not held while the designs run.
+    """
     users_seed, phase_seed, perturb_seed, select_seed = trial_seed.spawn(4)
     users = place_users(layout, cfg.pool_per_beam, users_seed, budget=budget)
     gain = build_gain_matrix(layout, users, budget)
@@ -327,6 +335,15 @@ def _run_trial(trial_seed: np.random.SeedSequence,
         )
     else:
         bounds = PerturbationBounds.zero(cfg.beams)
+    return ch_true, ch_est, bounds, members
+
+
+def _run_trial(trial_seed: np.random.SeedSequence,
+               cfg: ScenarioConfig, layout: BeamLayout, budget: LinkBudget,
+               table: ModcodTable, plans: dict):
+    """One channel realization evaluated under every scenario and power."""
+    ch_true, ch_est, bounds, members = _trial_channels(trial_seed, cfg, layout,
+                                                       budget)
 
     # The CSI exchange does not depend on power: one set of views per
     # gateway scenario, so their decompositions serve every power point.
@@ -337,27 +354,46 @@ def _run_trial(trial_seed: np.random.SeedSequence,
         except MODELLED_FAILURES:
             shared[name] = None
 
+    def rates(name, p_w):
+        sinrs, factor = _scenario_sinrs(
+            name, ch_true, ch_est, bounds, p_w, cfg, layout, plans, shared,
+        )
+        return beam_rate(sinrs, table, budget, factor)
+
+    p_w = np.array([10.0 ** (p_dbw / 10.0) for p_dbw in cfg.power_sweep_dbw])
     out = {}
-    for p_dbw in cfg.power_sweep_dbw:
-        p_w = 10.0 ** (p_dbw / 10.0)
-        for name in cfg.scenarios:
-            if name in shared and shared[name] is None:
-                out[(name, p_dbw)] = None
-                continue
-            try:
-                sinrs, factor = _scenario_sinrs(
-                    name, ch_true, ch_est, bounds, p_w, cfg, layout, plans,
-                    shared,
-                )
-            except MODELLED_FAILURES:
-                out[(name, p_dbw)] = None
-            else:
-                out[(name, p_dbw)] = beam_rate(sinrs, table, budget, factor)
+    for name in cfg.scenarios:
+        if name in shared and shared[name] is None:
+            cells = [None] * p_w.size
+        else:
+            cells = _cells_per_power(lambda p: rates(name, p), p_w)
+        out.update(zip([(name, p) for p in cfg.power_sweep_dbw], cells))
     return out, members
 
 
+def _cells_per_power(rates, p_w: np.ndarray) -> list:
+    """`rates(p_w)` as one (K,) row per power; None marks a skipped cell.
+
+    The whole power vector is designed and evaluated in one call. After a
+    modelled failure the powers run again one at a time (each a length-1
+    vector), so only the (scenario, power) cells that fail on their own
+    are skipped.
+    """
+    try:
+        return list(rates(p_w))
+    except MODELLED_FAILURES:
+        pass
+    cells = []
+    for i in range(p_w.size):
+        try:
+            cells.append(rates(p_w[i:i + 1])[0])
+        except MODELLED_FAILURES:
+            cells.append(None)
+    return cells
+
+
 def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
-                    bounds: PerturbationBounds, p_w: float,
+                    bounds: PerturbationBounds, p_w: np.ndarray,
                     cfg: ScenarioConfig, layout: BeamLayout, plans: dict,
                     shared: dict):
     if name == "mbim" or name == "rzf":

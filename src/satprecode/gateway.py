@@ -24,7 +24,14 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .exceptions import MODELLED_FAILURES, ConfigError
-from .precoding import Precoder, intrabeam, mbim_stack, power_control, rzf_stack
+from .precoding import (
+    Precoder,
+    _power_vector,
+    _scaled,
+    intrabeam,
+    mbim_stack,
+    rzf_stack,
+)
 
 __all__ = [
     "GatewayPlan",
@@ -254,29 +261,31 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[SharedCsiView]:
 
 
 def assemble_multigateway_precoder(views: list[SharedCsiView],
-                                   plan: GatewayPlan, p_total: float,
+                                   plan: GatewayPlan,
+                                   p_total: float | np.ndarray,
                                    precoder_kind: str = "mbim",
                                    mode: str = "per_feed") -> Precoder:
     """Block-diagonal precoder from per-gateway effective channels.
 
     Each gateway independently runs the two-stage pipeline for its own
-    beams on its view; the blocks are placed on the diagonal (all other
-    entries stay structurally zero) and a single global power scaling is
-    applied.
+    beams on its view, over every power of `p_total` at once; the blocks
+    are placed on the diagonal (all other entries stay structurally zero)
+    and a single global power scaling per power is applied.
     """
     if precoder_kind not in ("mbim", "rzf"):
         raise ConfigError(f"unknown precoder kind {precoder_kind!r}")
     stack = mbim_stack if precoder_kind == "mbim" else rzf_stack
-    w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
+    p = _power_vector(p_total)
+    w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)
     for view in views:
         g = view.gateway
         eff = view.channel
         beams = plan.beam_slice(g)
         try:
-            wa = stack(eff, range(beams.start, beams.stop), p_total)
+            wa = stack(eff, range(beams.start, beams.stop), p)    # (P, B, N_g, Q)
             wb = intrabeam(eff.beam_blocks()[beams] @ wa, first_beam=beams.start)
         except MODELLED_FAILURES as exc:
             raise type(exc)(f"gateway {g}: {exc}") from exc
-        w_bar[plan.feed_slice(g), beams] = (wa @ wb[:, :, None])[:, :, 0].T
-    alpha = power_control(w_bar, p_total, mode)
-    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
+        w_bar[:, plan.feed_slice(g), beams] = (
+            (wa @ wb[..., None])[..., 0].swapaxes(-1, -2))
+    return _scaled(p_total, w_bar, mode)

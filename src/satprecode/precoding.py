@@ -5,6 +5,12 @@ The precoder factors as ``W = alpha * Wa * Wb``: an inter-beam stage Wa
 every other beam's users, a block-diagonal intra-beam stage Wb (one unit
 vector per beam) that lifts the beam's average user signal power, and a
 scalar alpha enforcing the transmit power constraint.
+
+Every design takes the total power `p_total` as a float or as a 1-D power
+vector. A vector puts a leading power axis P on every output, and each
+stage runs once over it: the designs depend on P_T only through the
+regularizer KQ/P_T and the scale alpha. A float is the vector of one
+power with that axis dropped again.
 """
 
 from __future__ import annotations
@@ -52,32 +58,48 @@ class Precoder:
     `wa` (N x KQ) and `wb` (KQ x K, block diagonal) are kept when the
     precoder was built by the two-stage pipeline; single-shot baselines
     leave them as None. In `per_feed` mode the largest diagonal entry of
-    W W^H equals P_T/N; in `total` mode the trace equals P_T.
+    W W^H equals P_T/N; in `total` mode the trace equals P_T. Designed
+    for a power vector, every array has a leading power axis and `alpha`
+    is a (P,) array.
     """
 
     w: np.ndarray
-    alpha: float
+    alpha: float | np.ndarray
     power_mode: str
     wa: np.ndarray | None = None
     wb: np.ndarray | None = None
 
     def feed_powers(self) -> np.ndarray:
-        return np.real(np.einsum("nk,nk->n", self.w, self.w.conj()))
+        return np.real(np.einsum("...nk,...nk->...n", self.w, self.w.conj()))
 
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.w) ** 2))
+    def total_power(self) -> float | np.ndarray:
+        return np.sum(np.abs(self.w) ** 2, axis=(-2, -1))[()]
 
 
-def _regularizer(ch: ChannelMatrix, p_total: float) -> float:
+def _power_vector(p_total: float | np.ndarray) -> np.ndarray:
+    """`p_total` as a (P,) power vector; a float gives P = 1."""
+    p = np.asarray(p_total, dtype=float)
+    if p.ndim > 1:
+        raise ConfigError("p_total must be a float or a 1-D power vector")
+    return p.reshape(-1)
+
+
+def _unstack(p_total: float | np.ndarray, stacked: np.ndarray):
+    """`stacked` as returned for `p_total`: without its power axis for a float."""
+    return stacked[0] if np.ndim(p_total) == 0 else stacked
+
+
+def _regularizer(ch: ChannelMatrix, p_total: float | np.ndarray):
     return ch.beams * ch.users_per_beam / p_total
 
 
-def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float,
+def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
                shifts: np.ndarray | None = None) -> np.ndarray:
     """Inter-beam blocks Wa_k of the interference-mitigation design.
 
-    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack,
-    built from each beam's memoized other-beam Gram eigendecomposition:
+    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
+    ((P, B, N, Q) for a power vector), built from each beam's memoized
+    other-beam Gram eigendecomposition:
     ``Wa_k = V (S + (KQ/P_T + shift_k) I)^(-1/2)`` restricted to the Q
     columns of smallest eigenvalue, i.e. the directions least aligned with
     the other beams' channels. A positive shift is the robust design's
@@ -87,6 +109,7 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float,
     single beam there is nothing to mitigate and the block degenerates to
     a scaled truncated identity.
     """
+    p = _power_vector(p_total)
     n = ch.feeds
     q = ch.users_per_beam
     if q > n:
@@ -95,8 +118,8 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float,
             "than served users"
         )
     if ch.beams == 1:
-        block = np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
-        return block[None]
+        amp = np.sqrt(p / (ch.beams * q))[:, None, None, None]
+        return _unstack(p_total, amp * np.eye(n, q, dtype=complex))
     if shifts is None:
         shifts = np.zeros(len(beams))
     eigs = [ch.other_gram_eig(k) for k in beams]
@@ -110,48 +133,64 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float,
             "is rank deficient"
         )
     # Descending order: the Q smallest eigenvalues sit at the end.
-    scale = 1.0 / np.sqrt(lam[:, -q:] + _regularizer(ch, p_total)
+    scale = 1.0 / np.sqrt(lam[:, -q:] + _regularizer(ch, p)[:, None, None]
                           + shifts[:, None])
-    return np.array([eig.tail for eig in eigs]) * scale[:, None, :]
+    return _unstack(p_total,
+                    np.array([eig.tail for eig in eigs]) * scale[..., None, :])
 
 
-def mbim_block(ch: ChannelMatrix, k: int, p_total: float,
+def mbim_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray,
                shift: float = 0.0) -> np.ndarray:
     """Inter-beam block Wa_k (N x Q) of beam k alone; see `mbim_stack`."""
-    return mbim_stack(ch, range(k, k + 1), p_total, np.array([shift]))[0]
+    block = mbim_stack(ch, range(k, k + 1), p_total, np.array([shift]))
+    return block[..., 0, :, :]
 
 
 def _columns(blocks: np.ndarray) -> np.ndarray:
-    """(K, N, Q) stack of per-beam blocks as the N x KQ matrix [B_0 ... B_K-1]."""
-    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
+    """(..., K, N, Q) beam blocks as (..., N, KQ) matrices [B_0 ... B_K-1]."""
+    *lead, _, n, _ = blocks.shape
+    return blocks.swapaxes(-3, -2).reshape(*lead, n, -1)
 
 
 def _blocks(wa: np.ndarray, beams: int) -> np.ndarray:
-    """N x KQ matrix split into its (K, N, Q) stack of beam blocks (a view)."""
-    return wa.reshape(wa.shape[0], beams, -1).transpose(1, 0, 2)
+    """(..., N, KQ) matrices split into (..., K, N, Q) beam blocks (a view)."""
+    return wa.reshape(*wa.shape[:-1], beams, -1).swapaxes(-3, -2)
 
 
-def mbim_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    """All inter-beam blocks, horizontally stacked to N x KQ."""
+def mbim_interbeam(ch: ChannelMatrix,
+                   p_total: float | np.ndarray) -> np.ndarray:
+    """All inter-beam blocks, horizontally stacked to N x KQ (P x N x KQ)."""
     return _columns(mbim_stack(ch, range(ch.beams), p_total))
 
 
-def _regularized_inverse(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    """``inv(H H^H + (KQ/P_T) I)``, the one matrix behind every RZF block."""
-    reg = _regularizer(ch, p_total) * np.eye(ch.h.shape[0], dtype=complex)
-    return np.linalg.inv(ch.h @ ch.h.conj().T + reg)
+def _regularized_inverse(h: np.ndarray, reg: np.ndarray) -> np.ndarray:
+    """``inv(h h^H + reg_p I)`` for each entry of `reg`: one (P, n, n) inverse.
+
+    The stack is P copies of ``h h^H``, each with its reg_p added on the
+    diagonal; no scaled identity is formed, and no copy of ``h h^H``
+    outlives the stack, which keeps the batched inverse's working set
+    small.
+    """
+    stack = np.repeat((h @ h.conj().T)[None], reg.size, axis=0)
+    diag = np.arange(h.shape[0])
+    stack[:, diag, diag] += reg[:, None]
+    return np.linalg.inv(stack)
 
 
 def _null_bases(ch: ChannelMatrix, beams: range,
                 inverse: np.ndarray) -> np.ndarray:
-    """(B, KQ, Q) null-space bases of `beams`, one stacked QR."""
+    """(P, B, KQ, Q) null-space bases of the consecutive `beams` from
+    (P, KQ, KQ) inverses, one stacked QR."""
     if ch.beams == 1:
-        return np.eye(ch.users_per_beam, dtype=complex)[None]
-    basis, _ = np.linalg.qr(_blocks(inverse, ch.beams)[beams])
+        eye = np.eye(ch.users_per_beam, dtype=complex)
+        return np.broadcast_to(eye, (inverse.shape[0], 1, *eye.shape))
+    # A slice, not a fancy index: the QR copies its input anyway.
+    basis, _ = np.linalg.qr(_blocks(inverse, ch.beams)[:, beams.start:beams.stop])
     return basis
 
 
-def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
+def rzf_null_basis(ch: ChannelMatrix, k: int,
+                   p_total: float | np.ndarray) -> np.ndarray:
     """Null-space basis (KQ x Q) behind the zero-forcing block of beam k.
 
     Removing beam k's Q rows from ``A = H H^H + (KQ/P_T) I`` leaves a
@@ -159,30 +198,33 @@ def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
     ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
     Their QR factor is the orthonormal basis.
     """
-    inverse = _regularized_inverse(ch, p_total)
-    return _null_bases(ch, range(k, k + 1), inverse)[0]
+    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
+    return _unstack(p_total, _null_bases(ch, range(k, k + 1), inverse)[:, 0])
 
 
-def rzf_stack(ch: ChannelMatrix, beams: range, p_total: float) -> np.ndarray:
+def rzf_stack(ch: ChannelMatrix, beams: range,
+              p_total: float | np.ndarray) -> np.ndarray:
     """Inter-beam blocks of the regularized zero-forcing design.
 
-    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack: the
-    conjugated channel projected through the null space of the
-    regularized cross-channel with that beam's rows removed. One
-    regularized inverse serves every beam; its column blocks are factored
-    in one stacked QR and projected in one stacked product.
+    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
+    ((P, B, N, Q) for a power vector): the conjugated channel projected
+    through the null space of the regularized cross-channel with that
+    beam's rows removed. One batched regularized inverse serves every
+    beam and power; its column blocks are factored in one stacked QR and
+    projected in one stacked product.
     """
-    inverse = _regularized_inverse(ch, p_total)
-    return ch.h.conj().T @ _null_bases(ch, beams, inverse)
+    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
+    return _unstack(p_total, ch.h.conj().T @ _null_bases(ch, beams, inverse))
 
 
-def rzf_block(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
+def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
     """Inter-beam block (N x Q) of beam k alone; see `rzf_stack`."""
-    return rzf_stack(ch, range(k, k + 1), p_total)[0]
+    return rzf_stack(ch, range(k, k + 1), p_total)[..., 0, :, :]
 
 
-def rzf_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    """All regularized zero-forcing blocks, stacked to N x KQ."""
+def rzf_interbeam(ch: ChannelMatrix,
+                  p_total: float | np.ndarray) -> np.ndarray:
+    """All regularized zero-forcing blocks, stacked to N x KQ (P x N x KQ)."""
     return _columns(rzf_stack(ch, range(ch.beams), p_total))
 
 
@@ -190,12 +232,13 @@ def intrabeam(z: np.ndarray, first_beam: int = 0) -> np.ndarray:
     """Unit vectors maximizing ``||Z w||`` (leading right singular vectors).
 
     `z` is one effective intra-beam channel (Q x Q) or a stack of them
-    (B x Q x Q) for consecutive beams numbered from `first_beam`; the
-    result is one vector (Q,) or a stack (B, Q). An all-zero channel
-    raises DegenerateBeamError naming its beam.
+    (..., B, Q, Q) for consecutive beams numbered from `first_beam`; the
+    result is one vector (Q,) or a stack (..., B, Q). An all-zero channel
+    raises DegenerateBeamError naming the first beam that has one.
     """
     z = np.asarray(z)
-    dead = np.reshape(~np.any(z, axis=(-2, -1)), -1)
+    dead = np.atleast_1d(~np.any(z, axis=(-2, -1)))
+    dead = dead.reshape(-1, dead.shape[-1]).any(axis=0)
     if np.any(dead):
         raise DegenerateBeamError(
             f"beam {first_beam + int(np.argmax(dead))}: "
@@ -205,44 +248,65 @@ def intrabeam(z: np.ndarray, first_beam: int = 0) -> np.ndarray:
     return vh[..., 0, :].conj()
 
 
-def power_control(w_unscaled: np.ndarray, p_total: float, mode: str) -> float:
+def power_control(w_unscaled: np.ndarray, p_total: float | np.ndarray,
+                  mode: str) -> float | np.ndarray:
     """Scale factor meeting the transmit power constraint with equality.
 
     `per_feed` caps the largest diagonal entry of W W^H at P_T/N; `total`
-    sets the trace of W W^H to P_T.
+    sets the trace of W W^H to P_T. For a power vector, `w_unscaled` is a
+    (P, N, K) stack and the result a (P,) array.
     """
     if mode not in POWER_MODES:
         raise ConfigError(f"power mode must be one of {POWER_MODES}, got {mode!r}")
+    p = _power_vector(p_total)
     w = np.asarray(w_unscaled)
-    if not np.any(w):
+    w = w.reshape(p.size, *w.shape[-2:])
+    if not np.all(np.any(w, axis=(-2, -1))):
         raise ConfigError("cannot scale an all-zero precoder")
     if mode == "per_feed":
-        peak = float(np.max(np.sum(np.abs(w) ** 2, axis=1)))
-        return float(np.sqrt(p_total / (w.shape[0] * peak)))
-    return float(np.sqrt(p_total / np.sum(np.abs(w) ** 2)))
+        peak = np.max(np.sum(np.abs(w) ** 2, axis=-1), axis=-1)
+        alpha = np.sqrt(p / (w.shape[-2] * peak))
+    else:
+        alpha = np.sqrt(p / np.sum(np.abs(w.reshape(p.size, -1)) ** 2, axis=-1))
+    return _unstack(p_total, alpha)
 
 
-def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
+def _scaled(p_total: float | np.ndarray, w_bar: np.ndarray, mode: str,
+            **factors) -> Precoder:
+    """The (P, N, K) stack `w_bar` and its factors scaled to the power
+    constraint, as the precoder returned for `p_total`."""
+    alpha = power_control(w_bar, _power_vector(p_total), mode)
+    parts = dict(w=alpha[:, None, None] * w_bar, alpha=alpha, **factors)
+    if np.ndim(p_total) == 0:
+        parts = {name: value[0] for name, value in parts.items()}
+        parts["alpha"] = float(parts["alpha"])
+    return Precoder(power_mode=mode, **parts)
+
+
+def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float | np.ndarray,
              mode: str = "per_feed") -> Precoder:
     """Intra-beam stage, power normalization, and final assembly.
 
-    Every beam's effective channel ``Z_k = H_k Wa_k`` is formed in one
+    `wa` is N x KQ, or P x N x KQ for a power vector. Every beam's
+    effective channel ``Z_k = H_k Wa_k`` at every power is formed in one
     stacked product and decomposed in one stacked SVD.
     """
+    p = _power_vector(p_total)
     k_beams = ch.beams
     q = ch.users_per_beam
-    vectors = intrabeam(ch.beam_blocks() @ _blocks(wa, k_beams))
-    wb = np.zeros((k_beams * q, k_beams), dtype=complex)
+    wa = np.reshape(wa, (p.size, ch.feeds, k_beams * q))
+    vectors = intrabeam(ch.beam_blocks() @ _blocks(wa, k_beams))   # (P, K, Q)
+    wb = np.zeros((p.size, k_beams * q, k_beams), dtype=complex)
     beam = np.arange(k_beams)
-    wb.reshape(k_beams, q, k_beams)[beam, :, beam] = vectors
-    w_bar = wa @ wb
-    alpha = power_control(w_bar, p_total, mode)
-    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
+    wb.reshape(p.size, k_beams, q, k_beams)[:, beam, :, beam] = (
+        vectors.swapaxes(0, 1))
+    return _scaled(p_total, wa @ wb, mode, wa=wa, wb=wb)
 
 
-def two_stage(ch: ChannelMatrix, p_total: float, mode: str = "per_feed",
-              interbeam: str = "mbim") -> Precoder:
-    """Full nominal pipeline with the chosen inter-beam design."""
+def two_stage(ch: ChannelMatrix, p_total: float | np.ndarray,
+              mode: str = "per_feed", interbeam: str = "mbim") -> Precoder:
+    """Full nominal pipeline with the chosen inter-beam design, at one
+    power or over a power vector."""
     if interbeam == "mbim":
         wa = mbim_interbeam(ch, p_total)
     elif interbeam == "rzf":
@@ -257,56 +321,54 @@ def beam_average(ch: ChannelMatrix) -> np.ndarray:
     return ch.beam_blocks().mean(axis=1)
 
 
-def baseline_avg_mmse(ch: ChannelMatrix, p_total: float,
+def baseline_avg_mmse(ch: ChannelMatrix, p_total: float | np.ndarray,
                       mode: str = "per_feed") -> Precoder:
     """Channel-averaging MMSE baseline.
 
     Averages each beam's user rows into a single representative channel
-    and applies a regularized inverse, then the usual power scaling.
+    and applies a regularized inverse (one batched inverse over a power
+    vector), then the usual power scaling.
     """
-    k_beams = ch.beams
     h_bar = beam_average(ch)
-    gram = h_bar @ h_bar.conj().T + _regularizer(ch, p_total) * np.eye(
-        k_beams, dtype=complex
-    )
-    w_bar = h_bar.conj().T @ np.linalg.inv(gram)
-    alpha = power_control(w_bar, p_total, mode)
-    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
+    inverse = _regularized_inverse(h_bar, _regularizer(ch, _power_vector(p_total)))
+    return _scaled(p_total, h_bar.conj().T @ inverse, mode)
 
 
-def four_color_precoder(layout: BeamLayout, p_total: float) -> Precoder:
+def four_color_precoder(layout: BeamLayout,
+                        p_total: float | np.ndarray) -> Precoder:
     """Unprecoded reference: each beam driven by its own feeds.
 
     Every feed radiates at equal power P_T/N, so the per-feed and total
     power constraints are both met with equality.
     """
-    amp = np.sqrt(p_total / layout.feeds)
+    amp = np.sqrt(_power_vector(p_total) / layout.feeds)[:, None, None]
     w = np.repeat(amp * np.eye(layout.beams, dtype=complex),
-                  layout.feeds_per_beam, axis=0)
-    return Precoder(w=w, alpha=1.0, power_mode="per_feed")
+                  layout.feeds_per_beam, axis=-2)
+    return Precoder(w=_unstack(p_total, w), alpha=1.0, power_mode="per_feed")
 
 
 def baseline_four_color(ch: ChannelMatrix, layout: BeamLayout,
-                        p_total: float) -> np.ndarray:
+                        p_total: float | np.ndarray) -> np.ndarray:
     """Per-user SINRs of the four-coloring frequency-reuse baseline.
 
     No precoding: interference is accumulated only over beams sharing the
     victim's color (the other colors use disjoint quarters of the band).
     The quarter-bandwidth factor enters in the rate mapping, not here.
-    Returns a (K, Q) array of linear SINRs.
+    Returns a (K, Q) array of linear SINRs, (P, K, Q) for a power vector.
     """
     if layout.beams != ch.beams:
         raise ConfigError("layout and channel disagree on the number of beams")
     colors = layout.color_of_beam
     if colors.min() < 0 or colors.max() > 3:
         raise ConfigError("invalid four-coloring in layout")
-    w = four_color_precoder(layout, p_total).w
+    w = four_color_precoder(layout, _power_vector(p_total)).w
     k_beams = ch.beams
-    power = np.abs(ch.h @ w).reshape(k_beams, -1, k_beams) ** 2   # (K, Q, K)
+    power = np.abs(ch.h @ w).reshape(w.shape[0], k_beams, -1, k_beams) ** 2
     beam = np.arange(k_beams)
     same = (colors[:, None] == colors) & (beam[:, None] != beam)
-    interf = np.sum(power * same[:, None, :], axis=2)
-    return power[beam, :, beam] / (interf + 1.0)
+    interf = np.sum(power * same[:, None, :], axis=-1)
+    signal = np.einsum("pkqk->pkq", power)                # (P, K, Q)
+    return _unstack(p_total, signal / (interf + 1.0))
 
 
 def interbeam_spectra(ch: ChannelMatrix) -> list[np.ndarray]:

@@ -148,8 +148,8 @@ def _shift_bounds(ch: ChannelMatrix, bounds: PerturbationBounds) -> np.ndarray:
 
 
 def robust_interbeam(ch: ChannelMatrix, bounds: PerturbationBounds,
-                     p_total: float) -> np.ndarray:
-    """All robust inter-beam blocks, stacked to N x KQ.
+                     p_total: float | np.ndarray) -> np.ndarray:
+    """All robust inter-beam blocks, stacked to N x KQ (P x N x KQ).
 
     Block k is the interference-mitigation block with its regularizer
     grown from KQ/P_T to KQ/P_T + epsilon_k. A zero shift carries no
@@ -175,8 +175,10 @@ def derive_scalars(ch: ChannelMatrix,
 
 
 def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
-                     p_total: float, mode: str = "per_feed") -> Precoder:
-    """Robust inter-beam stage followed by the nominal intra-beam stage."""
+                     p_total: float | np.ndarray,
+                     mode: str = "per_feed") -> Precoder:
+    """Robust inter-beam stage followed by the nominal intra-beam stage, at
+    one power or over a power vector."""
     return assemble(ch, robust_interbeam(ch, bounds, p_total), p_total, mode)
 
 

@@ -3,13 +3,13 @@
 These are the direct implementations the library once ran: the SVD null
 space behind the zero-forcing design, the first-order coupler algebra of
 the robust inter- and intra-beam stages, the per-beam doubling search
-for the user-placement box, the per-beam loops of every design stage and
-the `np.cross` form of the off-axis angle. The library now computes the
-same designs in closed form (one regularized inverse for RZF; the
-shifted interference-mitigation design plus the nominal intra-beam stage
-for the robust precoder), every beam's box in one pass, and each design
-stage in one stacked LAPACK call over all beams. The tests compare the
-two.
+for the user-placement box, the per-beam loops of every design stage, the
+one-power-per-call designs and SINR map, and the `np.cross` form of the
+off-axis angle. The library now computes the same designs in closed form
+(one regularized inverse for RZF; the shifted interference-mitigation
+design plus the nominal intra-beam stage for the robust precoder), every
+beam's box in one pass, and each design stage in one stacked LAPACK call
+over all beams and powers. The tests compare the two.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ from satprecode.gateway import GatewayPlan, SharedCsiView
 from satprecode.linalg import RANK_TOL, eigh_sorted
 from satprecode.precoding import (
     Precoder,
-    _regularized_inverse,
-    _regularizer,
     intrabeam,
     mbim_block,
-    power_control,
 )
 from satprecode.robust import (
     DEGENERACY_FLOOR,
@@ -179,7 +176,7 @@ def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
         z = ch.beam(k) @ wa[:, k * q:(k + 1) * q]
         wb[k * q:(k + 1) * q, k] = robust_intrabeam(z, nu)
     w_bar = wa @ wb
-    alpha = power_control(w_bar, p_total, mode)
+    alpha = power_control_per_power(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
 
 
@@ -232,7 +229,7 @@ def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
             f"cross-channel Gram matrix of beam {k} is rank deficient"
         )
     # Descending order: the Q smallest eigenvalues sit at the end.
-    scale = 1.0 / np.sqrt(lam[-q:] + _regularizer(ch, p_total) + shift)
+    scale = 1.0 / np.sqrt(lam[-q:] + regularizer_per_power(ch, p_total) + shift)
     return eig.tail * scale
 
 
@@ -266,13 +263,13 @@ def _null_basis_per_beam(ch: ChannelMatrix, k: int,
 def rzf_block_per_beam(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
     """RZF block of beam k from its own QR of the regularized inverse."""
     return ch.h.conj().T @ _null_basis_per_beam(
-        ch, k, _regularized_inverse(ch, p_total)
+        ch, k, regularized_inverse_per_power(ch, p_total)
     )
 
 
 def rzf_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     """All RZF blocks from one inverse and one QR per beam."""
-    inverse = _regularized_inverse(ch, p_total)
+    inverse = regularized_inverse_per_power(ch, p_total)
     return np.hstack(
         [ch.h.conj().T @ _null_basis_per_beam(ch, k, inverse)
          for k in range(ch.beams)]
@@ -292,7 +289,7 @@ def assemble_per_beam(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
         except DegenerateBeamError as exc:
             raise DegenerateBeamError(f"beam {k}: {exc}") from None
     w_bar = wa @ wb
-    alpha = power_control(w_bar, p_total, mode)
+    alpha = power_control_per_power(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
 
 
@@ -348,7 +345,7 @@ def assemble_multigateway_per_beam(views: list[SharedCsiView],
                 w_bar[plan.feed_slice(g), k] = wa_k @ intrabeam_per_beam(z)
             except MODELLED_FAILURES as exc:
                 raise type(exc)(f"gateway {g}: {exc}") from exc
-    alpha = power_control(w_bar, p_total, mode)
+    alpha = power_control_per_power(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
 
 
@@ -358,3 +355,217 @@ def boresight_angle_deg_cross(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
     sin_part = np.linalg.norm(np.cross(targ, bu), axis=-1)
     cos_part = targ @ bu
     return np.degrees(np.arctan2(sin_part, cos_part))
+
+
+# Per-power bodies of the designs and the SINR map: each call designs
+# and evaluates one float power. The library now takes a power vector and
+# runs every stage once over a leading power axis.
+
+def regularizer_per_power(ch: ChannelMatrix, p_total: float) -> float:
+    return ch.beams * ch.users_per_beam / p_total
+
+
+def mbim_stack_per_power(ch: ChannelMatrix, beams: range, p_total: float,
+                         shifts: np.ndarray | None = None) -> np.ndarray:
+    """(B, N, Q) stack of interference-mitigation blocks at one power."""
+    n = ch.feeds
+    q = ch.users_per_beam
+    if q > n:
+        raise InfeasibleChannelError(
+            f"cannot build an {n} x {q} inter-beam block with fewer feeds "
+            "than served users"
+        )
+    if ch.beams == 1:
+        block = np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
+        return block[None]
+    if shifts is None:
+        shifts = np.zeros(len(beams))
+    eigs = [ch.other_gram_eig(k) for k in beams]
+    lam = np.array([eig.eigenvalues for eig in eigs])
+    singular = (shifts == 0.0) & (
+        lam[:, -1] <= RANK_TOL * np.maximum(lam[:, 0], 0.0)
+    )
+    if np.any(singular):
+        raise SingularChannelError(
+            f"cross-channel Gram matrix of beam {beams[np.argmax(singular)]} "
+            "is rank deficient"
+        )
+    # Descending order: the Q smallest eigenvalues sit at the end.
+    scale = 1.0 / np.sqrt(lam[:, -q:] + regularizer_per_power(ch, p_total)
+                          + shifts[:, None])
+    return np.array([eig.tail for eig in eigs]) * scale[:, None, :]
+
+
+def _columns_per_power(blocks: np.ndarray) -> np.ndarray:
+    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
+
+
+def _blocks_per_power(wa: np.ndarray, beams: int) -> np.ndarray:
+    return wa.reshape(wa.shape[0], beams, -1).transpose(1, 0, 2)
+
+
+def mbim_interbeam_per_power(ch: ChannelMatrix, p_total: float) -> np.ndarray:
+    return _columns_per_power(mbim_stack_per_power(ch, range(ch.beams), p_total))
+
+
+def regularized_inverse_per_power(ch: ChannelMatrix,
+                                  p_total: float) -> np.ndarray:
+    """``inv(H H^H + (KQ/P_T) I)`` with a dense scaled identity."""
+    reg = regularizer_per_power(ch, p_total) * np.eye(ch.h.shape[0],
+                                                      dtype=complex)
+    return np.linalg.inv(ch.h @ ch.h.conj().T + reg)
+
+
+def _null_bases_per_power(ch: ChannelMatrix, beams: range,
+                          inverse: np.ndarray) -> np.ndarray:
+    if ch.beams == 1:
+        return np.eye(ch.users_per_beam, dtype=complex)[None]
+    basis, _ = np.linalg.qr(_blocks_per_power(inverse, ch.beams)[beams])
+    return basis
+
+
+def rzf_stack_per_power(ch: ChannelMatrix, beams: range,
+                        p_total: float) -> np.ndarray:
+    inverse = regularized_inverse_per_power(ch, p_total)
+    return ch.h.conj().T @ _null_bases_per_power(ch, beams, inverse)
+
+
+def rzf_interbeam_per_power(ch: ChannelMatrix, p_total: float) -> np.ndarray:
+    return _columns_per_power(rzf_stack_per_power(ch, range(ch.beams), p_total))
+
+
+def intrabeam_per_power(z: np.ndarray, first_beam: int = 0) -> np.ndarray:
+    """Leading right singular vectors of one (Q, Q) or a (B, Q, Q) stack."""
+    z = np.asarray(z)
+    dead = np.reshape(~np.any(z, axis=(-2, -1)), -1)
+    if np.any(dead):
+        raise DegenerateBeamError(
+            f"beam {first_beam + int(np.argmax(dead))}: "
+            "effective intra-beam channel is zero"
+        )
+    _, _, vh = np.linalg.svd(z)
+    return vh[..., 0, :].conj()
+
+
+def power_control_per_power(w_unscaled: np.ndarray, p_total: float,
+                            mode: str) -> float:
+    if mode not in ("per_feed", "total"):
+        raise ConfigError(f"power mode must be one of ('per_feed', 'total'), "
+                          f"got {mode!r}")
+    w = np.asarray(w_unscaled)
+    if not np.any(w):
+        raise ConfigError("cannot scale an all-zero precoder")
+    if mode == "per_feed":
+        peak = float(np.max(np.sum(np.abs(w) ** 2, axis=1)))
+        return float(np.sqrt(p_total / (w.shape[0] * peak)))
+    return float(np.sqrt(p_total / np.sum(np.abs(w) ** 2)))
+
+
+def assemble_per_power(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
+                       mode: str = "per_feed") -> Precoder:
+    k_beams = ch.beams
+    q = ch.users_per_beam
+    vectors = intrabeam_per_power(ch.beam_blocks() @ _blocks_per_power(wa, k_beams))
+    wb = np.zeros((k_beams * q, k_beams), dtype=complex)
+    beam = np.arange(k_beams)
+    wb.reshape(k_beams, q, k_beams)[beam, :, beam] = vectors
+    w_bar = wa @ wb
+    alpha = power_control_per_power(w_bar, p_total, mode)
+    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
+
+
+def two_stage_per_power(ch: ChannelMatrix, p_total: float,
+                        mode: str = "per_feed",
+                        interbeam: str = "mbim") -> Precoder:
+    if interbeam == "mbim":
+        wa = mbim_interbeam_per_power(ch, p_total)
+    elif interbeam == "rzf":
+        wa = rzf_interbeam_per_power(ch, p_total)
+    else:
+        raise ConfigError(f"unknown inter-beam design {interbeam!r}")
+    return assemble_per_power(ch, wa, p_total, mode)
+
+
+def robust_interbeam_per_power(ch: ChannelMatrix, bounds: PerturbationBounds,
+                               p_total: float) -> np.ndarray:
+    if bounds.beams != ch.beams:
+        raise ConfigError("bounds and channel disagree on the number of beams")
+    return _columns_per_power(
+        mbim_stack_per_power(ch, range(ch.beams), p_total,
+                             _shift_bounds(ch, bounds))
+    )
+
+
+def robust_two_stage_per_power(ch: ChannelMatrix, bounds: PerturbationBounds,
+                               p_total: float,
+                               mode: str = "per_feed") -> Precoder:
+    return assemble_per_power(ch, robust_interbeam_per_power(ch, bounds, p_total),
+                              p_total, mode)
+
+
+def baseline_avg_mmse_per_power(ch: ChannelMatrix, p_total: float,
+                                mode: str = "per_feed") -> Precoder:
+    k_beams = ch.beams
+    h_bar = ch.beam_blocks().mean(axis=1)
+    gram = h_bar @ h_bar.conj().T + regularizer_per_power(ch, p_total) * np.eye(
+        k_beams, dtype=complex
+    )
+    w_bar = h_bar.conj().T @ np.linalg.inv(gram)
+    alpha = power_control_per_power(w_bar, p_total, mode)
+    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
+
+
+def four_color_precoder_per_power(layout: BeamLayout,
+                                  p_total: float) -> Precoder:
+    amp = np.sqrt(p_total / layout.feeds)
+    w = np.repeat(amp * np.eye(layout.beams, dtype=complex),
+                  layout.feeds_per_beam, axis=0)
+    return Precoder(w=w, alpha=1.0, power_mode="per_feed")
+
+
+def baseline_four_color_per_power(ch: ChannelMatrix, layout: BeamLayout,
+                                  p_total: float) -> np.ndarray:
+    if layout.beams != ch.beams:
+        raise ConfigError("layout and channel disagree on the number of beams")
+    colors = layout.color_of_beam
+    if colors.min() < 0 or colors.max() > 3:
+        raise ConfigError("invalid four-coloring in layout")
+    w = four_color_precoder_per_power(layout, p_total).w
+    k_beams = ch.beams
+    power = np.abs(ch.h @ w).reshape(k_beams, -1, k_beams) ** 2   # (K, Q, K)
+    beam = np.arange(k_beams)
+    same = (colors[:, None] == colors) & (beam[:, None] != beam)
+    interf = np.sum(power * same[:, None, :], axis=2)
+    return power[beam, :, beam] / (interf + 1.0)
+
+
+def assemble_multigateway_precoder_per_power(views: list[SharedCsiView],
+                                             plan: GatewayPlan, p_total: float,
+                                             precoder_kind: str = "mbim",
+                                             mode: str = "per_feed") -> Precoder:
+    if precoder_kind not in ("mbim", "rzf"):
+        raise ConfigError(f"unknown precoder kind {precoder_kind!r}")
+    stack = mbim_stack_per_power if precoder_kind == "mbim" else rzf_stack_per_power
+    w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
+    for view in views:
+        g = view.gateway
+        eff = view.channel
+        beams = plan.beam_slice(g)
+        try:
+            wa = stack(eff, range(beams.start, beams.stop), p_total)
+            wb = intrabeam_per_power(eff.beam_blocks()[beams] @ wa,
+                                     first_beam=beams.start)
+        except MODELLED_FAILURES as exc:
+            raise type(exc)(f"gateway {g}: {exc}") from exc
+        w_bar[plan.feed_slice(g), beams] = (wa @ wb[:, :, None])[:, :, 0].T
+    alpha = power_control_per_power(w_bar, p_total, mode)
+    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
+
+
+def sinr_matrix_per_power(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
+    """(K, Q) linear SINRs under one (N, K) precoder."""
+    amps = np.abs(ch.h @ w) ** 2                     # (KQ, K)
+    beam_of_row = np.repeat(np.arange(ch.beams), ch.users_per_beam)
+    signal = amps[np.arange(amps.shape[0]), beam_of_row]
+    interference = amps.sum(axis=1) - signal
+    return (signal / (interference + 1.0)).reshape(ch.beams, ch.users_per_beam)

@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import dataclasses
+import io
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import satprecode.evaluate
 from satprecode.cli import main
-from satprecode.config import ScenarioConfig, config_echo, parse_config
+from satprecode.config import _SCHEMA, ScenarioConfig, config_echo, parse_config
 from satprecode.evaluate import run_monte_carlo
 from satprecode.exceptions import ConfigError
 from satprecode.gateway import overhead_per_gateway
@@ -364,3 +371,89 @@ class TestCliVerbs:
         assert err.startswith("error:")
         assert message in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("run", "csi_error_ratio", "nan"),
+        ("run", "csi_error_ratio", "inf"),
+        ("channel", "center_lat", "nan"),
+        ("channel", "phase_sigma_deg", "inf"),
+        ("link_budget", "g_over_t_db", "-inf"),
+        ("channel", "phase_sigma_deg", "-1"),
+        ("channel", "center_lat", "-90.5"),
+        ("channel", "beam_spacing_deg", "0"),
+    ], ids=["nan_csi_error", "inf_csi_error", "nan_lat", "inf_phase_sigma",
+            "minus_inf_g_over_t", "negative_phase_sigma", "lat_beyond_pole",
+            "zero_spacing"])
+    @pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+    def test_bad_float_exits_2_naming_its_key(self, tmp_path, capsys, section,
+                                              key, value, verb):
+        path = tmp_path / "bad.cfg"
+        path.write_text(_config_text({(section, key): value}))
+        out_dir = tmp_path / "out"
+        argv = [verb, "--config", str(path), "--out", str(out_dir)]
+        if verb == "sweep":
+            argv += ["--power-dbw", "20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}.{key} must")
+        assert not out_dir.exists()
+
+
+def _config_text(overrides: dict) -> str:
+    """A one-trial, one-power config with `overrides` {(section, key): value}."""
+    sections = {"run": {"trials": "1", "power_sweep_dbw": "25",
+                        "scenarios": "rzf, four_color"}}
+    for (section, key), value in overrides.items():
+        sections.setdefault(section, {})[key] = str(value)
+    return "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+_FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
+               for key in keys if isinstance(getattr(ScenarioConfig, key), float)]
+
+
+@st.composite
+def _float_overrides(draw):
+    """A few float keys set to a valid, negative or non-finite value."""
+    keys = draw(st.lists(st.sampled_from(_FLOAT_KEYS), max_size=3, unique=True))
+    overrides = {}
+    for section, key in keys:
+        default = getattr(ScenarioConfig, key)
+        overrides[(section, key)] = draw(st.sampled_from(
+            [1.1 * default, -(abs(default) + 0.5), math.nan, math.inf,
+             -math.inf]))
+    return overrides
+
+
+def _exit_code(argv) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error:")
+    return code
+
+
+@settings(deadline=None, max_examples=60)
+@given(_float_overrides(), st.integers(1, 3))
+@example({("run", "csi_error_ratio"): math.nan}, 3)
+@example({("run", "csi_error_ratio"): math.inf}, 3)
+@example({("channel", "center_lat"): math.nan}, 3)
+@example({("channel", "phase_sigma_deg"): math.inf}, 3)
+def test_validate_and_run_agree_and_reject_non_finite_floats(overrides, beams):
+    """`validate` and a one-trial `run` exit 0 or 2 (never a traceback), agree,
+    and a non-finite float always exits 2."""
+    overrides[("channel", "beams")] = beams
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.cfg"
+        path.write_text(_config_text(overrides))
+        checked = _exit_code(["validate", "--config", str(path)])
+        ran = _exit_code(["run", "--config", str(path), "--out",
+                          str(Path(tmp) / "out")])
+    assert checked == ran
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for v in overrides.values()):
+        assert checked == 2
