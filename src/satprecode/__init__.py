@@ -21,7 +21,6 @@ from .channel import (
     build_gain_matrix,
     build_phase_matrix,
     extract_users,
-    feed_gain,
     hex_layout,
     perturb_channel,
     place_users,
@@ -55,13 +54,4 @@ from .precoding import (
     rzf_interbeam,
     two_stage,
 )
-from .robust import (
-    PerturbationCouplers,
-    coupling_matrix,
-    eigen_shift_bound,
-    first_order_eigvecs,
-    intra_penalty_scale,
-    robust_interbeam,
-    robust_two_stage,
-    weyl_upper_bound,
-)
+from .robust import eigen_shift_bound, robust_interbeam, robust_two_stage

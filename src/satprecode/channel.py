@@ -16,7 +16,7 @@ beam radius. The peak gain follows the uniform-aperture relation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import j1
@@ -34,7 +34,6 @@ __all__ = [
     "PerturbationBounds",
     "hex_layout",
     "place_users",
-    "feed_gain",
     "build_gain_matrix",
     "build_phase_matrix",
     "assemble_channel",
@@ -380,23 +379,6 @@ def _ground_halfwidths_deg(sat: np.ndarray, centers: np.ndarray,
     return 1.6 * _HALFWIDTH_STEPS[np.argmax(reach, axis=1)]
 
 
-def feed_gain(feed_boresight, user_position, layout: BeamLayout,
-              budget: LinkBudget):
-    """Feed radiation pattern gain toward a user (linear, power-like).
-
-    Tapered-aperture model: peak ``k_a**2`` at boresight, exactly 3 dB
-    down at the beam radius, Airy-type sidelobes beyond the first null.
-    Defined for every angle; scalars or arrays of positions are accepted.
-    """
-    sat = budget.satellite_position()
-    bore = np.asarray(feed_boresight, dtype=float)
-    user = np.asarray(user_position, dtype=float)
-    theta = geometry.off_axis_angle_deg(
-        sat, bore[0], bore[1], user[..., 0], user[..., 1], budget.earth_radius_m
-    )
-    return pattern_gain(theta, layout.beam_radius_3db_deg)
-
-
 def pattern_gain(theta_deg, radius_3db_deg: float):
     """Evaluate the aperture pattern at off-axis angles in degrees."""
     k_a = _U_HALF / math.sin(math.radians(radius_3db_deg))
@@ -516,14 +498,6 @@ class ChannelMatrix:
         """(K, Q, N) view of `h` whose block k is ``beam(k)``."""
         return self.h.reshape(self.beams, self.users_per_beam, -1)
 
-    def user_row(self, k: int, q: int) -> np.ndarray:
-        """Stored row of user q in beam k (received amplitude = row @ x)."""
-        return self.h[k * self.users_per_beam + q]
-
-    def user_vector(self, k: int, q: int) -> np.ndarray:
-        """User channel vector h with h^H x giving the received amplitude."""
-        return self.user_row(k, q).conj()
-
     def excluding(self, k: int) -> np.ndarray:
         """(K-1)Q x N matrix of every other beam's rows."""
         return np.delete(self.h, self.beam_rows(k), axis=0)
@@ -578,36 +552,25 @@ def extract_users(pool: ChannelMatrix, members: np.ndarray) -> ChannelMatrix:
 
 @dataclass(frozen=True)
 class PerturbationBounds:
-    """Norm bounds on a channel perturbation, per beam and in total.
+    """Norm bounds on a channel perturbation, per beam.
 
-    `gamma_k` bounds ``||Delta_k||_F**2`` per beam, `gamma_tilde_k` is the
-    complement sum over the other beams, `gamma_lower_k` a lower bound on
-    the per-beam perturbation energy. `epsilon_k` / `nu_k` hold derived
-    worst-case scalars once a robust design has been evaluated.
+    `gamma_k` bounds ``||Delta_k||_F**2`` per beam and `gamma_tilde_k` is
+    the complement sum over the other beams.
     """
 
-    gamma_total: float
     gamma_k: np.ndarray
     gamma_tilde_k: np.ndarray
-    gamma_lower_k: np.ndarray
-    epsilon_k: np.ndarray | None = None
-    nu_k: np.ndarray | None = None
 
     def __post_init__(self):
         gk = np.asarray(self.gamma_k, dtype=float)
         gt = np.asarray(self.gamma_tilde_k, dtype=float)
-        gl = np.asarray(self.gamma_lower_k, dtype=float)
-        for name, a in (("gamma_k", gk), ("gamma_tilde_k", gt), ("gamma_lower_k", gl)):
+        for name, a in (("gamma_k", gk), ("gamma_tilde_k", gt)):
             object.__setattr__(self, name, a)
             if a.ndim != 1 or a.shape != gk.shape:
                 raise ConfigError(f"{name} must be a length-K vector")
             if np.any(a < 0.0):
                 raise ConfigError(f"{name} must be nonnegative")
             a.flags.writeable = False
-        if self.gamma_total < 0.0:
-            raise ConfigError("gamma_total must be nonnegative")
-        if np.any(gl > gk * (1.0 + 1e-12) + 1e-300):
-            raise ConfigError("gamma_lower_k may not exceed gamma_k")
 
     @property
     def beams(self) -> int:
@@ -616,8 +579,7 @@ class PerturbationBounds:
     @classmethod
     def zero(cls, beams: int) -> "PerturbationBounds":
         z = np.zeros(beams)
-        return cls(gamma_total=0.0, gamma_k=z, gamma_tilde_k=z.copy(),
-                   gamma_lower_k=z.copy())
+        return cls(gamma_k=z, gamma_tilde_k=z.copy())
 
     @classmethod
     def from_delta(cls, delta: np.ndarray, beams: int,
@@ -631,23 +593,7 @@ class PerturbationBounds:
         gamma_tilde = np.array(
             [np.sum(np.delete(gamma_k, k)) for k in range(beams)]
         )
-        return cls(
-            gamma_total=float(np.sum(gamma_k)),
-            gamma_k=gamma_k,
-            gamma_tilde_k=gamma_tilde,
-            gamma_lower_k=gamma_k.copy(),
-        )
-
-    def with_lower(self, value: float) -> "PerturbationBounds":
-        """Override the lower bounds, clipped so they stay below gamma_k."""
-        if value < 0.0:
-            raise ConfigError("lower bound must be nonnegative")
-        return replace(self, gamma_lower_k=np.minimum(value, self.gamma_k))
-
-    def with_derived(self, epsilon_k: np.ndarray,
-                     nu_k: np.ndarray) -> "PerturbationBounds":
-        return replace(self, epsilon_k=np.asarray(epsilon_k, dtype=float),
-                       nu_k=np.asarray(nu_k, dtype=float))
+        return cls(gamma_k=gamma_k, gamma_tilde_k=gamma_tilde)
 
 
 def perturb_channel(ch: ChannelMatrix, ratio: float, rng_seed):

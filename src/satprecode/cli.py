@@ -28,6 +28,7 @@ from .config import ScenarioConfig, _parse_floats, config_echo, parse_config
 from .evaluate import (
     _build_budget,
     _build_layout,
+    _build_table,
     gateway_plans,
     run_monte_carlo,
 )
@@ -128,10 +129,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        # Every verb builds the layout here, so a layout that hex_layout
-        # rejects exits 2 on all of them. No design runs yet, so only bad
-        # input can raise.
+        # Every verb builds the layout and the MODCOD table here, so a
+        # layout that hex_layout rejects or a malformed table exits 2 on all
+        # of them. No design runs yet, so only bad input can raise.
         layout = _build_layout(cfg, _build_budget(cfg))
+        table = _build_table(cfg)
         plans = _overhead_plans(cfg, layout) if args.verb == "overhead" else None
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
         return 0
 
     started = time.time()
-    result = run_monte_carlo(cfg, layout)
+    result = run_monte_carlo(cfg, layout, table)
     elapsed = time.time() - started
 
     write_results_csv(

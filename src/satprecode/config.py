@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .exceptions import ConfigError
 
-__all__ = ["ScenarioConfig", "parse_config", "config_echo", "KNOWN_SCENARIOS"]
+__all__ = ["ScenarioConfig", "parse_config", "config_echo", "dbw_to_watts",
+           "KNOWN_SCENARIOS"]
 
 KNOWN_SCENARIOS = ("mbim", "rzf", "avg_mmse", "four_color", "robust",
                    "gw_ref", "gw_icp", "gw_closest", "gw_msvdgc")
@@ -42,6 +43,11 @@ def _parse_scenarios(raw: str) -> tuple[str, ...]:
                 "e.g. gw_closest:2"
             )
     return names
+
+
+def dbw_to_watts(p_dbw: float) -> float:
+    """Transmit power in Watts; OverflowError where it exceeds a float."""
+    return 10.0 ** (p_dbw / 10.0)
 
 
 def _parse_floats(raw: str) -> tuple[float, ...]:
@@ -129,8 +135,22 @@ class ScenarioConfig:
             raise ConfigError("run.power_sweep_dbw must hold finite values")
         if len(set(self.power_sweep_dbw)) != len(self.power_sweep_dbw):
             raise ConfigError("run.power_sweep_dbw must not repeat a point")
+        kq = self.beams * self.users_per_beam
+        for p_dbw in self.power_sweep_dbw:
+            try:
+                p_w = dbw_to_watts(p_dbw)
+            except OverflowError:
+                p_w = math.inf
+            # The designs regularize with KQ/P_T.
+            if not (0.0 < p_w < math.inf and math.isfinite(kq / p_w)):
+                raise ConfigError(
+                    f"run.power_sweep_dbw point {p_dbw} dBW gives P_T = {p_w} W; "
+                    "P_T and KQ/P_T must be positive and finite"
+                )
         if self.trials < 0:
             raise ConfigError("run.trials must be >= 0 (int)")
+        if self.seed < 0:
+            raise ConfigError("run.seed must be >= 0 (int)")
         if self.csi_error_ratio < 0.0:
             raise ConfigError("run.csi_error_ratio must be >= 0 (float)")
         if self.gamma_lower < 0.0:

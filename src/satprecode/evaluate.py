@@ -30,7 +30,7 @@ from .channel import (
     perturb_channel,
     place_users,
 )
-from .config import _SCHEMA, ScenarioConfig
+from .config import _SCHEMA, ScenarioConfig, dbw_to_watts
 from .exceptions import MODELLED_FAILURES, ConfigError
 from .gateway import (
     GatewayPlan,
@@ -114,15 +114,20 @@ class ModcodTable:
             body = line.split("#", 1)[0].strip()
             if not body:
                 continue
-            parts = body.split()
-            if len(parts) != 2:
+            try:
+                threshold, efficiency = (float(part) for part in body.split())
+            except ValueError:
                 raise ConfigError(
-                    f"{path}:{lineno}: expected 'threshold_db efficiency'"
-                )
-            rows.append((float(parts[0]), float(parts[1])))
+                    f"{path}:{lineno}: expected 'threshold_db efficiency', "
+                    f"got {body!r}"
+                ) from None
+            rows.append((threshold, efficiency))
         if not rows:
             raise ConfigError(f"{path}: no table rows found")
-        return cls.from_rows(rows)
+        try:
+            return cls.from_rows(rows)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     @classmethod
     def fallback(cls) -> "ModcodTable":
@@ -251,6 +256,12 @@ def _build_budget(cfg: ScenarioConfig) -> LinkBudget:
     )
 
 
+def _build_table(cfg: ScenarioConfig) -> ModcodTable:
+    if cfg.modcod_file:
+        return ModcodTable.from_file(cfg.modcod_file)
+    return ModcodTable.default()
+
+
 def gateway_plans(cfg: ScenarioConfig, layout: BeamLayout,
                   scenarios=None) -> dict[str, GatewayPlan]:
     """The plan of each ``gw_*`` scenario, keyed by scenario name.
@@ -340,8 +351,9 @@ def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
 
 def _run_trial(trial_seed: np.random.SeedSequence,
                cfg: ScenarioConfig, layout: BeamLayout, budget: LinkBudget,
-               table: ModcodTable, plans: dict):
-    """One channel realization evaluated under every scenario and power."""
+               table: ModcodTable, plans: dict, p_w: np.ndarray):
+    """One channel realization evaluated under every scenario and at every
+    power of `p_w`, the power sweep in Watts."""
     ch_true, ch_est, bounds, members = _trial_channels(trial_seed, cfg, layout,
                                                        budget)
 
@@ -360,7 +372,6 @@ def _run_trial(trial_seed: np.random.SeedSequence,
         )
         return beam_rate(sinrs, table, budget, factor)
 
-    p_w = np.array([10.0 ** (p_dbw / 10.0) for p_dbw in cfg.power_sweep_dbw])
     out = {}
     for name in cfg.scenarios:
         if name in shared and shared[name] is None:
@@ -416,27 +427,26 @@ def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
     raise ConfigError(f"unknown scenario {name!r}")
 
 
-def run_monte_carlo(cfg: ScenarioConfig,
-                    layout: BeamLayout | None = None) -> MonteCarloResult:
+def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
+                    table: ModcodTable | None = None) -> MonteCarloResult:
     """Run the configured scenario suite over seeded channel realizations.
 
     Deterministic for a fixed master seed: each trial owns spawned seed
     streams, so results do not depend on execution order or thread count.
     Modelled numerical failures (singular or infeasible channels, vanished
     beams, LAPACK errors) skip their cell and are counted; any other
-    exception propagates. `layout` is the configured beam layout when the
-    caller has built it already (the CLI does, inside its error boundary).
+    exception propagates. `layout` and `table` are the configured beam
+    layout and MODCOD table when the caller has built them already (the
+    CLI does, inside its error boundary).
     """
     cfg.validate()
     budget = _build_budget(cfg)
     if layout is None:
         layout = _build_layout(cfg, budget)
-    table = (
-        ModcodTable.from_file(cfg.modcod_file)
-        if cfg.modcod_file
-        else ModcodTable.default()
-    )
+    if table is None:
+        table = _build_table(cfg)
     plans = gateway_plans(cfg, layout)
+    p_w = np.array([dbw_to_watts(p_dbw) for p_dbw in cfg.power_sweep_dbw])
 
     cells = {
         (name, p): np.full((cfg.trials, cfg.beams), np.nan)
@@ -449,7 +459,8 @@ def run_monte_carlo(cfg: ScenarioConfig,
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.trials, 0))
 
     def work(t):
-        return t, _run_trial(trial_seeds[t], cfg, layout, budget, table, plans)
+        return t, _run_trial(trial_seeds[t], cfg, layout, budget, table, plans,
+                             p_w)
 
     if cfg.threads > 1 and cfg.trials > 1:
         with concurrent.futures.ThreadPoolExecutor(cfg.threads) as pool:

@@ -1,166 +1,19 @@
-"""Plain-text serialization of layouts, users, matrices and results.
+"""Plain-text serialization of Monte Carlo results and overhead reports.
 
-Formats are deliberately simple so external tools can cross-check them:
-
-* beam layout / user tables: whitespace-separated ``id lat lon`` rows
-  with ``#`` metadata comments;
-* complex matrices: CSV with alternating ``re,im`` column pairs;
-* results and overhead reports: headered CSV.
-
-Nothing here writes timestamps, so identical runs produce identical
-bytes.
+Every file is a headered CSV; floats are written with ``repr`` so they
+round-trip exactly. Nothing here writes timestamps, so identical runs
+produce identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
-from pathlib import Path
-
-import numpy as np
-
-from .channel import BeamLayout, UserSet
-from .exceptions import ConfigError
 
 __all__ = [
-    "write_layout",
-    "read_layout",
-    "write_users",
-    "read_users",
-    "write_complex_csv",
-    "read_complex_csv",
     "write_results_csv",
+    "write_scenario_curve_csv",
     "write_overhead_csv",
-    "write_spectra_csv",
-    "write_robust_diagnostics_csv",
 ]
-
-
-def write_layout(layout: BeamLayout, path) -> None:
-    """Beam centers and feed boresights as two `id lat lon` sections."""
-    lines = [
-        "# beam layout",
-        f"# feeds_per_beam = {layout.feeds_per_beam}",
-        f"# beam_radius_3db_deg = {layout.beam_radius_3db_deg!r}",
-        "# colors = " + ",".join(str(c) for c in layout.color_of_beam),
-        "# section: beams (id lat lon)",
-    ]
-    for k, (lat, lon) in enumerate(layout.beam_centers):
-        lines.append(f"{k} {float(lat)!r} {float(lon)!r}")
-    lines.append("# section: feeds (id lat lon)")
-    for n, (lat, lon) in enumerate(layout.feed_boresights):
-        lines.append(f"{n} {float(lat)!r} {float(lon)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_layout(path) -> BeamLayout:
-    feeds_per_beam = None
-    radius = None
-    colors = None
-    beams, feeds = [], []
-    target = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if body.startswith("feeds_per_beam"):
-                feeds_per_beam = int(body.split("=")[1])
-            elif body.startswith("beam_radius_3db_deg"):
-                radius = float(body.split("=")[1])
-            elif body.startswith("colors"):
-                colors = [int(c) for c in body.split("=")[1].split(",")]
-            elif body.startswith("section: beams"):
-                target = beams
-            elif body.startswith("section: feeds"):
-                target = feeds
-            continue
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 3 or target is None:
-            raise ConfigError(f"{path}:{lineno}: expected 'id lat lon' row")
-        target.append((float(parts[1]), float(parts[2])))
-    if feeds_per_beam is None or radius is None or colors is None:
-        raise ConfigError(f"{path}: missing layout metadata")
-    return BeamLayout(
-        beam_centers=np.array(beams),
-        feed_boresights=np.array(feeds),
-        feeds_per_beam=feeds_per_beam,
-        beam_radius_3db_deg=radius,
-        color_of_beam=np.array(colors),
-    )
-
-
-def write_users(users: UserSet, path) -> None:
-    """User positions as `id lat lon` rows, one section per beam."""
-    lines = [
-        "# user set",
-        f"# beams = {users.beams}",
-        f"# pool_per_beam = {users.pool_size}",
-        f"# q_served = {users.q_served}",
-    ]
-    for k in range(users.beams):
-        lines.append(f"# section: beam {k} (id lat lon)")
-        for u in range(users.pool_size):
-            lat, lon = users.positions[k, u]
-            lines.append(
-                f"{k * users.pool_size + u} {float(lat)!r} {float(lon)!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_users(path) -> UserSet:
-    beams = pool = q_served = None
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            for name in ("beams", "pool_per_beam", "q_served"):
-                if body.startswith(name):
-                    value = int(body.split("=")[1])
-                    beams = value if name == "beams" else beams
-                    pool = value if name == "pool_per_beam" else pool
-                    q_served = value if name == "q_served" else q_served
-            continue
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise ConfigError(f"{path}:{lineno}: expected 'id lat lon' row")
-        rows.append((float(parts[1]), float(parts[2])))
-    if beams is None or pool is None or q_served is None:
-        raise ConfigError(f"{path}: missing user-set metadata")
-    if len(rows) != beams * pool:
-        raise ConfigError(f"{path}: expected {beams * pool} rows, got {len(rows)}")
-    return UserSet(
-        positions=np.array(rows).reshape(beams, pool, 2), q_served=q_served
-    )
-
-
-def write_complex_csv(matrix: np.ndarray, path) -> None:
-    """Complex matrix as CSV with re/im column pairs."""
-    m = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [part for j in range(m.shape[1]) for part in (f"re{j}", f"im{j}")]
-        )
-        for row in m:
-            writer.writerow(
-                [f"{part!r}" for v in row for part in (float(v.real), float(v.imag))]
-            )
-
-
-def read_complex_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        cols = len(header) // 2
-        rows = []
-        for row in reader:
-            values = [float(v) for v in row]
-            rows.append([complex(values[2 * j], values[2 * j + 1]) for j in range(cols)])
-    return np.array(rows)
 
 
 def write_results_csv(rows, path, header_lines=()) -> None:
@@ -202,47 +55,3 @@ def write_overhead_csv(rows, path) -> None:
         )
         for row in rows:
             writer.writerow(list(row))
-
-
-def write_spectra_csv(spectra, path) -> None:
-    """Per-beam eigenvalue spectra: rows (beam, index, eigenvalue)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beam", "index", "eigenvalue"])
-        for k, lam in enumerate(spectra):
-            for i, value in enumerate(lam):
-                writer.writerow([k, i, f"{float(value)!r}"])
-
-
-def write_robust_diagnostics_csv(bounds, couplers, path) -> None:
-    """Worst-case scalars and coupling matrices in long format.
-
-    Rows are (beam, quantity, row, col, value) where scalar quantities
-    use row = col = 0.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beam", "quantity", "row", "col", "value"])
-        for k in range(bounds.beams):
-            writer.writerow([k, "gamma", 0, 0, f"{float(bounds.gamma_k[k])!r}"])
-            writer.writerow(
-                [k, "gamma_tilde", 0, 0, f"{float(bounds.gamma_tilde_k[k])!r}"]
-            )
-            writer.writerow(
-                [k, "gamma_lower", 0, 0, f"{float(bounds.gamma_lower_k[k])!r}"]
-            )
-            if bounds.epsilon_k is not None:
-                writer.writerow(
-                    [k, "epsilon", 0, 0, f"{float(bounds.epsilon_k[k])!r}"]
-                )
-            if bounds.nu_k is not None:
-                writer.writerow([k, "nu", 0, 0, f"{float(bounds.nu_k[k])!r}"])
-            if couplers is not None:
-                pair = couplers[k]
-                for name, mat in (("coupler_inter", pair.inter),
-                                  ("coupler_intra", pair.intra)):
-                    for i in range(mat.shape[0]):
-                        for j in range(mat.shape[1]):
-                            writer.writerow(
-                                [k, name, i, j, f"{float(mat[i, j])!r}"]
-                            )

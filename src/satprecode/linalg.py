@@ -49,10 +49,3 @@ def eigh_sorted(a: np.ndarray) -> EigDecomposition:
     w, v = np.linalg.eigh(a)
     order = np.argsort(-w, kind="stable")
     return EigDecomposition(w[order], v[:, order])
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -32,11 +32,8 @@ __all__ = [
     "Precoder",
     "mbim_interbeam",
     "mbim_stack",
-    "mbim_block",
     "rzf_interbeam",
     "rzf_stack",
-    "rzf_block",
-    "rzf_null_basis",
     "intrabeam",
     "power_control",
     "assemble",
@@ -45,7 +42,6 @@ __all__ = [
     "baseline_avg_mmse",
     "baseline_four_color",
     "four_color_precoder",
-    "interbeam_spectra",
 ]
 
 POWER_MODES = ("per_feed", "total")
@@ -139,13 +135,6 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
                     np.array([eig.tail for eig in eigs]) * scale[..., None, :])
 
 
-def mbim_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray,
-               shift: float = 0.0) -> np.ndarray:
-    """Inter-beam block Wa_k (N x Q) of beam k alone; see `mbim_stack`."""
-    block = mbim_stack(ch, range(k, k + 1), p_total, np.array([shift]))
-    return block[..., 0, :, :]
-
-
 def _columns(blocks: np.ndarray) -> np.ndarray:
     """(..., K, N, Q) beam blocks as (..., N, KQ) matrices [B_0 ... B_K-1]."""
     *lead, _, n, _ = blocks.shape
@@ -189,19 +178,6 @@ def _null_bases(ch: ChannelMatrix, beams: range,
     return basis
 
 
-def rzf_null_basis(ch: ChannelMatrix, k: int,
-                   p_total: float | np.ndarray) -> np.ndarray:
-    """Null-space basis (KQ x Q) behind the zero-forcing block of beam k.
-
-    Removing beam k's Q rows from ``A = H H^H + (KQ/P_T) I`` leaves a
-    matrix whose right null space is spanned by beam k's Q columns of
-    ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
-    Their QR factor is the orthonormal basis.
-    """
-    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
-    return _unstack(p_total, _null_bases(ch, range(k, k + 1), inverse)[:, 0])
-
-
 def rzf_stack(ch: ChannelMatrix, beams: range,
               p_total: float | np.ndarray) -> np.ndarray:
     """Inter-beam blocks of the regularized zero-forcing design.
@@ -215,11 +191,6 @@ def rzf_stack(ch: ChannelMatrix, beams: range,
     """
     inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
     return _unstack(p_total, ch.h.conj().T @ _null_bases(ch, beams, inverse))
-
-
-def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
-    """Inter-beam block (N x Q) of beam k alone; see `rzf_stack`."""
-    return rzf_stack(ch, range(k, k + 1), p_total)[..., 0, :, :]
 
 
 def rzf_interbeam(ch: ChannelMatrix,
@@ -369,8 +340,3 @@ def baseline_four_color(ch: ChannelMatrix, layout: BeamLayout,
     interf = np.sum(power * same[:, None, :], axis=-1)
     signal = np.einsum("pkqk->pkq", power)                # (P, K, Q)
     return _unstack(p_total, signal / (interf + 1.0))
-
-
-def interbeam_spectra(ch: ChannelMatrix) -> list[np.ndarray]:
-    """Per-beam eigenvalue spectra of the other-beam Gram matrices."""
-    return [ch.other_gram_eig(k).eigenvalues for k in range(ch.beams)]

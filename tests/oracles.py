@@ -10,6 +10,18 @@ off-axis angle. The library now computes the same designs in closed form
 design plus the nominal intra-beam stage for the robust precoder), every
 beam's box in one pass, and each design stage in one stacked LAPACK call
 over all beams and powers. The tests compare the two.
+
+Helpers that no part of the program calls live here too, unchanged from
+when the library exported them:
+
+* the first-order perturbation model: `coupling_matrix` (with
+  `DEGENERACY_FLOOR` and `DegenerateSpectrumWarning`),
+  `first_order_eigvecs`, `weyl_upper_bound` and `intra_penalty_scale`;
+* the one-beam views of the stacked designs: `mbim_block`, `rzf_block`
+  and `rzf_null_basis`;
+* `feed_gain`, the scalar path to the feed gain that
+  `build_gain_matrix` computes for every user and feed at once;
+* `random_unitary`, for seeded test spectra.
 """
 
 from __future__ import annotations
@@ -19,7 +31,13 @@ import warnings
 import numpy as np
 
 from satprecode import geometry
-from satprecode.channel import BeamLayout, ChannelMatrix, PerturbationBounds
+from satprecode.channel import (
+    BeamLayout,
+    ChannelMatrix,
+    LinkBudget,
+    PerturbationBounds,
+    pattern_gain,
+)
 from satprecode.exceptions import (
     MODELLED_FAILURES,
     ConfigError,
@@ -29,20 +47,137 @@ from satprecode.exceptions import (
     SingularChannelError,
 )
 from satprecode.gateway import GatewayPlan, SharedCsiView
-from satprecode.linalg import RANK_TOL, eigh_sorted
+from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
     Precoder,
+    _null_bases,
+    _power_vector,
+    _regularized_inverse,
+    _regularizer,
+    _unstack,
     intrabeam,
-    mbim_block,
+    mbim_stack,
+    rzf_stack,
 )
-from satprecode.robust import (
-    DEGENERACY_FLOOR,
-    DegenerateSpectrumWarning,
-    _shift_bounds,
-    coupling_matrix,
-    eigen_shift_bound,
-    intra_penalty_scale,
-)
+from satprecode.robust import _shift_bounds, eigen_shift_bound
+
+# First-order theory breaks down at eigenvalue crossings; coupler entries
+# for pairs closer than this (relative to the largest eigenvalue) are zeroed.
+DEGENERACY_FLOOR = 1e-8
+
+
+class DegenerateSpectrumWarning(UserWarning):
+    """A needed eigenvalue pair was too close; its coupling was zeroed."""
+
+
+def coupling_matrix(eigenvalues: np.ndarray, floor: float = DEGENERACY_FLOOR,
+                    warn: bool = False) -> np.ndarray:
+    """Inverse eigenvalue-gap matrix with entry (g, f) = 1/(l_f - l_g).
+
+    The diagonal is zero, and any pair whose gap falls below
+    ``floor * max|lambda|`` is zeroed (degenerate to first order).
+    """
+    lam = np.asarray(eigenvalues, dtype=float)
+    gaps = lam[None, :] - lam[:, None]
+    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
+    degenerate = np.abs(gaps) < floor * scale
+    np.fill_diagonal(degenerate, True)
+    if warn and np.any(degenerate & ~np.eye(lam.size, dtype=bool)):
+        warnings.warn(
+            "near-degenerate eigenvalue pair; coupling entries zeroed",
+            DegenerateSpectrumWarning,
+            stacklevel=2,
+        )
+    out = np.zeros_like(gaps)
+    np.divide(1.0, gaps, out=out, where=~degenerate)
+    return out
+
+
+def first_order_eigvecs(eig: EigDecomposition, delta_gram: np.ndarray,
+                        floor: float = DEGENERACY_FLOOR) -> np.ndarray:
+    """First-order eigenvector model of a perturbed Hermitian matrix.
+
+    For ``A + E`` with A eigendecomposed as (V, lambda), the predicted
+    basis is ``V (I + D o (V^H E V))`` where D is the inverse-gap
+    coupler. The residual against the exact basis shrinks quadratically
+    in ``||E||``.
+    """
+    d = coupling_matrix(eig.eigenvalues, floor)
+    v = eig.eigenvectors
+    r = d * (v.conj().T @ delta_gram @ v)
+    return v @ (r + np.eye(v.shape[1], dtype=complex))
+
+
+def weyl_upper_bound(eigenvalues: np.ndarray, epsilon: float) -> np.ndarray:
+    """Componentwise eigenvalue upper bound under a bounded perturbation.
+
+    If the perturbing Hermitian matrix has spectral norm at most
+    `epsilon`, every eigenvalue of the perturbed matrix is bounded by the
+    matching nominal eigenvalue plus epsilon (Weyl's inequality).
+    """
+    if epsilon < 0.0:
+        raise ConfigError("epsilon must be >= 0")
+    return np.asarray(eigenvalues, dtype=float) + epsilon
+
+
+def intra_penalty_scale(gamma_lower: float, eigenvalues: np.ndarray,
+                        epsilon: float) -> float:
+    """Intra-beam worst-case scalar: gamma_lower * sum((l_i + eps)^-1/2)."""
+    if gamma_lower < 0.0 or epsilon < 0.0:
+        raise ConfigError("inputs must be nonnegative")
+    if gamma_lower == 0.0:
+        return 0.0
+    lam = np.asarray(eigenvalues, dtype=float)
+    return float(gamma_lower * np.sum(1.0 / np.sqrt(lam + epsilon)))
+
+
+def mbim_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray,
+               shift: float = 0.0) -> np.ndarray:
+    """Inter-beam block Wa_k (N x Q) of beam k alone; see `mbim_stack`."""
+    block = mbim_stack(ch, range(k, k + 1), p_total, np.array([shift]))
+    return block[..., 0, :, :]
+
+
+def rzf_null_basis(ch: ChannelMatrix, k: int,
+                   p_total: float | np.ndarray) -> np.ndarray:
+    """Null-space basis (KQ x Q) behind the zero-forcing block of beam k.
+
+    Removing beam k's Q rows from ``A = H H^H + (KQ/P_T) I`` leaves a
+    matrix whose right null space is spanned by beam k's Q columns of
+    ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
+    Their QR factor is the orthonormal basis.
+    """
+    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
+    return _unstack(p_total, _null_bases(ch, range(k, k + 1), inverse)[:, 0])
+
+
+def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
+    """Inter-beam block (N x Q) of beam k alone; see `rzf_stack`."""
+    return rzf_stack(ch, range(k, k + 1), p_total)[..., 0, :, :]
+
+
+def feed_gain(feed_boresight, user_position, layout: BeamLayout,
+              budget: LinkBudget):
+    """Feed radiation pattern gain toward a user (linear, power-like).
+
+    Tapered-aperture model: peak ``k_a**2`` at boresight, exactly 3 dB
+    down at the beam radius, Airy-type sidelobes beyond the first null.
+    Defined for every angle; scalars or arrays of positions are accepted.
+    """
+    sat = budget.satellite_position()
+    bore = np.asarray(feed_boresight, dtype=float)
+    user = np.asarray(user_position, dtype=float)
+    theta = geometry.off_axis_angle_deg(
+        sat, bore[0], bore[1], user[..., 0], user[..., 1], budget.earth_radius_m
+    )
+    return pattern_gain(theta, layout.beam_radius_3db_deg)
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def null_space(a: np.ndarray, rtol: float = RANK_TOL) -> np.ndarray:
@@ -63,7 +198,7 @@ def null_space(a: np.ndarray, rtol: float = RANK_TOL) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
+def rzf_null_basis_svd(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
     """SVD null space of the regularized cross-channel without beam k."""
     q = ch.users_per_beam
     if ch.beams == 1:
@@ -83,9 +218,8 @@ def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
 
 def rzf_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     """RZF inter-beam stage from one SVD null space per beam."""
-    return np.hstack(
-        [ch.h.conj().T @ rzf_null_basis(ch, k, p_total) for k in range(ch.beams)]
-    )
+    return np.hstack([ch.h.conj().T @ rzf_null_basis_svd(ch, k, p_total)
+                      for k in range(ch.beams)])
 
 
 def _shift(ch: ChannelMatrix, k: int, bounds: PerturbationBounds) -> float:
@@ -157,8 +291,13 @@ def robust_intrabeam(z: np.ndarray, nu: float,
 
 
 def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
-                     p_total: float, mode: str = "per_feed") -> Precoder:
-    """Robust inter-beam stage followed by the robust intra-beam stage."""
+                     gamma_lower_k: np.ndarray, p_total: float,
+                     mode: str = "per_feed") -> Precoder:
+    """Robust inter-beam stage followed by the robust intra-beam stage.
+
+    `gamma_lower_k` is a per-beam lower bound on the perturbation energy,
+    which sets the intra-beam penalty.
+    """
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
     k_beams = ch.beams
@@ -171,7 +310,7 @@ def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
         other = ch.excluding(k)
         lam = eigh_sorted(other.conj().T @ other).eigenvalues
         nu = intra_penalty_scale(
-            float(bounds.gamma_lower_k[k]), lam, _shift(ch, k, bounds)
+            float(gamma_lower_k[k]), lam, _shift(ch, k, bounds)
         )
         z = ch.beam(k) @ wa[:, k * q:(k + 1) * q]
         wb[k * q:(k + 1) * q, k] = robust_intrabeam(z, nu)

@@ -25,23 +25,23 @@ from satprecode.gateway import (
     share_csi,
 )
 from satprecode.grouping import group_users, members_array, robust_group_users
-from satprecode.linalg import eigh_sorted, random_unitary
+from satprecode.linalg import eigh_sorted
 from satprecode.precoding import (
     baseline_avg_mmse,
     four_color_precoder,
     intrabeam,
-    mbim_block,
-    rzf_null_basis,
     two_stage,
 )
-from satprecode.robust import (
-    eigen_shift_bound,
-    first_order_eigvecs,
-    robust_two_stage,
-    weyl_upper_bound,
-)
+from satprecode.robust import robust_two_stage
 
 from conftest import acceptance_corpus, random_channel
+from oracles import (
+    first_order_eigvecs,
+    mbim_block,
+    random_unitary,
+    rzf_null_basis,
+    weyl_upper_bound,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ def test_criterion_03_power_constraints_all_kinds(desk_layout, budget):
             two_stage(ch7, p, mode, "mbim"),
             two_stage(ch7, p, mode, "rzf"),
             baseline_avg_mmse(ch7, p, mode),
-            robust_two_stage(ch7, bounds.with_lower(1.0), p, mode),
+            robust_two_stage(ch7, bounds, p, mode),
             assemble_multigateway_precoder(
                 share_csi(ch12, plan_icp), plan_icp, p, "mbim", mode=mode),
             assemble_multigateway_precoder(

@@ -239,7 +239,8 @@ class TestCliVerbs:
         assert ",20.0," in text and ",30.0," in text
         assert ",25.0," not in text
 
-    @pytest.mark.parametrize("points", ["20,abc", "20,nan", "20,20"])
+    @pytest.mark.parametrize("points", ["20,abc", "20,nan", "20,20", "20,4000",
+                                        "20,-4000"])
     def test_sweep_rejects_bad_power_points(self, minimal_cfg, tmp_path,
                                             capsys, points):
         out_dir = tmp_path / "out"
@@ -398,12 +399,44 @@ class TestCliVerbs:
         assert err.startswith(f"error: {section}.{key} must")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("run_keys, extra, message", [
+        ("seed = -1\n", [], "error: run.seed must"),
+        ("", ["--seed", "-1"], "error: run.seed must"),
+        # 10**400.0 overflows a float; 10**-400.0 is 0 W, so KQ/P_T is not
+        # finite.
+        ("power_sweep_dbw = 15, 4000\n", [], "error: run.power_sweep_dbw"),
+        ("power_sweep_dbw = 15, -4000\n", [], "error: run.power_sweep_dbw"),
+        ("modcod_file = {dir}/non_numeric.txt\n", [], "non_numeric.txt:2:"),
+        ("modcod_file = {dir}/repeated.txt\n", [],
+         "repeated.txt: thresholds must be strictly increasing"),
+    ], ids=["negative_seed", "negative_seed_flag", "power_overflows",
+            "power_underflows", "modcod_non_numeric", "modcod_repeated"])
+    @pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+    def test_unusable_run_input_exits_2(self, tmp_path, capsys, run_keys,
+                                        extra, message, verb):
+        (tmp_path / "non_numeric.txt").write_text("0.0 1.0\nabc def\n")
+        (tmp_path / "repeated.txt").write_text("0.0 1.0\n0.0 2.0\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text("[run]\ntrials = 1\nscenarios = mbim\n"
+                        + run_keys.format(dir=tmp_path))
+        out_dir = tmp_path / "out"
+        argv = [verb, "--config", str(path), "--out", str(out_dir), *extra]
+        if verb == "sweep":
+            argv += ["--power-dbw", "20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert not out_dir.exists()
+
 
 def _config_text(overrides: dict) -> str:
     """A one-trial, one-power config with `overrides` {(section, key): value}."""
     sections = {"run": {"trials": "1", "power_sweep_dbw": "25",
                         "scenarios": "rzf, four_color"}}
     for (section, key), value in overrides.items():
+        if isinstance(value, tuple):
+            value = ", ".join(str(v) for v in value)
         sections.setdefault(section, {})[key] = str(value)
     return "".join(
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -411,20 +444,38 @@ def _config_text(overrides: dict) -> str:
     )
 
 
-_FLOAT_KEYS = [(section, key) for section, keys in _SCHEMA.items()
-               for key in keys if isinstance(getattr(ScenarioConfig, key), float)]
+def _schema_keys(kind: type) -> list[tuple[str, str]]:
+    return [(section, key) for section, keys in _SCHEMA.items()
+            for key in keys if type(getattr(ScenarioConfig, key)) is kind]
+
+
+_FLOAT_KEYS = _schema_keys(float)
+_INT_KEYS = _schema_keys(int)
+
+# 10**400.0 overflows a float and 10**-400.0 is 0 W.
+_UNUSABLE_POWERS = (4000.0, -4000.0)
 
 
 @st.composite
-def _float_overrides(draw):
-    """A few float keys set to a valid, negative or non-finite value."""
-    keys = draw(st.lists(st.sampled_from(_FLOAT_KEYS), max_size=3, unique=True))
+def _overrides(draw):
+    """A few float keys set to a valid, negative or non-finite value, a few
+    int keys to a small or negative value, and maybe a power sweep with an
+    unusable point."""
+    keys = draw(st.lists(st.sampled_from(_FLOAT_KEYS + _INT_KEYS), max_size=3,
+                         unique=True))
     overrides = {}
     for section, key in keys:
         default = getattr(ScenarioConfig, key)
-        overrides[(section, key)] = draw(st.sampled_from(
-            [1.1 * default, -(abs(default) + 0.5), math.nan, math.inf,
-             -math.inf]))
+        if isinstance(default, float):
+            choices = [1.1 * default, -(abs(default) + 0.5), math.nan,
+                       math.inf, -math.inf]
+        else:
+            choices = [1, 2, 0, -1]
+        overrides[(section, key)] = draw(st.sampled_from(choices))
+    if draw(st.booleans()):
+        overrides[("run", "power_sweep_dbw")] = tuple(draw(st.lists(
+            st.sampled_from((25.0, 10.0) + _UNUSABLE_POWERS),
+            min_size=1, max_size=2, unique=True)))
     return overrides
 
 
@@ -438,15 +489,19 @@ def _exit_code(argv) -> int:
 
 
 @settings(deadline=None, max_examples=60)
-@given(_float_overrides(), st.integers(1, 3))
+@given(_overrides(), st.integers(1, 3))
 @example({("run", "csi_error_ratio"): math.nan}, 3)
 @example({("run", "csi_error_ratio"): math.inf}, 3)
 @example({("channel", "center_lat"): math.nan}, 3)
 @example({("channel", "phase_sigma_deg"): math.inf}, 3)
+@example({("run", "seed"): -1}, 3)
+@example({("run", "power_sweep_dbw"): (25.0, 4000.0)}, 3)
+@example({("run", "power_sweep_dbw"): (25.0, -4000.0)}, 3)
 def test_validate_and_run_agree_and_reject_non_finite_floats(overrides, beams):
     """`validate` and a one-trial `run` exit 0 or 2 (never a traceback), agree,
-    and a non-finite float always exits 2."""
-    overrides[("channel", "beams")] = beams
+    and a non-finite float, a negative seed or an unusable power point always
+    exits 2."""
+    overrides.setdefault(("channel", "beams"), beams)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.cfg"
         path.write_text(_config_text(overrides))
@@ -454,6 +509,9 @@ def test_validate_and_run_agree_and_reject_non_finite_floats(overrides, beams):
         ran = _exit_code(["run", "--config", str(path), "--out",
                           str(Path(tmp) / "out")])
     assert checked == ran
-    if any(isinstance(v, float) and not math.isfinite(v)
-           for v in overrides.values()):
+    powers = overrides.get(("run", "power_sweep_dbw"), ())
+    if (any(isinstance(v, float) and not math.isfinite(v)
+            for v in overrides.values())
+            or overrides.get(("run", "seed"), 0) < 0
+            or set(powers) & set(_UNUSABLE_POWERS)):
         assert checked == 2

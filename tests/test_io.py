@@ -1,60 +1,7 @@
-import numpy as np
 import pytest
 
-import satprecode as sp
 from satprecode.evaluate import ModcodTable
 from satprecode.exceptions import ConfigError
-from satprecode.io import (
-    read_complex_csv,
-    read_layout,
-    read_users,
-    write_complex_csv,
-    write_layout,
-    write_robust_diagnostics_csv,
-    write_users,
-)
-
-from conftest import random_channel
-
-
-def test_layout_round_trip(tmp_path, desk_layout):
-    path = tmp_path / "layout.txt"
-    write_layout(desk_layout, path)
-    loaded = read_layout(path)
-    assert np.array_equal(loaded.beam_centers, desk_layout.beam_centers)
-    assert np.array_equal(loaded.feed_boresights, desk_layout.feed_boresights)
-    assert np.array_equal(loaded.color_of_beam, desk_layout.color_of_beam)
-    assert loaded.feeds_per_beam == desk_layout.feeds_per_beam
-    assert loaded.beam_radius_3db_deg == desk_layout.beam_radius_3db_deg
-
-
-def test_layout_rows_are_id_lat_lon(tmp_path, desk_layout):
-    path = tmp_path / "layout.txt"
-    write_layout(desk_layout, path)
-    rows = [l for l in path.read_text().splitlines()
-            if l and not l.startswith("#")]
-    assert len(rows) == desk_layout.beams + desk_layout.feeds
-    first = rows[0].split()
-    assert first[0] == "0"
-    assert float(first[1]) == desk_layout.beam_centers[0, 0]
-    assert float(first[2]) == desk_layout.beam_centers[0, 1]
-
-
-def test_users_round_trip(tmp_path, desk_layout, budget):
-    users = sp.place_users(desk_layout, 5, 3, budget=budget, q_served=2)
-    path = tmp_path / "users.txt"
-    write_users(users, path)
-    loaded = read_users(path)
-    assert np.array_equal(loaded.positions, users.positions)
-    assert loaded.q_served == 2
-
-
-def test_complex_csv_round_trip(tmp_path):
-    ch = random_channel(3, 2, 4, seed=0)
-    path = tmp_path / "h.csv"
-    write_complex_csv(ch.h, path)
-    loaded = read_complex_csv(path)
-    assert np.array_equal(loaded, ch.h)
 
 
 def test_modcod_file_parsing_ignores_comments(tmp_path):
@@ -72,26 +19,7 @@ def test_modcod_file_parsing_ignores_comments(tmp_path):
 
 def test_modcod_file_bad_row_rejected(tmp_path):
     path = tmp_path / "table.txt"
-    path.write_text("0.0 1.0 extra\n")
-    with pytest.raises(ConfigError, match="table.txt:1"):
-        ModcodTable.from_file(path)
-
-
-def test_robust_diagnostics_dump(tmp_path):
-    from satprecode.precoding import mbim_interbeam
-    from satprecode.robust import beam_couplers, derive_scalars
-
-    ch = random_channel(3, 2, 4, seed=1)
-    _, _, bounds = sp.perturb_channel(ch, 0.1, 2)
-    bounds = derive_scalars(ch, bounds.with_lower(1.0))
-    couplers = beam_couplers(ch, mbim_interbeam(ch, 5.0))
-    path = tmp_path / "diag.csv"
-    write_robust_diagnostics_csv(bounds, couplers, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "beam,quantity,row,col,value"
-    quantities = {line.split(",")[1] for line in lines[1:]}
-    assert {"gamma", "gamma_tilde", "gamma_lower", "epsilon", "nu",
-            "coupler_inter", "coupler_intra"} <= quantities
-    # One coupler entry per matrix element: K * (N*N + Q*Q) rows.
-    coupler_rows = [l for l in lines[1:] if "coupler" in l]
-    assert len(coupler_rows) == 3 * (16 + 4)
+    for row in ("0.0 1.0 extra", "abc def"):
+        path.write_text(f"0.0 1.0\n{row}\n")
+        with pytest.raises(ConfigError, match="table.txt:2"):
+            ModcodTable.from_file(path)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from satprecode.linalg import eigh_sorted, random_unitary
+from satprecode.linalg import eigh_sorted
 
-from oracles import null_space
+from oracles import null_space, random_unitary
 
 
 def hermitian(n, seed):
