@@ -35,7 +35,6 @@ from .evaluate import (
 )
 from .gateway import (
     GatewayPlan,
-    SharedCsiView,
     assemble_multigateway_precoder,
     local_csi,
     make_plan,

@@ -71,8 +71,6 @@ class LinkBudget:
     user_antenna_gain_db: float = 41.7
     g_over_t_db: float = 17.68
     receiver_noise_temp_k: float | None = None
-    boltzmann: float = BOLTZMANN
-    total_power_w: float = 100.0
 
     def __post_init__(self):
         positive = {
@@ -80,8 +78,6 @@ class LinkBudget:
             "earth_radius_m": self.earth_radius_m,
             "carrier_freq_hz": self.carrier_freq_hz,
             "bandwidth_hz": self.bandwidth_hz,
-            "boltzmann": self.boltzmann,
-            "total_power_w": self.total_power_w,
         }
         for name, value in positive.items():
             if not value > 0.0:
@@ -108,7 +104,7 @@ class LinkBudget:
     @property
     def noise_amplitude(self) -> float:
         """sqrt(K_B * T_R * B_W); the channel is normalized by this term."""
-        return math.sqrt(self.boltzmann * self.receiver_noise_temp_k * self.bandwidth_hz)
+        return math.sqrt(BOLTZMANN * self.receiver_noise_temp_k * self.bandwidth_hz)
 
     def satellite_position(self) -> np.ndarray:
         return geometry.geo_satellite_position(
@@ -271,20 +267,15 @@ def hex_layout(beams: int, center_lat: float, center_lon: float,
 
 @dataclass(frozen=True)
 class UserSet:
-    """Candidate users per beam; `q_served` of them are active at a time."""
+    """Candidate user positions, a pool per beam."""
 
     positions: np.ndarray   # (K, pool, 2) lat, lon degrees
-    q_served: int
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", pos)
         if pos.ndim != 3 or pos.shape[2] != 2:
             raise ConfigError("positions must be a (K, pool, 2) array")
-        if not 1 <= self.q_served <= pos.shape[1]:
-            raise ConfigError(
-                f"q_served ({self.q_served}) must lie in [1, pool size {pos.shape[1]}]"
-            )
         pos.flags.writeable = False
 
     @property
@@ -300,8 +291,7 @@ class UserSet:
 
 
 def place_users(layout: BeamLayout, q_sched: int, rng_seed,
-                budget: LinkBudget | None = None,
-                q_served: int | None = None) -> UserSet:
+                budget: LinkBudget | None = None) -> UserSet:
     """Draw `q_sched` users uniformly inside each beam's 3 dB contour.
 
     The contour is the set of ground points whose off-axis angle from the
@@ -348,7 +338,7 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
                 positions[k, got:got + take, 0] = lat[idx]
                 positions[k, got:got + take, 1] = lon[idx]
                 got += take
-    return UserSet(positions=positions, q_served=q_served or q_sched)
+    return UserSet(positions=positions)
 
 
 def _ground_halfwidths_deg(sat: np.ndarray, centers: np.ndarray,

@@ -51,20 +51,6 @@ __all__ = [
     "bootstrap_mean_diff_quantiles",
 ]
 
-# Coarse fallback table (a subset of the shipped standard data) so the
-# package works without its data file.
-_FALLBACK_ROWS = (
-    (-2.85, 0.434841),
-    (0.22, 0.889135),
-    (4.73, 1.647211),
-    (6.55, 2.104850),
-    (8.43, 2.635236),
-    (10.65, 3.077225),
-    (12.73, 3.620536),
-    (15.87, 4.735354),
-)
-
-
 @dataclass(frozen=True)
 class ModcodTable:
     """Monotone SNIR-threshold to spectral-efficiency lookup.
@@ -130,18 +116,11 @@ class ModcodTable:
             raise ConfigError(f"{path}: {exc}") from None
 
     @classmethod
-    def fallback(cls) -> "ModcodTable":
-        return cls.from_rows(_FALLBACK_ROWS)
-
-    @classmethod
     def default(cls) -> "ModcodTable":
-        """The packaged standard table, or the fallback if missing."""
-        try:
-            ref = resources.files("satprecode.data").joinpath("dvbs2x_modcod.txt")
-            with resources.as_file(ref) as path:
-                return cls.from_file(path)
-        except (FileNotFoundError, ModuleNotFoundError):
-            return cls.fallback()
+        """The packaged standard table."""
+        ref = resources.files("satprecode.data").joinpath("dvbs2x_modcod.txt")
+        with resources.as_file(ref) as path:
+            return cls.from_file(path)
 
 
 def sinr_matrix(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
@@ -173,6 +152,9 @@ def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
     sinrs = np.asarray(sinrs, dtype=float)
     if sinrs.size < 1:
         raise ConfigError("need at least one SINR")
+    if np.isnan(sinrs).any():
+        # Not a modelled failure: a NaN past the designs is a bug.
+        raise FloatingPointError("NaN SINR: no rate can be assigned")
     worst_db = 10.0 * np.log10(np.maximum(np.min(sinrs, axis=-1), 1e-300))
     symbol_rate = bandwidth_factor * budget.bandwidth_hz / (1.0 + budget.rolloff)
     return symbol_rate * table.efficiency(worst_db)
@@ -419,10 +401,8 @@ def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
         pre = robust_two_stage(ch_est, bounds, p_w, cfg.power_mode)
         return sinr_matrix(ch_true, pre.w), 1.0
     if name in plans:
-        pre = assemble_multigateway_precoder(
-            shared[name], plans[name], p_w, precoder_kind="mbim",
-            mode=cfg.power_mode,
-        )
+        pre = assemble_multigateway_precoder(shared[name], plans[name], p_w,
+                                             cfg.power_mode)
         return sinr_matrix(ch_true, pre.w), 1.0
     raise ConfigError(f"unknown scenario {name!r}")
 

@@ -24,18 +24,10 @@ import numpy as np
 
 from .channel import ChannelMatrix
 from .exceptions import MODELLED_FAILURES, ConfigError
-from .precoding import (
-    Precoder,
-    _power_vector,
-    _scaled,
-    intrabeam,
-    mbim_stack,
-    rzf_stack,
-)
+from .precoding import Precoder, _beam_columns, _power_vector, _scaled, mbim_stack
 
 __all__ = [
     "GatewayPlan",
-    "SharedCsiView",
     "make_plan",
     "local_csi",
     "share_csi",
@@ -173,23 +165,6 @@ def local_csi(ch: ChannelMatrix, plan: GatewayPlan, g: int) -> np.ndarray:
     return ch.h[plan.row_slice(g), plan.feed_slice(g)]
 
 
-@dataclass(frozen=True)
-class SharedCsiView:
-    """Effective channel of one gateway after CSI exchange.
-
-    `channel` has all K*Q user rows but only the gateway's own feed
-    columns; `known_rows` flags the rows known exactly. The view owns this
-    `ChannelMatrix`, so its memoized decompositions are shared by every
-    power point designed from the view. The overhead counter is the
-    number of complex values this gateway transmitted to its peers.
-    """
-
-    gateway: int
-    channel: ChannelMatrix
-    known_rows: np.ndarray
-    overhead_complex_count: int
-
-
 def _cross_block(ch: ChannelMatrix, plan: GatewayPlan, users_of: int,
                  feeds_of: int) -> np.ndarray:
     return ch.h[plan.row_slice(users_of), plan.feed_slice(feeds_of)]
@@ -220,28 +195,27 @@ def overhead_per_gateway(plan: GatewayPlan) -> np.ndarray:
     return counts
 
 
-def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[SharedCsiView]:
-    """Run the CSI exchange and build every gateway's effective channel."""
+def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[ChannelMatrix]:
+    """Run the CSI exchange and build every gateway's effective channel.
+
+    Entry g is gateway g's view: all K*Q user rows, only its own feed
+    columns, and zeros in the rows it does not know. Each view owns its
+    `ChannelMatrix`, so the memoized decompositions serve every power
+    point designed from it.
+    """
     if (plan.beams, plan.feeds, plan.users_per_beam) != (
             ch.beams, ch.feeds, ch.users_per_beam):
         raise ConfigError("plan and channel dimensions disagree")
-    q = ch.users_per_beam
-    rows_total = ch.h.shape[0]
-    overhead = overhead_per_gateway(plan)
     views = []
     for g in range(plan.gateways):
-        eff = np.zeros((rows_total, int(plan.feeds_per_gateway[g])), dtype=complex)
-        known = np.zeros(rows_total, dtype=bool)
-        own = plan.row_slice(g)
-        eff[own] = local_csi(ch, plan, g)
-        known[own] = True
+        eff = np.zeros((ch.h.shape[0], int(plan.feeds_per_gateway[g])),
+                       dtype=complex)
+        eff[plan.row_slice(g)] = local_csi(ch, plan, g)
         if plan.mode == "ref" or plan.gateways == 1:
             pass  # single block: the local view is already everything
         elif plan.mode == "closest":
             for l in plan.neighbor_lists[g]:
-                rows = plan.row_slice(l)
-                eff[rows] = _cross_block(ch, plan, l, g)
-                known[rows] = True
+                eff[plan.row_slice(l)] = _cross_block(ch, plan, l, g)
         elif plan.mode == "msvdgc":
             for l in range(plan.gateways):
                 if l == g:
@@ -249,43 +223,31 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[SharedCsiView]:
                 block = _cross_block(ch, plan, l, g)
                 u, s, vh = np.linalg.svd(block, full_matrices=False)
                 eff[plan.row_slice(l)] = s[0] * np.outer(u[:, 0], vh[0])
-        views.append(
-            SharedCsiView(
-                gateway=g,
-                channel=ChannelMatrix(h=eff, beams=ch.beams, users_per_beam=q),
-                known_rows=known,
-                overhead_complex_count=int(overhead[g]),
-            )
-        )
+        views.append(ChannelMatrix(h=eff, beams=ch.beams,
+                                   users_per_beam=ch.users_per_beam))
     return views
 
 
-def assemble_multigateway_precoder(views: list[SharedCsiView],
+def assemble_multigateway_precoder(views: list[ChannelMatrix],
                                    plan: GatewayPlan,
                                    p_total: float | np.ndarray,
-                                   precoder_kind: str = "mbim",
                                    mode: str = "per_feed") -> Precoder:
     """Block-diagonal precoder from per-gateway effective channels.
 
-    Each gateway independently runs the two-stage pipeline for its own
-    beams on its view, over every power of `p_total` at once; the blocks
-    are placed on the diagonal (all other entries stay structurally zero)
-    and a single global power scaling per power is applied.
+    Each gateway g runs the two-stage mbim pipeline for its own beams on
+    its view `views[g]`, over every power of `p_total` at once; the
+    blocks are placed on the diagonal (all other entries stay
+    structurally zero) and a single global power scaling per power is
+    applied.
     """
-    if precoder_kind not in ("mbim", "rzf"):
-        raise ConfigError(f"unknown precoder kind {precoder_kind!r}")
-    stack = mbim_stack if precoder_kind == "mbim" else rzf_stack
     p = _power_vector(p_total)
     w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)
-    for view in views:
-        g = view.gateway
-        eff = view.channel
+    for g, eff in enumerate(views):
         beams = plan.beam_slice(g)
         try:
-            wa = stack(eff, range(beams.start, beams.stop), p)    # (P, B, N_g, Q)
-            wb = intrabeam(eff.beam_blocks()[beams] @ wa, first_beam=beams.start)
+            wa = mbim_stack(eff, range(beams.start, beams.stop), p)  # (P, B, N_g, Q)
+            _, columns = _beam_columns(eff.beam_blocks()[beams], wa, beams.start)
         except MODELLED_FAILURES as exc:
             raise type(exc)(f"gateway {g}: {exc}") from exc
-        w_bar[:, plan.feed_slice(g), beams] = (
-            (wa @ wb[..., None])[..., 0].swapaxes(-1, -2))
+        w_bar[:, plan.feed_slice(g), beams] = columns.swapaxes(-1, -2)
     return _scaled(p_total, w_bar, mode)

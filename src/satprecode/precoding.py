@@ -3,8 +3,9 @@
 The precoder factors as ``W = alpha * Wa * Wb``: an inter-beam stage Wa
 (one N x Q block per beam) that limits the interference a beam causes to
 every other beam's users, a block-diagonal intra-beam stage Wb (one unit
-vector per beam) that lifts the beam's average user signal power, and a
-scalar alpha enforcing the transmit power constraint.
+vector w_k per beam) that lifts the beam's average user signal power, and
+a scalar alpha enforcing the transmit power constraint. Column k of the
+product is ``Wa_k w_k``, so Wb is never formed as a matrix.
 
 Every design takes the total power `p_total` as a float or as a 1-D power
 vector. A vector puts a leading power axis P on every output, and each
@@ -51,12 +52,12 @@ POWER_MODES = ("per_feed", "total")
 class Precoder:
     """Assembled N x K precoding matrix plus its factors.
 
-    `wa` (N x KQ) and `wb` (KQ x K, block diagonal) are kept when the
-    precoder was built by the two-stage pipeline; single-shot baselines
-    leave them as None. In `per_feed` mode the largest diagonal entry of
-    W W^H equals P_T/N; in `total` mode the trace equals P_T. Designed
-    for a power vector, every array has a leading power axis and `alpha`
-    is a (P,) array.
+    `wa` (N x KQ) and `wb` (K x Q, the intra-beam vector of every beam)
+    are kept when the precoder was built by `assemble`; the baselines and
+    the multi-gateway precoder leave them as None. In `per_feed` mode the
+    largest diagonal entry of W W^H equals P_T/N; in `total` mode the
+    trace equals P_T. Designed for a power vector, every array has a
+    leading power axis and `alpha` is a (P,) array.
     """
 
     w: np.ndarray
@@ -225,7 +226,9 @@ def power_control(w_unscaled: np.ndarray, p_total: float | np.ndarray,
 
     `per_feed` caps the largest diagonal entry of W W^H at P_T/N; `total`
     sets the trace of W W^H to P_T. For a power vector, `w_unscaled` is a
-    (P, N, K) stack and the result a (P,) array.
+    (P, N, K) stack and the result a (P,) array. A power slot without a
+    finite positive scale (the precoder underflowed or overflowed) raises
+    InfeasibleChannelError.
     """
     if mode not in POWER_MODES:
         raise ConfigError(f"power mode must be one of {POWER_MODES}, got {mode!r}")
@@ -235,10 +238,18 @@ def power_control(w_unscaled: np.ndarray, p_total: float | np.ndarray,
     if not np.all(np.any(w, axis=(-2, -1))):
         raise ConfigError("cannot scale an all-zero precoder")
     if mode == "per_feed":
-        peak = np.max(np.sum(np.abs(w) ** 2, axis=-1), axis=-1)
-        alpha = np.sqrt(p / (w.shape[-2] * peak))
+        norm = w.shape[-2] * np.max(np.sum(np.abs(w) ** 2, axis=-1), axis=-1)
     else:
-        alpha = np.sqrt(p / np.sum(np.abs(w.reshape(p.size, -1)) ** 2, axis=-1))
+        norm = np.sum(np.abs(w.reshape(p.size, -1)) ** 2, axis=-1)
+    # A precoder that underflowed or overflowed leaves no finite positive
+    # scale; test before dividing, so no power slot scales by inf or NaN.
+    ok = (norm > 0.0) & (p / np.finfo(float).max < norm)
+    alpha = np.sqrt(np.divide(p, norm, out=np.zeros_like(norm), where=ok))
+    if not np.all(alpha > 0.0):
+        raise InfeasibleChannelError(
+            f"power slot {int(np.argmin(alpha > 0.0))}: the precoder has no "
+            "finite positive power scale"
+        )
     return _unstack(p_total, alpha)
 
 
@@ -254,24 +265,33 @@ def _scaled(p_total: float | np.ndarray, w_bar: np.ndarray, mode: str,
     return Precoder(power_mode=mode, **parts)
 
 
+def _beam_columns(h_blocks: np.ndarray, wa: np.ndarray,
+                  first_beam: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Intra-beam stage of consecutive beams, one stacked SVD.
+
+    `h_blocks` holds the beams' (B, Q, N) user rows and `wa` their
+    (..., B, N, Q) inter-beam blocks. Every effective channel
+    ``Z_b = H_b Wa_b`` is formed in one stacked product. Returns the
+    intra-beam vectors w_b (..., B, Q) and the precoder columns
+    ``Wa_b w_b`` (..., B, N).
+    """
+    vectors = intrabeam(h_blocks @ wa, first_beam)
+    return vectors, (wa @ vectors[..., None])[..., 0]
+
+
 def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float | np.ndarray,
              mode: str = "per_feed") -> Precoder:
     """Intra-beam stage, power normalization, and final assembly.
 
-    `wa` is N x KQ, or P x N x KQ for a power vector. Every beam's
-    effective channel ``Z_k = H_k Wa_k`` at every power is formed in one
-    stacked product and decomposed in one stacked SVD.
+    `wa` is N x KQ, or P x N x KQ for a power vector.
     """
     p = _power_vector(p_total)
-    k_beams = ch.beams
-    q = ch.users_per_beam
-    wa = np.reshape(wa, (p.size, ch.feeds, k_beams * q))
-    vectors = intrabeam(ch.beam_blocks() @ _blocks(wa, k_beams))   # (P, K, Q)
-    wb = np.zeros((p.size, k_beams * q, k_beams), dtype=complex)
-    beam = np.arange(k_beams)
-    wb.reshape(p.size, k_beams, q, k_beams)[:, beam, :, beam] = (
-        vectors.swapaxes(0, 1))
-    return _scaled(p_total, wa @ wb, mode, wa=wa, wb=wb)
+    wa = np.reshape(wa, (p.size, ch.feeds, ch.beams * ch.users_per_beam))
+    vectors, columns = _beam_columns(ch.beam_blocks(), _blocks(wa, ch.beams))
+    # Contiguous like the multi-gateway w_bar, so the power norms sum in
+    # the same order and one gateway reproduces this precoder bit for bit.
+    w_bar = np.ascontiguousarray(columns.swapaxes(-1, -2))   # (P, N, K)
+    return _scaled(p_total, w_bar, mode, wa=wa, wb=vectors)
 
 
 def two_stage(ch: ChannelMatrix, p_total: float | np.ndarray,

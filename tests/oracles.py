@@ -46,7 +46,7 @@ from satprecode.exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from satprecode.gateway import GatewayPlan, SharedCsiView
+from satprecode.gateway import GatewayPlan
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
     Precoder,
@@ -399,13 +399,6 @@ def _null_basis_per_beam(ch: ChannelMatrix, k: int,
     return basis
 
 
-def rzf_block_per_beam(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
-    """RZF block of beam k from its own QR of the regularized inverse."""
-    return ch.h.conj().T @ _null_basis_per_beam(
-        ch, k, regularized_inverse_per_power(ch, p_total)
-    )
-
-
 def rzf_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     """All RZF blocks from one inverse and one QR per beam."""
     inverse = regularized_inverse_per_power(ch, p_total)
@@ -420,14 +413,15 @@ def assemble_per_beam(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
     """Intra-beam stage (one SVD per beam), power normalization, assembly."""
     k_beams = ch.beams
     q = ch.users_per_beam
-    wb = np.zeros((k_beams * q, k_beams), dtype=complex)
+    wb = np.zeros((k_beams, q), dtype=complex)
+    w_bar = np.zeros((ch.feeds, k_beams), dtype=complex)
     for k in range(k_beams):
-        z = ch.beam(k) @ wa[:, k * q:(k + 1) * q]
+        wa_k = wa[:, k * q:(k + 1) * q]
         try:
-            wb[k * q:(k + 1) * q, k] = intrabeam_per_beam(z)
+            wb[k] = intrabeam_per_beam(ch.beam(k) @ wa_k)
         except DegenerateBeamError as exc:
             raise DegenerateBeamError(f"beam {k}: {exc}") from None
-    w_bar = wa @ wb
+        w_bar[:, k] = wa_k @ wb[k]
     alpha = power_control_per_power(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
 
@@ -466,20 +460,16 @@ def baseline_four_color_per_beam(ch: ChannelMatrix, layout: BeamLayout,
     return sinr
 
 
-def assemble_multigateway_per_beam(views: list[SharedCsiView],
+def assemble_multigateway_per_beam(views: list[ChannelMatrix],
                                    plan: GatewayPlan, p_total: float,
-                                   precoder_kind: str = "mbim",
                                    mode: str = "per_feed") -> Precoder:
     """Block-diagonal multi-gateway precoder, one beam at a time."""
-    block = mbim_block_per_beam if precoder_kind == "mbim" else rzf_block_per_beam
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
-    for view in views:
-        g = view.gateway
-        eff = view.channel
+    for g, eff in enumerate(views):
         beams = plan.beam_slice(g)
         for k in range(beams.start, beams.stop):
             try:
-                wa_k = block(eff, k, p_total)
+                wa_k = mbim_block_per_beam(eff, k, p_total)
                 z = eff.beam(k) @ wa_k
                 w_bar[plan.feed_slice(g), k] = wa_k @ intrabeam_per_beam(z)
             except MODELLED_FAILURES as exc:
@@ -602,13 +592,11 @@ def power_control_per_power(w_unscaled: np.ndarray, p_total: float,
 
 def assemble_per_power(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
                        mode: str = "per_feed") -> Precoder:
-    k_beams = ch.beams
-    q = ch.users_per_beam
-    vectors = intrabeam_per_power(ch.beam_blocks() @ _blocks_per_power(wa, k_beams))
-    wb = np.zeros((k_beams * q, k_beams), dtype=complex)
-    beam = np.arange(k_beams)
-    wb.reshape(k_beams, q, k_beams)[beam, :, beam] = vectors
-    w_bar = wa @ wb
+    blocks = _blocks_per_power(wa, ch.beams)
+    wb = intrabeam_per_power(ch.beam_blocks() @ blocks)
+    w_bar = np.zeros((ch.feeds, ch.beams), dtype=complex)
+    for k in range(ch.beams):
+        w_bar[:, k] = blocks[k] @ wb[k]
     alpha = power_control_per_power(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
 
@@ -678,20 +666,14 @@ def baseline_four_color_per_power(ch: ChannelMatrix, layout: BeamLayout,
     return power[beam, :, beam] / (interf + 1.0)
 
 
-def assemble_multigateway_precoder_per_power(views: list[SharedCsiView],
+def assemble_multigateway_precoder_per_power(views: list[ChannelMatrix],
                                              plan: GatewayPlan, p_total: float,
-                                             precoder_kind: str = "mbim",
                                              mode: str = "per_feed") -> Precoder:
-    if precoder_kind not in ("mbim", "rzf"):
-        raise ConfigError(f"unknown precoder kind {precoder_kind!r}")
-    stack = mbim_stack_per_power if precoder_kind == "mbim" else rzf_stack_per_power
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
-    for view in views:
-        g = view.gateway
-        eff = view.channel
+    for g, eff in enumerate(views):
         beams = plan.beam_slice(g)
         try:
-            wa = stack(eff, range(beams.start, beams.stop), p_total)
+            wa = mbim_stack_per_power(eff, range(beams.start, beams.stop), p_total)
             wb = intrabeam_per_power(eff.beam_blocks()[beams] @ wa,
                                      first_beam=beams.start)
         except MODELLED_FAILURES as exc:

@@ -101,11 +101,11 @@ def test_criterion_03_power_constraints_all_kinds(desk_layout, budget):
             baseline_avg_mmse(ch7, p, mode),
             robust_two_stage(ch7, bounds, p, mode),
             assemble_multigateway_precoder(
-                share_csi(ch12, plan_icp), plan_icp, p, "mbim", mode=mode),
+                share_csi(ch12, plan_icp), plan_icp, p, mode=mode),
             assemble_multigateway_precoder(
-                share_csi(ch12, plan_c), plan_c, p, "mbim", mode=mode),
+                share_csi(ch12, plan_c), plan_c, p, mode=mode),
             assemble_multigateway_precoder(
-                share_csi(ch12, plan_m), plan_m, p, "rzf", mode=mode),
+                share_csi(ch12, plan_m), plan_m, p, mode=mode),
         ]
         for pre in precoders:
             if mode == "per_feed":

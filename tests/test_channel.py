@@ -46,7 +46,6 @@ class TestLinkBudget:
         ("carrier_freq_hz", -1.0),
         ("rolloff", 1.0),
         ("rolloff", -0.1),
-        ("total_power_w", 0.0),
     ])
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

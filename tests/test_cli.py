@@ -196,6 +196,28 @@ class TestCliVerbs:
         summary = (out_dir / "summary.txt").read_text()
         assert "skipped_cells: 0" in summary
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scenario, p_dbw", [
+        # The precoder underflows, so its power norm is 0.
+        ("avg_mmse", "-3000"),
+        # p / (N * peak) overflows.
+        ("rzf", "3000"),
+    ])
+    def test_unscalable_power_skips_every_cell(self, tmp_path, capsys,
+                                               scenario, p_dbw):
+        path = tmp_path / "extreme.cfg"
+        path.write_text(f"[run]\ntrials = 2\nscenarios = {scenario}\n"
+                        f"power_sweep_dbw = {p_dbw}\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        assert "2/2 scenario cells skipped" in capsys.readouterr().err
+        lines = (out_dir / "results.csv").read_text().splitlines()
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        assert len(rows) == 7
+        for row in rows:
+            assert (row["trials"], row["skipped"]) == ("0", "2")
+            assert math.isnan(float(row["mean_throughput_bps"]))
+
     def test_run_writes_one_curve_file_per_scenario(self, tmp_path):
         path = tmp_path / "multi.cfg"
         path.write_text(

@@ -43,10 +43,6 @@ class TestModcodTable:
     def test_saturation_at_high_snir(self, table):
         assert table.efficiency(50.0) == table.efficiencies[-1]
 
-    def test_fallback_table_loads(self):
-        fb = ModcodTable.fallback()
-        assert fb.thresholds_db.size == 8
-
     def test_unsorted_rows_are_sorted_on_load(self):
         t = ModcodTable.from_rows([(5.0, 2.0), (-1.0, 1.0)])
         assert list(t.thresholds_db) == [-1.0, 5.0]
@@ -146,6 +142,11 @@ class TestBeamRate:
     def test_empty_sinrs_rejected(self, table, budget):
         with pytest.raises(ConfigError):
             beam_rate([], table, budget)
+
+    def test_nan_sinr_is_not_paid(self, table, budget):
+        # Not a modelled failure: the run must crash, not skip or pay.
+        with pytest.raises(FloatingPointError, match="NaN SINR"):
+            beam_rate([[10.0, 10.0], [np.nan, 10.0]], table, budget)
 
 
 def small_config(**overrides):

@@ -140,13 +140,11 @@ def _assert_gateways_match(ch, p):
         plan = make_plan(ch.beams, ch.feeds, ch.users_per_beam, gateways,
                          gw_mode, closest_c=1 if gw_mode == "closest" else None)
         views = share_csi(ch, plan)
-        for kind in ("mbim", "rzf"):
-            for mode in MODES:
-                _assert_stack_matches(
-                    lambda x: assemble_multigateway_precoder(
-                        views, plan, x, kind, mode),
-                    lambda x: oracles.assemble_multigateway_precoder_per_power(
-                        views, plan, x, kind, mode), p)
+        for mode in MODES:
+            _assert_stack_matches(
+                lambda x: assemble_multigateway_precoder(views, plan, x, mode),
+                lambda x: oracles.assemble_multigateway_precoder_per_power(
+                    views, plan, x, mode), p)
 
 
 def _assert_four_color_matches(ch, feeds_per_beam, p):

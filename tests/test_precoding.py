@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 import satprecode as sp
 from satprecode.channel import BeamLayout, ChannelMatrix
-from satprecode.exceptions import ConfigError, DegenerateBeamError, SingularChannelError
+from satprecode.exceptions import (
+    ConfigError,
+    DegenerateBeamError,
+    InfeasibleChannelError,
+    SingularChannelError,
+)
 from satprecode.precoding import (
     assemble,
     baseline_avg_mmse,
@@ -187,6 +192,19 @@ class TestPowerControl:
         with pytest.raises(ConfigError):
             power_control(np.ones((2, 2)), 1.0, "equal")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["per_feed", "total"])
+    def test_no_finite_scale_is_infeasible(self, mode):
+        # Slot 1 underflows (|w|^2 is 0), slot 2 overflows (p / |w|^2).
+        w = np.ones((3, 4, 2), dtype=complex)
+        w[1] *= 1e-200
+        w[2] *= 1e-10
+        p = np.array([1.0, 1.0, 1e300])
+        with pytest.raises(InfeasibleChannelError, match="power slot 1"):
+            power_control(w, p, mode)
+        with pytest.raises(InfeasibleChannelError, match="power slot 0"):
+            power_control(w[2], 1e300, mode)
+
     @settings(deadline=None, max_examples=25)
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 9999),
            st.sampled_from(["per_feed", "total"]))
@@ -204,13 +222,12 @@ class TestTwoStage:
     def test_blocks_are_unit_norm_and_block_diagonal(self):
         ch = random_channel(3, 2, 4, seed=11)
         pre = two_stage(ch, 4.0, "per_feed", "mbim")
-        assert pre.wb.shape == (6, 3)
+        # Wb is kept as its diagonal blocks: one unit vector per beam.
+        assert pre.wb.shape == (3, 2)
         for k in range(3):
-            col = pre.wb[:, k]
-            inside = col[2 * k:2 * k + 2]
-            assert np.linalg.norm(inside) == pytest.approx(1.0, rel=1e-12)
-            outside = np.delete(col, slice(2 * k, 2 * k + 2))
-            assert not np.any(outside)
+            assert np.linalg.norm(pre.wb[k]) == pytest.approx(1.0, rel=1e-12)
+            column = pre.wa[:, 2 * k:2 * k + 2] @ pre.wb[k]
+            assert np.allclose(pre.w[:, k], pre.alpha * column, rtol=1e-12)
 
     def test_channel_scaling_covariance(self):
         # Scaling H by c with the power budget divided by c**2 keeps the
@@ -225,8 +242,7 @@ class TestTwoStage:
         b = two_stage(scaled, p / c**2, "per_feed", "mbim")
         assert np.allclose(b.wa, a.wa / c, rtol=1e-9)
         for k in range(4):
-            va = a.wb[2 * k:2 * k + 2, k]
-            vb = b.wb[2 * k:2 * k + 2, k]
+            va, vb = a.wb[k], b.wb[k]
             assert abs(np.vdot(va, vb)) == pytest.approx(1.0, rel=1e-9)
         assert np.max(b.feed_powers()) == pytest.approx(p / c**2 / 6, rel=1e-9)
 

@@ -80,18 +80,16 @@ def _assert_gateways_match_loops(ch, p_total):
         plan = make_plan(ch.beams, ch.feeds, ch.users_per_beam, gateways, mode,
                          closest_c=1 if mode == "closest" else None)
         views = share_csi(ch, plan)
-        for kind in ("mbim", "rzf"):
-            fast = _outcome(assemble_multigateway_precoder, views, plan,
-                            p_total, kind)
-            slow = _outcome(oracles.assemble_multigateway_per_beam, views,
-                            plan, p_total, kind)
-            if isinstance(slow, tuple):
-                # The stacked intra stage also names the beam inside the
-                # gateway; type and gateway agree.
-                assert fast[0] is slow[0]
-                assert fast[1].split(":")[0] == slow[1].split(":")[0]
-            else:
-                _assert_same(fast, slow)
+        fast = _outcome(assemble_multigateway_precoder, views, plan, p_total)
+        slow = _outcome(oracles.assemble_multigateway_per_beam, views, plan,
+                        p_total)
+        if isinstance(slow, tuple):
+            # The stacked intra stage also names the beam inside the
+            # gateway; type and gateway agree.
+            assert fast[0] is slow[0]
+            assert fast[1].split(":")[0] == slow[1].split(":")[0]
+        else:
+            _assert_same(fast, slow)
 
 
 def _assert_four_color_matches_loop(ch, feeds_per_beam, p_total):
@@ -162,7 +160,7 @@ def test_gateway_error_names_the_gateway_and_the_dead_beam():
     ch = _with_dead_beams(random_channel(6, 2, 6, seed=4), (3,))
     plan = make_plan(6, 6, 2, 3, "closest", closest_c=2)
     with pytest.raises(DegenerateBeamError, match=r"^gateway 1: beam 3: "):
-        assemble_multigateway_precoder(share_csi(ch, plan), plan, 10.0, "rzf")
+        assemble_multigateway_precoder(share_csi(ch, plan), plan, 10.0)
 
 
 def test_intrabeam_of_a_stack_equals_each_matrix_alone():
