@@ -23,7 +23,7 @@ from scipy.special import j1
 
 from . import geometry
 from .exceptions import ConfigError, GeometryError
-from .linalg import TrimmedEig, eigh_sorted
+from .linalg import TrimmedEig, downdated_tails, eigh_sorted
 
 __all__ = [
     "LinkBudget",
@@ -51,6 +51,11 @@ _U_HALF = 1.6137411963693684
 # Candidate contour half-widths in ground degrees: 1e-3 doubled 39 times
 # (doubling is exact, so these equal the steps of an iterated search).
 _HALFWIDTH_STEPS = 1e-3 * 2.0 ** np.arange(40)
+
+# Smallest beam range whose other-beam Gram tails come from one
+# eigendecomposition of H^H H and per-beam downdates instead of one dense
+# eigendecomposition per beam: the measured crossover (CHANGES.md table).
+_DOWNDATE_MIN_BEAMS = 24
 
 
 @dataclass(frozen=True)
@@ -439,7 +444,12 @@ def build_phase_matrix(model: PhaseModel, rows: int, feeds: int) -> np.ndarray:
         phi = rng.uniform(0.0, 2.0 * math.pi, (rows, 1))
         spread = rng.normal(0.0, math.radians(model.chi_deg), (rows, feeds))
         theta = phi + spread
-    return np.exp(1j * theta)
+    # cos and sin written into the two halves of one complex array equal
+    # np.exp(1j * theta) bit for bit, without its complex temporary.
+    phase = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    return phase
 
 
 @dataclass(frozen=True)
@@ -492,25 +502,38 @@ class ChannelMatrix:
         """(K-1)Q x N matrix of every other beam's rows."""
         return np.delete(self.h, self.beam_rows(k), axis=0)
 
-    def other_gram_eig(self, k: int) -> TrimmedEig:
-        """Eigendecomposition of beam k's other-beam Gram matrix, memoized.
+    def other_gram_eigs(self, beams: range) -> list[TrimmedEig]:
+        """Trimmed spectra of the other-beam Gram matrices of `beams`, memoized.
 
-        The Gram matrix is ``excluding(k)^H excluding(k)`` (N x N). Every
-        eigenvalue is kept, descending, but only the eigenvectors of the Q
-        smallest, the directions the inter-beam designs use. Computed once
-        per channel and beam; the arrays are read-only.
+        Beam k's Gram matrix is ``excluding(k)^H excluding(k)`` (N x N);
+        entry k keeps its largest eigenvalue and its Q smallest eigenpairs,
+        the directions the inter-beam designs use. A range of at least
+        `_DOWNDATE_MIN_BEAMS` beams is served by one eigendecomposition of
+        ``h^H h`` and a rank-Q downdate per beam; a shorter range, and any
+        beam the downdate cannot certify, by one dense eigendecomposition
+        per beam. Each beam is computed once per channel; the arrays are
+        read-only.
         """
-        eig = self._other_gram.get(k)
-        if eig is None:
-            other = self.excluding(k)
-            full = eigh_sorted(other.conj().T @ other)
-            eig = TrimmedEig(full.eigenvalues,
-                             full.eigenvectors[:, -self.users_per_beam:].copy())
-            eig.eigenvalues.flags.writeable = False
-            eig.tail.flags.writeable = False
-            # Threads racing on a shared channel all get the first result.
-            eig = self._other_gram.setdefault(k, eig)
-        return eig
+        missing = [k for k in beams if k not in self._other_gram]
+        if missing:
+            found = [None] * len(missing)
+            if len(beams) >= _DOWNDATE_MIN_BEAMS:
+                found = downdated_tails(self.h, self.beam_blocks()[missing])
+            for k, eig in zip(missing, found):
+                if eig is None:
+                    eig = self._dense_other_gram_eig(k)
+                eig.tail_values.flags.writeable = False
+                eig.tail.flags.writeable = False
+                # Threads racing on a shared channel all get the first result.
+                self._other_gram.setdefault(k, eig)
+        return [self._other_gram[k] for k in beams]
+
+    def _dense_other_gram_eig(self, k: int) -> TrimmedEig:
+        other = self.excluding(k)
+        full = eigh_sorted(other.conj().T @ other)
+        q = self.users_per_beam
+        return TrimmedEig(full.eigenvalues[0], full.eigenvalues[-q:].copy(),
+                          full.eigenvectors[:, -q:].copy())
 
 
 def assemble_channel(gain: np.ndarray, phase: np.ndarray, beams: int,

@@ -95,8 +95,8 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     """Inter-beam blocks Wa_k of the interference-mitigation design.
 
     Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
-    ((P, B, N, Q) for a power vector), built from each beam's memoized
-    other-beam Gram eigendecomposition:
+    ((P, B, N, Q) for a power vector), built from the memoized low end of
+    each beam's other-beam Gram spectrum (`ChannelMatrix.other_gram_eigs`):
     ``Wa_k = V (S + (KQ/P_T + shift_k) I)^(-1/2)`` restricted to the Q
     columns of smallest eigenvalue, i.e. the directions least aligned with
     the other beams' channels. A positive shift is the robust design's
@@ -119,18 +119,18 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
         return _unstack(p_total, amp * np.eye(n, q, dtype=complex))
     if shifts is None:
         shifts = np.zeros(len(beams))
-    eigs = [ch.other_gram_eig(k) for k in beams]
-    lam = np.array([eig.eigenvalues for eig in eigs])
+    eigs = ch.other_gram_eigs(beams)
+    lam_max = np.array([eig.lam_max for eig in eigs])
+    tail = np.array([eig.tail_values for eig in eigs])        # (B, Q)
     singular = (shifts == 0.0) & (
-        lam[:, -1] <= RANK_TOL * np.maximum(lam[:, 0], 0.0)
+        tail[:, -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
     if np.any(singular):
         raise SingularChannelError(
             f"cross-channel Gram matrix of beam {beams[np.argmax(singular)]} "
             "is rank deficient"
         )
-    # Descending order: the Q smallest eigenvalues sit at the end.
-    scale = 1.0 / np.sqrt(lam[:, -q:] + _regularizer(ch, p)[:, None, None]
+    scale = 1.0 / np.sqrt(tail + _regularizer(ch, p)[:, None, None]
                           + shifts[:, None])
     return _unstack(p_total,
                     np.array([eig.tail for eig in eigs]) * scale[..., None, :])

@@ -47,9 +47,9 @@ def _shift_bounds(ch: ChannelMatrix, bounds: PerturbationBounds) -> np.ndarray:
     """The worst-case eigenvalue shift of every beam, from the cached
     other-beam spectra."""
     return np.array([
-        eigen_shift_bound(float(bounds.gamma_tilde_k[k]),
-                          ch.other_gram_eig(k).eigenvalues[0])
-        for k in range(ch.beams)
+        eigen_shift_bound(float(gamma), eig.lam_max)
+        for gamma, eig in zip(bounds.gamma_tilde_k,
+                              ch.other_gram_eigs(range(ch.beams)))
     ])
 
 

@@ -22,10 +22,16 @@ when the library exported them:
 * `feed_gain`, the scalar path to the feed gain that
   `build_gain_matrix` computes for every user and feed at once;
 * `random_unitary`, for seeded test spectra.
+
+The dense per-beam eigendecomposition of each other-beam Gram matrix
+(`other_gram_eig_per_beam`) is the reference for the downdated spectra
+that serve wide beam ranges, and `build_phase_matrix_exp` the reference
+for the phase synthesis.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -36,6 +42,7 @@ from satprecode.channel import (
     ChannelMatrix,
     LinkBudget,
     PerturbationBounds,
+    PhaseModel,
     pattern_gain,
 )
 from satprecode.exceptions import (
@@ -340,6 +347,27 @@ def ground_halfwidth_deg(sat: np.ndarray, lat0: float, lon0: float,
 
 # Per-beam loops of the design stages, one small LAPACK call per beam.
 
+def other_gram_eig_per_beam(ch: ChannelMatrix, k: int) -> EigDecomposition:
+    """Dense eigendecomposition of beam k's other-beam Gram matrix, the
+    reference for the downdated spectra (`linalg.downdated_tails`)."""
+    other = ch.excluding(k)
+    return eigh_sorted(other.conj().T @ other)
+
+
+def build_phase_matrix_exp(model: PhaseModel, rows: int,
+                           feeds: int) -> np.ndarray:
+    """The phase matrix as ``np.exp(1j * theta)``, with its complex
+    temporary: the expression `build_phase_matrix` replaced."""
+    rng = np.random.default_rng(model.rng_seed)
+    if model.variant == "uniform":
+        theta = rng.uniform(0.0, 2.0 * math.pi, (rows, feeds))
+    else:
+        phi = rng.uniform(0.0, 2.0 * math.pi, (rows, 1))
+        spread = rng.normal(0.0, math.radians(model.chi_deg), (rows, feeds))
+        theta = phi + spread
+    return np.exp(1j * theta)
+
+
 def intrabeam_per_beam(z: np.ndarray) -> np.ndarray:
     """Unit vector maximizing ``||Z w||`` (leading right singular vector)."""
     z = np.asarray(z)
@@ -361,14 +389,13 @@ def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
         )
     if ch.beams == 1:
         return np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
-    eig = ch.other_gram_eig(k)
-    lam = eig.eigenvalues
-    if shift == 0.0 and lam[-1] <= RANK_TOL * max(lam[0], 0.0):
+    eig, = ch.other_gram_eigs(range(k, k + 1))
+    lam = eig.tail_values
+    if shift == 0.0 and lam[-1] <= RANK_TOL * max(eig.lam_max, 0.0):
         raise SingularChannelError(
             f"cross-channel Gram matrix of beam {k} is rank deficient"
         )
-    # Descending order: the Q smallest eigenvalues sit at the end.
-    scale = 1.0 / np.sqrt(lam[-q:] + regularizer_per_power(ch, p_total) + shift)
+    scale = 1.0 / np.sqrt(lam + regularizer_per_power(ch, p_total) + shift)
     return eig.tail * scale
 
 
@@ -509,18 +536,18 @@ def mbim_stack_per_power(ch: ChannelMatrix, beams: range, p_total: float,
         return block[None]
     if shifts is None:
         shifts = np.zeros(len(beams))
-    eigs = [ch.other_gram_eig(k) for k in beams]
-    lam = np.array([eig.eigenvalues for eig in eigs])
+    eigs = ch.other_gram_eigs(beams)
+    lam = np.array([eig.tail_values for eig in eigs])
+    lam_max = np.array([eig.lam_max for eig in eigs])
     singular = (shifts == 0.0) & (
-        lam[:, -1] <= RANK_TOL * np.maximum(lam[:, 0], 0.0)
+        lam[:, -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
     if np.any(singular):
         raise SingularChannelError(
             f"cross-channel Gram matrix of beam {beams[np.argmax(singular)]} "
             "is rank deficient"
         )
-    # Descending order: the Q smallest eigenvalues sit at the end.
-    scale = 1.0 / np.sqrt(lam[:, -q:] + regularizer_per_power(ch, p_total)
+    scale = 1.0 / np.sqrt(lam + regularizer_per_power(ch, p_total)
                           + shifts[:, None])
     return np.array([eig.tail for eig in eigs]) * scale[:, None, :]
 

@@ -14,13 +14,23 @@ from scipy.special import j1
 
 import satprecode as sp
 from satprecode import geometry
-from satprecode.channel import ChannelMatrix, _ground_halfwidths_deg, pattern_gain
+from satprecode.channel import (
+    _DOWNDATE_MIN_BEAMS,
+    ChannelMatrix,
+    _ground_halfwidths_deg,
+    pattern_gain,
+)
 from satprecode.config import parse_config
 from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import ConfigError, GeometryError
 
 from conftest import random_channel
-from oracles import boresight_angle_deg_cross, feed_gain, ground_halfwidth_deg
+from oracles import (
+    boresight_angle_deg_cross,
+    build_phase_matrix_exp,
+    feed_gain,
+    ground_halfwidth_deg,
+)
 
 SHIPPED_CONFIGS = ("desk.cfg", "figure3_recipe.cfg", "gateway_desk.cfg",
                    "paper_scale.cfg")
@@ -359,6 +369,12 @@ class TestPhaseMatrix:
         with pytest.raises(ConfigError):
             sp.PhaseModel(variant="laser")
 
+    @pytest.mark.parametrize("variant", ["uniform", "ultra_stable"])
+    def test_equals_complex_exponential_bitwise(self, variant):
+        model = sp.PhaseModel(variant=variant, chi_deg=10.0, rng_seed=3)
+        assert np.array_equal(sp.build_phase_matrix(model, 300, 61),
+                              build_phase_matrix_exp(model, 300, 61))
+
 
 class TestAssemble:
     def test_all_ones_phase_returns_gain(self):
@@ -410,35 +426,46 @@ class TestChannelMatrixViews:
 
     def test_other_gram_eig_is_memoized_and_trimmed(self):
         ch = random_channel(3, 2, 4, seed=2)
-        eig = ch.other_gram_eig(1)
-        assert ch.other_gram_eig(1) is eig
+        eig, = ch.other_gram_eigs(range(1, 2))
+        assert ch.other_gram_eigs(range(3))[1] is eig
         other = ch.excluding(1)
         full = sp.eigh_sorted(other.conj().T @ other)
-        assert np.array_equal(eig.eigenvalues, full.eigenvalues)
+        assert eig.lam_max == full.eigenvalues[0]
+        assert np.array_equal(eig.tail_values, full.eigenvalues[-2:])
         assert np.array_equal(eig.tail, full.eigenvectors[:, -2:])
         assert not eig.tail.flags.writeable
-        assert not eig.eigenvalues.flags.writeable
+        assert not eig.tail_values.flags.writeable
 
     def test_other_gram_eig_shared_across_threads(self):
-        ch = random_channel(6, 2, 8, seed=4)
-        seen = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            def work():
-                seen.append([ch.other_gram_eig(k) for k in range(ch.beams)])
+        # One channel on the dense per-beam path, one above the downdate
+        # crossover, where each thread's batch races the others per beam.
+        beams = 30
+        assert beams >= _DOWNDATE_MIN_BEAMS
+        for ch, batched in ((random_channel(6, 2, 8, seed=4), False),
+                            (random_channel(beams, 2, beams, seed=4), True)):
+            seen = []
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                def work():
+                    if batched:
+                        seen.append(ch.other_gram_eigs(range(ch.beams)))
+                    else:
+                        seen.append([ch.other_gram_eigs(range(k, k + 1))[0]
+                                     for k in range(ch.beams)])
 
-            pool = [threading.Thread(target=work) for _ in range(8)]
-            for t in pool:
-                t.start()
-            for t in pool:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in pool)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(seen) == 8
-        for k in range(ch.beams):
-            assert all(run[k] is ch.other_gram_eig(k) for run in seen)
+                pool = [threading.Thread(target=work) for _ in range(8)]
+                for t in pool:
+                    t.start()
+                for t in pool:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in pool)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(seen) == 8
+            memo = ch.other_gram_eigs(range(ch.beams))
+            for k in range(ch.beams):
+                assert all(run[k] is memo[k] for run in seen)
 
     def test_channel_is_read_only(self):
         ch = random_channel(2, 2, 3, seed=3)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import satprecode.evaluate
 import satprecode.linalg
-from satprecode.channel import ChannelMatrix
+from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix
 from satprecode.config import ScenarioConfig
 from satprecode.evaluate import (
     ModcodTable,
@@ -203,7 +203,10 @@ class TestMonteCarlo:
         with pytest.raises(TypeError, match="design bug"):
             run_monte_carlo(small_config(trials=1))
 
-    def test_each_beam_gram_decomposed_once_per_trial(self, monkeypatch):
+    @staticmethod
+    def _robust_trial_eigh_shapes(monkeypatch, beams):
+        """Shapes of every `eigh_sorted` call in a one-trial mbim + robust
+        run on estimated CSI."""
         original = satprecode.linalg.eigh_sorted
         shapes = []
 
@@ -217,13 +220,23 @@ class TestMonteCarlo:
             ) is original:
                 monkeypatch.setattr(mod, "eigh_sorted", counting)
         cfg = small_config(
-            scenarios=("mbim", "robust"), trials=1, pool_per_beam=6,
-            grouping="robust", csi_error_ratio=0.1,
+            beams=beams, scenarios=("mbim", "robust"), trials=1,
+            pool_per_beam=6, grouping="robust", csi_error_ratio=0.1,
             power_sweep_dbw=(25.0, 30.0),
         )
-        res = run_monte_carlo(cfg)
-        assert res.total_skipped() == 0
-        assert shapes == [(cfg.beams, cfg.beams)] * cfg.beams
+        assert run_monte_carlo(cfg).total_skipped() == 0
+        return shapes
+
+    def test_each_beam_gram_decomposed_once_per_trial(self, monkeypatch):
+        shapes = self._robust_trial_eigh_shapes(monkeypatch, 7)
+        assert shapes == [(7, 7)] * 7
+
+    def test_one_gram_decomposition_per_estimate_above_the_crossover(
+            self, monkeypatch):
+        # Every beam's Gram tail comes from one decomposition of H^H H.
+        shapes = self._robust_trial_eigh_shapes(monkeypatch, 37)
+        assert _DOWNDATE_MIN_BEAMS <= 37
+        assert shapes == [(37, 37)]
 
     def test_gateway_views_and_decompositions_shared_across_powers(
             self, monkeypatch):
