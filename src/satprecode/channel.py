@@ -32,6 +32,7 @@ __all__ = [
     "PhaseModel",
     "ChannelMatrix",
     "PerturbationBounds",
+    "stacked_other_gram_eigs",
     "hex_layout",
     "place_users",
     "build_gain_matrix",
@@ -56,6 +57,11 @@ _HALFWIDTH_STEPS = 1e-3 * 2.0 ** np.arange(40)
 # eigendecomposition of H^H H and per-beam downdates instead of one dense
 # eigendecomposition per beam: the measured crossover (CHANGES.md table).
 _DOWNDATE_MIN_BEAMS = 24
+
+
+def _downdates(beams: int) -> bool:
+    """Whether a range of `beams` beams takes the downdated Gram tails."""
+    return beams >= _DOWNDATE_MIN_BEAMS
 
 
 @dataclass(frozen=True)
@@ -176,15 +182,13 @@ class BeamLayout:
         if np.any(elev <= 0.0):
             bad = int(np.argmin(elev))
             raise GeometryError(f"beam {bad} center is below the horizon")
+        # Each center converted once, as `build_gain_matrix` converts the
+        # users; the angles equal `geometry.off_axis_angle_deg` bit for bit.
+        to_center = geometry.latlon_to_ecef(
+            self.beam_centers[:, 0], self.beam_centers[:, 1], budget.earth_radius_m
+        ) - sat
         for k in range(self.beams):
-            sep = geometry.off_axis_angle_deg(
-                sat,
-                self.beam_centers[k, 0],
-                self.beam_centers[k, 1],
-                self.beam_centers[:, 0],
-                self.beam_centers[:, 1],
-                budget.earth_radius_m,
-            )
+            sep = geometry.boresight_angle_deg(to_center[k], to_center)
             close = (sep < 2.0 * self.beam_radius_3db_deg) & (np.arange(self.beams) != k)
             if np.any(close & (self.color_of_beam == self.color_of_beam[k])):
                 other = int(np.nonzero(close & (self.color_of_beam == self.color_of_beam[k]))[0][0])
@@ -442,8 +446,8 @@ def build_phase_matrix(model: PhaseModel, rows: int, feeds: int) -> np.ndarray:
         theta = rng.uniform(0.0, 2.0 * math.pi, (rows, feeds))
     else:
         phi = rng.uniform(0.0, 2.0 * math.pi, (rows, 1))
-        spread = rng.normal(0.0, math.radians(model.chi_deg), (rows, feeds))
-        theta = phi + spread
+        theta = rng.normal(0.0, math.radians(model.chi_deg), (rows, feeds))
+        theta += phi    # the spread plus phi, without a third array
     # cos and sin written into the two halves of one complex array equal
     # np.exp(1j * theta) bit for bit, without its complex temporary.
     phase = np.empty(theta.shape, dtype=complex)
@@ -517,35 +521,97 @@ class ChannelMatrix:
         missing = [k for k in beams if k not in self._other_gram]
         if missing:
             found = [None] * len(missing)
-            if len(beams) >= _DOWNDATE_MIN_BEAMS:
+            if _downdates(len(beams)):
                 found = downdated_tails(self.h, self.beam_blocks()[missing])
             for k, eig in zip(missing, found):
                 if eig is None:
-                    eig = self._dense_other_gram_eig(k)
-                eig.tail_values.flags.writeable = False
-                eig.tail.flags.writeable = False
-                # Threads racing on a shared channel all get the first result.
-                self._other_gram.setdefault(k, eig)
+                    # A stack of one per beam. The range's dense tails
+                    # could come from one stacked call, as the gateway
+                    # views' do, but perfbench/tests/test_tracer.py counts
+                    # one `eigh_sorted` call per beam of `two_stage`, and
+                    # it changes only with the benchmark (ROADMAP item 1b).
+                    eig, = _dense_other_gram_tails(
+                        self.h[None], np.zeros(1, dtype=int), np.array([k]),
+                        self.users_per_beam)
+                self._remember(k, eig)
         return [self._other_gram[k] for k in beams]
 
-    def _dense_other_gram_eig(self, k: int) -> TrimmedEig:
-        other = self.excluding(k)
-        full = eigh_sorted(other.conj().T @ other)
-        q = self.users_per_beam
-        return TrimmedEig(full.eigenvalues[0], full.eigenvalues[-q:].copy(),
-                          full.eigenvectors[:, -q:].copy())
+    def _remember(self, k: int, eig: TrimmedEig) -> None:
+        eig.tail_values.flags.writeable = False
+        eig.tail.flags.writeable = False
+        # Threads racing on a shared channel all get the first result.
+        self._other_gram.setdefault(k, eig)
+
+
+def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
+                            beam: np.ndarray, users_per_beam: int
+                            ) -> list[TrimmedEig]:
+    """Trimmed other-beam Gram spectra of (channel, beam) pairs from one
+    stacked `eigh_sorted` call.
+
+    `h` is a (C, KQ, N) stack of channels; entry i is the spectrum of beam
+    ``beam[i]`` of channel ``channel[i]``, that beam's rows removed as
+    `ChannelMatrix.excluding` removes them, so each equals the dense
+    decomposition of that one Gram matrix bit for bit.
+    """
+    q = users_per_beam
+    kept = np.arange(h.shape[-2] - q)
+    rows = kept + q * (kept >= q * beam[:, None])      # (M, (K-1)Q)
+    other = h[channel[:, None], rows]
+    full = eigh_sorted(other.conj().swapaxes(-1, -2) @ other)
+    tail_values = full.eigenvalues[:, -q:].copy()
+    tail = full.eigenvectors[..., -q:].copy()
+    return [TrimmedEig(full.eigenvalues[i, 0], tail_values[i], tail[i])
+            for i in range(beam.size)]
+
+
+def stacked_other_gram_eigs(channels: list[ChannelMatrix],
+                            beams: list[range]) -> list[TrimmedEig]:
+    """`other_gram_eigs` of ``beams[c]`` on ``channels[c]`` for every c,
+    in that order, as one flat list.
+
+    The channels share their shape. A range short of the downdate
+    crossover takes the dense tails its channel has not memoized yet,
+    and all of them come from one stacked decomposition; a longer range
+    keeps its channel's downdate. Every result is memoized on its
+    channel, exactly as `other_gram_eigs` would have computed it.
+    """
+    pairs = []
+    for c, (ch, rng) in enumerate(zip(channels, beams)):
+        if _downdates(len(rng)):
+            ch.other_gram_eigs(rng)
+        else:
+            pairs += [(c, k) for k in rng if k not in ch._other_gram]
+    if pairs:
+        channel, beam = np.array(pairs).T
+        found = _dense_other_gram_tails(
+            np.stack([ch.h for ch in channels]), channel, beam,
+            channels[0].users_per_beam)
+        for (c, k), eig in zip(pairs, found):
+            channels[c]._remember(k, eig)
+    return [ch._other_gram[k] for ch, rng in zip(channels, beams) for k in rng]
 
 
 def assemble_channel(gain: np.ndarray, phase: np.ndarray, beams: int,
                      users_per_beam: int) -> ChannelMatrix:
-    """Entrywise product of gain and phase matrices as a ChannelMatrix."""
+    """Entrywise product of gain and phase matrices as a ChannelMatrix.
+
+    A writable complex `phase` array is handed over: the product is formed
+    in it, with no third matrix allocated, and the returned channel holds
+    it read-only, so the caller must not use `phase` again. Any other
+    `phase`, and `gain`, are left as they are.
+    """
     gain = np.asarray(gain)
     phase = np.asarray(phase)
     if gain.shape != phase.shape:
         raise ConfigError(
             f"gain and phase shapes differ: {gain.shape} vs {phase.shape}"
         )
-    return ChannelMatrix(h=gain * phase, beams=beams, users_per_beam=users_per_beam)
+    if phase.dtype == complex and phase.flags.writeable:
+        h = np.multiply(gain, phase, out=phase)
+    else:
+        h = gain * phase
+    return ChannelMatrix(h=h, beams=beams, users_per_beam=users_per_beam)
 
 
 def extract_users(pool: ChannelMatrix, members: np.ndarray) -> ChannelMatrix:
@@ -612,20 +678,19 @@ class PerturbationBounds:
 def perturb_channel(ch: ChannelMatrix, ratio: float, rng_seed):
     """Additive complex-Gaussian perturbation scaled to a Frobenius ratio.
 
-    Returns ``(perturbed_channel, delta, bounds)`` with
-    ``||delta||_F = ratio * ||H||_F`` exactly and per-beam bounds set to
-    the realized energies (tight).
+    Returns ``(perturbed_channel, delta)`` with
+    ``||delta||_F = ratio * ||H||_F`` exactly. A caller that needs the
+    tight per-beam bounds takes ``PerturbationBounds.from_delta(delta,
+    ...)``.
     """
     if ratio < 0.0:
         raise ConfigError("ratio must be >= 0")
     if ratio == 0.0:
-        delta = np.zeros_like(ch.h)
-        return ch, delta, PerturbationBounds.zero(ch.beams)
+        return ch, np.zeros_like(ch.h)
     rng = np.random.default_rng(rng_seed)
     delta = rng.standard_normal(ch.h.shape) + 1j * rng.standard_normal(ch.h.shape)
     delta *= ratio * np.linalg.norm(ch.h) / np.linalg.norm(delta)
     perturbed = ChannelMatrix(
         h=ch.h + delta, beams=ch.beams, users_per_beam=ch.users_per_beam
     )
-    bounds = PerturbationBounds.from_delta(delta, ch.beams, ch.users_per_beam)
-    return perturbed, delta, bounds
+    return perturbed, delta

@@ -302,11 +302,14 @@ def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
         gain.shape[0],
         gain.shape[1],
     )
+    # The phase array is this function's own: the pool channel is formed
+    # in it, with no third pool-sized matrix.
     pool_true = assemble_channel(gain, phase, cfg.beams, cfg.pool_per_beam)
+    del gain, phase
 
     gamma_user = None
     if cfg.csi_error_ratio > 0.0:
-        pool_est, delta_pool, _ = perturb_channel(
+        pool_est, delta_pool = perturb_channel(
             pool_true, cfg.csi_error_ratio, perturb_seed
         )
         gamma_user = (

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix
+from .channel import ChannelMatrix, stacked_other_gram_eigs
 from .exceptions import MODELLED_FAILURES, ConfigError
-from .precoding import Precoder, _beam_columns, _power_vector, _scaled, mbim_stack
+from .precoding import Precoder, _beam_columns, _mbim_blocks, _power_vector, _scaled
 
 __all__ = [
     "GatewayPlan",
@@ -228,26 +228,66 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[ChannelMatrix]:
     return views
 
 
+def _equal_block_runs(sizes: list[int]) -> list[range]:
+    """Runs of consecutive gateways serving equally many beams (a
+    near-equal split has at most two)."""
+    starts = [g for g in range(1, len(sizes)) if sizes[g] != sizes[g - 1]]
+    bounds = [0, *starts, len(sizes)]
+    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _run_columns(channels: list[ChannelMatrix], beams: list[range],
+                 p: np.ndarray) -> np.ndarray:
+    """(P, G', B, N_g) precoder columns of G' gateways that serve B beams
+    from N_g feeds each, every stage one stacked call over them.
+
+    Gateway i runs the two-stage mbim pipeline for its own `beams[i]` on
+    its view `channels[i]`: the Gram tails of every (gateway, beam) pair,
+    one whitening over all gateways and powers, one intra-beam SVD.
+    """
+    beam_ids = np.array(beams)                                  # (G', B)
+    wa = _mbim_blocks(channels[0],
+                      lambda: stacked_other_gram_eigs(channels, beams),
+                      beam_ids, p)                              # (P, G', B, N_g, Q)
+    h_blocks = np.stack([ch.beam_blocks()[b.start:b.stop]
+                         for ch, b in zip(channels, beams)])
+    return _beam_columns(h_blocks, wa, beam_ids)[1]
+
+
 def assemble_multigateway_precoder(views: list[ChannelMatrix],
                                    plan: GatewayPlan,
                                    p_total: float | np.ndarray,
                                    mode: str = "per_feed") -> Precoder:
     """Block-diagonal precoder from per-gateway effective channels.
 
-    Each gateway g runs the two-stage mbim pipeline for its own beams on
-    its view `views[g]`, over every power of `p_total` at once; the
+    Each gateway g designs the two-stage mbim blocks of its own beams on
+    its view `views[g]`, over every power of `p_total` at once; gateways
+    with equally many beams are designed together (`_run_columns`). The
     blocks are placed on the diagonal (all other entries stay
     structurally zero) and a single global power scaling per power is
-    applied.
+    applied. A modelled failure is reported as ``gateway g: ...`` for
+    the first gateway whose own design fails, with that design's error
+    as the cause.
     """
     p = _power_vector(p_total)
     w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)
-    for g, eff in enumerate(views):
-        beams = plan.beam_slice(g)
+    beam_slices = [plan.beam_slice(g) for g in range(plan.gateways)]
+    feed_slices = [plan.feed_slice(g) for g in range(plan.gateways)]
+    beams = [range(s.start, s.stop) for s in beam_slices]
+    for run in _equal_block_runs(plan.beams_per_gateway.tolist()):
         try:
-            wa = mbim_stack(eff, range(beams.start, beams.stop), p)  # (P, B, N_g, Q)
-            _, columns = _beam_columns(eff.beam_blocks()[beams], wa, beams.start)
-        except MODELLED_FAILURES as exc:
-            raise type(exc)(f"gateway {g}: {exc}") from exc
-        w_bar[:, plan.feed_slice(g), beams] = columns.swapaxes(-1, -2)
+            columns = _run_columns(views[run.start:run.stop],
+                                   beams[run.start:run.stop], p)
+        except MODELLED_FAILURES:
+            # Which gateway failed first, and how, is what designing the
+            # run's gateways one at a time in index order reports.
+            for g in run:
+                try:
+                    _run_columns(views[g:g + 1], beams[g:g + 1], p)
+                except MODELLED_FAILURES as exc:
+                    raise type(exc)(f"gateway {g}: {exc}") from exc
+            raise
+        for i, g in enumerate(run):
+            w_bar[:, feed_slices[g], beam_slices[g]] = (
+                columns[:, i].swapaxes(-1, -2))
     return _scaled(p_total, w_bar, mode)

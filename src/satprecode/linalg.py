@@ -40,10 +40,11 @@ _MAX_STEPS = 64
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix, or of a stack of them,
+    eigenvalues descending.
 
-    `eigenvalues` is real of shape (n,); `eigenvectors` is unitary with
-    column j matching eigenvalue j.
+    `eigenvalues` is real of shape (..., n); `eigenvectors` (..., n, n) is
+    unitary with column j matching eigenvalue j.
     """
 
     eigenvalues: np.ndarray
@@ -51,7 +52,7 @@ class EigDecomposition:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,19 @@ class TrimmedEig:
 def eigh_sorted(a: np.ndarray) -> EigDecomposition:
     """Hermitian eigendecomposition sorted by descending eigenvalue.
 
-    Ties keep LAPACK's ascending-order positions (stable sort), so the
-    result is deterministic for a given input.
+    `a` is one (n, n) matrix or a (..., n, n) stack, decomposed in one
+    LAPACK call; each matrix of a stack gets exactly the decomposition it
+    gets alone. Ties keep LAPACK's ascending-order positions (stable
+    sort), so the result is deterministic for a given input.
     """
     w, v = np.linalg.eigh(a)
-    order = np.argsort(-w, kind="stable")
-    return EigDecomposition(w[order], v[:, order])
+    if np.all(w[..., 1:] > w[..., :-1]):
+        # Strictly ascending, as LAPACK returns them without ties: the
+        # stable descending order is the reversal.
+        return EigDecomposition(w[..., ::-1].copy(), v[..., ::-1].copy())
+    order = np.argsort(-w, axis=-1, kind="stable")
+    return EigDecomposition(np.take_along_axis(w, order, axis=-1),
+                            np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
 def _inertia_and_log_slope(m: np.ndarray, dm: np.ndarray):

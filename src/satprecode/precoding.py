@@ -16,6 +16,7 @@ power with that axis dropped again.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from .linalg import RANK_TOL, eigh_sorted  # noqa: F401 (re-exported)
+from .linalg import RANK_TOL, TrimmedEig, eigh_sorted  # noqa: F401 (re-exported)
 
 __all__ = [
     "Precoder",
@@ -106,7 +107,22 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     single beam there is nothing to mitigate and the block degenerates to
     a scaled truncated identity.
     """
-    p = _power_vector(p_total)
+    return _unstack(p_total, _mbim_blocks(
+        ch, lambda: ch.other_gram_eigs(beams), np.asarray(beams),
+        _power_vector(p_total), shifts))
+
+
+def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], list[TrimmedEig]],
+                 beam_ids: np.ndarray, p: np.ndarray,
+                 shifts: np.ndarray | None = None) -> np.ndarray:
+    """(P, *S, N, Q) interference-mitigation blocks of the beams
+    `beam_ids` (shape S) of channels shaped like `ch`.
+
+    `spectra()` returns their trimmed other-beam spectra, flat in the C
+    order of `beam_ids`; it is called only once the shape checks pass.
+    `shifts`, shaped like `beam_ids`, defaults to all zero. The first
+    rank-deficient beam in that order is named.
+    """
     n = ch.feeds
     q = ch.users_per_beam
     if q > n:
@@ -115,25 +131,25 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
             "than served users"
         )
     if ch.beams == 1:
-        amp = np.sqrt(p / (ch.beams * q))[:, None, None, None]
-        return _unstack(p_total, amp * np.eye(n, q, dtype=complex))
+        amp = np.sqrt(p / (ch.beams * q)).reshape(-1, *[1] * (beam_ids.ndim + 2))
+        return amp * np.eye(n, q, dtype=complex)
     if shifts is None:
-        shifts = np.zeros(len(beams))
-    eigs = ch.other_gram_eigs(beams)
-    lam_max = np.array([eig.lam_max for eig in eigs])
-    tail = np.array([eig.tail_values for eig in eigs])        # (B, Q)
+        shifts = np.zeros(beam_ids.shape)
+    eigs = spectra()
+    lam_max = np.array([eig.lam_max for eig in eigs]).reshape(beam_ids.shape)
+    tail = np.array([eig.tail_values for eig in eigs]).reshape(*beam_ids.shape, q)
     singular = (shifts == 0.0) & (
-        tail[:, -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
+        tail[..., -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
     if np.any(singular):
         raise SingularChannelError(
-            f"cross-channel Gram matrix of beam {beams[np.argmax(singular)]} "
+            f"cross-channel Gram matrix of beam {int(beam_ids[singular][0])} "
             "is rank deficient"
         )
-    scale = 1.0 / np.sqrt(tail + _regularizer(ch, p)[:, None, None]
-                          + shifts[:, None])
-    return _unstack(p_total,
-                    np.array([eig.tail for eig in eigs]) * scale[..., None, :])
+    reg = _regularizer(ch, p).reshape(-1, *[1] * tail.ndim)
+    scale = 1.0 / np.sqrt(tail + reg + shifts[..., None])
+    vectors = np.array([eig.tail for eig in eigs]).reshape(*beam_ids.shape, n, q)
+    return vectors * scale[..., None, :]
 
 
 def _columns(blocks: np.ndarray) -> np.ndarray:
@@ -200,20 +216,24 @@ def rzf_interbeam(ch: ChannelMatrix,
     return _columns(rzf_stack(ch, range(ch.beams), p_total))
 
 
-def intrabeam(z: np.ndarray, first_beam: int = 0) -> np.ndarray:
+def intrabeam(z: np.ndarray, beam_ids: np.ndarray | None = None) -> np.ndarray:
     """Unit vectors maximizing ``||Z w||`` (leading right singular vectors).
 
     `z` is one effective intra-beam channel (Q x Q) or a stack of them
-    (..., B, Q, Q) for consecutive beams numbered from `first_beam`; the
-    result is one vector (Q,) or a stack (..., B, Q). An all-zero channel
-    raises DegenerateBeamError naming the first beam that has one.
+    (..., *S, Q, Q) for the beams numbered by `beam_ids` (shape S, by
+    default ``0 .. B-1`` over the last stack axis); the result is one
+    vector (Q,) or a stack (..., *S, Q). An all-zero channel raises
+    DegenerateBeamError naming the first beam, in the C order of
+    `beam_ids`, that has one.
     """
     z = np.asarray(z)
-    dead = np.atleast_1d(~np.any(z, axis=(-2, -1)))
-    dead = dead.reshape(-1, dead.shape[-1]).any(axis=0)
+    dead = ~np.any(z, axis=(-2, -1))
+    if beam_ids is None:
+        beam_ids = np.arange(dead.shape[-1]) if dead.ndim else np.array(0)
+    dead = dead.reshape(-1, *beam_ids.shape).any(axis=0)
     if np.any(dead):
         raise DegenerateBeamError(
-            f"beam {first_beam + int(np.argmax(dead))}: "
+            f"beam {int(beam_ids[dead][0])}: "
             "effective intra-beam channel is zero"
         )
     _, _, vh = np.linalg.svd(z)
@@ -266,16 +286,17 @@ def _scaled(p_total: float | np.ndarray, w_bar: np.ndarray, mode: str,
 
 
 def _beam_columns(h_blocks: np.ndarray, wa: np.ndarray,
-                  first_beam: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Intra-beam stage of consecutive beams, one stacked SVD.
+                  beam_ids: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Intra-beam stage of a stack of beams, one stacked SVD.
 
-    `h_blocks` holds the beams' (B, Q, N) user rows and `wa` their
-    (..., B, N, Q) inter-beam blocks. Every effective channel
-    ``Z_b = H_b Wa_b`` is formed in one stacked product. Returns the
-    intra-beam vectors w_b (..., B, Q) and the precoder columns
-    ``Wa_b w_b`` (..., B, N).
+    `h_blocks` holds the beams' (*S, Q, N) user rows and `wa` their
+    (..., *S, N, Q) inter-beam blocks; `beam_ids` numbers them for
+    `intrabeam`. Every effective channel ``Z_b = H_b Wa_b`` is formed in
+    one stacked product. Returns the intra-beam vectors w_b (..., *S, Q)
+    and the precoder columns ``Wa_b w_b`` (..., *S, N).
     """
-    vectors = intrabeam(h_blocks @ wa, first_beam)
+    vectors = intrabeam(h_blocks @ wa, beam_ids)
     return vectors, (wa @ vectors[..., None])[..., 0]
 
 

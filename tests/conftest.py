@@ -25,6 +25,14 @@ def random_channel(beams, users_per_beam, feeds, seed, scale=3.0):
     return ChannelMatrix(h=h, beams=beams, users_per_beam=users_per_beam)
 
 
+def perturbed(ch, ratio, seed):
+    """`perturb_channel`'s estimate of `ch` and the tight per-beam bounds
+    of its error."""
+    est, delta = sp.perturb_channel(ch, ratio, seed)
+    return est, sp.PerturbationBounds.from_delta(delta, ch.beams,
+                                                 ch.users_per_beam)
+
+
 def acceptance_corpus(count=100, master_seed=2024):
     """Random channels with full-rank cross-Grams: K<=7, Q<=3, N<=14."""
     rng = np.random.default_rng(master_seed)

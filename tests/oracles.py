@@ -25,8 +25,10 @@ when the library exported them:
 
 The dense per-beam eigendecomposition of each other-beam Gram matrix
 (`other_gram_eig_per_beam`) is the reference for the downdated spectra
-that serve wide beam ranges, and `build_phase_matrix_exp` the reference
-for the phase synthesis.
+that serve wide beam ranges, `build_phase_matrix_exp` the reference
+for the phase synthesis, and `assemble_multigateway_per_view`, one
+gateway view at a time, the reference for the multi-gateway precoder
+that designs all gateways of one block size together.
 """
 
 from __future__ import annotations
@@ -57,10 +59,12 @@ from satprecode.gateway import GatewayPlan
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
     Precoder,
+    _beam_columns,
     _null_bases,
     _power_vector,
     _regularized_inverse,
     _regularizer,
+    _scaled,
     _unstack,
     intrabeam,
     mbim_stack,
@@ -717,3 +721,28 @@ def sinr_matrix_per_power(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     signal = amps[np.arange(amps.shape[0]), beam_of_row]
     interference = amps.sum(axis=1) - signal
     return (signal / (interference + 1.0)).reshape(ch.beams, ch.users_per_beam)
+
+
+def assemble_multigateway_per_view(views: list[ChannelMatrix],
+                                   plan: GatewayPlan,
+                                   p_total: float | np.ndarray,
+                                   mode: str = "per_feed") -> Precoder:
+    """Block-diagonal multi-gateway precoder, one gateway view at a time.
+
+    Each gateway's blocks come from `mbim_stack` on its own view, so each
+    view's Gram tails take that view's own path (one dense decomposition
+    per beam, or the downdate), and the first gateway whose design fails
+    is named.
+    """
+    p = _power_vector(p_total)
+    w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)
+    for g, eff in enumerate(views):
+        beams = plan.beam_slice(g)
+        try:
+            wa = mbim_stack(eff, range(beams.start, beams.stop), p)  # (P, B, N_g, Q)
+            _, columns = _beam_columns(eff.beam_blocks()[beams], wa,
+                                       np.arange(beams.start, beams.stop))
+        except MODELLED_FAILURES as exc:
+            raise type(exc)(f"gateway {g}: {exc}") from exc
+        w_bar[:, plan.feed_slice(g), beams] = columns.swapaxes(-1, -2)
+    return _scaled(p_total, w_bar, mode)

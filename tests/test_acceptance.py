@@ -34,7 +34,7 @@ from satprecode.precoding import (
 )
 from satprecode.robust import robust_two_stage
 
-from conftest import acceptance_corpus, random_channel
+from conftest import acceptance_corpus, perturbed, random_channel
 from oracles import (
     first_order_eigvecs,
     mbim_block,
@@ -91,7 +91,7 @@ def test_criterion_03_power_constraints_all_kinds(desk_layout, budget):
     plan_icp = make_plan(12, 12, 2, 3, "icp")
     plan_c = make_plan(12, 12, 2, 3, "closest", closest_c=2)
     plan_m = make_plan(12, 12, 2, 3, "msvdgc")
-    _, _, bounds = sp.perturb_channel(ch7, 0.1, 7)
+    _, bounds = perturbed(ch7, 0.1, 7)
     p = 12.0
     checked = 0
     for mode in ("per_feed", "total"):

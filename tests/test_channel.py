@@ -24,7 +24,7 @@ from satprecode.config import parse_config
 from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import ConfigError, GeometryError
 
-from conftest import random_channel
+from conftest import perturbed, random_channel
 from oracles import (
     boresight_angle_deg_cross,
     build_phase_matrix_exp,
@@ -92,6 +92,37 @@ class TestLayout:
         lay = sp.hex_layout(245, 47.0, 10.0, 0.09, 1.1, budget=budget)
         assert lay.beams == 245
         assert np.bincount(lay.color_of_beam, minlength=4).min() > 0
+
+    @pytest.mark.parametrize("beams, radius, spacing",
+                             [(7, 0.25, 4.0), (61, 0.09, 1.1), (245, 0.09, 1.1)])
+    def test_centers_converted_once_give_the_same_angles(self, budget, beams,
+                                                         radius, spacing):
+        # validate_geometry converts every center once and measures the
+        # separations with boresight_angle_deg: bit for bit the angles of
+        # off_axis_angle_deg, which converts them again for every beam.
+        lay = sp.hex_layout(beams, 47.0, 10.0, radius, spacing, budget=budget)
+        sat = budget.satellite_position()
+        c = lay.beam_centers
+        to_center = geometry.latlon_to_ecef(c[:, 0], c[:, 1],
+                                            budget.earth_radius_m) - sat
+        for k in range(beams):
+            assert np.array_equal(
+                geometry.boresight_angle_deg(to_center[k], to_center),
+                geometry.off_axis_angle_deg(sat, c[k, 0], c[k, 1], c[:, 0],
+                                            c[:, 1], budget.earth_radius_m))
+
+    def test_first_color_clash_is_named(self, budget):
+        # Beams 0, 1 and 2 sit 0.3 deg apart in a row; 0 and 2 share a
+        # color with 1, so the first clash found is (0, 1).
+        lay = sp.BeamLayout(
+            beam_centers=np.array([[47.0, 10.0], [47.0, 10.3], [47.0, 10.6]]),
+            feed_boresights=np.array([[47.0, 10.0], [47.0, 10.3], [47.0, 10.6]]),
+            feeds_per_beam=1,
+            beam_radius_3db_deg=0.25,
+            color_of_beam=np.array([1, 1, 1]),
+        )
+        with pytest.raises(ConfigError, match=r"^beams 0 and 1 are closer"):
+            lay.validate_geometry(budget)
 
     def test_zero_radius_rejected(self):
         with pytest.raises(ConfigError):
@@ -399,6 +430,27 @@ class TestAssemble:
         with pytest.raises(ConfigError):
             sp.assemble_channel(np.ones((2, 3)), np.ones((3, 2)), 1, 2)
 
+    def test_product_is_formed_in_a_writable_complex_phase(self, desk_layout,
+                                                            budget):
+        users = sp.place_users(desk_layout, 3, 9, budget=budget)
+        gain = sp.build_gain_matrix(desk_layout, users, budget)
+        phase = sp.build_phase_matrix(sp.PhaseModel(rng_seed=2), 21, 7)
+        gain_in, phase_in = gain.copy(), phase.copy()
+        ch = sp.assemble_channel(gain, phase, 7, 3)
+        # Bit for bit the allocated product, held in the phase array.
+        assert np.array_equal(ch.h, gain_in * phase_in)
+        assert ch.h is phase
+        assert not phase.flags.writeable
+        assert np.array_equal(gain, gain_in)
+        # A phase array that cannot hold the product is left alone.
+        for other in (np.ones((21, 7)), phase_in.copy()):
+            other.flags.writeable = other.dtype != complex
+            before = other.copy()
+            ch = sp.assemble_channel(gain, other, 7, 3)
+            assert np.array_equal(other, before)
+            assert np.array_equal(ch.h, gain * before)
+            assert not np.shares_memory(ch.h, other)
+
 
 class TestChannelMatrixViews:
     def test_beam_and_user_views(self):
@@ -482,26 +534,28 @@ class TestChannelMatrixViews:
 class TestPerturbation:
     def test_zero_ratio_returns_same_channel(self):
         ch = random_channel(3, 2, 4, seed=5)
-        perturbed, delta, bounds = sp.perturb_channel(ch, 0.0, 1)
+        perturbed, delta = sp.perturb_channel(ch, 0.0, 1)
         assert perturbed is ch
         assert not np.any(delta)
+        bounds = sp.PerturbationBounds.from_delta(delta, 3, 2)
         assert np.all(bounds.gamma_k == 0.0)
 
     def test_frobenius_ratio_exact(self):
         ch = random_channel(4, 2, 6, seed=6)
-        _, delta, _ = sp.perturb_channel(ch, 0.37, 2)
+        _, delta = sp.perturb_channel(ch, 0.37, 2)
         realized = np.linalg.norm(delta) / np.linalg.norm(ch.h)
         assert abs(realized - 0.37) <= 1e-12
 
     def test_complement_sum_identity(self):
         ch = random_channel(5, 2, 7, seed=7)
-        _, _, bounds = sp.perturb_channel(ch, 0.2, 3)
+        _, bounds = perturbed(ch, 0.2, 3)
         for k in range(5):
             assert bounds.gamma_tilde_k[k] == np.sum(np.delete(bounds.gamma_k, k))
 
     def test_total_energy_matches_beam_split(self):
         ch = random_channel(5, 3, 6, seed=8)
-        _, delta, bounds = sp.perturb_channel(ch, 0.1, 4)
+        _, delta = sp.perturb_channel(ch, 0.1, 4)
+        bounds = sp.PerturbationBounds.from_delta(delta, 5, 3)
         assert np.sum(bounds.gamma_k) == pytest.approx(
             np.linalg.norm(delta) ** 2, rel=1e-12
         )

@@ -25,7 +25,7 @@ from satprecode.linalg import downdated_tails
 from satprecode.robust import robust_two_stage
 
 import oracles
-from conftest import desk_channel, random_channel
+from conftest import desk_channel, perturbed, random_channel
 
 SHAPES = st.tuples(st.integers(2, 9), st.integers(1, 3), st.integers(1, 3))
 
@@ -119,7 +119,7 @@ def test_designs_equal_the_per_beam_path(beams, mode):
     ch = random_channel(beams, 2, beams, seed=beams)
     ref = _per_beam_path(ch)
     p = np.array([1.0, 100.0, 1e4])
-    _, _, bounds = sp.perturb_channel(ch, 0.05, 3)
+    _, bounds = perturbed(ch, 0.05, 3)
     for design in (lambda c: sp.two_stage(c, p, mode, "mbim"),
                    lambda c: robust_two_stage(c, bounds, p, mode)):
         np.testing.assert_allclose(sinr_matrix(ch, design(ch).w),

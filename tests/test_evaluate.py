@@ -228,8 +228,9 @@ class TestMonteCarlo:
         return shapes
 
     def test_each_beam_gram_decomposed_once_per_trial(self, monkeypatch):
+        # One call per beam, each on a stack of one 7 x 7 Gram matrix.
         shapes = self._robust_trial_eigh_shapes(monkeypatch, 7)
-        assert shapes == [(7, 7)] * 7
+        assert shapes == [(1, 7, 7)] * 7
 
     def test_one_gram_decomposition_per_estimate_above_the_crossover(
             self, monkeypatch):
@@ -266,10 +267,11 @@ class TestMonteCarlo:
                                trials=2, power_sweep_dbw=powers)
             assert run_monte_carlo(cfg).total_skipped() == 0
             counts.append(dict(calls))
-        # One exchange per (trial, scenario); one decomposition per
-        # (gateway view, own beam), whatever the number of power points.
+        # One exchange per (trial, scenario) and one stacked decomposition
+        # per (trial, scenario, block size), whatever the number of power
+        # points; 12 beams over 3 gateways (or 1) have a single block size.
         expected = {"share": 2 * len(scenarios),
-                    "eigh": 2 * len(scenarios) * 12}
+                    "eigh": 2 * len(scenarios)}
         assert counts == [expected, expected]
 
     def test_failed_csi_exchange_skips_every_power(self, monkeypatch):

@@ -1,0 +1,241 @@
+"""The multi-gateway precoder designs all gateways of one block size in
+one stacked pass.
+
+Its precoder, or its modelled failure (type, message and cause), must
+equal the per-view loop it replaced (`oracles.assemble_multigateway_per_view`)
+bit for bit, on equal and unequal splits, on views below and above the
+downdate crossover, and when several gateways fail in different ways.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import satprecode
+import satprecode.linalg
+from satprecode.channel import (
+    _DOWNDATE_MIN_BEAMS,
+    ChannelMatrix,
+    _dense_other_gram_tails,
+    stacked_other_gram_eigs,
+)
+from satprecode.exceptions import (
+    MODELLED_FAILURES,
+    DegenerateBeamError,
+    InfeasibleChannelError,
+    SingularChannelError,
+)
+from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
+
+import oracles
+from conftest import random_channel
+
+POWERS = (5.0, np.array([0.5, 5.0, 3e3]))
+
+
+def _outcome(views, plan, p_total, mode, design):
+    try:
+        return design(views, plan, p_total, mode)
+    except MODELLED_FAILURES as exc:
+        return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
+
+
+def _assert_equals_per_view(ch, gateways, gw_mode, closest_c=None):
+    plan = make_plan(ch.beams, ch.feeds, ch.users_per_beam, gateways, gw_mode,
+                     closest_c=closest_c)
+    # Separate views, so the two paths share no memoized spectrum.
+    views, ref_views = share_csi(ch, plan), share_csi(ch, plan)
+    outcomes = []
+    for mode in ("per_feed", "total"):
+        for p_total in POWERS:
+            fast = _outcome(views, plan, p_total, mode,
+                            assemble_multigateway_precoder)
+            slow = _outcome(ref_views, plan, p_total, mode,
+                            oracles.assemble_multigateway_per_view)
+            if isinstance(slow, tuple):
+                assert fast == slow
+            else:
+                assert np.array_equal(fast.w, slow.w)
+                assert np.array_equal(fast.alpha, slow.alpha)
+                assert type(fast.alpha) is type(slow.alpha)
+            outcomes.append(slow)
+    return plan, outcomes
+
+
+def _counting_eigh(monkeypatch):
+    original = satprecode.linalg.eigh_sorted
+    shapes = []
+
+    def counting(a):
+        shapes.append(a.shape)
+        return original(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("satprecode") and vars(mod).get(
+                "eigh_sorted") is original:
+            monkeypatch.setattr(mod, "eigh_sorted", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("gw_mode", ["icp", "closest", "msvdgc", "ref"])
+@pytest.mark.parametrize("beams, gateways, users, feeds_per_beam", [
+    (12, 3, 2, 1),     # one block size
+    (13, 3, 2, 1),     # 5, 4, 4 beams: two block sizes
+    (7, 2, 1, 2),      # 4, 3 beams, two feeds per beam
+    (10, 4, 3, 2),     # 3, 3, 2, 2 beams, Q = 3
+])
+def test_stacked_design_equals_the_per_view_loop(beams, gateways, users,
+                                                 feeds_per_beam, gw_mode):
+    ch = random_channel(beams, users, beams * feeds_per_beam, seed=beams + users)
+    plan, outcomes = _assert_equals_per_view(
+        ch, gateways, gw_mode, closest_c=1 if gw_mode == "closest" else None)
+    if gw_mode != "ref":
+        assert len(set(plan.beams_per_gateway.tolist())) == (
+            1 if beams % gateways == 0 else 2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 4), st.sampled_from(["icp", "closest", "msvdgc", "ref"]),
+       st.integers(0, 2**16))
+def test_stacked_design_equals_the_per_view_loop_on_random_channels(
+        beams, users, feeds_per_beam, gateways, gw_mode, seed):
+    # Includes K = 1, Q > N_g and singular views (few feeds, no sharing).
+    gateways = min(gateways, beams)
+    if gw_mode == "closest" and gateways < 2:
+        gw_mode = "icp"
+    ch = random_channel(beams, users, beams * feeds_per_beam, seed=seed)
+    _assert_equals_per_view(ch, gateways, gw_mode,
+                            closest_c=1 if gw_mode == "closest" else None)
+
+
+@pytest.mark.parametrize("gw_mode", ["icp", "closest", "msvdgc"])
+@pytest.mark.parametrize("beams", [61, 47])
+def test_views_at_the_downdate_crossover_equal_the_per_view_loop(beams,
+                                                                 gw_mode):
+    # 61 beams: 31 and 30 per gateway, both views downdate. 47 beams: 24
+    # and 23, so one run downdates and the other takes the stacked tails.
+    ch = random_channel(beams, 2, beams, seed=beams)
+    plan, outcomes = _assert_equals_per_view(
+        ch, 2, gw_mode, closest_c=1 if gw_mode == "closest" else None)
+    assert max(plan.beams_per_gateway) >= _DOWNDATE_MIN_BEAMS
+    assert not any(isinstance(o, tuple) for o in outcomes)
+
+
+def _private_feed(h, beam, feed, q):
+    """`h` with `feed` reaching only `beam`'s users: every other beam's
+    Gram matrix, seen without `beam`, then misses that feed."""
+    own = h[q * beam:q * (beam + 1), feed].copy()
+    h[:, feed] = 0.0
+    h[q * beam:q * (beam + 1), feed] = own
+
+
+def test_first_failing_gateway_is_reported_whatever_stage_fails():
+    # Gateway 1 (beams 4-7) has a dead beam 5; gateway 2 (beams 8-11) a
+    # rank-deficient Gram matrix at beam 9, a check the stacked pass makes
+    # before any beam's intra-beam stage. The loop reports gateway 1.
+    h = random_channel(12, 2, 12, seed=21).h.copy()
+    h[10:12] = 0.0
+    _private_feed(h, 9, 9, 2)
+    ch = ChannelMatrix(h=h.copy(), beams=12, users_per_beam=2)
+    plan, outcomes = _assert_equals_per_view(ch, 3, "icp")
+    assert outcomes[0][:3] == (
+        DegenerateBeamError,
+        "gateway 1: beam 5: effective intra-beam channel is zero",
+        DegenerateBeamError)
+    # Without the dead beam, gateway 2's own failure is reported.
+    h[10:12] = random_channel(12, 2, 12, seed=21).h[10:12]
+    ch = ChannelMatrix(h=h.copy(), beams=12, users_per_beam=2)
+    _, outcomes = _assert_equals_per_view(ch, 3, "icp")
+    assert outcomes[0][:2] == (
+        SingularChannelError,
+        "gateway 2: cross-channel Gram matrix of beam 9 is rank deficient")
+
+
+def test_first_failing_gateway_is_reported_across_block_sizes():
+    # 13 beams over 3 gateways: 5, 4 and 4, designed in two passes.
+    # Gateway 0 has a dead beam 2, gateway 1 a rank-deficient Gram matrix
+    # at beam 6 and gateway 2 a dead beam 11.
+    clean = random_channel(13, 2, 13, seed=22).h
+    h = clean.copy()
+    h[4:6] = 0.0
+    h[22:24] = 0.0
+    _private_feed(h, 6, 6, 2)
+    ch = ChannelMatrix(h=h.copy(), beams=13, users_per_beam=2)
+    _, outcomes = _assert_equals_per_view(ch, 3, "icp")
+    assert outcomes[0][:2] == (
+        DegenerateBeamError,
+        "gateway 0: beam 2: effective intra-beam channel is zero")
+    h[4:6] = clean[4:6]
+    ch = ChannelMatrix(h=h.copy(), beams=13, users_per_beam=2)
+    _, outcomes = _assert_equals_per_view(ch, 3, "icp")
+    assert outcomes[0][:2] == (
+        SingularChannelError,
+        "gateway 1: cross-channel Gram matrix of beam 6 is rank deficient")
+
+
+def test_fewer_feeds_than_users_names_the_first_gateway():
+    ch = random_channel(4, 3, 4, seed=23)
+    _, outcomes = _assert_equals_per_view(ch, 2, "closest", closest_c=1)
+    assert outcomes[0][:2] == (
+        InfeasibleChannelError,
+        "gateway 0: cannot build an 2 x 3 inter-beam block with fewer feeds "
+        "than served users")
+
+
+def test_one_decomposition_per_block_size_fills_every_view(monkeypatch):
+    ch = random_channel(13, 2, 13, seed=24)
+    plan = make_plan(13, 13, 2, 3, "msvdgc")
+    views = share_csi(ch, plan)
+    shapes = _counting_eigh(monkeypatch)
+    assemble_multigateway_precoder(views, plan, np.array([1.0, 10.0]))
+    # 5 own beams of one view, then 4 of each of the other two: one call
+    # per block size, one 5 x 5 (or 4 x 4) Gram matrix per (view, beam).
+    assert shapes == [(5, 5, 5), (8, 4, 4)]
+    # The tails are memoized on each view: a one-power rerun after a
+    # failure, or any later design on the view, decomposes nothing.
+    assemble_multigateway_precoder(views, plan, 10.0)
+    for g, view in enumerate(views):
+        beams = plan.beam_slice(g)
+        view.other_gram_eigs(range(beams.start, beams.stop))
+    assert len(shapes) == 2
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 12), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 2**16), st.booleans())
+def test_stacked_dense_tails_equal_each_beam_alone(beams, users, feeds,
+                                                   channels, seed, zero_rows):
+    chans = []
+    for c in range(channels):
+        h = random_channel(beams, users, feeds, seed=seed + c).h.copy()
+        if zero_rows:
+            # Gateway-like view: the rows of half the beams are unknown.
+            h[: users * (beams // 2)] = 0.0
+        chans.append(ChannelMatrix(h=h, beams=beams, users_per_beam=users))
+    rng = np.random.default_rng(seed)
+    channel = rng.integers(0, channels, 2 * beams)
+    beam = rng.integers(0, beams, 2 * beams)
+    found = _dense_other_gram_tails(np.stack([ch.h for ch in chans]), channel,
+                                    beam, users)
+    for c, k, eig in zip(channel, beam, found):
+        dense = oracles.other_gram_eig_per_beam(chans[c], k)
+        assert eig.lam_max == dense.eigenvalues[0]
+        assert np.array_equal(eig.tail_values, dense.eigenvalues[-users:])
+        assert np.array_equal(eig.tail, dense.eigenvectors[:, -users:])
+
+
+def test_stacked_spectra_keep_what_a_view_memoized():
+    ch = random_channel(6, 2, 6, seed=25)
+    views = share_csi(ch, make_plan(6, 6, 2, 2, "icp"))
+    first = views[1].other_gram_eigs(range(4, 5))[0]
+    eigs = stacked_other_gram_eigs(views, [range(0, 3), range(3, 6)])
+    assert len(eigs) == 6
+    assert eigs[4] is first
+    assert eigs == [*views[0].other_gram_eigs(range(0, 3)),
+                    *views[1].other_gram_eigs(range(3, 6))]
+    assert not any(e.tail.flags.writeable or e.tail_values.flags.writeable
+                   for e in eigs)

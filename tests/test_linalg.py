@@ -35,6 +35,28 @@ class TestEighSorted:
         v = eig.eigenvectors
         assert np.allclose(v.conj().T @ v, np.eye(7), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_stack_equals_each_matrix_alone(self, n):
+        # Gram matrices with repeated and zero eigenvalues among them.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((7, 2, n)) + 1j * rng.standard_normal((7, 2, n))
+        grams = np.concatenate([x.conj().swapaxes(-1, -2) @ x,
+                                np.zeros((1, n, n)), np.eye(n)[None],
+                                np.stack([hermitian(n, s) for s in range(3)])])
+        stacked = eigh_sorted(grams.reshape(3, 4, n, n))
+        assert stacked.eigenvalues.shape == (3, 4, n)
+        assert stacked.eigenvectors.shape == (3, 4, n, n)
+        for i, a in enumerate(grams):
+            alone = eigh_sorted(a)
+            assert np.array_equal(stacked.eigenvalues.reshape(-1, n)[i],
+                                  alone.eigenvalues)
+            assert np.array_equal(stacked.eigenvectors.reshape(-1, n, n)[i],
+                                  alone.eigenvectors)
+        err = np.linalg.norm(stacked.reconstruct() - grams.reshape(3, 4, n, n),
+                             axis=(-2, -1))
+        assert np.all(err <= 1e-10 * np.linalg.norm(grams, axis=(-2, -1))
+                      .reshape(3, 4) + 1e-300)
+
 
 class TestNullSpace:
     def test_wide_matrix_null_dimension(self):

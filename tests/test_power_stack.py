@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import satprecode as sp
 import satprecode.evaluate
-from satprecode.channel import perturb_channel
 from satprecode.evaluate import ModcodTable, beam_rate, run_monte_carlo, sinr_matrix
 from satprecode.exceptions import MODELLED_FAILURES, ConfigError
 from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
@@ -30,7 +29,7 @@ from satprecode.precoding import (
 from satprecode.robust import robust_interbeam, robust_two_stage
 
 import oracles
-from conftest import acceptance_corpus, desk_channel, random_channel
+from conftest import acceptance_corpus, desk_channel, perturbed, random_channel
 
 POWERS = np.array([0.5, 10.0, 316.25, 1e4, 3.0, 2.5e5])
 P_SIZES = (1, 2, 6)
@@ -95,7 +94,7 @@ def _per_power_arg(p, of):
 
 
 def _assert_designs_match(ch, p, seed):
-    _, _, bounds = perturb_channel(ch, 0.05, seed)
+    _, bounds = perturbed(ch, 0.05, seed)
     _assert_stack_matches(lambda x: mbim_interbeam(ch, x),
                           lambda x: oracles.mbim_interbeam_per_power(ch, x), p)
     _assert_stack_matches(lambda x: rzf_interbeam(ch, x),

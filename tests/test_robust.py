@@ -12,7 +12,7 @@ from satprecode.precoding import intrabeam, mbim_interbeam, two_stage
 from satprecode.robust import eigen_shift_bound, robust_interbeam, robust_two_stage
 
 import oracles
-from conftest import acceptance_corpus, random_channel
+from conftest import acceptance_corpus, perturbed, random_channel
 from oracles import (
     DegenerateSpectrumWarning,
     coupling_matrix,
@@ -162,7 +162,7 @@ class TestRobustInterbeam:
         # added to the regularizer. Verified against a direct oracle.
         ch = random_channel(3, 2, 4, seed=7)
         p = 5.0
-        _, _, bounds = sp.perturb_channel(ch, 0.05, 1)
+        _, bounds = perturbed(ch, 0.05, 1)
         wa = robust_interbeam(ch, bounds, p)
         for k in range(3):
             other = ch.excluding(k)
@@ -240,7 +240,7 @@ class TestRobustPipeline:
 
     def test_power_constraints_match_nominal_path(self):
         ch = random_channel(3, 2, 4, seed=14)
-        _, _, bounds = sp.perturb_channel(ch, 0.1, 2)
+        _, bounds = perturbed(ch, 0.1, 2)
         for mode, check in (
             ("per_feed", lambda pre: np.max(pre.feed_powers())),
             ("total", lambda pre: pre.total_power()),
@@ -253,7 +253,7 @@ class TestRobustPipeline:
         # The oracle runs the first-order coupler algebra of both stages;
         # the library runs shifted mbim plus the nominal intra stage.
         for i, (ch, p) in enumerate(acceptance_corpus()):
-            est, _, bounds = sp.perturb_channel(ch, 0.05, 700 + i)
+            est, bounds = perturbed(ch, 0.05, 700 + i)
             gamma_lower = np.minimum(1.0, bounds.gamma_k)
             assert np.all(bounds.gamma_tilde_k > 0.0)
             for mode in ("per_feed", "total"):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satprecode as sp
-from satprecode.channel import ChannelMatrix, perturb_channel
+from satprecode.channel import ChannelMatrix
 from satprecode.exceptions import MODELLED_FAILURES, DegenerateBeamError
 from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
 from satprecode.precoding import (
@@ -28,7 +28,7 @@ from satprecode.precoding import (
 from satprecode.robust import robust_interbeam
 
 import oracles
-from conftest import acceptance_corpus, desk_channel, random_channel
+from conftest import acceptance_corpus, desk_channel, perturbed, random_channel
 
 # (beams, users per beam, feeds per beam)
 SHAPES = [(1, 1, 1), (1, 2, 3), (7, 1, 1), (7, 2, 1), (12, 2, 1), (19, 3, 3),
@@ -60,7 +60,7 @@ def _assert_stages_match_loops(ch, p_total, seed):
                  _outcome(oracles.mbim_interbeam_per_beam, ch, p_total))
     rzf = rzf_interbeam(ch, p_total)
     assert np.array_equal(rzf, oracles.rzf_interbeam_per_beam(ch, p_total))
-    _, _, bounds = perturb_channel(ch, 0.05, seed)
+    _, bounds = perturbed(ch, 0.05, seed)
     robust = _outcome(robust_interbeam, ch, bounds, p_total)
     _assert_same(robust, _outcome(oracles.robust_interbeam_per_beam, ch,
                                   bounds, p_total))
@@ -172,4 +172,4 @@ def test_intrabeam_of_a_stack_equals_each_matrix_alone():
         assert np.array_equal(stacked[b], oracles.intrabeam_per_beam(z[b]))
     z[3] = 0.0
     with pytest.raises(DegenerateBeamError, match=r"^beam 13: "):
-        intrabeam(z, first_beam=10)
+        intrabeam(z, beam_ids=np.arange(10, 15))
