@@ -41,7 +41,7 @@ from .gateway import (
     overhead_per_gateway,
     share_csi,
 )
-from .grouping import UserGroup, group_users, members_array, robust_group_users
+from .grouping import group_users, robust_group_users
 from .linalg import EigDecomposition, eigh_sorted
 from .precoding import (
     Precoder,

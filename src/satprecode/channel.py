@@ -165,10 +165,6 @@ class BeamLayout:
     def feeds(self) -> int:
         return self.feed_boresights.shape[0]
 
-    def feed_slice(self, k: int) -> slice:
-        f = self.feeds_per_beam
-        return slice(k * f, (k + 1) * f)
-
     def validate_geometry(self, budget: LinkBudget) -> None:
         """Check visibility and the reuse-4 coloring against actual angles.
 
@@ -182,8 +178,9 @@ class BeamLayout:
         if np.any(elev <= 0.0):
             bad = int(np.argmin(elev))
             raise GeometryError(f"beam {bad} center is below the horizon")
-        # Each center converted once, as `build_gain_matrix` converts the
-        # users; the angles equal `geometry.off_axis_angle_deg` bit for bit.
+        # Each center converted to a satellite-to-ground vector once, as
+        # `build_gain_matrix` converts the users, and every separation taken
+        # against those vectors.
         to_center = geometry.latlon_to_ecef(
             self.beam_centers[:, 0], self.beam_centers[:, 1], budget.earth_radius_m
         ) - sat
@@ -290,10 +287,6 @@ class UserSet:
     @property
     def beams(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def pool_size(self) -> int:
-        return self.positions.shape[1]
 
     def flat_positions(self) -> np.ndarray:
         return self.positions.reshape(-1, 2)
@@ -502,16 +495,13 @@ class ChannelMatrix:
         """(K, Q, N) view of `h` whose block k is ``beam(k)``."""
         return self.h.reshape(self.beams, self.users_per_beam, -1)
 
-    def excluding(self, k: int) -> np.ndarray:
-        """(K-1)Q x N matrix of every other beam's rows."""
-        return np.delete(self.h, self.beam_rows(k), axis=0)
-
     def other_gram_eigs(self, beams: range) -> list[TrimmedEig]:
         """Trimmed spectra of the other-beam Gram matrices of `beams`, memoized.
 
-        Beam k's Gram matrix is ``excluding(k)^H excluding(k)`` (N x N);
-        entry k keeps its largest eigenvalue and its Q smallest eigenpairs,
-        the directions the inter-beam designs use. A range of at least
+        Beam k's Gram matrix is ``O_k^H O_k`` (N x N), where O_k holds the
+        rows of every other beam in order; entry k keeps its largest
+        eigenvalue and its Q smallest eigenpairs, the directions the
+        inter-beam designs use. A range of at least
         `_DOWNDATE_MIN_BEAMS` beams is served by one eigendecomposition of
         ``h^H h`` and a rank-Q downdate per beam; a shorter range, and any
         beam the downdate cannot certify, by one dense eigendecomposition
@@ -550,9 +540,9 @@ def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
     stacked `eigh_sorted` call.
 
     `h` is a (C, KQ, N) stack of channels; entry i is the spectrum of beam
-    ``beam[i]`` of channel ``channel[i]``, that beam's rows removed as
-    `ChannelMatrix.excluding` removes them, so each equals the dense
-    decomposition of that one Gram matrix bit for bit.
+    ``beam[i]`` of channel ``channel[i]``, formed from the other beams'
+    rows in their original order, so each equals the dense decomposition
+    of that one Gram matrix bit for bit.
     """
     q = users_per_beam
     kept = np.arange(h.shape[-2] - q)

@@ -48,16 +48,15 @@ __all__ = [
     "MonteCarloResult",
     "gateway_plans",
     "run_monte_carlo",
-    "bootstrap_mean_diff_quantiles",
 ]
 
 @dataclass(frozen=True)
 class ModcodTable:
     """Monotone SNIR-threshold to spectral-efficiency lookup.
 
-    Thresholds (dB) are strictly increasing, efficiencies (bit/symbol)
-    nondecreasing; below the lowest threshold the link is in outage and
-    the efficiency is zero.
+    Thresholds (dB) are finite and strictly increasing, efficiencies
+    (bit/symbol) finite and nondecreasing; below the lowest threshold the
+    link is in outage and the efficiency is zero.
     """
 
     thresholds_db: np.ndarray
@@ -70,6 +69,8 @@ class ModcodTable:
         object.__setattr__(self, "efficiencies", eff)
         if thr.ndim != 1 or thr.shape != eff.shape or thr.size == 0:
             raise ConfigError("table needs matching nonempty threshold/efficiency rows")
+        if not (np.all(np.isfinite(thr)) and np.all(np.isfinite(eff))):
+            raise ConfigError("thresholds and efficiencies must be finite")
         if np.any(np.diff(thr) <= 0.0):
             raise ConfigError("thresholds must be strictly increasing")
         if np.any(np.diff(eff) < 0.0) or np.any(eff < 0.0):
@@ -267,15 +268,11 @@ def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
                     gamma_user: np.ndarray | None, seed) -> np.ndarray:
     q = cfg.users_per_beam
     if cfg.grouping == "nominal":
-        return grouping_mod.members_array(
-            grouping_mod.group_users(pool_est, q, seed)
-        )
+        return grouping_mod.group_users(pool_est, q, seed)
     if cfg.grouping == "robust":
         if gamma_user is None:
             gamma_user = np.zeros((pool_est.beams, pool_est.users_per_beam))
-        return grouping_mod.members_array(
-            grouping_mod.robust_group_users(pool_est, gamma_user, q, seed)
-        )
+        return grouping_mod.robust_group_users(pool_est, gamma_user, q, seed)
     rng = np.random.default_rng(seed)
     return np.array(
         [
@@ -475,22 +472,3 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
         selected_members=selected,
     )
 
-
-def bootstrap_mean_diff_quantiles(a: np.ndarray, b: np.ndarray,
-                                  quantiles=(0.05, 0.95), n_boot: int = 2000,
-                                  seed: int = 0) -> np.ndarray:
-    """Paired bootstrap quantiles of mean(a - b) over trials.
-
-    Rows where either input is NaN are dropped jointly, keeping the
-    pairing intact.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ok = ~(np.isnan(a) | np.isnan(b))
-    diff = a[ok] - b[ok]
-    if diff.size == 0:
-        raise ConfigError("no jointly valid trials to bootstrap")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diff.size, size=(n_boot, diff.size))
-    means = diff[idx].mean(axis=1)
-    return np.quantile(means, quantiles)

@@ -18,7 +18,8 @@ sub-precoder is assembled; gateways are otherwise independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,53 +41,49 @@ MODES = ("icp", "closest", "msvdgc", "ref")
 
 @dataclass(frozen=True)
 class GatewayPlan:
-    """Consecutive-block assignment of beams and feeds to gateways."""
+    """Consecutive-block assignment of beams and feeds to gateways.
+
+    Gateway g serves beams ``beam_offsets[g]:beam_offsets[g + 1]`` from
+    feeds ``feed_offsets[g]:feed_offsets[g + 1]``; the offsets are the
+    prefix sums of the count arrays, worked out once on construction.
+    """
 
     gateways: int
     users_per_beam: int
     beams_per_gateway: np.ndarray   # (G,)
     feeds_per_gateway: np.ndarray   # (G,)
-    beam_to_gateway: np.ndarray     # (K,)
-    feed_to_gateway: np.ndarray     # (N,)
     mode: str
     closest_c: int | None = None
     neighbor_lists: tuple[tuple[int, ...], ...] | None = None
+    beam_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    feed_offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("beams_per_gateway", "feeds_per_gateway",
-                     "beam_to_gateway", "feed_to_gateway"):
+        for name, offsets in (("beams_per_gateway", "beam_offsets"),
+                              ("feeds_per_gateway", "feed_offsets")):
             a = np.asarray(getattr(self, name), dtype=int)
             object.__setattr__(self, name, a)
             a.flags.writeable = False
+            object.__setattr__(self, offsets, (0, *accumulate(a.tolist())))
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.beams_per_gateway.sum() != self.beam_to_gateway.shape[0]:
-            raise ConfigError("beam counts do not partition the beams")
-        if self.feeds_per_gateway.sum() != self.feed_to_gateway.shape[0]:
-            raise ConfigError("feed counts do not partition the feeds")
-        if self.mode == "closest":
-            if self.closest_c is None or not 1 <= self.closest_c < self.gateways:
-                raise ConfigError(
-                    "closest mode needs 1 <= closest_c < gateway count"
-                )
-            if self.neighbor_lists is None:
-                raise ConfigError("closest mode needs neighbor lists")
+        if self.mode == "closest" and (
+                self.closest_c is None or not 1 <= self.closest_c < self.gateways):
+            raise ConfigError("closest mode needs 1 <= closest_c < gateway count")
 
     @property
     def beams(self) -> int:
-        return self.beam_to_gateway.shape[0]
+        return self.beam_offsets[-1]
 
     @property
     def feeds(self) -> int:
-        return self.feed_to_gateway.shape[0]
+        return self.feed_offsets[-1]
 
     def beam_slice(self, g: int) -> slice:
-        start = int(self.beams_per_gateway[:g].sum())
-        return slice(start, start + int(self.beams_per_gateway[g]))
+        return slice(self.beam_offsets[g], self.beam_offsets[g + 1])
 
     def feed_slice(self, g: int) -> slice:
-        start = int(self.feeds_per_gateway[:g].sum())
-        return slice(start, start + int(self.feeds_per_gateway[g]))
+        return slice(self.feed_offsets[g], self.feed_offsets[g + 1])
 
     def row_slice(self, g: int) -> slice:
         b = self.beam_slice(g)
@@ -118,44 +115,34 @@ def make_plan(beams: int, feeds: int, users_per_beam: int, gateways: int,
     if feeds % beams != 0:
         raise ConfigError("feeds must be an integer multiple of beams")
     k_g = _near_equal_split(beams, gateways)
-    n_g = k_g * (feeds // beams)
-    beam_to_gw = np.repeat(np.arange(gateways), k_g)
-    feed_to_gw = np.repeat(np.arange(gateways), n_g)
-
-    neighbors = None
-    if mode == "closest" and gateways > 1:
-        if closest_c is None or not 1 <= closest_c < gateways:
-            raise ConfigError("closest mode needs 1 <= closest_c < gateway count")
-        if beam_centers is not None:
-            centers = np.asarray(beam_centers, dtype=float)
-            if centers.shape[0] != beams:
-                raise ConfigError("beam_centers must have one row per beam")
-            centroids = np.array(
-                [centers[beam_to_gw == g].mean(axis=0) for g in range(gateways)]
-            )
-            dist = np.linalg.norm(
-                centroids[:, None, :] - centroids[None, :, :], axis=-1
-            )
-        else:
-            idx = np.arange(gateways, dtype=float)
-            dist = np.abs(idx[:, None] - idx[None, :])
-        lists = []
-        for g in range(gateways):
-            order = np.argsort(dist[g], kind="stable")
-            lists.append(tuple(int(l) for l in order if l != g)[:closest_c])
-        neighbors = tuple(lists)
-
-    return GatewayPlan(
+    plan = GatewayPlan(
         gateways=gateways,
         users_per_beam=users_per_beam,
         beams_per_gateway=k_g,
-        feeds_per_gateway=n_g,
-        beam_to_gateway=beam_to_gw,
-        feed_to_gateway=feed_to_gw,
+        feeds_per_gateway=k_g * (feeds // beams),
         mode=mode,
         closest_c=closest_c if mode == "closest" else None,
-        neighbor_lists=neighbors,
     )
+    if mode != "closest":
+        return plan
+    if beam_centers is not None:
+        centers = np.asarray(beam_centers, dtype=float)
+        if centers.shape[0] != beams:
+            raise ConfigError("beam_centers must have one row per beam")
+        centroids = np.array(
+            [centers[plan.beam_slice(g)].mean(axis=0) for g in range(gateways)]
+        )
+        dist = np.linalg.norm(
+            centroids[:, None, :] - centroids[None, :, :], axis=-1
+        )
+    else:
+        idx = np.arange(gateways, dtype=float)
+        dist = np.abs(idx[:, None] - idx[None, :])
+    lists = []
+    for g in range(gateways):
+        order = np.argsort(dist[g], kind="stable")
+        lists.append(tuple(int(l) for l in order if l != g)[:closest_c])
+    return replace(plan, neighbor_lists=tuple(lists))
 
 
 def local_csi(ch: ChannelMatrix, plan: GatewayPlan, g: int) -> np.ndarray:

@@ -43,19 +43,6 @@ def slant_range_m(sat_pos: np.ndarray, lat_deg, lon_deg,
     return d
 
 
-def off_axis_angle_deg(sat_pos: np.ndarray, bore_lat, bore_lon,
-                       target_lat, target_lon,
-                       earth_radius_m: float) -> np.ndarray:
-    """Angle at the satellite between the boresight direction and targets.
-
-    Broadcasts over target arrays; the boresight is a single ground point.
-    """
-    return boresight_angle_deg(
-        latlon_to_ecef(bore_lat, bore_lon, earth_radius_m) - sat_pos,
-        latlon_to_ecef(target_lat, target_lon, earth_radius_m) - sat_pos,
-    )
-
-
 def boresight_angle_deg(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
     """Angle between one boresight vector (3,) and target vectors (..., 3).
 

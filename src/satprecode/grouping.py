@@ -11,77 +11,56 @@ selection unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import ChannelMatrix
 from .exceptions import ConfigError
 
-__all__ = ["UserGroup", "group_users", "robust_group_users", "members_array"]
-
-
-@dataclass(frozen=True)
-class UserGroup:
-    """Selected users of one beam: the random seed plus its neighbors."""
-
-    beam_index: int
-    seed_user_index: int
-    member_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.member_indices)) != len(self.member_indices):
-            raise ConfigError("group members must be distinct")
-        if self.seed_user_index not in self.member_indices:
-            raise ConfigError("the seed user must belong to the group")
+__all__ = ["group_users", "robust_group_users"]
 
 
 def _select(pool: ChannelMatrix, q_served: int, rng_seed,
-            penalties: np.ndarray | None) -> list[UserGroup]:
-    pool_size = pool.users_per_beam
-    if not 1 <= q_served <= pool_size:
+            penalties: np.ndarray | None) -> np.ndarray:
+    """(K, Q) served-user indices: row k is beam k's random seed user,
+    then its Q-1 nearest pool candidates in ascending index order."""
+    candidates = pool.users_per_beam
+    if not 1 <= q_served <= candidates:
         raise ConfigError(
-            f"group size {q_served} must lie in [1, pool size {pool_size}]"
+            f"group size {q_served} must lie in [1, pool size {candidates}]"
         )
     rng = np.random.default_rng(rng_seed)
-    groups = []
+    members = np.empty((pool.beams, q_served), dtype=int)
     for k in range(pool.beams):
-        seed = int(rng.integers(pool_size))
+        seed = int(rng.integers(candidates))
         rows = pool.beam(k)
         score = np.sum(np.abs(rows - rows[seed]) ** 2, axis=1)
         if penalties is not None:
             score = score + penalties[k]
         score[seed] = np.inf
+        members[k, 0] = seed
         # Stable argsort breaks ties by candidate index.
-        nearest = np.argsort(score, kind="stable")[: q_served - 1]
-        members = (seed, *sorted(int(i) for i in nearest))
-        groups.append(
-            UserGroup(beam_index=k, seed_user_index=seed, member_indices=members)
-        )
-    return groups
+        members[k, 1:] = np.sort(np.argsort(score, kind="stable")[: q_served - 1])
+    return members
 
 
-def group_users(pool: ChannelMatrix, q_served: int, rng_seed) -> list[UserGroup]:
+def group_users(pool: ChannelMatrix, q_served: int, rng_seed) -> np.ndarray:
     """Nominal grouping: seed user plus the Q-1 nearest pool channels."""
     return _select(pool, q_served, rng_seed, None)
 
 
 def robust_group_users(pool: ChannelMatrix, gamma_user: np.ndarray,
-                       q_served: int, rng_seed) -> list[UserGroup]:
+                       q_served: int, rng_seed) -> np.ndarray:
     """Uncertainty-aware grouping.
 
-    `gamma_user` is a (K, pool) array of nonnegative per-candidate bounds
-    added to the squared distances, penalizing candidates whose channel
-    knowledge is poor.
+    `gamma_user` is a (K, pool) array of finite nonnegative per-candidate
+    bounds added to the squared distances, penalizing candidates whose
+    channel knowledge is poor. A non-finite bound could tie with the seed
+    user's own infinite score and select it twice.
     """
     gamma_user = np.asarray(gamma_user, dtype=float)
     if gamma_user.shape != (pool.beams, pool.users_per_beam):
         raise ConfigError("gamma_user must be a (K, pool) array")
-    if np.any(gamma_user < 0.0):
-        raise ConfigError("gamma_user must be nonnegative")
+    if not np.all((gamma_user >= 0.0) & np.isfinite(gamma_user)):
+        raise ConfigError("gamma_user must be finite and nonnegative")
     return _select(pool, q_served, rng_seed, gamma_user)
 
-
-def members_array(groups: list[UserGroup]) -> np.ndarray:
-    """(K, Q) index array for extracting the served users' channel."""
-    return np.array([g.member_indices for g in groups], dtype=int)

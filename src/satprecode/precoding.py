@@ -67,12 +67,6 @@ class Precoder:
     wa: np.ndarray | None = None
     wb: np.ndarray | None = None
 
-    def feed_powers(self) -> np.ndarray:
-        return np.real(np.einsum("...nk,...nk->...n", self.w, self.w.conj()))
-
-    def total_power(self) -> float | np.ndarray:
-        return np.sum(np.abs(self.w) ** 2, axis=(-2, -1))[()]
-
 
 def _power_vector(p_total: float | np.ndarray) -> np.ndarray:
     """`p_total` as a (P,) power vector; a float gives P = 1."""

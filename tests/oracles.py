@@ -20,7 +20,15 @@ when the library exported them:
 * the one-beam views of the stacked designs: `mbim_block`, `rzf_block`
   and `rzf_null_basis`;
 * `feed_gain`, the scalar path to the feed gain that
-  `build_gain_matrix` computes for every user and feed at once;
+  `build_gain_matrix` computes for every user and feed at once, and
+  `off_axis_angle_deg`, the angle from ground coordinates behind it;
+* `excluding`, the other-beam rows whose Gram matrix the inter-beam
+  designs decompose, and `reconstruct`, an eigendecomposition multiplied
+  back out;
+* `feed_powers` and `total_power` of a precoding matrix, which the power
+  constraints bound;
+* `bootstrap_mean_diff_quantiles`, the paired bootstrap behind the
+  statistical acceptance criteria;
 * `random_unitary`, for seeded test spectra.
 
 The dense per-beam eigendecomposition of each other-beam Gram matrix
@@ -167,6 +175,60 @@ def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndar
     return rzf_stack(ch, range(k, k + 1), p_total)[..., 0, :, :]
 
 
+def off_axis_angle_deg(sat_pos: np.ndarray, bore_lat, bore_lon,
+                       target_lat, target_lon,
+                       earth_radius_m: float) -> np.ndarray:
+    """Angle at the satellite between the boresight direction and targets.
+
+    Broadcasts over target arrays; the boresight is a single ground point.
+    """
+    return geometry.boresight_angle_deg(
+        geometry.latlon_to_ecef(bore_lat, bore_lon, earth_radius_m) - sat_pos,
+        geometry.latlon_to_ecef(target_lat, target_lon, earth_radius_m) - sat_pos,
+    )
+
+
+def excluding(ch: ChannelMatrix, k: int) -> np.ndarray:
+    """(K-1)Q x N matrix of every beam's rows but beam k's."""
+    return np.delete(ch.h, ch.beam_rows(k), axis=0)
+
+
+def reconstruct(eig: EigDecomposition) -> np.ndarray:
+    """``V diag(lambda) V^H``, for one decomposition or a stack."""
+    v = eig.eigenvectors
+    return (v * eig.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def feed_powers(w: np.ndarray) -> np.ndarray:
+    """Diagonal of ``W W^H``: the power each feed radiates, (..., N)."""
+    return np.real(np.einsum("...nk,...nk->...n", w, w.conj()))
+
+
+def total_power(w: np.ndarray) -> float | np.ndarray:
+    """Trace of ``W W^H``; a float for one matrix, (P,) for a stack."""
+    return np.sum(np.abs(w) ** 2, axis=(-2, -1))[()]
+
+
+def bootstrap_mean_diff_quantiles(a: np.ndarray, b: np.ndarray,
+                                  quantiles=(0.05, 0.95), n_boot: int = 2000,
+                                  seed: int = 0) -> np.ndarray:
+    """Paired bootstrap quantiles of mean(a - b) over trials.
+
+    Rows where either input is NaN are dropped jointly, keeping the
+    pairing intact.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ok = ~(np.isnan(a) | np.isnan(b))
+    diff = a[ok] - b[ok]
+    if diff.size == 0:
+        raise ConfigError("no jointly valid trials to bootstrap")
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, diff.size, size=(n_boot, diff.size))
+    means = diff[idx].mean(axis=1)
+    return np.quantile(means, quantiles)
+
+
 def feed_gain(feed_boresight, user_position, layout: BeamLayout,
               budget: LinkBudget):
     """Feed radiation pattern gain toward a user (linear, power-like).
@@ -178,7 +240,7 @@ def feed_gain(feed_boresight, user_position, layout: BeamLayout,
     sat = budget.satellite_position()
     bore = np.asarray(feed_boresight, dtype=float)
     user = np.asarray(user_position, dtype=float)
-    theta = geometry.off_axis_angle_deg(
+    theta = off_axis_angle_deg(
         sat, bore[0], bore[1], user[..., 0], user[..., 1], budget.earth_radius_m
     )
     return pattern_gain(theta, layout.beam_radius_3db_deg)
@@ -235,7 +297,7 @@ def rzf_interbeam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
 
 def _shift(ch: ChannelMatrix, k: int, bounds: PerturbationBounds) -> float:
     """epsilon_k with the spectral norm taken by SVD."""
-    other = ch.excluding(k)
+    other = excluding(ch, k)
     lam_max = np.linalg.norm(other, 2) ** 2 if other.shape[0] else 0.0
     return eigen_shift_bound(float(bounds.gamma_tilde_k[k]), lam_max)
 
@@ -251,7 +313,7 @@ def robust_interbeam_block(ch: ChannelMatrix, k: int,
     carries no uncertainty and delegates to the nominal block, so the
     robust design reduces to the nominal one exactly.
     """
-    other = ch.excluding(k)
+    other = excluding(ch, k)
     eps = _shift(ch, k, bounds)
     if eps == 0.0:
         return mbim_block(ch, k, p_total)
@@ -318,7 +380,7 @@ def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
     )
     wb = np.zeros((k_beams * q, k_beams), dtype=complex)
     for k in range(k_beams):
-        other = ch.excluding(k)
+        other = excluding(ch, k)
         lam = eigh_sorted(other.conj().T @ other).eigenvalues
         nu = intra_penalty_scale(
             float(gamma_lower_k[k]), lam, _shift(ch, k, bounds)
@@ -337,7 +399,7 @@ def ground_halfwidth_deg(sat: np.ndarray, lat0: float, lon0: float,
         raise GeometryError("beam radius must be strictly positive")
     step = 1e-3
     for _ in range(40):
-        a_lat = geometry.off_axis_angle_deg(
+        a_lat = off_axis_angle_deg(
             sat, lat0, lon0, lat0 + step, lon0, earth_radius_m
         )
         if a_lat >= radius_deg:
@@ -354,7 +416,7 @@ def ground_halfwidth_deg(sat: np.ndarray, lat0: float, lon0: float,
 def other_gram_eig_per_beam(ch: ChannelMatrix, k: int) -> EigDecomposition:
     """Dense eigendecomposition of beam k's other-beam Gram matrix, the
     reference for the downdated spectra (`linalg.downdated_tails`)."""
-    other = ch.excluding(k)
+    other = excluding(ch, k)
     return eigh_sorted(other.conj().T @ other)
 
 
@@ -467,8 +529,9 @@ def four_color_precoder_per_beam(layout: BeamLayout, p_total: float) -> Precoder
     n = layout.feeds
     w = np.zeros((n, layout.beams), dtype=complex)
     amp = np.sqrt(p_total / n)
+    f = layout.feeds_per_beam
     for k in range(layout.beams):
-        w[layout.feed_slice(k), k] = amp
+        w[k * f:(k + 1) * f, k] = amp
     return Precoder(w=w, alpha=1.0, power_mode="per_feed")
 
 

@@ -28,8 +28,10 @@ from conftest import perturbed, random_channel
 from oracles import (
     boresight_angle_deg_cross,
     build_phase_matrix_exp,
+    excluding,
     feed_gain,
     ground_halfwidth_deg,
+    off_axis_angle_deg,
 )
 
 SHIPPED_CONFIGS = ("desk.cfg", "figure3_recipe.cfg", "gateway_desk.cfg",
@@ -72,7 +74,7 @@ class TestLayout:
         sat = budget.satellite_position()
         centers = desk_layout.beam_centers
         for i in range(desk_layout.beams):
-            ang = geometry.off_axis_angle_deg(
+            ang = off_axis_angle_deg(
                 sat, centers[i, 0], centers[i, 1], centers[:, 0], centers[:, 1],
                 budget.earth_radius_m,
             )
@@ -86,7 +88,9 @@ class TestLayout:
         lay = sp.hex_layout(3, 47.0, 10.0, 0.25, 4.0, feeds_per_beam=3,
                             budget=budget)
         assert lay.feeds == 9
-        assert lay.feed_slice(1) == slice(3, 6)
+        # Feeds are beam-major: beam 1's three feeds ring its center.
+        assert np.allclose(lay.feed_boresights[3:6].mean(axis=0),
+                           lay.beam_centers[1])
 
     def test_full_scale_layout_valid(self, budget):
         lay = sp.hex_layout(245, 47.0, 10.0, 0.09, 1.1, budget=budget)
@@ -99,7 +103,7 @@ class TestLayout:
                                                          radius, spacing):
         # validate_geometry converts every center once and measures the
         # separations with boresight_angle_deg: bit for bit the angles of
-        # off_axis_angle_deg, which converts them again for every beam.
+        # oracles.off_axis_angle_deg, which converts them again per beam.
         lay = sp.hex_layout(beams, 47.0, 10.0, radius, spacing, budget=budget)
         sat = budget.satellite_position()
         c = lay.beam_centers
@@ -108,8 +112,8 @@ class TestLayout:
         for k in range(beams):
             assert np.array_equal(
                 geometry.boresight_angle_deg(to_center[k], to_center),
-                geometry.off_axis_angle_deg(sat, c[k, 0], c[k, 1], c[:, 0],
-                                            c[:, 1], budget.earth_radius_m))
+                off_axis_angle_deg(sat, c[k, 0], c[k, 1], c[:, 0],
+                                   c[:, 1], budget.earth_radius_m))
 
     def test_first_color_clash_is_named(self, budget):
         # Beams 0, 1 and 2 sit 0.3 deg apart in a row; 0 and 2 share a
@@ -153,7 +157,7 @@ class TestPlaceUsers:
         sat = budget.satellite_position()
         for k in range(7):
             lat0, lon0 = desk_layout.beam_centers[k]
-            ang = geometry.off_axis_angle_deg(
+            ang = off_axis_angle_deg(
                 sat, lat0, lon0,
                 users.positions[k, :, 0], users.positions[k, :, 1],
                 budget.earth_radius_m,
@@ -286,7 +290,7 @@ class TestFeedPattern:
         lat0, lon0 = desk_layout.beam_centers[0]
         offset = brentq(
             lambda d: float(
-                geometry.off_axis_angle_deg(
+                off_axis_angle_deg(
                     sat, lat0, lon0, lat0 + d, lon0, budget.earth_radius_m
                 )
             ) - theta_3db,
@@ -461,7 +465,7 @@ class TestChannelMatrixViews:
 
     def test_excluding_removes_exactly_one_beam(self):
         ch = random_channel(4, 3, 6, seed=1)
-        other = ch.excluding(2)
+        other = excluding(ch, 2)
         assert other.shape == (9, 6)
         expected = np.vstack([ch.beam(0), ch.beam(1), ch.beam(3)])
         assert np.array_equal(other, expected)
@@ -472,7 +476,7 @@ class TestChannelMatrixViews:
     def test_remove_reinsert_round_trip(self, beams, q, feeds, seed):
         ch = random_channel(beams, q, feeds, seed=seed)
         for k in range(beams):
-            other = ch.excluding(k)
+            other = excluding(ch, k)
             rebuilt = np.insert(other, k * q, ch.beam(k), axis=0)
             assert np.array_equal(rebuilt, ch.h)
 
@@ -480,7 +484,7 @@ class TestChannelMatrixViews:
         ch = random_channel(3, 2, 4, seed=2)
         eig, = ch.other_gram_eigs(range(1, 2))
         assert ch.other_gram_eigs(range(3))[1] is eig
-        other = ch.excluding(1)
+        other = excluding(ch, 1)
         full = sp.eigh_sorted(other.conj().T @ other)
         assert eig.lam_max == full.eigenvalues[0]
         assert np.array_equal(eig.tail_values, full.eigenvalues[-2:])

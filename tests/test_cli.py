@@ -431,13 +431,27 @@ class TestCliVerbs:
         ("modcod_file = {dir}/non_numeric.txt\n", [], "non_numeric.txt:2:"),
         ("modcod_file = {dir}/repeated.txt\n", [],
          "repeated.txt: thresholds must be strictly increasing"),
+        # Every threshold below the SINRs: an infinite or NaN top
+        # efficiency would be paid to every beam, a NaN threshold sorted
+        # into the table.
+        ("modcod_file = {dir}/inf_efficiency.txt\n", [],
+         "inf_efficiency.txt: thresholds and efficiencies must be finite"),
+        ("modcod_file = {dir}/nan_efficiency.txt\n", [],
+         "nan_efficiency.txt: thresholds and efficiencies must be finite"),
+        ("modcod_file = {dir}/nan_threshold.txt\n", [],
+         "nan_threshold.txt: thresholds and efficiencies must be finite"),
     ], ids=["negative_seed", "negative_seed_flag", "power_overflows",
-            "power_underflows", "modcod_non_numeric", "modcod_repeated"])
+            "power_underflows", "modcod_non_numeric", "modcod_repeated",
+            "modcod_inf_efficiency", "modcod_nan_efficiency",
+            "modcod_nan_threshold"])
     @pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
     def test_unusable_run_input_exits_2(self, tmp_path, capsys, run_keys,
                                         extra, message, verb):
         (tmp_path / "non_numeric.txt").write_text("0.0 1.0\nabc def\n")
         (tmp_path / "repeated.txt").write_text("0.0 1.0\n0.0 2.0\n")
+        (tmp_path / "inf_efficiency.txt").write_text("-50 1.0\n-40 inf\n")
+        (tmp_path / "nan_efficiency.txt").write_text("-50 1.0\n-40 nan\n")
+        (tmp_path / "nan_threshold.txt").write_text("-50 1.0\nnan 1.0\n")
         path = tmp_path / "bad.cfg"
         path.write_text("[run]\ntrials = 1\nscenarios = mbim\n"
                         + run_keys.format(dir=tmp_path))

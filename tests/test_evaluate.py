@@ -12,13 +12,13 @@ from satprecode.config import ScenarioConfig
 from satprecode.evaluate import (
     ModcodTable,
     beam_rate,
-    bootstrap_mean_diff_quantiles,
     run_monte_carlo,
     sinr_matrix,
 )
 from satprecode.exceptions import ConfigError
 
 from conftest import random_channel
+from oracles import bootstrap_mean_diff_quantiles
 
 
 @pytest.fixture(scope="module")

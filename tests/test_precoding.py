@@ -38,7 +38,7 @@ class TestMbim:
         reg = 4 * 2 / p
         for k in range(4):
             wa = mbim_block(ch, k, p)
-            other = ch.excluding(k)
+            other = oracles.excluding(ch, k)
             gram = other.conj().T @ other + reg * np.eye(6)
             ident = wa.conj().T @ gram @ wa
             assert np.max(np.abs(ident - np.eye(2))) < 1e-8
@@ -54,7 +54,7 @@ class TestMbim:
         # eigenvectors scaled by eigenvalue**-1/2.
         ch = random_channel(3, 2, 4, seed=2)
         wa = mbim_block(ch, 0, 1e9)
-        other = ch.excluding(0)
+        other = oracles.excluding(ch, 0)
         lam, vec = scipy.linalg.eigh(other.conj().T @ other)
         expected = vec[:, :2] / np.sqrt(lam[:2])      # ascending order
         expected = expected[:, ::-1]                  # match descending layout
@@ -213,9 +213,9 @@ class TestPowerControl:
         p = 3.0
         pre = two_stage(ch, p, mode, "rzf")
         if mode == "per_feed":
-            assert np.max(pre.feed_powers()) == pytest.approx(p / beams, rel=1e-9)
+            assert np.max(oracles.feed_powers(pre.w)) == pytest.approx(p / beams, rel=1e-9)
         else:
-            assert pre.total_power() == pytest.approx(p, rel=1e-9)
+            assert oracles.total_power(pre.w) == pytest.approx(p, rel=1e-9)
 
 
 class TestTwoStage:
@@ -244,7 +244,7 @@ class TestTwoStage:
         for k in range(4):
             va, vb = a.wb[k], b.wb[k]
             assert abs(np.vdot(va, vb)) == pytest.approx(1.0, rel=1e-9)
-        assert np.max(b.feed_powers()) == pytest.approx(p / c**2 / 6, rel=1e-9)
+        assert np.max(oracles.feed_powers(b.w)) == pytest.approx(p / c**2 / 6, rel=1e-9)
 
     def test_unknown_interbeam_design_rejected(self):
         ch = random_channel(2, 2, 4, seed=13)
@@ -294,8 +294,8 @@ class TestFourColor:
     def test_every_feed_drives_its_own_beam_at_equal_power(self, desk_layout):
         p = 13.0
         pre = four_color_precoder(desk_layout, p)
-        assert np.allclose(pre.feed_powers(), p / 7, rtol=1e-12)
-        assert pre.total_power() == pytest.approx(p, rel=1e-12)
+        assert np.allclose(oracles.feed_powers(pre.w), p / 7, rtol=1e-12)
+        assert oracles.total_power(pre.w) == pytest.approx(p, rel=1e-12)
 
     def test_unique_color_beam_sees_zero_interference(self, desk_layout, budget):
         from conftest import desk_channel
