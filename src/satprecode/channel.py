@@ -4,7 +4,8 @@ The channel matrix is the entrywise product of a real gain matrix (link
 budget, feed radiation pattern) and a unit-modulus phase
 matrix. Rows are stacked beam-major: row ``k*Q + q`` belongs to user q of
 beam k. All objects are immutable after construction and safe to share
-across parallel workers.
+across parallel workers; each `ChannelMatrix` fills a lock-guarded memo of
+its other-beam Gram spectra lazily and hands out read-only views of it.
 
 The feed radiation pattern is a synthetic circular tapered-aperture model
 ``a(theta) = G_max * |2*J1(u)/u|**2`` with ``u = k_a * sin(theta)``,
@@ -16,14 +17,16 @@ beam radius. The peak gain follows the uniform-aperture relation
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import j1
 
 from . import geometry
 from .exceptions import ConfigError, GeometryError
-from .linalg import TrimmedEig, downdated_tails, eigh_sorted
+from .linalg import downdated_tails, eigh_sorted
 
 __all__ = [
     "LinkBudget",
@@ -57,11 +60,6 @@ _HALFWIDTH_STEPS = 1e-3 * 2.0 ** np.arange(40)
 # eigendecomposition of H^H H and per-beam downdates instead of one dense
 # eigendecomposition per beam: the measured crossover (CHANGES.md table).
 _DOWNDATE_MIN_BEAMS = 24
-
-
-def _downdates(beams: int) -> bool:
-    """Whether a range of `beams` beams takes the downdated Gram tails."""
-    return beams >= _DOWNDATE_MIN_BEAMS
 
 
 @dataclass(frozen=True)
@@ -462,8 +460,11 @@ class ChannelMatrix:
     h: np.ndarray
     beams: int
     users_per_beam: int
-    _other_gram: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
+    # (filled, lam_max, tail_values, tail), allocated by the first `_unfilled`.
+    _spectra: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h)
@@ -495,91 +496,107 @@ class ChannelMatrix:
         """(K, Q, N) view of `h` whose block k is ``beam(k)``."""
         return self.h.reshape(self.beams, self.users_per_beam, -1)
 
-    def other_gram_eigs(self, beams: range) -> list[TrimmedEig]:
+    def other_gram_eigs(self, beams: range) -> tuple:
         """Trimmed spectra of the other-beam Gram matrices of `beams`, memoized.
 
         Beam k's Gram matrix is ``O_k^H O_k`` (N x N), where O_k holds the
-        rows of every other beam in order; entry k keeps its largest
-        eigenvalue and its Q smallest eigenpairs, the directions the
-        inter-beam designs use. A range of at least
-        `_DOWNDATE_MIN_BEAMS` beams is served by one eigendecomposition of
-        ``h^H h`` and a rank-Q downdate per beam; a shorter range, and any
-        beam the downdate cannot certify, by one dense eigendecomposition
-        per beam. Each beam is computed once per channel; the arrays are
-        read-only.
+        rows of every other beam in order. Returns read-only views of the
+        memo rows of the consecutive `beams`: the largest eigenvalue
+        ``lam_max`` (B,), the Q smallest ``tail_values`` (B, Q), descending,
+        and their eigenvectors ``tail`` (B, N, Q), the directions the
+        inter-beam designs use. A range of at least `_DOWNDATE_MIN_BEAMS`
+        beams is served by one eigendecomposition of ``h^H h`` and a rank-Q
+        downdate per beam; a shorter range, and any beam the downdate
+        cannot certify, by one dense eigendecomposition per beam. Each beam
+        is computed once per channel.
         """
-        missing = [k for k in beams if k not in self._other_gram]
-        if missing:
-            found = [None] * len(missing)
-            if _downdates(len(beams)):
-                found = downdated_tails(self.h, self.beam_blocks()[missing])
-            for k, eig in zip(missing, found):
-                if eig is None:
-                    # A stack of one per beam. The range's dense tails
-                    # could come from one stacked call, as the gateway
-                    # views' do, but perfbench/tests/test_tracer.py counts
-                    # one `eigh_sorted` call per beam of `two_stage`, and
-                    # it changes only with the benchmark (ROADMAP item 1b).
-                    eig, = _dense_other_gram_tails(
-                        self.h[None], np.zeros(1, dtype=int), np.array([k]),
-                        self.users_per_beam)
-                self._remember(k, eig)
-        return [self._other_gram[k] for k in beams]
+        todo = self._unfilled(beams)
+        if todo.size and len(beams) >= _DOWNDATE_MIN_BEAMS:
+            *found, ok = downdated_tails(self.h, self.beam_blocks()[todo])
+            self._store(todo[ok], *(a[ok] for a in found))
+            todo = todo[~ok]
+        if todo.size:
+            # A stack of one per beam. The range's dense tails could come
+            # from one stacked call, as the gateway views' do, but
+            # perfbench/tests/test_tracer.py counts one `eigh_sorted` call
+            # per beam of `two_stage`, and it changes only with the
+            # benchmark (ROADMAP item 1b).
+            found = [_dense_other_gram_tails(self.h[None], np.zeros(1, dtype=int),
+                                             todo[i:i + 1], self.users_per_beam)
+                     for i in range(todo.size)]
+            self._store(todo, *map(np.concatenate, zip(*found)))
+        views = [a[beams.start:beams.stop] for a in self._spectra[1:]]
+        for view in views:
+            view.flags.writeable = False
+        return tuple(views)
 
-    def _remember(self, k: int, eig: TrimmedEig) -> None:
-        eig.tail_values.flags.writeable = False
-        eig.tail.flags.writeable = False
-        # Threads racing on a shared channel all get the first result.
-        self._other_gram.setdefault(k, eig)
+    def _unfilled(self, beams: range) -> np.ndarray:
+        """The beams of the consecutive `beams` not memoized yet."""
+        with self._lock:
+            if self._spectra is None:
+                k, n = self.beams, self.feeds
+                m = min(self.users_per_beam, n)
+                object.__setattr__(self, "_spectra", (
+                    np.zeros(k, dtype=bool), np.empty(k), np.empty((k, m)),
+                    np.empty((k, n, m), dtype=complex)))
+        ids = np.arange(beams.start, beams.stop)
+        return ids[~self._spectra[0][ids]]
+
+    def _store(self, beam_ids: np.ndarray, *spectra: np.ndarray) -> None:
+        """Memoize spectra rows; a beam keeps its first result, so threads
+        racing on a shared channel all get the same bits."""
+        filled, *memo = self._spectra
+        with self._lock:
+            new = ~filled[beam_ids]
+            ids = beam_ids[new]
+            for slab, rows in zip(memo, spectra):
+                slab[ids] = rows[new]
+            filled[ids] = True
 
 
 def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
-                            beam: np.ndarray, users_per_beam: int
-                            ) -> list[TrimmedEig]:
+                            beam: np.ndarray, users_per_beam: int) -> tuple:
     """Trimmed other-beam Gram spectra of (channel, beam) pairs from one
     stacked `eigh_sorted` call.
 
-    `h` is a (C, KQ, N) stack of channels; entry i is the spectrum of beam
-    ``beam[i]`` of channel ``channel[i]``, formed from the other beams'
-    rows in their original order, so each equals the dense decomposition
-    of that one Gram matrix bit for bit.
+    `h` is a (C, KQ, N) stack of channels. Returns ``lam_max`` (M,),
+    ``tail_values`` (M, Q) and ``tail`` (M, N, Q); row i is the spectrum
+    of beam ``beam[i]`` of channel ``channel[i]``, formed from the other
+    beams' rows in their original order, so each equals the dense
+    decomposition of that one Gram matrix bit for bit.
     """
     q = users_per_beam
     kept = np.arange(h.shape[-2] - q)
     rows = kept + q * (kept >= q * beam[:, None])      # (M, (K-1)Q)
     other = h[channel[:, None], rows]
     full = eigh_sorted(other.conj().swapaxes(-1, -2) @ other)
-    tail_values = full.eigenvalues[:, -q:].copy()
-    tail = full.eigenvectors[..., -q:].copy()
-    return [TrimmedEig(full.eigenvalues[i, 0], tail_values[i], tail[i])
-            for i in range(beam.size)]
+    return (full.eigenvalues[:, 0], full.eigenvalues[:, -q:],
+            full.eigenvectors[..., -q:])
 
 
 def stacked_other_gram_eigs(channels: list[ChannelMatrix],
-                            beams: list[range]) -> list[TrimmedEig]:
+                            beams: list[range]) -> tuple:
     """`other_gram_eigs` of ``beams[c]`` on ``channels[c]`` for every c,
-    in that order, as one flat list.
+    stacked to (C, B, ...) arrays.
 
-    The channels share their shape. A range short of the downdate
-    crossover takes the dense tails its channel has not memoized yet,
-    and all of them come from one stacked decomposition; a longer range
-    keeps its channel's downdate. Every result is memoized on its
-    channel, exactly as `other_gram_eigs` would have computed it.
+    The channels share their shape and the ranges their length. A range
+    short of the downdate crossover takes the dense tails its channel has
+    not memoized yet, and all of them come from one stacked
+    decomposition; a longer range keeps its channel's downdate. Every
+    result is memoized on its channel, exactly as `other_gram_eigs` would
+    have computed it.
     """
-    pairs = []
-    for c, (ch, rng) in enumerate(zip(channels, beams)):
-        if _downdates(len(rng)):
-            ch.other_gram_eigs(rng)
-        else:
-            pairs += [(c, k) for k in rng if k not in ch._other_gram]
-    if pairs:
-        channel, beam = np.array(pairs).T
+    todo = [ch._unfilled(rng) for ch, rng in zip(channels, beams)]
+    counts = [t.size for t in todo]
+    if len(beams[0]) < _DOWNDATE_MIN_BEAMS and sum(counts):
         found = _dense_other_gram_tails(
-            np.stack([ch.h for ch in channels]), channel, beam,
+            np.stack([ch.h for ch in channels]),
+            np.repeat(np.arange(len(channels)), counts), np.concatenate(todo),
             channels[0].users_per_beam)
-        for (c, k), eig in zip(pairs, found):
-            channels[c]._remember(k, eig)
-    return [ch._other_gram[k] for ch, rng in zip(channels, beams) for k in rng]
+        for ch, t, end in zip(channels, todo, accumulate(counts)):
+            ch._store(t, *(a[end - t.size:end] for a in found))
+    return tuple(np.stack(parts) for parts in zip(
+        *(ch.other_gram_eigs(rng) for ch, rng in zip(channels, beams))))
 
 
 def assemble_channel(gain: np.ndarray, phase: np.ndarray, beams: int,

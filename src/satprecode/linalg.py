@@ -51,20 +51,6 @@ class EigDecomposition:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class TrimmedEig:
-    """Largest eigenvalue and low end of a Hermitian spectrum.
-
-    `lam_max` is the largest eigenvalue; `tail_values` (m,) holds the m
-    smallest eigenvalues, descending, and `tail` (n x m) their
-    eigenvectors, column j matching ``tail_values[j]``.
-    """
-
-    lam_max: float
-    tail_values: np.ndarray
-    tail: np.ndarray
-
-
 def eigh_sorted(a: np.ndarray) -> EigDecomposition:
     """Hermitian eigendecomposition sorted by descending eigenvalue.
 
@@ -108,23 +94,26 @@ def _inertia_and_log_slope(m: np.ndarray, dm: np.ndarray):
     return neg, slope
 
 
-def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> list[TrimmedEig | None]:
+def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> tuple:
     """Largest eigenvalue and Q-smallest eigenpairs of every other-beam Gram
     matrix ``G - B_k^H B_k``, from one eigendecomposition of ``G = h^H h``.
 
-    `blocks` is the (B, Q, N) stack of the beams' rows of `h`. Entry k is
-    beam k's `TrimmedEig`, or None when its eigenvalues could not be
-    certified to `DOWNDATE_TOL` or a tail Ritz residual exceeds it; the
-    caller then decomposes that beam's Gram matrix directly. So is every
-    beam when Q > N or G = 0, which leave no tail to downdate.
+    `blocks` is the (B, Q, N) stack of the beams' rows of `h`. Returns
+    ``lam_max`` (B,), ``tail_values`` (B, Q) and ``tail`` (B, N, Q), laid
+    out as `ChannelMatrix.other_gram_eigs` returns them, and the mask `ok`
+    of the beams whose eigenvalues were certified to `DOWNDATE_TOL` with
+    every tail Ritz residual within it; the caller decomposes any other
+    beam's Gram matrix directly. No beam is ok when Q > N or G = 0, which
+    leave no tail to downdate.
     """
     b, q, n = blocks.shape
-    if q > n:
-        return [None] * b
-    eig = eigh_sorted(h.conj().T @ h)
-    scale = float(max(eig.eigenvalues[0], -eig.eigenvalues[-1]))
-    if not scale > 0.0:
-        return [None] * b
+    if q <= n:
+        eig = eigh_sorted(h.conj().T @ h)
+        scale = float(max(eig.eigenvalues[0], -eig.eigenvalues[-1]))
+    if q > n or not scale > 0.0:
+        m = min(q, n)
+        return (np.zeros(b), np.zeros((b, m)), np.zeros((b, n, m), dtype=complex),
+                np.zeros(b, dtype=bool))
     # Ascending and scaled to ||G|| = 1, so every bound below is absolute.
     d = eig.eigenvalues[::-1] / scale
     v = eig.eigenvectors[:, ::-1]
@@ -194,9 +183,4 @@ def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> list[TrimmedEig | None
     # Back to the original basis in one product; descending like eigh_sorted.
     tails = (v @ vectors.swapaxes(0, 1).reshape(n, -1)).reshape(n, b, q)
     tails = tails.swapaxes(0, 1)[..., ::-1]
-    values = ritz[:, ::-1] * scale
-    return [
-        TrimmedEig(float(mu[k, -1] * scale), values[k].copy(), tails[k].copy())
-        if ok[k] else None
-        for k in range(b)
-    ]
+    return mu[:, -1] * scale, ritz[:, ::-1] * scale, tails, ok

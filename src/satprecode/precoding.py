@@ -28,7 +28,7 @@ from .exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from .linalg import RANK_TOL, TrimmedEig, eigh_sorted  # noqa: F401 (re-exported)
+from .linalg import RANK_TOL, eigh_sorted  # noqa: F401 (re-exported)
 
 __all__ = [
     "Precoder",
@@ -106,14 +106,15 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
         _power_vector(p_total), shifts))
 
 
-def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], list[TrimmedEig]],
+def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], tuple],
                  beam_ids: np.ndarray, p: np.ndarray,
                  shifts: np.ndarray | None = None) -> np.ndarray:
     """(P, *S, N, Q) interference-mitigation blocks of the beams
     `beam_ids` (shape S) of channels shaped like `ch`.
 
-    `spectra()` returns their trimmed other-beam spectra, flat in the C
-    order of `beam_ids`; it is called only once the shape checks pass.
+    `spectra()` returns their trimmed other-beam spectra over S, laid out
+    as `ChannelMatrix.other_gram_eigs` returns them; it is called only
+    once the shape checks pass.
     `shifts`, shaped like `beam_ids`, defaults to all zero. The first
     rank-deficient beam in that order is named.
     """
@@ -129,21 +130,18 @@ def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], list[TrimmedEig]],
         return amp * np.eye(n, q, dtype=complex)
     if shifts is None:
         shifts = np.zeros(beam_ids.shape)
-    eigs = spectra()
-    lam_max = np.array([eig.lam_max for eig in eigs]).reshape(beam_ids.shape)
-    tail = np.array([eig.tail_values for eig in eigs]).reshape(*beam_ids.shape, q)
+    lam_max, tail_values, tail = spectra()
     singular = (shifts == 0.0) & (
-        tail[..., -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
+        tail_values[..., -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
     if np.any(singular):
         raise SingularChannelError(
             f"cross-channel Gram matrix of beam {int(beam_ids[singular][0])} "
             "is rank deficient"
         )
-    reg = _regularizer(ch, p).reshape(-1, *[1] * tail.ndim)
-    scale = 1.0 / np.sqrt(tail + reg + shifts[..., None])
-    vectors = np.array([eig.tail for eig in eigs]).reshape(*beam_ids.shape, n, q)
-    return vectors * scale[..., None, :]
+    reg = _regularizer(ch, p).reshape(-1, *[1] * tail_values.ndim)
+    scale = 1.0 / np.sqrt(tail_values + reg + shifts[..., None])
+    return tail * scale[..., None, :]
 
 
 def _columns(blocks: np.ndarray) -> np.ndarray:

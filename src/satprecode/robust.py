@@ -44,13 +44,13 @@ def eigen_shift_bound(gamma_hat: float, lam_max: float) -> float:
 
 
 def _shift_bounds(ch: ChannelMatrix, bounds: PerturbationBounds) -> np.ndarray:
-    """The worst-case eigenvalue shift of every beam, from the cached
-    other-beam spectra."""
-    return np.array([
-        eigen_shift_bound(float(gamma), eig.lam_max)
-        for gamma, eig in zip(bounds.gamma_tilde_k,
-                              ch.other_gram_eigs(range(ch.beams)))
-    ])
+    """The worst-case eigenvalue shift of every beam, from the memoized
+    largest other-beam Gram eigenvalues."""
+    lam_max = ch.other_gram_eigs(range(ch.beams))[0]
+    # One scalar call per beam: Python's ``float ** 2`` calls libm pow, which
+    # NumPy's elementwise square does not always match bit for bit.
+    return np.array([eigen_shift_bound(float(gamma), lam)
+                     for gamma, lam in zip(bounds.gamma_tilde_k, lam_max)])
 
 
 def robust_interbeam(ch: ChannelMatrix, bounds: PerturbationBounds,

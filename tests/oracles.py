@@ -455,14 +455,13 @@ def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
         )
     if ch.beams == 1:
         return np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
-    eig, = ch.other_gram_eigs(range(k, k + 1))
-    lam = eig.tail_values
-    if shift == 0.0 and lam[-1] <= RANK_TOL * max(eig.lam_max, 0.0):
+    lam_max, lam, tail = (a[0] for a in ch.other_gram_eigs(range(k, k + 1)))
+    if shift == 0.0 and lam[-1] <= RANK_TOL * max(lam_max, 0.0):
         raise SingularChannelError(
             f"cross-channel Gram matrix of beam {k} is rank deficient"
         )
     scale = 1.0 / np.sqrt(lam + regularizer_per_power(ch, p_total) + shift)
-    return eig.tail * scale
+    return tail * scale
 
 
 def mbim_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
@@ -603,9 +602,7 @@ def mbim_stack_per_power(ch: ChannelMatrix, beams: range, p_total: float,
         return block[None]
     if shifts is None:
         shifts = np.zeros(len(beams))
-    eigs = ch.other_gram_eigs(beams)
-    lam = np.array([eig.tail_values for eig in eigs])
-    lam_max = np.array([eig.lam_max for eig in eigs])
+    lam_max, lam, tails = ch.other_gram_eigs(beams)
     singular = (shifts == 0.0) & (
         lam[:, -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
@@ -616,7 +613,7 @@ def mbim_stack_per_power(ch: ChannelMatrix, beams: range, p_total: float,
         )
     scale = 1.0 / np.sqrt(lam + regularizer_per_power(ch, p_total)
                           + shifts[:, None])
-    return np.array([eig.tail for eig in eigs]) * scale[:, None, :]
+    return tails * scale[:, None, :]
 
 
 def _columns_per_power(blocks: np.ndarray) -> np.ndarray:

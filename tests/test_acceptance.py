@@ -13,10 +13,7 @@ import scipy.linalg
 import satprecode as sp
 from satprecode.channel import PerturbationBounds
 from satprecode.config import ScenarioConfig
-from satprecode.evaluate import (
-    ModcodTable,
-    run_monte_carlo,
-)
+from satprecode.evaluate import run_monte_carlo
 from satprecode.gateway import (
     assemble_multigateway_precoder,
     make_plan,

@@ -23,6 +23,7 @@ from satprecode.channel import (
 from satprecode.config import parse_config
 from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import ConfigError, GeometryError
+from satprecode.linalg import downdated_tails
 
 from conftest import perturbed, random_channel
 from oracles import (
@@ -32,6 +33,7 @@ from oracles import (
     feed_gain,
     ground_halfwidth_deg,
     off_axis_angle_deg,
+    other_gram_eig_per_beam,
 )
 
 SHIPPED_CONFIGS = ("desk.cfg", "figure3_recipe.cfg", "gateway_desk.cfg",
@@ -482,19 +484,54 @@ class TestChannelMatrixViews:
 
     def test_other_gram_eig_is_memoized_and_trimmed(self):
         ch = random_channel(3, 2, 4, seed=2)
-        eig, = ch.other_gram_eigs(range(1, 2))
-        assert ch.other_gram_eigs(range(3))[1] is eig
+        first = [a[0] for a in ch.other_gram_eigs(range(1, 2))]
+        lam_max, tail_values, tail = first
         other = excluding(ch, 1)
         full = sp.eigh_sorted(other.conj().T @ other)
-        assert eig.lam_max == full.eigenvalues[0]
-        assert np.array_equal(eig.tail_values, full.eigenvalues[-2:])
-        assert np.array_equal(eig.tail, full.eigenvectors[:, -2:])
-        assert not eig.tail.flags.writeable
-        assert not eig.tail_values.flags.writeable
+        assert lam_max == full.eigenvalues[0]
+        assert np.array_equal(tail_values, full.eigenvalues[-2:])
+        assert np.array_equal(tail, full.eigenvectors[:, -2:])
+        assert not tail.flags.writeable
+        assert not tail_values.flags.writeable
+        for whole, row in zip(ch.other_gram_eigs(range(3)), first):
+            assert np.array_equal(whole[1], row)
+            assert not whole.flags.writeable
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**16),
+           st.lists(st.integers(-1, 5), min_size=1, max_size=10))
+    def test_other_gram_eig_memo_keeps_each_beams_first_fill(self, beams, users,
+                                                             seed, order):
+        # -1 asks for the whole range (the downdate, with the crossover
+        # lowered), k >= 0 for beam k % beams alone (the dense path).
+        ch = random_channel(beams, users, beams * users, seed=seed)
+        first = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", 2)
+            for r in order:
+                rng = range(beams) if r < 0 else range(r % beams, r % beams + 1)
+                todo = [k for k in rng if k not in first]
+                ok = np.zeros(len(todo), dtype=bool)
+                if r < 0 and todo:
+                    *found, ok = downdated_tails(ch.h, ch.beam_blocks()[todo])
+                for i, k in enumerate(todo):
+                    if ok[i]:
+                        first[k] = [a[i] for a in found]
+                    else:
+                        dense = other_gram_eig_per_beam(ch, k)
+                        first[k] = [dense.eigenvalues[0],
+                                    dense.eigenvalues[-users:],
+                                    dense.eigenvectors[:, -users:]]
+                got = ch.other_gram_eigs(rng)
+                assert not any(a.flags.writeable for a in got)
+                for i, k in enumerate(rng):
+                    for slab, want in zip(got, first[k]):
+                        assert np.array_equal(slab[i], want)
 
     def test_other_gram_eig_shared_across_threads(self):
         # One channel on the dense per-beam path, one above the downdate
-        # crossover, where each thread's batch races the others per beam.
+        # crossover, where threads asking for the whole range (downdates)
+        # race threads asking beam by beam (dense tails, other bits).
         beams = 30
         assert beams >= _DOWNDATE_MIN_BEAMS
         for ch, batched in ((random_channel(6, 2, 8, seed=4), False),
@@ -503,14 +540,17 @@ class TestChannelMatrixViews:
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                def work():
-                    if batched:
-                        seen.append(ch.other_gram_eigs(range(ch.beams)))
+                def work(whole):
+                    if whole:
+                        got = ch.other_gram_eigs(range(ch.beams))
+                        seen.append([a.copy() for a in got])
                     else:
-                        seen.append([ch.other_gram_eigs(range(k, k + 1))[0]
-                                     for k in range(ch.beams)])
+                        rows = [[a.copy() for a in ch.other_gram_eigs(range(k, k + 1))]
+                                for k in range(ch.beams)]
+                        seen.append([np.concatenate(a) for a in zip(*rows)])
 
-                pool = [threading.Thread(target=work) for _ in range(8)]
+                pool = [threading.Thread(target=work, args=(batched and i % 2 == 0,))
+                        for i in range(8)]
                 for t in pool:
                     t.start()
                 for t in pool:
@@ -520,8 +560,8 @@ class TestChannelMatrixViews:
                 sys.setswitchinterval(interval)
             assert len(seen) == 8
             memo = ch.other_gram_eigs(range(ch.beams))
-            for k in range(ch.beams):
-                assert all(run[k] is memo[k] for run in seen)
+            for run in seen:
+                assert all(np.array_equal(got, slab) for got, slab in zip(run, memo))
 
     def test_channel_is_read_only(self):
         ch = random_channel(2, 2, 3, seed=3)

@@ -54,26 +54,27 @@ def _assert_matches_dense(ch):
     q, n = ch.users_per_beam, ch.feeds
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        found = downdated_tails(ch.h, ch.beam_blocks())
+        lam_max, tail_values, tails, ok = downdated_tails(ch.h, ch.beam_blocks())
     gram_norm = np.linalg.norm(ch.h, 2) ** 2
     fallbacks = []
-    for k, eig in enumerate(found):
-        if eig is None:
+    for k in range(ch.beams):
+        if not ok[k]:
             fallbacks.append(k)
             continue
         ref = oracles.other_gram_eig_per_beam(ch, k)
         lam = ref.eigenvalues
         tol = 1e-12 * lam[0] + 1e-13 * gram_norm
-        assert abs(eig.lam_max - lam[0]) <= tol
-        np.testing.assert_allclose(eig.tail_values, lam[-q:], rtol=0, atol=tol)
-        assert eig.tail.shape == (n, q)
-        np.testing.assert_allclose(eig.tail.conj().T @ eig.tail, np.eye(q),
+        assert abs(lam_max[k] - lam[0]) <= tol
+        np.testing.assert_allclose(tail_values[k], lam[-q:], rtol=0, atol=tol)
+        tail = tails[k]
+        assert tail.shape == (n, q)
+        np.testing.assert_allclose(tail.conj().T @ tail, np.eye(q),
                                    rtol=0, atol=1e-12)
         # The tail subspace is defined only where the spectrum has a gap
         # after the Q smallest eigenvalues.
         if n == q or lam[n - q - 1] - lam[n - q] > 1e-6 * gram_norm:
             ref_tail = ref.eigenvectors[:, -q:]
-            np.testing.assert_allclose(eig.tail @ eig.tail.conj().T,
+            np.testing.assert_allclose(tail @ tail.conj().T,
                                        ref_tail @ ref_tail.conj().T,
                                        rtol=0, atol=1e-10)
     return fallbacks

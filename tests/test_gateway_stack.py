@@ -219,23 +219,29 @@ def test_stacked_dense_tails_equal_each_beam_alone(beams, users, feeds,
     rng = np.random.default_rng(seed)
     channel = rng.integers(0, channels, 2 * beams)
     beam = rng.integers(0, beams, 2 * beams)
-    found = _dense_other_gram_tails(np.stack([ch.h for ch in chans]), channel,
-                                    beam, users)
-    for c, k, eig in zip(channel, beam, found):
+    lam_max, tail_values, tail = _dense_other_gram_tails(
+        np.stack([ch.h for ch in chans]), channel, beam, users)
+    for i, (c, k) in enumerate(zip(channel, beam)):
         dense = oracles.other_gram_eig_per_beam(chans[c], k)
-        assert eig.lam_max == dense.eigenvalues[0]
-        assert np.array_equal(eig.tail_values, dense.eigenvalues[-users:])
-        assert np.array_equal(eig.tail, dense.eigenvectors[:, -users:])
+        assert lam_max[i] == dense.eigenvalues[0]
+        assert np.array_equal(tail_values[i], dense.eigenvalues[-users:])
+        assert np.array_equal(tail[i], dense.eigenvectors[:, -users:])
 
 
-def test_stacked_spectra_keep_what_a_view_memoized():
+def test_stacked_spectra_keep_what_a_view_memoized(monkeypatch):
     ch = random_channel(6, 2, 6, seed=25)
     views = share_csi(ch, make_plan(6, 6, 2, 2, "icp"))
-    first = views[1].other_gram_eigs(range(4, 5))[0]
-    eigs = stacked_other_gram_eigs(views, [range(0, 3), range(3, 6)])
-    assert len(eigs) == 6
-    assert eigs[4] is first
-    assert eigs == [*views[0].other_gram_eigs(range(0, 3)),
-                    *views[1].other_gram_eigs(range(3, 6))]
-    assert not any(e.tail.flags.writeable or e.tail_values.flags.writeable
-                   for e in eigs)
+    first = [a[0].copy() for a in views[1].other_gram_eigs(range(4, 5))]
+    shapes = _counting_eigh(monkeypatch)
+    stacked = stacked_other_gram_eigs(views, [range(0, 3), range(3, 6)])
+    # Beam 4 of view 1 is read from its memo, not decomposed again.
+    assert shapes == [(5, 3, 3)]
+    assert [a.shape for a in stacked] == [(2, 3), (2, 3, 2), (2, 3, 3, 2)]
+    for got, want in zip(stacked, first):
+        assert np.array_equal(got[1, 1], want)
+    # The stacked arrays are copies: writing them cannot reach a memo.
+    for g, beams in enumerate([range(0, 3), range(3, 6)]):
+        for got, memo in zip(stacked, views[g].other_gram_eigs(beams)):
+            assert np.array_equal(got[g], memo)
+            assert not memo.flags.writeable
+            assert not np.shares_memory(got, memo)

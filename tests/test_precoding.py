@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import satprecode as sp
 from satprecode.channel import BeamLayout, ChannelMatrix
 from satprecode.exceptions import (
     ConfigError,
@@ -21,7 +20,6 @@ from satprecode.precoding import (
     intrabeam,
     mbim_interbeam,
     power_control,
-    rzf_interbeam,
     two_stage,
 )
 from satprecode.evaluate import sinr_matrix

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-import satprecode as sp
 from satprecode.channel import PerturbationBounds
 from satprecode.evaluate import sinr_matrix
 from satprecode.exceptions import ConfigError
