@@ -3,9 +3,10 @@
 The channel matrix is the entrywise product of a real gain matrix (link
 budget, feed radiation pattern) and a unit-modulus phase
 matrix. Rows are stacked beam-major: row ``k*Q + q`` belongs to user q of
-beam k. All objects are immutable after construction and safe to share
-across parallel workers; each `ChannelMatrix` fills a lock-guarded memo of
-its other-beam Gram spectra lazily and hands out read-only views of it.
+beam k. All objects are immutable after construction, except that each
+`ChannelMatrix` fills a memo of its other-beam Gram spectra lazily,
+without locking, and hands out read-only views of it. satprecode runs
+its trials one after another in one thread.
 
 The feed radiation pattern is a synthetic circular tapered-aperture model
 ``a(theta) = G_max * |2*J1(u)/u|**2`` with ``u = k_a * sin(theta)``,
@@ -17,7 +18,6 @@ beam radius. The peak gain follows the uniform-aperture relation
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -460,8 +460,6 @@ class ChannelMatrix:
     h: np.ndarray
     beams: int
     users_per_beam: int
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  repr=False, compare=False)
     # (filled, lam_max, tail_values, tail), allocated by the first `_unfilled`.
     _spectra: tuple | None = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -532,26 +530,21 @@ class ChannelMatrix:
 
     def _unfilled(self, beams: range) -> np.ndarray:
         """The beams of the consecutive `beams` not memoized yet."""
-        with self._lock:
-            if self._spectra is None:
-                k, n = self.beams, self.feeds
-                m = min(self.users_per_beam, n)
-                object.__setattr__(self, "_spectra", (
-                    np.zeros(k, dtype=bool), np.empty(k), np.empty((k, m)),
-                    np.empty((k, n, m), dtype=complex)))
+        if self._spectra is None:
+            k, n = self.beams, self.feeds
+            m = min(self.users_per_beam, n)
+            object.__setattr__(self, "_spectra", (
+                np.zeros(k, dtype=bool), np.empty(k), np.empty((k, m)),
+                np.empty((k, n, m), dtype=complex)))
         ids = np.arange(beams.start, beams.stop)
         return ids[~self._spectra[0][ids]]
 
     def _store(self, beam_ids: np.ndarray, *spectra: np.ndarray) -> None:
-        """Memoize spectra rows; a beam keeps its first result, so threads
-        racing on a shared channel all get the same bits."""
+        """Memoize the spectra rows of `beam_ids`."""
         filled, *memo = self._spectra
-        with self._lock:
-            new = ~filled[beam_ids]
-            ids = beam_ids[new]
-            for slab, rows in zip(memo, spectra):
-                slab[ids] = rows[new]
-            filled[ids] = True
+        for slab, rows in zip(memo, spectra):
+            slab[beam_ids] = rows
+        filled[beam_ids] = True
 
 
 def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,

@@ -9,7 +9,8 @@ Verbs:
                  summary;
 * ``sweep``    - like ``run`` with the power sweep overridden from the
                  command line;
-* ``overhead`` - gateway CSI-sharing accounting only, no Monte Carlo.
+* ``overhead`` - the CSI-sharing accounting of the configured ``gw_*``
+                 scenarios only, no Monte Carlo.
 
 Transmit powers are given in dBW and converted to Watts internally.
 """
@@ -54,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap the worker count")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the execution plan only")
 
@@ -75,8 +74,6 @@ def _load(args) -> ScenarioConfig:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     if getattr(args, "power_dbw", None):
         cfg.power_sweep_dbw = _parse_floats(args.power_dbw)
     cfg.validate()
@@ -97,14 +94,6 @@ def _print_plan(cfg: ScenarioConfig) -> None:
 
 def _echo_lines(cfg: ScenarioConfig) -> list[str]:
     return [f"satprecode {__version__}", *config_echo(cfg)]
-
-
-def _overhead_plans(cfg: ScenarioConfig, layout) -> dict:
-    """The gateway plans `run` simulates, or gateway.gateway_mode's if none."""
-    fallback = f"gw_{cfg.gateway_mode}"
-    if cfg.gateway_mode == "closest":
-        fallback += f":{cfg.closest_c}"
-    return gateway_plans(cfg, layout) or gateway_plans(cfg, layout, (fallback,))
 
 
 def _overhead_rows(plans: dict) -> list[tuple]:
@@ -134,7 +123,10 @@ def main(argv=None) -> int:
         # of them. No design runs yet, so only bad input can raise.
         layout = _build_layout(cfg, _build_budget(cfg))
         table = _build_table(cfg)
-        plans = _overhead_plans(cfg, layout) if args.verb == "overhead" else None
+        if args.verb == "overhead":
+            plans = gateway_plans(cfg, layout)
+            if not plans:
+                raise ConfigError("overhead needs at least one gw_* scenario")
     except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -89,14 +89,14 @@ class ScenarioConfig:
     seed: int = 1
     grouping: str = "none"           # none | nominal | robust
     csi_error_ratio: float = 0.0
-    gamma_lower: float = 1.0
+    gamma_lower: float = 1.0         # echoed only
     power_mode: str = "per_feed"
-    threads: int = 1
+    threads: int = 1                 # echoed only
     modcod_file: str = ""
     # [gateway]
     gateways: int = 1
-    gateway_mode: str = "ref"
-    closest_c: int = 2
+    gateway_mode: str = "ref"        # echoed only
+    closest_c: int = 2               # echoed only
 
     def validate(self) -> None:
         for section, keys in _SCHEMA.items():

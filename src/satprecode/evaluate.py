@@ -8,7 +8,6 @@ spectral efficiency of the highest threshold the minimum SINR clears.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -167,9 +166,7 @@ class MonteCarloResult:
 
     `throughput[scenario][p_dbw]` is a (trials, K) array of per-beam
     throughput with NaN rows for skipped trials; `plans` maps each
-    ``gw_*`` scenario to the gateway plan it was simulated with;
-    `selected_members` logs which pool users each trial served, per beam
-    (the first entry of a grouped selection is its seed user).
+    ``gw_*`` scenario to the gateway plan it was simulated with.
     """
 
     scenarios: tuple[str, ...]
@@ -179,7 +176,6 @@ class MonteCarloResult:
     throughput: dict
     skipped: dict
     plans: dict[str, GatewayPlan]
-    selected_members: np.ndarray | None = None
 
     def trial_means(self, scenario: str, p_dbw: float) -> np.ndarray:
         """Per-trial mean over beams (NaN where the trial was skipped)."""
@@ -245,15 +241,15 @@ def _build_table(cfg: ScenarioConfig) -> ModcodTable:
     return ModcodTable.default()
 
 
-def gateway_plans(cfg: ScenarioConfig, layout: BeamLayout,
-                  scenarios=None) -> dict[str, GatewayPlan]:
-    """The plan of each ``gw_*`` scenario, keyed by scenario name.
+def gateway_plans(cfg: ScenarioConfig,
+                  layout: BeamLayout) -> dict[str, GatewayPlan]:
+    """The plan of each configured ``gw_*`` scenario, keyed by scenario name.
 
-    `scenarios` defaults to the configured ones. ``gw_closest:C`` ranks
-    each gateway's peers by the centroid distance of their beam clusters.
+    ``gw_closest:C`` ranks each gateway's peers by the centroid distance
+    of their beam clusters.
     """
     plans = {}
-    for name in cfg.scenarios if scenarios is None else scenarios:
+    for name in cfg.scenarios:
         base, _, count = name.partition(":")
         if base.startswith("gw_"):
             plans[name] = make_plan(
@@ -285,7 +281,7 @@ def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
 def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
                     layout: BeamLayout, budget: LinkBudget):
     """One channel realization: the served users' true and estimated
-    channels, the estimate's error bounds and the served pool members.
+    channels and the estimate's error bounds.
 
     The pool-sized intermediates are released when this returns, so they
     are not held while the designs run.
@@ -328,16 +324,16 @@ def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
         )
     else:
         bounds = PerturbationBounds.zero(cfg.beams)
-    return ch_true, ch_est, bounds, members
+    return ch_true, ch_est, bounds
 
 
 def _run_trial(trial_seed: np.random.SeedSequence,
                cfg: ScenarioConfig, layout: BeamLayout, budget: LinkBudget,
                table: ModcodTable, plans: dict, p_w: np.ndarray):
     """One channel realization evaluated under every scenario and at every
-    power of `p_w`, the power sweep in Watts."""
-    ch_true, ch_est, bounds, members = _trial_channels(trial_seed, cfg, layout,
-                                                       budget)
+    power of `p_w`, the power sweep in Watts: a (K,) rate row per
+    (scenario, power) cell, None where the cell was skipped."""
+    ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget)
 
     # The CSI exchange does not depend on power: one set of views per
     # gateway scenario, so their decompositions serve every power point.
@@ -361,7 +357,7 @@ def _run_trial(trial_seed: np.random.SeedSequence,
         else:
             cells = _cells_per_power(lambda p: rates(name, p), p_w)
         out.update(zip([(name, p) for p in cfg.power_sweep_dbw], cells))
-    return out, members
+    return out
 
 
 def _cells_per_power(rates, p_w: np.ndarray) -> list:
@@ -412,7 +408,8 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     """Run the configured scenario suite over seeded channel realizations.
 
     Deterministic for a fixed master seed: each trial owns spawned seed
-    streams, so results do not depend on execution order or thread count.
+    streams, so a trial's results do not depend on the trials run before
+    it. The trials run one after another in this thread.
     Modelled numerical failures (singular or infeasible channels, vanished
     beams, LAPACK errors) skip their cell and are counted; any other
     exception propagates. `layout` and `table` are the configured beam
@@ -434,22 +431,10 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
         for p in cfg.power_sweep_dbw
     }
     skipped = {key: 0 for key in cells}
-    selected = np.zeros((cfg.trials, cfg.beams, cfg.users_per_beam), dtype=int)
 
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.trials, 0))
-
-    def work(t):
-        return t, _run_trial(trial_seeds[t], cfg, layout, budget, table, plans,
-                             p_w)
-
-    if cfg.threads > 1 and cfg.trials > 1:
-        with concurrent.futures.ThreadPoolExecutor(cfg.threads) as pool:
-            results = list(pool.map(work, range(cfg.trials)))
-    else:
-        results = [work(t) for t in range(cfg.trials)]
-
-    for t, (per_cell, members) in sorted(results):
-        selected[t] = members
+    for t, trial_seed in enumerate(trial_seeds):
+        per_cell = _run_trial(trial_seed, cfg, layout, budget, table, plans, p_w)
         for key, value in per_cell.items():
             if value is None:
                 skipped[key] += 1
@@ -460,7 +445,6 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     for (name, p), arr in cells.items():
         arr.flags.writeable = False
         throughput[name][p] = arr
-    selected.flags.writeable = False
     return MonteCarloResult(
         scenarios=cfg.scenarios,
         power_dbw=cfg.power_sweep_dbw,
@@ -469,6 +453,5 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
         throughput=throughput,
         skipped=skipped,
         plans=plans,
-        selected_members=selected,
     )
 

@@ -86,7 +86,8 @@ def _regularizer(ch: ChannelMatrix, p_total: float | np.ndarray):
 
 
 def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
-               shifts: np.ndarray | None = None) -> np.ndarray:
+               shifts: Callable[[np.ndarray], np.ndarray] | None = None
+               ) -> np.ndarray:
     """Inter-beam blocks Wa_k of the interference-mitigation design.
 
     Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
@@ -94,12 +95,13 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     each beam's other-beam Gram spectrum (`ChannelMatrix.other_gram_eigs`):
     ``Wa_k = V (S + (KQ/P_T + shift_k) I)^(-1/2)`` restricted to the Q
     columns of smallest eigenvalue, i.e. the directions least aligned with
-    the other beams' channels. A positive shift is the robust design's
-    worst-case spectral shift (`satprecode.robust`); no `shifts` means the
-    nominal design, all zero. Only beams with zero shift reject a
-    rank-deficient Gram matrix, and the first such beam is named. With a
-    single beam there is nothing to mitigate and the block degenerates to
-    a scaled truncated identity.
+    the other beams' channels. `shifts(lam_max)` maps the beams' largest
+    other-beam Gram eigenvalues to their shifts; a positive shift is the
+    robust design's worst-case spectral shift (`satprecode.robust`), and
+    no `shifts` means the nominal design, all zero. Only beams with zero
+    shift reject a rank-deficient Gram matrix, and the first such beam is
+    named. With a single beam there is nothing to mitigate and the block
+    degenerates to a scaled truncated identity.
     """
     return _unstack(p_total, _mbim_blocks(
         ch, lambda: ch.other_gram_eigs(beams), np.asarray(beams),
@@ -108,15 +110,16 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
 
 def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], tuple],
                  beam_ids: np.ndarray, p: np.ndarray,
-                 shifts: np.ndarray | None = None) -> np.ndarray:
+                 shifts: Callable[[np.ndarray], np.ndarray] | None = None
+                 ) -> np.ndarray:
     """(P, *S, N, Q) interference-mitigation blocks of the beams
     `beam_ids` (shape S) of channels shaped like `ch`.
 
     `spectra()` returns their trimmed other-beam spectra over S, laid out
     as `ChannelMatrix.other_gram_eigs` returns them; it is called only
-    once the shape checks pass.
-    `shifts`, shaped like `beam_ids`, defaults to all zero. The first
-    rank-deficient beam in that order is named.
+    once the shape checks pass, and so is `shifts(lam_max)`, which
+    returns the shifts shaped like `beam_ids` (all zero without it). The
+    first rank-deficient beam in that order is named.
     """
     n = ch.feeds
     q = ch.users_per_beam
@@ -128,10 +131,9 @@ def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], tuple],
     if ch.beams == 1:
         amp = np.sqrt(p / (ch.beams * q)).reshape(-1, *[1] * (beam_ids.ndim + 2))
         return amp * np.eye(n, q, dtype=complex)
-    if shifts is None:
-        shifts = np.zeros(beam_ids.shape)
     lam_max, tail_values, tail = spectra()
-    singular = (shifts == 0.0) & (
+    shift = np.zeros(beam_ids.shape) if shifts is None else shifts(lam_max)
+    singular = (shift == 0.0) & (
         tail_values[..., -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
     if np.any(singular):
@@ -140,7 +142,7 @@ def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], tuple],
             "is rank deficient"
         )
     reg = _regularizer(ch, p).reshape(-1, *[1] * tail_values.ndim)
-    scale = 1.0 / np.sqrt(tail_values + reg + shifts[..., None])
+    scale = 1.0 / np.sqrt(tail_values + reg + shift[..., None])
     return tail * scale[..., None, :]
 
 

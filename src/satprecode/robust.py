@@ -43,10 +43,10 @@ def eigen_shift_bound(gamma_hat: float, lam_max: float) -> float:
     return gamma_hat**2 + 2.0 * gamma_hat * float(lam_max)
 
 
-def _shift_bounds(ch: ChannelMatrix, bounds: PerturbationBounds) -> np.ndarray:
-    """The worst-case eigenvalue shift of every beam, from the memoized
-    largest other-beam Gram eigenvalues."""
-    lam_max = ch.other_gram_eigs(range(ch.beams))[0]
+def _shift_bounds(bounds: PerturbationBounds,
+                  lam_max: np.ndarray) -> np.ndarray:
+    """The worst-case eigenvalue shift of every beam, from its largest
+    other-beam Gram eigenvalue."""
     # One scalar call per beam: Python's ``float ** 2`` calls libm pow, which
     # NumPy's elementwise square does not always match bit for bit.
     return np.array([eigen_shift_bound(float(gamma), lam)
@@ -59,13 +59,14 @@ def robust_interbeam(ch: ChannelMatrix, bounds: PerturbationBounds,
 
     Block k is the interference-mitigation block with beam k's worst-case
     shift added to its regularizer KQ/P_T. A zero shift carries no
-    uncertainty, so zero bounds reproduce the nominal design exactly.
+    uncertainty, so zero bounds reproduce the nominal design exactly. The
+    shifts come from the design's own spectra, so a channel the design
+    rejects is never decomposed.
     """
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
-    return _columns(
-        mbim_stack(ch, range(ch.beams), p_total, _shift_bounds(ch, bounds))
-    )
+    return _columns(mbim_stack(ch, range(ch.beams), p_total,
+                               lambda lam_max: _shift_bounds(bounds, lam_max)))
 
 
 def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,

@@ -153,7 +153,8 @@ def intra_penalty_scale(gamma_lower: float, eigenvalues: np.ndarray,
 def mbim_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray,
                shift: float = 0.0) -> np.ndarray:
     """Inter-beam block Wa_k (N x Q) of beam k alone; see `mbim_stack`."""
-    block = mbim_stack(ch, range(k, k + 1), p_total, np.array([shift]))
+    block = mbim_stack(ch, range(k, k + 1), p_total,
+                       lambda lam_max: np.array([shift]))
     return block[..., 0, :, :]
 
 
@@ -476,7 +477,8 @@ def robust_interbeam_per_beam(ch: ChannelMatrix, bounds: PerturbationBounds,
     """All robust inter-beam blocks: mbim blocks shifted by epsilon_k."""
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
-    shifts = _shift_bounds(ch, bounds)
+    lam_max = ch.other_gram_eigs(range(ch.beams))[0]
+    shifts = _shift_bounds(bounds, lam_max)
     return np.hstack(
         [mbim_block_per_beam(ch, k, p_total, shift=shifts[k])
          for k in range(ch.beams)]
@@ -708,9 +710,10 @@ def robust_interbeam_per_power(ch: ChannelMatrix, bounds: PerturbationBounds,
                                p_total: float) -> np.ndarray:
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
+    lam_max = ch.other_gram_eigs(range(ch.beams))[0]
     return _columns_per_power(
         mbim_stack_per_power(ch, range(ch.beams), p_total,
-                             _shift_bounds(ch, bounds))
+                             _shift_bounds(bounds, lam_max))
     )
 
 

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from importlib import resources
 
 import numpy as np
@@ -15,7 +14,6 @@ from scipy.special import j1
 import satprecode as sp
 from satprecode import geometry
 from satprecode.channel import (
-    _DOWNDATE_MIN_BEAMS,
     ChannelMatrix,
     _ground_halfwidths_deg,
     pattern_gain,
@@ -527,41 +525,6 @@ class TestChannelMatrixViews:
                 for i, k in enumerate(rng):
                     for slab, want in zip(got, first[k]):
                         assert np.array_equal(slab[i], want)
-
-    def test_other_gram_eig_shared_across_threads(self):
-        # One channel on the dense per-beam path, one above the downdate
-        # crossover, where threads asking for the whole range (downdates)
-        # race threads asking beam by beam (dense tails, other bits).
-        beams = 30
-        assert beams >= _DOWNDATE_MIN_BEAMS
-        for ch, batched in ((random_channel(6, 2, 8, seed=4), False),
-                            (random_channel(beams, 2, beams, seed=4), True)):
-            seen = []
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                def work(whole):
-                    if whole:
-                        got = ch.other_gram_eigs(range(ch.beams))
-                        seen.append([a.copy() for a in got])
-                    else:
-                        rows = [[a.copy() for a in ch.other_gram_eigs(range(k, k + 1))]
-                                for k in range(ch.beams)]
-                        seen.append([np.concatenate(a) for a in zip(*rows)])
-
-                pool = [threading.Thread(target=work, args=(batched and i % 2 == 0,))
-                        for i in range(8)]
-                for t in pool:
-                    t.start()
-                for t in pool:
-                    t.join(timeout=60)
-                assert not any(t.is_alive() for t in pool)
-            finally:
-                sys.setswitchinterval(interval)
-            assert len(seen) == 8
-            memo = ch.other_gram_eigs(range(ch.beams))
-            for run in seen:
-                assert all(np.array_equal(got, slab) for got, slab in zip(run, memo))
 
     def test_channel_is_read_only(self):
         ch = random_channel(2, 2, 3, seed=3)

@@ -347,7 +347,8 @@ class TestCliVerbs:
         "[gateway]\ngateways = 3\n",
         # A repeated name would write every row twice.
         "[run]\nscenarios = mbim, mbim\n",
-        # The overhead fallback cooperates with closest_c peers.
+        # gateway_mode = closest needs closest_c peers besides the gateway,
+        # though only the echo reads either key.
         "[channel]\nbeams = 12\n[run]\nscenarios = mbim\n"
         "[gateway]\ngateways = 3\ngateway_mode = closest\nclosest_c = 3\n",
         # Only gw_closest carries a count.
@@ -362,6 +363,20 @@ class TestCliVerbs:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("gateway", ["", "[gateway]\ngateways = 3\n"
+                                         "gateway_mode = closest\n"])
+    def test_overhead_needs_a_gateway_scenario(self, minimal_cfg, tmp_path,
+                                               capsys, gateway):
+        # overhead reports the configured gw_* plans and nothing else.
+        path = tmp_path / "no_gw.cfg"
+        path.write_text(minimal_cfg.read_text() + gateway)
+        out_dir = tmp_path / "out"
+        code = main(["overhead", "--config", str(path), "--out", str(out_dir)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert main(["validate", "--config", str(path)]) == 0
 
     def test_overhead_verb_rejects_bad_geometry(self, tmp_path, capsys):
         path = tmp_path / "polar.cfg"

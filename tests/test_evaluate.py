@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 import satprecode.evaluate
 import satprecode.linalg
 from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix
-from satprecode.config import ScenarioConfig
+from satprecode.config import ScenarioConfig, dbw_to_watts
 from satprecode.evaluate import (
     ModcodTable,
+    _build_budget,
+    _build_layout,
+    _build_table,
+    _run_trial,
     beam_rate,
+    gateway_plans,
     run_monte_carlo,
     sinr_matrix,
 )
@@ -176,14 +181,25 @@ class TestMonteCarlo:
                     a.throughput[name][p], b.throughput[name][p], equal_nan=True
                 )
 
-    def test_thread_count_does_not_change_results(self):
-        a = run_monte_carlo(small_config())
-        b = run_monte_carlo(small_config(threads=4))
-        for name in a.scenarios:
-            for p in a.power_dbw:
-                assert np.array_equal(
-                    a.throughput[name][p], b.throughput[name][p], equal_nan=True
-                )
+    def test_trial_alone_equals_its_row_of_the_run(self):
+        # Each trial draws only from its own spawned seed stream, so trial 2
+        # run on its own gives the bits of row 2 of the whole run.
+        cfg = small_config(trials=4, pool_per_beam=4, grouping="robust",
+                           csi_error_ratio=0.05, power_sweep_dbw=(25.0, 35.0),
+                           scenarios=("mbim", "robust", "rzf", "gw_icp"),
+                           gateways=2)
+        res = run_monte_carlo(cfg)
+        budget = _build_budget(cfg)
+        layout = _build_layout(cfg, budget)
+        p_w = np.array([dbw_to_watts(p) for p in cfg.power_sweep_dbw])
+        cells = _run_trial(np.random.SeedSequence(cfg.seed).spawn(4)[2], cfg,
+                           layout, budget, _build_table(cfg),
+                           gateway_plans(cfg, layout), p_w)
+        assert sorted(cells) == sorted(
+            (name, p) for name in cfg.scenarios for p in cfg.power_sweep_dbw)
+        assert all(row is not None for row in cells.values())
+        for (name, p), row in cells.items():
+            assert np.array_equal(row, res.throughput[name][p][2])
 
     def test_failing_scenario_counts_skips(self):
         # A gateway per beam under no cooperation cannot precode at all.
@@ -313,16 +329,6 @@ class TestMonteCarlo:
         assert p == 25.0 and beam == 0
         assert trials == 3 and skipped == 0
         assert mean > 0.0 and std >= 0.0
-
-    def test_selected_users_logged_per_trial(self):
-        cfg = small_config(trials=5, pool_per_beam=9, grouping="nominal")
-        res = run_monte_carlo(cfg)
-        log = res.selected_members
-        assert log.shape == (5, 7, 2)
-        assert np.all((0 <= log) & (log < 9))
-        for t in range(5):
-            for k in range(7):
-                assert len(set(log[t, k])) == 2
 
 
 class TestBootstrap:

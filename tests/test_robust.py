@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+import satprecode.channel
 from satprecode.channel import PerturbationBounds
 from satprecode.evaluate import sinr_matrix
-from satprecode.exceptions import ConfigError
+from satprecode.exceptions import ConfigError, InfeasibleChannelError
 from satprecode.linalg import eigh_sorted
 from satprecode.precoding import intrabeam, mbim_interbeam, two_stage
 from satprecode.robust import eigen_shift_bound, robust_interbeam, robust_two_stage
@@ -182,6 +183,30 @@ class TestRobustInterbeam:
         ch = random_channel(3, 2, 4, seed=8)
         with pytest.raises(ConfigError):
             robust_interbeam(ch, PerturbationBounds.zero(5), 1.0)
+
+    @pytest.mark.parametrize("beams, users, feeds", [(6, 3, 2), (1, 2, 3)],
+                             ids=["infeasible", "one_beam"])
+    def test_no_decomposition_before_shape_checks(self, monkeypatch, beams,
+                                                  users, feeds):
+        # Q > N is rejected and a single beam has no other-beam Gram
+        # matrix, so neither may decompose anything for its shifts.
+        calls = []
+        for name in ("eigh_sorted", "downdated_tails"):
+            original = getattr(satprecode.channel, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(satprecode.channel, name, counting)
+        ch = random_channel(beams, users, feeds, seed=9)
+        bounds = PerturbationBounds(np.full(beams, 0.5), np.full(beams, 2.0))
+        if users > feeds:
+            with pytest.raises(InfeasibleChannelError):
+                robust_interbeam(ch, bounds, 10.0)
+        else:
+            assert robust_interbeam(ch, bounds, 10.0).shape == (feeds, users)
+        assert calls == []
 
 
 class TestRobustIntrabeam:
