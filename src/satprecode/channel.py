@@ -6,7 +6,10 @@ matrix. Rows are stacked beam-major: row ``k*Q + q`` belongs to user q of
 beam k. All objects are immutable after construction, except that each
 `ChannelMatrix` fills a memo of its other-beam Gram spectra lazily,
 without locking, and hands out read-only views of it. satprecode runs
-its trials one after another in one thread.
+its trials one after another in one thread. The gateway views of the
+multi-gateway designs are plain read-only arrays with no memo: the
+stacked gateway pass takes their spectra straight from the kernels that
+fill the memo.
 
 The feed radiation pattern is a synthetic circular tapered-aperture model
 ``a(theta) = G_max * |2*J1(u)/u|**2`` with ``u = k_a * sin(theta)``,
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 from scipy.special import j1
@@ -35,8 +37,8 @@ __all__ = [
     "PhaseModel",
     "ChannelMatrix",
     "PerturbationBounds",
-    "stacked_other_gram_eigs",
     "hex_layout",
+    "beam_contours",
     "place_users",
     "build_gain_matrix",
     "build_phase_matrix",
@@ -290,14 +292,33 @@ class UserSet:
         return self.positions.reshape(-1, 2)
 
 
+def beam_contours(layout: BeamLayout, budget: LinkBudget) -> tuple:
+    """The layout-only inputs of `place_users`: each beam's sampling-box
+    half-width in ground degrees (K,), and its center direction seen from
+    the satellite, one (3,) vector per beam.
+
+    They depend on the layout and the link budget alone, so a Monte Carlo
+    run works them out once and passes them to every trial.
+    """
+    sat = budget.satellite_position()
+    halfwidths = _ground_halfwidths_deg(
+        sat, layout.beam_centers, layout.beam_radius_3db_deg, budget.earth_radius_m
+    )
+    bores = [geometry.latlon_to_ecef(lat0, lon0, budget.earth_radius_m) - sat
+             for lat0, lon0 in layout.beam_centers]
+    return halfwidths, bores
+
+
 def place_users(layout: BeamLayout, q_sched: int, rng_seed,
-                budget: LinkBudget | None = None) -> UserSet:
+                budget: LinkBudget | None = None,
+                contours: tuple | None = None) -> UserSet:
     """Draw `q_sched` users uniformly inside each beam's 3 dB contour.
 
     The contour is the set of ground points whose off-axis angle from the
     beam center direction, seen from the satellite, is at most the beam
     radius. Sampling is by rejection from a bounding box; deterministic
-    for a fixed seed.
+    for a fixed seed. `contours` is `beam_contours(layout, budget)` when
+    the caller has worked it out already.
     """
     if q_sched < 1:
         raise ConfigError("q_sched must be >= 1")
@@ -306,9 +327,9 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     rng = np.random.default_rng(rng_seed)
     radius = layout.beam_radius_3db_deg
 
-    halfwidths = _ground_halfwidths_deg(
-        sat, layout.beam_centers, radius, budget.earth_radius_m
-    )
+    if contours is None:
+        contours = beam_contours(layout, budget)
+    halfwidths, bores = contours
     positions = np.empty((layout.beams, q_sched, 2))
     for k in range(layout.beams):
         lat0, lon0 = layout.beam_centers[k]
@@ -316,7 +337,7 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
         cos_lat = math.cos(math.radians(lat0))
         if cos_lat <= 0.0:
             raise GeometryError(f"beam {k} center at the pole is unsupported")
-        bore = geometry.latlon_to_ecef(lat0, lon0, budget.earth_radius_m) - sat
+        bore = bores[k]
         got = 0
         attempts = 0
         while got < q_sched:
@@ -509,20 +530,10 @@ class ChannelMatrix:
         is computed once per channel.
         """
         todo = self._unfilled(beams)
-        if todo.size and len(beams) >= _DOWNDATE_MIN_BEAMS:
-            *found, ok = downdated_tails(self.h, self.beam_blocks()[todo])
-            self._store(todo[ok], *(a[ok] for a in found))
-            todo = todo[~ok]
         if todo.size:
-            # A stack of one per beam. The range's dense tails could come
-            # from one stacked call, as the gateway views' do, but
-            # perfbench/tests/test_tracer.py counts one `eigh_sorted` call
-            # per beam of `two_stage`, and it changes only with the
-            # benchmark (ROADMAP item 1b).
-            found = [_dense_other_gram_tails(self.h[None], np.zeros(1, dtype=int),
-                                             todo[i:i + 1], self.users_per_beam)
-                     for i in range(todo.size)]
-            self._store(todo, *map(np.concatenate, zip(*found)))
+            self._store(todo, *_other_gram_tails(
+                self.h, todo, self.users_per_beam,
+                downdate=len(beams) >= _DOWNDATE_MIN_BEAMS))
         views = [a[beams.start:beams.stop] for a in self._spectra[1:]]
         for view in views:
             view.flags.writeable = False
@@ -547,6 +558,39 @@ class ChannelMatrix:
         filled[beam_ids] = True
 
 
+def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray, users_per_beam: int,
+                     downdate: bool) -> tuple:
+    """Trimmed other-beam Gram spectra of the beams `beam_ids` of the
+    channel `h`, laid out as `ChannelMatrix.other_gram_eigs` returns them.
+
+    With `downdate`, they come from one eigendecomposition of ``h^H h``
+    and a rank-Q downdate per beam (`downdated_tails`); a beam the
+    downdate cannot certify, and every beam without `downdate`, from a
+    dense decomposition of its own Gram matrix.
+    """
+    q = users_per_beam
+    b, n = beam_ids.size, h.shape[1]
+    m = min(q, n)
+    out = (np.empty(b), np.empty((b, m)), np.empty((b, n, m), dtype=complex))
+    dense = np.arange(b)
+    if downdate and b:
+        *found, ok = downdated_tails(h, h.reshape(-1, q, n)[beam_ids])
+        for slab, rows in zip(out, found):
+            slab[ok] = rows[ok]
+        dense = dense[~ok]
+    for i in dense:
+        # A stack of one per beam. The dense tails could come from one
+        # stacked call, as the gateway views' do, but
+        # perfbench/tests/test_tracer.py counts one `eigh_sorted` call per
+        # beam of `two_stage`, and it changes only with the benchmark
+        # (ROADMAP item 1b).
+        found = _dense_other_gram_tails(h[None], np.zeros(1, dtype=int),
+                                        beam_ids[i:i + 1], q)
+        for slab, rows in zip(out, found):
+            slab[i] = rows[0]
+    return out
+
+
 def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
                             beam: np.ndarray, users_per_beam: int) -> tuple:
     """Trimmed other-beam Gram spectra of (channel, beam) pairs from one
@@ -565,31 +609,6 @@ def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
     full = eigh_sorted(other.conj().swapaxes(-1, -2) @ other)
     return (full.eigenvalues[:, 0], full.eigenvalues[:, -q:],
             full.eigenvectors[..., -q:])
-
-
-def stacked_other_gram_eigs(channels: list[ChannelMatrix],
-                            beams: list[range]) -> tuple:
-    """`other_gram_eigs` of ``beams[c]`` on ``channels[c]`` for every c,
-    stacked to (C, B, ...) arrays.
-
-    The channels share their shape and the ranges their length. A range
-    short of the downdate crossover takes the dense tails its channel has
-    not memoized yet, and all of them come from one stacked
-    decomposition; a longer range keeps its channel's downdate. Every
-    result is memoized on its channel, exactly as `other_gram_eigs` would
-    have computed it.
-    """
-    todo = [ch._unfilled(rng) for ch, rng in zip(channels, beams)]
-    counts = [t.size for t in todo]
-    if len(beams[0]) < _DOWNDATE_MIN_BEAMS and sum(counts):
-        found = _dense_other_gram_tails(
-            np.stack([ch.h for ch in channels]),
-            np.repeat(np.arange(len(channels)), counts), np.concatenate(todo),
-            channels[0].users_per_beam)
-        for ch, t, end in zip(channels, todo, accumulate(counts)):
-            ch._store(t, *(a[end - t.size:end] for a in found))
-    return tuple(np.stack(parts) for parts in zip(
-        *(ch.other_gram_eigs(rng) for ch, rng in zip(channels, beams))))
 
 
 def assemble_channel(gain: np.ndarray, phase: np.ndarray, beams: int,

@@ -153,9 +153,9 @@ def main(argv=None) -> int:
         print(f"wrote {out_dir / 'overhead.csv'} ({len(rows)} rows)")
         return 0
 
-    started = time.time()
+    started = time.perf_counter()
     result = run_monte_carlo(cfg, layout, table)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
 
     write_results_csv(
         result.csv_rows(), out_dir / "results.csv", header_lines=_echo_lines(cfg)

@@ -22,6 +22,7 @@ from .channel import (
     PerturbationBounds,
     PhaseModel,
     assemble_channel,
+    beam_contours,
     build_gain_matrix,
     build_phase_matrix,
     extract_users,
@@ -33,6 +34,7 @@ from .config import _SCHEMA, ScenarioConfig, dbw_to_watts
 from .exceptions import MODELLED_FAILURES, ConfigError
 from .gateway import (
     GatewayPlan,
+    assemble_multigateway_family,
     assemble_multigateway_precoder,
     make_plan,
     share_csi,
@@ -279,15 +281,17 @@ def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
 
 
 def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
-                    layout: BeamLayout, budget: LinkBudget):
+                    layout: BeamLayout, budget: LinkBudget, contours: tuple):
     """One channel realization: the served users' true and estimated
-    channels and the estimate's error bounds.
+    channels and the estimate's error bounds. `contours` is
+    `beam_contours(layout, budget)`.
 
     The pool-sized intermediates are released when this returns, so they
     are not held while the designs run.
     """
     users_seed, phase_seed, perturb_seed, select_seed = trial_seed.spawn(4)
-    users = place_users(layout, cfg.pool_per_beam, users_seed, budget=budget)
+    users = place_users(layout, cfg.pool_per_beam, users_seed, budget=budget,
+                        contours=contours)
     gain = build_gain_matrix(layout, users, budget)
     phase = build_phase_matrix(
         PhaseModel(variant=cfg.phase_model, chi_deg=cfg.phase_sigma_deg,
@@ -329,20 +333,26 @@ def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
 
 def _run_trial(trial_seed: np.random.SeedSequence,
                cfg: ScenarioConfig, layout: BeamLayout, budget: LinkBudget,
-               table: ModcodTable, plans: dict, p_w: np.ndarray):
+               table: ModcodTable, plans: dict, p_w: np.ndarray,
+               contours: tuple):
     """One channel realization evaluated under every scenario and at every
     power of `p_w`, the power sweep in Watts: a (K,) rate row per
     (scenario, power) cell, None where the cell was skipped."""
-    ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget)
+    ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget,
+                                              contours)
 
     # The CSI exchange does not depend on power: one set of views per
-    # gateway scenario, so their decompositions serve every power point.
+    # gateway scenario, designed together for every power point.
     shared = {}
     for name, plan in plans.items():
         try:
             shared[name] = share_csi(ch_est, plan)
         except MODELLED_FAILURES:
             shared[name] = None
+    family = _family_cells(
+        {name: (views, plans[name]) for name, views in shared.items()
+         if views is not None},
+        ch_true, p_w, cfg, table, budget)
 
     def rates(name, p_w):
         sinrs, factor = _scenario_sinrs(
@@ -354,10 +364,35 @@ def _run_trial(trial_seed: np.random.SeedSequence,
     for name in cfg.scenarios:
         if name in shared and shared[name] is None:
             cells = [None] * p_w.size
+        elif name in family:
+            cells = family[name]
         else:
             cells = _cells_per_power(lambda p: rates(name, p), p_w)
         out.update(zip([(name, p) for p in cfg.power_sweep_dbw], cells))
     return out
+
+
+def _family_cells(designs: dict, ch_true: ChannelMatrix, p_w: np.ndarray,
+                  cfg: ScenarioConfig, table: ModcodTable,
+                  budget: LinkBudget) -> dict:
+    """The (K,) rate rows at every power of each gateway scenario in
+    `designs` (its views and plan, by name), from one stacked design, one
+    SINR and one rate call.
+
+    After a modelled failure it returns no scenario, and the caller runs
+    each one on its own (`_cells_per_power`), which finds the cells that
+    fail.
+    """
+    if not designs:
+        return {}
+    try:
+        pre = assemble_multigateway_family(list(designs.values()), p_w,
+                                           cfg.power_mode)
+    except MODELLED_FAILURES:
+        return {}
+    rates = beam_rate(sinr_matrix(ch_true, pre.w), table, budget)
+    return {name: list(block) for name, block in
+            zip(designs, rates.reshape(len(designs), p_w.size, -1))}
 
 
 def _cells_per_power(rates, p_w: np.ndarray) -> list:
@@ -433,8 +468,12 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     skipped = {key: 0 for key in cells}
 
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.trials, 0))
+    # The sampling boxes depend on the layout alone: worked out once, and
+    # only when some trial draws users.
+    contours = beam_contours(layout, budget) if trial_seeds else None
     for t, trial_seed in enumerate(trial_seeds):
-        per_cell = _run_trial(trial_seed, cfg, layout, budget, table, plans, p_w)
+        per_cell = _run_trial(trial_seed, cfg, layout, budget, table, plans, p_w,
+                              contours)
         for key, value in per_cell.items():
             if value is None:
                 skipped[key] += 1

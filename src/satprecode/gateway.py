@@ -13,7 +13,15 @@ other gateways' user rows it sees depends on the cooperation mode:
 * ``ref``      - the single-gateway reference (one block, full channel).
 
 Cooperation is a pure data-exchange step that completes before any
-sub-precoder is assembled; gateways are otherwise independent.
+sub-precoder is assembled; gateways are otherwise independent. Each
+gateway's effective channel (its view) is a plain read-only array.
+
+The gateways of every plan designed from one channel are independent
+too, so one pass designs them all: the (view, own-beam range) pairs of
+every plan are grouped by shape, and each group takes its Gram tails,
+its whitening and its intra-beam SVD from one stacked call
+(`_block_diagonals`). `assemble_multigateway_precoder` runs that pass for
+one plan, `assemble_multigateway_family` for all plans of a trial.
 """
 
 from __future__ import annotations
@@ -23,7 +31,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .channel import ChannelMatrix, stacked_other_gram_eigs
+from .channel import (
+    _DOWNDATE_MIN_BEAMS,
+    ChannelMatrix,
+    _dense_other_gram_tails,
+    _other_gram_tails,
+)
 from .exceptions import MODELLED_FAILURES, ConfigError
 from .precoding import Precoder, _beam_columns, _mbim_blocks, _power_vector, _scaled
 
@@ -33,6 +46,7 @@ __all__ = [
     "local_csi",
     "share_csi",
     "assemble_multigateway_precoder",
+    "assemble_multigateway_family",
     "overhead_per_gateway",
 ]
 
@@ -182,13 +196,13 @@ def overhead_per_gateway(plan: GatewayPlan) -> np.ndarray:
     return counts
 
 
-def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[ChannelMatrix]:
+def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[np.ndarray]:
     """Run the CSI exchange and build every gateway's effective channel.
 
-    Entry g is gateway g's view: all K*Q user rows, only its own feed
-    columns, and zeros in the rows it does not know. Each view owns its
-    `ChannelMatrix`, so the memoized decompositions serve every power
-    point designed from it.
+    Entry g is gateway g's view, a read-only (KQ, N_g) array: all K*Q
+    user rows, only its own feed columns, and zeros in the rows it does
+    not know. The msvdgc leading singular triples come from one stacked
+    SVD per foreign-block shape.
     """
     if (plan.beams, plan.feeds, plan.users_per_beam) != (
             ch.beams, ch.feeds, ch.users_per_beam):
@@ -198,50 +212,87 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[ChannelMatrix]:
         eff = np.zeros((ch.h.shape[0], int(plan.feeds_per_gateway[g])),
                        dtype=complex)
         eff[plan.row_slice(g)] = local_csi(ch, plan, g)
-        if plan.mode == "ref" or plan.gateways == 1:
-            pass  # single block: the local view is already everything
-        elif plan.mode == "closest":
+        if plan.mode == "closest":
             for l in plan.neighbor_lists[g]:
                 eff[plan.row_slice(l)] = _cross_block(ch, plan, l, g)
-        elif plan.mode == "msvdgc":
+        views.append(eff)
+    if plan.mode == "msvdgc":
+        # Foreign block (l, g) is gateway l's rows of gateway g's feeds.
+        shapes = {}
+        for g in range(plan.gateways):
             for l in range(plan.gateways):
-                if l == g:
-                    continue
-                block = _cross_block(ch, plan, l, g)
-                u, s, vh = np.linalg.svd(block, full_matrices=False)
-                eff[plan.row_slice(l)] = s[0] * np.outer(u[:, 0], vh[0])
-        views.append(ChannelMatrix(h=eff, beams=ch.beams,
-                                   users_per_beam=ch.users_per_beam))
+                if l != g:
+                    key = (plan.beams_per_gateway[l], plan.feeds_per_gateway[g])
+                    shapes.setdefault(key, []).append((l, g))
+        for pairs in shapes.values():
+            u, s, vh = np.linalg.svd(
+                np.stack([_cross_block(ch, plan, l, g) for l, g in pairs]),
+                full_matrices=False)
+            for i, (l, g) in enumerate(pairs):
+                views[g][plan.row_slice(l)] = s[i, 0] * np.outer(u[i, :, 0], vh[i, 0])
+    for eff in views:
+        eff.flags.writeable = False
     return views
 
 
-def _equal_block_runs(sizes: list[int]) -> list[range]:
-    """Runs of consecutive gateways serving equally many beams (a
-    near-equal split has at most two)."""
-    starts = [g for g in range(1, len(sizes)) if sizes[g] != sizes[g - 1]]
-    bounds = [0, *starts, len(sizes)]
-    return [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+def _group_columns(views: list[np.ndarray], beams: list[range],
+                   users_per_beam: int, p: np.ndarray) -> np.ndarray:
+    """(P, M, B, N_g) precoder columns of M (view, own-beam range) pairs
+    whose views share their shape (KQ, N_g) and whose ranges hold B beams.
 
-
-def _run_columns(channels: list[ChannelMatrix], beams: list[range],
-                 p: np.ndarray) -> np.ndarray:
-    """(P, G', B, N_g) precoder columns of G' gateways that serve B beams
-    from N_g feeds each, every stage one stacked call over them.
-
-    Gateway i runs the two-stage mbim pipeline for its own `beams[i]` on
-    its view `channels[i]`: the Gram tails of every (gateway, beam) pair,
-    one whitening over all gateways and powers, one intra-beam SVD.
+    Pair i runs the two-stage mbim pipeline for the beams `beams[i]` on
+    the view `views[i]`, every stage one stacked call over all pairs: the
+    Gram tails of every (pair, beam), from one dense decomposition below
+    the downdate crossover and from each view's downdate at or above it;
+    one whitening over all pairs and powers; one intra-beam SVD.
     """
-    beam_ids = np.array(beams)                                  # (G', B)
-    wa = _mbim_blocks(channels[0],
-                      lambda: stacked_other_gram_eigs(channels, beams),
-                      beam_ids, p)                              # (P, G', B, N_g, Q)
-    h_blocks = np.stack([ch.beam_blocks()[b.start:b.stop]
-                         for ch, b in zip(channels, beams)])
+    h = np.stack(views)                                         # (M, KQ, N_g)
+    m, rows, n = h.shape
+    q = users_per_beam
+    beam_ids = np.array(beams)                                  # (M, B)
+
+    def spectra():
+        if beam_ids.shape[1] < _DOWNDATE_MIN_BEAMS:
+            found = _dense_other_gram_tails(
+                h, np.repeat(np.arange(m), beam_ids.shape[1]), beam_ids.ravel(), q)
+            return tuple(a.reshape(*beam_ids.shape, *a.shape[1:]) for a in found)
+        return tuple(map(np.stack, zip(*(
+            _other_gram_tails(view, ids, q, downdate=True)
+            for view, ids in zip(views, beam_ids)))))
+
+    wa = _mbim_blocks((rows // q, q, n), spectra, beam_ids, p)  # (P, M, B, N_g, Q)
+    h_blocks = h.reshape(m, -1, q, n)[np.arange(m)[:, None], beam_ids]
     return _beam_columns(h_blocks, wa, beam_ids)[1]
 
 
-def assemble_multigateway_precoder(views: list[ChannelMatrix],
+def _block_diagonals(designs: list[tuple[list[np.ndarray], GatewayPlan]],
+                     p: np.ndarray) -> np.ndarray:
+    """(S, P, N, K) unscaled block-diagonal precoders of S (views, plan)
+    designs of one channel over the power vector `p`.
+
+    Every (view, own-beam range) pair of every plan joins the group of
+    its view width and beam count, and each group is designed in one
+    stacked pass (`_group_columns`); each gateway's columns go on its
+    plan's diagonal, and every other entry stays structurally zero.
+    """
+    first = designs[0][1]
+    w_bar = np.zeros((len(designs), p.size, first.feeds, first.beams), dtype=complex)
+    groups = {}
+    for d, (views, plan) in enumerate(designs):
+        for g, view in enumerate(views):
+            key = (view.shape[1], int(plan.beams_per_gateway[g]))
+            groups.setdefault(key, []).append(
+                (d, view, plan.beam_slice(g), plan.feed_slice(g)))
+    for members in groups.values():
+        columns = _group_columns([view for _, view, _, _ in members],
+                                 [range(b.start, b.stop) for _, _, b, _ in members],
+                                 first.users_per_beam, p)
+        for i, (d, _, beams, feeds) in enumerate(members):
+            w_bar[d, :, feeds, beams] = columns[:, i].swapaxes(-1, -2)
+    return w_bar
+
+
+def assemble_multigateway_precoder(views: list[np.ndarray],
                                    plan: GatewayPlan,
                                    p_total: float | np.ndarray,
                                    mode: str = "per_feed") -> Precoder:
@@ -249,32 +300,41 @@ def assemble_multigateway_precoder(views: list[ChannelMatrix],
 
     Each gateway g designs the two-stage mbim blocks of its own beams on
     its view `views[g]`, over every power of `p_total` at once; gateways
-    with equally many beams are designed together (`_run_columns`). The
-    blocks are placed on the diagonal (all other entries stay
-    structurally zero) and a single global power scaling per power is
-    applied. A modelled failure is reported as ``gateway g: ...`` for
-    the first gateway whose own design fails, with that design's error
-    as the cause.
+    with equally many beams are designed together (`_block_diagonals`).
+    A single global power scaling per power is applied. A modelled
+    failure is reported as ``gateway g: ...`` for the first gateway
+    whose own design fails, with that design's error as the cause.
     """
     p = _power_vector(p_total)
-    w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)
-    beam_slices = [plan.beam_slice(g) for g in range(plan.gateways)]
-    feed_slices = [plan.feed_slice(g) for g in range(plan.gateways)]
-    beams = [range(s.start, s.stop) for s in beam_slices]
-    for run in _equal_block_runs(plan.beams_per_gateway.tolist()):
-        try:
-            columns = _run_columns(views[run.start:run.stop],
-                                   beams[run.start:run.stop], p)
-        except MODELLED_FAILURES:
-            # Which gateway failed first, and how, is what designing the
-            # run's gateways one at a time in index order reports.
-            for g in run:
-                try:
-                    _run_columns(views[g:g + 1], beams[g:g + 1], p)
-                except MODELLED_FAILURES as exc:
-                    raise type(exc)(f"gateway {g}: {exc}") from exc
-            raise
-        for i, g in enumerate(run):
-            w_bar[:, feed_slices[g], beam_slices[g]] = (
-                columns[:, i].swapaxes(-1, -2))
+    try:
+        w_bar = _block_diagonals([(views, plan)], p)[0]
+    except MODELLED_FAILURES:
+        # Which gateway failed first, and how, is what designing the
+        # gateways one at a time in index order reports.
+        for g, view in enumerate(views):
+            beams = plan.beam_slice(g)
+            try:
+                _group_columns([view], [range(beams.start, beams.stop)],
+                               plan.users_per_beam, p)
+            except MODELLED_FAILURES as exc:
+                raise type(exc)(f"gateway {g}: {exc}") from exc
+        raise
     return _scaled(p_total, w_bar, mode)
+
+
+def assemble_multigateway_family(designs: list[tuple[list[np.ndarray], GatewayPlan]],
+                                 p_total: np.ndarray,
+                                 mode: str = "per_feed") -> Precoder:
+    """The precoders of S (views, plan) designs of one channel, every one
+    over the 1-D power vector `p_total`, from one stacked pass.
+
+    Slot ``s*P + i`` of the returned precoder's leading axis is design s
+    at power ``p_total[i]``, bit for bit what
+    `assemble_multigateway_precoder` gives for it, and one power scaling
+    serves every slot. A modelled failure of any design or slot is raised
+    as it is, without naming the gateway; the caller designs each plan
+    on its own to find the cells it skips.
+    """
+    p = _power_vector(p_total)
+    w_bar = _block_diagonals(designs, p)
+    return _scaled(np.tile(p, len(designs)), w_bar.reshape(-1, *w_bar.shape[2:]), mode)

@@ -104,16 +104,17 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     degenerates to a scaled truncated identity.
     """
     return _unstack(p_total, _mbim_blocks(
-        ch, lambda: ch.other_gram_eigs(beams), np.asarray(beams),
+        (ch.beams, ch.users_per_beam, ch.feeds),
+        lambda: ch.other_gram_eigs(beams), np.asarray(beams),
         _power_vector(p_total), shifts))
 
 
-def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], tuple],
+def _mbim_blocks(dims: tuple[int, int, int], spectra: Callable[[], tuple],
                  beam_ids: np.ndarray, p: np.ndarray,
                  shifts: Callable[[np.ndarray], np.ndarray] | None = None
                  ) -> np.ndarray:
     """(P, *S, N, Q) interference-mitigation blocks of the beams
-    `beam_ids` (shape S) of channels shaped like `ch`.
+    `beam_ids` (shape S) of channels with `dims` = (K, Q, N).
 
     `spectra()` returns their trimmed other-beam spectra over S, laid out
     as `ChannelMatrix.other_gram_eigs` returns them; it is called only
@@ -121,15 +122,14 @@ def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], tuple],
     returns the shifts shaped like `beam_ids` (all zero without it). The
     first rank-deficient beam in that order is named.
     """
-    n = ch.feeds
-    q = ch.users_per_beam
+    k, q, n = dims
     if q > n:
         raise InfeasibleChannelError(
             f"cannot build an {n} x {q} inter-beam block with fewer feeds "
             "than served users"
         )
-    if ch.beams == 1:
-        amp = np.sqrt(p / (ch.beams * q)).reshape(-1, *[1] * (beam_ids.ndim + 2))
+    if k == 1:
+        amp = np.sqrt(p / (k * q)).reshape(-1, *[1] * (beam_ids.ndim + 2))
         return amp * np.eye(n, q, dtype=complex)
     lam_max, tail_values, tail = spectra()
     shift = np.zeros(beam_ids.shape) if shifts is None else shifts(lam_max)
@@ -141,7 +141,7 @@ def _mbim_blocks(ch: ChannelMatrix, spectra: Callable[[], tuple],
             f"cross-channel Gram matrix of beam {int(beam_ids[singular][0])} "
             "is rank deficient"
         )
-    reg = _regularizer(ch, p).reshape(-1, *[1] * tail_values.ndim)
+    reg = (k * q / p).reshape(-1, *[1] * tail_values.ndim)
     scale = 1.0 / np.sqrt(tail_values + reg + shift[..., None])
     return tail * scale[..., None, :]
 

@@ -36,7 +36,8 @@ The dense per-beam eigendecomposition of each other-beam Gram matrix
 that serve wide beam ranges, `build_phase_matrix_exp` the reference
 for the phase synthesis, and `assemble_multigateway_per_view`, one
 gateway view at a time, the reference for the multi-gateway precoder
-that designs all gateways of one block size together.
+that designs all gateways of one view shape together. `view_channel`
+wraps a gateway view, a plain array, as a channel of its own for them.
 """
 
 from __future__ import annotations
@@ -555,12 +556,20 @@ def baseline_four_color_per_beam(ch: ChannelMatrix, layout: BeamLayout,
     return sinr
 
 
-def assemble_multigateway_per_beam(views: list[ChannelMatrix],
+def view_channel(view, plan: GatewayPlan) -> ChannelMatrix:
+    """A gateway view (a `share_csi` array) as a channel of its own, with
+    its own spectra memo; a `ChannelMatrix` is returned as it is."""
+    if isinstance(view, ChannelMatrix):
+        return view
+    return ChannelMatrix(h=view, beams=plan.beams, users_per_beam=plan.users_per_beam)
+
+
+def assemble_multigateway_per_beam(views: list[np.ndarray],
                                    plan: GatewayPlan, p_total: float,
                                    mode: str = "per_feed") -> Precoder:
     """Block-diagonal multi-gateway precoder, one beam at a time."""
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
-    for g, eff in enumerate(views):
+    for g, eff in enumerate(view_channel(v, plan) for v in views):
         beams = plan.beam_slice(g)
         for k in range(beams.start, beams.stop):
             try:
@@ -760,11 +769,11 @@ def baseline_four_color_per_power(ch: ChannelMatrix, layout: BeamLayout,
     return power[beam, :, beam] / (interf + 1.0)
 
 
-def assemble_multigateway_precoder_per_power(views: list[ChannelMatrix],
+def assemble_multigateway_precoder_per_power(views: list[np.ndarray],
                                              plan: GatewayPlan, p_total: float,
                                              mode: str = "per_feed") -> Precoder:
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
-    for g, eff in enumerate(views):
+    for g, eff in enumerate(view_channel(v, plan) for v in views):
         beams = plan.beam_slice(g)
         try:
             wa = mbim_stack_per_power(eff, range(beams.start, beams.stop), p_total)
@@ -786,20 +795,20 @@ def sinr_matrix_per_power(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     return (signal / (interference + 1.0)).reshape(ch.beams, ch.users_per_beam)
 
 
-def assemble_multigateway_per_view(views: list[ChannelMatrix],
+def assemble_multigateway_per_view(views: list,
                                    plan: GatewayPlan,
                                    p_total: float | np.ndarray,
                                    mode: str = "per_feed") -> Precoder:
     """Block-diagonal multi-gateway precoder, one gateway view at a time.
 
-    Each gateway's blocks come from `mbim_stack` on its own view, so each
-    view's Gram tails take that view's own path (one dense decomposition
-    per beam, or the downdate), and the first gateway whose design fails
-    is named.
+    Each gateway's blocks come from `mbim_stack` on its own view, wrapped
+    as a channel (`view_channel`), so each view's Gram tails take that
+    view's own path (one dense decomposition per beam, or the downdate),
+    and the first gateway whose design fails is named.
     """
     p = _power_vector(p_total)
     w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)
-    for g, eff in enumerate(views):
+    for g, eff in enumerate(view_channel(v, plan) for v in views):
         beams = plan.beam_slice(g)
         try:
             wa = mbim_stack(eff, range(beams.start, beams.stop), p)  # (P, B, N_g, Q)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satprecode.channel
 import satprecode.evaluate
 import satprecode.linalg
-from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix
+from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts
 from satprecode.evaluate import (
     ModcodTable,
@@ -20,7 +21,7 @@ from satprecode.evaluate import (
     run_monte_carlo,
     sinr_matrix,
 )
-from satprecode.exceptions import ConfigError
+from satprecode.exceptions import ConfigError, InfeasibleChannelError
 
 from conftest import random_channel
 from oracles import bootstrap_mean_diff_quantiles
@@ -194,7 +195,8 @@ class TestMonteCarlo:
         p_w = np.array([dbw_to_watts(p) for p in cfg.power_sweep_dbw])
         cells = _run_trial(np.random.SeedSequence(cfg.seed).spawn(4)[2], cfg,
                            layout, budget, _build_table(cfg),
-                           gateway_plans(cfg, layout), p_w)
+                           gateway_plans(cfg, layout), p_w,
+                           beam_contours(layout, budget))
         assert sorted(cells) == sorted(
             (name, p) for name in cfg.scenarios for p in cfg.power_sweep_dbw)
         assert all(row is not None for row in cells.values())
@@ -259,7 +261,8 @@ class TestMonteCarlo:
             self, monkeypatch):
         original_eigh = satprecode.linalg.eigh_sorted
         original_share = satprecode.evaluate.share_csi
-        calls = {"eigh": 0, "share": 0}
+        original_assemble = satprecode.evaluate.assemble_multigateway_precoder
+        calls = {"eigh": 0, "share": 0, "assemble": 0}
 
         def counting_eigh(a):
             calls["eigh"] += 1
@@ -269,25 +272,31 @@ class TestMonteCarlo:
             calls["share"] += 1
             return original_share(*args)
 
+        def counting_assemble(*args):
+            calls["assemble"] += 1
+            return original_assemble(*args)
+
         for name, mod in list(sys.modules.items()):
             if name.startswith("satprecode") and vars(mod).get(
                 "eigh_sorted"
             ) is original_eigh:
                 monkeypatch.setattr(mod, "eigh_sorted", counting_eigh)
         monkeypatch.setattr(satprecode.evaluate, "share_csi", counting_share)
+        monkeypatch.setattr(satprecode.evaluate,
+                            "assemble_multigateway_precoder", counting_assemble)
         scenarios = ("gw_ref", "gw_closest:1", "gw_icp", "gw_msvdgc")
         counts = []
         for powers in ((40.0,), (40.0, 45.0)):
-            calls.update(eigh=0, share=0)
+            calls.update(eigh=0, share=0, assemble=0)
             cfg = small_config(beams=12, gateways=3, scenarios=scenarios,
                                trials=2, power_sweep_dbw=powers)
             assert run_monte_carlo(cfg).total_skipped() == 0
             counts.append(dict(calls))
         # One exchange per (trial, scenario) and one stacked decomposition
-        # per (trial, scenario, block size), whatever the number of power
-        # points; 12 beams over 3 gateways (or 1) have a single block size.
-        expected = {"share": 2 * len(scenarios),
-                    "eigh": 2 * len(scenarios)}
+        # per (trial, view shape), whatever the number of power points:
+        # gw_ref's one 12-feed view, and the 4-feed views of the other
+        # three scenarios' 3 gateways. No scenario is designed on its own.
+        expected = {"share": 2 * len(scenarios), "eigh": 2 * 2, "assemble": 0}
         assert counts == [expected, expected]
 
     def test_failed_csi_exchange_skips_every_power(self, monkeypatch):
@@ -300,6 +309,59 @@ class TestMonteCarlo:
         res = run_monte_carlo(cfg)
         assert res.skipped == {("mbim", 40.0): 0, ("mbim", 45.0): 0,
                                ("gw_icp", 40.0): 2, ("gw_icp", 45.0): 2}
+
+    def test_failing_gateway_scenario_leaves_the_others_bit_for_bit(
+            self, monkeypatch):
+        # gw_icp's gateway 1 does not see its own beam 5, so its design
+        # fails at every power; the stacked pass over all gateway
+        # scenarios then falls back to designing each on its own.
+        scenarios = ("mbim", "gw_ref", "gw_icp", "gw_closest:1", "gw_msvdgc")
+        cfg = small_config(beams=12, gateways=3, scenarios=scenarios,
+                           trials=3, power_sweep_dbw=(40.0, 45.0))
+        clean = run_monte_carlo(cfg)
+        original = satprecode.evaluate.share_csi
+
+        def blind_icp(ch, plan):
+            views = original(ch, plan)
+            if plan.mode == "icp":
+                views[1] = views[1].copy()
+                views[1][10:12] = 0.0
+            return views
+
+        monkeypatch.setattr(satprecode.evaluate, "share_csi", blind_icp)
+        failing = run_monte_carlo(cfg)
+
+        def no_family(*args):
+            raise InfeasibleChannelError("every scenario on its own")
+
+        monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
+                            no_family)
+        per_scenario = run_monte_carlo(cfg)
+        assert failing.skipped == per_scenario.skipped
+        assert failing.skipped == {
+            (name, p): 3 if name == "gw_icp" else 0
+            for name in scenarios for p in cfg.power_sweep_dbw}
+        for name in scenarios:
+            for p in cfg.power_sweep_dbw:
+                assert np.array_equal(failing.throughput[name][p],
+                                      per_scenario.throughput[name][p],
+                                      equal_nan=True)
+                if name != "gw_icp":
+                    assert np.array_equal(failing.throughput[name][p],
+                                          clean.throughput[name][p])
+
+    def test_contour_boxes_worked_out_once_per_run(self, monkeypatch):
+        original = satprecode.channel._ground_halfwidths_deg
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(satprecode.channel, "_ground_halfwidths_deg",
+                            counting)
+        assert run_monte_carlo(small_config(trials=4)).total_skipped() == 0
+        assert len(calls) == 1
 
     def test_robust_and_grouping_scenarios_run(self):
         cfg = small_config(

@@ -110,8 +110,8 @@ class TestShareCsi:
         assert np.all(overhead_per_gateway(plan) == 0)
         for g, view in enumerate(views):
             own = plan.row_slice(g)
-            assert np.array_equal(view.h[own], local_csi(ch, plan, g))
-            foreign = np.delete(view.h, own, axis=0)
+            assert np.array_equal(view[own], local_csi(ch, plan, g))
+            foreign = np.delete(view, own, axis=0)
             assert not np.any(foreign)
 
     def test_closest_shares_exact_blocks(self):
@@ -122,7 +122,7 @@ class TestShareCsi:
             for l in plan.neighbor_lists[g]:
                 rows = plan.row_slice(l)
                 assert np.array_equal(
-                    view.h[rows],
+                    view[rows],
                     ch.h[rows, plan.feed_slice(g)],
                 )
 
@@ -134,12 +134,12 @@ class TestShareCsi:
             for l in range(3):
                 if l == g:
                     continue
-                block = view.h[plan.row_slice(l)]
+                block = view[plan.row_slice(l)]
                 assert np.linalg.matrix_rank(block, tol=1e-10) <= 1
                 true_block = ch.h[plan.row_slice(l), plan.feed_slice(g)]
-                u, s, vh = np.linalg.svd(true_block)
-                assert np.allclose(block, s[0] * np.outer(u[:, 0], vh[0]),
-                                   atol=1e-12)
+                # The stacked SVD gives each block its own triple bit for bit.
+                u, s, vh = np.linalg.svd(true_block, full_matrices=False)
+                assert np.array_equal(block, s[0] * np.outer(u[:, 0], vh[0]))
 
     def test_known_entries_grow_with_cooperation(self):
         ch = random_channel(8, 2, 8, seed=6)
@@ -148,7 +148,7 @@ class TestShareCsi:
             plan = make_plan(8, 8, 2, 4, "closest", closest_c=c)
             views = share_csi(ch, plan)
             # Unknown rows are zero; a known row of a random channel is not.
-            known[c] = [frozenset(np.nonzero(np.any(v.h, axis=1))[0])
+            known[c] = [frozenset(np.nonzero(np.any(v, axis=1))[0])
                         for v in views]
         for g in range(4):
             assert known[1][g] <= known[2][g] <= known[3][g]
@@ -159,9 +159,9 @@ class TestShareCsi:
         views = share_csi(ch, plan)
         assert len(views) == plan.gateways
         for g, view in enumerate(views):
-            assert view.beams == 6 and view.users_per_beam == 2
-            assert view.feeds == plan.feeds_per_gateway[g]
-            assert not view.h.flags.writeable
+            assert isinstance(view, np.ndarray)
+            assert view.shape == (6 * 2, plan.feeds_per_gateway[g])
+            assert not view.flags.writeable
 
     def test_plan_for_other_user_count_rejected(self):
         ch = random_channel(6, 2, 6, seed=15)

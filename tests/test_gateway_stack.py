@@ -1,10 +1,12 @@
-"""The multi-gateway precoder designs all gateways of one block size in
-one stacked pass.
+"""The multi-gateway precoder designs all gateways of one view shape in
+one stacked pass, and the family pass all plans of a channel at once.
 
 Its precoder, or its modelled failure (type, message and cause), must
 equal the per-view loop it replaced (`oracles.assemble_multigateway_per_view`)
 bit for bit, on equal and unequal splits, on views below and above the
 downdate crossover, and when several gateways fail in different ways.
+The family pass's precoders and rates must equal each plan designed and
+evaluated on its own.
 """
 
 import sys
@@ -20,7 +22,6 @@ from satprecode.channel import (
     _DOWNDATE_MIN_BEAMS,
     ChannelMatrix,
     _dense_other_gram_tails,
-    stacked_other_gram_eigs,
 )
 from satprecode.exceptions import (
     MODELLED_FAILURES,
@@ -28,10 +29,16 @@ from satprecode.exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
+from satprecode.evaluate import ModcodTable, beam_rate, sinr_matrix
+from satprecode.gateway import (
+    assemble_multigateway_family,
+    assemble_multigateway_precoder,
+    make_plan,
+    share_csi,
+)
 
 import oracles
-from conftest import random_channel
+from conftest import perturbed, random_channel
 
 POWERS = (5.0, np.array([0.5, 5.0, 3e3]))
 
@@ -46,14 +53,13 @@ def _outcome(views, plan, p_total, mode, design):
 def _assert_equals_per_view(ch, gateways, gw_mode, closest_c=None):
     plan = make_plan(ch.beams, ch.feeds, ch.users_per_beam, gateways, gw_mode,
                      closest_c=closest_c)
-    # Separate views, so the two paths share no memoized spectrum.
-    views, ref_views = share_csi(ch, plan), share_csi(ch, plan)
+    views = share_csi(ch, plan)
     outcomes = []
     for mode in ("per_feed", "total"):
         for p_total in POWERS:
             fast = _outcome(views, plan, p_total, mode,
                             assemble_multigateway_precoder)
-            slow = _outcome(ref_views, plan, p_total, mode,
+            slow = _outcome(views, plan, p_total, mode,
                             oracles.assemble_multigateway_per_view)
             if isinstance(slow, tuple):
                 assert fast == slow
@@ -186,22 +192,18 @@ def test_fewer_feeds_than_users_names_the_first_gateway():
         "than served users")
 
 
-def test_one_decomposition_per_block_size_fills_every_view(monkeypatch):
+def test_one_decomposition_per_view_shape(monkeypatch):
     ch = random_channel(13, 2, 13, seed=24)
     plan = make_plan(13, 13, 2, 3, "msvdgc")
     views = share_csi(ch, plan)
     shapes = _counting_eigh(monkeypatch)
     assemble_multigateway_precoder(views, plan, np.array([1.0, 10.0]))
     # 5 own beams of one view, then 4 of each of the other two: one call
-    # per block size, one 5 x 5 (or 4 x 4) Gram matrix per (view, beam).
+    # per view shape, one 5 x 5 (or 4 x 4) Gram matrix per (view, beam).
     assert shapes == [(5, 5, 5), (8, 4, 4)]
-    # The tails are memoized on each view: a one-power rerun after a
-    # failure, or any later design on the view, decomposes nothing.
+    # The views hold no memo: a rerun decomposes again, in the same calls.
     assemble_multigateway_precoder(views, plan, 10.0)
-    for g, view in enumerate(views):
-        beams = plan.beam_slice(g)
-        view.other_gram_eigs(range(beams.start, beams.stop))
-    assert len(shapes) == 2
+    assert shapes == [(5, 5, 5), (8, 4, 4)] * 2
 
 
 @settings(deadline=None, max_examples=30)
@@ -228,20 +230,58 @@ def test_stacked_dense_tails_equal_each_beam_alone(beams, users, feeds,
         assert np.array_equal(tail[i], dense.eigenvectors[:, -users:])
 
 
-def test_stacked_spectra_keep_what_a_view_memoized(monkeypatch):
-    ch = random_channel(6, 2, 6, seed=25)
-    views = share_csi(ch, make_plan(6, 6, 2, 2, "icp"))
-    first = [a[0].copy() for a in views[1].other_gram_eigs(range(4, 5))]
-    shapes = _counting_eigh(monkeypatch)
-    stacked = stacked_other_gram_eigs(views, [range(0, 3), range(3, 6)])
-    # Beam 4 of view 1 is read from its memo, not decomposed again.
-    assert shapes == [(5, 3, 3)]
-    assert [a.shape for a in stacked] == [(2, 3), (2, 3, 2), (2, 3, 3, 2)]
-    for got, want in zip(stacked, first):
-        assert np.array_equal(got[1, 1], want)
-    # The stacked arrays are copies: writing them cannot reach a memo.
-    for g, beams in enumerate([range(0, 3), range(3, 6)]):
-        for got, memo in zip(stacked, views[g].other_gram_eigs(beams)):
-            assert np.array_equal(got[g], memo)
-            assert not memo.flags.writeable
-            assert not np.shares_memory(got, memo)
+def _family_plans(beams, feeds, users, gateways):
+    modes = [("icp", None), ("msvdgc", None), ("ref", None)]
+    modes += [("closest", c) for c in range(1, min(gateways, 3))]
+    return [make_plan(beams, feeds, users, gateways, mode, closest_c=c)
+            for mode, c in modes]
+
+
+@pytest.mark.parametrize("beams, gateways, users", [
+    (12, 3, 2),     # equal split: 4 beams per gateway
+    (13, 3, 2),     # unequal split: 5, 4 and 4 beams
+    (50, 2, 2),     # 25 beams per view, at or above the downdate crossover
+])
+@pytest.mark.parametrize("mode", ["per_feed", "total"])
+def test_family_pass_equals_each_plan_alone(beams, gateways, users, mode,
+                                            budget):
+    ch_true = random_channel(beams, users, beams, seed=beams)
+    ch_est, _ = perturbed(ch_true, 0.05, beams + 1)
+    plans = _family_plans(beams, beams, users, gateways)
+    designs = [(share_csi(ch_est, plan), plan) for plan in plans]
+    assert (beams // gateways >= _DOWNDATE_MIN_BEAMS) == (beams == 50)
+    table = ModcodTable.default()
+    p = np.array([0.5, 5.0, 3e3])
+    family = assemble_multigateway_family(designs, p, mode)
+    w = family.w.reshape(len(plans), p.size, *family.w.shape[1:])
+    alpha = family.alpha.reshape(len(plans), p.size)
+    rates = beam_rate(sinr_matrix(ch_true, family.w), table, budget).reshape(
+        len(plans), p.size, beams)
+    for i, (views, plan) in enumerate(designs):
+        alone = assemble_multigateway_precoder(views, plan, p, mode)
+        assert np.array_equal(w[i], alone.w)
+        assert np.array_equal(alpha[i], alone.alpha)
+        assert np.array_equal(
+            rates[i], beam_rate(sinr_matrix(ch_true, alone.w), table, budget))
+
+
+def test_family_pass_fails_where_a_plan_has_fewer_feeds_than_users():
+    # Q = 3 users per beam, but 6 feeds over 3 gateways leave N_g = 2:
+    # every split plan is infeasible, the one-gateway reference is not.
+    ch = random_channel(6, 3, 6, seed=26)
+    plans = _family_plans(6, 6, 3, 3)
+    designs = [(share_csi(ch, plan), plan) for plan in plans]
+    p = np.array([1.0, 10.0])
+    with pytest.raises(InfeasibleChannelError, match="fewer feeds"):
+        assemble_multigateway_family(designs, p)
+    feasible = []
+    for views, plan in designs:
+        if plan.mode == "ref":
+            feasible.append((views, plan))
+        else:
+            with pytest.raises(InfeasibleChannelError, match="^gateway 0: "):
+                assemble_multigateway_precoder(views, plan, p)
+    family = assemble_multigateway_family(feasible, p)
+    assert np.array_equal(family.w,
+                          assemble_multigateway_precoder(*feasible[0], p).w)
+
