@@ -295,17 +295,19 @@ class UserSet:
 def beam_contours(layout: BeamLayout, budget: LinkBudget) -> tuple:
     """The layout-only inputs of `place_users`: each beam's sampling-box
     half-width in ground degrees (K,), and its center direction seen from
-    the satellite, one (3,) vector per beam.
+    the satellite, as a (K, 3) array.
 
     They depend on the layout and the link budget alone, so a Monte Carlo
     run works them out once and passes them to every trial.
     """
     sat = budget.satellite_position()
+    centers = layout.beam_centers
+    bores = geometry.latlon_to_ecef(
+        centers[:, 0], centers[:, 1], budget.earth_radius_m
+    ) - sat
     halfwidths = _ground_halfwidths_deg(
-        sat, layout.beam_centers, layout.beam_radius_3db_deg, budget.earth_radius_m
+        sat, bores, centers, layout.beam_radius_3db_deg, budget.earth_radius_m
     )
-    bores = [geometry.latlon_to_ecef(lat0, lon0, budget.earth_radius_m) - sat
-             for lat0, lon0 in layout.beam_centers]
     return halfwidths, bores
 
 
@@ -362,18 +364,19 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     return UserSet(positions=positions)
 
 
-def _ground_halfwidths_deg(sat: np.ndarray, centers: np.ndarray,
-                           radius_deg: float, earth_radius_m: float) -> np.ndarray:
+def _ground_halfwidths_deg(sat: np.ndarray, bores: np.ndarray,
+                           centers: np.ndarray, radius_deg: float,
+                           earth_radius_m: float) -> np.ndarray:
     """Half-widths (ground degrees) of boxes certain to cover each contour.
 
     For each beam center, the first step of the doubling sequence
     `_HALFWIDTH_STEPS` whose northward offset reaches the beam radius seen
     from the satellite; every beam and step is converted in one pass.
+    `bores` (K, 3) holds the center directions seen from the satellite.
     """
     if radius_deg <= 0.0:
         raise GeometryError("beam radius must be strictly positive")
     lat0, lon0 = centers[:, 0], centers[:, 1]
-    bores = geometry.latlon_to_ecef(lat0, lon0, earth_radius_m) - sat
     targs = geometry.latlon_to_ecef(
         lat0[:, None] + _HALFWIDTH_STEPS, lon0[:, None], earth_radius_m
     ) - sat

@@ -22,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ScenarioConfig, _parse_floats, config_echo, parse_config
 from .evaluate import (
@@ -157,19 +155,14 @@ def main(argv=None) -> int:
     result = run_monte_carlo(cfg, layout, table)
     elapsed = time.perf_counter() - started
 
-    write_results_csv(
-        result.csv_rows(), out_dir / "results.csv", header_lines=_echo_lines(cfg)
-    )
+    stats = result.statistics()
+    write_results_csv(result, stats, out_dir / "results.csv",
+                      header_lines=_echo_lines(cfg))
     artifacts = [out_dir / "results.csv"]
-    for name in cfg.scenarios:
-        means, stds = [], []
-        for p in cfg.power_sweep_dbw:
-            trial_means = result.trial_means(name, p)
-            valid = trial_means[~np.isnan(trial_means)]
-            means.append(valid.mean() if valid.size else float("nan"))
-            stds.append(valid.std() if valid.size else float("nan"))
+    for s, name in enumerate(cfg.scenarios):
         curve_path = out_dir / f"curve_{name.replace(':', '-')}.csv"
-        write_scenario_curve_csv(cfg.power_sweep_dbw, means, stds, curve_path)
+        write_scenario_curve_csv(cfg.power_sweep_dbw, stats.curve_mean[s],
+                                 stats.curve_std[s], curve_path)
         artifacts.append(curve_path)
     rows = _overhead_rows(result.plans)
     if rows:

@@ -47,6 +47,7 @@ __all__ = [
     "sinr_matrix",
     "beam_rate",
     "MonteCarloResult",
+    "RunStatistics",
     "gateway_plans",
     "run_monte_carlo",
 ]
@@ -162,12 +163,30 @@ def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
     return symbol_rate * table.efficiency(worst_db)
 
 
+@dataclass(frozen=True)
+class RunStatistics:
+    """Trial statistics of a run, indexed (scenario, power[, beam]).
+
+    `beam_mean` and `beam_std` (S, P, K) are each beam's throughput over
+    the surviving trials of its cell; `curve_mean` and `curve_std` (S, P)
+    are over those trials' beam-mean throughputs. A cell with no
+    surviving trial reads NaN.
+    """
+
+    beam_mean: np.ndarray
+    beam_std: np.ndarray
+    curve_mean: np.ndarray
+    curve_std: np.ndarray
+
+
 @dataclass
 class MonteCarloResult:
     """Aggregated Monte Carlo output.
 
-    `throughput[scenario][p_dbw]` is a (trials, K) array of per-beam
-    throughput with NaN rows for skipped trials; `plans` maps each
+    `throughput` is one read-only (S, P, T, K) array: the per-beam
+    throughput of trial t at scenario `scenarios[s]` and power
+    `power_dbw[p]`, with an all-NaN K-row where that trial's cell was
+    skipped. `skipped` (S, P) counts those rows. `plans` maps each
     ``gw_*`` scenario to the gateway plan it was simulated with.
     """
 
@@ -175,48 +194,45 @@ class MonteCarloResult:
     power_dbw: tuple[float, ...]
     beams: int
     trials: int
-    throughput: dict
-    skipped: dict
+    throughput: np.ndarray
+    skipped: np.ndarray
     plans: dict[str, GatewayPlan]
-
-    def trial_means(self, scenario: str, p_dbw: float) -> np.ndarray:
-        """Per-trial mean over beams (NaN where the trial was skipped)."""
-        arr = self.throughput[scenario][p_dbw]
-        valid = ~np.all(np.isnan(arr), axis=1)
-        out = np.full(arr.shape[0], np.nan)
-        if np.any(valid):
-            out[valid] = np.nanmean(arr[valid], axis=1)
-        return out
-
-    def mean_per_beam(self, scenario: str, p_dbw: float) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.nanmean(self.throughput[scenario][p_dbw], axis=0)
-
-    def std_per_beam(self, scenario: str, p_dbw: float) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.nanstd(self.throughput[scenario][p_dbw], axis=0)
 
     def total_cells(self) -> int:
         return len(self.scenarios) * len(self.power_dbw) * max(self.trials, 1)
 
     def total_skipped(self) -> int:
-        return sum(self.skipped.values())
+        return int(self.skipped.sum())
 
-    def csv_rows(self):
-        """Rows (scenario, p_dbw, beam, mean, std, trials, skipped)."""
-        rows = []
-        for name in self.scenarios:
-            for p in self.power_dbw:
-                skipped = self.skipped[(name, p)]
-                used = self.trials - skipped
-                if used > 0:
-                    mean = self.mean_per_beam(name, p)
-                    std = self.std_per_beam(name, p)
-                else:
-                    mean = std = np.full(self.beams, np.nan)
-                for k in range(self.beams):
-                    rows.append((name, p, k, mean[k], std[k], used, skipped))
-        return rows
+    def statistics(self) -> RunStatistics:
+        """Each cell's statistics over its surviving trials, in one pass.
+
+        The bits match `np.nanmean`/`np.nanstd` over each cell's (T, K)
+        rows, and `.mean()`/`.std()` over its surviving trials' beam
+        means. Skipped rows enter the per-beam sums as zeros, which leave
+        a trial-by-trial sum unchanged. The curve sums are pairwise, so
+        zeros would move their bits: they run over the survivors packed
+        into one (cells, n) array per surviving-trial count n.
+        """
+        used = self.trials - self.skipped                    # (S, P)
+        survived = ~np.isnan(self.throughput[..., 0])        # (S, P, T)
+        rows = np.where(survived[..., None], self.throughput, 0.0)
+        n = used[..., None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            beam_mean = rows.sum(axis=2) / n
+            dev = np.where(survived[..., None], rows - beam_mean[:, :, None], 0.0)
+            beam_std = np.sqrt((dev * dev).sum(axis=2) / n)
+        trial_means = self.throughput.sum(axis=3) / self.beams  # (S, P, T)
+        curve_mean = np.full(used.shape, np.nan)
+        curve_std = np.full(used.shape, np.nan)
+        for count in np.unique(used[used > 0]).tolist():
+            cells = used == count
+            x = trial_means[cells][survived[cells]].reshape(-1, count)
+            mean = x.sum(axis=1, keepdims=True) / count
+            dev = x - mean
+            curve_mean[cells] = mean[:, 0]
+            curve_std[cells] = np.sqrt((dev * dev).sum(axis=1) / count)
+        return RunStatistics(beam_mean, beam_std, curve_mean, curve_std)
 
 
 def _build_layout(cfg: ScenarioConfig, budget: LinkBudget) -> BeamLayout:
@@ -336,8 +352,9 @@ def _run_trial(trial_seed: np.random.SeedSequence,
                table: ModcodTable, plans: dict, p_w: np.ndarray,
                contours: tuple):
     """One channel realization evaluated under every scenario and at every
-    power of `p_w`, the power sweep in Watts: a (K,) rate row per
-    (scenario, power) cell, None where the cell was skipped."""
+    power of `p_w`, the power sweep in Watts: an (S, P, K) array of beam
+    rates, with an all-NaN K-row where a (scenario, power) cell was
+    skipped."""
     ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget,
                                               contours)
 
@@ -360,24 +377,23 @@ def _run_trial(trial_seed: np.random.SeedSequence,
         )
         return beam_rate(sinrs, table, budget, factor)
 
-    out = {}
-    for name in cfg.scenarios:
+    out = np.full((len(cfg.scenarios), p_w.size, cfg.beams), np.nan)
+    for s, name in enumerate(cfg.scenarios):
         if name in shared and shared[name] is None:
-            cells = [None] * p_w.size
-        elif name in family:
-            cells = family[name]
+            continue
+        if name in family:
+            out[s] = family[name]
         else:
-            cells = _cells_per_power(lambda p: rates(name, p), p_w)
-        out.update(zip([(name, p) for p in cfg.power_sweep_dbw], cells))
+            _cells_per_power(lambda p: rates(name, p), p_w, out[s])
     return out
 
 
 def _family_cells(designs: dict, ch_true: ChannelMatrix, p_w: np.ndarray,
                   cfg: ScenarioConfig, table: ModcodTable,
                   budget: LinkBudget) -> dict:
-    """The (K,) rate rows at every power of each gateway scenario in
-    `designs` (its views and plan, by name), from one stacked design, one
-    SINR and one rate call.
+    """The (P, K) beam rates of each gateway scenario in `designs` (its
+    views and plan, by name), from one stacked design, one SINR and one
+    rate call.
 
     After a modelled failure it returns no scenario, and the caller runs
     each one on its own (`_cells_per_power`), which finds the cells that
@@ -391,12 +407,12 @@ def _family_cells(designs: dict, ch_true: ChannelMatrix, p_w: np.ndarray,
     except MODELLED_FAILURES:
         return {}
     rates = beam_rate(sinr_matrix(ch_true, pre.w), table, budget)
-    return {name: list(block) for name, block in
-            zip(designs, rates.reshape(len(designs), p_w.size, -1))}
+    return dict(zip(designs, rates.reshape(len(designs), p_w.size, -1)))
 
 
-def _cells_per_power(rates, p_w: np.ndarray) -> list:
-    """`rates(p_w)` as one (K,) row per power; None marks a skipped cell.
+def _cells_per_power(rates, p_w: np.ndarray, out: np.ndarray) -> None:
+    """Write `rates(p_w)` into the (P, K) rows of `out`; the row of a
+    skipped cell is left as it was (NaN).
 
     The whole power vector is designed and evaluated in one call. After a
     modelled failure the powers run again one at a time (each a length-1
@@ -404,16 +420,15 @@ def _cells_per_power(rates, p_w: np.ndarray) -> list:
     are skipped.
     """
     try:
-        return list(rates(p_w))
+        out[:] = rates(p_w)
+        return
     except MODELLED_FAILURES:
         pass
-    cells = []
     for i in range(p_w.size):
         try:
-            cells.append(rates(p_w[i:i + 1])[0])
+            out[i] = rates(p_w[i:i + 1])[0]
         except MODELLED_FAILURES:
-            cells.append(None)
-    return cells
+            pass
 
 
 def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
@@ -460,37 +475,23 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     plans = gateway_plans(cfg, layout)
     p_w = np.array([dbw_to_watts(p_dbw) for p_dbw in cfg.power_sweep_dbw])
 
-    cells = {
-        (name, p): np.full((cfg.trials, cfg.beams), np.nan)
-        for name in cfg.scenarios
-        for p in cfg.power_sweep_dbw
-    }
-    skipped = {key: 0 for key in cells}
-
     trial_seeds = np.random.SeedSequence(cfg.seed).spawn(max(cfg.trials, 0))
     # The sampling boxes depend on the layout alone: worked out once, and
     # only when some trial draws users.
     contours = beam_contours(layout, budget) if trial_seeds else None
+    throughput = np.empty((len(cfg.scenarios), p_w.size, len(trial_seeds),
+                           cfg.beams))
     for t, trial_seed in enumerate(trial_seeds):
-        per_cell = _run_trial(trial_seed, cfg, layout, budget, table, plans, p_w,
-                              contours)
-        for key, value in per_cell.items():
-            if value is None:
-                skipped[key] += 1
-            else:
-                cells[key][t] = value
-
-    throughput = {name: {} for name in cfg.scenarios}
-    for (name, p), arr in cells.items():
-        arr.flags.writeable = False
-        throughput[name][p] = arr
+        throughput[:, :, t] = _run_trial(trial_seed, cfg, layout, budget, table,
+                                         plans, p_w, contours)
+    throughput.flags.writeable = False
     return MonteCarloResult(
         scenarios=cfg.scenarios,
         power_dbw=cfg.power_sweep_dbw,
         beams=cfg.beams,
         trials=cfg.trials,
         throughput=throughput,
-        skipped=skipped,
+        skipped=np.isnan(throughput[..., 0]).sum(axis=2),
         plans=plans,
     )
 

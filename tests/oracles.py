@@ -38,10 +38,18 @@ for the phase synthesis, and `assemble_multigateway_per_view`, one
 gateway view at a time, the reference for the multi-gateway precoder
 that designs all gateways of one view shape together. `view_channel`
 wraps a gateway view, a plain array, as a channel of its own for them.
+
+The per-cell statistics of a Monte Carlo result (`trial_means`,
+`mean_per_beam`, `std_per_beam`, one NumPy reduction per (scenario,
+power) cell) and the `csv.writer` row loops behind `results_csv_per_cell`
+and `curve_csv_per_cell` are the reference for the one-pass
+`MonteCarloResult.statistics` and the one-string file writers.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import warnings
 
@@ -229,6 +237,80 @@ def bootstrap_mean_diff_quantiles(a: np.ndarray, b: np.ndarray,
     idx = rng.integers(0, diff.size, size=(n_boot, diff.size))
     means = diff[idx].mean(axis=1)
     return np.quantile(means, quantiles)
+
+
+def cell_throughput(result, scenario: str, p_dbw: float) -> np.ndarray:
+    """The (T, K) throughput rows of one (scenario, power) cell."""
+    return result.throughput[result.scenarios.index(scenario),
+                             result.power_dbw.index(p_dbw)]
+
+
+def cell_skipped(result, scenario: str, p_dbw: float) -> int:
+    """How many trials of one (scenario, power) cell were skipped."""
+    return int(result.skipped[result.scenarios.index(scenario),
+                              result.power_dbw.index(p_dbw)])
+
+
+def trial_means(result, scenario: str, p_dbw: float) -> np.ndarray:
+    """Per-trial mean over beams (NaN where the trial was skipped)."""
+    arr = cell_throughput(result, scenario, p_dbw)
+    valid = ~np.all(np.isnan(arr), axis=1)
+    out = np.full(arr.shape[0], np.nan)
+    if np.any(valid):
+        out[valid] = np.nanmean(arr[valid], axis=1)
+    return out
+
+
+def mean_per_beam(result, scenario: str, p_dbw: float) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return np.nanmean(cell_throughput(result, scenario, p_dbw), axis=0)
+
+
+def std_per_beam(result, scenario: str, p_dbw: float) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return np.nanstd(cell_throughput(result, scenario, p_dbw), axis=0)
+
+
+def results_csv_per_cell(result, header_lines=()) -> str:
+    """`results.csv` of a Monte Carlo result, one cell and row at a time."""
+    fh = io.StringIO(newline="")
+    for line in header_lines:
+        fh.write(f"# {line}\n")
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["scenario", "p_total_dbw", "beam", "mean_throughput_bps",
+         "std_throughput_bps", "trials", "skipped"]
+    )
+    for name in result.scenarios:
+        for p in result.power_dbw:
+            skipped = cell_skipped(result, name, p)
+            used = result.trials - skipped
+            if used > 0:
+                mean = mean_per_beam(result, name, p)
+                std = std_per_beam(result, name, p)
+            else:
+                mean = std = np.full(result.beams, np.nan)
+            for k in range(result.beams):
+                writer.writerow(
+                    [name, f"{float(p)!r}", k, f"{float(mean[k])!r}",
+                     f"{float(std[k])!r}", used, skipped]
+                )
+    return fh.getvalue()
+
+
+def curve_csv_per_cell(result, scenario: str) -> str:
+    """`curve_<scenario>.csv`: mean and std over the surviving trials'
+    beam-mean throughput at each power, one cell at a time."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["p_total_dbw", "mean_throughput_bps", "std_throughput_bps"])
+    for p in result.power_dbw:
+        means = trial_means(result, scenario, p)
+        valid = means[~np.isnan(means)]
+        mean = valid.mean() if valid.size else float("nan")
+        std = valid.std() if valid.size else float("nan")
+        writer.writerow([f"{float(p)!r}", f"{float(mean)!r}", f"{float(std)!r}"])
+    return fh.getvalue()
 
 
 def feed_gain(feed_boresight, user_position, layout: BeamLayout,

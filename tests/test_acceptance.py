@@ -40,6 +40,7 @@ from oracles import (
     random_unitary,
     rzf_null_basis,
     total_power,
+    trial_means,
     weyl_upper_bound,
 )
 
@@ -262,14 +263,14 @@ def test_criterion_10_scheme_ordering_with_bootstrap(figure3_result):
     assert elapsed < 300.0
     order = ("mbim", "rzf", "avg_mmse", "four_color")
     for p in result.power_dbw:
-        means = {s: result.trial_means(s, p) for s in order}
+        means = {s: trial_means(result, s, p) for s in order}
         for hi, lo in zip(order, order[1:]):
             q05 = bootstrap_mean_diff_quantiles(
                 means[hi], means[lo], (0.05,), n_boot=2000, seed=100
             )[0]
             assert q05 > 0.0, f"{hi} vs {lo} at {p} dBW: 5th pct {q05:.3g}"
     summary = ", ".join(
-        f"{s}={np.nanmean(result.trial_means(s, 30.0)) / 1e6:.0f}M"
+        f"{s}={np.nanmean(trial_means(result, s, 30.0)) / 1e6:.0f}M"
         for s in order
     )
     print(f"\n[PASS] criterion 10: ordering confirmed at 95% bootstrap at "
@@ -287,7 +288,7 @@ def test_criterion_11_gateway_cooperation_monotonicity():
     assert result.total_skipped() == 0
     chain = ("gw_ref", "gw_closest:2", "gw_closest:1", "gw_icp")
     for p in result.power_dbw:
-        means = {s: result.trial_means(s, p) for s in result.scenarios}
+        means = {s: trial_means(result, s, p) for s in result.scenarios}
         for hi, lo in zip(chain, chain[1:]):
             q05 = bootstrap_mean_diff_quantiles(
                 means[hi], means[lo], (0.05,), n_boot=2000, seed=110
@@ -299,7 +300,7 @@ def test_criterion_11_gateway_cooperation_monotonicity():
             )[0]
             assert q05 > 0.0, f"{hi} vs {lo} at {p} dBW: 5th pct {q05:.3g}"
     summary = ", ".join(
-        f"{s}={np.nanmean(result.trial_means(s, 45.0)) / 1e6:.0f}M"
+        f"{s}={np.nanmean(trial_means(result, s, 45.0)) / 1e6:.0f}M"
         for s in result.scenarios
     )
     print(f"\n[PASS] criterion 11: cooperation monotone and rank-1 sharing "
@@ -313,8 +314,8 @@ def test_criterion_12_grouping_gain_over_random_selection():
     )
     grouped = run_monte_carlo(ScenarioConfig(grouping="nominal", **common))
     random_pick = run_monte_carlo(ScenarioConfig(grouping="none", **common))
-    a = grouped.trial_means("mbim", 25.0)
-    b = random_pick.trial_means("mbim", 25.0)
+    a = trial_means(grouped, "mbim", 25.0)
+    b = trial_means(random_pick, "mbim", 25.0)
     q05 = bootstrap_mean_diff_quantiles(a, b, (0.05,), n_boot=2000, seed=120)[0]
     assert q05 > 0.0
     print(f"\n[PASS] criterion 12: grouped {np.nanmean(a)/1e6:.0f}M vs random "

@@ -15,7 +15,7 @@ import satprecode as sp
 from satprecode import geometry
 from satprecode.channel import (
     ChannelMatrix,
-    _ground_halfwidths_deg,
+    beam_contours,
     pattern_gain,
 )
 from satprecode.config import parse_config
@@ -181,8 +181,7 @@ class TestPlaceUsers:
 def assert_halfwidths_match_oracle(layout, budget):
     sat = budget.satellite_position()
     radius = layout.beam_radius_3db_deg
-    got = _ground_halfwidths_deg(sat, layout.beam_centers, radius,
-                                 budget.earth_radius_m)
+    got, _ = beam_contours(layout, budget)
     want = np.array([
         ground_halfwidth_deg(sat, lat0, lon0, radius, budget.earth_radius_m)
         for lat0, lon0 in layout.beam_centers
@@ -190,14 +189,32 @@ def assert_halfwidths_match_oracle(layout, budget):
     assert np.array_equal(got, want)
 
 
+def shipped_layout(name):
+    ref = resources.files("satprecode.data").joinpath(f"configs/{name}")
+    with resources.as_file(ref) as path:
+        cfg = parse_config(path)
+    budget = _build_budget(cfg)
+    return _build_layout(cfg, budget), budget
+
+
 class TestContourHalfwidths:
     @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
     def test_shipped_layouts_match_scalar_search(self, name):
-        ref = resources.files("satprecode.data").joinpath(f"configs/{name}")
-        with resources.as_file(ref) as path:
-            cfg = parse_config(path)
-        budget = _build_budget(cfg)
-        assert_halfwidths_match_oracle(_build_layout(cfg, budget), budget)
+        assert_halfwidths_match_oracle(*shipped_layout(name))
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_boresights_match_per_beam_conversion(self, name):
+        # One vectorised conversion serves the boxes and the sampling; it
+        # must give the bits of converting each beam center on its own.
+        layout, budget = shipped_layout(name)
+        sat = budget.satellite_position()
+        want = np.array([
+            geometry.latlon_to_ecef(lat0, lon0, budget.earth_radius_m) - sat
+            for lat0, lon0 in layout.beam_centers
+        ])
+        _, bores = beam_contours(layout, budget)
+        assert bores.shape == (layout.beams, 3)
+        assert np.array_equal(bores, want)
 
     @settings(deadline=None, max_examples=25)
     @given(
@@ -220,9 +237,7 @@ class TestContourHalfwidths:
         # seen from GEO, so the search stops at once.
         layout = sp.hex_layout(3, 47.0, 10.0, 5e-5, 1e-3)
         assert_halfwidths_match_oracle(layout, budget)
-        sat = budget.satellite_position()
-        got = _ground_halfwidths_deg(sat, layout.beam_centers, 5e-5,
-                                     budget.earth_radius_m)
+        got, _ = beam_contours(layout, budget)
         assert np.all(got == 1.6e-3)
 
     def test_contour_wider_than_earth_disk_does_not_close(self, budget):

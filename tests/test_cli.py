@@ -4,18 +4,23 @@ import dataclasses
 import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import satprecode.cli
 import satprecode.evaluate
 from satprecode.cli import main
 from satprecode.config import _SCHEMA, ScenarioConfig, config_echo, parse_config
 from satprecode.evaluate import run_monte_carlo
 from satprecode.exceptions import ConfigError
 from satprecode.gateway import overhead_per_gateway
+
+from oracles import curve_csv_per_cell, results_csv_per_cell
 
 MINIMAL = """
 [channel]
@@ -478,6 +483,87 @@ class TestCliVerbs:
         assert err.startswith("error:")
         assert message in err
         assert not out_dir.exists()
+
+
+class TestOutputsMatchPerCellReference:
+    """`results.csv` and every curve file against the per-cell oracle,
+    with skipped trials and with none at all. Warnings are errors, as in
+    the installed-console-script CI step: an all-skipped cell must not
+    raise "Mean of empty slice"."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, trials):
+        path = tmp_path / "skips.cfg"
+        path.write_text(
+            "[channel]\nbeams = 7\n\n[run]\n"
+            "scenarios = mbim, avg_mmse, four_color\n"
+            f"trials = {trials}\npower_sweep_dbw = 20, 25, 30\nseed = 6\n"
+        )
+        results = []
+
+        def keeping(*args):
+            results.append(run_monte_carlo(*args))
+            return results[-1]
+
+        monkeypatch.setattr(satprecode.cli, "run_monte_carlo", keeping)
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out", str(out_dir)])
+            (result,) = results
+            header = [line[2:] for line in
+                      (out_dir / "results.csv").read_text().splitlines()
+                      if line.startswith("# ")]
+            assert (out_dir / "results.csv").read_bytes() == \
+                results_csv_per_cell(result, header).encode()
+            for name in result.scenarios:
+                assert (out_dir / f"curve_{name}.csv").read_bytes() == \
+                    curve_csv_per_cell(result, name).encode()
+        return code, result
+
+    @pytest.mark.parametrize("trials, failing", [
+        # 2 of 4 trials; and 2 of 11, which leaves 9 survivors, so the
+        # curve sums run the 8-way unrolled pairwise reduction.
+        (4, {1, 3}),
+        (11, {0, 6}),
+    ])
+    def test_skipped_trials(self, tmp_path, monkeypatch, trials, failing):
+        trial = iter(range(trials))
+        current = []
+        original_channels = satprecode.evaluate._trial_channels
+        original_avg = satprecode.evaluate.baseline_avg_mmse
+        original_four = satprecode.evaluate.baseline_four_color
+
+        def counting_channels(*args):
+            current[:] = [next(trial)]
+            return original_channels(*args)
+
+        def avg_failing_at_25_dbw(ch, p_w, *args):
+            if current[0] in failing and np.any(p_w == 10.0 ** 2.5):
+                raise np.linalg.LinAlgError("modelled failure")
+            return original_avg(ch, p_w, *args)
+
+        def four_color_failing_at_30_dbw(ch, layout, p_w):
+            if np.any(p_w == 1000.0):
+                raise np.linalg.LinAlgError("modelled failure")
+            return original_four(ch, layout, p_w)
+
+        monkeypatch.setattr(satprecode.evaluate, "_trial_channels",
+                            counting_channels)
+        monkeypatch.setattr(satprecode.evaluate, "baseline_avg_mmse",
+                            avg_failing_at_25_dbw)
+        monkeypatch.setattr(satprecode.evaluate, "baseline_four_color",
+                            four_color_failing_at_30_dbw)
+        code, result = self._run(tmp_path, monkeypatch, trials)
+        # Rows mbim, avg_mmse, four_color; columns 20, 25, 30 dBW.
+        assert result.skipped.tolist() == [
+            [0, 0, 0], [0, len(failing), 0], [0, 0, trials]]
+        assert code == 1
+
+    def test_zero_trials(self, tmp_path, monkeypatch):
+        code, result = self._run(tmp_path, monkeypatch, 0)
+        assert result.throughput.shape == (3, 3, 0, 7)
+        assert code == 0
 
 
 def _config_text(overrides: dict) -> str:

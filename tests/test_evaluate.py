@@ -1,3 +1,4 @@
+import csv
 import sys
 
 import numpy as np
@@ -22,9 +23,10 @@ from satprecode.evaluate import (
     sinr_matrix,
 )
 from satprecode.exceptions import ConfigError, InfeasibleChannelError
+from satprecode.io import write_results_csv
 
 from conftest import random_channel
-from oracles import bootstrap_mean_diff_quantiles
+from oracles import bootstrap_mean_diff_quantiles, cell_skipped, cell_throughput
 
 
 @pytest.fixture(scope="module")
@@ -169,18 +171,18 @@ class TestMonteCarlo:
     def test_zero_trials_gives_empty_aggregate(self):
         res = run_monte_carlo(small_config(trials=0))
         assert res.trials == 0
-        rows = res.csv_rows()
-        assert len(rows) == 2 * 1 * 7
-        assert all(np.isnan(r[3]) for r in rows)
+        assert res.throughput.shape == (2, 1, 0, 7)
+        stats = res.statistics()
+        assert stats.beam_mean.shape == stats.beam_std.shape == (2, 1, 7)
+        assert stats.curve_mean.shape == stats.curve_std.shape == (2, 1)
+        for arr in (stats.beam_mean, stats.beam_std, stats.curve_mean,
+                    stats.curve_std):
+            assert np.all(np.isnan(arr))
 
     def test_fixed_seed_bit_identical(self):
         a = run_monte_carlo(small_config())
         b = run_monte_carlo(small_config())
-        for name in a.scenarios:
-            for p in a.power_dbw:
-                assert np.array_equal(
-                    a.throughput[name][p], b.throughput[name][p], equal_nan=True
-                )
+        assert np.array_equal(a.throughput, b.throughput, equal_nan=True)
 
     def test_trial_alone_equals_its_row_of_the_run(self):
         # Each trial draws only from its own spawned seed stream, so trial 2
@@ -193,15 +195,13 @@ class TestMonteCarlo:
         budget = _build_budget(cfg)
         layout = _build_layout(cfg, budget)
         p_w = np.array([dbw_to_watts(p) for p in cfg.power_sweep_dbw])
-        cells = _run_trial(np.random.SeedSequence(cfg.seed).spawn(4)[2], cfg,
-                           layout, budget, _build_table(cfg),
-                           gateway_plans(cfg, layout), p_w,
-                           beam_contours(layout, budget))
-        assert sorted(cells) == sorted(
-            (name, p) for name in cfg.scenarios for p in cfg.power_sweep_dbw)
-        assert all(row is not None for row in cells.values())
-        for (name, p), row in cells.items():
-            assert np.array_equal(row, res.throughput[name][p][2])
+        rows = _run_trial(np.random.SeedSequence(cfg.seed).spawn(4)[2], cfg,
+                          layout, budget, _build_table(cfg),
+                          gateway_plans(cfg, layout), p_w,
+                          beam_contours(layout, budget))
+        assert rows.shape == (4, 2, 7)
+        assert np.all(np.isfinite(rows))
+        assert np.array_equal(rows, res.throughput[:, :, 2])
 
     def test_failing_scenario_counts_skips(self):
         # A gateway per beam under no cooperation cannot precode at all.
@@ -209,9 +209,9 @@ class TestMonteCarlo:
             beams=7, gateways=7, scenarios=("mbim", "gw_icp"), trials=4
         )
         res = run_monte_carlo(cfg)
-        assert res.skipped[("gw_icp", 25.0)] == 4
-        assert res.skipped[("mbim", 25.0)] == 0
-        assert np.all(np.isnan(res.throughput["gw_icp"][25.0]))
+        assert cell_skipped(res, "gw_icp", 25.0) == 4
+        assert cell_skipped(res, "mbim", 25.0) == 0
+        assert np.all(np.isnan(cell_throughput(res, "gw_icp", 25.0)))
 
     def test_unmodelled_exception_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -307,8 +307,8 @@ class TestMonteCarlo:
         cfg = small_config(beams=12, gateways=3, scenarios=("mbim", "gw_icp"),
                            trials=2, power_sweep_dbw=(40.0, 45.0))
         res = run_monte_carlo(cfg)
-        assert res.skipped == {("mbim", 40.0): 0, ("mbim", 45.0): 0,
-                               ("gw_icp", 40.0): 2, ("gw_icp", 45.0): 2}
+        # Rows are scenarios (mbim, gw_icp), columns powers (40, 45 dBW).
+        assert res.skipped.tolist() == [[0, 0], [2, 2]]
 
     def test_failing_gateway_scenario_leaves_the_others_bit_for_bit(
             self, monkeypatch):
@@ -337,18 +337,16 @@ class TestMonteCarlo:
         monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
                             no_family)
         per_scenario = run_monte_carlo(cfg)
-        assert failing.skipped == per_scenario.skipped
-        assert failing.skipped == {
-            (name, p): 3 if name == "gw_icp" else 0
-            for name in scenarios for p in cfg.power_sweep_dbw}
-        for name in scenarios:
-            for p in cfg.power_sweep_dbw:
-                assert np.array_equal(failing.throughput[name][p],
-                                      per_scenario.throughput[name][p],
-                                      equal_nan=True)
-                if name != "gw_icp":
-                    assert np.array_equal(failing.throughput[name][p],
-                                          clean.throughput[name][p])
+        assert np.array_equal(failing.skipped, per_scenario.skipped)
+        assert failing.skipped.tolist() == [
+            [3 if name == "gw_icp" else 0] * len(cfg.power_sweep_dbw)
+            for name in scenarios]
+        assert np.array_equal(failing.throughput, per_scenario.throughput,
+                              equal_nan=True)
+        for s, name in enumerate(scenarios):
+            if name != "gw_icp":
+                assert np.array_equal(failing.throughput[s],
+                                      clean.throughput[s])
 
     def test_contour_boxes_worked_out_once_per_run(self, monkeypatch):
         original = satprecode.channel._ground_halfwidths_deg
@@ -370,8 +368,8 @@ class TestMonteCarlo:
         )
         res = run_monte_carlo(cfg)
         for name in ("mbim", "robust"):
-            assert res.skipped[(name, 25.0)] == 0
-            assert np.all(np.isfinite(res.throughput[name][25.0]))
+            assert cell_skipped(res, name, 25.0) == 0
+            assert np.all(np.isfinite(cell_throughput(res, name, 25.0)))
 
     def test_gateway_scenarios_run(self):
         cfg = small_config(
@@ -382,15 +380,21 @@ class TestMonteCarlo:
         res = run_monte_carlo(cfg)
         assert res.total_skipped() == 0
 
-    def test_csv_rows_schema(self):
+    def test_csv_rows_schema(self, tmp_path):
         res = run_monte_carlo(small_config(trials=3))
-        rows = res.csv_rows()
+        path = tmp_path / "results.csv"
+        write_results_csv(res, res.statistics(), path)
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["scenario", "p_total_dbw", "beam",
+                          "mean_throughput_bps", "std_throughput_bps",
+                          "trials", "skipped"]
         assert len(rows) == 2 * 1 * 7
         scenario, p, beam, mean, std, trials, skipped = rows[0]
         assert scenario == "mbim"
-        assert p == 25.0 and beam == 0
-        assert trials == 3 and skipped == 0
-        assert mean > 0.0 and std >= 0.0
+        assert float(p) == 25.0 and beam == "0"
+        assert (trials, skipped) == ("3", "0")
+        assert float(mean) > 0.0 and float(std) >= 0.0
 
 
 class TestBootstrap:

@@ -218,15 +218,15 @@ def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
     clean = run_monte_carlo(cfg)
     monkeypatch.setattr(satprecode.evaluate, "two_stage", failing_at_one_power)
     res = run_monte_carlo(cfg)
-    for name in cfg.scenarios:
-        for p in cfg.power_sweep_dbw:
+    for s, name in enumerate(cfg.scenarios):
+        for i, p in enumerate(cfg.power_sweep_dbw):
             failed = name in ("mbim", "rzf") and p == 20.0
-            assert res.skipped[(name, p)] == (cfg.trials if failed else 0)
+            assert res.skipped[s, i] == (cfg.trials if failed else 0)
             if failed:
-                assert np.all(np.isnan(res.throughput[name][p]))
+                assert np.all(np.isnan(res.throughput[s, i]))
             else:
-                assert np.array_equal(res.throughput[name][p],
-                                      clean.throughput[name][p])
+                assert np.array_equal(res.throughput[s, i],
+                                      clean.throughput[s, i])
 
 
 @pytest.mark.parametrize("scenarios, design", [
