@@ -169,7 +169,11 @@ class BeamLayout:
         """Check visibility and the reuse-4 coloring against actual angles.
 
         No two beams whose center separation (angle at the satellite) is
-        below twice the beam radius may share a color.
+        below twice the beam radius may share a color. Every center is
+        converted to a satellite-to-ground vector once and all (K, K)
+        separations are taken in one `geometry.boresight_angles_deg` pass;
+        a clash names the lowest beam k that has one, then its lowest
+        partner.
         """
         sat = budget.satellite_position()
         elev = geometry.elevation_deg(
@@ -178,21 +182,19 @@ class BeamLayout:
         if np.any(elev <= 0.0):
             bad = int(np.argmin(elev))
             raise GeometryError(f"beam {bad} center is below the horizon")
-        # Each center converted to a satellite-to-ground vector once, as
-        # `build_gain_matrix` converts the users, and every separation taken
-        # against those vectors.
         to_center = geometry.latlon_to_ecef(
             self.beam_centers[:, 0], self.beam_centers[:, 1], budget.earth_radius_m
         ) - sat
-        for k in range(self.beams):
-            sep = geometry.boresight_angle_deg(to_center[k], to_center)
-            close = (sep < 2.0 * self.beam_radius_3db_deg) & (np.arange(self.beams) != k)
-            if np.any(close & (self.color_of_beam == self.color_of_beam[k])):
-                other = int(np.nonzero(close & (self.color_of_beam == self.color_of_beam[k]))[0][0])
-                raise ConfigError(
-                    f"beams {k} and {other} are closer than twice the beam radius "
-                    "but share a color"
-                )
+        sep = geometry.boresight_angles_deg(to_center, to_center)
+        clash = ((sep < 2.0 * self.beam_radius_3db_deg)
+                 & (self.color_of_beam[:, None] == self.color_of_beam))
+        np.fill_diagonal(clash, False)
+        if clash.any():
+            k, other = np.argwhere(clash)[0]
+            raise ConfigError(
+                f"beams {k} and {other} are closer than twice the beam radius "
+                "but share a color"
+            )
 
 
 def _hex_spiral(count: int) -> list[tuple[int, int]]:
@@ -371,8 +373,9 @@ def _ground_halfwidths_deg(sat: np.ndarray, bores: np.ndarray,
 
     For each beam center, the first step of the doubling sequence
     `_HALFWIDTH_STEPS` whose northward offset reaches the beam radius seen
-    from the satellite; every beam and step is converted in one pass.
-    `bores` (K, 3) holds the center directions seen from the satellite.
+    from the satellite; every beam and step is converted, and its (K, 40)
+    off-axis angles taken, in one pass. `bores` (K, 3) holds the center
+    directions seen from the satellite.
     """
     if radius_deg <= 0.0:
         raise GeometryError("beam radius must be strictly positive")
@@ -380,9 +383,7 @@ def _ground_halfwidths_deg(sat: np.ndarray, bores: np.ndarray,
     targs = geometry.latlon_to_ecef(
         lat0[:, None] + _HALFWIDTH_STEPS, lon0[:, None], earth_radius_m
     ) - sat
-    reach = np.array(
-        [geometry.boresight_angle_deg(b, t) for b, t in zip(bores, targs)]
-    ) >= radius_deg
+    reach = geometry.boresight_angles_deg(bores, targs) >= radius_deg
     closed = reach.any(axis=1)
     if not np.all(closed):
         bad = int(np.argmin(closed))
@@ -411,6 +412,13 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
     the per-user slant range, all normalized to the receiver noise. The
     entries are amplitudes (the squared gains are the power gains), so the
     feed term is the square root of the power pattern.
+
+    Users and feed boresights are each converted to satellite-to-ground
+    vectors in one call. Each feed's off-axis angles are then the
+    arithmetic of `geometry.boresight_angle_deg`, bit for bit: its
+    `np.linalg.norm` of the boresight and its `targ @ bu` product, with the
+    cross product and its norm formed over the contiguous x, y and z rows
+    of the targets.
     """
     if users.beams != layout.beams:
         raise ConfigError("users and layout disagree on the number of beams")
@@ -423,13 +431,22 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
 
     targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],
                                    budget.earth_radius_m) - sat
+    x, y, z = targ.T.copy()
+    feeds = layout.feed_boresights
+    bores = geometry.latlon_to_ecef(feeds[:, 0], feeds[:, 1],
+                                    budget.earth_radius_m) - sat
     gains = np.empty((rows, layout.feeds))
-    for n in range(layout.feeds):
-        bore = layout.feed_boresights[n]
-        theta = geometry.boresight_angle_deg(
-            geometry.latlon_to_ecef(bore[0], bore[1], budget.earth_radius_m) - sat,
-            targ,
-        )
+    for n, bore in enumerate(bores):
+        # One product per feed: a (rows, 3) @ (3, N) product of all feeds
+        # rounds differently.
+        bu = bore / np.linalg.norm(bore)
+        c0 = y * bu[2] - z * bu[1]
+        c1 = z * bu[0] - x * bu[2]
+        c2 = x * bu[1] - y * bu[0]
+        theta = np.degrees(np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
+                                      targ @ bu))
+        # The pattern is taken one feed at a time: over the whole matrix
+        # its temporaries would set the paper-scale memory peak.
         gains[:, n] = pattern_gain(theta, layout.beam_radius_3db_deg)
     return g_r * np.sqrt(gains) / denom[:, None]
 
@@ -606,12 +623,18 @@ def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
     decomposition of that one Gram matrix bit for bit.
     """
     q = users_per_beam
-    kept = np.arange(h.shape[-2] - q)
-    rows = kept + q * (kept >= q * beam[:, None])      # (M, (K-1)Q)
-    other = h[channel[:, None], rows]
+    other = h[channel[:, None], _other_rows(h.shape[-2], q, beam)]
     full = eigh_sorted(other.conj().swapaxes(-1, -2) @ other)
     return (full.eigenvalues[:, 0], full.eigenvalues[:, -q:],
             full.eigenvectors[..., -q:])
+
+
+def _other_rows(rows: int, users_per_beam: int, beam: np.ndarray) -> np.ndarray:
+    """(M, rows - Q) indices of the rows outside beam ``beam[i]``, in order,
+    for each i, where `rows` beam-major rows hold Q rows per beam."""
+    q = users_per_beam
+    kept = np.arange(rows - q)
+    return kept + q * (kept >= q * beam[:, None])
 
 
 def assemble_channel(gain: np.ndarray, phase: np.ndarray, beams: int,
@@ -645,10 +668,19 @@ def extract_users(pool: ChannelMatrix, members: np.ndarray) -> ChannelMatrix:
     members = np.asarray(members, dtype=int)
     if members.ndim != 2 or members.shape[0] != pool.beams:
         raise ConfigError("members must be a (K, Q) index array")
-    rows = [pool.beam(k)[members[k]] for k in range(pool.beams)]
     return ChannelMatrix(
-        h=np.vstack(rows), beams=pool.beams, users_per_beam=members.shape[1]
+        h=_served_rows(pool.h, members), beams=pool.beams,
+        users_per_beam=members.shape[1],
     )
+
+
+def _served_rows(pool_rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The served users' rows (K*Q, N), beam-major, gathered in one index
+    from a pool's beam-major rows (K*pool, N): row k*Q + q is row
+    `members[k, q]` of beam k's pool rows."""
+    k, n = members.shape[0], pool_rows.shape[1]
+    blocks = pool_rows.reshape(k, -1, n)
+    return blocks[np.arange(k)[:, None], members].reshape(-1, n)
 
 
 @dataclass(frozen=True)
@@ -685,16 +717,19 @@ class PerturbationBounds:
     @classmethod
     def from_delta(cls, delta: np.ndarray, beams: int,
                    users_per_beam: int) -> "PerturbationBounds":
-        """Tight bounds realized by a concrete perturbation matrix."""
-        q = users_per_beam
-        gamma_k = np.array(
-            [np.sum(np.abs(delta[k * q:(k + 1) * q]) ** 2) for k in range(beams)]
-        )
-        # Complement sums are formed literally so the identity is exact.
-        gamma_tilde = np.array(
-            [np.sum(np.delete(gamma_k, k)) for k in range(beams)]
-        )
-        return cls(gamma_k=gamma_k, gamma_tilde_k=gamma_tilde)
+        """Tight bounds realized by a concrete perturbation matrix.
+
+        `delta` is (K*Q, N), beam-major. Each beam's squared Frobenius norm
+        is one row sum over its Q*N entries, and each complement one row
+        sum over the other K-1 norms in beam order, so the identity
+        ``gamma_tilde_k[k] == np.sum(np.delete(gamma_k, k))`` is exact.
+        """
+        delta = np.asarray(delta)
+        if delta.ndim != 2 or delta.shape[0] != beams * users_per_beam:
+            raise ConfigError("delta must have K*Q rows")
+        gamma_k = np.sum(np.abs(delta.reshape(beams, -1)) ** 2, axis=1)
+        others = _other_rows(beams, 1, np.arange(beams))
+        return cls(gamma_k=gamma_k, gamma_tilde_k=np.sum(gamma_k[others], axis=1))
 
 
 def perturb_channel(ch: ChannelMatrix, ratio: float, rng_seed):

@@ -21,6 +21,7 @@ from .channel import (
     LinkBudget,
     PerturbationBounds,
     PhaseModel,
+    _served_rows,
     assemble_channel,
     beam_contours,
     build_gain_matrix,
@@ -334,17 +335,12 @@ def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
 
     members = _select_members(cfg, pool_est, gamma_user, select_seed)
     ch_true = extract_users(pool_true, members)
-    ch_est = extract_users(pool_est, members)
-    if delta_pool is not None:
-        delta = np.vstack(
-            [delta_pool[k * cfg.pool_per_beam + members[k]] for k in range(cfg.beams)]
-        )
-        bounds = PerturbationBounds.from_delta(
-            delta, cfg.beams, cfg.users_per_beam
-        )
-    else:
-        bounds = PerturbationBounds.zero(cfg.beams)
-    return ch_true, ch_est, bounds
+    if delta_pool is None:
+        # Perfect CSI: the estimate is the true channel itself.
+        return ch_true, ch_true, PerturbationBounds.zero(cfg.beams)
+    bounds = PerturbationBounds.from_delta(_served_rows(delta_pool, members),
+                                           cfg.beams, cfg.users_per_beam)
+    return ch_true, extract_users(pool_est, members), bounds
 
 
 def _run_trial(trial_seed: np.random.SeedSequence,

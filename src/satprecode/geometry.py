@@ -64,6 +64,25 @@ def boresight_angle_deg(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
     return np.degrees(np.arctan2(sin_part, cos_part))
 
 
+def boresight_angles_deg(bores: np.ndarray, targ: np.ndarray) -> np.ndarray:
+    """Angles between each of B boresight vectors (B, 3) and targets, in one
+    pass: row b holds boresight b against the shared targets (M, 3), or
+    against its own targets ``targ[b]`` when `targ` is (B, M, 3).
+
+    The projection is an elementwise sum rather than `boresight_angle_deg`'s
+    BLAS product, so an angle may differ from that one in the last bit;
+    use this where only a comparison with a threshold is read.
+    """
+    bu = bores / np.linalg.norm(bores, axis=-1, keepdims=True)
+    bx, by, bz = bu[:, None, 0], bu[:, None, 1], bu[:, None, 2]
+    tx, ty, tz = targ[..., 0], targ[..., 1], targ[..., 2]
+    c0 = ty * bz - tz * by
+    c1 = tz * bx - tx * bz
+    c2 = tx * by - ty * bx
+    return np.degrees(np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
+                                 tx * bx + ty * by + tz * bz))
+
+
 def elevation_deg(sat_pos: np.ndarray, lat_deg, lon_deg,
                   earth_radius_m: float) -> np.ndarray:
     """Satellite elevation above the local horizon at ground points."""

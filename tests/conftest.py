@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,3 +76,20 @@ def desk_channel(layout, budget, q_served, seed, pool=None, chi_deg=10.0):
         return ch
     members = np.tile(np.arange(q_served), (layout.beams, 1))
     return sp.extract_users(ch, members)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench_workloads():
+    """``perfbench/workloads.py`` loaded as a module, without importing
+    the rest of the harness; the files under ``perfbench/`` are only
+    read."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

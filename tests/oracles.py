@@ -44,6 +44,13 @@ The per-cell statistics of a Monte Carlo result (`trial_means`,
 power) cell) and the `csv.writer` row loops behind `results_csv_per_cell`
 and `curve_csv_per_cell` are the reference for the one-pass
 `MonteCarloResult.statistics` and the one-string file writers.
+
+The per-beam and per-feed loops of a trial's set-up are the reference
+for their array passes: `validate_geometry_per_beam` (the layout check),
+`build_gain_matrix_per_feed`, `select_per_beam` (the grouping),
+`extract_users_per_beam`, `served_delta_per_beam` and
+`from_delta_per_beam` (the error bounds), composed into
+`trial_channels_per_beam`.
 """
 
 from __future__ import annotations
@@ -62,7 +69,11 @@ from satprecode.channel import (
     LinkBudget,
     PerturbationBounds,
     PhaseModel,
+    assemble_channel,
+    build_phase_matrix,
     pattern_gain,
+    perturb_channel,
+    place_users,
 )
 from satprecode.exceptions import (
     MODELLED_FAILURES,
@@ -72,6 +83,7 @@ from satprecode.exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
+from satprecode.evaluate import _select_members
 from satprecode.gateway import GatewayPlan
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
@@ -900,3 +912,132 @@ def assemble_multigateway_per_view(views: list,
             raise type(exc)(f"gateway {g}: {exc}") from exc
         w_bar[:, plan.feed_slice(g), beams] = columns.swapaxes(-1, -2)
     return _scaled(p_total, w_bar, mode)
+
+
+# Per-beam and per-feed loops of the layout check, the gain matrix, the
+# grouping, the extraction and the error bounds. The library now runs each
+# as one array pass.
+
+def validate_geometry_per_beam(layout: BeamLayout, budget: LinkBudget) -> None:
+    """`BeamLayout.validate_geometry` with one `boresight_angle_deg` call
+    per beam: the separations of beam k to every center, then its first
+    clash."""
+    sat = budget.satellite_position()
+    centers = layout.beam_centers
+    elev = geometry.elevation_deg(sat, centers[:, 0], centers[:, 1],
+                                  budget.earth_radius_m)
+    if np.any(elev <= 0.0):
+        raise GeometryError(f"beam {int(np.argmin(elev))} center is below the horizon")
+    to_center = geometry.latlon_to_ecef(centers[:, 0], centers[:, 1],
+                                        budget.earth_radius_m) - sat
+    colors = layout.color_of_beam
+    for k in range(layout.beams):
+        sep = geometry.boresight_angle_deg(to_center[k], to_center)
+        close = ((sep < 2.0 * layout.beam_radius_3db_deg)
+                 & (np.arange(layout.beams) != k))
+        clash = close & (colors == colors[k])
+        if np.any(clash):
+            raise ConfigError(
+                f"beams {k} and {int(np.nonzero(clash)[0][0])} are closer than "
+                "twice the beam radius but share a color"
+            )
+
+
+def build_gain_matrix_per_feed(layout: BeamLayout, users,
+                               budget: LinkBudget) -> np.ndarray:
+    """`build_gain_matrix` with each feed's boresight converted on its own
+    and its angles taken by `geometry.boresight_angle_deg`."""
+    sat = budget.satellite_position()
+    flat = users.flat_positions()
+    d = geometry.slant_range_m(sat, flat[:, 0], flat[:, 1], budget.earth_radius_m)
+    g_r = 10.0 ** (budget.user_antenna_gain_db / 20.0)
+    denom = 4.0 * math.pi * (d / budget.wavelength_m) * budget.noise_amplitude
+    targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],
+                                   budget.earth_radius_m) - sat
+    gains = np.empty((flat.shape[0], layout.feeds))
+    for n, (lat, lon) in enumerate(layout.feed_boresights):
+        bore = geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
+        gains[:, n] = pattern_gain(geometry.boresight_angle_deg(bore, targ),
+                                   layout.beam_radius_3db_deg)
+    return g_r * np.sqrt(gains) / denom[:, None]
+
+
+def select_per_beam(pool: ChannelMatrix, q_served: int, rng_seed,
+                    penalties: np.ndarray | None = None) -> np.ndarray:
+    """`grouping._select` one beam at a time: draw the seed, score the
+    beam's pool, sort."""
+    candidates = pool.users_per_beam
+    rng = np.random.default_rng(rng_seed)
+    members = np.empty((pool.beams, q_served), dtype=int)
+    for k in range(pool.beams):
+        seed = int(rng.integers(candidates))
+        rows = pool.beam(k)
+        score = np.sum(np.abs(rows - rows[seed]) ** 2, axis=1)
+        if penalties is not None:
+            score = score + penalties[k]
+        score[seed] = np.inf
+        members[k, 0] = seed
+        members[k, 1:] = np.sort(np.argsort(score, kind="stable")[: q_served - 1])
+    return members
+
+
+def extract_users_per_beam(pool: ChannelMatrix, members: np.ndarray) -> ChannelMatrix:
+    """`extract_users` as one row gather per beam, stacked."""
+    rows = [pool.beam(k)[members[k]] for k in range(pool.beams)]
+    return ChannelMatrix(h=np.vstack(rows), beams=pool.beams,
+                         users_per_beam=members.shape[1])
+
+
+def served_delta_per_beam(delta_pool: np.ndarray, members: np.ndarray,
+                          pool_per_beam: int) -> np.ndarray:
+    """The served users' rows of a pool perturbation, one beam at a time."""
+    return np.vstack([delta_pool[k * pool_per_beam + members[k]]
+                      for k in range(members.shape[0])])
+
+
+def from_delta_per_beam(delta: np.ndarray, beams: int,
+                        users_per_beam: int) -> PerturbationBounds:
+    """`PerturbationBounds.from_delta` with one sum per beam and each
+    complement formed literally by `np.delete`."""
+    q = users_per_beam
+    gamma_k = np.array(
+        [np.sum(np.abs(delta[k * q:(k + 1) * q]) ** 2) for k in range(beams)]
+    )
+    gamma_tilde = np.array([np.sum(np.delete(gamma_k, k)) for k in range(beams)])
+    return PerturbationBounds(gamma_k=gamma_k, gamma_tilde_k=gamma_tilde)
+
+
+def trial_channels_per_beam(trial_seed, cfg, layout: BeamLayout,
+                            budget: LinkBudget, contours: tuple) -> tuple:
+    """`evaluate._trial_channels` through the per-beam and per-feed loops
+    above, extracting the estimate separately even with perfect CSI."""
+    users_seed, phase_seed, perturb_seed, select_seed = trial_seed.spawn(4)
+    users = place_users(layout, cfg.pool_per_beam, users_seed, budget=budget,
+                        contours=contours)
+    gain = build_gain_matrix_per_feed(layout, users, budget)
+    phase = build_phase_matrix(
+        PhaseModel(variant=cfg.phase_model, chi_deg=cfg.phase_sigma_deg,
+                   rng_seed=phase_seed), *gain.shape)
+    pool_true = assemble_channel(gain, phase, cfg.beams, cfg.pool_per_beam)
+    gamma_user = None
+    pool_est, delta_pool = pool_true, None
+    if cfg.csi_error_ratio > 0.0:
+        pool_est, delta_pool = perturb_channel(pool_true, cfg.csi_error_ratio,
+                                               perturb_seed)
+        gamma_user = (np.sum(np.abs(delta_pool) ** 2, axis=1)
+                      .reshape(cfg.beams, cfg.pool_per_beam))
+    q = cfg.users_per_beam
+    if cfg.grouping == "nominal":
+        members = select_per_beam(pool_est, q, select_seed)
+    elif cfg.grouping == "robust":
+        if gamma_user is None:
+            gamma_user = np.zeros((cfg.beams, cfg.pool_per_beam))
+        members = select_per_beam(pool_est, q, select_seed, gamma_user)
+    else:
+        members = _select_members(cfg, pool_est, None, select_seed)
+    ch_true = extract_users_per_beam(pool_true, members)
+    ch_est = extract_users_per_beam(pool_est, members)
+    if delta_pool is None:
+        return ch_true, ch_est, PerturbationBounds.zero(cfg.beams)
+    delta = served_delta_per_beam(delta_pool, members, cfg.pool_per_beam)
+    return ch_true, ch_est, from_delta_per_beam(delta, cfg.beams, q)

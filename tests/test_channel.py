@@ -32,6 +32,7 @@ from oracles import (
     ground_halfwidth_deg,
     off_axis_angle_deg,
     other_gram_eig_per_beam,
+    validate_geometry_per_beam,
 )
 
 SHIPPED_CONFIGS = ("desk.cfg", "figure3_recipe.cfg", "gateway_desk.cfg",
@@ -101,9 +102,12 @@ class TestLayout:
                              [(7, 0.25, 4.0), (61, 0.09, 1.1), (245, 0.09, 1.1)])
     def test_centers_converted_once_give_the_same_angles(self, budget, beams,
                                                          radius, spacing):
-        # validate_geometry converts every center once and measures the
-        # separations with boresight_angle_deg: bit for bit the angles of
+        # The per-beam layout check (oracles.validate_geometry_per_beam)
+        # converts every center once and measures the separations with
+        # boresight_angle_deg: bit for bit the angles of
         # oracles.off_axis_angle_deg, which converts them again per beam.
+        # validate_geometry's one (K, K) pass is held to that check's
+        # decisions in test_array_passes.py.
         lay = sp.hex_layout(beams, 47.0, 10.0, radius, spacing, budget=budget)
         sat = budget.satellite_position()
         c = lay.beam_centers
@@ -127,6 +131,22 @@ class TestLayout:
         )
         with pytest.raises(ConfigError, match=r"^beams 0 and 1 are closer"):
             lay.validate_geometry(budget)
+        # Six beams in the same row, all close: beam 0's color is its own,
+        # beam 1 clashes with 3 and 5 and beam 2 with 4. The per-beam loop
+        # names the lowest beam with a clash, then its lowest partner:
+        # (1, 3), not (2, 4) or (3, 1).
+        row = np.array([[47.0, 10.0 + 0.3 * i] for i in range(6)])
+        lay = sp.BeamLayout(
+            beam_centers=row,
+            feed_boresights=row,
+            feeds_per_beam=1,
+            beam_radius_3db_deg=0.25,
+            color_of_beam=np.array([0, 1, 2, 1, 2, 1]),
+        )
+        with pytest.raises(ConfigError, match=r"^beams 1 and 3 are closer"):
+            lay.validate_geometry(budget)
+        with pytest.raises(ConfigError, match=r"^beams 1 and 3 are closer"):
+            validate_geometry_per_beam(lay, budget)
 
     def test_zero_radius_rejected(self):
         with pytest.raises(ConfigError):

@@ -7,30 +7,15 @@ under ``perfbench/`` are only read.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from satprecode.cli import main
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH, load_perfbench_workloads
 
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    # Dataclasses resolve their annotations through sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_WORKLOADS_MODULE = _load_workloads()
+_WORKLOADS_MODULE = load_perfbench_workloads()
 WORKLOADS = _WORKLOADS_MODULE.WORKLOADS
 
 
