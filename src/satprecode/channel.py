@@ -3,13 +3,10 @@
 The channel matrix is the entrywise product of a real gain matrix (link
 budget, feed radiation pattern) and a unit-modulus phase
 matrix. Rows are stacked beam-major: row ``k*Q + q`` belongs to user q of
-beam k. All objects are immutable after construction, except that each
-`ChannelMatrix` fills a memo of its other-beam Gram spectra lazily,
-without locking, and hands out read-only views of it. satprecode runs
-its trials one after another in one thread. The gateway views of the
-multi-gateway designs are plain read-only arrays with no memo: the
-stacked gateway pass takes their spectra straight from the kernels that
-fill the memo.
+beam k. All objects are immutable after construction and hold no memo:
+each design computes the other-beam Gram spectra it needs
+(`_other_gram_tails` for one channel, `_stacked_other_gram_tails` for a
+stack of channels or gateway views) when it runs.
 
 The feed radiation pattern is a synthetic circular tapered-aperture model
 ``a(theta) = G_max * |2*J1(u)/u|**2`` with ``u = k_a * sin(theta)``,
@@ -21,7 +18,7 @@ beam radius. The peak gain follows the uniform-aperture relation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import j1
@@ -414,23 +411,24 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
     feed term is the square root of the power pattern.
 
     Users and feed boresights are each converted to satellite-to-ground
-    vectors in one call. Each feed's off-axis angles are then the
-    arithmetic of `geometry.boresight_angle_deg`, bit for bit: its
-    `np.linalg.norm` of the boresight and its `targ @ bu` product, with the
-    cross product and its norm formed over the contiguous x, y and z rows
-    of the targets.
+    vectors in one call, and the users' vectors give the slant ranges too.
+    Each feed's off-axis angles are then the arithmetic of
+    `geometry.boresight_angle_deg`, bit for bit: its `np.linalg.norm` of
+    the boresight and its `targ @ bu` product, with the cross product and
+    its norm formed over the contiguous x, y and z rows of the targets.
     """
     if users.beams != layout.beams:
         raise ConfigError("users and layout disagree on the number of beams")
     sat = budget.satellite_position()
     flat = users.flat_positions()
     rows = flat.shape[0]
-    d = geometry.slant_range_m(sat, flat[:, 0], flat[:, 1], budget.earth_radius_m)
-    g_r = 10.0 ** (budget.user_antenna_gain_db / 20.0)
-    denom = 4.0 * math.pi * (d / budget.wavelength_m) * budget.noise_amplitude
-
     targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],
                                    budget.earth_radius_m) - sat
+    d = np.linalg.norm(targ, axis=-1)
+    if np.any(d <= 0.0):
+        raise GeometryError("nonpositive slant range")
+    g_r = 10.0 ** (budget.user_antenna_gain_db / 20.0)
+    denom = 4.0 * math.pi * (d / budget.wavelength_m) * budget.noise_amplitude
     x, y, z = targ.T.copy()
     feeds = layout.feed_boresights
     bores = geometry.latlon_to_ecef(feeds[:, 0], feeds[:, 1],
@@ -501,9 +499,6 @@ class ChannelMatrix:
     h: np.ndarray
     beams: int
     users_per_beam: int
-    # (filled, lam_max, tail_values, tail), allocated by the first `_unfilled`.
-    _spectra: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h)
@@ -535,65 +530,26 @@ class ChannelMatrix:
         """(K, Q, N) view of `h` whose block k is ``beam(k)``."""
         return self.h.reshape(self.beams, self.users_per_beam, -1)
 
-    def other_gram_eigs(self, beams: range) -> tuple:
-        """Trimmed spectra of the other-beam Gram matrices of `beams`, memoized.
 
-        Beam k's Gram matrix is ``O_k^H O_k`` (N x N), where O_k holds the
-        rows of every other beam in order. Returns read-only views of the
-        memo rows of the consecutive `beams`: the largest eigenvalue
-        ``lam_max`` (B,), the Q smallest ``tail_values`` (B, Q), descending,
-        and their eigenvectors ``tail`` (B, N, Q), the directions the
-        inter-beam designs use. A range of at least `_DOWNDATE_MIN_BEAMS`
-        beams is served by one eigendecomposition of ``h^H h`` and a rank-Q
-        downdate per beam; a shorter range, and any beam the downdate
-        cannot certify, by one dense eigendecomposition per beam. Each beam
-        is computed once per channel.
-        """
-        todo = self._unfilled(beams)
-        if todo.size:
-            self._store(todo, *_other_gram_tails(
-                self.h, todo, self.users_per_beam,
-                downdate=len(beams) >= _DOWNDATE_MIN_BEAMS))
-        views = [a[beams.start:beams.stop] for a in self._spectra[1:]]
-        for view in views:
-            view.flags.writeable = False
-        return tuple(views)
-
-    def _unfilled(self, beams: range) -> np.ndarray:
-        """The beams of the consecutive `beams` not memoized yet."""
-        if self._spectra is None:
-            k, n = self.beams, self.feeds
-            m = min(self.users_per_beam, n)
-            object.__setattr__(self, "_spectra", (
-                np.zeros(k, dtype=bool), np.empty(k), np.empty((k, m)),
-                np.empty((k, n, m), dtype=complex)))
-        ids = np.arange(beams.start, beams.stop)
-        return ids[~self._spectra[0][ids]]
-
-    def _store(self, beam_ids: np.ndarray, *spectra: np.ndarray) -> None:
-        """Memoize the spectra rows of `beam_ids`."""
-        filled, *memo = self._spectra
-        for slab, rows in zip(memo, spectra):
-            slab[beam_ids] = rows
-        filled[beam_ids] = True
-
-
-def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray, users_per_beam: int,
-                     downdate: bool) -> tuple:
+def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
+                      users_per_beam: int) -> tuple:
     """Trimmed other-beam Gram spectra of the beams `beam_ids` of the
-    channel `h`, laid out as `ChannelMatrix.other_gram_eigs` returns them.
+    channel `h` (KQ, N): beam k's Gram matrix is ``O_k^H O_k``, where O_k
+    holds every other beam's rows in order.
 
-    With `downdate`, they come from one eigendecomposition of ``h^H h``
-    and a rank-Q downdate per beam (`downdated_tails`); a beam the
-    downdate cannot certify, and every beam without `downdate`, from a
-    dense decomposition of its own Gram matrix.
+    Returns the largest eigenvalue ``lam_max`` (B,), the Q smallest
+    ``tail_values`` (B, Q), descending, and their eigenvectors ``tail``
+    (B, N, Q). At least `_DOWNDATE_MIN_BEAMS` beams come from one
+    eigendecomposition of ``h^H h`` and a rank-Q downdate per beam
+    (`downdated_tails`); fewer beams, and any beam the downdate cannot
+    certify, from a dense decomposition of each beam's Gram matrix.
     """
     q = users_per_beam
     b, n = beam_ids.size, h.shape[1]
     m = min(q, n)
     out = (np.empty(b), np.empty((b, m)), np.empty((b, n, m), dtype=complex))
     dense = np.arange(b)
-    if downdate and b:
+    if b >= _DOWNDATE_MIN_BEAMS:
         *found, ok = downdated_tails(h, h.reshape(-1, q, n)[beam_ids])
         for slab, rows in zip(out, found):
             slab[ok] = rows[ok]
@@ -609,6 +565,21 @@ def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray, users_per_beam: int,
         for slab, rows in zip(out, found):
             slab[i] = rows[0]
     return out
+
+
+def _stacked_other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
+                              users_per_beam: int) -> tuple:
+    """What `_other_gram_tails` gives for the beams ``beam_ids[c]`` (C, B)
+    of each channel ``h[c]`` of the stack `h` (C, KQ, N), bit for bit, as
+    (C, B, ...) arrays; below the crossover, from one stacked call."""
+    c, b = beam_ids.shape
+    if b < _DOWNDATE_MIN_BEAMS:
+        found = _dense_other_gram_tails(h, np.repeat(np.arange(c), b),
+                                        beam_ids.ravel(), users_per_beam)
+        return tuple(a.reshape(c, b, *a.shape[1:]) for a in found)
+    return tuple(map(np.stack, zip(*(
+        _other_gram_tails(view, ids, users_per_beam)
+        for view, ids in zip(h, beam_ids)))))
 
 
 def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,

@@ -34,14 +34,16 @@ from .channel import (
 from .config import _SCHEMA, ScenarioConfig, dbw_to_watts
 from .exceptions import MODELLED_FAILURES, ConfigError
 from .gateway import (
+    BlockDesign,
     GatewayPlan,
     assemble_multigateway_family,
     assemble_multigateway_precoder,
     make_plan,
+    plan_designs,
     share_csi,
 )
 from .precoding import baseline_avg_mmse, baseline_four_color, two_stage
-from .robust import robust_two_stage
+from .robust import _shift_bounds, robust_two_stage
 
 __all__ = [
     "ModcodTable",
@@ -354,18 +356,25 @@ def _run_trial(trial_seed: np.random.SeedSequence,
     ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget,
                                               contours)
 
-    # The CSI exchange does not depend on power: one set of views per
-    # gateway scenario, designed together for every power point.
-    shared = {}
-    for name, plan in plans.items():
-        try:
-            shared[name] = share_csi(ch_est, plan)
-        except MODELLED_FAILURES:
-            shared[name] = None
-    family = _family_cells(
-        {name: (views, plans[name]) for name, views in shared.items()
-         if views is not None},
-        ch_true, p_w, cfg, table, budget)
+    # Every two-stage scenario is designed in one pass over all powers:
+    # mbim and robust as one block over every beam of the estimate, each
+    # gateway scenario as one block per view. The CSI exchange does not
+    # depend on power: one set of views per gateway scenario.
+    shared, designs = {}, {}
+    for name in cfg.scenarios:
+        if name == "mbim":
+            designs[name] = [BlockDesign(ch_est.h, range(cfg.beams))]
+        elif name == "robust":
+            designs[name] = [BlockDesign(
+                ch_est.h, range(cfg.beams),
+                lambda lam_max: _shift_bounds(bounds, lam_max))]
+        elif name in plans:
+            try:
+                shared[name] = share_csi(ch_est, plans[name])
+                designs[name] = plan_designs(shared[name], plans[name])
+            except MODELLED_FAILURES:
+                shared[name] = None
+    family = _family_cells(designs, ch_true, p_w, cfg, table, budget)
 
     def rates(name, p_w):
         sinrs, factor = _scenario_sinrs(
@@ -387,8 +396,8 @@ def _run_trial(trial_seed: np.random.SeedSequence,
 def _family_cells(designs: dict, ch_true: ChannelMatrix, p_w: np.ndarray,
                   cfg: ScenarioConfig, table: ModcodTable,
                   budget: LinkBudget) -> dict:
-    """The (P, K) beam rates of each gateway scenario in `designs` (its
-    views and plan, by name), from one stacked design, one SINR and one
+    """The (P, K) beam rates of each two-stage scenario in `designs` (its
+    block designs, by name), from one stacked design, one SINR and one
     rate call.
 
     After a modelled failure it returns no scenario, and the caller runs
@@ -398,7 +407,8 @@ def _family_cells(designs: dict, ch_true: ChannelMatrix, p_w: np.ndarray,
     if not designs:
         return {}
     try:
-        pre = assemble_multigateway_family(list(designs.values()), p_w,
+        pre = assemble_multigateway_family(list(designs.values()),
+                                           ch_true.users_per_beam, p_w,
                                            cfg.power_mode)
     except MODELLED_FAILURES:
         return {}

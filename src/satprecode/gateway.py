@@ -16,37 +16,39 @@ Cooperation is a pure data-exchange step that completes before any
 sub-precoder is assembled; gateways are otherwise independent. Each
 gateway's effective channel (its view) is a plain read-only array.
 
-The gateways of every plan designed from one channel are independent
-too, so one pass designs them all: the (view, own-beam range) pairs of
-every plan are grouped by shape, and each group takes its Gram tails,
-its whitening and its intra-beam SVD from one stacked call
-(`_block_diagonals`). `assemble_multigateway_precoder` runs that pass for
-one plan, `assemble_multigateway_family` for all plans of a trial.
+Each gateway runs the two-stage mbim design of its own beams on its
+view; the whole-channel mbim and robust precoders are that design with
+one gateway. A design is a (view, beam range, shifts) triple
+(`BlockDesign`), and one pass designs every precoder of a channel: the
+designs are grouped by shape, and each group takes its Gram tails (once
+per distinct view and range), its whitening and its intra-beam SVD from
+one stacked call (`_block_diagonals`). `assemble_multigateway_precoder`
+runs that pass for one plan, `assemble_multigateway_family` for every
+two-stage precoder of a trial.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    _DOWNDATE_MIN_BEAMS,
-    ChannelMatrix,
-    _dense_other_gram_tails,
-    _other_gram_tails,
-)
+from .channel import ChannelMatrix, _stacked_other_gram_tails
 from .exceptions import MODELLED_FAILURES, ConfigError
 from .precoding import Precoder, _beam_columns, _mbim_blocks, _power_vector, _scaled
 
 __all__ = [
     "GatewayPlan",
+    "BlockDesign",
     "make_plan",
     "local_csi",
     "share_csi",
     "assemble_multigateway_precoder",
     "assemble_multigateway_family",
+    "plan_designs",
     "overhead_per_gateway",
 ]
 
@@ -235,60 +237,80 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[np.ndarray]:
     return views
 
 
-def _group_columns(views: list[np.ndarray], beams: list[range],
-                   users_per_beam: int, p: np.ndarray) -> np.ndarray:
-    """(P, M, B, N_g) precoder columns of M (view, own-beam range) pairs
-    whose views share their shape (KQ, N_g) and whose ranges hold B beams.
+class BlockDesign(NamedTuple):
+    """One diagonal block of a two-stage mbim precoder: the beams `beams`
+    designed on `view` (KQ, N_b), their columns on the view's feeds.
+    `shifts(lam_max)` maps their largest other-beam Gram eigenvalues to
+    the shifts added to their regularizer (the robust design)."""
 
-    Pair i runs the two-stage mbim pipeline for the beams `beams[i]` on
-    the view `views[i]`, every stage one stacked call over all pairs: the
-    Gram tails of every (pair, beam), from one dense decomposition below
-    the downdate crossover and from each view's downdate at or above it;
-    one whitening over all pairs and powers; one intra-beam SVD.
+    view: np.ndarray
+    beams: range
+    shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
+
+
+def plan_designs(views: list[np.ndarray], plan: GatewayPlan) -> list[BlockDesign]:
+    """The blocks of a plan: gateway g's own beams on its view `views[g]`."""
+    return [BlockDesign(view, range(*plan.beam_offsets[g:g + 2]))
+            for g, view in enumerate(views)]
+
+
+def _group_columns(designs: list[BlockDesign], users_per_beam: int,
+                   p: np.ndarray) -> np.ndarray:
+    """(P, M, B, N_b) precoder columns of M block designs whose views share
+    their shape (KQ, N_b) and whose beam ranges hold B beams.
+
+    Every stage is one stacked call over all designs: the Gram tails of
+    each distinct (view, range), shared by the designs on it; one
+    whitening over all designs and powers; one intra-beam SVD.
     """
-    h = np.stack(views)                                         # (M, KQ, N_g)
-    m, rows, n = h.shape
     q = users_per_beam
-    beam_ids = np.array(beams)                                  # (M, B)
+    slots = {}
+    which = np.array([slots.setdefault((id(d.view), d.beams), len(slots))
+                      for d in designs])
+    distinct = np.unique(which, return_index=True)[1]   # first design per slot
+    h = np.stack([designs[i].view for i in distinct])   # (U, KQ, N_b)
+    u, rows, n = h.shape
+    beam_ids = np.array([d.beams for d in designs])     # (M, B)
 
     def spectra():
-        if beam_ids.shape[1] < _DOWNDATE_MIN_BEAMS:
-            found = _dense_other_gram_tails(
-                h, np.repeat(np.arange(m), beam_ids.shape[1]), beam_ids.ravel(), q)
-            return tuple(a.reshape(*beam_ids.shape, *a.shape[1:]) for a in found)
-        return tuple(map(np.stack, zip(*(
-            _other_gram_tails(view, ids, q, downdate=True)
-            for view, ids in zip(views, beam_ids)))))
+        found = _stacked_other_gram_tails(h, beam_ids[distinct], q)
+        return found if u == len(designs) else tuple(a[which] for a in found)
 
-    wa = _mbim_blocks((rows // q, q, n), spectra, beam_ids, p)  # (P, M, B, N_g, Q)
-    h_blocks = h.reshape(m, -1, q, n)[np.arange(m)[:, None], beam_ids]
+    def shifts(lam_max):
+        return np.stack([d.shifts(lam) for d, lam in zip(designs, lam_max)])
+
+    wa = _mbim_blocks((rows // q, q, n), spectra, beam_ids, p, shifts)
+    h_blocks = h.reshape(u, -1, q, n)[which[:, None], beam_ids]
     return _beam_columns(h_blocks, wa, beam_ids)[1]
 
 
-def _block_diagonals(designs: list[tuple[list[np.ndarray], GatewayPlan]],
+def _block_diagonals(precoders: list[list[BlockDesign]], users_per_beam: int,
                      p: np.ndarray) -> np.ndarray:
-    """(S, P, N, K) unscaled block-diagonal precoders of S (views, plan)
-    designs of one channel over the power vector `p`.
+    """(S, P, N, K) unscaled block-diagonal precoders of one channel over
+    the power vector `p`, each given by its blocks, consecutive in beams
+    and feeds.
 
-    Every (view, own-beam range) pair of every plan joins the group of
-    its view width and beam count, and each group is designed in one
-    stacked pass (`_group_columns`); each gateway's columns go on its
-    plan's diagonal, and every other entry stays structurally zero.
+    Every block joins the group of its view width and beam count, and
+    each group is designed in one stacked pass (`_group_columns`); each
+    block's columns go on its precoder's diagonal, and every other entry
+    stays structurally zero.
     """
-    first = designs[0][1]
-    w_bar = np.zeros((len(designs), p.size, first.feeds, first.beams), dtype=complex)
+    rows = precoders[0][0].view.shape[0]
+    feeds = sum(d.view.shape[1] for d in precoders[0])
+    w_bar = np.zeros((len(precoders), p.size, feeds, rows // users_per_beam),
+                     dtype=complex)
     groups = {}
-    for d, (views, plan) in enumerate(designs):
-        for g, view in enumerate(views):
-            key = (view.shape[1], int(plan.beams_per_gateway[g]))
-            groups.setdefault(key, []).append(
-                (d, view, plan.beam_slice(g), plan.feed_slice(g)))
+    for s, blocks in enumerate(precoders):
+        stop = 0
+        for d in blocks:
+            start, stop = stop, stop + d.view.shape[1]
+            groups.setdefault((d.view.shape[1], len(d.beams)), []).append(
+                (s, d, slice(start, stop)))
     for members in groups.values():
-        columns = _group_columns([view for _, view, _, _ in members],
-                                 [range(b.start, b.stop) for _, _, b, _ in members],
-                                 first.users_per_beam, p)
-        for i, (d, _, beams, feeds) in enumerate(members):
-            w_bar[d, :, feeds, beams] = columns[:, i].swapaxes(-1, -2)
+        columns = _group_columns([d for _, d, _ in members], users_per_beam, p)
+        for i, (s, d, feed_cols) in enumerate(members):
+            w_bar[s, :, feed_cols, d.beams.start:d.beams.stop] = (
+                columns[:, i].swapaxes(-1, -2))
     return w_bar
 
 
@@ -306,35 +328,37 @@ def assemble_multigateway_precoder(views: list[np.ndarray],
     whose own design fails, with that design's error as the cause.
     """
     p = _power_vector(p_total)
+    designs = plan_designs(views, plan)
     try:
-        w_bar = _block_diagonals([(views, plan)], p)[0]
+        w_bar = _block_diagonals([designs], plan.users_per_beam, p)[0]
     except MODELLED_FAILURES:
         # Which gateway failed first, and how, is what designing the
         # gateways one at a time in index order reports.
-        for g, view in enumerate(views):
-            beams = plan.beam_slice(g)
+        for g, design in enumerate(designs):
             try:
-                _group_columns([view], [range(beams.start, beams.stop)],
-                               plan.users_per_beam, p)
+                _group_columns([design], plan.users_per_beam, p)
             except MODELLED_FAILURES as exc:
                 raise type(exc)(f"gateway {g}: {exc}") from exc
         raise
     return _scaled(p_total, w_bar, mode)
 
 
-def assemble_multigateway_family(designs: list[tuple[list[np.ndarray], GatewayPlan]],
-                                 p_total: np.ndarray,
+def assemble_multigateway_family(precoders: list[list[BlockDesign]],
+                                 users_per_beam: int, p_total: np.ndarray,
                                  mode: str = "per_feed") -> Precoder:
-    """The precoders of S (views, plan) designs of one channel, every one
-    over the 1-D power vector `p_total`, from one stacked pass.
+    """S block-diagonal precoders of one channel, each given by its blocks
+    (`plan_designs` for a plan; one block over every beam for mbim and
+    robust) and over the 1-D power vector `p_total`, from one stacked pass.
 
-    Slot ``s*P + i`` of the returned precoder's leading axis is design s
+    Slot ``s*P + i`` of the returned precoder's leading axis is precoder s
     at power ``p_total[i]``, bit for bit what
-    `assemble_multigateway_precoder` gives for it, and one power scaling
-    serves every slot. A modelled failure of any design or slot is raised
-    as it is, without naming the gateway; the caller designs each plan
-    on its own to find the cells it skips.
+    `assemble_multigateway_precoder`, `two_stage` or `robust_two_stage`
+    gives for it, and one power scaling serves every slot. A modelled
+    failure of any design or slot is raised as it is, without naming the
+    gateway; the caller designs each precoder on its own to find the
+    cells it skips.
     """
     p = _power_vector(p_total)
-    w_bar = _block_diagonals(designs, p)
-    return _scaled(np.tile(p, len(designs)), w_bar.reshape(-1, *w_bar.shape[2:]), mode)
+    w_bar = _block_diagonals(precoders, users_per_beam, p)
+    return _scaled(np.tile(p, len(precoders)), w_bar.reshape(-1, *w_bar.shape[2:]),
+                   mode)

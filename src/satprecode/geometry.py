@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import GeometryError
-
 
 def latlon_to_ecef(lat_deg, lon_deg, radius_m: float) -> np.ndarray:
     """Convert ground coordinates on a sphere of `radius_m` to Cartesian.
@@ -31,16 +29,6 @@ def geo_satellite_position(longitude_deg: float, height_m: float,
     lon = np.radians(longitude_deg)
     r = earth_radius_m + height_m
     return np.array([r * np.cos(lon), r * np.sin(lon), 0.0])
-
-
-def slant_range_m(sat_pos: np.ndarray, lat_deg, lon_deg,
-                  earth_radius_m: float) -> np.ndarray:
-    """Distance from the satellite to ground points, in meters."""
-    ground = latlon_to_ecef(lat_deg, lon_deg, earth_radius_m)
-    d = np.linalg.norm(ground - sat_pos, axis=-1)
-    if np.any(d <= 0.0):
-        raise GeometryError("nonpositive slant range")
-    return d
 
 
 def boresight_angle_deg(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:

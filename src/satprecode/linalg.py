@@ -100,7 +100,7 @@ def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> tuple:
 
     `blocks` is the (B, Q, N) stack of the beams' rows of `h`. Returns
     ``lam_max`` (B,), ``tail_values`` (B, Q) and ``tail`` (B, N, Q), laid
-    out as `ChannelMatrix.other_gram_eigs` returns them, and the mask `ok`
+    out as `channel._other_gram_tails` returns them, and the mask `ok`
     of the beams whose eigenvalues were certified to `DOWNDATE_TOL` with
     every tail Ritz residual within it; the caller decomposes any other
     beam's Gram matrix directly. No beam is ok when Q > N or G = 0, which

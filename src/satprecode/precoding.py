@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamLayout, ChannelMatrix
+from .channel import BeamLayout, ChannelMatrix, _other_gram_tails
 from .exceptions import (
     ConfigError,
     DegenerateBeamError,
@@ -91,8 +91,8 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     """Inter-beam blocks Wa_k of the interference-mitigation design.
 
     Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
-    ((P, B, N, Q) for a power vector), built from the memoized low end of
-    each beam's other-beam Gram spectrum (`ChannelMatrix.other_gram_eigs`):
+    ((P, B, N, Q) for a power vector), built from the low end of each
+    beam's other-beam Gram spectrum (`channel._other_gram_tails`):
     ``Wa_k = V (S + (KQ/P_T + shift_k) I)^(-1/2)`` restricted to the Q
     columns of smallest eigenvalue, i.e. the directions least aligned with
     the other beams' channels. `shifts(lam_max)` maps the beams' largest
@@ -103,9 +103,10 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     named. With a single beam there is nothing to mitigate and the block
     degenerates to a scaled truncated identity.
     """
+    ids = np.arange(beams.start, beams.stop)
     return _unstack(p_total, _mbim_blocks(
         (ch.beams, ch.users_per_beam, ch.feeds),
-        lambda: ch.other_gram_eigs(beams), np.asarray(beams),
+        lambda: _other_gram_tails(ch.h, ids, ch.users_per_beam), ids,
         _power_vector(p_total), shifts))
 
 
@@ -117,7 +118,7 @@ def _mbim_blocks(dims: tuple[int, int, int], spectra: Callable[[], tuple],
     `beam_ids` (shape S) of channels with `dims` = (K, Q, N).
 
     `spectra()` returns their trimmed other-beam spectra over S, laid out
-    as `ChannelMatrix.other_gram_eigs` returns them; it is called only
+    as `channel._other_gram_tails` returns them; it is called only
     once the shape checks pass, and so is `shifts(lam_max)`, which
     returns the shifts shaped like `beam_ids` (all zero without it). The
     first rank-deficient beam in that order is named.

@@ -20,8 +20,9 @@ when the library exported them:
 * the one-beam views of the stacked designs: `mbim_block`, `rzf_block`
   and `rzf_null_basis`;
 * `feed_gain`, the scalar path to the feed gain that
-  `build_gain_matrix` computes for every user and feed at once, and
-  `off_axis_angle_deg`, the angle from ground coordinates behind it;
+  `build_gain_matrix` computes for every user and feed at once,
+  `off_axis_angle_deg`, the angle from ground coordinates behind it, and
+  `slant_range_m`, the distance from the satellite to ground points;
 * `excluding`, the other-beam rows whose Gram matrix the inter-beam
   designs decompose, and `reconstruct`, an eigendecomposition multiplied
   back out;
@@ -33,11 +34,14 @@ when the library exported them:
 
 The dense per-beam eigendecomposition of each other-beam Gram matrix
 (`other_gram_eig_per_beam`) is the reference for the downdated spectra
-that serve wide beam ranges, `build_phase_matrix_exp` the reference
-for the phase synthesis, and `assemble_multigateway_per_view`, one
-gateway view at a time, the reference for the multi-gateway precoder
-that designs all gateways of one view shape together. `view_channel`
-wraps a gateway view, a plain array, as a channel of its own for them.
+that serve wide beam ranges. The per-beam and per-power design loops
+take their spectra from `other_gram_tails`, the library's spectra of a
+beam range, so they see what the library designs from.
+`build_phase_matrix_exp` is the reference for the phase synthesis, and
+`assemble_multigateway_per_view`, one gateway view at a time, the
+reference for the multi-gateway precoder that designs all gateways of
+one view shape together. `view_channel` wraps a gateway view, a plain
+array, as a channel of its own for them.
 
 The per-cell statistics of a Monte Carlo result (`trial_means`,
 `mean_per_beam`, `std_per_beam`, one NumPy reduction per (scenario,
@@ -69,6 +73,7 @@ from satprecode.channel import (
     LinkBudget,
     PerturbationBounds,
     PhaseModel,
+    _other_gram_tails,
     assemble_channel,
     build_phase_matrix,
     pattern_gain,
@@ -516,6 +521,14 @@ def other_gram_eig_per_beam(ch: ChannelMatrix, k: int) -> EigDecomposition:
     return eigh_sorted(other.conj().T @ other)
 
 
+def other_gram_tails(ch: ChannelMatrix, beams: range) -> tuple:
+    """The trimmed spectra the library designs the consecutive `beams`
+    from (`channel._other_gram_tails`): the downdate for a range at or
+    above the crossover, one dense decomposition per beam below it."""
+    return _other_gram_tails(ch.h, np.arange(beams.start, beams.stop),
+                             ch.users_per_beam)
+
+
 def build_phase_matrix_exp(model: PhaseModel, rows: int,
                            feeds: int) -> np.ndarray:
     """The phase matrix as ``np.exp(1j * theta)``, with its complex
@@ -540,8 +553,10 @@ def intrabeam_per_beam(z: np.ndarray) -> np.ndarray:
 
 
 def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
-                        shift: float = 0.0) -> np.ndarray:
-    """Inter-beam block Wa_k of the interference-mitigation design."""
+                        shift: float = 0.0, tails: tuple | None = None
+                        ) -> np.ndarray:
+    """Inter-beam block Wa_k of the interference-mitigation design, from
+    beam k's trimmed spectrum `tails` (by default its dense one)."""
     n = ch.feeds
     q = ch.users_per_beam
     if q > n:
@@ -551,7 +566,9 @@ def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
         )
     if ch.beams == 1:
         return np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
-    lam_max, lam, tail = (a[0] for a in ch.other_gram_eigs(range(k, k + 1)))
+    if tails is None:
+        tails = [a[0] for a in other_gram_tails(ch, range(k, k + 1))]
+    lam_max, lam, tail = tails
     if shift == 0.0 and lam[-1] <= RANK_TOL * max(lam_max, 0.0):
         raise SingularChannelError(
             f"cross-channel Gram matrix of beam {k} is rank deficient"
@@ -561,9 +578,12 @@ def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
 
 
 def mbim_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    """All inter-beam blocks, horizontally stacked to N x KQ."""
+    """All inter-beam blocks, horizontally stacked to N x KQ, from the
+    spectra the library takes for the whole range."""
+    tails = other_gram_tails(ch, range(ch.beams))
     return np.hstack(
-        [mbim_block_per_beam(ch, k, p_total) for k in range(ch.beams)]
+        [mbim_block_per_beam(ch, k, p_total, tails=[a[k] for a in tails])
+         for k in range(ch.beams)]
     )
 
 
@@ -572,10 +592,11 @@ def robust_interbeam_per_beam(ch: ChannelMatrix, bounds: PerturbationBounds,
     """All robust inter-beam blocks: mbim blocks shifted by epsilon_k."""
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
-    lam_max = ch.other_gram_eigs(range(ch.beams))[0]
-    shifts = _shift_bounds(bounds, lam_max)
+    tails = other_gram_tails(ch, range(ch.beams))
+    shifts = _shift_bounds(bounds, tails[0])
     return np.hstack(
-        [mbim_block_per_beam(ch, k, p_total, shift=shifts[k])
+        [mbim_block_per_beam(ch, k, p_total, shift=shifts[k],
+                             tails=[a[k] for a in tails])
          for k in range(ch.beams)]
     )
 
@@ -651,8 +672,8 @@ def baseline_four_color_per_beam(ch: ChannelMatrix, layout: BeamLayout,
 
 
 def view_channel(view, plan: GatewayPlan) -> ChannelMatrix:
-    """A gateway view (a `share_csi` array) as a channel of its own, with
-    its own spectra memo; a `ChannelMatrix` is returned as it is."""
+    """A gateway view (a `share_csi` array) as a channel of its own; a
+    `ChannelMatrix` is returned as it is."""
     if isinstance(view, ChannelMatrix):
         return view
     return ChannelMatrix(h=view, beams=plan.beams, users_per_beam=plan.users_per_beam)
@@ -661,13 +682,16 @@ def view_channel(view, plan: GatewayPlan) -> ChannelMatrix:
 def assemble_multigateway_per_beam(views: list[np.ndarray],
                                    plan: GatewayPlan, p_total: float,
                                    mode: str = "per_feed") -> Precoder:
-    """Block-diagonal multi-gateway precoder, one beam at a time."""
+    """Block-diagonal multi-gateway precoder, one beam at a time, from the
+    spectra the library takes for each gateway's own-beam range."""
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
     for g, eff in enumerate(view_channel(v, plan) for v in views):
         beams = plan.beam_slice(g)
+        tails = other_gram_tails(eff, range(beams.start, beams.stop))
         for k in range(beams.start, beams.stop):
             try:
-                wa_k = mbim_block_per_beam(eff, k, p_total)
+                wa_k = mbim_block_per_beam(
+                    eff, k, p_total, tails=[a[k - beams.start] for a in tails])
                 z = eff.beam(k) @ wa_k
                 w_bar[plan.feed_slice(g), k] = wa_k @ intrabeam_per_beam(z)
             except MODELLED_FAILURES as exc:
@@ -707,7 +731,7 @@ def mbim_stack_per_power(ch: ChannelMatrix, beams: range, p_total: float,
         return block[None]
     if shifts is None:
         shifts = np.zeros(len(beams))
-    lam_max, lam, tails = ch.other_gram_eigs(beams)
+    lam_max, lam, tails = other_gram_tails(ch, beams)
     singular = (shifts == 0.0) & (
         lam[:, -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
@@ -813,7 +837,7 @@ def robust_interbeam_per_power(ch: ChannelMatrix, bounds: PerturbationBounds,
                                p_total: float) -> np.ndarray:
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
-    lam_max = ch.other_gram_eigs(range(ch.beams))[0]
+    lam_max = other_gram_tails(ch, range(ch.beams))[0]
     return _columns_per_power(
         mbim_stack_per_power(ch, range(ch.beams), p_total,
                              _shift_bounds(bounds, lam_max))
@@ -943,13 +967,24 @@ def validate_geometry_per_beam(layout: BeamLayout, budget: LinkBudget) -> None:
             )
 
 
+def slant_range_m(sat_pos: np.ndarray, lat_deg, lon_deg,
+                  earth_radius_m: float) -> np.ndarray:
+    """Distance from the satellite to ground points, in meters."""
+    ground = geometry.latlon_to_ecef(lat_deg, lon_deg, earth_radius_m)
+    d = np.linalg.norm(ground - sat_pos, axis=-1)
+    if np.any(d <= 0.0):
+        raise GeometryError("nonpositive slant range")
+    return d
+
+
 def build_gain_matrix_per_feed(layout: BeamLayout, users,
                                budget: LinkBudget) -> np.ndarray:
     """`build_gain_matrix` with each feed's boresight converted on its own
-    and its angles taken by `geometry.boresight_angle_deg`."""
+    and its angles taken by `geometry.boresight_angle_deg`, and the slant
+    ranges from a second conversion of the users (`slant_range_m`)."""
     sat = budget.satellite_position()
     flat = users.flat_positions()
-    d = geometry.slant_range_m(sat, flat[:, 0], flat[:, 1], budget.earth_radius_m)
+    d = slant_range_m(sat, flat[:, 0], flat[:, 1], budget.earth_radius_m)
     g_r = 10.0 ** (budget.user_antenna_gain_db / 20.0)
     denom = 4.0 * math.pi * (d / budget.wavelength_m) * budget.noise_amplitude
     targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],

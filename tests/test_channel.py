@@ -15,6 +15,8 @@ import satprecode as sp
 from satprecode import geometry
 from satprecode.channel import (
     ChannelMatrix,
+    _other_gram_tails,
+    _stacked_other_gram_tails,
     beam_contours,
     pattern_gain,
 )
@@ -32,6 +34,7 @@ from oracles import (
     ground_halfwidth_deg,
     off_axis_angle_deg,
     other_gram_eig_per_beam,
+    slant_range_m,
     validate_geometry_per_beam,
 )
 
@@ -377,7 +380,7 @@ class TestFeedPattern:
 class TestGainMatrix:
     def test_subsatellite_slant_range_is_orbit_height(self, budget):
         sat = budget.satellite_position()
-        d = geometry.slant_range_m(sat, 0.0, 10.0, budget.earth_radius_m)
+        d = slant_range_m(sat, 0.0, 10.0, budget.earth_radius_m)
         assert float(d) == pytest.approx(35_786_000.0, rel=1e-9)
 
     def test_doubling_bandwidth_scales_entries_by_inverse_sqrt2(
@@ -515,51 +518,46 @@ class TestChannelMatrixViews:
             rebuilt = np.insert(other, k * q, ch.beam(k), axis=0)
             assert np.array_equal(rebuilt, ch.h)
 
-    def test_other_gram_eig_is_memoized_and_trimmed(self):
+    def test_other_gram_tails_are_trimmed(self):
         ch = random_channel(3, 2, 4, seed=2)
-        first = [a[0] for a in ch.other_gram_eigs(range(1, 2))]
+        first = [a[0] for a in _other_gram_tails(ch.h, np.array([1]), 2)]
         lam_max, tail_values, tail = first
         other = excluding(ch, 1)
         full = sp.eigh_sorted(other.conj().T @ other)
         assert lam_max == full.eigenvalues[0]
         assert np.array_equal(tail_values, full.eigenvalues[-2:])
         assert np.array_equal(tail, full.eigenvectors[:, -2:])
-        assert not tail.flags.writeable
-        assert not tail_values.flags.writeable
-        for whole, row in zip(ch.other_gram_eigs(range(3)), first):
+        for whole, row in zip(_other_gram_tails(ch.h, np.arange(3), 2), first):
             assert np.array_equal(whole[1], row)
-            assert not whole.flags.writeable
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**16),
-           st.lists(st.integers(-1, 5), min_size=1, max_size=10))
-    def test_other_gram_eig_memo_keeps_each_beams_first_fill(self, beams, users,
-                                                             seed, order):
-        # -1 asks for the whole range (the downdate, with the crossover
-        # lowered), k >= 0 for beam k % beams alone (the dense path).
+           st.integers(0, 5), st.integers(1, 6))
+    def test_other_gram_tails_read_the_crossover_at_call_time(
+            self, beams, users, seed, start, count):
+        # With the crossover lowered to 2, two or more beams take the
+        # downdate (a beam it cannot certify the dense path), one beam the
+        # dense path; the stacked form gives the same bits.
         ch = random_channel(beams, users, beams * users, seed=seed)
-        first = {}
+        start = start % beams
+        ids = np.arange(start, min(start + count, beams))
+        ok = np.zeros(ids.size, dtype=bool)
+        if ids.size >= 2:
+            *found, ok = downdated_tails(ch.h, ch.beam_blocks()[ids])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", 2)
-            for r in order:
-                rng = range(beams) if r < 0 else range(r % beams, r % beams + 1)
-                todo = [k for k in rng if k not in first]
-                ok = np.zeros(len(todo), dtype=bool)
-                if r < 0 and todo:
-                    *found, ok = downdated_tails(ch.h, ch.beam_blocks()[todo])
-                for i, k in enumerate(todo):
-                    if ok[i]:
-                        first[k] = [a[i] for a in found]
-                    else:
-                        dense = other_gram_eig_per_beam(ch, k)
-                        first[k] = [dense.eigenvalues[0],
-                                    dense.eigenvalues[-users:],
-                                    dense.eigenvectors[:, -users:]]
-                got = ch.other_gram_eigs(rng)
-                assert not any(a.flags.writeable for a in got)
-                for i, k in enumerate(rng):
-                    for slab, want in zip(got, first[k]):
-                        assert np.array_equal(slab[i], want)
+            got = _other_gram_tails(ch.h, ids, users)
+            stacked = _stacked_other_gram_tails(ch.h[None], ids[None], users)
+        for i, k in enumerate(ids):
+            if ok[i]:
+                want = [a[i] for a in found]
+            else:
+                dense = other_gram_eig_per_beam(ch, k)
+                want = [dense.eigenvalues[0], dense.eigenvalues[-users:],
+                        dense.eigenvectors[:, -users:]]
+            for slab, row, value in zip(got, stacked, want):
+                assert np.array_equal(slab[i], value)
+                assert np.array_equal(row[0, i], value)
 
     def test_channel_is_read_only(self):
         ch = random_channel(2, 2, 3, seed=3)

@@ -9,6 +9,8 @@ zero row, as in a gateway view), and the downdate resolves its spectrum
 to rounding errors of G, not of G_k.
 """
 
+import contextlib
+import sys
 import warnings
 
 import numpy as np
@@ -105,26 +107,27 @@ def test_downdate_certifies_every_beam_of_a_link_budget_channel(beams, budget):
     assert _assert_matches_dense(ch) == []
 
 
-def _per_beam_path(ch):
-    """A copy of `ch` whose Gram spectra all come from one-beam ranges,
-    that is, from the dense per-beam path."""
-    ref = ChannelMatrix(h=ch.h, beams=ch.beams, users_per_beam=ch.users_per_beam)
-    for k in range(ch.beams):
-        ref.other_gram_eigs(range(k, k + 1))
-    return ref
+@contextlib.contextmanager
+def _per_beam_path():
+    """Inside, every design takes its Gram spectra from the dense per-beam
+    path of `_other_gram_tails`: the downdate crossover is out of reach."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", sys.maxsize)
+        yield
 
 
 @pytest.mark.parametrize("beams", [37, 61])
 @pytest.mark.parametrize("mode", ["per_feed", "total"])
 def test_designs_equal_the_per_beam_path(beams, mode):
     ch = random_channel(beams, 2, beams, seed=beams)
-    ref = _per_beam_path(ch)
     p = np.array([1.0, 100.0, 1e4])
     _, bounds = perturbed(ch, 0.05, 3)
     for design in (lambda c: sp.two_stage(c, p, mode, "mbim"),
                    lambda c: robust_two_stage(c, bounds, p, mode)):
+        with _per_beam_path():
+            ref = design(ch)
         np.testing.assert_allclose(sinr_matrix(ch, design(ch).w),
-                                   sinr_matrix(ref, design(ref).w),
+                                   sinr_matrix(ch, ref.w),
                                    rtol=1e-9, atol=0)
 
 
@@ -134,12 +137,12 @@ def test_two_gateway_views_above_the_crossover_equal_the_per_beam_path(mode):
     plan = make_plan(61, 61, 2, 2, mode, closest_c=1 if mode == "closest" else None)
     assert min(plan.beams_per_gateway) >= _DOWNDATE_MIN_BEAMS
     views = share_csi(ch, plan)
-    refs = [_per_beam_path(oracles.view_channel(view, plan)) for view in views]
     p = np.array([10.0, 1e3])
+    with _per_beam_path():
+        ref = oracles.assemble_multigateway_per_view(views, plan, p)
     np.testing.assert_allclose(
         sinr_matrix(ch, assemble_multigateway_precoder(views, plan, p).w),
-        sinr_matrix(ch, oracles.assemble_multigateway_per_view(refs, plan, p).w),
-        rtol=1e-9, atol=0)
+        sinr_matrix(ch, ref.w), rtol=1e-9, atol=0)
 
 
 @settings(deadline=None, max_examples=8)
@@ -175,6 +178,7 @@ def test_rank_deficient_beam_is_named_on_both_paths(singular):
         h[:, feed] = 0.0
         h[2 * k:2 * k + 2, feed] = own
     ch = ChannelMatrix(h=h, beams=beams, users_per_beam=2)
-    for c in (ch, _per_beam_path(ch)):
-        with pytest.raises(SingularChannelError, match=rf"of beam {min(singular)} "):
-            sp.mbim_interbeam(c, 10.0)
+    for path in (contextlib.nullcontext(), _per_beam_path()):
+        with path, pytest.raises(SingularChannelError,
+                                 match=rf"of beam {min(singular)} "):
+            sp.mbim_interbeam(ch, 10.0)

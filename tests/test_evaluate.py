@@ -217,7 +217,9 @@ class TestMonteCarlo:
         def broken(*args, **kwargs):
             raise TypeError("design bug")
 
-        monkeypatch.setattr(satprecode.evaluate, "two_stage", broken)
+        # mbim is designed in the stacked pass of the trial.
+        monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
+                            broken)
         with pytest.raises(TypeError, match="design bug"):
             run_monte_carlo(small_config(trials=1))
 
@@ -246,9 +248,10 @@ class TestMonteCarlo:
         return shapes
 
     def test_each_beam_gram_decomposed_once_per_trial(self, monkeypatch):
-        # One call per beam, each on a stack of one 7 x 7 Gram matrix.
+        # One stacked call over the 7 beams, one 7 x 7 Gram matrix each,
+        # which mbim and robust share.
         shapes = self._robust_trial_eigh_shapes(monkeypatch, 7)
-        assert shapes == [(1, 7, 7)] * 7
+        assert shapes == [(7, 7, 7)]
 
     def test_one_gram_decomposition_per_estimate_above_the_crossover(
             self, monkeypatch):

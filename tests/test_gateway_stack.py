@@ -34,6 +34,7 @@ from satprecode.gateway import (
     assemble_multigateway_family,
     assemble_multigateway_precoder,
     make_plan,
+    plan_designs,
     share_csi,
 )
 
@@ -252,7 +253,8 @@ def test_family_pass_equals_each_plan_alone(beams, gateways, users, mode,
     assert (beams // gateways >= _DOWNDATE_MIN_BEAMS) == (beams == 50)
     table = ModcodTable.default()
     p = np.array([0.5, 5.0, 3e3])
-    family = assemble_multigateway_family(designs, p, mode)
+    family = assemble_multigateway_family(
+        [plan_designs(*design) for design in designs], users, p, mode)
     w = family.w.reshape(len(plans), p.size, *family.w.shape[1:])
     alpha = family.alpha.reshape(len(plans), p.size)
     rates = beam_rate(sinr_matrix(ch_true, family.w), table, budget).reshape(
@@ -273,7 +275,8 @@ def test_family_pass_fails_where_a_plan_has_fewer_feeds_than_users():
     designs = [(share_csi(ch, plan), plan) for plan in plans]
     p = np.array([1.0, 10.0])
     with pytest.raises(InfeasibleChannelError, match="fewer feeds"):
-        assemble_multigateway_family(designs, p)
+        assemble_multigateway_family(
+            [plan_designs(*design) for design in designs], 3, p)
     feasible = []
     for views, plan in designs:
         if plan.mode == "ref":
@@ -281,7 +284,8 @@ def test_family_pass_fails_where_a_plan_has_fewer_feeds_than_users():
         else:
             with pytest.raises(InfeasibleChannelError, match="^gateway 0: "):
                 assemble_multigateway_precoder(views, plan, p)
-    family = assemble_multigateway_family(feasible, p)
+    family = assemble_multigateway_family(
+        [plan_designs(*design) for design in feasible], 3, p)
     assert np.array_equal(family.w,
                           assemble_multigateway_precoder(*feasible[0], p).w)
 

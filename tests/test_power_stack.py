@@ -205,18 +205,25 @@ def _small_config(**overrides):
     return cfg
 
 
-def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
-    original = satprecode.evaluate.two_stage
-    bad_power = 10.0 ** (20.0 / 10.0)
-
-    def failing_at_one_power(ch, p_total, *args, **kwargs):
-        if np.any(np.asarray(p_total) == bad_power):
+def _failing_at(p_fail, design, power_arg):
+    """`design`, failing whenever its power argument `power_arg` holds
+    `p_fail`."""
+    def failing(*args, **kwargs):
+        if np.any(np.asarray(args[power_arg]) == p_fail):
             raise np.linalg.LinAlgError("singular at one power")
-        return original(ch, p_total, *args, **kwargs)
+        return design(*args, **kwargs)
 
+    return failing
+
+
+def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
+    bad_power = 10.0 ** (20.0 / 10.0)
     cfg = _small_config()
     clean = run_monte_carlo(cfg)
-    monkeypatch.setattr(satprecode.evaluate, "two_stage", failing_at_one_power)
+    # rzf's design, and mbim's in the stacked pass and on its own.
+    for name, power_arg in (("two_stage", 1), ("assemble_multigateway_family", 2)):
+        monkeypatch.setattr(satprecode.evaluate, name, _failing_at(
+            bad_power, getattr(satprecode.evaluate, name), power_arg))
     res = run_monte_carlo(cfg)
     for s, name in enumerate(cfg.scenarios):
         for i, p in enumerate(cfg.power_sweep_dbw):
@@ -230,11 +237,10 @@ def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
 
 
 @pytest.mark.parametrize("scenarios, design", [
-    (("mbim", "rzf"), "two_stage"),
+    (("rzf",), "two_stage"),
     (("avg_mmse",), "baseline_avg_mmse"),
     (("four_color",), "baseline_four_color"),
-    (("robust",), "robust_two_stage"),
-    (("gw_ref", "gw_icp"), "assemble_multigateway_family"),
+    (("mbim", "robust", "gw_ref", "gw_icp"), "assemble_multigateway_family"),
 ])
 def test_one_design_sinr_and_rate_call_per_trial_and_scenario(
         monkeypatch, scenarios, design):
@@ -252,7 +258,8 @@ def test_one_design_sinr_and_rate_call_per_trial_and_scenario(
                         csi_error_ratio=0.05)
     res = run_monte_carlo(cfg)
     assert res.total_skipped() == 0
-    # All gateway scenarios of a trial are designed and evaluated together.
+    # All two-stage scenarios of a trial (mbim, robust and every gw_*) are
+    # designed and evaluated together.
     family = design == "assemble_multigateway_family"
     cells = cfg.trials * (1 if family else len(scenarios))
     four_color = design == "baseline_four_color"

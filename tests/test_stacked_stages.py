@@ -81,14 +81,10 @@ def _assert_gateways_match_loops(ch, p_total):
                          closest_c=1 if mode == "closest" else None)
         views = share_csi(ch, plan)
         fast = _outcome(assemble_multigateway_precoder, views, plan, p_total)
-        # The loop reads each view's spectra from a memo filled over the
-        # gateway's whole own-beam range, the path the library takes (the
-        # downdate, for a range at or above the crossover).
-        channels = [oracles.view_channel(view, plan) for view in views]
-        for g, view in enumerate(channels):
-            beams = plan.beam_slice(g)
-            view.other_gram_eigs(range(beams.start, beams.stop))
-        slow = _outcome(oracles.assemble_multigateway_per_beam, channels, plan,
+        # The loop takes each view's spectra over the gateway's whole
+        # own-beam range, the path the library takes (the downdate, for a
+        # range at or above the crossover).
+        slow = _outcome(oracles.assemble_multigateway_per_beam, views, plan,
                         p_total)
         if isinstance(slow, tuple):
             # The stacked intra stage also names the beam inside the
