@@ -274,7 +274,7 @@ def _group_columns(designs: list[BlockDesign], users_per_beam: int,
 
     def spectra():
         found = _stacked_other_gram_tails(h, beam_ids[distinct], q)
-        return found if u == len(designs) else tuple(a[which] for a in found)
+        return tuple(a[which] for a in found)
 
     def shifts(lam_max):
         return np.stack([d.shifts(lam) for d, lam in zip(designs, lam_max)])

@@ -86,7 +86,7 @@ def _regularizer(ch: ChannelMatrix, p_total: float | np.ndarray):
 
 
 def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
-               shifts: Callable[[np.ndarray], np.ndarray] | None = None
+               shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
                ) -> np.ndarray:
     """Inter-beam blocks Wa_k of the interference-mitigation design.
 
@@ -98,7 +98,7 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     the other beams' channels. `shifts(lam_max)` maps the beams' largest
     other-beam Gram eigenvalues to their shifts; a positive shift is the
     robust design's worst-case spectral shift (`satprecode.robust`), and
-    no `shifts` means the nominal design, all zero. Only beams with zero
+    the default, all zero, is the nominal design. Only beams with zero
     shift reject a rank-deficient Gram matrix, and the first such beam is
     named. With a single beam there is nothing to mitigate and the block
     degenerates to a scaled truncated identity.
@@ -112,16 +112,15 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
 
 def _mbim_blocks(dims: tuple[int, int, int], spectra: Callable[[], tuple],
                  beam_ids: np.ndarray, p: np.ndarray,
-                 shifts: Callable[[np.ndarray], np.ndarray] | None = None
-                 ) -> np.ndarray:
+                 shifts: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """(P, *S, N, Q) interference-mitigation blocks of the beams
     `beam_ids` (shape S) of channels with `dims` = (K, Q, N).
 
     `spectra()` returns their trimmed other-beam spectra over S, laid out
     as `channel._other_gram_tails` returns them; it is called only
     once the shape checks pass, and so is `shifts(lam_max)`, which
-    returns the shifts shaped like `beam_ids` (all zero without it). The
-    first rank-deficient beam in that order is named.
+    returns the shifts shaped like `beam_ids`. The first rank-deficient
+    beam in that order is named.
     """
     k, q, n = dims
     if q > n:
@@ -133,7 +132,7 @@ def _mbim_blocks(dims: tuple[int, int, int], spectra: Callable[[], tuple],
         amp = np.sqrt(p / (k * q)).reshape(-1, *[1] * (beam_ids.ndim + 2))
         return amp * np.eye(n, q, dtype=complex)
     lam_max, tail_values, tail = spectra()
-    shift = np.zeros(beam_ids.shape) if shifts is None else shifts(lam_max)
+    shift = shifts(lam_max)
     singular = (shift == 0.0) & (
         tail_values[..., -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )

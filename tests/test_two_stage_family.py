@@ -8,8 +8,9 @@ above the downdate crossover. A trial designs mbim, robust and every
 gw_* scenario in one pass, with one power scaling, one SINR and one rate
 call. A rank-deficient estimate makes that pass fall back to designing
 each scenario on its own, which skips mbim and leaves every other
-scenario as designing it on its own gives it. The files under
-``perfbench/`` are only read.
+scenario as designing it on its own gives it; how many designs that
+fallback makes per trial is counted too. The files under ``perfbench/``
+are only read.
 """
 
 import sys
@@ -146,8 +147,7 @@ def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
     assert shapes == [(24, 12, 12), (36, 4, 4)] * cfg.trials
 
 
-def test_rank_deficient_estimate_skips_only_mbim_and_what_shares_its_view(
-        monkeypatch):
+def _rank_deficient_estimates(monkeypatch):
     # Outside beam 5's rows, feed 8 repeats feed 0, so e_0 - e_8 is in the
     # null space of beam 5's other-beam Gram matrix on the estimate. No
     # gateway view of a split plan holds both feeds; gw_ref's view is the
@@ -165,6 +165,11 @@ def test_rank_deficient_estimate_skips_only_mbim_and_what_shares_its_view(
         return ch_true, est, bounds
 
     monkeypatch.setattr(satprecode.evaluate, "_trial_channels", rank_deficient)
+
+
+def test_rank_deficient_estimate_skips_only_mbim_and_what_shares_its_view(
+        monkeypatch):
+    _rank_deficient_estimates(monkeypatch)
     cfg = _small_config(trials=3)
     stacked = run_monte_carlo(cfg)
 
@@ -179,3 +184,25 @@ def test_rank_deficient_estimate_skips_only_mbim_and_what_shares_its_view(
         for name in cfg.scenarios]
     assert np.array_equal(stacked.skipped, alone.skipped)
     assert np.array_equal(stacked.throughput, alone.throughput, equal_nan=True)
+
+
+def test_rank_deficient_estimate_redesigns_every_scenario_on_its_own(
+        monkeypatch):
+    # What one failing design costs today: the stacked pass is thrown
+    # away, every scenario is designed again on its own, and each one that
+    # fails once more at every power. Per-slot failure codes from the
+    # stacked pass would leave one family call per trial (ROADMAP item 3).
+    _rank_deficient_estimates(monkeypatch)
+    calls = dict.fromkeys(("assemble_multigateway_family", "two_stage",
+                           "robust_two_stage",
+                           "assemble_multigateway_precoder"), 0)
+    for name in calls:
+        _counting(monkeypatch, satprecode.evaluate, name, calls)
+    cfg = _small_config()
+    run_monte_carlo(cfg)
+    per_trial = {name: count // cfg.trials for name, count in calls.items()}
+    # mbim and gw_ref fail for the whole power vector, then at each of the
+    # 2 powers; robust and the 3 split plans are designed once more.
+    assert per_trial == {"assemble_multigateway_family": 1, "two_stage": 3,
+                         "robust_two_stage": 1,
+                         "assemble_multigateway_precoder": 6}
