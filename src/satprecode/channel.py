@@ -60,6 +60,10 @@ _HALFWIDTH_STEPS = 1e-3 * 2.0 ** np.arange(40)
 # eigendecomposition per beam: the measured crossover (CHANGES.md table).
 _DOWNDATE_MIN_BEAMS = 24
 
+# Rejection attempts `place_users` draws in one call while each attempt
+# draws 16 points.
+_WINDOW = 4
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -320,12 +324,25 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     radius. Sampling is by rejection from a bounding box; deterministic
     for a fixed seed. `contours` is `beam_contours(layout, budget)` when
     the caller has worked it out already.
+
+    The stream contract: beam by beam, an attempt that still needs r
+    users draws n = max(4r, 16) latitude offsets and then n longitude
+    offsets, uniform on the box, and keeps its accepted points in order;
+    a beam that needs more than 200 attempts raises GeometryError. While
+    n is 16, `_WINDOW` attempts are drawn in one call, the same values as
+    one call per attempt. When the beam fills before the window is used
+    up, the unused draws are put back: the PCG64 state saved before the
+    window is restored and advanced past the draws used, so the next beam
+    starts where one call per attempt leaves the stream. A generator
+    whose bit generator is not PCG64 draws one attempt per call.
     """
     if q_sched < 1:
         raise ConfigError("q_sched must be >= 1")
     budget = budget or LinkBudget()
     sat = budget.satellite_position()
     rng = np.random.default_rng(rng_seed)
+    bit_gen = rng.bit_generator
+    window_size = _WINDOW if isinstance(bit_gen, np.random.PCG64) else 1
     radius = layout.beam_radius_3db_deg
 
     if contours is None:
@@ -338,28 +355,39 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
         cos_lat = math.cos(math.radians(lat0))
         if cos_lat <= 0.0:
             raise GeometryError(f"beam {k} center at the pole is unsupported")
-        bore = bores[k]
         got = 0
         attempts = 0
         while got < q_sched:
-            attempts += 1
-            if attempts > 200:
+            n_draw = max(4 * (q_sched - got), 16)
+            window = window_size if n_draw == 16 else 1
+            if window > 1:
+                saved = bit_gen.state
+            # Row i holds attempt i's latitude offsets, then its longitude
+            # offsets.
+            box = rng.uniform(-half, half, 2 * n_draw * window).reshape(
+                window, 2, n_draw)
+            lat = lat0 + box[:, 0]
+            lon = lon0 + box[:, 1] / cos_lat
+            ang = geometry.boresight_angle_deg(
+                bores[k],
+                geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat,
+            )
+            # The accepted points in attempt order, as many as the beam
+            # still needs; the attempts used end with the last one taken.
+            taken = np.flatnonzero(ang <= radius)[:q_sched - got]
+            full = got + taken.size == q_sched
+            used = int(taken[-1]) // n_draw + 1 if full else window
+            if attempts + used > 200:
                 raise GeometryError(
                     f"beam {k} contour accepts no samples (degenerate contour?)"
                 )
-            n_draw = max(4 * (q_sched - got), 16)
-            lat = lat0 + rng.uniform(-half, half, n_draw)
-            lon = lon0 + rng.uniform(-half, half, n_draw) / cos_lat
-            ang = geometry.boresight_angle_deg(
-                bore, geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
-            )
-            ok = ang <= radius
-            take = min(int(np.count_nonzero(ok)), q_sched - got)
-            if take:
-                idx = np.nonzero(ok)[0][:take]
-                positions[k, got:got + take, 0] = lat[idx]
-                positions[k, got:got + take, 1] = lon[idx]
-                got += take
+            attempts += used
+            positions[k, got:got + taken.size, 0] = lat.ravel()[taken]
+            positions[k, got:got + taken.size, 1] = lon.ravel()[taken]
+            got += taken.size
+            if used < window:
+                bit_gen.state = saved
+                bit_gen.advance(2 * n_draw * used)
     return UserSet(positions=positions)
 
 

@@ -42,7 +42,14 @@ from .gateway import (
     plan_designs,
     share_csi,
 )
-from .precoding import baseline_avg_mmse, baseline_four_color, two_stage
+from .precoding import (
+    _avg_mmse_unscaled,
+    _blocks,
+    baseline_avg_mmse,
+    baseline_four_color,
+    rzf_interbeam,
+    two_stage,
+)
 from .robust import _shift_bounds, robust_two_stage
 
 __all__ = [
@@ -290,6 +297,9 @@ def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
         if gamma_user is None:
             gamma_user = np.zeros((pool_est.beams, pool_est.users_per_beam))
         return grouping_mod.robust_group_users(pool_est, gamma_user, q, seed)
+    if pool_est.users_per_beam == q:
+        # The whole pool is served: every draw sorts to the same members.
+        return np.tile(np.arange(q), (pool_est.beams, 1))
     rng = np.random.default_rng(seed)
     return np.array(
         [
@@ -356,24 +366,11 @@ def _run_trial(trial_seed: np.random.SeedSequence,
     ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget,
                                               contours)
 
-    # Every two-stage scenario is designed in one pass over all powers:
-    # mbim and robust as one block over every beam of the estimate, each
-    # gateway scenario as one block per view. The CSI exchange does not
-    # depend on power: one set of views per gateway scenario.
-    shared, designs = {}, {}
-    for name in cfg.scenarios:
-        if name == "mbim":
-            designs[name] = [BlockDesign(ch_est.h, range(cfg.beams))]
-        elif name == "robust":
-            designs[name] = [BlockDesign(
-                ch_est.h, range(cfg.beams),
-                lambda lam_max: _shift_bounds(bounds, lam_max))]
-        elif name in plans:
-            try:
-                shared[name] = share_csi(ch_est, plans[name])
-                designs[name] = plan_designs(shared[name], plans[name])
-            except MODELLED_FAILURES:
-                shared[name] = None
+    # One stacked pass designs every precoded scenario, and one power
+    # scaling, one SINR and one rate call serve them all. four_color, and
+    # every scenario after a modelled failure in that pass, runs on its
+    # own.
+    shared, designs = _trial_designs(cfg.scenarios, ch_est, bounds, plans)
     family = _family_cells(designs, ch_true, p_w, cfg, table, budget)
 
     def rates(name, p_w):
@@ -393,12 +390,48 @@ def _run_trial(trial_seed: np.random.SeedSequence,
     return out
 
 
+def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
+                   bounds: PerturbationBounds, plans: dict) -> tuple:
+    """The precoded scenarios of a trial as `assemble_multigateway_family`
+    takes them, by name, and each gateway scenario's views, None where
+    its CSI exchange failed.
+
+    mbim, robust and rzf are one block over every beam of the estimate
+    (rzf with its own inter-beam stage, which takes no Gram spectra),
+    each gateway scenario one block per view, and avg_mmse its unscaled
+    precoder. The CSI exchange does not depend on power: one set of views
+    per gateway scenario. four_color is not among them: it keeps its own
+    SINR and its quarter band.
+    """
+    whole = range(ch_est.beams)
+    shared, designs = {}, {}
+    for name in scenarios:
+        if name == "mbim":
+            designs[name] = [BlockDesign(ch_est.h, whole)]
+        elif name == "rzf":
+            designs[name] = [BlockDesign(
+                ch_est.h, whole, interbeam=lambda p: _blocks(
+                    rzf_interbeam(ch_est, p), ch_est.beams))]
+        elif name == "robust":
+            designs[name] = [BlockDesign(
+                ch_est.h, whole, lambda lam_max: _shift_bounds(bounds, lam_max))]
+        elif name == "avg_mmse":
+            designs[name] = lambda p: _avg_mmse_unscaled(ch_est, p)
+        elif name in plans:
+            try:
+                shared[name] = share_csi(ch_est, plans[name])
+                designs[name] = plan_designs(shared[name], plans[name])
+            except MODELLED_FAILURES:
+                shared[name] = None
+    return shared, designs
+
+
 def _family_cells(designs: dict, ch_true: ChannelMatrix, p_w: np.ndarray,
                   cfg: ScenarioConfig, table: ModcodTable,
                   budget: LinkBudget) -> dict:
-    """The (P, K) beam rates of each two-stage scenario in `designs` (its
-    block designs, by name), from one stacked design, one SINR and one
-    rate call.
+    """The (P, K) beam rates of each precoded scenario in `designs` (its
+    block designs or its unscaled precoder, by name), from one stacked
+    design, one SINR and one rate call.
 
     After a modelled failure it returns no scenario, and the caller runs
     each one on its own (`_cells_per_power`), which finds the cells that

@@ -203,12 +203,17 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[np.ndarray]:
 
     Entry g is gateway g's view, a read-only (KQ, N_g) array: all K*Q
     user rows, only its own feed columns, and zeros in the rows it does
-    not know. The msvdgc leading singular triples come from one stacked
+    not know. The one view of a one-gateway plan is `ch.h` itself, so a
+    design on it shares the Gram spectra of every other design on the
+    channel. The msvdgc leading singular triples come from one stacked
     SVD per foreign-block shape.
     """
     if (plan.beams, plan.feeds, plan.users_per_beam) != (
             ch.beams, ch.feeds, ch.users_per_beam):
         raise ConfigError("plan and channel dimensions disagree")
+    if plan.gateways == 1:
+        # One gateway sees the whole channel: its view is the estimate.
+        return [ch.h]
     views = []
     for g in range(plan.gateways):
         eff = np.zeros((ch.h.shape[0], int(plan.feeds_per_gateway[g])),
@@ -238,14 +243,20 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[np.ndarray]:
 
 
 class BlockDesign(NamedTuple):
-    """One diagonal block of a two-stage mbim precoder: the beams `beams`
+    """One diagonal block of a two-stage precoder: the beams `beams`
     designed on `view` (KQ, N_b), their columns on the view's feeds.
-    `shifts(lam_max)` maps their largest other-beam Gram eigenvalues to
-    the shifts added to their regularizer (the robust design)."""
+
+    By default the inter-beam stage is the mbim design, and
+    `shifts(lam_max)` maps the beams' largest other-beam Gram eigenvalues
+    to the shifts added to their regularizer (the robust design).
+    `interbeam(p)`, when given, returns the (P, B, N_b, Q) inter-beam
+    blocks for the power vector p instead (the rzf design); such a block
+    takes no Gram spectra."""
 
     view: np.ndarray
     beams: range
     shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
+    interbeam: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def plan_designs(views: list[np.ndarray], plan: GatewayPlan) -> list[BlockDesign]:
@@ -260,8 +271,9 @@ def _group_columns(designs: list[BlockDesign], users_per_beam: int,
     their shape (KQ, N_b) and whose beam ranges hold B beams.
 
     Every stage is one stacked call over all designs: the Gram tails of
-    each distinct (view, range), shared by the designs on it; one
-    whitening over all designs and powers; one intra-beam SVD.
+    each distinct (view, range) of an mbim design, shared by the designs
+    on it; one whitening over all mbim designs and powers; one intra-beam
+    SVD over every design.
     """
     q = users_per_beam
     slots = {}
@@ -271,41 +283,54 @@ def _group_columns(designs: list[BlockDesign], users_per_beam: int,
     h = np.stack([designs[i].view for i in distinct])   # (U, KQ, N_b)
     u, rows, n = h.shape
     beam_ids = np.array([d.beams for d in designs])     # (M, B)
+    given = [i for i, d in enumerate(designs) if d.interbeam is not None]
+    nominal = [i for i, d in enumerate(designs) if d.interbeam is None]
+    wa = np.empty((p.size, *beam_ids.shape, n, q), dtype=complex)
+    if given:
+        wa[:, given] = np.stack([designs[i].interbeam(p) for i in given], axis=1)
+    if nominal:
+        used, slot = np.unique(which[nominal], return_inverse=True)
 
-    def spectra():
-        found = _stacked_other_gram_tails(h, beam_ids[distinct], q)
-        return tuple(a[which] for a in found)
+        def spectra():
+            found = _stacked_other_gram_tails(h[used], beam_ids[distinct[used]], q)
+            return tuple(a[slot] for a in found)
 
-    def shifts(lam_max):
-        return np.stack([d.shifts(lam) for d, lam in zip(designs, lam_max)])
+        def shifts(lam_max):
+            return np.stack([designs[i].shifts(lam)
+                             for i, lam in zip(nominal, lam_max)])
 
-    wa = _mbim_blocks((rows // q, q, n), spectra, beam_ids, p, shifts)
+        wa[:, nominal] = _mbim_blocks((rows // q, q, n), spectra,
+                                      beam_ids[nominal], p, shifts)
     h_blocks = h.reshape(u, -1, q, n)[which[:, None], beam_ids]
     return _beam_columns(h_blocks, wa, beam_ids)[1]
 
 
-def _block_diagonals(precoders: list[list[BlockDesign]], users_per_beam: int,
+def _block_diagonals(precoders: list, users_per_beam: int,
                      p: np.ndarray) -> np.ndarray:
-    """(S, P, N, K) unscaled block-diagonal precoders of one channel over
-    the power vector `p`, each given by its blocks, consecutive in beams
-    and feeds.
+    """(S, P, N, K) unscaled precoders of one channel over the power
+    vector `p`. Each is given by its blocks, consecutive in beams and
+    feeds, or as a function of `p` that returns its (P, N, K) stack.
 
     Every block joins the group of its view width and beam count, and
     each group is designed in one stacked pass (`_group_columns`); each
     block's columns go on its precoder's diagonal, and every other entry
     stays structurally zero.
     """
-    rows = precoders[0][0].view.shape[0]
-    feeds = sum(d.view.shape[1] for d in precoders[0])
-    w_bar = np.zeros((len(precoders), p.size, feeds, rows // users_per_beam),
-                     dtype=complex)
+    dense = {s: f(p) for s, f in enumerate(precoders) if callable(f)}
     groups = {}
     for s, blocks in enumerate(precoders):
+        if s in dense:
+            shape = dense[s].shape[1:]
+            continue
         stop = 0
         for d in blocks:
             start, stop = stop, stop + d.view.shape[1]
             groups.setdefault((d.view.shape[1], len(d.beams)), []).append(
                 (s, d, slice(start, stop)))
+        shape = (stop, d.view.shape[0] // users_per_beam)
+    w_bar = np.zeros((len(precoders), p.size, *shape), dtype=complex)
+    for s, w in dense.items():
+        w_bar[s] = w
     for members in groups.values():
         columns = _group_columns([d for _, d, _ in members], users_per_beam, p)
         for i, (s, d, feed_cols) in enumerate(members):
@@ -343,20 +368,22 @@ def assemble_multigateway_precoder(views: list[np.ndarray],
     return _scaled(p_total, w_bar, mode)
 
 
-def assemble_multigateway_family(precoders: list[list[BlockDesign]],
-                                 users_per_beam: int, p_total: np.ndarray,
+def assemble_multigateway_family(precoders: list, users_per_beam: int,
+                                 p_total: np.ndarray,
                                  mode: str = "per_feed") -> Precoder:
-    """S block-diagonal precoders of one channel, each given by its blocks
-    (`plan_designs` for a plan; one block over every beam for mbim and
-    robust) and over the 1-D power vector `p_total`, from one stacked pass.
+    """S precoders of one channel over the 1-D power vector `p_total`,
+    from one stacked pass. Each is given by its blocks (`plan_designs`
+    for a plan; one block over every beam for mbim, robust and rzf) or as
+    a function of the power vector that returns its (P, N, K) unscaled
+    stack (avg_mmse).
 
     Slot ``s*P + i`` of the returned precoder's leading axis is precoder s
     at power ``p_total[i]``, bit for bit what
-    `assemble_multigateway_precoder`, `two_stage` or `robust_two_stage`
-    gives for it, and one power scaling serves every slot. A modelled
-    failure of any design or slot is raised as it is, without naming the
-    gateway; the caller designs each precoder on its own to find the
-    cells it skips.
+    `assemble_multigateway_precoder`, `two_stage`, `robust_two_stage` or
+    `baseline_avg_mmse` gives for it, and one power scaling serves every
+    slot. A modelled failure of any design or slot is raised as it is,
+    without naming the gateway; the caller designs each precoder on its
+    own to find the cells it skips.
     """
     p = _power_vector(p_total)
     w_bar = _block_diagonals(precoders, users_per_beam, p)

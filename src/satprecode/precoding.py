@@ -335,9 +335,14 @@ def baseline_avg_mmse(ch: ChannelMatrix, p_total: float | np.ndarray,
     and applies a regularized inverse (one batched inverse over a power
     vector), then the usual power scaling.
     """
+    return _scaled(p_total, _avg_mmse_unscaled(ch, _power_vector(p_total)), mode)
+
+
+def _avg_mmse_unscaled(ch: ChannelMatrix, p: np.ndarray) -> np.ndarray:
+    """(P, N, K) unscaled channel-averaging MMSE precoders over the power
+    vector `p`: ``h_bar^H (h_bar h_bar^H + KQ/P_T I)^(-1)``."""
     h_bar = beam_average(ch)
-    inverse = _regularized_inverse(h_bar, _regularizer(ch, _power_vector(p_total)))
-    return _scaled(p_total, h_bar.conj().T @ inverse, mode)
+    return h_bar.conj().T @ _regularized_inverse(h_bar, _regularizer(ch, p))
 
 
 def four_color_precoder(layout: BeamLayout,

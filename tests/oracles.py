@@ -54,7 +54,8 @@ for their array passes: `validate_geometry_per_beam` (the layout check),
 `build_gain_matrix_per_feed`, `select_per_beam` (the grouping),
 `extract_users_per_beam`, `served_delta_per_beam` and
 `from_delta_per_beam` (the error bounds), composed into
-`trial_channels_per_beam`.
+`trial_channels_per_beam` with `place_users_per_attempt`, the user
+sampler that draws one rejection attempt per call.
 """
 
 from __future__ import annotations
@@ -73,12 +74,13 @@ from satprecode.channel import (
     LinkBudget,
     PerturbationBounds,
     PhaseModel,
+    UserSet,
     _other_gram_tails,
     assemble_channel,
+    beam_contours,
     build_phase_matrix,
     pattern_gain,
     perturb_channel,
-    place_users,
 )
 from satprecode.exceptions import (
     MODELLED_FAILURES,
@@ -88,7 +90,6 @@ from satprecode.exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from satprecode.evaluate import _select_members
 from satprecode.gateway import GatewayPlan
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
@@ -1016,6 +1017,17 @@ def select_per_beam(pool: ChannelMatrix, q_served: int, rng_seed,
     return members
 
 
+def select_uniform_per_beam(pool: ChannelMatrix, q_served: int,
+                            rng_seed) -> np.ndarray:
+    """The ``grouping = none`` members: q_served pool users per beam drawn
+    without replacement, sorted, one beam at a time, whatever the pool
+    size."""
+    rng = np.random.default_rng(rng_seed)
+    return np.array([np.sort(rng.choice(pool.users_per_beam, size=q_served,
+                                        replace=False))
+                     for _ in range(pool.beams)])
+
+
 def extract_users_per_beam(pool: ChannelMatrix, members: np.ndarray) -> ChannelMatrix:
     """`extract_users` as one row gather per beam, stacked."""
     rows = [pool.beam(k)[members[k]] for k in range(pool.beams)]
@@ -1042,13 +1054,60 @@ def from_delta_per_beam(delta: np.ndarray, beams: int,
     return PerturbationBounds(gamma_k=gamma_k, gamma_tilde_k=gamma_tilde)
 
 
+def place_users_per_attempt(layout: BeamLayout, q_sched: int, rng_seed,
+                            budget: LinkBudget | None = None,
+                            contours: tuple | None = None):
+    """`place_users` with one uniform call per coordinate and one
+    `boresight_angle_deg` call per rejection attempt, the stream contract
+    as written."""
+    if q_sched < 1:
+        raise ConfigError("q_sched must be >= 1")
+    budget = budget or LinkBudget()
+    sat = budget.satellite_position()
+    rng = np.random.default_rng(rng_seed)
+    radius = layout.beam_radius_3db_deg
+    if contours is None:
+        contours = beam_contours(layout, budget)
+    halfwidths, bores = contours
+    positions = np.empty((layout.beams, q_sched, 2))
+    for k in range(layout.beams):
+        lat0, lon0 = layout.beam_centers[k]
+        half = halfwidths[k]
+        cos_lat = math.cos(math.radians(lat0))
+        if cos_lat <= 0.0:
+            raise GeometryError(f"beam {k} center at the pole is unsupported")
+        bore = bores[k]
+        got = 0
+        attempts = 0
+        while got < q_sched:
+            attempts += 1
+            if attempts > 200:
+                raise GeometryError(
+                    f"beam {k} contour accepts no samples (degenerate contour?)"
+                )
+            n_draw = max(4 * (q_sched - got), 16)
+            lat = lat0 + rng.uniform(-half, half, n_draw)
+            lon = lon0 + rng.uniform(-half, half, n_draw) / cos_lat
+            ang = geometry.boresight_angle_deg(
+                bore, geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
+            )
+            ok = ang <= radius
+            take = min(int(np.count_nonzero(ok)), q_sched - got)
+            if take:
+                idx = np.nonzero(ok)[0][:take]
+                positions[k, got:got + take, 0] = lat[idx]
+                positions[k, got:got + take, 1] = lon[idx]
+                got += take
+    return UserSet(positions=positions)
+
+
 def trial_channels_per_beam(trial_seed, cfg, layout: BeamLayout,
                             budget: LinkBudget, contours: tuple) -> tuple:
     """`evaluate._trial_channels` through the per-beam and per-feed loops
     above, extracting the estimate separately even with perfect CSI."""
     users_seed, phase_seed, perturb_seed, select_seed = trial_seed.spawn(4)
-    users = place_users(layout, cfg.pool_per_beam, users_seed, budget=budget,
-                        contours=contours)
+    users = place_users_per_attempt(layout, cfg.pool_per_beam, users_seed,
+                                    budget=budget, contours=contours)
     gain = build_gain_matrix_per_feed(layout, users, budget)
     phase = build_phase_matrix(
         PhaseModel(variant=cfg.phase_model, chi_deg=cfg.phase_sigma_deg,
@@ -1069,7 +1128,7 @@ def trial_channels_per_beam(trial_seed, cfg, layout: BeamLayout,
             gamma_user = np.zeros((cfg.beams, cfg.pool_per_beam))
         members = select_per_beam(pool_est, q, select_seed, gamma_user)
     else:
-        members = _select_members(cfg, pool_est, None, select_seed)
+        members = select_uniform_per_beam(pool_est, q, select_seed)
     ch_true = extract_users_per_beam(pool_true, members)
     ch_est = extract_users_per_beam(pool_est, members)
     if delta_pool is None:

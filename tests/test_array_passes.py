@@ -2,7 +2,8 @@
 per-feed loop it replaced (the references in `oracles.py`).
 
 The layout check and the contour boxes must reach the same decisions; the
-gain matrix, the grouping, the served-user extraction and the error
+gain matrix, the grouping (with the ``none`` draws skipped when the
+whole pool is served), the served-user extraction and the error
 bounds must be bit for bit equal. Checked on every shipped config, on all
 48 benchmark workload configs, on random layouts and channels, and at
 K = 1.
@@ -18,8 +19,13 @@ from hypothesis import strategies as st
 import satprecode as sp
 from satprecode import geometry, grouping
 from satprecode.channel import _served_rows, beam_contours
-from satprecode.config import parse_config
-from satprecode.evaluate import _build_budget, _build_layout, _trial_channels
+from satprecode.config import ScenarioConfig, parse_config
+from satprecode.evaluate import (
+    _build_budget,
+    _build_layout,
+    _select_members,
+    _trial_channels,
+)
 from satprecode.exceptions import ConfigError, GeometryError
 from satprecode.grouping import group_users, robust_group_users
 
@@ -30,6 +36,7 @@ from oracles import (
     from_delta_per_beam,
     ground_halfwidth_deg,
     select_per_beam,
+    select_uniform_per_beam,
     served_delta_per_beam,
     trial_channels_per_beam,
     validate_geometry_per_beam,
@@ -218,9 +225,14 @@ class TestGroupingAndExtraction:
                      else rng.uniform(0.0, 5.0, (beams, pool_size)))
         nominal = group_users(pool, q, rng_seed=seed)
         robust = robust_group_users(pool, penalties, q, rng_seed=seed)
+        # grouping = none; a pool of q users is served whole, undrawn.
+        uniform = _select_members(ScenarioConfig(grouping="none",
+                                                 users_per_beam=q),
+                                  pool, None, seed)
         assert np.array_equal(nominal, select_per_beam(pool, q, seed))
         assert np.array_equal(robust, select_per_beam(pool, q, seed, penalties))
-        for members in (nominal, robust):
+        assert np.array_equal(uniform, select_uniform_per_beam(pool, q, seed))
+        for members in (nominal, robust, uniform):
             assert np.array_equal(sp.extract_users(pool, members).h,
                                   extract_users_per_beam(pool, members).h)
 

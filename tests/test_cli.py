@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import satprecode.cli
 import satprecode.evaluate
+import satprecode.precoding
 from satprecode.cli import main
 from satprecode.config import _SCHEMA, ScenarioConfig, config_echo, parse_config
 from satprecode.evaluate import run_monte_carlo
@@ -531,17 +532,17 @@ class TestOutputsMatchPerCellReference:
         trial = iter(range(trials))
         current = []
         original_channels = satprecode.evaluate._trial_channels
-        original_avg = satprecode.evaluate.baseline_avg_mmse
+        original_avg = satprecode.precoding._avg_mmse_unscaled
         original_four = satprecode.evaluate.baseline_four_color
 
         def counting_channels(*args):
             current[:] = [next(trial)]
             return original_channels(*args)
 
-        def avg_failing_at_25_dbw(ch, p_w, *args):
+        def avg_failing_at_25_dbw(ch, p_w):
             if current[0] in failing and np.any(p_w == 10.0 ** 2.5):
                 raise np.linalg.LinAlgError("modelled failure")
-            return original_avg(ch, p_w, *args)
+            return original_avg(ch, p_w)
 
         def four_color_failing_at_30_dbw(ch, layout, p_w):
             if np.any(p_w == 1000.0):
@@ -550,8 +551,10 @@ class TestOutputsMatchPerCellReference:
 
         monkeypatch.setattr(satprecode.evaluate, "_trial_channels",
                             counting_channels)
-        monkeypatch.setattr(satprecode.evaluate, "baseline_avg_mmse",
-                            avg_failing_at_25_dbw)
+        # avg_mmse's precoder, in the stacked pass and on its own.
+        for module in (satprecode.evaluate, satprecode.precoding):
+            monkeypatch.setattr(module, "_avg_mmse_unscaled",
+                                avg_failing_at_25_dbw)
         monkeypatch.setattr(satprecode.evaluate, "baseline_four_color",
                             four_color_failing_at_30_dbw)
         code, result = self._run(tmp_path, monkeypatch, trials)

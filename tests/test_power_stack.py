@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import satprecode as sp
 import satprecode.evaluate
+import satprecode.gateway
+import satprecode.precoding
 from satprecode.evaluate import ModcodTable, beam_rate, run_monte_carlo, sinr_matrix
 from satprecode.exceptions import MODELLED_FAILURES, ConfigError
 from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
@@ -220,10 +222,15 @@ def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
     bad_power = 10.0 ** (20.0 / 10.0)
     cfg = _small_config()
     clean = run_monte_carlo(cfg)
-    # rzf's design, and mbim's in the stacked pass and on its own.
-    for name, power_arg in (("two_stage", 1), ("assemble_multigateway_family", 2)):
-        monkeypatch.setattr(satprecode.evaluate, name, _failing_at(
-            bad_power, getattr(satprecode.evaluate, name), power_arg))
+    # The inter-beam stages of rzf and mbim, in the stacked pass and on
+    # their own.
+    for module, name, power_arg in (
+            (satprecode.evaluate, "rzf_interbeam", 1),
+            (satprecode.precoding, "rzf_interbeam", 1),
+            (satprecode.gateway, "_mbim_blocks", 3),
+            (satprecode.precoding, "_mbim_blocks", 3)):
+        monkeypatch.setattr(module, name, _failing_at(
+            bad_power, getattr(module, name), power_arg))
     res = run_monte_carlo(cfg)
     for s, name in enumerate(cfg.scenarios):
         for i, p in enumerate(cfg.power_sweep_dbw):
@@ -237,8 +244,8 @@ def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
 
 
 @pytest.mark.parametrize("scenarios, design", [
-    (("rzf",), "two_stage"),
-    (("avg_mmse",), "baseline_avg_mmse"),
+    (("rzf",), "assemble_multigateway_family"),
+    (("avg_mmse",), "assemble_multigateway_family"),
     (("four_color",), "baseline_four_color"),
     (("mbim", "robust", "gw_ref", "gw_icp"), "assemble_multigateway_family"),
 ])
@@ -258,7 +265,7 @@ def test_one_design_sinr_and_rate_call_per_trial_and_scenario(
                         csi_error_ratio=0.05)
     res = run_monte_carlo(cfg)
     assert res.total_skipped() == 0
-    # All two-stage scenarios of a trial (mbim, robust and every gw_*) are
+    # All precoded scenarios of a trial (every one but four_color) are
     # designed and evaluated together.
     family = design == "assemble_multigateway_family"
     cells = cfg.trials * (1 if family else len(scenarios))

@@ -1,16 +1,18 @@
-"""mbim and robust are designed in the stacked family pass of a trial.
+"""Every precoded scenario is designed in the stacked family pass of a
+trial.
 
-Each is one block design over every beam of the estimated channel, and
-the family pass must give `two_stage` and `robust_two_stage` bit for bit
-(`w` and `alpha`, in both power modes) on the first-trial channels of
-the shipped configs and of every benchmark workload config, below and
-above the downdate crossover. A trial designs mbim, robust and every
-gw_* scenario in one pass, with one power scaling, one SINR and one rate
-call. A rank-deficient estimate makes that pass fall back to designing
-each scenario on its own, which skips mbim and leaves every other
-scenario as designing it on its own gives it; how many designs that
-fallback makes per trial is counted too. The files under ``perfbench/``
-are only read.
+mbim, robust and rzf are each one block design over every beam of the
+estimated channel, and avg_mmse joins the pass as its unscaled
+precoder. The family pass must give `two_stage` (mbim and rzf),
+`robust_two_stage` and `baseline_avg_mmse` bit for bit (`w` and
+`alpha`, in both power modes) on the first-trial channels of the
+shipped configs and of every benchmark workload config, below and above
+the downdate crossover. A trial designs every precoded scenario in one
+pass, with one power scaling, one SINR and one rate call. A
+rank-deficient estimate makes that pass fall back to designing each
+scenario on its own, which skips mbim and leaves every other scenario as
+designing it on its own gives it; how many designs that fallback makes
+per trial is counted too. The files under ``perfbench/`` are only read.
 """
 
 import sys
@@ -28,14 +30,15 @@ from satprecode.evaluate import (
     _build_budget,
     _build_layout,
     _trial_channels,
+    _trial_designs,
     run_monte_carlo,
 )
 from satprecode.exceptions import InfeasibleChannelError
 from satprecode.gateway import BlockDesign, assemble_multigateway_family
-from satprecode.precoding import two_stage
-from satprecode.robust import _shift_bounds, robust_two_stage
+from satprecode.precoding import _blocks, baseline_avg_mmse, rzf_interbeam, two_stage
+from satprecode.robust import robust_two_stage
 
-from conftest import load_perfbench_workloads
+from conftest import load_perfbench_workloads, random_channel
 
 WORKLOADS = load_perfbench_workloads()
 
@@ -62,18 +65,18 @@ def _first_trial(cfg):
 def _assert_family_equals_each_design(cfg):
     """Returns the number of beams of the checked channel."""
     p_w, ch_est, bounds = _first_trial(cfg)
-    # As a trial designs them: one block over every beam of the estimate.
-    whole = range(ch_est.beams)
-    designs = [[BlockDesign(ch_est.h, whole)],
-               [BlockDesign(ch_est.h, whole,
-                            lambda lam_max: _shift_bounds(bounds, lam_max))]]
+    # As a trial designs them.
+    _, designs = _trial_designs(("mbim", "robust", "rzf", "avg_mmse"),
+                                ch_est, bounds, {})
     for mode in ("per_feed", "total"):
-        family = assemble_multigateway_family(designs, ch_est.users_per_beam,
-                                              p_w, mode)
-        w = family.w.reshape(2, p_w.size, *family.w.shape[1:])
-        alpha = family.alpha.reshape(2, p_w.size)
+        family = assemble_multigateway_family(list(designs.values()),
+                                              ch_est.users_per_beam, p_w, mode)
+        w = family.w.reshape(len(designs), p_w.size, *family.w.shape[1:])
+        alpha = family.alpha.reshape(len(designs), p_w.size)
         for i, alone in enumerate((two_stage(ch_est, p_w, mode, "mbim"),
-                                   robust_two_stage(ch_est, bounds, p_w, mode))):
+                                   robust_two_stage(ch_est, bounds, p_w, mode),
+                                   two_stage(ch_est, p_w, mode, "rzf"),
+                                   baseline_avg_mmse(ch_est, p_w, mode))):
             assert np.array_equal(w[i], alone.w)
             assert np.array_equal(alpha[i], alone.alpha)
     return ch_est.beams
@@ -118,6 +121,15 @@ def _counting(monkeypatch, module, name, calls, record=None):
     monkeypatch.setattr(module, name, counting)
 
 
+def _counting_everywhere(monkeypatch, name, calls, record=None):
+    """Counts calls to `satprecode.linalg.<name>` from every package module
+    that imported it."""
+    original = getattr(satprecode.linalg, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("satprecode") and vars(mod).get(name) is original:
+            _counting(monkeypatch, mod, name, calls, record)
+
+
 def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
     calls = dict.fromkeys(("_block_diagonals", "_scaled", "sinr_matrix",
                            "beam_rate", "two_stage", "robust_two_stage",
@@ -128,12 +140,8 @@ def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
                  "assemble_multigateway_precoder"):
         _counting(monkeypatch, satprecode.evaluate, name, calls)
     shapes = []
-    original = satprecode.linalg.eigh_sorted
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("satprecode") and vars(mod).get(
-                "eigh_sorted") is original:
-            _counting(monkeypatch, mod, "eigh_sorted", calls,
-                      lambda a: shapes.append(a.shape))
+    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
+                         lambda a: shapes.append(a.shape))
     cfg = _small_config()
     assert run_monte_carlo(cfg).total_skipped() == 0
     per_trial = {name: count // cfg.trials for name, count in calls.items()}
@@ -141,10 +149,38 @@ def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
         "_block_diagonals": 1, "_scaled": 1, "sinr_matrix": 1, "beam_rate": 1,
         "two_stage": 0, "robust_two_stage": 0,
         "assemble_multigateway_precoder": 0, "eigh_sorted": 2}
-    # mbim and robust share the estimate's 12 beam spectra, next to
-    # gw_ref's 12 of its own view; the 3 split plans' 3 gateways have 4
-    # own beams each.
-    assert shapes == [(24, 12, 12), (36, 4, 4)] * cfg.trials
+    # mbim, robust and gw_ref, whose one view is the estimate itself, share
+    # its 12 beam spectra; the 3 split plans' 3 gateways have 4 own beams
+    # each.
+    assert shapes == [(12, 12, 12), (36, 4, 4)] * cfg.trials
+
+
+def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
+        monkeypatch, tmp_path):
+    calls = dict.fromkeys(("_scaled", "sinr_matrix", "beam_rate", "two_stage",
+                           "baseline_avg_mmse", "baseline_four_color",
+                           "rzf_interbeam", "eigh_sorted"), 0)
+    _counting(monkeypatch, satprecode.gateway, "_scaled", calls)
+    for name in calls.keys() - {"_scaled", "eigh_sorted"}:
+        _counting(monkeypatch, satprecode.evaluate, name, calls)
+    # Every power scaling, wherever it is called from, and every Gram
+    # decomposition.
+    _counting(monkeypatch, satprecode.precoding, "_scaled", calls)
+    shapes = []
+    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
+                         lambda a: shapes.append(a.shape))
+    path = WORKLOADS.WORKLOADS["desk_sweep"].write_config(0, tmp_path / "w.cfg")
+    cfg = parse_config(path)
+    cfg.trials = 1
+    assert cfg.scenarios == ("mbim", "rzf", "avg_mmse", "four_color")
+    assert run_monte_carlo(cfg).total_skipped() == 0
+    # four_color keeps its own SINR and its own rate call (quarter band).
+    assert calls == {"_scaled": 1, "sinr_matrix": 1, "beam_rate": 2,
+                     "two_stage": 0, "baseline_avg_mmse": 0,
+                     "baseline_four_color": 1, "rzf_interbeam": 1,
+                     "eigh_sorted": 1}
+    # Only mbim's 7 beams are decomposed: rzf takes no Gram spectra.
+    assert shapes == [(7, 7, 7)]
 
 
 def _rank_deficient_estimates(monkeypatch):
@@ -206,3 +242,30 @@ def test_rank_deficient_estimate_redesigns_every_scenario_on_its_own(
     assert per_trial == {"assemble_multigateway_family": 1, "two_stage": 3,
                          "robust_two_stage": 1,
                          "assemble_multigateway_precoder": 6}
+
+
+def test_rzf_and_avg_mmse_take_no_gram_spectra(monkeypatch):
+    calls = {"eigh_sorted": 0}
+    _counting_everywhere(monkeypatch, "eigh_sorted", calls)
+    cfg = _small_config(scenarios=("rzf", "avg_mmse"))
+    assert run_monte_carlo(cfg).total_skipped() == 0
+    assert calls == {"eigh_sorted": 0}
+
+
+def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
+    # mbim on one channel and rzf on another share a group (same view
+    # shape and beam count), and only mbim's beams are decomposed.
+    ch, other = random_channel(5, 2, 6, seed=3), random_channel(5, 2, 6, seed=4)
+    p = np.array([3.0, 300.0])
+    designs = [[BlockDesign(ch.h, range(5))],
+               [BlockDesign(other.h, range(5), interbeam=lambda p: _blocks(
+                   rzf_interbeam(other, p), other.beams))]]
+    calls, shapes = {"eigh_sorted": 0}, []
+    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
+                         lambda a: shapes.append(a.shape))
+    family = assemble_multigateway_family(designs, 2, p)
+    assert shapes == [(5, 6, 6)]
+    w = family.w.reshape(2, p.size, *family.w.shape[1:])
+    for i, alone in enumerate((two_stage(ch, p, interbeam="mbim"),
+                               two_stage(other, p, interbeam="rzf"))):
+        assert np.array_equal(w[i], alone.w)
