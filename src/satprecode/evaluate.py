@@ -37,7 +37,6 @@ from .gateway import (
     BlockDesign,
     GatewayPlan,
     assemble_multigateway_family,
-    assemble_multigateway_precoder,
     make_plan,
     plan_designs,
     share_csi,
@@ -45,12 +44,13 @@ from .gateway import (
 from .precoding import (
     _avg_mmse_unscaled,
     _blocks,
-    baseline_avg_mmse,
     baseline_four_color,
     rzf_interbeam,
-    two_stage,
 )
-from .robust import _shift_bounds, robust_two_stage
+# Unused here: perfbench/tests/test_tracer.py reads the traced span through
+# this module until the next benchmark change (ROADMAP item 1).
+from .precoding import two_stage  # noqa: F401
+from .robust import _shift_bounds
 
 __all__ = [
     "ModcodTable",
@@ -365,36 +365,45 @@ def _run_trial(trial_seed: np.random.SeedSequence,
     skipped."""
     ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget,
                                               contours)
+    designs = _trial_designs(cfg.scenarios, ch_est, bounds, plans)
 
-    # One stacked pass designs every precoded scenario, and one power
-    # scaling, one SINR and one rate call serve them all. four_color, and
-    # every scenario after a modelled failure in that pass, runs on its
-    # own.
-    shared, designs = _trial_designs(cfg.scenarios, ch_est, bounds, plans)
-    family = _family_cells(designs, ch_true, p_w, cfg, table, budget)
+    def rates(names, p):
+        # One stacked pass, one SINR and one rate call for every precoded
+        # scenario; four_color keeps its own SINR and its quarter band.
+        out = np.full((len(names), p.size, cfg.beams), np.nan)
+        precoded = [s for s, name in enumerate(names) if name in designs]
+        if precoded:
+            pre, codes = assemble_multigateway_family(
+                [designs[names[s]] for s in precoded], ch_true.users_per_beam,
+                p, cfg.power_mode)
+            found = beam_rate(sinr_matrix(ch_true, pre.w), table, budget)
+            out[precoded] = np.where(codes[..., None] > 0, np.nan,
+                                     found.reshape(len(precoded), p.size, -1))
+        if "four_color" in names:
+            out[names.index("four_color")] = beam_rate(
+                baseline_four_color(ch_true, layout, p), table, budget, 0.25)
+        return out
 
-    def rates(name, p_w):
-        sinrs, factor = _scenario_sinrs(
-            name, ch_true, ch_est, bounds, p_w, cfg, layout, plans, shared,
-        )
-        return beam_rate(sinrs, table, budget, factor)
-
+    # A LinAlgError from a stacked LAPACK call is the one failure without a
+    # code: then every (scenario, power) cell runs once more on its own.
     out = np.full((len(cfg.scenarios), p_w.size, cfg.beams), np.nan)
-    for s, name in enumerate(cfg.scenarios):
-        if name in shared and shared[name] is None:
-            continue
-        if name in family:
-            out[s] = family[name]
-        else:
-            _cells_per_power(lambda p: rates(name, p), p_w, out[s])
+    cells = [(slice(None), slice(None))]
+    for at in cells:
+        try:
+            out[at] = rates(cfg.scenarios[at[0]], p_w[at[1]])
+        except np.linalg.LinAlgError:
+            if len(cells) == 1:
+                cells += [(slice(s, s + 1), slice(i, i + 1))
+                          for s in range(len(cfg.scenarios))
+                          for i in range(p_w.size)]
     return out
 
 
 def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
-                   bounds: PerturbationBounds, plans: dict) -> tuple:
+                   bounds: PerturbationBounds, plans: dict) -> dict:
     """The precoded scenarios of a trial as `assemble_multigateway_family`
-    takes them, by name, and each gateway scenario's views, None where
-    its CSI exchange failed.
+    takes them, by name; a gateway scenario whose CSI exchange failed is
+    left out.
 
     mbim, robust and rzf are one block over every beam of the estimate
     (rzf with its own inter-beam stage, which takes no Gram spectra),
@@ -404,7 +413,7 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
     SINR and its quarter band.
     """
     whole = range(ch_est.beams)
-    shared, designs = {}, {}
+    designs = {}
     for name in scenarios:
         if name == "mbim":
             designs[name] = [BlockDesign(ch_est.h, whole)]
@@ -419,77 +428,11 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
             designs[name] = lambda p: _avg_mmse_unscaled(ch_est, p)
         elif name in plans:
             try:
-                shared[name] = share_csi(ch_est, plans[name])
-                designs[name] = plan_designs(shared[name], plans[name])
+                designs[name] = plan_designs(share_csi(ch_est, plans[name]),
+                                             plans[name])
             except MODELLED_FAILURES:
-                shared[name] = None
-    return shared, designs
-
-
-def _family_cells(designs: dict, ch_true: ChannelMatrix, p_w: np.ndarray,
-                  cfg: ScenarioConfig, table: ModcodTable,
-                  budget: LinkBudget) -> dict:
-    """The (P, K) beam rates of each precoded scenario in `designs` (its
-    block designs or its unscaled precoder, by name), from one stacked
-    design, one SINR and one rate call.
-
-    After a modelled failure it returns no scenario, and the caller runs
-    each one on its own (`_cells_per_power`), which finds the cells that
-    fail.
-    """
-    if not designs:
-        return {}
-    try:
-        pre = assemble_multigateway_family(list(designs.values()),
-                                           ch_true.users_per_beam, p_w,
-                                           cfg.power_mode)
-    except MODELLED_FAILURES:
-        return {}
-    rates = beam_rate(sinr_matrix(ch_true, pre.w), table, budget)
-    return dict(zip(designs, rates.reshape(len(designs), p_w.size, -1)))
-
-
-def _cells_per_power(rates, p_w: np.ndarray, out: np.ndarray) -> None:
-    """Write `rates(p_w)` into the (P, K) rows of `out`; the row of a
-    skipped cell is left as it was (NaN).
-
-    The whole power vector is designed and evaluated in one call. After a
-    modelled failure the powers run again one at a time (each a length-1
-    vector), so only the (scenario, power) cells that fail on their own
-    are skipped.
-    """
-    try:
-        out[:] = rates(p_w)
-        return
-    except MODELLED_FAILURES:
-        pass
-    for i in range(p_w.size):
-        try:
-            out[i] = rates(p_w[i:i + 1])[0]
-        except MODELLED_FAILURES:
-            pass
-
-
-def _scenario_sinrs(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
-                    bounds: PerturbationBounds, p_w: np.ndarray,
-                    cfg: ScenarioConfig, layout: BeamLayout, plans: dict,
-                    shared: dict):
-    if name == "mbim" or name == "rzf":
-        pre = two_stage(ch_est, p_w, cfg.power_mode, interbeam=name)
-        return sinr_matrix(ch_true, pre.w), 1.0
-    if name == "avg_mmse":
-        pre = baseline_avg_mmse(ch_est, p_w, cfg.power_mode)
-        return sinr_matrix(ch_true, pre.w), 1.0
-    if name == "four_color":
-        return baseline_four_color(ch_true, layout, p_w), 0.25
-    if name == "robust":
-        pre = robust_two_stage(ch_est, bounds, p_w, cfg.power_mode)
-        return sinr_matrix(ch_true, pre.w), 1.0
-    if name in plans:
-        pre = assemble_multigateway_precoder(shared[name], plans[name], p_w,
-                                             cfg.power_mode)
-        return sinr_matrix(ch_true, pre.w), 1.0
-    raise ConfigError(f"unknown scenario {name!r}")
+                pass
+    return designs
 
 
 def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
@@ -499,11 +442,13 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     Deterministic for a fixed master seed: each trial owns spawned seed
     streams, so a trial's results do not depend on the trials run before
     it. The trials run one after another in this thread.
-    Modelled numerical failures (singular or infeasible channels, vanished
-    beams, LAPACK errors) skip their cell and are counted; any other
-    exception propagates. `layout` and `table` are the configured beam
-    layout and MODCOD table when the caller has built them already (the
-    CLI does, inside its error boundary).
+    Modelled numerical failures skip their cell and are counted: a cell
+    whose failure code the stacked design pass sets, every power of a
+    gateway scenario whose CSI exchange fails, and, after a LAPACK error
+    when the trial's cells run again one at a time, a cell that fails on
+    its own. Any other exception propagates. `layout` and `table` are the
+    configured beam layout and MODCOD table when the caller has built
+    them already (the CLI does, inside its error boundary).
     """
     cfg.validate()
     budget = _build_budget(cfg)

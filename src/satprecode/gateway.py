@@ -24,7 +24,8 @@ designs are grouped by shape, and each group takes its Gram tails (once
 per distinct view and range), its whitening and its intra-beam SVD from
 one stacked call (`_block_diagonals`). `assemble_multigateway_precoder`
 runs that pass for one plan, `assemble_multigateway_family` for every
-two-stage precoder of a trial.
+two-stage precoder of a trial. A modelled failure is a failure code per
+(precoder, power, beam) in that pass, from which the one-plan call raises.
 """
 
 from __future__ import annotations
@@ -37,8 +38,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelMatrix, _stacked_other_gram_tails
-from .exceptions import MODELLED_FAILURES, ConfigError
-from .precoding import Precoder, _beam_columns, _mbim_blocks, _power_vector, _scaled
+from .exceptions import NO_SCALE, ConfigError
+from .precoding import (
+    Precoder,
+    _intrabeam,
+    _mbim_blocks,
+    _power_vector,
+    _raise_failure,
+    _scaled,
+)
 
 __all__ = [
     "GatewayPlan",
@@ -266,9 +274,10 @@ def plan_designs(views: list[np.ndarray], plan: GatewayPlan) -> list[BlockDesign
 
 
 def _group_columns(designs: list[BlockDesign], users_per_beam: int,
-                   p: np.ndarray) -> np.ndarray:
+                   p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, M, B, N_b) precoder columns of M block designs whose views share
-    their shape (KQ, N_b) and whose beam ranges hold B beams.
+    their shape (KQ, N_b) and whose beam ranges hold B beams, and their
+    (P, M, B) failure codes, each beam's earliest.
 
     Every stage is one stacked call over all designs: the Gram tails of
     each distinct (view, range) of an mbim design, shared by the designs
@@ -286,6 +295,7 @@ def _group_columns(designs: list[BlockDesign], users_per_beam: int,
     given = [i for i, d in enumerate(designs) if d.interbeam is not None]
     nominal = [i for i, d in enumerate(designs) if d.interbeam is None]
     wa = np.empty((p.size, *beam_ids.shape, n, q), dtype=complex)
+    codes = np.zeros((p.size, *beam_ids.shape), dtype=int)
     if given:
         wa[:, given] = np.stack([designs[i].interbeam(p) for i in given], axis=1)
     if nominal:
@@ -299,17 +309,19 @@ def _group_columns(designs: list[BlockDesign], users_per_beam: int,
             return np.stack([designs[i].shifts(lam)
                              for i, lam in zip(nominal, lam_max)])
 
-        wa[:, nominal] = _mbim_blocks((rows // q, q, n), spectra,
-                                      beam_ids[nominal], p, shifts)
+        wa[:, nominal], codes[:, nominal] = _mbim_blocks(
+            (rows // q, q, n), spectra, beam_ids[nominal], p, shifts)
     h_blocks = h.reshape(u, -1, q, n)[which[:, None], beam_ids]
-    return _beam_columns(h_blocks, wa, beam_ids)[1]
+    vectors, dead = _intrabeam(h_blocks @ wa)
+    return (wa @ vectors[..., None])[..., 0], np.maximum(codes, dead)
 
 
 def _block_diagonals(precoders: list, users_per_beam: int,
-                     p: np.ndarray) -> np.ndarray:
+                     p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S, P, N, K) unscaled precoders of one channel over the power
-    vector `p`. Each is given by its blocks, consecutive in beams and
-    feeds, or as a function of `p` that returns its (P, N, K) stack.
+    vector `p`, and their (S, P, K) failure codes. Each is given by its
+    blocks, consecutive in beams and feeds, or as a function of `p` that
+    returns its (P, N, K) stack.
 
     Every block joins the group of its view width and beam count, and
     each group is designed in one stacked pass (`_group_columns`); each
@@ -329,14 +341,17 @@ def _block_diagonals(precoders: list, users_per_beam: int,
                 (s, d, slice(start, stop)))
         shape = (stop, d.view.shape[0] // users_per_beam)
     w_bar = np.zeros((len(precoders), p.size, *shape), dtype=complex)
+    codes = np.zeros((len(precoders), p.size, shape[1]), dtype=int)
     for s, w in dense.items():
         w_bar[s] = w
     for members in groups.values():
-        columns = _group_columns([d for _, d, _ in members], users_per_beam, p)
+        columns, found = _group_columns([d for _, d, _ in members],
+                                        users_per_beam, p)
         for i, (s, d, feed_cols) in enumerate(members):
-            w_bar[s, :, feed_cols, d.beams.start:d.beams.stop] = (
-                columns[:, i].swapaxes(-1, -2))
-    return w_bar
+            beams = slice(d.beams.start, d.beams.stop)
+            w_bar[s, :, feed_cols, beams] = columns[:, i].swapaxes(-1, -2)
+            codes[s, :, beams] = found[:, i]
+    return w_bar, codes
 
 
 def assemble_multigateway_precoder(views: list[np.ndarray],
@@ -353,39 +368,37 @@ def assemble_multigateway_precoder(views: list[np.ndarray],
     whose own design fails, with that design's error as the cause.
     """
     p = _power_vector(p_total)
-    designs = plan_designs(views, plan)
-    try:
-        w_bar = _block_diagonals([designs], plan.users_per_beam, p)[0]
-    except MODELLED_FAILURES:
-        # Which gateway failed first, and how, is what designing the
-        # gateways one at a time in index order reports.
-        for g, design in enumerate(designs):
-            try:
-                _group_columns([design], plan.users_per_beam, p)
-            except MODELLED_FAILURES as exc:
-                raise type(exc)(f"gateway {g}: {exc}") from exc
-        raise
+    (w_bar,), (codes,) = _block_diagonals([plan_designs(views, plan)],
+                                          plan.users_per_beam, p)
+    for g in range(plan.gateways):
+        _raise_failure(codes[:, plan.beam_slice(g)],
+                       np.arange(*plan.beam_offsets[g:g + 2]),
+                       (int(plan.feeds_per_gateway[g]), plan.users_per_beam),
+                       gateway=g)
     return _scaled(p_total, w_bar, mode)
 
 
 def assemble_multigateway_family(precoders: list, users_per_beam: int,
                                  p_total: np.ndarray,
-                                 mode: str = "per_feed") -> Precoder:
+                                 mode: str = "per_feed"
+                                 ) -> tuple[Precoder, np.ndarray]:
     """S precoders of one channel over the 1-D power vector `p_total`,
-    from one stacked pass. Each is given by its blocks (`plan_designs`
-    for a plan; one block over every beam for mbim, robust and rzf) or as
-    a function of the power vector that returns its (P, N, K) unscaled
-    stack (avg_mmse).
+    from one stacked pass, and their (S, P) failure codes. Each is given
+    by its blocks (`plan_designs` for a plan; one block over every beam
+    for mbim, robust and rzf) or as a function of the power vector that
+    returns its (P, N, K) unscaled stack (avg_mmse).
 
     Slot ``s*P + i`` of the returned precoder's leading axis is precoder s
-    at power ``p_total[i]``, bit for bit what
+    at power ``p_total[i]``, and one power scaling serves every slot.
+    Where code ``[s, i]`` is 0 the slot is bit for bit what
     `assemble_multigateway_precoder`, `two_stage`, `robust_two_stage` or
-    `baseline_avg_mmse` gives for it, and one power scaling serves every
-    slot. A modelled failure of any design or slot is raised as it is,
-    without naming the gateway; the caller designs each precoder on its
-    own to find the cells it skips.
+    `baseline_avg_mmse` gives at that power; elsewhere that call raises,
+    and the code is the earliest failing stage over all beams, `NO_SCALE`
+    only where no design failed. A failed slot stays finite.
     """
     p = _power_vector(p_total)
-    w_bar = _block_diagonals(precoders, users_per_beam, p)
-    return _scaled(np.tile(p, len(precoders)), w_bar.reshape(-1, *w_bar.shape[2:]),
-                   mode)
+    w_bar, codes = _block_diagonals(precoders, users_per_beam, p)
+    failed = codes.max(axis=-1, initial=0).ravel()          # (S P,)
+    pre = _scaled(np.tile(p, len(precoders)),
+                  w_bar.reshape(-1, *w_bar.shape[2:]), mode, failed > 0)
+    return pre, np.maximum(failed, NO_SCALE * (pre.alpha == 0.0)).reshape(-1, p.size)

@@ -23,6 +23,10 @@ import numpy as np
 
 from .channel import BeamLayout, ChannelMatrix, _other_gram_tails
 from .exceptions import (
+    DEAD,
+    NO_SCALE,
+    SHAPE,
+    SINGULAR,
     ConfigError,
     DegenerateBeamError,
     InfeasibleChannelError,
@@ -85,6 +89,41 @@ def _regularizer(ch: ChannelMatrix, p_total: float | np.ndarray):
     return ch.beams * ch.users_per_beam / p_total
 
 
+_FAILURES = {
+    SHAPE: (InfeasibleChannelError, "cannot build an {n} x {q} inter-beam block "
+            "with fewer feeds than served users"),
+    SINGULAR: (SingularChannelError,
+               "cross-channel Gram matrix of beam {beam} is rank deficient"),
+    DEAD: (DegenerateBeamError, "beam {beam}: effective intra-beam channel is zero"),
+    NO_SCALE: (InfeasibleChannelError,
+               "power slot {slot}: the precoder has no finite positive power scale"),
+}
+
+
+def _raise_failure(codes: np.ndarray, beam_ids: np.ndarray | None = None,
+                   block: tuple = (0, 0), gateway: int | None = None) -> None:
+    """Raise the earliest failing stage of one design's failure codes
+    (..., *S), if any, for the beams `beam_ids` (shape S; by default
+    numbered over the last axis) with (N, Q) inter-beam blocks `block`.
+    It names the first beam in C order that fails at any power, or the
+    first power slot. With `gateway` g the message starts with
+    ``gateway g:``, and the same failure without it is the cause.
+    """
+    code = int(np.max(codes, initial=0))
+    if code == 0:
+        return
+    if beam_ids is None:
+        beam_ids = np.arange(codes.shape[-1]) if codes.ndim else np.array(0)
+    at = (codes == code).reshape(-1, beam_ids.size)
+    kind, message = _FAILURES[code]
+    exc = kind(message.format(n=block[0], q=block[1],
+                              beam=int(beam_ids.ravel()[at.any(axis=0)][0]),
+                              slot=int(np.argmax(at.any(axis=1)))))
+    if gateway is None:
+        raise exc
+    raise kind(f"gateway {gateway}: {exc}") from exc
+
+
 def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
                shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
                ) -> np.ndarray:
@@ -104,46 +143,47 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     degenerates to a scaled truncated identity.
     """
     ids = np.arange(beams.start, beams.stop)
-    return _unstack(p_total, _mbim_blocks(
+    blocks, codes = _mbim_blocks(
         (ch.beams, ch.users_per_beam, ch.feeds),
         lambda: _other_gram_tails(ch.h, ids, ch.users_per_beam), ids,
-        _power_vector(p_total), shifts))
+        _power_vector(p_total), shifts)
+    _raise_failure(codes, ids, (ch.feeds, ch.users_per_beam))
+    return _unstack(p_total, blocks)
 
 
 def _mbim_blocks(dims: tuple[int, int, int], spectra: Callable[[], tuple],
                  beam_ids: np.ndarray, p: np.ndarray,
-                 shifts: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+                 shifts: Callable[[np.ndarray], np.ndarray]) -> tuple:
     """(P, *S, N, Q) interference-mitigation blocks of the beams
-    `beam_ids` (shape S) of channels with `dims` = (K, Q, N).
+    `beam_ids` (shape S) of channels with `dims` = (K, Q, N), and their
+    failure codes (shape S): SHAPE for every beam when Q > N, SINGULAR
+    where a beam with zero shift has a rank-deficient Gram matrix.
 
     `spectra()` returns their trimmed other-beam spectra over S, laid out
     as `channel._other_gram_tails` returns them; it is called only
     once the shape checks pass, and so is `shifts(lam_max)`, which
-    returns the shifts shaped like `beam_ids`. The first rank-deficient
-    beam in that order is named.
+    returns the shifts shaped like `beam_ids`. A failed beam's block is
+    finite, so the stages after it run on finite numbers.
     """
     k, q, n = dims
     if q > n:
-        raise InfeasibleChannelError(
-            f"cannot build an {n} x {q} inter-beam block with fewer feeds "
-            "than served users"
-        )
+        return (np.zeros((p.size, *beam_ids.shape, n, q), dtype=complex),
+                np.full(beam_ids.shape, SHAPE))
+    codes = np.zeros(beam_ids.shape, dtype=int)
     if k == 1:
         amp = np.sqrt(p / (k * q)).reshape(-1, *[1] * (beam_ids.ndim + 2))
-        return amp * np.eye(n, q, dtype=complex)
+        return amp * np.eye(n, q, dtype=complex), codes
     lam_max, tail_values, tail = spectra()
     shift = shifts(lam_max)
     singular = (shift == 0.0) & (
         tail_values[..., -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
-    if np.any(singular):
-        raise SingularChannelError(
-            f"cross-channel Gram matrix of beam {int(beam_ids[singular][0])} "
-            "is rank deficient"
-        )
+    codes[singular] = SINGULAR
+    # A rank-deficient tail may round negative, below the regularizer.
+    tail_values = np.where(singular[..., None], 1.0, tail_values)
     reg = (k * q / p).reshape(-1, *[1] * tail_values.ndim)
     scale = 1.0 / np.sqrt(tail_values + reg + shift[..., None])
-    return tail * scale[..., None, :]
+    return tail * scale[..., None, :], codes
 
 
 def _columns(blocks: np.ndarray) -> np.ndarray:
@@ -220,18 +260,16 @@ def intrabeam(z: np.ndarray, beam_ids: np.ndarray | None = None) -> np.ndarray:
     DegenerateBeamError naming the first beam, in the C order of
     `beam_ids`, that has one.
     """
-    z = np.asarray(z)
-    dead = ~np.any(z, axis=(-2, -1))
-    if beam_ids is None:
-        beam_ids = np.arange(dead.shape[-1]) if dead.ndim else np.array(0)
-    dead = dead.reshape(-1, *beam_ids.shape).any(axis=0)
-    if np.any(dead):
-        raise DegenerateBeamError(
-            f"beam {int(beam_ids[dead][0])}: "
-            "effective intra-beam channel is zero"
-        )
+    vectors, codes = _intrabeam(np.asarray(z))
+    _raise_failure(codes, beam_ids)
+    return vectors
+
+
+def _intrabeam(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`intrabeam` of the stack `z` from one stacked SVD, and the failure
+    code of each matrix: DEAD where it is zero."""
     _, _, vh = np.linalg.svd(z)
-    return vh[..., 0, :].conj()
+    return vh[..., 0, :].conj(), np.where(np.any(z, axis=(-2, -1)), 0, DEAD)
 
 
 def power_control(w_unscaled: np.ndarray, p_total: float | np.ndarray,
@@ -244,12 +282,21 @@ def power_control(w_unscaled: np.ndarray, p_total: float | np.ndarray,
     finite positive scale (the precoder underflowed or overflowed) raises
     InfeasibleChannelError.
     """
-    if mode not in POWER_MODES:
-        raise ConfigError(f"power mode must be one of {POWER_MODES}, got {mode!r}")
     p = _power_vector(p_total)
     w = np.asarray(w_unscaled)
-    w = w.reshape(p.size, *w.shape[-2:])
-    if not np.all(np.any(w, axis=(-2, -1))):
+    alpha = _power_scale(w.reshape(p.size, *w.shape[-2:]), p, mode)
+    _raise_failure(np.where(alpha > 0.0, 0, NO_SCALE)[:, None])
+    return _unstack(p_total, alpha)
+
+
+def _power_scale(w: np.ndarray, p: np.ndarray, mode: str,
+                 failed: bool | np.ndarray = False) -> np.ndarray:
+    """(P,) scale factors of the (P, N, K) stack `w` over the power vector
+    `p`, 0 in a slot without a finite positive scale. Only a slot in
+    `failed` may be all zero."""
+    if mode not in POWER_MODES:
+        raise ConfigError(f"power mode must be one of {POWER_MODES}, got {mode!r}")
+    if not np.all(np.any(w, axis=(-2, -1)) | failed):
         raise ConfigError("cannot scale an all-zero precoder")
     if mode == "per_feed":
         norm = w.shape[-2] * np.max(np.sum(np.abs(w) ** 2, axis=-1), axis=-1)
@@ -258,40 +305,25 @@ def power_control(w_unscaled: np.ndarray, p_total: float | np.ndarray,
     # A precoder that underflowed or overflowed leaves no finite positive
     # scale; test before dividing, so no power slot scales by inf or NaN.
     ok = (norm > 0.0) & (p / np.finfo(float).max < norm)
-    alpha = np.sqrt(np.divide(p, norm, out=np.zeros_like(norm), where=ok))
-    if not np.all(alpha > 0.0):
-        raise InfeasibleChannelError(
-            f"power slot {int(np.argmin(alpha > 0.0))}: the precoder has no "
-            "finite positive power scale"
-        )
-    return _unstack(p_total, alpha)
+    return np.sqrt(np.divide(p, norm, out=np.zeros_like(norm), where=ok))
 
 
 def _scaled(p_total: float | np.ndarray, w_bar: np.ndarray, mode: str,
-            **factors) -> Precoder:
+            failed: np.ndarray | None = None, **factors) -> Precoder:
     """The (P, N, K) stack `w_bar` and its factors scaled to the power
-    constraint, as the precoder returned for `p_total`."""
-    alpha = power_control(w_bar, _power_vector(p_total), mode)
+    constraint, as the precoder returned for `p_total`.
+
+    A slot without a finite positive scale raises; with `failed` (P,),
+    the slots whose design failed, it is scaled by 0 instead.
+    """
+    p = _power_vector(p_total)
+    alpha = (power_control(w_bar, p, mode) if failed is None
+             else _power_scale(w_bar, p, mode, failed))
     parts = dict(w=alpha[:, None, None] * w_bar, alpha=alpha, **factors)
     if np.ndim(p_total) == 0:
         parts = {name: value[0] for name, value in parts.items()}
         parts["alpha"] = float(parts["alpha"])
     return Precoder(power_mode=mode, **parts)
-
-
-def _beam_columns(h_blocks: np.ndarray, wa: np.ndarray,
-                  beam_ids: np.ndarray | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Intra-beam stage of a stack of beams, one stacked SVD.
-
-    `h_blocks` holds the beams' (*S, Q, N) user rows and `wa` their
-    (..., *S, N, Q) inter-beam blocks; `beam_ids` numbers them for
-    `intrabeam`. Every effective channel ``Z_b = H_b Wa_b`` is formed in
-    one stacked product. Returns the intra-beam vectors w_b (..., *S, Q)
-    and the precoder columns ``Wa_b w_b`` (..., *S, N).
-    """
-    vectors = intrabeam(h_blocks @ wa, beam_ids)
-    return vectors, (wa @ vectors[..., None])[..., 0]
 
 
 def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float | np.ndarray,
@@ -302,7 +334,10 @@ def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float | np.ndarray,
     """
     p = _power_vector(p_total)
     wa = np.reshape(wa, (p.size, ch.feeds, ch.beams * ch.users_per_beam))
-    vectors, columns = _beam_columns(ch.beam_blocks(), _blocks(wa, ch.beams))
+    blocks = _blocks(wa, ch.beams)
+    vectors, codes = _intrabeam(ch.beam_blocks() @ blocks)
+    _raise_failure(codes)
+    columns = (blocks @ vectors[..., None])[..., 0]          # (P, K, N)
     # Contiguous like the multi-gateway w_bar, so the power norms sum in
     # the same order and one gateway reproduces this precoder bit for bit.
     w_bar = np.ascontiguousarray(columns.swapaxes(-1, -2))   # (P, N, K)

@@ -41,7 +41,10 @@ beam range, so they see what the library designs from.
 `assemble_multigateway_per_view`, one gateway view at a time, the
 reference for the multi-gateway precoder that designs all gateways of
 one view shape together. `view_channel` wraps a gateway view, a plain
-array, as a channel of its own for them.
+array, as a channel of its own for them. `run_trial_per_cell`, every
+(scenario, power) cell of a trial designed by its public single-design
+function at that one power, is the reference for the cells that the
+failure codes of the stacked pass skip.
 
 The per-cell statistics of a Monte Carlo result (`trial_means`,
 `mean_per_beam`, `std_per_beam`, one NumPy reduction per (scenario,
@@ -67,7 +70,7 @@ import warnings
 
 import numpy as np
 
-from satprecode import geometry
+from satprecode import evaluate, geometry
 from satprecode.channel import (
     BeamLayout,
     ChannelMatrix,
@@ -90,22 +93,26 @@ from satprecode.exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from satprecode.gateway import GatewayPlan
+from satprecode.evaluate import beam_rate, sinr_matrix
+from satprecode.gateway import GatewayPlan, assemble_multigateway_precoder
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
     Precoder,
-    _beam_columns,
     _null_bases,
     _power_vector,
     _regularized_inverse,
     _regularizer,
     _scaled,
     _unstack,
+    baseline_avg_mmse,
+    baseline_four_color,
     intrabeam,
     mbim_stack,
     rzf_stack,
+    two_stage,
 )
 from satprecode.robust import _shift_bounds, eigen_shift_bound
+from satprecode.robust import robust_two_stage as robust_two_stage_library
 
 # First-order theory breaks down at eigenvalue crossings; coupler entries
 # for pairs closer than this (relative to the largest eigenvalue) are zeroed.
@@ -931,12 +938,64 @@ def assemble_multigateway_per_view(views: list,
         beams = plan.beam_slice(g)
         try:
             wa = mbim_stack(eff, range(beams.start, beams.stop), p)  # (P, B, N_g, Q)
-            _, columns = _beam_columns(eff.beam_blocks()[beams], wa,
-                                       np.arange(beams.start, beams.stop))
+            vectors = intrabeam(eff.beam_blocks()[beams] @ wa,
+                                np.arange(beams.start, beams.stop))
         except MODELLED_FAILURES as exc:
             raise type(exc)(f"gateway {g}: {exc}") from exc
+        columns = (wa @ vectors[..., None])[..., 0]
         w_bar[:, plan.feed_slice(g), beams] = columns.swapaxes(-1, -2)
     return _scaled(p_total, w_bar, mode)
+
+
+# The per-cell path of a Monte Carlo trial, which the run once took after a
+# modelled failure in its stacked design pass. The run now reads its
+# skipped cells from that pass's failure codes.
+
+def run_trial_per_cell(trial_seed, cfg, layout: BeamLayout, budget: LinkBudget,
+                       table, plans: dict, p_w: np.ndarray,
+                       contours: tuple) -> np.ndarray:
+    """`evaluate._run_trial` with every (scenario, power) cell designed by
+    its public single-design function at that one power: an (S, P, K)
+    array of beam rates, NaN where the design raised a modelled failure,
+    and at every power of a gateway scenario whose CSI exchange failed.
+
+    The channels and views come through `satprecode.evaluate`, so a test
+    that patches `_trial_channels` or `share_csi` there patches them here.
+    """
+    ch_true, ch_est, bounds = evaluate._trial_channels(trial_seed, cfg, layout,
+                                                       budget, contours)
+    out = np.full((len(cfg.scenarios), p_w.size, cfg.beams), np.nan)
+    for s, name in enumerate(cfg.scenarios):
+        try:
+            views = evaluate.share_csi(ch_est, plans[name]) if name in plans else None
+        except MODELLED_FAILURES:
+            continue
+        for i, p in enumerate(p_w.tolist()):
+            try:
+                sinrs, factor = _scenario_sinrs_at(name, ch_true, ch_est, bounds,
+                                                   p, cfg, layout, plans, views)
+            except MODELLED_FAILURES:
+                continue
+            out[s, i] = beam_rate(sinrs, table, budget, factor)
+    return out
+
+
+def _scenario_sinrs_at(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
+                       bounds: PerturbationBounds, p: float, cfg, layout: BeamLayout,
+                       plans: dict, views) -> tuple:
+    """Scenario `name`'s (K, Q) SINRs at the one power `p`, and its band
+    factor."""
+    if name == "four_color":
+        return baseline_four_color(ch_true, layout, p), 0.25
+    if name in ("mbim", "rzf"):
+        pre = two_stage(ch_est, p, cfg.power_mode, interbeam=name)
+    elif name == "avg_mmse":
+        pre = baseline_avg_mmse(ch_est, p, cfg.power_mode)
+    elif name == "robust":
+        pre = robust_two_stage_library(ch_est, bounds, p, cfg.power_mode)
+    else:
+        pre = assemble_multigateway_precoder(views, plans[name], p, cfg.power_mode)
+    return sinr_matrix(ch_true, pre.w), 1.0
 
 
 # Per-beam and per-feed loops of the layout check, the gain matrix, the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import satprecode.channel
 import satprecode.evaluate
+import satprecode.gateway
 import satprecode.linalg
 from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts
@@ -22,11 +23,16 @@ from satprecode.evaluate import (
     run_monte_carlo,
     sinr_matrix,
 )
-from satprecode.exceptions import ConfigError, InfeasibleChannelError
+from satprecode.exceptions import ConfigError
 from satprecode.io import write_results_csv
 
 from conftest import random_channel
-from oracles import bootstrap_mean_diff_quantiles, cell_skipped, cell_throughput
+from oracles import (
+    bootstrap_mean_diff_quantiles,
+    cell_skipped,
+    cell_throughput,
+    run_trial_per_cell,
+)
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +270,7 @@ class TestMonteCarlo:
             self, monkeypatch):
         original_eigh = satprecode.linalg.eigh_sorted
         original_share = satprecode.evaluate.share_csi
-        original_assemble = satprecode.evaluate.assemble_multigateway_precoder
+        original_assemble = satprecode.gateway.assemble_multigateway_precoder
         calls = {"eigh": 0, "share": 0, "assemble": 0}
 
         def counting_eigh(a):
@@ -285,7 +291,7 @@ class TestMonteCarlo:
             ) is original_eigh:
                 monkeypatch.setattr(mod, "eigh_sorted", counting_eigh)
         monkeypatch.setattr(satprecode.evaluate, "share_csi", counting_share)
-        monkeypatch.setattr(satprecode.evaluate,
+        monkeypatch.setattr(satprecode.gateway,
                             "assemble_multigateway_precoder", counting_assemble)
         scenarios = ("gw_ref", "gw_closest:1", "gw_icp", "gw_msvdgc")
         counts = []
@@ -317,7 +323,8 @@ class TestMonteCarlo:
             self, monkeypatch):
         # gw_icp's gateway 1 does not see its own beam 5, so its design
         # fails at every power; the stacked pass over all gateway
-        # scenarios then falls back to designing each on its own.
+        # scenarios skips those cells and no other, as designing each cell
+        # on its own does.
         scenarios = ("mbim", "gw_ref", "gw_icp", "gw_closest:1", "gw_msvdgc")
         cfg = small_config(beams=12, gateways=3, scenarios=scenarios,
                            trials=3, power_sweep_dbw=(40.0, 45.0))
@@ -334,11 +341,8 @@ class TestMonteCarlo:
         monkeypatch.setattr(satprecode.evaluate, "share_csi", blind_icp)
         failing = run_monte_carlo(cfg)
 
-        def no_family(*args):
-            raise InfeasibleChannelError("every scenario on its own")
-
-        monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
-                            no_family)
+        monkeypatch.setattr(satprecode.evaluate, "_run_trial",
+                            run_trial_per_cell)
         per_scenario = run_monte_carlo(cfg)
         assert np.array_equal(failing.skipped, per_scenario.skipped)
         assert failing.skipped.tolist() == [

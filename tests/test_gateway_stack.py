@@ -25,6 +25,7 @@ from satprecode.channel import (
 )
 from satprecode.exceptions import (
     MODELLED_FAILURES,
+    SHAPE,
     DegenerateBeamError,
     InfeasibleChannelError,
     SingularChannelError,
@@ -253,8 +254,9 @@ def test_family_pass_equals_each_plan_alone(beams, gateways, users, mode,
     assert (beams // gateways >= _DOWNDATE_MIN_BEAMS) == (beams == 50)
     table = ModcodTable.default()
     p = np.array([0.5, 5.0, 3e3])
-    family = assemble_multigateway_family(
+    family, codes = assemble_multigateway_family(
         [plan_designs(*design) for design in designs], users, p, mode)
+    assert not codes.any()
     w = family.w.reshape(len(plans), p.size, *family.w.shape[1:])
     alpha = family.alpha.reshape(len(plans), p.size)
     rates = beam_rate(sinr_matrix(ch_true, family.w), table, budget).reshape(
@@ -274,18 +276,17 @@ def test_family_pass_fails_where_a_plan_has_fewer_feeds_than_users():
     plans = _family_plans(6, 6, 3, 3)
     designs = [(share_csi(ch, plan), plan) for plan in plans]
     p = np.array([1.0, 10.0])
-    with pytest.raises(InfeasibleChannelError, match="fewer feeds"):
-        assemble_multigateway_family(
-            [plan_designs(*design) for design in designs], 3, p)
-    feasible = []
-    for views, plan in designs:
+    family, codes = assemble_multigateway_family(
+        [plan_designs(*design) for design in designs], 3, p)
+    assert codes.tolist() == [[0 if plan.mode == "ref" else SHAPE] * 2
+                              for plan in plans]
+    w = family.w.reshape(len(plans), p.size, *family.w.shape[1:])
+    for i, (views, plan) in enumerate(designs):
         if plan.mode == "ref":
-            feasible.append((views, plan))
+            assert np.array_equal(w[i],
+                                  assemble_multigateway_precoder(views, plan, p).w)
         else:
+            assert np.all(np.isfinite(w[i]))
             with pytest.raises(InfeasibleChannelError, match="^gateway 0: "):
                 assemble_multigateway_precoder(views, plan, p)
-    family = assemble_multigateway_family(
-        [plan_designs(*design) for design in feasible], 3, p)
-    assert np.array_equal(family.w,
-                          assemble_multigateway_precoder(*feasible[0], p).w)
 

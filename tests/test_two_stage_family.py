@@ -9,10 +9,11 @@ precoder. The family pass must give `two_stage` (mbim and rzf),
 shipped configs and of every benchmark workload config, below and above
 the downdate crossover. A trial designs every precoded scenario in one
 pass, with one power scaling, one SINR and one rate call. A
-rank-deficient estimate makes that pass fall back to designing each
-scenario on its own, which skips mbim and leaves every other scenario as
-designing it on its own gives it; how many designs that fallback makes
-per trial is counted too. The files under ``perfbench/`` are only read.
+rank-deficient estimate skips mbim, and the scenarios that share its
+view, through that pass's failure codes: every cell is as designing its
+scenario on its own at that power gives it (`oracles.run_trial_per_cell`),
+and no scenario is designed a second time. The files under
+``perfbench/`` are only read.
 """
 
 import sys
@@ -24,6 +25,8 @@ import pytest
 import satprecode.evaluate
 import satprecode.gateway
 import satprecode.linalg
+import satprecode.precoding
+import satprecode.robust
 from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts, parse_config
 from satprecode.evaluate import (
@@ -33,11 +36,34 @@ from satprecode.evaluate import (
     _trial_designs,
     run_monte_carlo,
 )
-from satprecode.exceptions import InfeasibleChannelError
-from satprecode.gateway import BlockDesign, assemble_multigateway_family
-from satprecode.precoding import _blocks, baseline_avg_mmse, rzf_interbeam, two_stage
+from satprecode.exceptions import (
+    DEAD,
+    MODELLED_FAILURES,
+    NO_SCALE,
+    SHAPE,
+    SINGULAR,
+    DegenerateBeamError,
+    InfeasibleChannelError,
+    SingularChannelError,
+)
+from satprecode.gateway import (
+    BlockDesign,
+    assemble_multigateway_family,
+    assemble_multigateway_precoder,
+    make_plan,
+    plan_designs,
+    share_csi,
+)
+from satprecode.precoding import (
+    _avg_mmse_unscaled,
+    _blocks,
+    baseline_avg_mmse,
+    rzf_interbeam,
+    two_stage,
+)
 from satprecode.robust import robust_two_stage
 
+import oracles
 from conftest import load_perfbench_workloads, random_channel
 
 WORKLOADS = load_perfbench_workloads()
@@ -66,11 +92,12 @@ def _assert_family_equals_each_design(cfg):
     """Returns the number of beams of the checked channel."""
     p_w, ch_est, bounds = _first_trial(cfg)
     # As a trial designs them.
-    _, designs = _trial_designs(("mbim", "robust", "rzf", "avg_mmse"),
-                                ch_est, bounds, {})
+    designs = _trial_designs(("mbim", "robust", "rzf", "avg_mmse"),
+                             ch_est, bounds, {})
     for mode in ("per_feed", "total"):
-        family = assemble_multigateway_family(list(designs.values()),
-                                              ch_est.users_per_beam, p_w, mode)
+        family, codes = assemble_multigateway_family(
+            list(designs.values()), ch_est.users_per_beam, p_w, mode)
+        assert not codes.any()
         w = family.w.reshape(len(designs), p_w.size, *family.w.shape[1:])
         alpha = family.alpha.reshape(len(designs), p_w.size)
         for i, alone in enumerate((two_stage(ch_est, p_w, mode, "mbim"),
@@ -121,6 +148,16 @@ def _counting(monkeypatch, module, name, calls, record=None):
     monkeypatch.setattr(module, name, counting)
 
 
+def _counting_at_home(monkeypatch, calls):
+    """Counts `two_stage`, `robust_two_stage` and
+    `assemble_multigateway_precoder` calls at their defining modules:
+    `satprecode.evaluate` calls none of them."""
+    for module, name in ((satprecode.precoding, "two_stage"),
+                         (satprecode.robust, "robust_two_stage"),
+                         (satprecode.gateway, "assemble_multigateway_precoder")):
+        _counting(monkeypatch, module, name, calls)
+
+
 def _counting_everywhere(monkeypatch, name, calls, record=None):
     """Counts calls to `satprecode.linalg.<name>` from every package module
     that imported it."""
@@ -136,9 +173,9 @@ def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
                            "assemble_multigateway_precoder", "eigh_sorted"), 0)
     for name in ("_block_diagonals", "_scaled"):
         _counting(monkeypatch, satprecode.gateway, name, calls)
-    for name in ("sinr_matrix", "beam_rate", "two_stage", "robust_two_stage",
-                 "assemble_multigateway_precoder"):
+    for name in ("sinr_matrix", "beam_rate"):
         _counting(monkeypatch, satprecode.evaluate, name, calls)
+    _counting_at_home(monkeypatch, calls)
     shapes = []
     _counting_everywhere(monkeypatch, "eigh_sorted", calls,
                          lambda a: shapes.append(a.shape))
@@ -161,8 +198,12 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
                            "baseline_avg_mmse", "baseline_four_color",
                            "rzf_interbeam", "eigh_sorted"), 0)
     _counting(monkeypatch, satprecode.gateway, "_scaled", calls)
-    for name in calls.keys() - {"_scaled", "eigh_sorted"}:
+    for name in ("sinr_matrix", "beam_rate", "baseline_four_color",
+                 "rzf_interbeam"):
         _counting(monkeypatch, satprecode.evaluate, name, calls)
+    # At their defining module: satprecode.evaluate calls neither.
+    for name in ("two_stage", "baseline_avg_mmse"):
+        _counting(monkeypatch, satprecode.precoding, name, calls)
     # Every power scaling, wherever it is called from, and every Gram
     # decomposition.
     _counting(monkeypatch, satprecode.precoding, "_scaled", calls)
@@ -203,17 +244,12 @@ def _rank_deficient_estimates(monkeypatch):
     monkeypatch.setattr(satprecode.evaluate, "_trial_channels", rank_deficient)
 
 
-def test_rank_deficient_estimate_skips_only_mbim_and_what_shares_its_view(
-        monkeypatch):
+def _assert_rank_deficient_run_skips_as_each_cell_alone(monkeypatch, powers):
     _rank_deficient_estimates(monkeypatch)
-    cfg = _small_config(trials=3)
+    cfg = _small_config(trials=3, power_sweep_dbw=powers)
     stacked = run_monte_carlo(cfg)
-
-    def no_family(*args):
-        raise InfeasibleChannelError("every scenario on its own")
-
-    monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
-                        no_family)
+    monkeypatch.setattr(satprecode.evaluate, "_run_trial",
+                        oracles.run_trial_per_cell)
     alone = run_monte_carlo(cfg)
     assert stacked.skipped.tolist() == [
         [cfg.trials if name in ("mbim", "gw_ref") else 0] * 2
@@ -222,26 +258,39 @@ def test_rank_deficient_estimate_skips_only_mbim_and_what_shares_its_view(
     assert np.array_equal(stacked.throughput, alone.throughput, equal_nan=True)
 
 
-def test_rank_deficient_estimate_redesigns_every_scenario_on_its_own(
+def test_rank_deficient_estimate_skips_only_mbim_and_what_shares_its_view(
         monkeypatch):
-    # What one failing design costs today: the stacked pass is thrown
-    # away, every scenario is designed again on its own, and each one that
-    # fails once more at every power. Per-slot failure codes from the
-    # stacked pass would leave one family call per trial (ROADMAP item 3).
+    _assert_rank_deficient_run_skips_as_each_cell_alone(monkeypatch,
+                                                        (40.0, 45.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rank_deficient_beam_stays_finite_where_its_tail_rounds_negative(
+        monkeypatch):
+    # At 170 dBW the regularizer KQ/P_T is 2.4e-16, below the magnitude of
+    # beam 5's tail eigenvalue, which rounds to -2.6e-15 and -1.6e-15 in
+    # trials 0 and 2. The failed design must not take the root of a
+    # negative number: its cells are skipped, as each cell alone skips them.
+    _assert_rank_deficient_run_skips_as_each_cell_alone(monkeypatch,
+                                                        (40.0, 170.0))
+
+
+def test_rank_deficient_estimate_takes_one_family_call_per_trial(monkeypatch):
+    # A failing design costs no redesign: the failure codes of the stacked
+    # pass skip its cells, and no scenario is designed a second time.
     _rank_deficient_estimates(monkeypatch)
     calls = dict.fromkeys(("assemble_multigateway_family", "two_stage",
                            "robust_two_stage",
                            "assemble_multigateway_precoder"), 0)
-    for name in calls:
-        _counting(monkeypatch, satprecode.evaluate, name, calls)
+    _counting(monkeypatch, satprecode.evaluate, "assemble_multigateway_family",
+              calls)
+    _counting_at_home(monkeypatch, calls)
     cfg = _small_config()
-    run_monte_carlo(cfg)
+    assert run_monte_carlo(cfg).total_skipped() == 2 * 2 * cfg.trials
     per_trial = {name: count // cfg.trials for name, count in calls.items()}
-    # mbim and gw_ref fail for the whole power vector, then at each of the
-    # 2 powers; robust and the 3 split plans are designed once more.
-    assert per_trial == {"assemble_multigateway_family": 1, "two_stage": 3,
-                         "robust_two_stage": 1,
-                         "assemble_multigateway_precoder": 6}
+    assert per_trial == {"assemble_multigateway_family": 1, "two_stage": 0,
+                         "robust_two_stage": 0,
+                         "assemble_multigateway_precoder": 0}
 
 
 def test_rzf_and_avg_mmse_take_no_gram_spectra(monkeypatch):
@@ -263,9 +312,72 @@ def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
     calls, shapes = {"eigh_sorted": 0}, []
     _counting_everywhere(monkeypatch, "eigh_sorted", calls,
                          lambda a: shapes.append(a.shape))
-    family = assemble_multigateway_family(designs, 2, p)
+    family, codes = assemble_multigateway_family(designs, 2, p)
     assert shapes == [(5, 6, 6)]
+    assert not codes.any()
     w = family.w.reshape(2, p.size, *family.w.shape[1:])
     for i, alone in enumerate((two_stage(ch, p, interbeam="mbim"),
                                two_stage(other, p, interbeam="rzf"))):
         assert np.array_equal(w[i], alone.w)
+
+
+_CODE_CLASS = {SHAPE: InfeasibleChannelError, SINGULAR: SingularChannelError,
+               DEAD: DegenerateBeamError, NO_SCALE: InfeasibleChannelError}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["per_feed", "total"])
+def test_failure_codes_are_where_each_design_alone_raises(mode):
+    # One channel, 6 beams of Q = 3 users on 6 feeds, scaled up so that at
+    # 1e300 W a precoder that stands has no finite power scale:
+    # - SINGULAR: mbim, since feed 5 repeats feed 0 outside beam 2's rows;
+    # - DEAD: a 2-gateway icp plan whose gateway 1 view lost beam 4's rows;
+    # - SHAPE: a 3-gateway icp plan, 2 feeds per gateway for 3 users;
+    # - NO_SCALE: avg_mmse and a 2-gateway msvdgc plan at 1e300 W;
+    # - rzf stands at both powers.
+    h = 1e100 * random_channel(6, 3, 6, seed=31).h
+    others = np.ones(18, dtype=bool)
+    others[6:9] = False
+    h[others, 5] = h[others, 0]
+    ch = ChannelMatrix(h=h, beams=6, users_per_beam=3)
+    plans = {"icp2": make_plan(6, 6, 3, 2, "icp"),
+             "icp3": make_plan(6, 6, 3, 3, "icp"),
+             "msvdgc": make_plan(6, 6, 3, 2, "msvdgc")}
+    views = {name: share_csi(ch, plan) for name, plan in plans.items()}
+    views["icp2"][1] = views["icp2"][1].copy()
+    views["icp2"][1][12:15] = 0.0
+
+    def gateway(name):
+        return (plan_designs(views[name], plans[name]),
+                lambda p: assemble_multigateway_precoder(
+                    views[name], plans[name], p, mode))
+
+    cases = [
+        ([BlockDesign(ch.h, range(6))], lambda p: two_stage(ch, p, mode)),
+        gateway("icp2"),
+        gateway("icp3"),
+        (lambda p: _avg_mmse_unscaled(ch, p),
+         lambda p: baseline_avg_mmse(ch, p, mode)),
+        gateway("msvdgc"),
+        ([BlockDesign(ch.h, range(6), interbeam=lambda p: _blocks(
+            rzf_interbeam(ch, p), ch.beams))],
+         lambda p: two_stage(ch, p, mode, "rzf")),
+    ]
+    p = np.array([10.0, 1e300])
+    family, codes = assemble_multigateway_family([d for d, _ in cases], 3, p,
+                                                 mode)
+    assert codes.tolist() == [[SINGULAR] * 2, [DEAD] * 2, [SHAPE] * 2,
+                              [0, NO_SCALE], [0, NO_SCALE], [0, 0]]
+    w = family.w.reshape(len(cases), p.size, *family.w.shape[1:])
+    alpha = family.alpha.reshape(len(cases), p.size)
+    assert np.all(np.isfinite(w))
+    for s, (_, alone) in enumerate(cases):
+        for i, power in enumerate(p.tolist()):
+            try:
+                pre = alone(power)
+            except MODELLED_FAILURES as exc:
+                assert type(exc) is _CODE_CLASS[codes[s, i]]
+                continue
+            assert codes[s, i] == 0
+            assert np.array_equal(w[s, i], pre.w)
+            assert alpha[s, i] == pre.alpha
