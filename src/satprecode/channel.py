@@ -58,7 +58,7 @@ _HALFWIDTH_STEPS = 1e-3 * 2.0 ** np.arange(40)
 # Smallest beam range whose other-beam Gram tails come from one
 # eigendecomposition of H^H H and per-beam downdates instead of one dense
 # eigendecomposition per beam: the measured crossover (CHANGES.md table).
-_DOWNDATE_MIN_BEAMS = 24
+_DOWNDATE_MIN_BEAMS = 22
 
 # Rejection attempts `place_users` draws in one call while each attempt
 # draws 16 points.

@@ -7,14 +7,27 @@ other-beam Gram matrix is the rank-Q downdate ``G_k = G - B_k^H B_k``,
 similar to ``D - C_k^H C_k`` with ``C_k = B_k V``. Its eigenvalues below
 a shift mu are counted by Haynsworth inertia additivity (Haynsworth
 1968): ``#{d_i < mu} + neg(M(mu))`` with the Q x Q secular matrix
-``M(mu) = I - C_k (D - mu)^-1 C_k^H``. Safeguarded Newton steps on
-``det M`` inside count-bisection brackets find the Q smallest eigenvalues
-and the largest one; the tail vectors come from one Rayleigh-Ritz step on
-the span of ``(D - mu)^-1 C_k^H`` at the tail roots, widened by the Q+1
-eigenvectors of G with the smallest eigenvalues, which hold the deflated
-directions (a zero column of C_k or a repeated d_i). See Bunch, Nielsen &
-Sorensen, Numer. Math. 31 (1978), and Gu & Eisenstat, SIAM J. Matrix
-Anal. Appl. 15 (1994), for the rank-one case.
+``M(mu) = I - C_k (D - mu)^-1 C_k^H``, and
+``det(G_k - mu) = det(D - mu) det M(mu)``. One sweep counts every target
+(the Q smallest eigenvalues and the largest) of every beam at once: one
+product gives the Taylor coefficients of M to second order, and an
+unpivoted LDL^H factorization of them gives the inertia and the first two
+logarithmic derivatives of det M; removing the known poles d_i leaves
+those of the characteristic polynomial of G_k. Laguerre's method on that
+polynomial converges cubically to the nearest eigenvalue on the side it
+steps to, without passing it (Parlett, Math. Comp. 18 (1964); Li & Zeng,
+SIAM J. Sci. Comput. 15 (1994)); a step is taken only where the count
+makes that eigenvalue the target, the other small eigenvalues' current
+estimates are divided out (Aberth, Math. Comp. 27 (1973)), and the count
+brackets are bisected otherwise. The starts come from the poles: a small
+eigenvalue starts midway between d_t and the pole below it, the largest
+at d_{N-1} less its first-order shift. The tail vectors come from one
+Rayleigh-Ritz step on the span of ``(D - mu)^-1 C_k^H`` at the tail
+roots, widened by the Q+1 eigenvectors of G with the smallest
+eigenvalues, which hold the deflated directions (a zero column of C_k or
+a repeated d_i). See Bunch, Nielsen & Sorensen, Numer. Math. 31 (1978),
+and Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 15 (1994), for the
+rank-one case.
 """
 
 from __future__ import annotations
@@ -34,8 +47,11 @@ DOWNDATE_TOL = 1e-12
 
 _EPS = np.finfo(float).eps
 # Bisection needs about 52 halvings from a bracket of width ||G|| to
-# machine precision; Newton steps usually finish in a third of that.
+# machine precision; Laguerre steps usually finish in a tenth of that.
 _MAX_STEPS = 64
+# A Laguerre step below this relative size ends a target's iteration: the
+# convergence is cubic, so the next step would be below the rounding error.
+_CUBIC_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,29 +85,40 @@ def eigh_sorted(a: np.ndarray) -> EigDecomposition:
                             np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
-def _inertia_and_log_slope(m: np.ndarray, dm: np.ndarray):
-    """Negative eigenvalue count of each Hermitian matrix in the stack `m`
-    and the derivative of ``log |det m|`` along `dm`, from an unpivoted
-    LDL^H factorization carried with its derivative.
+def _inertia_and_log_derivatives(m: np.ndarray) -> tuple:
+    """Negative eigenvalue count of each Hermitian matrix M(mu) of a stack,
+    and the first two derivatives of ``log |det M|`` in mu.
 
-    An exact zero pivot is read as a tiny positive one, that is, as the
-    matrix a rounding error above it.
+    `m` (3, ..., q, q) holds the Taylor coefficients of M, M' and M''/2 in
+    mu; an unpivoted LDL^H factorization runs on the three at once, as
+    truncated power series, and overwrites `m`. An exact zero pivot is
+    read as a tiny positive one, that is, as the matrix a rounding error
+    above it.
     """
-    a, da = m.copy(), dm.copy()
-    neg = np.zeros(m.shape[:-2], dtype=int)
-    slope = np.zeros(m.shape[:-2])
+    neg = np.zeros(m.shape[1:-2], dtype=int)
+    first = np.zeros(m.shape[1:-2])
+    second = np.zeros(m.shape[1:-2])
     for j in range(m.shape[-1]):
-        p, dp = a[..., j, j].real, da[..., j, j].real
-        p = np.where(np.abs(p) < _EPS**2, np.where(p < 0.0, -_EPS**2, _EPS**2), p)
-        neg += p < 0.0
-        slope += dp / p
-        low, row, drow = a[..., j + 1:, j], a[..., j, j + 1:], da[..., j, j + 1:]
-        lower = low / p[..., None]
-        dlower = (da[..., j + 1:, j] - lower * dp[..., None]) / p[..., None]
-        a[..., j + 1:, j + 1:] -= lower[..., :, None] * row[..., None, :]
-        da[..., j + 1:, j + 1:] -= (dlower[..., :, None] * row[..., None, :]
-                                    + lower[..., :, None] * drow[..., None, :])
-    return neg, slope
+        p = m[..., j, j].real
+        p0 = np.where(np.abs(p[0]) < _EPS**2,
+                      np.where(p[0] < 0.0, -_EPS**2, _EPS**2), p[0])
+        neg += p0 < 0.0
+        r1, r2 = p[1] / p0, p[2] / p0
+        first += r1
+        second += 2.0 * r2 - r1 * r1
+        if j + 1 == m.shape[-1]:
+            break
+        # The column below the pivot over the pivot, and the Schur
+        # complement update, as power series truncated after mu^2.
+        col, row = m[..., j + 1:, j, None], m[..., None, j, j + 1:]
+        piv, dp, ddp = (a[..., None, None] for a in (p0, p[1], p[2]))
+        l0 = col[0] / piv
+        l1 = (col[1] - l0 * dp) / piv
+        l2 = (col[2] - l0 * ddp - l1 * dp) / piv
+        m[0, ..., j + 1:, j + 1:] -= l0 * row[0]
+        m[1, ..., j + 1:, j + 1:] -= l0 * row[1] + l1 * row[0]
+        m[2, ..., j + 1:, j + 1:] -= l0 * row[2] + l1 * row[1] + l2 * row[0]
+    return neg, first, second
 
 
 def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> tuple:
@@ -119,25 +146,42 @@ def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> tuple:
     v = eig.eigenvectors[:, ::-1]
     c = (blocks.reshape(-1, n) @ v).reshape(b, q, n) / np.sqrt(scale)
     ch = c.conj().swapaxes(-1, -2)                                 # (B, N, Q)
-    # Row i of beam k's slab is the Q x Q outer product c_i c_i^H, as reals.
-    outer = np.ascontiguousarray(
-        c.swapaxes(-1, -2)[..., :, None] * ch[..., None, :]
-    ).reshape(b, n, q * q).view(float)
+    # Row i of beam k's slab is the Q x Q outer product c_i c_i^H and a 1,
+    # as reals: one product with it also sums the powers of 1 / (d_i - mu).
+    slab = np.empty((b, n, q * q + 1), dtype=complex)
+    slab[..., :-1] = (c.swapaxes(-1, -2)[..., :, None]
+                      * ch[..., None, :]).reshape(b, n, -1)
+    slab[..., -1] = 1.0
+    slab = slab.view(float)
     # Targets: the Q smallest eigenvalues, then the largest.
     targets = np.append(np.arange(q), n - 1)
+    # Laguerre degree: that of det(G_k - mu), less the other Q - 1 smallest
+    # eigenvalues, whose estimates are divided out.
+    degree = np.append(np.full(q, n - q + 1), n)
 
     def poles(mu):
         """``d - mu``, kept at least one rounding unit away from zero."""
         gap = d - mu[..., None]
-        return np.where(np.abs(gap) < _EPS, np.where(gap < 0.0, -_EPS, _EPS), gap)
+        return np.copysign(np.maximum(np.abs(gap), _EPS), gap)
 
     def count(mu):
-        """Eigenvalues below each shift and ``d log|det M| / d mu``."""
-        w = 1.0 / poles(mu)
-        m = np.eye(q) - (w @ outer).view(complex).reshape(*mu.shape, q, q)
-        dm = -((w * w) @ outer).view(complex).reshape(*mu.shape, q, q)
-        neg, slope = _inertia_and_log_slope(m, dm)
-        return np.searchsorted(d, mu, side="left") + neg, slope
+        """Eigenvalues below each shift, and the first two logarithmic
+        derivatives of ``det(G_k - mu)``: the sums of 1 / (mu - lambda_j)
+        and of 1 / (mu - lambda_j)^2."""
+        powers = np.empty((b, 3, *mu.shape[1:], n))
+        w = np.divide(1.0, poles(mu), out=powers[:, 0])
+        np.multiply(w, w, out=powers[:, 1])
+        np.multiply(powers[:, 1], w, out=powers[:, 2])
+        # M(mu + x) = I - sum_i c_i c_i^H (w_i + w_i^2 x + w_i^3 x^2 + ...)
+        # with w_i = 1 / (d_i - mu): its Taylor coefficients in one product.
+        series = powers.reshape(b, -1, n) @ slab
+        m = (-series[..., :-2]).view(complex).reshape(b, 3, -1, q, q).swapaxes(0, 1)
+        m[0] += np.eye(q)
+        neg, first, second = _inertia_and_log_derivatives(m)
+        # det(G_k - mu) = det(D - mu) det M(mu): the poles of det M go.
+        sums = series[..., -2].reshape(b, 3, -1)
+        return (np.searchsorted(d, mu, side="left") + neg,
+                first - sums[:, 0], sums[:, 1] - second)
 
     # Interlacing brackets: lambda_t lies in [d_{t-Q}, d_t], and every
     # eigenvalue of a Gram matrix is >= 0 up to rounding.
@@ -146,27 +190,48 @@ def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> tuple:
     lo = np.where(below_q >= 0, d[np.maximum(below_q, 0)] - _EPS,
                   np.maximum(d[0] - weight, -DOWNDATE_TOL)[:, None])
     hi = np.broadcast_to(d[targets] + _EPS, lo.shape)
-    count_lo = np.full(lo.shape, -1)
-    count_hi = np.full(lo.shape, n + 1)
-    mu = 0.5 * (lo + hi)
+    # Starts from the pole structure of det M: a small eigenvalue midway
+    # between d_t and the pole below it (below d_0, the first spacing
+    # again), the largest at d_{N-1} less its first-order shift.
+    pole_below = np.append(2.0 * d[0] - d[min(1, n - 1)], d)[targets]
+    start = np.broadcast_to(0.5 * (pole_below + d[targets]), lo.shape).copy()
+    start[:, -1] = d[-1] - np.sum(np.abs(c[..., -1]) ** 2, axis=-1)
+    mu = np.where((start > lo) & (start < hi), start, 0.5 * (lo + hi))
+    done = np.zeros(mu.shape, dtype=bool)
     for _ in range(_MAX_STEPS):
-        below, slope = count(mu)
+        below, slope, curvature = count(mu)
+        # Aberth: divide out the other small eigenvalues' estimates.
+        gap = mu[:, :q, None] - mu[:, None, :q]
+        other = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap != 0.0)
+        slope[:, :q] -= other.sum(axis=-1)
+        curvature[:, :q] -= (other * other).sum(axis=-1)
         left = below <= targets
-        lo, count_lo = np.where(left, mu, lo), np.where(left, below, count_lo)
-        hi, count_hi = np.where(left, hi, mu), np.where(left, count_hi, below)
-        # Newton on det M only once the bracket holds this one eigenvalue,
-        # so the step cannot converge to a neighbouring root.
-        width = hi - lo
-        newton = (count_hi - count_lo == 1) & (np.abs(slope) * width > 1.0)
-        step = -np.divide(1.0, slope, out=np.zeros_like(slope), where=newton)
-        done = ((newton & (np.abs(step) <= 4.0 * _EPS * np.abs(mu) + _EPS))
-                | (width <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + _EPS))
-        inside = newton & (mu + step > lo) & (mu + step < hi)
-        mu = np.where(done, mu, np.where(inside, mu + step, 0.5 * (lo + hi)))
+        lo = np.where(left, mu, lo)
+        hi = np.where(left, hi, mu)
+        # Laguerre's step towards the target converges to the nearest
+        # eigenvalue on that side without passing it; it is taken only where
+        # the count makes that eigenvalue the target.
+        sign = 2.0 * left - 1.0
+        root = np.sqrt(np.maximum((degree - 1) * (degree * curvature - slope**2), 0.0))
+        den = root - sign * slope
+        step = sign * np.divide(degree, den, out=np.zeros_like(den), where=den > 0.0)
+        adjacent = below == targets + ~left
+        # The slope points to the nearest eigenvalue.
+        ahead = sign * slope < 0.0
+        tiny = np.abs(step) <= 4.0 * _EPS * np.abs(mu) + _EPS
+        inside = (mu + step > lo) & (mu + step < hi)
+        stop = ((adjacent & ahead & tiny)
+                | (hi - lo <= 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)) + _EPS))
+        last = adjacent & ahead & inside & (np.abs(step) <= _CUBIC_STEP * np.abs(mu))
+        # A tiny step with the nearest eigenvalue behind makes no progress.
+        laguerre = adjacent & (ahead | ~tiny) & inside
+        mu = np.where(done | stop, mu, np.where(laguerre, mu + step, 0.5 * (lo + hi)))
+        done |= stop | last
         if done.all():
             break
-    certified = ((count(mu - DOWNDATE_TOL)[0] <= targets)
-                 & (count(mu + DOWNDATE_TOL)[0] > targets)).all(axis=-1)
+    below = count(np.concatenate([mu - DOWNDATE_TOL, mu + DOWNDATE_TOL], axis=-1))[0]
+    certified = ((below[:, :targets.size] <= targets)
+                 & (below[:, targets.size:] > targets)).all(axis=-1)
 
     # Rayleigh-Ritz on span{(D - mu_j)^-1 C_k^H : j < Q} plus e_0 .. e_Q.
     roots = mu[:, :q]

@@ -32,7 +32,7 @@ from .exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from .linalg import RANK_TOL, eigh_sorted  # noqa: F401 (re-exported)
+from .linalg import RANK_TOL, eigh_sorted
 
 __all__ = [
     "Precoder",
@@ -206,15 +206,38 @@ def mbim_interbeam(ch: ChannelMatrix,
 def _regularized_inverse(h: np.ndarray, reg: np.ndarray) -> np.ndarray:
     """``inv(h h^H + reg_p I)`` for each entry of `reg`: one (P, n, n) inverse.
 
-    The stack is P copies of ``h h^H``, each with its reg_p added on the
-    diagonal; no scaled identity is formed, and no copy of ``h h^H``
-    outlives the stack, which keeps the batched inverse's working set
-    small.
+    The LU route, accurate while h has no more rows than columns; avg_mmse
+    and the rzf design of such a channel take it. The stack is P copies
+    of ``h h^H``, each with its reg_p added on the diagonal; no scaled
+    identity is formed, and no copy of ``h h^H`` outlives the stack,
+    which keeps the batched inverse's working set small.
     """
     stack = np.repeat((h @ h.conj().T)[None], reg.size, axis=0)
     diag = np.arange(h.shape[0])
     stack[:, diag, diag] += reg[:, None]
     return np.linalg.inv(stack)
+
+
+def _push_through(h: np.ndarray, reg: np.ndarray, columns: slice) -> tuple:
+    """``reg_p inv(h h^H + reg_p I)`` and ``reg_p h^H inv(h h^H + reg_p I)``,
+    restricted to `columns`, for each entry of `reg`: (P, m, C) and
+    (P, n, C) stacks for h of shape (m, n), from one eigendecomposition
+    ``h^H h = V diag(d) V^H`` shared by every power.
+
+    With ``Y = h V`` the push-through identity gives
+    ``h^H inv(h h^H + r I) = V diag(1 / (d + r)) Y^H`` and
+    ``r inv(h h^H + r I) = I - Y diag(1 / (d + r)) Y^H``. Accurate when h
+    has more rows than columns; with m <= n the second form cancels.
+    """
+    eig = eigh_sorted(h.conj().T @ h)
+    y = h @ eig.eigenvectors
+    damp = 1.0 / (eig.eigenvalues + reg[:, None])                # (P, n)
+    tail = y[columns].conj().T
+    scaled = -(y * damp[:, None, :]) @ tail                      # (P, m, C)
+    own = np.arange(scaled.shape[-1])
+    scaled[:, own + columns.start, own] += 1.0
+    image = (eig.eigenvectors * (reg[:, None] * damp)[:, None, :]) @ tail
+    return scaled, image
 
 
 def _null_bases(ch: ChannelMatrix, beams: range,
@@ -229,6 +252,16 @@ def _null_bases(ch: ChannelMatrix, beams: range,
     return basis
 
 
+def _right_divide_upper(t: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``t r^-1`` for stacks of (n, q) matrices t and upper triangular
+    (q, q) matrices r, by substitution one column at a time."""
+    out = np.empty_like(t)
+    for j in range(r.shape[-1]):
+        known = (out[..., :j] @ r[..., :j, j, None])[..., 0]
+        out[..., j] = (t[..., j] - known) / r[..., j, j, None]
+    return out
+
+
 def rzf_stack(ch: ChannelMatrix, beams: range,
               p_total: float | np.ndarray) -> np.ndarray:
     """Inter-beam blocks of the regularized zero-forcing design.
@@ -236,12 +269,26 @@ def rzf_stack(ch: ChannelMatrix, beams: range,
     Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
     ((P, B, N, Q) for a power vector): the conjugated channel projected
     through the null space of the regularized cross-channel with that
-    beam's rows removed. One batched regularized inverse serves every
-    beam and power; its column blocks are factored in one stacked QR and
-    projected in one stacked product.
+    beam's rows removed, ``W_k = H^H A^-1 E_k R_k^-1`` with
+    ``A = H H^H + (KQ/P_T) I``, E_k beam k's columns of the identity and
+    R_k the triangular factor of the QR of ``A^-1 E_k``.
+
+    With more served users than feeds (KQ > N), one eigendecomposition of
+    ``H^H H`` serves the whole power sweep (`_push_through`): the QR
+    factors the push-through form of ``A^-1 E_k``, and ``H^H A^-1 E_k`` is
+    formed without A^-1. Otherwise, and for one beam, one batched LU
+    inverse serves every power; its column blocks are factored in one
+    stacked QR and projected in one stacked product.
     """
-    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
-    return _unstack(p_total, ch.h.conj().T @ _null_bases(ch, beams, inverse))
+    reg = _regularizer(ch, _power_vector(p_total))
+    kq, n = ch.h.shape
+    if ch.beams == 1 or kq <= n:
+        inverse = _regularized_inverse(ch.h, reg)
+        return _unstack(p_total, ch.h.conj().T @ _null_bases(ch, beams, inverse))
+    q = ch.users_per_beam
+    scaled, image = _push_through(ch.h, reg, slice(q * beams.start, q * beams.stop))
+    tri = np.linalg.qr(_blocks(scaled, len(beams)), mode="r")
+    return _unstack(p_total, _right_divide_upper(_blocks(image, len(beams)), tri))
 
 
 def rzf_interbeam(ch: ChannelMatrix,

@@ -98,10 +98,13 @@ from satprecode.gateway import GatewayPlan, assemble_multigateway_precoder
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
     Precoder,
+    _columns,
     _null_bases,
     _power_vector,
+    _push_through,
     _regularized_inverse,
     _regularizer,
+    _right_divide_upper,
     _scaled,
     _unstack,
     baseline_avg_mmse,
@@ -199,10 +202,26 @@ def rzf_null_basis(ch: ChannelMatrix, k: int,
     Removing beam k's Q rows from ``A = H H^H + (KQ/P_T) I`` leaves a
     matrix whose right null space is spanned by beam k's Q columns of
     ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
-    Their QR factor is the orthonormal basis.
+    Their QR factor is the orthonormal basis. The inverse is the one
+    `rzf_stack` factors: with more rows than feeds, the push-through form
+    of ``(KQ/P_T) A^-1``, which spans the same columns.
     """
-    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
+    reg = _regularizer(ch, _power_vector(p_total))
+    rows = ch.h.shape[0]
+    if ch.beams > 1 and rows > ch.feeds:
+        inverse = _push_through(ch.h, reg, slice(0, rows))[0]
+    else:
+        inverse = _regularized_inverse(ch.h, reg)
     return _unstack(p_total, _null_bases(ch, range(k, k + 1), inverse)[:, 0])
+
+
+def rzf_interbeam_lu(ch: ChannelMatrix, p_total: float | np.ndarray) -> np.ndarray:
+    """All RZF blocks, N x KQ (P x N x KQ), from one LU inverse per power
+    for any shape, as the library designed them before it took the
+    push-through form for channels with more rows than feeds."""
+    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
+    blocks = ch.h.conj().T @ _null_bases(ch, range(ch.beams), inverse)
+    return _unstack(p_total, _columns(blocks))
 
 
 def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
@@ -619,11 +638,13 @@ def _null_basis_per_beam(ch: ChannelMatrix, k: int,
 
 def rzf_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     """All RZF blocks from one inverse and one QR per beam."""
-    inverse = regularized_inverse_per_power(ch, p_total)
-    return np.hstack(
-        [ch.h.conj().T @ _null_basis_per_beam(ch, k, inverse)
-         for k in range(ch.beams)]
-    )
+    if ch.beams == 1 or ch.h.shape[0] <= ch.feeds:
+        inverse = regularized_inverse_per_power(ch, p_total)
+        return np.hstack(
+            [ch.h.conj().T @ _null_basis_per_beam(ch, k, inverse)
+             for k in range(ch.beams)]
+        )
+    return np.hstack(list(rzf_stack_per_power(ch, range(ch.beams), p_total)))
 
 
 def assemble_per_beam(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
@@ -781,10 +802,37 @@ def _null_bases_per_power(ch: ChannelMatrix, beams: range,
     return basis
 
 
+def push_through_per_power(ch: ChannelMatrix, p_total: float,
+                           columns: slice) -> tuple:
+    """``r A^-1`` and ``r H^H A^-1`` in `columns` at one power, with
+    ``A = H H^H + r I``, from the eigendecomposition of ``H^H H``."""
+    reg = regularizer_per_power(ch, p_total)
+    eig = eigh_sorted(ch.h.conj().T @ ch.h)
+    y = ch.h @ eig.eigenvectors
+    damp = 1.0 / (eig.eigenvalues + reg)
+    tail = y[columns].conj().T
+    scaled = -(y * damp) @ tail
+    own = np.arange(scaled.shape[-1])
+    scaled[own + columns.start, own] += 1.0
+    return scaled, (eig.eigenvectors * (reg * damp)) @ tail
+
+
 def rzf_stack_per_power(ch: ChannelMatrix, beams: range,
                         p_total: float) -> np.ndarray:
-    inverse = regularized_inverse_per_power(ch, p_total)
-    return ch.h.conj().T @ _null_bases_per_power(ch, beams, inverse)
+    """`rzf_stack` at one power: with more rows than feeds, one QR and
+    one triangular division per beam."""
+    if ch.beams == 1 or ch.h.shape[0] <= ch.feeds:
+        inverse = regularized_inverse_per_power(ch, p_total)
+        return ch.h.conj().T @ _null_bases_per_power(ch, beams, inverse)
+    q = ch.users_per_beam
+    scaled, image = push_through_per_power(
+        ch, p_total, slice(q * beams.start, q * beams.stop))
+    blocks = []
+    for i in range(len(beams)):
+        cols = slice(q * i, q * (i + 1))
+        tri = np.linalg.qr(scaled[:, cols], mode="r")
+        blocks.append(_right_divide_upper(image[:, cols], tri))
+    return np.stack(blocks)
 
 
 def rzf_interbeam_per_power(ch: ChannelMatrix, p_total: float) -> np.ndarray:

@@ -121,11 +121,11 @@ def test_stacked_design_equals_the_per_view_loop_on_random_channels(
 
 
 @pytest.mark.parametrize("gw_mode", ["icp", "closest", "msvdgc"])
-@pytest.mark.parametrize("beams", [61, 47])
+@pytest.mark.parametrize("beams", [61, 43])
 def test_views_at_the_downdate_crossover_equal_the_per_view_loop(beams,
                                                                  gw_mode):
-    # 61 beams: 31 and 30 per gateway, both views downdate. 47 beams: 24
-    # and 23, so one run downdates and the other takes the stacked tails.
+    # 61 beams: 31 and 30 per gateway, both views downdate. 43 beams: 22
+    # and 21, so one run downdates and the other takes the stacked tails.
     ch = random_channel(beams, 2, beams, seed=beams)
     plan, outcomes = _assert_equals_per_view(
         ch, 2, gw_mode, closest_c=1 if gw_mode == "closest" else None)

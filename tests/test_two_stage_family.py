@@ -35,6 +35,7 @@ from satprecode.evaluate import (
     _trial_channels,
     _trial_designs,
     run_monte_carlo,
+    sinr_matrix,
 )
 from satprecode.exceptions import (
     DEAD,
@@ -57,6 +58,7 @@ from satprecode.gateway import (
 from satprecode.precoding import (
     _avg_mmse_unscaled,
     _blocks,
+    assemble,
     baseline_avg_mmse,
     rzf_interbeam,
     two_stage,
@@ -79,13 +81,19 @@ GATEWAY_SCENARIOS = ("gw_ref", "gw_icp", "gw_closest:1", "gw_msvdgc")
 def _first_trial(cfg):
     """The power sweep in Watts, and the estimate and error bounds of the
     first trial of `cfg` as a run draws them."""
+    p_w, _, ch_est, bounds = _first_trial_channels(cfg)
+    return p_w, ch_est, bounds
+
+
+def _first_trial_channels(cfg):
+    """The power sweep in Watts, and the true channel, the estimate and the
+    error bounds of the first trial of `cfg` as a run draws them."""
     budget = _build_budget(cfg)
     layout = _build_layout(cfg, budget)
     seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    _, ch_est, bounds = _trial_channels(seed, cfg, layout, budget,
-                                        beam_contours(layout, budget))
-    p_w = np.array([dbw_to_watts(p) for p in cfg.power_sweep_dbw])
-    return p_w, ch_est, bounds
+    channels = _trial_channels(seed, cfg, layout, budget,
+                               beam_contours(layout, budget))
+    return np.array([dbw_to_watts(p) for p in cfg.power_sweep_dbw]), *channels
 
 
 def _assert_family_equals_each_design(cfg):
@@ -125,6 +133,35 @@ def test_family_equals_each_design_on_every_workload_config(name, tmp_path):
         beams.add(_assert_family_equals_each_design(parse_config(path)))
     # wide_robust is the one workload above the crossover.
     assert (min(beams) >= _DOWNDATE_MIN_BEAMS) == (name == "wide_robust")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_sinrs_match_the_dense_spectra_and_lu_designs(name, tmp_path,
+                                                      monkeypatch):
+    # mbim and robust from dense per-beam Gram spectra and rzf from an LU
+    # inverse are the designs the downdate's secular solver and the
+    # push-through rzf replace: every user's SINR on the true channel
+    # agrees within 1e-9 at every power.
+    for seed in range(WORKLOADS.REFERENCE_SEEDS):
+        cfg = parse_config(WORKLOADS.WORKLOADS[name].write_config(
+            seed, tmp_path / "w.cfg"))
+        p_w, ch_true, ch_est, bounds = _first_trial_channels(cfg)
+        mode = cfg.power_mode
+        designs = _trial_designs(("mbim", "robust", "rzf"), ch_est, bounds, {})
+        family, codes = assemble_multigateway_family(
+            list(designs.values()), ch_est.users_per_beam, p_w, mode)
+        assert not codes.any()
+        with monkeypatch.context() as mp:
+            mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", sys.maxsize)
+            refs = (two_stage(ch_est, p_w, mode, "mbim"),
+                    robust_two_stage(ch_est, bounds, p_w, mode))
+        refs += (assemble(ch_est, oracles.rzf_interbeam_lu(ch_est, p_w), p_w,
+                          mode),)
+        w = family.w.reshape(len(designs), p_w.size, *family.w.shape[1:])
+        for got, ref in zip(w, refs):
+            np.testing.assert_allclose(sinr_matrix(ch_true, got),
+                                       sinr_matrix(ch_true, ref.w),
+                                       rtol=1e-9, atol=0)
 
 
 def _small_config(**overrides):
@@ -219,9 +256,10 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
     assert calls == {"_scaled": 1, "sinr_matrix": 1, "beam_rate": 2,
                      "two_stage": 0, "baseline_avg_mmse": 0,
                      "baseline_four_color": 1, "rzf_interbeam": 1,
-                     "eigh_sorted": 1}
-    # Only mbim's 7 beams are decomposed: rzf takes no Gram spectra.
-    assert shapes == [(7, 7, 7)]
+                     "eigh_sorted": 2}
+    # Only mbim's 7 beams take Gram spectra. rzf (14 users on 7 feeds)
+    # decomposes H^H H once for its whole power sweep.
+    assert sorted(shapes) == [(7, 7), (7, 7, 7)]
 
 
 def _rank_deficient_estimates(monkeypatch):
@@ -294,16 +332,21 @@ def test_rank_deficient_estimate_takes_one_family_call_per_trial(monkeypatch):
 
 
 def test_rzf_and_avg_mmse_take_no_gram_spectra(monkeypatch):
-    calls = {"eigh_sorted": 0}
-    _counting_everywhere(monkeypatch, "eigh_sorted", calls)
+    # No other-beam Gram matrix is decomposed; rzf (24 users on 12 feeds)
+    # decomposes H^H H once per estimate for its whole power sweep.
+    calls, shapes = {"eigh_sorted": 0}, []
+    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
+                         lambda a: shapes.append(a.shape))
     cfg = _small_config(scenarios=("rzf", "avg_mmse"))
     assert run_monte_carlo(cfg).total_skipped() == 0
-    assert calls == {"eigh_sorted": 0}
+    assert calls == {"eigh_sorted": cfg.trials}
+    assert shapes == [(12, 12)] * cfg.trials
 
 
 def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
     # mbim on one channel and rzf on another share a group (same view
-    # shape and beam count), and only mbim's beams are decomposed.
+    # shape and beam count), and only mbim's beams take Gram spectra; rzf
+    # decomposes its H^H H (6 x 6) once.
     ch, other = random_channel(5, 2, 6, seed=3), random_channel(5, 2, 6, seed=4)
     p = np.array([3.0, 300.0])
     designs = [[BlockDesign(ch.h, range(5))],
@@ -313,7 +356,7 @@ def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
     _counting_everywhere(monkeypatch, "eigh_sorted", calls,
                          lambda a: shapes.append(a.shape))
     family, codes = assemble_multigateway_family(designs, 2, p)
-    assert shapes == [(5, 6, 6)]
+    assert sorted(shapes) == [(5, 6, 6), (6, 6)]
     assert not codes.any()
     w = family.w.reshape(2, p.size, *family.w.shape[1:])
     for i, alone in enumerate((two_stage(ch, p, interbeam="mbim"),
@@ -334,7 +377,8 @@ def test_failure_codes_are_where_each_design_alone_raises(mode):
     # - DEAD: a 2-gateway icp plan whose gateway 1 view lost beam 4's rows;
     # - SHAPE: a 3-gateway icp plan, 2 feeds per gateway for 3 users;
     # - NO_SCALE: avg_mmse and a 2-gateway msvdgc plan at 1e300 W;
-    # - rzf stands at both powers.
+    # - DEAD: rzf at 1e300 W, whose blocks are of order
+    #   (KQ/P_T) / ||H|| = 1e-399 and underflow to zero; it stands at 10 W.
     h = 1e100 * random_channel(6, 3, 6, seed=31).h
     others = np.ones(18, dtype=bool)
     others[6:9] = False
@@ -367,7 +411,7 @@ def test_failure_codes_are_where_each_design_alone_raises(mode):
     family, codes = assemble_multigateway_family([d for d, _ in cases], 3, p,
                                                  mode)
     assert codes.tolist() == [[SINGULAR] * 2, [DEAD] * 2, [SHAPE] * 2,
-                              [0, NO_SCALE], [0, NO_SCALE], [0, 0]]
+                              [0, NO_SCALE], [0, NO_SCALE], [0, DEAD]]
     w = family.w.reshape(len(cases), p.size, *family.w.shape[1:])
     alpha = family.alpha.reshape(len(cases), p.size)
     assert np.all(np.isfinite(w))
