@@ -587,7 +587,7 @@ def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
         # stacked call, as the gateway views' do, but
         # perfbench/tests/test_tracer.py counts one `eigh_sorted` call per
         # beam of `two_stage`, and it changes only with the benchmark
-        # (ROADMAP item 1b).
+        # (ROADMAP item 1).
         found = _dense_other_gram_tails(h[None], np.zeros(1, dtype=int),
                                         beam_ids[i:i + 1], q)
         for slab, rows in zip(out, found):

@@ -3,9 +3,14 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,6 +205,10 @@ class TestCliVerbs:
         assert "scenario,p_total_dbw,beam" in results
         summary = (out_dir / "summary.txt").read_text()
         assert "skipped_cells: 0" in summary
+        fields = dict(line.split(": ", 1) for line in summary.splitlines()
+                      if ": " in line and not line.startswith(" "))
+        assert float(fields["peak_rss_mib"]) > 0
+        assert int(fields["minor_page_faults"]) > 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scenario, p_dbw", [
@@ -484,6 +493,75 @@ class TestCliVerbs:
         assert err.startswith("error:")
         assert message in err
         assert not out_dir.exists()
+
+
+def _desk_cfg() -> Path:
+    return Path(satprecode.cli.__file__).parent / "data" / "configs" / "desk.cfg"
+
+
+def _outputs(out_dir: Path) -> dict:
+    """The bytes of every output a run writes but the timestamped summary."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+
+class TestAllocatorPolicy:
+    """`run` and `sweep` set glibc's allocator policy; no output depends on it."""
+
+    @staticmethod
+    def _fresh_run(out_dir: Path, policy: bool) -> None:
+        """`run` on desk.cfg in a fresh interpreter, whose allocator no
+        earlier run has touched."""
+        script = ("import sys, satprecode.cli as cli\n"
+                  + ("" if policy else "cli._keep_freed_heap = lambda: None\n")
+                  + "sys.exit(cli.main(sys.argv[1:]))")
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(satprecode.cli.__file__).parents[1])}
+        subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(_desk_cfg()),
+             "--out", str(out_dir)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+
+    def test_policy_changes_no_output_byte(self, tmp_path):
+        self._fresh_run(tmp_path / "default", policy=False)
+        self._fresh_run(tmp_path / "policy", policy=True)
+        default = _outputs(tmp_path / "default")
+        assert "results.csv" in default and "curve_mbim.csv" in default
+        assert _outputs(tmp_path / "policy") == default
+
+    @pytest.mark.parametrize("cdll", [
+        lambda name: types.SimpleNamespace(),  # a C library without mallopt
+        mock.Mock(side_effect=OSError("no C library")),
+    ])
+    def test_run_without_mallopt_writes_the_same_bytes(self, tmp_path,
+                                                       monkeypatch, cdll):
+        argv = ["run", "--config", str(_desk_cfg())]
+        assert main([*argv, "--out", str(tmp_path / "policy")]) == 0
+        monkeypatch.setattr(satprecode.cli.ctypes, "CDLL", cdll)
+        assert main([*argv, "--out", str(tmp_path / "none")]) == 0
+        assert _outputs(tmp_path / "none") == _outputs(tmp_path / "policy")
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["validate"], 0),
+        (["run", "--dry-run"], 0),
+        (["sweep", "--power-dbw", "30", "--dry-run"], 0),
+        (["overhead"], 0),
+        (["run"], 1),
+        (["sweep", "--power-dbw", "30"], 1),
+    ])
+    def test_only_run_and_sweep_set_the_policy(self, tmp_path, monkeypatch,
+                                               capsys, argv, calls):
+        path = tmp_path / "gw.cfg"
+        path.write_text("[channel]\nbeams = 7\n\n[run]\nscenarios = gw_icp\n"
+                        "trials = 1\npower_sweep_dbw = 25\n\n"
+                        "[gateway]\ngateways = 2\n")
+        seen = []
+        monkeypatch.setattr(satprecode.cli, "_keep_freed_heap",
+                            lambda: seen.append(1))
+        verb, *rest = argv
+        assert main([verb, "--config", str(path), "--out",
+                     str(tmp_path / "out"), *rest]) == 0
+        assert len(seen) == calls
 
 
 class TestOutputsMatchPerCellReference:
