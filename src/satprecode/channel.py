@@ -18,6 +18,7 @@ beam radius. The peak gain follows the uniform-aperture relation
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from scipy.special import j1
 
 from . import geometry
 from .exceptions import ConfigError, GeometryError
-from .linalg import downdated_tails, eigh_sorted
+from .linalg import EigDecomposition, downdated_tails, eigh_sorted, gram_eigh
 
 __all__ = [
     "LinkBudget",
@@ -560,17 +561,19 @@ class ChannelMatrix:
 
 
 def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
-                      users_per_beam: int) -> tuple:
+                      users_per_beam: int,
+                      gram: EigDecomposition | None = None) -> tuple:
     """Trimmed other-beam Gram spectra of the beams `beam_ids` of the
     channel `h` (KQ, N): beam k's Gram matrix is ``O_k^H O_k``, where O_k
     holds every other beam's rows in order.
 
     Returns the largest eigenvalue ``lam_max`` (B,), the Q smallest
     ``tail_values`` (B, Q), descending, and their eigenvectors ``tail``
-    (B, N, Q). At least `_DOWNDATE_MIN_BEAMS` beams come from one
-    eigendecomposition of ``h^H h`` and a rank-Q downdate per beam
-    (`downdated_tails`); fewer beams, and any beam the downdate cannot
-    certify, from a dense decomposition of each beam's Gram matrix.
+    (B, N, Q). At least `_DOWNDATE_MIN_BEAMS` beams come from `gram`, the
+    eigendecomposition of ``h^H h`` (by default `gram_eigh(h)`), and a
+    rank-Q downdate per beam (`downdated_tails`); fewer beams, and any
+    beam the downdate cannot certify, from a dense decomposition of each
+    beam's Gram matrix.
     """
     q = users_per_beam
     b, n = beam_ids.size, h.shape[1]
@@ -578,7 +581,8 @@ def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
     out = (np.empty(b), np.empty((b, m)), np.empty((b, n, m), dtype=complex))
     dense = np.arange(b)
     if b >= _DOWNDATE_MIN_BEAMS:
-        *found, ok = downdated_tails(h, h.reshape(-1, q, n)[beam_ids])
+        *found, ok = downdated_tails(gram_eigh(h) if gram is None else gram,
+                                     h.reshape(-1, q, n)[beam_ids])
         for slab, rows in zip(out, found):
             slab[ok] = rows[ok]
         dense = dense[~ok]
@@ -596,18 +600,20 @@ def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
 
 
 def _stacked_other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
-                              users_per_beam: int) -> tuple:
+                              users_per_beam: int,
+                              gram: Callable[[int], EigDecomposition]) -> tuple:
     """What `_other_gram_tails` gives for the beams ``beam_ids[c]`` (C, B)
     of each channel ``h[c]`` of the stack `h` (C, KQ, N), bit for bit, as
-    (C, B, ...) arrays; below the crossover, from one stacked call."""
+    (C, B, ...) arrays: below the crossover from one stacked call, at or
+    above it from `gram(c)`, the decomposition of ``h[c]^H h[c]``."""
     c, b = beam_ids.shape
     if b < _DOWNDATE_MIN_BEAMS:
         found = _dense_other_gram_tails(h, np.repeat(np.arange(c), b),
                                         beam_ids.ravel(), users_per_beam)
         return tuple(a.reshape(c, b, *a.shape[1:]) for a in found)
     return tuple(map(np.stack, zip(*(
-        _other_gram_tails(view, ids, users_per_beam)
-        for view, ids in zip(h, beam_ids)))))
+        _other_gram_tails(h[i], beam_ids[i], users_per_beam, gram(i))
+        for i in range(c)))))
 
 
 def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,

@@ -41,12 +41,7 @@ from .gateway import (
     plan_designs,
     share_csi,
 )
-from .precoding import (
-    _avg_mmse_unscaled,
-    _blocks,
-    baseline_four_color,
-    rzf_interbeam,
-)
+from .precoding import _avg_mmse_unscaled, baseline_four_color
 # Unused here: perfbench/tests/test_tracer.py reads the traced span through
 # this module until the next benchmark change (ROADMAP item 1).
 from .precoding import two_stage  # noqa: F401
@@ -406,11 +401,10 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
     left out.
 
     mbim, robust and rzf are one block over every beam of the estimate
-    (rzf with its own inter-beam stage, which takes no Gram spectra),
-    each gateway scenario one block per view, and avg_mmse its unscaled
-    precoder. The CSI exchange does not depend on power: one set of views
-    per gateway scenario. four_color is not among them: it keeps its own
-    SINR and its quarter band.
+    (rzf by its design name), each gateway scenario one block per view,
+    and avg_mmse its unscaled precoder. The CSI exchange does not depend
+    on power: one set of views per gateway scenario. four_color is not
+    among them: it keeps its own SINR and its quarter band.
     """
     whole = range(ch_est.beams)
     designs = {}
@@ -418,9 +412,7 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
         if name == "mbim":
             designs[name] = [BlockDesign(ch_est.h, whole)]
         elif name == "rzf":
-            designs[name] = [BlockDesign(
-                ch_est.h, whole, interbeam=lambda p: _blocks(
-                    rzf_interbeam(ch_est, p), ch_est.beams))]
+            designs[name] = [BlockDesign(ch_est.h, whole, interbeam="rzf")]
         elif name == "robust":
             designs[name] = [BlockDesign(
                 ch_est.h, whole, lambda lam_max: _shift_bounds(bounds, lam_max))]

@@ -18,11 +18,12 @@ gateway's effective channel (its view) is a plain read-only array.
 
 Each gateway runs the two-stage mbim design of its own beams on its
 view; the whole-channel mbim and robust precoders are that design with
-one gateway. A design is a (view, beam range, shifts) triple
-(`BlockDesign`), and one pass designs every precoder of a channel: the
-designs are grouped by shape, and each group takes its Gram tails (once
-per distinct view and range), its whitening and its intra-beam SVD from
-one stacked call (`_block_diagonals`). `assemble_multigateway_precoder`
+one gateway. A design is a (view, beam range, shifts, inter-beam design)
+tuple (`BlockDesign`), and one pass designs every precoder of a channel:
+the designs are grouped by shape, and each group takes its Gram tails
+(once per distinct view and range), its whitening and its intra-beam
+SVD from one stacked call (`_block_diagonals`); rzf and the downdated
+tails share a view's decomposed ``V^H V``. `assemble_multigateway_precoder`
 runs that pass for one plan, `assemble_multigateway_family` for every
 two-stage precoder of a trial. A modelled failure is a failure code per
 (precoder, power, beam) in that pass, from which the one-plan call raises.
@@ -39,12 +40,14 @@ import numpy as np
 
 from .channel import ChannelMatrix, _stacked_other_gram_tails
 from .exceptions import NO_SCALE, ConfigError
+from .linalg import gram_eigh
 from .precoding import (
     Precoder,
     _intrabeam,
     _mbim_blocks,
     _power_vector,
     _raise_failure,
+    _rzf_blocks,
     _scaled,
 )
 
@@ -254,17 +257,15 @@ class BlockDesign(NamedTuple):
     """One diagonal block of a two-stage precoder: the beams `beams`
     designed on `view` (KQ, N_b), their columns on the view's feeds.
 
-    By default the inter-beam stage is the mbim design, and
-    `shifts(lam_max)` maps the beams' largest other-beam Gram eigenvalues
-    to the shifts added to their regularizer (the robust design).
-    `interbeam(p)`, when given, returns the (P, B, N_b, Q) inter-beam
-    blocks for the power vector p instead (the rzf design); such a block
-    takes no Gram spectra."""
+    `interbeam` names the inter-beam design, ``"mbim"`` or ``"rzf"`` as
+    for `two_stage`. For mbim, `shifts(lam_max)` maps the beams' largest
+    other-beam Gram eigenvalues to the shifts added to their regularizer
+    (the robust design); rzf takes no Gram spectra and no shifts."""
 
     view: np.ndarray
     beams: range
     shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
-    interbeam: Callable[[np.ndarray], np.ndarray] | None = None
+    interbeam: str = "mbim"
 
 
 def plan_designs(views: list[np.ndarray], plan: GatewayPlan) -> list[BlockDesign]:
@@ -274,15 +275,16 @@ def plan_designs(views: list[np.ndarray], plan: GatewayPlan) -> list[BlockDesign
 
 
 def _group_columns(designs: list[BlockDesign], users_per_beam: int,
-                   p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   p: np.ndarray, gram: Callable) -> tuple[np.ndarray, np.ndarray]:
     """(P, M, B, N_b) precoder columns of M block designs whose views share
     their shape (KQ, N_b) and whose beam ranges hold B beams, and their
     (P, M, B) failure codes, each beam's earliest.
 
-    Every stage is one stacked call over all designs: the Gram tails of
-    each distinct (view, range) of an mbim design, shared by the designs
-    on it; one whitening over all mbim designs and powers; one intra-beam
-    SVD over every design.
+    Every mbim stage is one stacked call: the Gram tails of each distinct
+    (view, range), shared by the designs on it, and one whitening over
+    all mbim designs and powers; each rzf design is one call; one
+    intra-beam SVD serves every design. `gram(view)` decomposes the
+    view's ``V^H V`` for rzf and the downdated tails.
     """
     q = users_per_beam
     slots = {}
@@ -292,25 +294,29 @@ def _group_columns(designs: list[BlockDesign], users_per_beam: int,
     h = np.stack([designs[i].view for i in distinct])   # (U, KQ, N_b)
     u, rows, n = h.shape
     beam_ids = np.array([d.beams for d in designs])     # (M, B)
-    given = [i for i, d in enumerate(designs) if d.interbeam is not None]
-    nominal = [i for i, d in enumerate(designs) if d.interbeam is None]
+    rzf = [i for i, d in enumerate(designs) if d.interbeam == "rzf"]
+    mbim = [i for i, d in enumerate(designs) if d.interbeam == "mbim"]
+    if len(rzf) + len(mbim) < len(designs):
+        raise ConfigError("inter-beam design must be 'mbim' or 'rzf'")
     wa = np.empty((p.size, *beam_ids.shape, n, q), dtype=complex)
     codes = np.zeros((p.size, *beam_ids.shape), dtype=int)
-    if given:
-        wa[:, given] = np.stack([designs[i].interbeam(p) for i in given], axis=1)
-    if nominal:
-        used, slot = np.unique(which[nominal], return_inverse=True)
+    for i in rzf:
+        wa[:, i] = _rzf_blocks(designs[i].view, designs[i].beams, q, p, gram)
+    if mbim:
+        used, slot = np.unique(which[mbim], return_inverse=True)
+        views = [designs[i].view for i in distinct[used]]
 
         def spectra():
-            found = _stacked_other_gram_tails(h[used], beam_ids[distinct[used]], q)
+            found = _stacked_other_gram_tails(
+                h[used], beam_ids[distinct[used]], q, lambda c: gram(views[c]))
             return tuple(a[slot] for a in found)
 
         def shifts(lam_max):
             return np.stack([designs[i].shifts(lam)
-                             for i, lam in zip(nominal, lam_max)])
+                             for i, lam in zip(mbim, lam_max)])
 
-        wa[:, nominal], codes[:, nominal] = _mbim_blocks(
-            (rows // q, q, n), spectra, beam_ids[nominal], p, shifts)
+        wa[:, mbim], codes[:, mbim] = _mbim_blocks(
+            (rows // q, q, n), spectra, beam_ids[mbim], p, shifts)
     h_blocks = h.reshape(u, -1, q, n)[which[:, None], beam_ids]
     vectors, dead = _intrabeam(h_blocks @ wa)
     return (wa @ vectors[..., None])[..., 0], np.maximum(codes, dead)
@@ -344,9 +350,15 @@ def _block_diagonals(precoders: list, users_per_beam: int,
     codes = np.zeros((len(precoders), p.size, shape[1]), dtype=int)
     for s, w in dense.items():
         w_bar[s] = w
+    grams = {}
+
+    def gram(view):
+        # G = V^H V, decomposed once per view, when a design first takes it.
+        return grams.get(id(view)) or grams.setdefault(id(view), gram_eigh(view))
+
     for members in groups.values():
         columns, found = _group_columns([d for _, d, _ in members],
-                                        users_per_beam, p)
+                                        users_per_beam, p, gram)
         for i, (s, d, feed_cols) in enumerate(members):
             beams = slice(d.beams.start, d.beams.stop)
             w_bar[s, :, feed_cols, beams] = columns[:, i].swapaxes(-1, -2)
@@ -385,8 +397,9 @@ def assemble_multigateway_family(precoders: list, users_per_beam: int,
     """S precoders of one channel over the 1-D power vector `p_total`,
     from one stacked pass, and their (S, P) failure codes. Each is given
     by its blocks (`plan_designs` for a plan; one block over every beam
-    for mbim, robust and rzf) or as a function of the power vector that
-    returns its (P, N, K) unscaled stack (avg_mmse).
+    for mbim, robust and rzf, whose `interbeam` names it) or as a function
+    of the power vector that returns its (P, N, K) unscaled stack
+    (avg_mmse). Blocks on the same view share its decomposed ``V^H V``.
 
     Slot ``s*P + i`` of the returned precoder's leading axis is precoder s
     at power ``p_total[i]``, and one power scaling serves every slot.

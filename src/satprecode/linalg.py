@@ -85,6 +85,11 @@ def eigh_sorted(a: np.ndarray) -> EigDecomposition:
                             np.take_along_axis(v, order[..., None, :], axis=-1))
 
 
+def gram_eigh(h: np.ndarray) -> EigDecomposition:
+    """`eigh_sorted` of ``h^H h``: the one place a Gram matrix G is decomposed."""
+    return eigh_sorted(h.conj().T @ h)
+
+
 def _inertia_and_log_derivatives(m: np.ndarray) -> tuple:
     """Negative eigenvalue count of each Hermitian matrix M(mu) of a stack,
     and the first two derivatives of ``log |det M|`` in mu.
@@ -121,9 +126,9 @@ def _inertia_and_log_derivatives(m: np.ndarray) -> tuple:
     return neg, first, second
 
 
-def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> tuple:
+def downdated_tails(gram: EigDecomposition, blocks: np.ndarray) -> tuple:
     """Largest eigenvalue and Q-smallest eigenpairs of every other-beam Gram
-    matrix ``G - B_k^H B_k``, from one eigendecomposition of ``G = h^H h``.
+    matrix ``G - B_k^H B_k``, from the decomposition `gram` of ``G = h^H h``.
 
     `blocks` is the (B, Q, N) stack of the beams' rows of `h`. Returns
     ``lam_max`` (B,), ``tail_values`` (B, Q) and ``tail`` (B, N, Q), laid
@@ -134,16 +139,14 @@ def downdated_tails(h: np.ndarray, blocks: np.ndarray) -> tuple:
     leave no tail to downdate.
     """
     b, q, n = blocks.shape
-    if q <= n:
-        eig = eigh_sorted(h.conj().T @ h)
-        scale = float(max(eig.eigenvalues[0], -eig.eigenvalues[-1]))
+    scale = float(max(gram.eigenvalues[0], -gram.eigenvalues[-1]))
     if q > n or not scale > 0.0:
         m = min(q, n)
         return (np.zeros(b), np.zeros((b, m)), np.zeros((b, n, m), dtype=complex),
                 np.zeros(b, dtype=bool))
     # Ascending and scaled to ||G|| = 1, so every bound below is absolute.
-    d = eig.eigenvalues[::-1] / scale
-    v = eig.eigenvectors[:, ::-1]
+    d = gram.eigenvalues[::-1] / scale
+    v = gram.eigenvectors[:, ::-1]
     c = (blocks.reshape(-1, n) @ v).reshape(b, q, n) / np.sqrt(scale)
     ch = c.conj().swapaxes(-1, -2)                                 # (B, N, Q)
     # Row i of beam k's slab is the Q x Q outer product c_i c_i^H and a 1,

@@ -12,6 +12,9 @@ vector. A vector puts a leading power axis P on every output, and each
 stage runs once over it: the designs depend on P_T only through the
 regularizer KQ/P_T and the scale alpha. A float is the vector of one
 power with that axis dropped again.
+
+The rzf design has one route for every shape: one eigendecomposition of
+the smaller Gram matrix (`_rzf_blocks`).
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from .exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from .linalg import RANK_TOL, eigh_sorted
+from .linalg import RANK_TOL, gram_eigh
+from .linalg import eigh_sorted  # noqa: F401 (re-exported)
 
 __all__ = [
     "Precoder",
@@ -83,10 +87,6 @@ def _power_vector(p_total: float | np.ndarray) -> np.ndarray:
 def _unstack(p_total: float | np.ndarray, stacked: np.ndarray):
     """`stacked` as returned for `p_total`: without its power axis for a float."""
     return stacked[0] if np.ndim(p_total) == 0 else stacked
-
-
-def _regularizer(ch: ChannelMatrix, p_total: float | np.ndarray):
-    return ch.beams * ch.users_per_beam / p_total
 
 
 _FAILURES = {
@@ -204,52 +204,14 @@ def mbim_interbeam(ch: ChannelMatrix,
 
 
 def _regularized_inverse(h: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """``inv(h h^H + reg_p I)`` for each entry of `reg`: one (P, n, n) inverse.
-
-    The LU route, accurate while h has no more rows than columns; avg_mmse
-    and the rzf design of such a channel take it. The stack is P copies
-    of ``h h^H``, each with its reg_p added on the diagonal; no scaled
-    identity is formed, and no copy of ``h h^H`` outlives the stack,
-    which keeps the batched inverse's working set small.
-    """
+    """``inv(h h^H + reg_p I)`` for each entry of `reg`: the averaging
+    baseline's one (P, n, n) LU inverse. The stack is P copies of
+    ``h h^H`` with reg_p added on the diagonal; no scaled identity or
+    other copy of ``h h^H`` is kept, which keeps its working set small."""
     stack = np.repeat((h @ h.conj().T)[None], reg.size, axis=0)
     diag = np.arange(h.shape[0])
     stack[:, diag, diag] += reg[:, None]
     return np.linalg.inv(stack)
-
-
-def _push_through(h: np.ndarray, reg: np.ndarray, columns: slice) -> tuple:
-    """``reg_p inv(h h^H + reg_p I)`` and ``reg_p h^H inv(h h^H + reg_p I)``,
-    restricted to `columns`, for each entry of `reg`: (P, m, C) and
-    (P, n, C) stacks for h of shape (m, n), from one eigendecomposition
-    ``h^H h = V diag(d) V^H`` shared by every power.
-
-    With ``Y = h V`` the push-through identity gives
-    ``h^H inv(h h^H + r I) = V diag(1 / (d + r)) Y^H`` and
-    ``r inv(h h^H + r I) = I - Y diag(1 / (d + r)) Y^H``. Accurate when h
-    has more rows than columns; with m <= n the second form cancels.
-    """
-    eig = eigh_sorted(h.conj().T @ h)
-    y = h @ eig.eigenvectors
-    damp = 1.0 / (eig.eigenvalues + reg[:, None])                # (P, n)
-    tail = y[columns].conj().T
-    scaled = -(y * damp[:, None, :]) @ tail                      # (P, m, C)
-    own = np.arange(scaled.shape[-1])
-    scaled[:, own + columns.start, own] += 1.0
-    image = (eig.eigenvectors * (reg[:, None] * damp)[:, None, :]) @ tail
-    return scaled, image
-
-
-def _null_bases(ch: ChannelMatrix, beams: range,
-                inverse: np.ndarray) -> np.ndarray:
-    """(P, B, KQ, Q) null-space bases of the consecutive `beams` from
-    (P, KQ, KQ) inverses, one stacked QR."""
-    if ch.beams == 1:
-        eye = np.eye(ch.users_per_beam, dtype=complex)
-        return np.broadcast_to(eye, (inverse.shape[0], 1, *eye.shape))
-    # A slice, not a fancy index: the QR copies its input anyway.
-    basis, _ = np.linalg.qr(_blocks(inverse, ch.beams)[:, beams.start:beams.stop])
-    return basis
 
 
 def _right_divide_upper(t: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -262,6 +224,39 @@ def _right_divide_upper(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
+                p: np.ndarray, gram: Callable = gram_eigh) -> np.ndarray:
+    """(P, B, N, Q) `rzf_stack` blocks of the `beams` of the channel or
+    view `h` over the power vector `p`; `gram(h)` decomposes ``h^H h``.
+
+    With more rows than columns, ``h^H h = V diag(d) V^H`` and ``Y = h V``
+    give ``h^H A^-1 = V diag(1 / (d + r)) Y^H`` and
+    ``r A^-1 = I - Y diag(1 / (d + r)) Y^H`` (push-through), so ``h^H``
+    never cancels the large null-space part of ``A^-1``; otherwise that
+    form cancels, and ``h h^H = U diag(s) U^H`` gives ``A^-1``. One
+    stacked QR factors the beams' columns of ``r A^-1`` or ``A^-1``, and
+    ``h^H A^-1 E_k`` is divided by the factors: no r enters a block. One
+    beam has nothing to null: its block is ``h^H`` (the identity basis),
+    where a QR would rotate it and lose accuracy with more users than feeds.
+    """
+    rows, n = h.shape
+    q = users_per_beam
+    if rows == q:
+        return np.repeat(h.conj().T[None, None], p.size, axis=0)
+    wide = rows > n
+    eig = gram(h) if wide else gram_eigh(h.conj().T)
+    damp = 1.0 / (eig.eigenvalues + (rows / p)[:, None])[:, None, :]
+    left = h @ eig.eigenvectors if wide else eig.eigenvectors
+    tail = left[q * beams.start:q * beams.stop].conj().T
+    scaled = ((-left if wide else left) * damp) @ tail          # (P, KQ, C)
+    if wide:
+        own = np.arange(tail.shape[-1])
+        scaled[:, own + q * beams.start, own] += 1.0
+    right = eig.eigenvectors if wide else h.conj().T @ eig.eigenvectors
+    tri = np.linalg.qr(_blocks(scaled, len(beams)), mode="r")
+    return _right_divide_upper(_blocks((right * damp) @ tail, len(beams)), tri)
+
+
 def rzf_stack(ch: ChannelMatrix, beams: range,
               p_total: float | np.ndarray) -> np.ndarray:
     """Inter-beam blocks of the regularized zero-forcing design.
@@ -271,24 +266,13 @@ def rzf_stack(ch: ChannelMatrix, beams: range,
     through the null space of the regularized cross-channel with that
     beam's rows removed, ``W_k = H^H A^-1 E_k R_k^-1`` with
     ``A = H H^H + (KQ/P_T) I``, E_k beam k's columns of the identity and
-    R_k the triangular factor of the QR of ``A^-1 E_k``.
-
-    With more served users than feeds (KQ > N), one eigendecomposition of
-    ``H^H H`` serves the whole power sweep (`_push_through`): the QR
-    factors the push-through form of ``A^-1 E_k``, and ``H^H A^-1 E_k`` is
-    formed without A^-1. Otherwise, and for one beam, one batched LU
-    inverse serves every power; its column blocks are factored in one
-    stacked QR and projected in one stacked product.
+    R_k the triangular factor of the QR of ``A^-1 E_k``. The design is
+    scale-free, and one eigendecomposition of the smaller Gram matrix,
+    ``H^H H`` when KQ > N and ``H H^H`` otherwise, serves the whole power
+    sweep (`_rzf_blocks`); one beam takes the identity basis.
     """
-    reg = _regularizer(ch, _power_vector(p_total))
-    kq, n = ch.h.shape
-    if ch.beams == 1 or kq <= n:
-        inverse = _regularized_inverse(ch.h, reg)
-        return _unstack(p_total, ch.h.conj().T @ _null_bases(ch, beams, inverse))
-    q = ch.users_per_beam
-    scaled, image = _push_through(ch.h, reg, slice(q * beams.start, q * beams.stop))
-    tri = np.linalg.qr(_blocks(scaled, len(beams)), mode="r")
-    return _unstack(p_total, _right_divide_upper(_blocks(image, len(beams)), tri))
+    return _unstack(p_total, _rzf_blocks(ch.h, beams, ch.users_per_beam,
+                                         _power_vector(p_total)))
 
 
 def rzf_interbeam(ch: ChannelMatrix,
@@ -424,7 +408,8 @@ def _avg_mmse_unscaled(ch: ChannelMatrix, p: np.ndarray) -> np.ndarray:
     """(P, N, K) unscaled channel-averaging MMSE precoders over the power
     vector `p`: ``h_bar^H (h_bar h_bar^H + KQ/P_T I)^(-1)``."""
     h_bar = beam_average(ch)
-    return h_bar.conj().T @ _regularized_inverse(h_bar, _regularizer(ch, p))
+    reg = ch.beams * ch.users_per_beam / p
+    return h_bar.conj().T @ _regularized_inverse(h_bar, reg)
 
 
 def four_color_precoder(layout: BeamLayout,

@@ -6,10 +6,12 @@ the robust inter- and intra-beam stages, the per-beam doubling search
 for the user-placement box, the per-beam loops of every design stage, the
 one-power-per-call designs and SINR map, and the `np.cross` form of the
 off-axis angle. The library now computes the same designs in closed form
-(one regularized inverse for RZF; the shifted interference-mitigation
-design plus the nominal intra-beam stage for the robust precoder), every
-beam's box in one pass, and each design stage in one stacked LAPACK call
-over all beams and powers. The tests compare the two.
+(one eigendecomposition of the smaller Gram matrix for RZF, whose former
+LU route and null-space bases `rzf_interbeam_lu` and `_null_bases` keep;
+the shifted interference-mitigation design plus the nominal intra-beam
+stage for the robust precoder), every beam's box in one pass, and each
+design stage in one stacked LAPACK call over all beams and powers. The
+tests compare the two.
 
 Helpers that no part of the program calls live here too, unchanged from
 when the library exported them:
@@ -98,12 +100,10 @@ from satprecode.gateway import GatewayPlan, assemble_multigateway_precoder
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
 from satprecode.precoding import (
     Precoder,
+    _blocks,
     _columns,
-    _null_bases,
     _power_vector,
-    _push_through,
     _regularized_inverse,
-    _regularizer,
     _right_divide_upper,
     _scaled,
     _unstack,
@@ -195,31 +195,39 @@ def mbim_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray,
     return block[..., 0, :, :]
 
 
-def rzf_null_basis(ch: ChannelMatrix, k: int,
-                   p_total: float | np.ndarray) -> np.ndarray:
+def _null_bases(ch: ChannelMatrix, beams: range,
+                inverse: np.ndarray) -> np.ndarray:
+    """(P, B, KQ, Q) null-space bases of the consecutive `beams` from
+    (P, KQ, KQ) inverses, one stacked QR; the identity for one beam."""
+    if ch.beams == 1:
+        eye = np.eye(ch.users_per_beam, dtype=complex)
+        return np.broadcast_to(eye, (inverse.shape[0], 1, *eye.shape))
+    basis, _ = np.linalg.qr(_blocks(inverse, ch.beams)[:, beams.start:beams.stop])
+    return basis
+
+
+def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
     """Null-space basis (KQ x Q) behind the zero-forcing block of beam k.
 
     Removing beam k's Q rows from ``A = H H^H + (KQ/P_T) I`` leaves a
     matrix whose right null space is spanned by beam k's Q columns of
     ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
-    Their QR factor is the orthonormal basis. The inverse is the one
-    `rzf_stack` factors: with more rows than feeds, the push-through form
-    of ``(KQ/P_T) A^-1``, which spans the same columns.
+    Their QR factor is the orthonormal basis. The columns are the ones
+    `rzf_stack` factors (`rzf_factors_per_power`), a positive multiple of
+    ``A^-1``'s, which span the same space.
     """
-    reg = _regularizer(ch, _power_vector(p_total))
     rows = ch.h.shape[0]
-    if ch.beams > 1 and rows > ch.feeds:
-        inverse = _push_through(ch.h, reg, slice(0, rows))[0]
-    else:
-        inverse = _regularized_inverse(ch.h, reg)
-    return _unstack(p_total, _null_bases(ch, range(k, k + 1), inverse)[:, 0])
+    inverse = rzf_factors_per_power(ch, p_total, slice(0, rows))[0]
+    return _null_bases(ch, range(k, k + 1), inverse[None])[0, 0]
 
 
 def rzf_interbeam_lu(ch: ChannelMatrix, p_total: float | np.ndarray) -> np.ndarray:
     """All RZF blocks, N x KQ (P x N x KQ), from one LU inverse per power
-    for any shape, as the library designed them before it took the
-    push-through form for channels with more rows than feeds."""
-    inverse = _regularized_inverse(ch.h, _regularizer(ch, _power_vector(p_total)))
+    for any shape and the identity basis for one beam, as the library
+    designed them before it took an eigendecomposition of the smaller
+    Gram matrix for every shape."""
+    reg = ch.beams * ch.users_per_beam / _power_vector(p_total)
+    inverse = _regularized_inverse(ch.h, reg)
     blocks = ch.h.conj().T @ _null_bases(ch, range(ch.beams), inverse)
     return _unstack(p_total, _columns(blocks))
 
@@ -628,22 +636,8 @@ def robust_interbeam_per_beam(ch: ChannelMatrix, bounds: PerturbationBounds,
     )
 
 
-def _null_basis_per_beam(ch: ChannelMatrix, k: int,
-                         inverse: np.ndarray) -> np.ndarray:
-    if ch.beams == 1:
-        return np.eye(ch.users_per_beam, dtype=complex)
-    basis, _ = np.linalg.qr(inverse[:, ch.beam_rows(k)])
-    return basis
-
-
 def rzf_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    """All RZF blocks from one inverse and one QR per beam."""
-    if ch.beams == 1 or ch.h.shape[0] <= ch.feeds:
-        inverse = regularized_inverse_per_power(ch, p_total)
-        return np.hstack(
-            [ch.h.conj().T @ _null_basis_per_beam(ch, k, inverse)
-             for k in range(ch.beams)]
-        )
+    """All RZF blocks from one QR and one triangular division per beam."""
     return np.hstack(list(rzf_stack_per_power(ch, range(ch.beams), p_total)))
 
 
@@ -786,46 +780,38 @@ def mbim_interbeam_per_power(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     return _columns_per_power(mbim_stack_per_power(ch, range(ch.beams), p_total))
 
 
-def regularized_inverse_per_power(ch: ChannelMatrix,
-                                  p_total: float) -> np.ndarray:
-    """``inv(H H^H + (KQ/P_T) I)`` with a dense scaled identity."""
-    reg = regularizer_per_power(ch, p_total) * np.eye(ch.h.shape[0],
-                                                      dtype=complex)
-    return np.linalg.inv(ch.h @ ch.h.conj().T + reg)
-
-
-def _null_bases_per_power(ch: ChannelMatrix, beams: range,
-                          inverse: np.ndarray) -> np.ndarray:
-    if ch.beams == 1:
-        return np.eye(ch.users_per_beam, dtype=complex)[None]
-    basis, _ = np.linalg.qr(_blocks_per_power(inverse, ch.beams)[beams])
-    return basis
-
-
-def push_through_per_power(ch: ChannelMatrix, p_total: float,
-                           columns: slice) -> tuple:
-    """``r A^-1`` and ``r H^H A^-1`` in `columns` at one power, with
-    ``A = H H^H + r I``, from the eigendecomposition of ``H^H H``."""
+def rzf_factors_per_power(ch: ChannelMatrix, p_total: float,
+                          columns: slice) -> tuple:
+    """``c A^-1`` and ``H^H A^-1`` in `columns` at one power, with
+    ``A = H H^H + r I``: with more rows than feeds from the
+    eigendecomposition of ``H^H H`` (push-through, c = r), otherwise from
+    that of ``H H^H`` (c = 1)."""
     reg = regularizer_per_power(ch, p_total)
-    eig = eigh_sorted(ch.h.conj().T @ ch.h)
-    y = ch.h @ eig.eigenvectors
+    h = ch.h
+    if h.shape[0] > ch.feeds:
+        eig = eigh_sorted(h.conj().T @ h)
+        y = h @ eig.eigenvectors
+        damp = 1.0 / (eig.eigenvalues + reg)
+        tail = y[columns].conj().T
+        scaled = -(y * damp) @ tail
+        own = np.arange(scaled.shape[-1])
+        scaled[own + columns.start, own] += 1.0
+        return scaled, (eig.eigenvectors * damp) @ tail
+    eig = eigh_sorted(h @ h.conj().T)
     damp = 1.0 / (eig.eigenvalues + reg)
-    tail = y[columns].conj().T
-    scaled = -(y * damp) @ tail
-    own = np.arange(scaled.shape[-1])
-    scaled[own + columns.start, own] += 1.0
-    return scaled, (eig.eigenvectors * (reg * damp)) @ tail
+    tail = eig.eigenvectors[columns].conj().T
+    return ((eig.eigenvectors * damp) @ tail,
+            ((h.conj().T @ eig.eigenvectors) * damp) @ tail)
 
 
 def rzf_stack_per_power(ch: ChannelMatrix, beams: range,
                         p_total: float) -> np.ndarray:
-    """`rzf_stack` at one power: with more rows than feeds, one QR and
-    one triangular division per beam."""
-    if ch.beams == 1 or ch.h.shape[0] <= ch.feeds:
-        inverse = regularized_inverse_per_power(ch, p_total)
-        return ch.h.conj().T @ _null_bases_per_power(ch, beams, inverse)
+    """`rzf_stack` at one power: one QR and one triangular division per
+    beam, and the identity basis for one beam."""
+    if ch.beams == 1:
+        return ch.h.conj().T[None]
     q = ch.users_per_beam
-    scaled, image = push_through_per_power(
+    scaled, image = rzf_factors_per_power(
         ch, p_total, slice(q * beams.start, q * beams.stop))
     blocks = []
     for i in range(len(beams)):

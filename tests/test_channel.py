@@ -23,7 +23,7 @@ from satprecode.channel import (
 from satprecode.config import parse_config
 from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import ConfigError, GeometryError
-from satprecode.linalg import downdated_tails
+from satprecode.linalg import downdated_tails, gram_eigh
 
 from conftest import perturbed, random_channel
 from oracles import (
@@ -543,11 +543,12 @@ class TestChannelMatrixViews:
         ids = np.arange(start, min(start + count, beams))
         ok = np.zeros(ids.size, dtype=bool)
         if ids.size >= 2:
-            *found, ok = downdated_tails(ch.h, ch.beam_blocks()[ids])
+            *found, ok = downdated_tails(gram_eigh(ch.h), ch.beam_blocks()[ids])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", 2)
             got = _other_gram_tails(ch.h, ids, users)
-            stacked = _stacked_other_gram_tails(ch.h[None], ids[None], users)
+            stacked = _stacked_other_gram_tails(ch.h[None], ids[None], users,
+                                                lambda c: gram_eigh(ch.h))
         for i, k in enumerate(ids):
             if ok[i]:
                 want = [a[i] for a in found]

@@ -214,8 +214,6 @@ class TestCliVerbs:
     @pytest.mark.parametrize("scenario, p_dbw", [
         # The precoder underflows, so its power norm is 0.
         ("avg_mmse", "-3000"),
-        # p / (N * peak) overflows.
-        ("rzf", "3000"),
     ])
     def test_unscalable_power_skips_every_cell(self, tmp_path, capsys,
                                                scenario, p_dbw):
@@ -231,6 +229,24 @@ class TestCliVerbs:
         for row in rows:
             assert (row["trials"], row["skipped"]) == ("0", "2")
             assert math.isnan(float(row["mean_throughput_bps"]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rzf_stands_at_an_extreme_power(self, tmp_path, capsys):
+        # The design is scale-free: at 3000 dBW the regularizer KQ/P_T is
+        # 1e-300, and the zero-forcing precoder it tends to still has a
+        # finite power scale, so no cell is skipped.
+        path = tmp_path / "extreme.cfg"
+        path.write_text("[run]\ntrials = 2\nscenarios = rzf\n"
+                        "power_sweep_dbw = 3000\n")
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+        assert "skipped" not in capsys.readouterr().err
+        lines = (out_dir / "results.csv").read_text().splitlines()
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        assert len(rows) == 7
+        for row in rows:
+            assert (row["trials"], row["skipped"]) == ("2", "0")
+            assert math.isfinite(float(row["mean_throughput_bps"]))
 
     def test_run_writes_one_curve_file_per_scenario(self, tmp_path):
         path = tmp_path / "multi.cfg"

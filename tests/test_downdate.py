@@ -24,7 +24,7 @@ from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix
 from satprecode.evaluate import sinr_matrix
 from satprecode.exceptions import SingularChannelError
 from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
-from satprecode.linalg import downdated_tails
+from satprecode.linalg import downdated_tails, gram_eigh
 from satprecode.robust import robust_two_stage
 
 import oracles
@@ -63,7 +63,8 @@ def _assert_matches_dense(ch):
     q, n = ch.users_per_beam, ch.feeds
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lam_max, tail_values, tails, ok = downdated_tails(ch.h, ch.beam_blocks())
+        lam_max, tail_values, tails, ok = downdated_tails(gram_eigh(ch.h),
+                                                          ch.beam_blocks())
     gram_norm = np.linalg.norm(ch.h, 2) ** 2
     fallbacks = []
     for k in range(ch.beams):
@@ -128,7 +129,7 @@ def test_downdate_takes_few_secular_sweeps_on_a_link_budget_channel(
                         counting)
     layout = sp.hex_layout(beams, 47.0, 10.0, 0.09, 1.1, budget=budget)
     ch = desk_channel(layout, budget, 2, seed=beams)
-    *_, ok = downdated_tails(ch.h, ch.beam_blocks())
+    *_, ok = downdated_tails(gram_eigh(ch.h), ch.beam_blocks())
     assert ok.all()
     # One count per sweep, then one at mu -/+ DOWNDATE_TOL that certifies.
     assert 2 <= len(counts) <= MAX_SWEEPS + 1

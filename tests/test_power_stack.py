@@ -222,11 +222,11 @@ def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
     bad_power = 10.0 ** (20.0 / 10.0)
     cfg = _small_config()
     clean = run_monte_carlo(cfg)
-    # The inter-beam stages of rzf and mbim, in the stacked pass and on
+    # The inter-beam kernels of rzf and mbim, in the stacked pass and on
     # their own.
     for module, name, power_arg in (
-            (satprecode.evaluate, "rzf_interbeam", 1),
-            (satprecode.precoding, "rzf_interbeam", 1),
+            (satprecode.gateway, "_rzf_blocks", 3),
+            (satprecode.precoding, "_rzf_blocks", 3),
             (satprecode.gateway, "_mbim_blocks", 3),
             (satprecode.precoding, "_mbim_blocks", 3)):
         monkeypatch.setattr(module, name, _failing_at(

@@ -86,21 +86,41 @@ class TestRzf:
             residual = np.linalg.norm(reduced @ basis)
             assert residual <= 1e-8 * np.linalg.norm(reduced)
 
-    def test_block_projects_through_computed_null_basis(self):
+    def test_block_is_the_conjugate_channel_on_an_orthonormal_null_basis(self):
+        # With KQ <= N the route factors A^-1 itself, and H^H is injective:
+        # the block is H^H Q_k, Q_k an orthonormal basis of the null space
+        # of A without beam k's rows, the space `rzf_null_basis` spans.
         ch = random_channel(3, 2, 6, seed=6)
         p = 9.0
         wa = rzf_block(ch, 1, p)
         assert wa.shape == (6, 2)
-        basis = rzf_null_basis(ch, 1, p)
-        assert np.array_equal(wa, ch.h.conj().T @ basis)
+        basis = np.linalg.solve(ch.h.conj().T, wa)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
         reg = ch.h @ ch.h.conj().T + (6 / p) * np.eye(6)
         reduced = np.delete(reg, slice(2, 4), axis=0)
         assert np.linalg.norm(reduced @ basis) <= 1e-8 * np.linalg.norm(reduced)
+        ref = rzf_null_basis(ch, 1, p)
+        np.testing.assert_allclose(basis @ basis.conj().T, ref @ ref.conj().T,
+                                   atol=1e-12)
 
     def test_single_beam_uses_identity_basis(self):
         ch = random_channel(1, 2, 4, seed=7)
         wa = rzf_block(ch, 0, 5.0)
         assert np.array_equal(wa, ch.h.conj().T)
+
+    @pytest.mark.parametrize("beams, q, feeds", [
+        (2, 2, 6), (3, 2, 8), (3, 2, 6), (4, 3, 14), (1, 1, 3), (1, 2, 4),
+        (1, 2, 1), (1, 3, 2)])
+    def test_sinrs_match_the_lu_route(self, beams, q, feeds):
+        # Where KQ <= N, the route that decomposes H H^H agrees with the LU
+        # route it replaced at every power; so does one beam, whose
+        # identity basis both routes take.
+        ch = random_channel(beams, q, feeds, seed=100 * beams + 10 * q + feeds)
+        p = np.array([0.1, 10.0, 1e3, 1e5])
+        fast = two_stage(ch, p, interbeam="rzf")
+        slow = assemble(ch, oracles.rzf_interbeam_lu(ch, p), p)
+        np.testing.assert_allclose(sinr_matrix(ch, fast.w),
+                                   sinr_matrix(ch, slow.w), rtol=1e-12, atol=0)
 
     def test_cross_beam_suppression_vs_unprecoded(self):
         # Direct numerical comparison on a seeded instance: the projected

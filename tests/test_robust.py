@@ -191,7 +191,7 @@ class TestRobustInterbeam:
         # Q > N is rejected and a single beam has no other-beam Gram
         # matrix, so neither may decompose anything for its shifts.
         calls = []
-        for name in ("eigh_sorted", "downdated_tails"):
+        for name in ("eigh_sorted", "gram_eigh", "downdated_tails"):
             original = getattr(satprecode.channel, name)
 
             def counting(*args, _name=name, _original=original):

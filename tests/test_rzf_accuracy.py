@@ -1,13 +1,15 @@
 """The regularized zero-forcing design against a 40-digit reference.
 
-`rzf_stack` factors ``A = H H^H + (KQ/P_T) I`` once per power. With more
-served users than feeds (F = 1), ``A^-1`` holds a null-space part of size
-P_T/KQ that ``H^H`` must cancel, so an LU inverse loses accuracy as the
-power grows; the eigendecomposition of ``H^H H`` and the push-through
-form avoid it. With fewer users than feeds (F = 3) the LU inverse stays
-accurate. Either way every user's SINR must agree with an mpmath
-reference of the same design, computed to 40 digits, within 1e-12; both
-SINR maps run in mpmath, so the check sees the design's error alone.
+`rzf_stack` takes ``A = H H^H + (KQ/P_T) I`` at every power from one
+eigendecomposition of the smaller Gram matrix. With more served users
+than feeds (F = 1), ``A^-1`` holds a null-space part of size P_T/KQ that
+``H^H`` must cancel, so an LU inverse would lose accuracy as the power
+grows; the eigendecomposition of ``H^H H`` and the push-through form
+avoid it. With fewer users than feeds (F = 3) that form would cancel
+instead, and the route takes the eigendecomposition of ``H H^H``. Either
+way every user's SINR must agree with an mpmath reference of the same
+design, computed to 40 digits, within 1e-12; both SINR maps run in
+mpmath, so the check sees the design's error alone.
 
 After a LAPACK error a trial reruns each (scenario, power) cell alone,
 so a one-power call must equal its slot of the power-vector call bit for

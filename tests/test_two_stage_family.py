@@ -43,6 +43,7 @@ from satprecode.exceptions import (
     NO_SCALE,
     SHAPE,
     SINGULAR,
+    ConfigError,
     DegenerateBeamError,
     InfeasibleChannelError,
     SingularChannelError,
@@ -57,10 +58,8 @@ from satprecode.gateway import (
 )
 from satprecode.precoding import (
     _avg_mmse_unscaled,
-    _blocks,
     assemble,
     baseline_avg_mmse,
-    rzf_interbeam,
     two_stage,
 )
 from satprecode.robust import robust_two_stage
@@ -233,13 +232,13 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
         monkeypatch, tmp_path):
     calls = dict.fromkeys(("_scaled", "sinr_matrix", "beam_rate", "two_stage",
                            "baseline_avg_mmse", "baseline_four_color",
-                           "rzf_interbeam", "eigh_sorted"), 0)
-    _counting(monkeypatch, satprecode.gateway, "_scaled", calls)
-    for name in ("sinr_matrix", "beam_rate", "baseline_four_color",
-                 "rzf_interbeam"):
+                           "rzf_interbeam", "_rzf_blocks", "eigh_sorted"), 0)
+    for name in ("_scaled", "_rzf_blocks"):
+        _counting(monkeypatch, satprecode.gateway, name, calls)
+    for name in ("sinr_matrix", "beam_rate", "baseline_four_color"):
         _counting(monkeypatch, satprecode.evaluate, name, calls)
-    # At their defining module: satprecode.evaluate calls neither.
-    for name in ("two_stage", "baseline_avg_mmse"):
+    # At their defining module: satprecode.evaluate calls none of them.
+    for name in ("two_stage", "baseline_avg_mmse", "rzf_interbeam"):
         _counting(monkeypatch, satprecode.precoding, name, calls)
     # Every power scaling, wherever it is called from, and every Gram
     # decomposition.
@@ -253,13 +252,33 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
     assert cfg.scenarios == ("mbim", "rzf", "avg_mmse", "four_color")
     assert run_monte_carlo(cfg).total_skipped() == 0
     # four_color keeps its own SINR and its own rate call (quarter band).
+    # rzf is a design of the pass, which calls its kernel once.
     assert calls == {"_scaled": 1, "sinr_matrix": 1, "beam_rate": 2,
                      "two_stage": 0, "baseline_avg_mmse": 0,
-                     "baseline_four_color": 1, "rzf_interbeam": 1,
-                     "eigh_sorted": 2}
-    # Only mbim's 7 beams take Gram spectra. rzf (14 users on 7 feeds)
-    # decomposes H^H H once for its whole power sweep.
-    assert sorted(shapes) == [(7, 7), (7, 7, 7)]
+                     "baseline_four_color": 1, "rzf_interbeam": 0,
+                     "_rzf_blocks": 1, "eigh_sorted": 2}
+    # Only mbim's 7 beams take Gram spectra, below the crossover from
+    # their own Gram matrices. rzf (14 users on 7 feeds) takes the
+    # estimate's H^H H once for its whole power sweep.
+    assert shapes == [(7, 7), (7, 7, 7)]
+
+
+def test_wide_robust_trial_decomposes_the_estimate_gram_once(monkeypatch,
+                                                             tmp_path):
+    # mbim and robust downdate G = H^H H of the estimate (61 beams, at or
+    # above the crossover), and rzf (122 users on 61 feeds) factors the
+    # same G: the pass decomposes it once, and every downdated beam is
+    # certified, so no other Gram matrix is decomposed.
+    calls, shapes = {"eigh_sorted": 0}, []
+    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
+                         lambda a: shapes.append(a.shape))
+    path = WORKLOADS.WORKLOADS["wide_robust"].write_config(0, tmp_path / "w.cfg")
+    cfg = parse_config(path)
+    cfg.trials = 1
+    assert cfg.beams >= _DOWNDATE_MIN_BEAMS
+    assert {"mbim", "robust", "rzf"} <= set(cfg.scenarios)
+    assert run_monte_carlo(cfg).total_skipped() == 0
+    assert shapes == [(cfg.beams, cfg.beams)]
 
 
 def _rank_deficient_estimates(monkeypatch):
@@ -350,8 +369,7 @@ def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
     ch, other = random_channel(5, 2, 6, seed=3), random_channel(5, 2, 6, seed=4)
     p = np.array([3.0, 300.0])
     designs = [[BlockDesign(ch.h, range(5))],
-               [BlockDesign(other.h, range(5), interbeam=lambda p: _blocks(
-                   rzf_interbeam(other, p), other.beams))]]
+               [BlockDesign(other.h, range(5), interbeam="rzf")]]
     calls, shapes = {"eigh_sorted": 0}, []
     _counting_everywhere(monkeypatch, "eigh_sorted", calls,
                          lambda a: shapes.append(a.shape))
@@ -362,6 +380,13 @@ def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
     for i, alone in enumerate((two_stage(ch, p, interbeam="mbim"),
                                two_stage(other, p, interbeam="rzf"))):
         assert np.array_equal(w[i], alone.w)
+
+
+def test_an_unknown_interbeam_design_is_rejected():
+    ch = random_channel(3, 2, 4, seed=5)
+    with pytest.raises(ConfigError, match="mbim"):
+        assemble_multigateway_family(
+            [[BlockDesign(ch.h, range(3), interbeam="zf")]], 2, np.array([1.0]))
 
 
 _CODE_CLASS = {SHAPE: InfeasibleChannelError, SINGULAR: SingularChannelError,
@@ -376,9 +401,8 @@ def test_failure_codes_are_where_each_design_alone_raises(mode):
     # - SINGULAR: mbim, since feed 5 repeats feed 0 outside beam 2's rows;
     # - DEAD: a 2-gateway icp plan whose gateway 1 view lost beam 4's rows;
     # - SHAPE: a 3-gateway icp plan, 2 feeds per gateway for 3 users;
-    # - NO_SCALE: avg_mmse and a 2-gateway msvdgc plan at 1e300 W;
-    # - DEAD: rzf at 1e300 W, whose blocks are of order
-    #   (KQ/P_T) / ||H|| = 1e-399 and underflow to zero; it stands at 10 W.
+    # - NO_SCALE: avg_mmse, a 2-gateway msvdgc plan and rzf at 1e300 W
+    #   (rzf's blocks, of order 1 / ||H|| = 1e-100, do not underflow).
     h = 1e100 * random_channel(6, 3, 6, seed=31).h
     others = np.ones(18, dtype=bool)
     others[6:9] = False
@@ -403,15 +427,14 @@ def test_failure_codes_are_where_each_design_alone_raises(mode):
         (lambda p: _avg_mmse_unscaled(ch, p),
          lambda p: baseline_avg_mmse(ch, p, mode)),
         gateway("msvdgc"),
-        ([BlockDesign(ch.h, range(6), interbeam=lambda p: _blocks(
-            rzf_interbeam(ch, p), ch.beams))],
+        ([BlockDesign(ch.h, range(6), interbeam="rzf")],
          lambda p: two_stage(ch, p, mode, "rzf")),
     ]
     p = np.array([10.0, 1e300])
     family, codes = assemble_multigateway_family([d for d, _ in cases], 3, p,
                                                  mode)
     assert codes.tolist() == [[SINGULAR] * 2, [DEAD] * 2, [SHAPE] * 2,
-                              [0, NO_SCALE], [0, NO_SCALE], [0, DEAD]]
+                              [0, NO_SCALE], [0, NO_SCALE], [0, NO_SCALE]]
     w = family.w.reshape(len(cases), p.size, *family.w.shape[1:])
     alpha = family.alpha.reshape(len(cases), p.size)
     assert np.all(np.isfinite(w))
