@@ -18,7 +18,9 @@ Transmit powers are given in dBW and converted to Watts internally.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
+import functools
 import sys
 import time
 from pathlib import Path
@@ -56,6 +58,16 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 128 << 20
+
+# The thread-count (get, set) pairs OpenBLAS builds export: a plain build,
+# the scipy-openblas wheel NumPy loads (64-bit integers, suffixed symbols)
+# and the one SciPy loads.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+_PROC_MAPS = "/proc/self/maps"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,13 +144,15 @@ def _overhead_rows(plans: dict) -> list[tuple]:
     return rows
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
     """Have the C allocator keep freed heap memory for reuse.
 
     A process-wide allocator policy, so only the CLI, which owns its
-    process, sets it; it changes no arithmetic. Where the C library
-    cannot be loaded or has no ``mallopt`` (macOS, Windows), it does
-    nothing.
+    process, sets it; it changes no arithmetic. It is set once per
+    process: each ``mallopt`` call consolidates the heap's free chunks,
+    and a process may call `main` many times. Where the C library cannot
+    be loaded or has no ``mallopt`` (macOS, Windows), it does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -148,6 +162,62 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of every OpenBLAS loaded.
+
+    Found once per process, from the shared objects mapped into it; none
+    where there is no ``/proc`` or the BLAS is not OpenBLAS (MKL,
+    Accelerate), and none for a library that exports no known pair.
+    """
+    try:
+        with open(_PROC_MAPS) as maps:
+            # address, perms, offset, dev, inode and a path, which may
+            # hold spaces
+            mappings = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    except OSError:
+        return ()
+    paths = sorted({m[5] for m in mappings
+                    if len(m) == 6 and "openblas" in m[5]})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_ = getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.
+
+    No matrix a trial multiplies or factors is large enough to gain from
+    BLAS threads (the largest shipped size is 490 x 245), yet OpenBLAS
+    spreads the 61-beam products over every core: about twice the CPU
+    time for the same wall time. No result depends on the thread count.
+    Each library gets its earlier count back on the way out, so library
+    callers keep their own. Yields whether any library was set.
+    """
+    controls = _openblas_thread_controls()
+    earlier = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield bool(controls)
+    finally:
+        for (_, set_), count in zip(controls, earlier):
+            set_(count)
 
 
 def _process_usage() -> list[str]:
@@ -203,9 +273,10 @@ def main(argv=None) -> int:
         return 0
 
     _keep_freed_heap()
-    started = time.perf_counter()
-    result = run_monte_carlo(cfg, layout, table)
-    elapsed = time.perf_counter() - started
+    with _one_blas_thread() as blas_managed:
+        started = time.perf_counter()
+        result = run_monte_carlo(cfg, layout, table)
+        elapsed = time.perf_counter() - started
 
     stats = result.statistics()
     write_results_csv(result, stats, out_dir / "results.csv",
@@ -228,6 +299,7 @@ def main(argv=None) -> int:
         f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
         f"elapsed_s: {elapsed:.2f}",
         f"python: {sys.version.split()[0]}",
+        f"blas_threads: {1 if blas_managed else 'unmanaged'}",
         f"skipped_cells: {skipped} / {total}",
         *_process_usage(),
         "",

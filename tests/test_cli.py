@@ -520,27 +520,59 @@ def _outputs(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
 
 
+def _fresh_run(config: Path, out_dir: Path, patch: str = "") -> None:
+    """`run` on `config` in a fresh interpreter, whose allocator and BLAS
+    no earlier run has touched, after the statements `patch` (with
+    `satprecode.cli` imported as `cli`)."""
+    script = ("import sys, satprecode.cli as cli\n" + patch
+              + "sys.exit(cli.main(sys.argv[1:]))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(satprecode.cli.__file__).parents[1])}
+    subprocess.run(
+        [sys.executable, "-c", script, "run", "--config", str(config),
+         "--out", str(out_dir)],
+        env=env, check=True, capture_output=True, timeout=120,
+    )
+
+
+# (argv, calls): how often each verb applies a run-time policy.
+_POLICY_CALLS = [
+    (["validate"], 0),
+    (["run", "--dry-run"], 0),
+    (["sweep", "--power-dbw", "30", "--dry-run"], 0),
+    (["overhead"], 0),
+    (["run"], 1),
+    (["sweep", "--power-dbw", "30"], 1),
+]
+
+
+def _policy_calls(tmp_path, monkeypatch, policy: str, argv, returns=None):
+    """How often `main` calls `satprecode.cli.<policy>` (patched to return
+    `returns`) for `argv` on a 7-beam gateway config."""
+    path = tmp_path / "gw.cfg"
+    path.write_text("[channel]\nbeams = 7\n\n[run]\nscenarios = gw_icp\n"
+                    "trials = 1\npower_sweep_dbw = 25\n\n"
+                    "[gateway]\ngateways = 2\n")
+    seen = []
+
+    def counting():
+        seen.append(1)
+        return returns
+
+    monkeypatch.setattr(satprecode.cli, policy, counting)
+    verb, *rest = argv
+    assert main([verb, "--config", str(path), "--out",
+                 str(tmp_path / "out"), *rest]) == 0
+    return len(seen)
+
+
 class TestAllocatorPolicy:
     """`run` and `sweep` set glibc's allocator policy; no output depends on it."""
 
-    @staticmethod
-    def _fresh_run(out_dir: Path, policy: bool) -> None:
-        """`run` on desk.cfg in a fresh interpreter, whose allocator no
-        earlier run has touched."""
-        script = ("import sys, satprecode.cli as cli\n"
-                  + ("" if policy else "cli._keep_freed_heap = lambda: None\n")
-                  + "sys.exit(cli.main(sys.argv[1:]))")
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(satprecode.cli.__file__).parents[1])}
-        subprocess.run(
-            [sys.executable, "-c", script, "run", "--config", str(_desk_cfg()),
-             "--out", str(out_dir)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-
     def test_policy_changes_no_output_byte(self, tmp_path):
-        self._fresh_run(tmp_path / "default", policy=False)
-        self._fresh_run(tmp_path / "policy", policy=True)
+        _fresh_run(_desk_cfg(), tmp_path / "default",
+                   patch="cli._keep_freed_heap = lambda: None\n")
+        _fresh_run(_desk_cfg(), tmp_path / "policy")
         default = _outputs(tmp_path / "default")
         assert "results.csv" in default and "curve_mbim.csv" in default
         assert _outputs(tmp_path / "policy") == default
@@ -553,31 +585,130 @@ class TestAllocatorPolicy:
                                                        monkeypatch, cdll):
         argv = ["run", "--config", str(_desk_cfg())]
         assert main([*argv, "--out", str(tmp_path / "policy")]) == 0
+        # The policy is set once per process: forget that it was.
+        satprecode.cli._keep_freed_heap.cache_clear()
         monkeypatch.setattr(satprecode.cli.ctypes, "CDLL", cdll)
         assert main([*argv, "--out", str(tmp_path / "none")]) == 0
         assert _outputs(tmp_path / "none") == _outputs(tmp_path / "policy")
 
-    @pytest.mark.parametrize("argv, calls", [
-        (["validate"], 0),
-        (["run", "--dry-run"], 0),
-        (["sweep", "--power-dbw", "30", "--dry-run"], 0),
-        (["overhead"], 0),
-        (["run"], 1),
-        (["sweep", "--power-dbw", "30"], 1),
-    ])
+    def test_policy_is_set_once_per_process(self, tmp_path, monkeypatch):
+        satprecode.cli._keep_freed_heap.cache_clear()
+        cdll = mock.Mock(wraps=satprecode.cli.ctypes.CDLL)
+        monkeypatch.setattr(satprecode.cli.ctypes, "CDLL", cdll)
+        argv = ["sweep", "--config", str(_desk_cfg()), "--power-dbw", "25"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert cdll.call_args_list == [mock.call(None)]
+
+    @pytest.mark.parametrize("argv, calls", _POLICY_CALLS)
     def test_only_run_and_sweep_set_the_policy(self, tmp_path, monkeypatch,
-                                               capsys, argv, calls):
-        path = tmp_path / "gw.cfg"
-        path.write_text("[channel]\nbeams = 7\n\n[run]\nscenarios = gw_icp\n"
-                        "trials = 1\npower_sweep_dbw = 25\n\n"
-                        "[gateway]\ngateways = 2\n")
+                                               argv, calls):
+        assert _policy_calls(tmp_path, monkeypatch, "_keep_freed_heap",
+                             argv) == calls
+
+
+def _summary_field(out_dir: Path, name: str) -> str:
+    prefix = f"{name}: "
+    (value,) = [line[len(prefix):] for line in
+                (out_dir / "summary.txt").read_text().splitlines()
+                if line.startswith(prefix)]
+    return value
+
+
+# Shaped like perfbench's wide_robust workload: at this size OpenBLAS
+# spreads the products over its threads, at desk.cfg's it does not.
+_WIDE_ROBUST_CFG = """\
+[channel]
+beams = 61
+users_per_beam = 2
+pool_per_beam = 20
+beam_radius_3db_deg = 0.09
+beam_spacing_deg = 1.1
+
+[run]
+scenarios = mbim, rzf, robust, avg_mmse, four_color
+trials = 1
+power_sweep_dbw = 25, 35
+seed = 1
+grouping = robust
+csi_error_ratio = 0.05
+"""
+
+
+class TestBlasThreadPolicy:
+    """`run` and `sweep` run the trials on one OpenBLAS thread and give
+    every library its thread count back; no output depends on it."""
+
+    @pytest.fixture
+    def controls(self):
+        """The loaded OpenBLAS libraries' controls, each set to 2 threads
+        for the test and to its own count again after it."""
+        controls = satprecode.cli._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no loaded OpenBLAS exports a known thread-count pair")
+        original = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield controls
+        for (_, set_), count in zip(controls, original):
+            set_(count)
+
+    def test_policy_changes_no_output_byte(self, tmp_path, controls):
+        config = tmp_path / "wide_robust.cfg"
+        config.write_text(_WIDE_ROBUST_CFG)
+        _fresh_run(config, tmp_path / "default",
+                   patch="import contextlib\n"
+                         "cli._one_blas_thread = contextlib.nullcontext\n")
+        _fresh_run(config, tmp_path / "policy")
+        default = _outputs(tmp_path / "default")
+        assert "results.csv" in default and "curve_robust.csv" in default
+        assert _outputs(tmp_path / "policy") == default
+        assert _summary_field(tmp_path / "default", "blas_threads") == "unmanaged"
+        assert _summary_field(tmp_path / "policy", "blas_threads") == "1"
+
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_trials_see_one_thread_and_callers_keep_theirs(
+            self, tmp_path, monkeypatch, controls, raises):
+        earlier = [get() for get, _ in controls]
         seen = []
-        monkeypatch.setattr(satprecode.cli, "_keep_freed_heap",
-                            lambda: seen.append(1))
-        verb, *rest = argv
-        assert main([verb, "--config", str(path), "--out",
-                     str(tmp_path / "out"), *rest]) == 0
-        assert len(seen) == calls
+
+        def recording(*args):
+            seen.append([get() for get, _ in controls])
+            if raises:
+                raise RuntimeError("a trial failed")
+            return run_monte_carlo(*args)
+
+        monkeypatch.setattr(satprecode.cli, "run_monte_carlo", recording)
+        argv = ["run", "--config", str(_desk_cfg()), "--out", str(tmp_path)]
+        with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+            assert main(argv) == 0
+        assert seen == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == earlier == [2] * len(controls)
+
+    @pytest.mark.parametrize("argv, calls", _POLICY_CALLS)
+    def test_only_run_and_sweep_set_the_policy(self, tmp_path, monkeypatch,
+                                               argv, calls):
+        assert _policy_calls(tmp_path, monkeypatch, "_one_blas_thread", argv,
+                             returns=contextlib.nullcontext()) == calls
+
+    @pytest.mark.parametrize("missing", ["maps", "symbols"])
+    def test_run_without_openblas_controls_writes_the_same_bytes(
+            self, tmp_path, monkeypatch, missing):
+        argv = ["run", "--config", str(_desk_cfg())]
+        assert main([*argv, "--out", str(tmp_path / "policy")]) == 0
+        if missing == "maps":  # no /proc
+            monkeypatch.setattr(satprecode.cli, "_PROC_MAPS",
+                                str(tmp_path / "no_maps"))
+        else:  # a build that exports no known pair
+            monkeypatch.setattr(satprecode.cli.ctypes, "CDLL",
+                                lambda path: types.SimpleNamespace())
+        satprecode.cli._openblas_thread_controls.cache_clear()
+        try:
+            assert main([*argv, "--out", str(tmp_path / "none")]) == 0
+        finally:
+            satprecode.cli._openblas_thread_controls.cache_clear()
+        assert _outputs(tmp_path / "none") == _outputs(tmp_path / "policy")
+        assert _summary_field(tmp_path / "none", "blas_threads") == "unmanaged"
 
 
 class TestOutputsMatchPerCellReference:

@@ -3,14 +3,18 @@
 The references in ``perfbench/reference/`` were recorded once per
 (workload, config seed); this runs every config seed of each workload
 through the CLI and compares the sha256 of its ``results.csv``. The files
-under ``perfbench/`` are only read.
+under ``perfbench/`` are only read. `run` puts the trials on one BLAS
+thread, so each seed also runs with the thread count the process was
+given, as a library caller runs the trials.
 """
 
+import contextlib
 import hashlib
 import json
 
 import pytest
 
+import satprecode.cli
 from satprecode.cli import main
 
 from conftest import PERFBENCH, load_perfbench_workloads
@@ -36,4 +40,13 @@ def test_results_match_reference_seed_0(name, tmp_path):
 @pytest.mark.parametrize("seed", range(1, _WORKLOADS_MODULE.REFERENCE_SEEDS))
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_results_match_reference_other_seeds(name, seed, tmp_path):
+    _check_reference(name, seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(_WORKLOADS_MODULE.REFERENCE_SEEDS))
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_results_match_reference_on_the_process_threads(name, seed, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(satprecode.cli, "_one_blas_thread",
+                        contextlib.nullcontext)
     _check_reference(name, seed, tmp_path)
