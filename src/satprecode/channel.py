@@ -65,6 +65,10 @@ _DOWNDATE_MIN_BEAMS = 22
 # draws 16 points.
 _WINDOW = 4
 
+# Entries of the gain matrix one block of whole rows holds while
+# `build_gain_matrix` takes its angles and pattern.
+_GAIN_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -336,15 +340,23 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     window is restored and advanced past the draws used, so the next beam
     starts where one call per attempt leaves the stream. A generator
     whose bit generator is not PCG64 draws one attempt per call.
+
+    Each beam's unit boresight is taken once. Each call fills its points'
+    satellite-to-ground vectors one component at a time, projects them on
+    the boresight by one gemv over the (window, n, 3) vectors and takes
+    their off-axis angles in one `geometry.off_axis_deg` pass: the angles
+    of one `np.cross` form per attempt, bit for bit.
     """
     if q_sched < 1:
         raise ConfigError("q_sched must be >= 1")
     budget = budget or LinkBudget()
     sat = budget.satellite_position()
+    sat_col = sat[:, None, None]
     rng = np.random.default_rng(rng_seed)
     bit_gen = rng.bit_generator
     window_size = _WINDOW if isinstance(bit_gen, np.random.PCG64) else 1
     radius = layout.beam_radius_3db_deg
+    earth_radius = budget.earth_radius_m
 
     if contours is None:
         contours = beam_contours(layout, budget)
@@ -356,6 +368,9 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
         cos_lat = math.cos(math.radians(lat0))
         if cos_lat <= 0.0:
             raise GeometryError(f"beam {k} center at the pole is unsupported")
+        # The norm of the 1-D vector is a BLAS dot; a norm along an axis
+        # may round differently.
+        bu = bores[k] / np.linalg.norm(bores[k])
         got = 0
         attempts = 0
         while got < q_sched:
@@ -368,14 +383,30 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
             box = rng.uniform(-half, half, 2 * n_draw * window).reshape(
                 window, 2, n_draw)
             lat = lat0 + box[:, 0]
-            lon = lon0 + box[:, 1] / cos_lat
-            ang = geometry.boresight_angle_deg(
-                bores[k],
-                geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat,
-            )
+            lon = box[:, 1] / cos_lat
+            lon += lon0
+            # The satellite-to-ground vectors, filled one contiguous
+            # component at a time: the arithmetic of
+            # `geometry.latlon_to_ecef` without its stack. The projections
+            # are the gemv `targ @ bu` on the C-contiguous (window, n, 3)
+            # copy, the product one call per attempt makes.
+            comps = np.empty((3, window, n_draw))
+            x, y, z = comps
+            rad_lat = np.radians(lat)
+            rad_lon = np.radians(lon)
+            cos_rad_lat = np.cos(rad_lat)
+            np.cos(rad_lon, out=x)
+            x *= cos_rad_lat
+            np.sin(rad_lon, out=y)
+            y *= cos_rad_lat
+            np.sin(rad_lat, out=z)
+            comps *= earth_radius
+            comps -= sat_col
+            proj = comps.transpose(1, 2, 0).copy() @ bu
+            ang = geometry.off_axis_deg(x, y, z, bu, proj)
             # The accepted points in attempt order, as many as the beam
             # still needs; the attempts used end with the last one taken.
-            taken = np.flatnonzero(ang <= radius)[:q_sched - got]
+            taken = (ang.ravel() <= radius).nonzero()[0][:q_sched - got]
             full = got + taken.size == q_sched
             used = int(taken[-1]) // n_draw + 1 if full else window
             if attempts + used > 200:
@@ -441,10 +472,14 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
 
     Users and feed boresights are each converted to satellite-to-ground
     vectors in one call, and the users' vectors give the slant ranges too.
-    Each feed's off-axis angles are then the arithmetic of
-    `geometry.boresight_angle_deg`, bit for bit: its `np.linalg.norm` of
-    the boresight and its `targ @ bu` product, with the cross product and
-    its norm formed over the contiguous x, y and z rows of the targets.
+    The matrix is then filled in blocks of whole rows, about `_GAIN_BLOCK`
+    entries each, so the temporaries stay small at paper scale. In each
+    block one gemv per feed projects the users on the feed's unit
+    boresight (``bore / np.linalg.norm(bore)``), one
+    `geometry.off_axis_deg` pass takes every feed's angles and one
+    `pattern_gain` call their gains, and the amplitudes are finished in
+    place. The angles are those of one ``targ @ bu`` product and one
+    cross-product norm per feed, bit for bit.
     """
     if users.beams != layout.beams:
         raise ConfigError("users and layout disagree on the number of beams")
@@ -462,20 +497,34 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
     feeds = layout.feed_boresights
     bores = geometry.latlon_to_ecef(feeds[:, 0], feeds[:, 1],
                                     budget.earth_radius_m) - sat
+    # The norm of each 1-D boresight is a BLAS dot; a norm along an axis
+    # may round differently.
+    bu = np.array([bore / np.linalg.norm(bore) for bore in bores])
     gains = np.empty((rows, layout.feeds))
-    for n, bore in enumerate(bores):
+    # NumPy takes a one-row product by its dot path, not by gemv, so a
+    # block holds two rows at least and a one-row tail joins the block
+    # before it.
+    step = max(2, _GAIN_BLOCK // layout.feeds)
+    starts = list(range(0, rows, step))
+    if rows > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [rows]):
+        block = slice(start, stop)
+        users_block = targ[block]
         # One product per feed: a (rows, 3) @ (3, N) product of all feeds
         # rounds differently.
-        bu = bore / np.linalg.norm(bore)
-        c0 = y * bu[2] - z * bu[1]
-        c1 = z * bu[0] - x * bu[2]
-        c2 = x * bu[1] - y * bu[0]
-        theta = np.degrees(np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
-                                      targ @ bu))
-        # The pattern is taken one feed at a time: over the whole matrix
-        # its temporaries would set the paper-scale memory peak.
-        gains[:, n] = pattern_gain(theta, layout.beam_radius_3db_deg)
-    return g_r * np.sqrt(gains) / denom[:, None]
+        proj = np.empty((layout.feeds, users_block.shape[0]))
+        for n in range(layout.feeds):
+            np.matmul(users_block, bu[n], out=proj[n])
+        amp = pattern_gain(
+            geometry.off_axis_deg(x[block], y[block], z[block], bu[:, None],
+                                  proj),
+            layout.beam_radius_3db_deg)
+        np.sqrt(amp, out=amp)
+        amp *= g_r
+        amp /= denom[block]
+        gains[block] = amp.T
+    return gains
 
 
 @dataclass(frozen=True)

@@ -31,25 +31,40 @@ def geo_satellite_position(longitude_deg: float, height_m: float,
     return np.array([r * np.cos(lon), r * np.sin(lon), 0.0])
 
 
-def boresight_angle_deg(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
-    """Angle between one boresight vector (3,) and target vectors (..., 3).
+def off_axis_deg(x, y, z, bu: np.ndarray, proj) -> np.ndarray:
+    """Off-axis angles, in degrees, of targets from unit boresights.
 
-    Both vectors point from the satellite to the ground, so callers that
-    test many boresights against the same targets convert the targets
-    once.
+    `x`, `y` and `z` are the target components, arrays of one shape; the
+    components ``bu[..., i]`` of the unit boresights `bu` (..., 3)
+    broadcast against them, and so does `proj`, the targets' projections
+    on the boresights. Callers form the projection: a BLAS product where
+    an angle must match one from ``targ @ bu``, an elementwise sum where
+    only a threshold is read.
+
+    atan2 of the rejection/projection pair stays accurate at tiny angles,
+    where arccos of a rounded dot product does not. The rejection is the
+    norm of the cross product targ x bu, its squared components summed in
+    x, y, z order: the arithmetic of ``np.linalg.norm(np.cross(targ, bu),
+    axis=-1)``, bit for bit, in three buffers of the result's shape.
     """
-    bu = bore / np.linalg.norm(bore)
-    # atan2 of the rejection/projection pair stays accurate at tiny angles,
-    # where arccos of a rounded dot product does not. The cross product
-    # targ x bu is filled component by component: the same arithmetic as
-    # np.cross without its broadcasting set-up.
-    cross = np.empty(np.shape(targ))
-    cross[..., 0] = targ[..., 1] * bu[2] - targ[..., 2] * bu[1]
-    cross[..., 1] = targ[..., 2] * bu[0] - targ[..., 0] * bu[2]
-    cross[..., 2] = targ[..., 0] * bu[1] - targ[..., 1] * bu[0]
-    sin_part = np.linalg.norm(cross, axis=-1)
-    cos_part = targ @ bu
-    return np.degrees(np.arctan2(sin_part, cos_part))
+    bx, by, bz = bu[..., 0], bu[..., 1], bu[..., 2]
+    rej = y * bz
+    tmp = z * by
+    rej -= tmp
+    rej *= rej
+    part = z * bx
+    np.multiply(x, bz, out=tmp)
+    part -= tmp
+    part *= part
+    rej += part
+    np.multiply(x, by, out=part)
+    np.multiply(y, bx, out=tmp)
+    part -= tmp
+    part *= part
+    rej += part
+    np.sqrt(rej, out=rej)
+    np.arctan2(rej, proj, out=rej)
+    return np.degrees(rej, out=rej)
 
 
 def boresight_angles_deg(bores: np.ndarray, targ: np.ndarray) -> np.ndarray:
@@ -57,18 +72,14 @@ def boresight_angles_deg(bores: np.ndarray, targ: np.ndarray) -> np.ndarray:
     pass: row b holds boresight b against the shared targets (M, 3), or
     against its own targets ``targ[b]`` when `targ` is (B, M, 3).
 
-    The projection is an elementwise sum rather than `boresight_angle_deg`'s
-    BLAS product, so an angle may differ from that one in the last bit;
-    use this where only a comparison with a threshold is read.
+    The projection is an elementwise sum rather than a BLAS product, so
+    an angle may differ in the last bit from the sampler's and the gain
+    matrix's; use this where only a comparison with a threshold is read.
     """
-    bu = bores / np.linalg.norm(bores, axis=-1, keepdims=True)
-    bx, by, bz = bu[:, None, 0], bu[:, None, 1], bu[:, None, 2]
+    bu = (bores / np.linalg.norm(bores, axis=-1, keepdims=True))[:, None]
+    bx, by, bz = bu[..., 0], bu[..., 1], bu[..., 2]
     tx, ty, tz = targ[..., 0], targ[..., 1], targ[..., 2]
-    c0 = ty * bz - tz * by
-    c1 = tz * bx - tx * bz
-    c2 = tx * by - ty * bx
-    return np.degrees(np.arctan2(np.sqrt(c0 * c0 + c1 * c1 + c2 * c2),
-                                 tx * bx + ty * by + tz * bz))
+    return off_axis_deg(tx, ty, tz, bu, tx * bx + ty * by + tz * bz)
 
 
 def elevation_deg(sat_pos: np.ndarray, lat_deg, lon_deg,

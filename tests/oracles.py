@@ -60,7 +60,10 @@ for their array passes: `validate_geometry_per_beam` (the layout check),
 `extract_users_per_beam`, `served_delta_per_beam` and
 `from_delta_per_beam` (the error bounds), composed into
 `trial_channels_per_beam` with `place_users_per_attempt`, the user
-sampler that draws one rejection attempt per call.
+sampler that draws one rejection attempt per call. These loops take
+their angles by `boresight_angle_deg`, one boresight per call, which
+`geometry` once exported; the library takes every angle through
+`geometry.off_axis_deg`.
 """
 
 from __future__ import annotations
@@ -244,7 +247,7 @@ def off_axis_angle_deg(sat_pos: np.ndarray, bore_lat, bore_lon,
 
     Broadcasts over target arrays; the boresight is a single ground point.
     """
-    return geometry.boresight_angle_deg(
+    return boresight_angle_deg(
         geometry.latlon_to_ecef(bore_lat, bore_lon, earth_radius_m) - sat_pos,
         geometry.latlon_to_ecef(target_lat, target_lon, earth_radius_m) - sat_pos,
     )
@@ -1050,7 +1053,7 @@ def validate_geometry_per_beam(layout: BeamLayout, budget: LinkBudget) -> None:
                                         budget.earth_radius_m) - sat
     colors = layout.color_of_beam
     for k in range(layout.beams):
-        sep = geometry.boresight_angle_deg(to_center[k], to_center)
+        sep = boresight_angle_deg(to_center[k], to_center)
         close = ((sep < 2.0 * layout.beam_radius_3db_deg)
                  & (np.arange(layout.beams) != k))
         clash = close & (colors == colors[k])
@@ -1074,7 +1077,7 @@ def slant_range_m(sat_pos: np.ndarray, lat_deg, lon_deg,
 def build_gain_matrix_per_feed(layout: BeamLayout, users,
                                budget: LinkBudget) -> np.ndarray:
     """`build_gain_matrix` with each feed's boresight converted on its own
-    and its angles taken by `geometry.boresight_angle_deg`, and the slant
+    and its angles taken by `boresight_angle_deg`, and the slant
     ranges from a second conversion of the users (`slant_range_m`)."""
     sat = budget.satellite_position()
     flat = users.flat_positions()
@@ -1086,7 +1089,7 @@ def build_gain_matrix_per_feed(layout: BeamLayout, users,
     gains = np.empty((flat.shape[0], layout.feeds))
     for n, (lat, lon) in enumerate(layout.feed_boresights):
         bore = geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
-        gains[:, n] = pattern_gain(geometry.boresight_angle_deg(bore, targ),
+        gains[:, n] = pattern_gain(boresight_angle_deg(bore, targ),
                                    layout.beam_radius_3db_deg)
     return g_r * np.sqrt(gains) / denom[:, None]
 
@@ -1147,6 +1150,27 @@ def from_delta_per_beam(delta: np.ndarray, beams: int,
     return PerturbationBounds(gamma_k=gamma_k, gamma_tilde_k=gamma_tilde)
 
 
+def boresight_angle_deg(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
+    """Angle between one boresight vector (3,) and target vectors (..., 3).
+
+    Both vectors point from the satellite to the ground, so callers that
+    test many boresights against the same targets convert the targets
+    once.
+    """
+    bu = bore / np.linalg.norm(bore)
+    # atan2 of the rejection/projection pair stays accurate at tiny angles,
+    # where arccos of a rounded dot product does not. The cross product
+    # targ x bu is filled component by component: the same arithmetic as
+    # np.cross without its broadcasting set-up.
+    cross = np.empty(np.shape(targ))
+    cross[..., 0] = targ[..., 1] * bu[2] - targ[..., 2] * bu[1]
+    cross[..., 1] = targ[..., 2] * bu[0] - targ[..., 0] * bu[2]
+    cross[..., 2] = targ[..., 0] * bu[1] - targ[..., 1] * bu[0]
+    sin_part = np.linalg.norm(cross, axis=-1)
+    cos_part = targ @ bu
+    return np.degrees(np.arctan2(sin_part, cos_part))
+
+
 def place_users_per_attempt(layout: BeamLayout, q_sched: int, rng_seed,
                             budget: LinkBudget | None = None,
                             contours: tuple | None = None):
@@ -1181,7 +1205,7 @@ def place_users_per_attempt(layout: BeamLayout, q_sched: int, rng_seed,
             n_draw = max(4 * (q_sched - got), 16)
             lat = lat0 + rng.uniform(-half, half, n_draw)
             lon = lon0 + rng.uniform(-half, half, n_draw) / cos_lat
-            ang = geometry.boresight_angle_deg(
+            ang = boresight_angle_deg(
                 bore, geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
             )
             ok = ang <= radius

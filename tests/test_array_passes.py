@@ -5,10 +5,11 @@ The layout check and the contour boxes must reach the same decisions; the
 gain matrix, the grouping (with the ``none`` draws skipped when the
 whole pool is served), the served-user extraction and the error
 bounds must be bit for bit equal. Checked on every shipped config, on all
-48 benchmark workload configs, on random layouts and channels, and at
-K = 1.
+48 benchmark workload configs, on random layouts and channels, at K = 1,
+and on gain matrices of several row blocks.
 """
 
+import itertools
 from importlib import resources
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import satprecode as sp
 from satprecode import geometry, grouping
-from satprecode.channel import _served_rows, beam_contours
+from satprecode.channel import _GAIN_BLOCK, _served_rows, beam_contours
 from satprecode.config import ScenarioConfig, parse_config
 from satprecode.evaluate import (
     _build_budget,
@@ -31,6 +32,7 @@ from satprecode.grouping import group_users, robust_group_users
 
 from conftest import load_perfbench_workloads, random_channel
 from oracles import (
+    boresight_angle_deg,
     build_gain_matrix_per_feed,
     extract_users_per_beam,
     from_delta_per_beam,
@@ -155,7 +157,7 @@ class TestLayoutCheck:
         to_center = geometry.latlon_to_ecef(c[:, 0], c[:, 1],
                                             budget.earth_radius_m) - sat
         got = geometry.boresight_angles_deg(to_center, to_center)
-        want = np.array([geometry.boresight_angle_deg(b, to_center)
+        want = np.array([boresight_angle_deg(b, to_center)
                          for b in to_center])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -192,6 +194,32 @@ class TestGainMatrix:
     def test_one_beam(self, budget):
         layout = sp.hex_layout(1, 47.0, 10.0, 0.25, 4.0)
         users = sp.place_users(layout, 3, 5, budget=budget)
+        assert np.array_equal(sp.build_gain_matrix(layout, users, budget),
+                              build_gain_matrix_per_feed(layout, users, budget))
+
+    # The random layouts above fit in one row block of the gain matrix;
+    # these span several.
+    def test_wide_robust_pool_spans_several_blocks(self, tmp_path):
+        path = _WORKLOADS.WORKLOADS["wide_robust"].write_config(
+            0, tmp_path / "w.cfg")
+        cfg = parse_config(path)
+        budget = _build_budget(cfg)
+        layout = _build_layout(cfg, budget)
+        users = sp.place_users(layout, cfg.pool_per_beam, 11, budget=budget)
+        rows = layout.beams * cfg.pool_per_beam
+        step = _GAIN_BLOCK // layout.feeds
+        assert rows // step >= 2 and rows % step > 0
+        assert np.array_equal(sp.build_gain_matrix(layout, users, budget),
+                              build_gain_matrix_per_feed(layout, users, budget))
+
+    @pytest.mark.parametrize("beams, feeds_per_beam", [(7, 1), (7, 3), (1, 1)])
+    def test_one_row_past_whole_blocks(self, budget, beams, feeds_per_beam):
+        layout = sp.hex_layout(beams, 47.0, 10.0, 0.25, 4.0,
+                               feeds_per_beam=feeds_per_beam)
+        step = _GAIN_BLOCK // layout.feeds
+        pool = next(p for p in itertools.count(step // beams + 1)
+                    if beams * p % step == 1)
+        users = sp.place_users(layout, pool, 5, budget=budget)
         assert np.array_equal(sp.build_gain_matrix(layout, users, budget),
                               build_gain_matrix_per_feed(layout, users, budget))
 

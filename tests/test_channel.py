@@ -27,6 +27,7 @@ from satprecode.linalg import downdated_tails, gram_eigh
 
 from conftest import perturbed, random_channel
 from oracles import (
+    boresight_angle_deg,
     boresight_angle_deg_cross,
     build_phase_matrix_exp,
     excluding,
@@ -107,7 +108,7 @@ class TestLayout:
                                                          radius, spacing):
         # The per-beam layout check (oracles.validate_geometry_per_beam)
         # converts every center once and measures the separations with
-        # boresight_angle_deg: bit for bit the angles of
+        # oracles.boresight_angle_deg: bit for bit the angles of
         # oracles.off_axis_angle_deg, which converts them again per beam.
         # validate_geometry's one (K, K) pass is held to that check's
         # decisions in test_array_passes.py.
@@ -118,7 +119,7 @@ class TestLayout:
                                             budget.earth_radius_m) - sat
         for k in range(beams):
             assert np.array_equal(
-                geometry.boresight_angle_deg(to_center[k], to_center),
+                boresight_angle_deg(to_center[k], to_center),
                 off_axis_angle_deg(sat, c[k, 0], c[k, 1], c[:, 0],
                                    c[:, 1], budget.earth_radius_m))
 
@@ -278,7 +279,17 @@ class TestContourHalfwidths:
 _COORD = st.floats(-5e7, 5e7, allow_nan=False, allow_infinity=False)
 
 
+def kernel_angle_deg(bore, targ):
+    """`geometry.off_axis_deg` with the projection of the sampler and the
+    gain matrix: one gemv ``targ @ bu`` on C-contiguous targets."""
+    bu = bore / np.linalg.norm(bore)
+    return geometry.off_axis_deg(targ[..., 0], targ[..., 1], targ[..., 2],
+                                 bu, targ @ bu)
+
+
 class TestBoresightAngle:
+    # The library's angle kernel and the per-call oracle behind the
+    # sampler and gain-matrix references both equal the np.cross form.
     @settings(deadline=None, max_examples=50)
     @given(st.tuples(_COORD, _COORD, _COORD),
            st.lists(st.tuples(_COORD, _COORD, _COORD), min_size=1, max_size=20))
@@ -287,10 +298,9 @@ class TestBoresightAngle:
         if not np.linalg.norm(bore) > 0.0:
             bore = np.array([1.0, 0.0, 0.0])
         targ = np.array(targets)
-        assert np.array_equal(
-            geometry.boresight_angle_deg(bore, targ),
-            boresight_angle_deg_cross(bore, targ),
-        )
+        want = boresight_angle_deg_cross(bore, targ)
+        assert np.array_equal(boresight_angle_deg(bore, targ), want)
+        assert np.array_equal(kernel_angle_deg(bore, targ), want)
 
     def test_equals_the_cross_product_form_on_user_draws(self, desk_layout,
                                                          budget):
@@ -301,9 +311,10 @@ class TestBoresightAngle:
                                        budget.earth_radius_m) - sat
         for lat, lon in desk_layout.feed_boresights:
             bore = geometry.latlon_to_ecef(lat, lon, budget.earth_radius_m) - sat
-            assert np.array_equal(geometry.boresight_angle_deg(bore, targ),
-                                  boresight_angle_deg_cross(bore, targ))
-            assert np.array_equal(geometry.boresight_angle_deg(bore, targ[0]),
+            want = boresight_angle_deg_cross(bore, targ)
+            assert np.array_equal(boresight_angle_deg(bore, targ), want)
+            assert np.array_equal(kernel_angle_deg(bore, targ), want)
+            assert np.array_equal(boresight_angle_deg(bore, targ[0]),
                                   boresight_angle_deg_cross(bore, targ[0]))
 
 

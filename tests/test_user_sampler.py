@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import satprecode as sp
-import satprecode.geometry
 from satprecode.channel import _WINDOW, beam_contours, place_users
 from satprecode.config import parse_config
 from satprecode.evaluate import _build_budget, _build_layout
@@ -141,7 +140,7 @@ def test_the_attempt_limit_falls_on_the_same_attempt(budget, monkeypatch):
     layout = sp.hex_layout(1, 47.0, 10.0, 0.25, 4.0, budget=budget)
     halfwidths, bores = beam_contours(layout, budget)
     contours = (32.0 * halfwidths, bores)
-    original = satprecode.geometry.boresight_angle_deg
+    original = oracles.boresight_angle_deg
     attempts = []
 
     def counting(*args):
@@ -151,7 +150,7 @@ def test_the_attempt_limit_falls_on_the_same_attempt(budget, monkeypatch):
     for seed, filled_at in seeds.items():
         attempts.append(0)
         with monkeypatch.context() as patch:
-            patch.setattr(satprecode.geometry, "boresight_angle_deg", counting)
+            patch.setattr(oracles, "boresight_angle_deg", counting)
             slow = _outcome(oracles.place_users_per_attempt, layout, 1, seed,
                             budget=budget, contours=contours)
         if filled_at is None:
