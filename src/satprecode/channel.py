@@ -4,9 +4,9 @@ The channel matrix is the entrywise product of a real gain matrix (link
 budget, feed radiation pattern) and a unit-modulus phase
 matrix. Rows are stacked beam-major: row ``k*Q + q`` belongs to user q of
 beam k. All objects are immutable after construction and hold no memo:
-each design computes the other-beam Gram spectra it needs
-(`_other_gram_tails` for one channel, `_stacked_other_gram_tails` for a
-stack of channels or gateway views) when it runs.
+each design computes the other-beam Gram spectra it needs when it runs,
+from `linalg.other_gram_tails`, the one function for one channel and for
+a stack of channels or gateway views.
 
 The feed radiation pattern is a synthetic circular tapered-aperture model
 ``a(theta) = G_max * |2*J1(u)/u|**2`` with ``u = k_a * sin(theta)``,
@@ -18,7 +18,6 @@ beam radius. The peak gain follows the uniform-aperture relation
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.special import j1
 
 from . import geometry
 from .exceptions import ConfigError, GeometryError
-from .linalg import EigDecomposition, downdated_tails, eigh_sorted, gram_eigh
+from .linalg import _other_rows
 
 __all__ = [
     "LinkBudget",
@@ -56,18 +55,13 @@ _U_HALF = 1.6137411963693684
 # (doubling is exact, so these equal the steps of an iterated search).
 _HALFWIDTH_STEPS = 1e-3 * 2.0 ** np.arange(40)
 
-# Smallest beam range whose other-beam Gram tails come from one
-# eigendecomposition of H^H H and per-beam downdates instead of one dense
-# eigendecomposition per beam: the measured crossover (CHANGES.md table).
-_DOWNDATE_MIN_BEAMS = 22
-
 # Rejection attempts `place_users` draws in one call while each attempt
 # draws 16 points.
 _WINDOW = 4
 
-# Entries of the gain matrix one block of whole rows holds while
-# `build_gain_matrix` takes its angles and pattern.
-_GAIN_BLOCK = 16384
+# Rows of the gain matrix one block holds while `build_gain_matrix` takes
+# its angles and pattern.
+_GAIN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -472,10 +466,10 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
 
     Users and feed boresights are each converted to satellite-to-ground
     vectors in one call, and the users' vectors give the slant ranges too.
-    The matrix is then filled in blocks of whole rows, about `_GAIN_BLOCK`
-    entries each, so the temporaries stay small at paper scale. In each
-    block one gemv per feed projects the users on the feed's unit
-    boresight (``bore / np.linalg.norm(bore)``), one
+    The matrix is then filled in blocks of `_GAIN_ROWS` rows, so the
+    temporaries stay small at paper scale. In each block one gemv per feed
+    projects the users on the feed's unit boresight
+    (``bore / np.linalg.norm(bore)``), one
     `geometry.off_axis_deg` pass takes every feed's angles and one
     `pattern_gain` call their gains, and the amplitudes are finished in
     place. The angles are those of one ``targ @ bu`` product and one
@@ -502,10 +496,8 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
     bu = np.array([bore / np.linalg.norm(bore) for bore in bores])
     gains = np.empty((rows, layout.feeds))
     # NumPy takes a one-row product by its dot path, not by gemv, so a
-    # block holds two rows at least and a one-row tail joins the block
-    # before it.
-    step = max(2, _GAIN_BLOCK // layout.feeds)
-    starts = list(range(0, rows, step))
+    # one-row tail joins the block before it.
+    starts = list(range(0, rows, _GAIN_ROWS))
     if rows > 1 and rows - starts[-1] == 1:
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [rows]):
@@ -607,88 +599,6 @@ class ChannelMatrix:
     def beam_blocks(self) -> np.ndarray:
         """(K, Q, N) view of `h` whose block k is ``beam(k)``."""
         return self.h.reshape(self.beams, self.users_per_beam, -1)
-
-
-def _other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
-                      users_per_beam: int,
-                      gram: EigDecomposition | None = None) -> tuple:
-    """Trimmed other-beam Gram spectra of the beams `beam_ids` of the
-    channel `h` (KQ, N): beam k's Gram matrix is ``O_k^H O_k``, where O_k
-    holds every other beam's rows in order.
-
-    Returns the largest eigenvalue ``lam_max`` (B,), the Q smallest
-    ``tail_values`` (B, Q), descending, and their eigenvectors ``tail``
-    (B, N, Q). At least `_DOWNDATE_MIN_BEAMS` beams come from `gram`, the
-    eigendecomposition of ``h^H h`` (by default `gram_eigh(h)`), and a
-    rank-Q downdate per beam (`downdated_tails`); fewer beams, and any
-    beam the downdate cannot certify, from a dense decomposition of each
-    beam's Gram matrix.
-    """
-    q = users_per_beam
-    b, n = beam_ids.size, h.shape[1]
-    m = min(q, n)
-    out = (np.empty(b), np.empty((b, m)), np.empty((b, n, m), dtype=complex))
-    dense = np.arange(b)
-    if b >= _DOWNDATE_MIN_BEAMS:
-        *found, ok = downdated_tails(gram_eigh(h) if gram is None else gram,
-                                     h.reshape(-1, q, n)[beam_ids])
-        for slab, rows in zip(out, found):
-            slab[ok] = rows[ok]
-        dense = dense[~ok]
-    for i in dense:
-        # A stack of one per beam. The dense tails could come from one
-        # stacked call, as the gateway views' do, but
-        # perfbench/tests/test_tracer.py counts one `eigh_sorted` call per
-        # beam of `two_stage`, and it changes only with the benchmark
-        # (ROADMAP item 1).
-        found = _dense_other_gram_tails(h[None], np.zeros(1, dtype=int),
-                                        beam_ids[i:i + 1], q)
-        for slab, rows in zip(out, found):
-            slab[i] = rows[0]
-    return out
-
-
-def _stacked_other_gram_tails(h: np.ndarray, beam_ids: np.ndarray,
-                              users_per_beam: int,
-                              gram: Callable[[int], EigDecomposition]) -> tuple:
-    """What `_other_gram_tails` gives for the beams ``beam_ids[c]`` (C, B)
-    of each channel ``h[c]`` of the stack `h` (C, KQ, N), bit for bit, as
-    (C, B, ...) arrays: below the crossover from one stacked call, at or
-    above it from `gram(c)`, the decomposition of ``h[c]^H h[c]``."""
-    c, b = beam_ids.shape
-    if b < _DOWNDATE_MIN_BEAMS:
-        found = _dense_other_gram_tails(h, np.repeat(np.arange(c), b),
-                                        beam_ids.ravel(), users_per_beam)
-        return tuple(a.reshape(c, b, *a.shape[1:]) for a in found)
-    return tuple(map(np.stack, zip(*(
-        _other_gram_tails(h[i], beam_ids[i], users_per_beam, gram(i))
-        for i in range(c)))))
-
-
-def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
-                            beam: np.ndarray, users_per_beam: int) -> tuple:
-    """Trimmed other-beam Gram spectra of (channel, beam) pairs from one
-    stacked `eigh_sorted` call.
-
-    `h` is a (C, KQ, N) stack of channels. Returns ``lam_max`` (M,),
-    ``tail_values`` (M, Q) and ``tail`` (M, N, Q); row i is the spectrum
-    of beam ``beam[i]`` of channel ``channel[i]``, formed from the other
-    beams' rows in their original order, so each equals the dense
-    decomposition of that one Gram matrix bit for bit.
-    """
-    q = users_per_beam
-    other = h[channel[:, None], _other_rows(h.shape[-2], q, beam)]
-    full = eigh_sorted(other.conj().swapaxes(-1, -2) @ other)
-    return (full.eigenvalues[:, 0], full.eigenvalues[:, -q:],
-            full.eigenvectors[..., -q:])
-
-
-def _other_rows(rows: int, users_per_beam: int, beam: np.ndarray) -> np.ndarray:
-    """(M, rows - Q) indices of the rows outside beam ``beam[i]``, in order,
-    for each i, where `rows` beam-major rows hold Q rows per beam."""
-    q = users_per_beam
-    kept = np.arange(rows - q)
-    return kept + q * (kept >= q * beam[:, None])
 
 
 def assemble_channel(gain: np.ndarray, phase: np.ndarray, beams: int,

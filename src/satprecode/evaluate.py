@@ -284,13 +284,17 @@ def gateway_plans(cfg: ScenarioConfig,
 
 
 def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
-                    gamma_user: np.ndarray | None, seed) -> np.ndarray:
+                    delta_pool: np.ndarray | None, seed) -> np.ndarray:
+    """(K, Q) served members of the pool estimate; `delta_pool` is its CSI
+    error (None for perfect CSI), read by robust grouping only."""
     q = cfg.users_per_beam
     if cfg.grouping == "nominal":
         return grouping_mod.group_users(pool_est, q, seed)
     if cfg.grouping == "robust":
-        if gamma_user is None:
-            gamma_user = np.zeros((pool_est.beams, pool_est.users_per_beam))
+        shape = (pool_est.beams, pool_est.users_per_beam)
+        # Each candidate's penalty is the squared norm of its error row.
+        gamma_user = (np.zeros(shape) if delta_pool is None
+                      else np.sum(np.abs(delta_pool) ** 2, axis=1).reshape(shape))
         return grouping_mod.robust_group_users(pool_est, gamma_user, q, seed)
     if pool_est.users_per_beam == q:
         # The whole pool is served: every draw sorts to the same members.
@@ -328,19 +332,14 @@ def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
     pool_true = assemble_channel(gain, phase, cfg.beams, cfg.pool_per_beam)
     del gain, phase
 
-    gamma_user = None
     if cfg.csi_error_ratio > 0.0:
         pool_est, delta_pool = perturb_channel(
             pool_true, cfg.csi_error_ratio, perturb_seed
         )
-        gamma_user = (
-            np.sum(np.abs(delta_pool) ** 2, axis=1)
-            .reshape(cfg.beams, cfg.pool_per_beam)
-        )
     else:
         pool_est, delta_pool = pool_true, None
 
-    members = _select_members(cfg, pool_est, gamma_user, select_seed)
+    members = _select_members(cfg, pool_est, delta_pool, select_seed)
     ch_true = extract_users(pool_true, members)
     if delta_pool is None:
         # Perfect CSI: the estimate is the true channel itself.

@@ -21,12 +21,13 @@ view; the whole-channel mbim and robust precoders are that design with
 one gateway. A design is a (view, beam range, shifts, inter-beam design)
 tuple (`BlockDesign`), and one pass designs every precoder of a channel:
 the designs are grouped by shape, and each group takes its Gram tails
-(once per distinct view and range), its whitening and its intra-beam
-SVD from one stacked call (`_block_diagonals`); rzf and the downdated
-tails share a view's decomposed ``V^H V``. `assemble_multigateway_precoder`
-runs that pass for one plan, `assemble_multigateway_family` for every
-two-stage precoder of a trial. A modelled failure is a failure code per
-(precoder, power, beam) in that pass, from which the one-plan call raises.
+(once per distinct view and range, from `linalg.other_gram_tails`), its
+whitening and its intra-beam SVD from one stacked call
+(`_block_diagonals`); rzf and the downdated tails share a view's
+decomposed ``V^H V``. `assemble_multigateway_precoder` runs that pass for
+one plan, `assemble_multigateway_family` for every two-stage precoder of
+a trial. A modelled failure is a failure code per (precoder, power, beam)
+in that pass, from which the one-plan call raises.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, _stacked_other_gram_tails
+from .channel import ChannelMatrix
 from .exceptions import NO_SCALE, ConfigError
-from .linalg import gram_eigh
+from .linalg import gram_eigh, other_gram_tails
 from .precoding import (
     Precoder,
     _intrabeam,
@@ -307,8 +308,8 @@ def _group_columns(designs: list[BlockDesign], users_per_beam: int,
         views = [designs[i].view for i in distinct[used]]
 
         def spectra():
-            found = _stacked_other_gram_tails(
-                h[used], beam_ids[distinct[used]], q, lambda c: gram(views[c]))
+            found = other_gram_tails(h[used], beam_ids[distinct[used]], q,
+                                     lambda c: gram(views[c]))
             return tuple(a[slot] for a in found)
 
         def shifts(lam_max):

@@ -1,7 +1,11 @@
 """Dense Hermitian eigendecomposition helpers.
 
 Besides the sorted dense eigendecomposition, this module computes the
-low end of many "other-beam" Gram spectra at once. For a channel H with
+low end of many "other-beam" Gram spectra at once: `other_gram_tails` is
+the one function every design takes them from, for one channel or a
+stack. At or above a crossover in beams it downdates one decomposition
+per channel (`downdated_tails`), and it serves every other beam from one
+stacked dense call (`_dense_other_gram_tails`). For a channel H with
 Gram matrix ``G = H^H H = V D V^H`` and the rows B_k of beam k, the
 other-beam Gram matrix is the rank-Q downdate ``G_k = G - B_k^H B_k``,
 similar to ``D - C_k^H C_k`` with ``C_k = B_k V``. Its eigenvalues below
@@ -32,6 +36,7 @@ rank-one case.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,11 @@ import numpy as np
 # Relative eigenvalue floor below which a Gram matrix counts as rank
 # deficient.
 RANK_TOL = 1e-12
+
+# Smallest beam range whose other-beam Gram tails come from one
+# eigendecomposition of H^H H and per-beam downdates instead of one dense
+# eigendecomposition per beam: the measured crossover (CHANGES.md table).
+_DOWNDATE_MIN_BEAMS = 22
 
 # Relative accuracy the downdate certifies for every eigenvalue it returns,
 # and the bound on each tail Ritz residual, both relative to ||G||. A beam
@@ -132,7 +142,7 @@ def downdated_tails(gram: EigDecomposition, blocks: np.ndarray) -> tuple:
 
     `blocks` is the (B, Q, N) stack of the beams' rows of `h`. Returns
     ``lam_max`` (B,), ``tail_values`` (B, Q) and ``tail`` (B, N, Q), laid
-    out as `channel._other_gram_tails` returns them, and the mask `ok`
+    out as `other_gram_tails` returns one channel's, and the mask `ok`
     of the beams whose eigenvalues were certified to `DOWNDATE_TOL` with
     every tail Ritz residual within it; the caller decomposes any other
     beam's Gram matrix directly. No beam is ok when Q > N or G = 0, which
@@ -252,3 +262,65 @@ def downdated_tails(gram: EigDecomposition, blocks: np.ndarray) -> tuple:
     tails = (v @ vectors.swapaxes(0, 1).reshape(n, -1)).reshape(n, b, q)
     tails = tails.swapaxes(0, 1)[..., ::-1]
     return mu[:, -1] * scale, ritz[:, ::-1] * scale, tails, ok
+
+
+def other_gram_tails(h: np.ndarray, beam_ids: np.ndarray, users_per_beam: int,
+                     gram: Callable[[int], EigDecomposition]) -> tuple:
+    """Trimmed other-beam Gram spectra of the beams ``beam_ids[c]`` (C, B)
+    of each channel ``h[c]`` of the stack `h` (C, KQ, N): beam k's Gram
+    matrix is ``O_k^H O_k``, where O_k holds every other beam's rows in
+    order.
+
+    Returns the largest eigenvalue ``lam_max`` (C, B), the Q smallest
+    ``tail_values`` (C, B, Q), descending, and their eigenvectors ``tail``
+    (C, B, N, Q). With at least `_DOWNDATE_MIN_BEAMS` beams, each channel's
+    come from `gram(c)`, the eigendecomposition of ``h[c]^H h[c]``, and a
+    rank-Q downdate per beam (`downdated_tails`). Every other (channel,
+    beam) pair, below the crossover or left uncertified by the downdate,
+    comes from one stacked dense call (`_dense_other_gram_tails`).
+    """
+    c, b = beam_ids.shape
+    q, n = users_per_beam, h.shape[-1]
+    m = min(q, n)
+    out = (np.empty((c, b)), np.empty((c, b, m)),
+           np.empty((c, b, n, m), dtype=complex))
+    dense = np.ones((c, b), dtype=bool)
+    if b >= _DOWNDATE_MIN_BEAMS:
+        for i in range(c):
+            *found, ok = downdated_tails(gram(i),
+                                         h[i].reshape(-1, q, n)[beam_ids[i]])
+            for slab, rows in zip(out, found):
+                slab[i, ok] = rows[ok]
+            dense[i] = ~ok
+    pairs = np.nonzero(dense)
+    if pairs[0].size:
+        found = _dense_other_gram_tails(h, pairs[0], beam_ids[pairs], q)
+        for slab, rows in zip(out, found):
+            slab[pairs] = rows
+    return out
+
+
+def _dense_other_gram_tails(h: np.ndarray, channel: np.ndarray,
+                            beam: np.ndarray, users_per_beam: int) -> tuple:
+    """Trimmed other-beam Gram spectra of (channel, beam) pairs from one
+    stacked `eigh_sorted` call.
+
+    `h` is a (C, KQ, N) stack of channels. Returns ``lam_max`` (M,),
+    ``tail_values`` (M, Q) and ``tail`` (M, N, Q); row i is the spectrum
+    of beam ``beam[i]`` of channel ``channel[i]``, formed from the other
+    beams' rows in their original order, so each equals the dense
+    decomposition of that one Gram matrix bit for bit.
+    """
+    q = users_per_beam
+    other = h[channel[:, None], _other_rows(h.shape[-2], q, beam)]
+    full = eigh_sorted(other.conj().swapaxes(-1, -2) @ other)
+    return (full.eigenvalues[:, 0], full.eigenvalues[:, -q:],
+            full.eigenvectors[..., -q:])
+
+
+def _other_rows(rows: int, users_per_beam: int, beam: np.ndarray) -> np.ndarray:
+    """(M, rows - Q) indices of the rows outside beam ``beam[i]``, in order,
+    for each i, where `rows` beam-major rows hold Q rows per beam."""
+    q = users_per_beam
+    kept = np.arange(rows - q)
+    return kept + q * (kept >= q * beam[:, None])

@@ -13,8 +13,10 @@ stage runs once over it: the designs depend on P_T only through the
 regularizer KQ/P_T and the scale alpha. A float is the vector of one
 power with that axis dropped again.
 
-The rzf design has one route for every shape: one eigendecomposition of
-the smaller Gram matrix (`_rzf_blocks`).
+The mbim design takes its other-beam Gram spectra from
+`linalg.other_gram_tails`, the one function for them. The rzf design has
+one route for every shape: one eigendecomposition of the smaller Gram
+matrix (`_rzf_blocks`).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BeamLayout, ChannelMatrix, _other_gram_tails
+from . import linalg
+from .channel import BeamLayout, ChannelMatrix
 from .exceptions import (
     DEAD,
     NO_SCALE,
@@ -35,7 +38,7 @@ from .exceptions import (
     InfeasibleChannelError,
     SingularChannelError,
 )
-from .linalg import RANK_TOL, gram_eigh
+from .linalg import RANK_TOL, gram_eigh, other_gram_tails
 from .linalg import eigh_sorted  # noqa: F401 (re-exported)
 
 __all__ = [
@@ -43,7 +46,6 @@ __all__ = [
     "mbim_interbeam",
     "mbim_stack",
     "rzf_interbeam",
-    "rzf_stack",
     "intrabeam",
     "power_control",
     "assemble",
@@ -131,7 +133,7 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
 
     Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
     ((P, B, N, Q) for a power vector), built from the low end of each
-    beam's other-beam Gram spectrum (`channel._other_gram_tails`):
+    beam's other-beam Gram spectrum (`linalg.other_gram_tails`):
     ``Wa_k = V (S + (KQ/P_T + shift_k) I)^(-1/2)`` restricted to the Q
     columns of smallest eigenvalue, i.e. the directions least aligned with
     the other beams' channels. `shifts(lam_max)` maps the beams' largest
@@ -143,10 +145,20 @@ def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
     degenerates to a scaled truncated identity.
     """
     ids = np.arange(beams.start, beams.stop)
-    blocks, codes = _mbim_blocks(
-        (ch.beams, ch.users_per_beam, ch.feeds),
-        lambda: _other_gram_tails(ch.h, ids, ch.users_per_beam), ids,
-        _power_vector(p_total), shifts)
+
+    def spectra():
+        # Below the crossover one call per beam, and so one `eigh_sorted`
+        # call per beam: perfbench/tests/test_tracer.py counts them for
+        # `two_stage`, and it changes only with the benchmark (ROADMAP
+        # item 1). At or above it one call, as in the design pass.
+        step = 1 if ids.size < linalg._DOWNDATE_MIN_BEAMS else ids.size
+        found = [other_gram_tails(ch.h[None], ids[None, i:i + step],
+                                  ch.users_per_beam, lambda c: gram_eigh(ch.h))
+                 for i in range(0, max(ids.size, 1), step)]
+        return tuple(np.concatenate(a, axis=1)[0] for a in zip(*found))
+
+    blocks, codes = _mbim_blocks((ch.beams, ch.users_per_beam, ch.feeds),
+                                 spectra, ids, _power_vector(p_total), shifts)
     _raise_failure(codes, ids, (ch.feeds, ch.users_per_beam))
     return _unstack(p_total, blocks)
 
@@ -160,7 +172,7 @@ def _mbim_blocks(dims: tuple[int, int, int], spectra: Callable[[], tuple],
     where a beam with zero shift has a rank-deficient Gram matrix.
 
     `spectra()` returns their trimmed other-beam spectra over S, laid out
-    as `channel._other_gram_tails` returns them; it is called only
+    as `linalg.other_gram_tails` returns them; it is called only
     once the shape checks pass, and so is `shifts(lam_max)`, which
     returns the shifts shaped like `beam_ids`. A failed beam's block is
     finite, so the stages after it run on finite numbers.
@@ -226,7 +238,7 @@ def _right_divide_upper(t: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
                 p: np.ndarray, gram: Callable = gram_eigh) -> np.ndarray:
-    """(P, B, N, Q) `rzf_stack` blocks of the `beams` of the channel or
+    """(P, B, N, Q) `rzf_interbeam` blocks of the `beams` of the channel or
     view `h` over the power vector `p`; `gram(h)` decomposes ``h^H h``.
 
     With more rows than columns, ``h^H h = V diag(d) V^H`` and ``Y = h V``
@@ -257,28 +269,23 @@ def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
     return _right_divide_upper(_blocks((right * damp) @ tail, len(beams)), tri)
 
 
-def rzf_stack(ch: ChannelMatrix, beams: range,
-              p_total: float | np.ndarray) -> np.ndarray:
-    """Inter-beam blocks of the regularized zero-forcing design.
-
-    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
-    ((P, B, N, Q) for a power vector): the conjugated channel projected
-    through the null space of the regularized cross-channel with that
-    beam's rows removed, ``W_k = H^H A^-1 E_k R_k^-1`` with
-    ``A = H H^H + (KQ/P_T) I``, E_k beam k's columns of the identity and
-    R_k the triangular factor of the QR of ``A^-1 E_k``. The design is
-    scale-free, and one eigendecomposition of the smaller Gram matrix,
-    ``H^H H`` when KQ > N and ``H H^H`` otherwise, serves the whole power
-    sweep (`_rzf_blocks`); one beam takes the identity basis.
-    """
-    return _unstack(p_total, _rzf_blocks(ch.h, beams, ch.users_per_beam,
-                                         _power_vector(p_total)))
-
-
 def rzf_interbeam(ch: ChannelMatrix,
                   p_total: float | np.ndarray) -> np.ndarray:
-    """All regularized zero-forcing blocks, stacked to N x KQ (P x N x KQ)."""
-    return _columns(rzf_stack(ch, range(ch.beams), p_total))
+    """Inter-beam blocks of the regularized zero-forcing design, stacked
+    to N x KQ (P x N x KQ for a power vector).
+
+    Block k is the conjugated channel projected through the null space of
+    the regularized cross-channel with beam k's rows removed,
+    ``W_k = H^H A^-1 E_k R_k^-1`` with ``A = H H^H + (KQ/P_T) I``, E_k
+    beam k's columns of the identity and R_k the triangular factor of the
+    QR of ``A^-1 E_k``. The design is scale-free, and one
+    eigendecomposition of the smaller Gram matrix, ``H^H H`` when KQ > N
+    and ``H H^H`` otherwise, serves the whole power sweep (`_rzf_blocks`);
+    one beam takes the identity basis.
+    """
+    blocks = _rzf_blocks(ch.h, range(ch.beams), ch.users_per_beam,
+                         _power_vector(p_total))
+    return _unstack(p_total, _columns(blocks))
 
 
 def intrabeam(z: np.ndarray, beam_ids: np.ndarray | None = None) -> np.ndarray:

@@ -75,7 +75,7 @@ import warnings
 
 import numpy as np
 
-from satprecode import evaluate, geometry
+from satprecode import evaluate, geometry, linalg
 from satprecode.channel import (
     BeamLayout,
     ChannelMatrix,
@@ -83,7 +83,6 @@ from satprecode.channel import (
     PerturbationBounds,
     PhaseModel,
     UserSet,
-    _other_gram_tails,
     assemble_channel,
     beam_contours,
     build_phase_matrix,
@@ -100,7 +99,7 @@ from satprecode.exceptions import (
 )
 from satprecode.evaluate import beam_rate, sinr_matrix
 from satprecode.gateway import GatewayPlan, assemble_multigateway_precoder
-from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted
+from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted, gram_eigh
 from satprecode.precoding import (
     Precoder,
     _blocks,
@@ -108,13 +107,13 @@ from satprecode.precoding import (
     _power_vector,
     _regularized_inverse,
     _right_divide_upper,
+    _rzf_blocks,
     _scaled,
     _unstack,
     baseline_avg_mmse,
     baseline_four_color,
     intrabeam,
     mbim_stack,
-    rzf_stack,
     two_stage,
 )
 from satprecode.robust import _shift_bounds, eigen_shift_bound
@@ -216,7 +215,7 @@ def rzf_null_basis(ch: ChannelMatrix, k: int, p_total: float) -> np.ndarray:
     matrix whose right null space is spanned by beam k's Q columns of
     ``A^-1``: ``A A^-1 = I`` is zero in those columns off beam k's rows.
     Their QR factor is the orthonormal basis. The columns are the ones
-    `rzf_stack` factors (`rzf_factors_per_power`), a positive multiple of
+    `_rzf_blocks` factors (`rzf_factors_per_power`), a positive multiple of
     ``A^-1``'s, which span the same space.
     """
     rows = ch.h.shape[0]
@@ -236,8 +235,10 @@ def rzf_interbeam_lu(ch: ChannelMatrix, p_total: float | np.ndarray) -> np.ndarr
 
 
 def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
-    """Inter-beam block (N x Q) of beam k alone; see `rzf_stack`."""
-    return rzf_stack(ch, range(k, k + 1), p_total)[..., 0, :, :]
+    """Inter-beam block (N x Q) of beam k alone; see `rzf_interbeam`."""
+    blocks = _rzf_blocks(ch.h, range(k, k + 1), ch.users_per_beam,
+                         _power_vector(p_total))
+    return _unstack(p_total, blocks)[..., 0, :, :]
 
 
 def off_axis_angle_deg(sat_pos: np.ndarray, bore_lat, bore_lon,
@@ -561,10 +562,11 @@ def other_gram_eig_per_beam(ch: ChannelMatrix, k: int) -> EigDecomposition:
 
 def other_gram_tails(ch: ChannelMatrix, beams: range) -> tuple:
     """The trimmed spectra the library designs the consecutive `beams`
-    from (`channel._other_gram_tails`): the downdate for a range at or
-    above the crossover, one dense decomposition per beam below it."""
-    return _other_gram_tails(ch.h, np.arange(beams.start, beams.stop),
-                             ch.users_per_beam)
+    from (`linalg.other_gram_tails`): the downdate for a range at or
+    above the crossover, one stacked dense call below it."""
+    ids = np.arange(beams.start, beams.stop)
+    return tuple(a[0] for a in linalg.other_gram_tails(
+        ch.h[None], ids[None], ch.users_per_beam, lambda c: gram_eigh(ch.h)))
 
 
 def build_phase_matrix_exp(model: PhaseModel, rows: int,
@@ -809,7 +811,7 @@ def rzf_factors_per_power(ch: ChannelMatrix, p_total: float,
 
 def rzf_stack_per_power(ch: ChannelMatrix, beams: range,
                         p_total: float) -> np.ndarray:
-    """`rzf_stack` at one power: one QR and one triangular division per
+    """`_rzf_blocks` at one power: one QR and one triangular division per
     beam, and the identity basis for one beam."""
     if ch.beams == 1:
         return ch.h.conj().T[None]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import satprecode as sp
 from satprecode import geometry, grouping
-from satprecode.channel import _GAIN_BLOCK, _served_rows, beam_contours
+from satprecode.channel import _GAIN_ROWS, _served_rows, beam_contours
 from satprecode.config import ScenarioConfig, parse_config
 from satprecode.evaluate import (
     _build_budget,
@@ -207,8 +207,7 @@ class TestGainMatrix:
         layout = _build_layout(cfg, budget)
         users = sp.place_users(layout, cfg.pool_per_beam, 11, budget=budget)
         rows = layout.beams * cfg.pool_per_beam
-        step = _GAIN_BLOCK // layout.feeds
-        assert rows // step >= 2 and rows % step > 0
+        assert rows // _GAIN_ROWS >= 2 and rows % _GAIN_ROWS > 0
         assert np.array_equal(sp.build_gain_matrix(layout, users, budget),
                               build_gain_matrix_per_feed(layout, users, budget))
 
@@ -216,9 +215,8 @@ class TestGainMatrix:
     def test_one_row_past_whole_blocks(self, budget, beams, feeds_per_beam):
         layout = sp.hex_layout(beams, 47.0, 10.0, 0.25, 4.0,
                                feeds_per_beam=feeds_per_beam)
-        step = _GAIN_BLOCK // layout.feeds
-        pool = next(p for p in itertools.count(step // beams + 1)
-                    if beams * p % step == 1)
+        pool = next(p for p in itertools.count(_GAIN_ROWS // beams + 1)
+                    if beams * p % _GAIN_ROWS == 1)
         users = sp.place_users(layout, pool, 5, budget=budget)
         assert np.array_equal(sp.build_gain_matrix(layout, users, budget),
                               build_gain_matrix_per_feed(layout, users, budget))

@@ -15,15 +15,12 @@ import satprecode as sp
 from satprecode import geometry
 from satprecode.channel import (
     ChannelMatrix,
-    _other_gram_tails,
-    _stacked_other_gram_tails,
     beam_contours,
     pattern_gain,
 )
 from satprecode.config import parse_config
 from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import ConfigError, GeometryError
-from satprecode.linalg import downdated_tails, gram_eigh
 
 from conftest import perturbed, random_channel
 from oracles import (
@@ -34,7 +31,6 @@ from oracles import (
     feed_gain,
     ground_halfwidth_deg,
     off_axis_angle_deg,
-    other_gram_eig_per_beam,
     slant_range_m,
     validate_geometry_per_beam,
 )
@@ -528,48 +524,6 @@ class TestChannelMatrixViews:
             other = excluding(ch, k)
             rebuilt = np.insert(other, k * q, ch.beam(k), axis=0)
             assert np.array_equal(rebuilt, ch.h)
-
-    def test_other_gram_tails_are_trimmed(self):
-        ch = random_channel(3, 2, 4, seed=2)
-        first = [a[0] for a in _other_gram_tails(ch.h, np.array([1]), 2)]
-        lam_max, tail_values, tail = first
-        other = excluding(ch, 1)
-        full = sp.eigh_sorted(other.conj().T @ other)
-        assert lam_max == full.eigenvalues[0]
-        assert np.array_equal(tail_values, full.eigenvalues[-2:])
-        assert np.array_equal(tail, full.eigenvectors[:, -2:])
-        for whole, row in zip(_other_gram_tails(ch.h, np.arange(3), 2), first):
-            assert np.array_equal(whole[1], row)
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**16),
-           st.integers(0, 5), st.integers(1, 6))
-    def test_other_gram_tails_read_the_crossover_at_call_time(
-            self, beams, users, seed, start, count):
-        # With the crossover lowered to 2, two or more beams take the
-        # downdate (a beam it cannot certify the dense path), one beam the
-        # dense path; the stacked form gives the same bits.
-        ch = random_channel(beams, users, beams * users, seed=seed)
-        start = start % beams
-        ids = np.arange(start, min(start + count, beams))
-        ok = np.zeros(ids.size, dtype=bool)
-        if ids.size >= 2:
-            *found, ok = downdated_tails(gram_eigh(ch.h), ch.beam_blocks()[ids])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", 2)
-            got = _other_gram_tails(ch.h, ids, users)
-            stacked = _stacked_other_gram_tails(ch.h[None], ids[None], users,
-                                                lambda c: gram_eigh(ch.h))
-        for i, k in enumerate(ids):
-            if ok[i]:
-                want = [a[i] for a in found]
-            else:
-                dense = other_gram_eig_per_beam(ch, k)
-                want = [dense.eigenvalues[0], dense.eigenvalues[-users:],
-                        dense.eigenvectors[:, -users:]]
-            for slab, row, value in zip(got, stacked, want):
-                assert np.array_equal(slab[i], value)
-                assert np.array_equal(row[0, i], value)
 
     def test_channel_is_read_only(self):
         ch = random_channel(2, 2, 3, seed=3)

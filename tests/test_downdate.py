@@ -7,6 +7,11 @@ are compared within 1e-12 of the beam's largest eigenvalue plus 1e-13 of
 ||G||: an other-beam Gram matrix may be exactly zero (every other row a
 zero row, as in a gateway view), and the downdate resolves its spectrum
 to rounding errors of G, not of G_k.
+
+`linalg.other_gram_tails`, the one function the designs take their
+spectra from, must give every beam it serves densely (below the
+crossover, or left uncertified by the downdate) the bits of that beam's
+own dense decomposition, from one stacked call.
 """
 
 import contextlib
@@ -20,11 +25,17 @@ from hypothesis import strategies as st
 
 import satprecode as sp
 import satprecode.linalg
-from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix
+from satprecode.channel import ChannelMatrix
 from satprecode.evaluate import sinr_matrix
 from satprecode.exceptions import SingularChannelError
 from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
-from satprecode.linalg import downdated_tails, gram_eigh
+from satprecode.linalg import (
+    _DOWNDATE_MIN_BEAMS,
+    _dense_other_gram_tails,
+    downdated_tails,
+    gram_eigh,
+    other_gram_tails,
+)
 from satprecode.robust import robust_two_stage
 
 import oracles
@@ -137,10 +148,10 @@ def test_downdate_takes_few_secular_sweeps_on_a_link_budget_channel(
 
 @contextlib.contextmanager
 def _per_beam_path():
-    """Inside, every design takes its Gram spectra from the dense per-beam
-    path of `_other_gram_tails`: the downdate crossover is out of reach."""
+    """Inside, every design takes its Gram spectra from the dense path of
+    `other_gram_tails`: the downdate crossover is out of reach."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", sys.maxsize)
+        mp.setattr("satprecode.linalg._DOWNDATE_MIN_BEAMS", sys.maxsize)
         yield
 
 
@@ -210,3 +221,108 @@ def test_rank_deficient_beam_is_named_on_both_paths(singular):
         with path, pytest.raises(SingularChannelError,
                                  match=rf"of beam {min(singular)} "):
             sp.mbim_interbeam(ch, 10.0)
+
+
+def _dense_rows(ch, k, users):
+    """Beam k's dense spectrum, trimmed as `other_gram_tails` returns it."""
+    dense = oracles.other_gram_eig_per_beam(ch, k)
+    return [dense.eigenvalues[0], dense.eigenvalues[-users:],
+            dense.eigenvectors[:, -users:]]
+
+
+def test_other_gram_tails_are_trimmed():
+    ch = random_channel(3, 2, 4, seed=2)
+    first = [a[0, 0] for a in other_gram_tails(ch.h[None], np.array([[1]]), 2,
+                                               lambda c: gram_eigh(ch.h))]
+    for got, want in zip(first, _dense_rows(ch, 1, 2)):
+        assert np.array_equal(got, want)
+    whole = other_gram_tails(ch.h[None], np.arange(3)[None], 2,
+                             lambda c: gram_eigh(ch.h))
+    for slab, row in zip(whole, first):
+        assert np.array_equal(slab[0, 1], row)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**16),
+       st.integers(0, 5), st.integers(1, 6))
+def test_other_gram_tails_read_the_crossover_at_call_time(
+        beams, users, seed, start, count):
+    # With the crossover lowered to 2, two or more beams take the
+    # downdate (a beam it cannot certify the dense path), one beam the
+    # dense path.
+    ch = random_channel(beams, users, beams * users, seed=seed)
+    start = start % beams
+    ids = np.arange(start, min(start + count, beams))
+    ok = np.zeros(ids.size, dtype=bool)
+    if ids.size >= 2:
+        *found, ok = downdated_tails(gram_eigh(ch.h), ch.beam_blocks()[ids])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("satprecode.linalg._DOWNDATE_MIN_BEAMS", 2)
+        got = other_gram_tails(ch.h[None], ids[None], users,
+                               lambda c: gram_eigh(ch.h))
+    for i, k in enumerate(ids):
+        want = [a[i] for a in found] if ok[i] else _dense_rows(ch, k, users)
+        for slab, value in zip(got, want):
+            assert np.array_equal(slab[0, i], value)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 12), st.integers(1, 3), st.integers(1, 4),
+       st.integers(1, 3), st.integers(0, 2**16), st.booleans())
+def test_stacked_dense_tails_equal_each_beam_alone(beams, users, feeds,
+                                                   channels, seed, zero_rows):
+    chans = []
+    for c in range(channels):
+        h = random_channel(beams, users, feeds, seed=seed + c).h.copy()
+        if zero_rows:
+            # Gateway-like view: the rows of half the beams are unknown.
+            h[: users * (beams // 2)] = 0.0
+        chans.append(ChannelMatrix(h=h, beams=beams, users_per_beam=users))
+    rng = np.random.default_rng(seed)
+    channel = rng.integers(0, channels, 2 * beams)
+    beam = rng.integers(0, beams, 2 * beams)
+    lam_max, tail_values, tail = _dense_other_gram_tails(
+        np.stack([ch.h for ch in chans]), channel, beam, users)
+    for i, (c, k) in enumerate(zip(channel, beam)):
+        dense = oracles.other_gram_eig_per_beam(chans[c], k)
+        assert lam_max[i] == dense.eigenvalues[0]
+        assert np.array_equal(tail_values[i], dense.eigenvalues[-users:])
+        assert np.array_equal(tail[i], dense.eigenvectors[:, -users:])
+
+
+def test_uncertified_beams_of_a_stack_share_one_dense_call(monkeypatch):
+    # Three channels above the crossover; the downdate certifies every
+    # beam, and the wrapper leaves chosen beams of two channels
+    # uncertified. Those rows must be their dense decompositions, bit for
+    # bit, from one stacked call; every other row the downdate's.
+    beams, users = _DOWNDATE_MIN_BEAMS + 2, 2
+    chans = [random_channel(beams, users, beams, seed=s) for s in (3, 4, 5)]
+    cleared = {0: [1, 7], 2: [0, beams - 1]}
+    downdates, dense_pairs = [], []
+
+    def uncertain(gram, blocks):
+        *found, ok = downdated_tails(gram, blocks)
+        assert ok.all()
+        ok = ok.copy()
+        ok[cleared.get(len(downdates), [])] = False
+        downdates.append(found)
+        return (*found, ok)
+
+    def dense(h, channel, beam, q):
+        dense_pairs.append(list(zip(channel.tolist(), beam.tolist())))
+        return _dense_other_gram_tails(h, channel, beam, q)
+
+    monkeypatch.setattr(satprecode.linalg, "downdated_tails", uncertain)
+    monkeypatch.setattr(satprecode.linalg, "_dense_other_gram_tails", dense)
+    h = np.stack([ch.h for ch in chans])
+    got = other_gram_tails(h, np.tile(np.arange(beams), (3, 1)), users,
+                           lambda c: gram_eigh(h[c]))
+    assert len(downdates) == 3
+    assert dense_pairs == [[(c, k) for c in sorted(cleared)
+                            for k in cleared[c]]]
+    for c, found in enumerate(downdates):
+        for k in range(beams):
+            want = (_dense_rows(chans[c], k, users) if k in cleared.get(c, [])
+                    else [a[k] for a in found])
+            for slab, value in zip(got, want):
+                assert np.array_equal(slab[c, k], value)

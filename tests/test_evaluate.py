@@ -10,7 +10,7 @@ import satprecode.channel
 import satprecode.evaluate
 import satprecode.gateway
 import satprecode.linalg
-from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix, beam_contours
+from satprecode.channel import ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts
 from satprecode.evaluate import (
     ModcodTable,
@@ -25,6 +25,7 @@ from satprecode.evaluate import (
 )
 from satprecode.exceptions import ConfigError
 from satprecode.io import write_results_csv
+from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 
 from conftest import random_channel
 from oracles import (

@@ -18,11 +18,7 @@ from hypothesis import strategies as st
 
 import satprecode
 import satprecode.linalg
-from satprecode.channel import (
-    _DOWNDATE_MIN_BEAMS,
-    ChannelMatrix,
-    _dense_other_gram_tails,
-)
+from satprecode.channel import ChannelMatrix
 from satprecode.exceptions import (
     MODELLED_FAILURES,
     SHAPE,
@@ -38,6 +34,7 @@ from satprecode.gateway import (
     plan_designs,
     share_csi,
 )
+from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 
 import oracles
 from conftest import perturbed, random_channel
@@ -206,30 +203,6 @@ def test_one_decomposition_per_view_shape(monkeypatch):
     # The views hold no memo: a rerun decomposes again, in the same calls.
     assemble_multigateway_precoder(views, plan, 10.0)
     assert shapes == [(5, 5, 5), (8, 4, 4)] * 2
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(2, 12), st.integers(1, 3), st.integers(1, 4),
-       st.integers(1, 3), st.integers(0, 2**16), st.booleans())
-def test_stacked_dense_tails_equal_each_beam_alone(beams, users, feeds,
-                                                   channels, seed, zero_rows):
-    chans = []
-    for c in range(channels):
-        h = random_channel(beams, users, feeds, seed=seed + c).h.copy()
-        if zero_rows:
-            # Gateway-like view: the rows of half the beams are unknown.
-            h[: users * (beams // 2)] = 0.0
-        chans.append(ChannelMatrix(h=h, beams=beams, users_per_beam=users))
-    rng = np.random.default_rng(seed)
-    channel = rng.integers(0, channels, 2 * beams)
-    beam = rng.integers(0, beams, 2 * beams)
-    lam_max, tail_values, tail = _dense_other_gram_tails(
-        np.stack([ch.h for ch in chans]), channel, beam, users)
-    for i, (c, k) in enumerate(zip(channel, beam)):
-        dense = oracles.other_gram_eig_per_beam(chans[c], k)
-        assert lam_max[i] == dense.eigenvalues[0]
-        assert np.array_equal(tail_values[i], dense.eigenvalues[-users:])
-        assert np.array_equal(tail[i], dense.eigenvectors[:, -users:])
 
 
 def _family_plans(beams, feeds, users, gateways):

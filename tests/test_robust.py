@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-import satprecode.channel
+import satprecode.linalg
+import satprecode.precoding
 from satprecode.channel import PerturbationBounds
 from satprecode.evaluate import sinr_matrix
 from satprecode.exceptions import ConfigError, InfeasibleChannelError
@@ -191,14 +192,17 @@ class TestRobustInterbeam:
         # Q > N is rejected and a single beam has no other-beam Gram
         # matrix, so neither may decompose anything for its shifts.
         calls = []
-        for name in ("eigh_sorted", "gram_eigh", "downdated_tails"):
-            original = getattr(satprecode.channel, name)
+        for module, name in ((satprecode.linalg, "eigh_sorted"),
+                             (satprecode.linalg, "gram_eigh"),
+                             (satprecode.linalg, "downdated_tails"),
+                             (satprecode.precoding, "gram_eigh")):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original):
                 calls.append(_name)
                 return _original(*args)
 
-            monkeypatch.setattr(satprecode.channel, name, counting)
+            monkeypatch.setattr(module, name, counting)
         ch = random_channel(beams, users, feeds, seed=9)
         bounds = PerturbationBounds(np.full(beams, 0.5), np.full(beams, 2.0))
         if users > feeds:

@@ -1,6 +1,6 @@
 """The regularized zero-forcing design against a 40-digit reference.
 
-`rzf_stack` takes ``A = H H^H + (KQ/P_T) I`` at every power from one
+`rzf_interbeam` takes ``A = H H^H + (KQ/P_T) I`` at every power from one
 eigendecomposition of the smaller Gram matrix. With more served users
 than feeds (F = 1), ``A^-1`` holds a null-space part of size P_T/KQ that
 ``H^H`` must cancel, so an LU inverse would lose accuracy as the power
@@ -23,7 +23,7 @@ mpmath = pytest.importorskip("mpmath")
 
 import satprecode as sp  # noqa: E402
 from satprecode.config import dbw_to_watts  # noqa: E402
-from satprecode.precoding import rzf_stack, two_stage  # noqa: E402
+from satprecode.precoding import rzf_interbeam, two_stage  # noqa: E402
 
 from conftest import desk_channel, random_channel  # noqa: E402
 
@@ -102,7 +102,6 @@ def test_sinrs_match_a_40_digit_reference(feeds_per_beam, p_dbw):
                          ids=["F1", "F3", "K12_Q3"])
 def test_one_power_equals_its_slot_of_the_power_vector(ch):
     p = np.array([dbw_to_watts(x) for x in POWERS_DBW])
-    beams = range(ch.beams)
-    stacked = rzf_stack(ch, beams, p)
+    stacked = rzf_interbeam(ch, p)
     for i, p_i in enumerate(p):
-        assert np.array_equal(rzf_stack(ch, beams, float(p_i)), stacked[i])
+        assert np.array_equal(rzf_interbeam(ch, float(p_i)), stacked[i])

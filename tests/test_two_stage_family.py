@@ -27,7 +27,7 @@ import satprecode.gateway
 import satprecode.linalg
 import satprecode.precoding
 import satprecode.robust
-from satprecode.channel import _DOWNDATE_MIN_BEAMS, ChannelMatrix, beam_contours
+from satprecode.channel import ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts, parse_config
 from satprecode.evaluate import (
     _build_budget,
@@ -56,6 +56,7 @@ from satprecode.gateway import (
     plan_designs,
     share_csi,
 )
+from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 from satprecode.precoding import (
     _avg_mmse_unscaled,
     assemble,
@@ -151,7 +152,7 @@ def test_sinrs_match_the_dense_spectra_and_lu_designs(name, tmp_path,
             list(designs.values()), ch_est.users_per_beam, p_w, mode)
         assert not codes.any()
         with monkeypatch.context() as mp:
-            mp.setattr("satprecode.channel._DOWNDATE_MIN_BEAMS", sys.maxsize)
+            mp.setattr("satprecode.linalg._DOWNDATE_MIN_BEAMS", sys.maxsize)
             refs = (two_stage(ch_est, p_w, mode, "mbim"),
                     robust_two_stage(ch_est, bounds, p_w, mode))
         refs += (assemble(ch_est, oracles.rzf_interbeam_lu(ch_est, p_w), p_w,
