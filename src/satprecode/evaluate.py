@@ -33,19 +33,17 @@ from .channel import (
 )
 from .config import _SCHEMA, ScenarioConfig, dbw_to_watts
 from .exceptions import MODELLED_FAILURES, ConfigError
-from .gateway import (
+from .gateway import GatewayPlan, make_plan, plan_designs, share_csi
+from .precoding import (
     BlockDesign,
-    GatewayPlan,
+    _avg_mmse_unscaled,
     assemble_multigateway_family,
-    make_plan,
-    plan_designs,
-    share_csi,
+    baseline_four_color,
 )
-from .precoding import _avg_mmse_unscaled, baseline_four_color
 # Unused here: perfbench/tests/test_tracer.py reads the traced span through
 # this module until the next benchmark change (ROADMAP item 1).
 from .precoding import two_stage  # noqa: F401
-from .robust import _shift_bounds
+from .robust import robust_design
 
 __all__ = [
     "ModcodTable",
@@ -413,8 +411,7 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
         elif name == "rzf":
             designs[name] = [BlockDesign(ch_est.h, whole, interbeam="rzf")]
         elif name == "robust":
-            designs[name] = [BlockDesign(
-                ch_est.h, whole, lambda lam_max: _shift_bounds(bounds, lam_max))]
+            designs[name] = [robust_design(ch_est, bounds)]
         elif name == "avg_mmse":
             designs[name] = lambda p: _avg_mmse_unscaled(ch_est, p)
         elif name in plans:

@@ -1,4 +1,4 @@
-"""Multi-gateway feed partitioning, CSI sharing, and precoder assembly.
+"""Multi-gateway feed partitioning, CSI sharing, and overhead counting.
 
 Feeds and beams are assigned to gateways in consecutive near-equal
 blocks. Each gateway designs the sub-precoder for its own beams from an
@@ -16,50 +16,37 @@ Cooperation is a pure data-exchange step that completes before any
 sub-precoder is assembled; gateways are otherwise independent. Each
 gateway's effective channel (its view) is a plain read-only array.
 
-Each gateway runs the two-stage mbim design of its own beams on its
-view; the whole-channel mbim and robust precoders are that design with
-one gateway. A design is a (view, beam range, shifts, inter-beam design)
-tuple (`BlockDesign`), and one pass designs every precoder of a channel:
-the designs are grouped by shape, and each group takes its Gram tails
-(once per distinct view and range, from `linalg.other_gram_tails`), its
-whitening and its intra-beam SVD from one stacked call
-(`_block_diagonals`); rzf and the downdated tails share a view's
-decomposed ``V^H V``. `assemble_multigateway_precoder` runs that pass for
-one plan, `assemble_multigateway_family` for every two-stage precoder of
-a trial. A modelled failure is a failure code per (precoder, power, beam)
-in that pass, from which the one-plan call raises.
+A plan's precoder is designed by the one design pass of
+`satprecode.precoding`: `plan_designs` turns the views into block
+designs, gateway g's own beams on its view, and
+`assemble_multigateway_precoder` runs the pass for that one plan and
+raises its first gateway's modelled failure.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelMatrix
-from .exceptions import NO_SCALE, ConfigError
-from .linalg import gram_eigh, other_gram_tails
+from .exceptions import ConfigError
 from .precoding import (
+    BlockDesign,
     Precoder,
-    _intrabeam,
-    _mbim_blocks,
+    _block_diagonals,
     _power_vector,
     _raise_failure,
-    _rzf_blocks,
     _scaled,
 )
 
 __all__ = [
     "GatewayPlan",
-    "BlockDesign",
     "make_plan",
     "local_csi",
     "share_csi",
     "assemble_multigateway_precoder",
-    "assemble_multigateway_family",
     "plan_designs",
     "overhead_per_gateway",
 ]
@@ -254,117 +241,16 @@ def share_csi(ch: ChannelMatrix, plan: GatewayPlan) -> list[np.ndarray]:
     return views
 
 
-class BlockDesign(NamedTuple):
-    """One diagonal block of a two-stage precoder: the beams `beams`
-    designed on `view` (KQ, N_b), their columns on the view's feeds.
-
-    `interbeam` names the inter-beam design, ``"mbim"`` or ``"rzf"`` as
-    for `two_stage`. For mbim, `shifts(lam_max)` maps the beams' largest
-    other-beam Gram eigenvalues to the shifts added to their regularizer
-    (the robust design); rzf takes no Gram spectra and no shifts."""
-
-    view: np.ndarray
-    beams: range
-    shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
-    interbeam: str = "mbim"
-
-
 def plan_designs(views: list[np.ndarray], plan: GatewayPlan) -> list[BlockDesign]:
-    """The blocks of a plan: gateway g's own beams on its view `views[g]`."""
+    """The blocks of a plan: gateway g's own beams on its view `views[g]`.
+    Any views but one (KQ, N_g) array per gateway raise ConfigError."""
+    want = [(plan.beams * plan.users_per_beam, n)
+            for n in plan.feeds_per_gateway.tolist()]
+    got = [np.shape(view) for view in views]
+    if got != want:
+        raise ConfigError(f"the plan needs views of shapes {want}, got {got}")
     return [BlockDesign(view, range(*plan.beam_offsets[g:g + 2]))
             for g, view in enumerate(views)]
-
-
-def _group_columns(designs: list[BlockDesign], users_per_beam: int,
-                   p: np.ndarray, gram: Callable) -> tuple[np.ndarray, np.ndarray]:
-    """(P, M, B, N_b) precoder columns of M block designs whose views share
-    their shape (KQ, N_b) and whose beam ranges hold B beams, and their
-    (P, M, B) failure codes, each beam's earliest.
-
-    Every mbim stage is one stacked call: the Gram tails of each distinct
-    (view, range), shared by the designs on it, and one whitening over
-    all mbim designs and powers; each rzf design is one call; one
-    intra-beam SVD serves every design. `gram(view)` decomposes the
-    view's ``V^H V`` for rzf and the downdated tails.
-    """
-    q = users_per_beam
-    slots = {}
-    which = np.array([slots.setdefault((id(d.view), d.beams), len(slots))
-                      for d in designs])
-    distinct = np.unique(which, return_index=True)[1]   # first design per slot
-    h = np.stack([designs[i].view for i in distinct])   # (U, KQ, N_b)
-    u, rows, n = h.shape
-    beam_ids = np.array([d.beams for d in designs])     # (M, B)
-    rzf = [i for i, d in enumerate(designs) if d.interbeam == "rzf"]
-    mbim = [i for i, d in enumerate(designs) if d.interbeam == "mbim"]
-    if len(rzf) + len(mbim) < len(designs):
-        raise ConfigError("inter-beam design must be 'mbim' or 'rzf'")
-    wa = np.empty((p.size, *beam_ids.shape, n, q), dtype=complex)
-    codes = np.zeros((p.size, *beam_ids.shape), dtype=int)
-    for i in rzf:
-        wa[:, i] = _rzf_blocks(designs[i].view, designs[i].beams, q, p, gram)
-    if mbim:
-        used, slot = np.unique(which[mbim], return_inverse=True)
-        views = [designs[i].view for i in distinct[used]]
-
-        def spectra():
-            found = other_gram_tails(h[used], beam_ids[distinct[used]], q,
-                                     lambda c: gram(views[c]))
-            return tuple(a[slot] for a in found)
-
-        def shifts(lam_max):
-            return np.stack([designs[i].shifts(lam)
-                             for i, lam in zip(mbim, lam_max)])
-
-        wa[:, mbim], codes[:, mbim] = _mbim_blocks(
-            (rows // q, q, n), spectra, beam_ids[mbim], p, shifts)
-    h_blocks = h.reshape(u, -1, q, n)[which[:, None], beam_ids]
-    vectors, dead = _intrabeam(h_blocks @ wa)
-    return (wa @ vectors[..., None])[..., 0], np.maximum(codes, dead)
-
-
-def _block_diagonals(precoders: list, users_per_beam: int,
-                     p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, P, N, K) unscaled precoders of one channel over the power
-    vector `p`, and their (S, P, K) failure codes. Each is given by its
-    blocks, consecutive in beams and feeds, or as a function of `p` that
-    returns its (P, N, K) stack.
-
-    Every block joins the group of its view width and beam count, and
-    each group is designed in one stacked pass (`_group_columns`); each
-    block's columns go on its precoder's diagonal, and every other entry
-    stays structurally zero.
-    """
-    dense = {s: f(p) for s, f in enumerate(precoders) if callable(f)}
-    groups = {}
-    for s, blocks in enumerate(precoders):
-        if s in dense:
-            shape = dense[s].shape[1:]
-            continue
-        stop = 0
-        for d in blocks:
-            start, stop = stop, stop + d.view.shape[1]
-            groups.setdefault((d.view.shape[1], len(d.beams)), []).append(
-                (s, d, slice(start, stop)))
-        shape = (stop, d.view.shape[0] // users_per_beam)
-    w_bar = np.zeros((len(precoders), p.size, *shape), dtype=complex)
-    codes = np.zeros((len(precoders), p.size, shape[1]), dtype=int)
-    for s, w in dense.items():
-        w_bar[s] = w
-    grams = {}
-
-    def gram(view):
-        # G = V^H V, decomposed once per view, when a design first takes it.
-        return grams.get(id(view)) or grams.setdefault(id(view), gram_eigh(view))
-
-    for members in groups.values():
-        columns, found = _group_columns([d for _, d, _ in members],
-                                        users_per_beam, p, gram)
-        for i, (s, d, feed_cols) in enumerate(members):
-            beams = slice(d.beams.start, d.beams.stop)
-            w_bar[s, :, feed_cols, beams] = columns[:, i].swapaxes(-1, -2)
-            codes[s, :, beams] = found[:, i]
-    return w_bar, codes
 
 
 def assemble_multigateway_precoder(views: list[np.ndarray],
@@ -374,11 +260,13 @@ def assemble_multigateway_precoder(views: list[np.ndarray],
     """Block-diagonal precoder from per-gateway effective channels.
 
     Each gateway g designs the two-stage mbim blocks of its own beams on
-    its view `views[g]`, over every power of `p_total` at once; gateways
-    with equally many beams are designed together (`_block_diagonals`).
-    A single global power scaling per power is applied. A modelled
-    failure is reported as ``gateway g: ...`` for the first gateway
-    whose own design fails, with that design's error as the cause.
+    its view `views[g]`, over every power of `p_total` at once, in the
+    design pass of `satprecode.precoding`; gateways with equally many
+    beams are designed together. A single global power scaling per power
+    is applied. Views that do not match the plan raise ConfigError
+    (`plan_designs`). A modelled failure is reported as ``gateway g: ...``
+    for the first gateway whose own design fails, with that design's
+    error as the cause.
     """
     p = _power_vector(p_total)
     (w_bar,), (codes,) = _block_diagonals([plan_designs(views, plan)],
@@ -389,30 +277,3 @@ def assemble_multigateway_precoder(views: list[np.ndarray],
                        (int(plan.feeds_per_gateway[g]), plan.users_per_beam),
                        gateway=g)
     return _scaled(p_total, w_bar, mode)
-
-
-def assemble_multigateway_family(precoders: list, users_per_beam: int,
-                                 p_total: np.ndarray,
-                                 mode: str = "per_feed"
-                                 ) -> tuple[Precoder, np.ndarray]:
-    """S precoders of one channel over the 1-D power vector `p_total`,
-    from one stacked pass, and their (S, P) failure codes. Each is given
-    by its blocks (`plan_designs` for a plan; one block over every beam
-    for mbim, robust and rzf, whose `interbeam` names it) or as a function
-    of the power vector that returns its (P, N, K) unscaled stack
-    (avg_mmse). Blocks on the same view share its decomposed ``V^H V``.
-
-    Slot ``s*P + i`` of the returned precoder's leading axis is precoder s
-    at power ``p_total[i]``, and one power scaling serves every slot.
-    Where code ``[s, i]`` is 0 the slot is bit for bit what
-    `assemble_multigateway_precoder`, `two_stage`, `robust_two_stage` or
-    `baseline_avg_mmse` gives at that power; elsewhere that call raises,
-    and the code is the earliest failing stage over all beams, `NO_SCALE`
-    only where no design failed. A failed slot stays finite.
-    """
-    p = _power_vector(p_total)
-    w_bar, codes = _block_diagonals(precoders, users_per_beam, p)
-    failed = codes.max(axis=-1, initial=0).ravel()          # (S P,)
-    pre = _scaled(np.tile(p, len(precoders)),
-                  w_bar.reshape(-1, *w_bar.shape[2:]), mode, failed > 0)
-    return pre, np.maximum(failed, NO_SCALE * (pre.alpha == 0.0)).reshape(-1, p.size)

@@ -1,4 +1,4 @@
-"""Two-stage multicast precoding and the comparison baselines.
+"""Two-stage multicast precoding, its one design pass, and the baselines.
 
 The precoder factors as ``W = alpha * Wa * Wb``: an inter-beam stage Wa
 (one N x Q block per beam) that limits the interference a beam causes to
@@ -13,16 +13,21 @@ stage runs once over it: the designs depend on P_T only through the
 regularizer KQ/P_T and the scale alpha. A float is the vector of one
 power with that axis dropped again.
 
-The mbim design takes its other-beam Gram spectra from
-`linalg.other_gram_tails`, the one function for them. The rzf design has
-one route for every shape: one eigendecomposition of the smaller Gram
-matrix (`_rzf_blocks`).
+Each stage is one function: `_interbeam_blocks` for a list of block
+designs (`BlockDesign`), with the mbim blocks from the spectra of
+`linalg.other_gram_tails` and the rzf blocks from one decomposition of
+the smaller Gram matrix, and `_beam_columns`, one stacked SVD. The
+design pass (`assemble_multigateway_family`) runs both over every
+precoder of a channel; the library's single designs run them on one
+design. A modelled failure is a failure code per (precoder, power,
+beam), from which the single designs raise.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +48,8 @@ from .linalg import eigh_sorted  # noqa: F401 (re-exported)
 
 __all__ = [
     "Precoder",
+    "BlockDesign",
     "mbim_interbeam",
-    "mbim_stack",
     "rzf_interbeam",
     "intrabeam",
     "power_control",
@@ -54,6 +59,7 @@ __all__ = [
     "baseline_avg_mmse",
     "baseline_four_color",
     "four_color_precoder",
+    "assemble_multigateway_family",
 ]
 
 POWER_MODES = ("per_feed", "total")
@@ -65,7 +71,7 @@ class Precoder:
 
     `wa` (N x KQ) and `wb` (K x Q, the intra-beam vector of every beam)
     are kept when the precoder was built by `assemble`; the baselines and
-    the multi-gateway precoder leave them as None. In `per_feed` mode the
+    the design pass leave them as None. In `per_feed` mode the
     largest diagonal entry of W W^H equals P_T/N; in `total` mode the
     trace equals P_T. Designed for a power vector, every array has a
     leading power axis and `alpha` is a (P,) array.
@@ -126,74 +132,86 @@ def _raise_failure(codes: np.ndarray, beam_ids: np.ndarray | None = None,
     raise kind(f"gateway {gateway}: {exc}") from exc
 
 
-def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
-               shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
-               ) -> np.ndarray:
-    """Inter-beam blocks Wa_k of the interference-mitigation design.
+class BlockDesign(NamedTuple):
+    """One diagonal block of a two-stage precoder: the beams `beams`
+    designed on `view` (KQ, N_b), their columns on the view's feeds.
 
-    Returns one N x Q block per beam in `beams` as a (B, N, Q) stack
-    ((P, B, N, Q) for a power vector), built from the low end of each
-    beam's other-beam Gram spectrum (`linalg.other_gram_tails`):
-    ``Wa_k = V (S + (KQ/P_T + shift_k) I)^(-1/2)`` restricted to the Q
-    columns of smallest eigenvalue, i.e. the directions least aligned with
-    the other beams' channels. `shifts(lam_max)` maps the beams' largest
-    other-beam Gram eigenvalues to their shifts; a positive shift is the
-    robust design's worst-case spectral shift (`satprecode.robust`), and
-    the default, all zero, is the nominal design. Only beams with zero
-    shift reject a rank-deficient Gram matrix, and the first such beam is
-    named. With a single beam there is nothing to mitigate and the block
-    degenerates to a scaled truncated identity.
+    `interbeam` names the inter-beam design, ``"mbim"`` or ``"rzf"`` as
+    for `two_stage`. For mbim, `shifts(lam_max)` maps the beams' largest
+    other-beam Gram eigenvalues to the shifts added to their regularizer
+    (the robust design, `robust.robust_design`); rzf takes no Gram
+    spectra and no shifts."""
+
+    view: np.ndarray
+    beams: range
+    shifts: Callable[[np.ndarray], np.ndarray] = np.zeros_like
+    interbeam: str = "mbim"
+
+
+def _interbeam_blocks(designs: list[BlockDesign], users_per_beam: int,
+                      p: np.ndarray, gram: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The inter-beam stage: (P, M, B, N_b, Q) blocks of M block designs
+    whose views share their shape (KQ, N_b) and whose beam ranges hold B
+    beams, over the power vector `p`, and their (P, M, B) failure codes.
+    Each rzf design is one `_rzf_blocks` call, and all mbim designs one
+    `_mbim_blocks` call. `gram(view)` decomposes the view's ``V^H V`` for
+    rzf and the downdated tails.
     """
-    ids = np.arange(beams.start, beams.stop)
-
-    def spectra():
-        # Below the crossover one call per beam, and so one `eigh_sorted`
-        # call per beam: perfbench/tests/test_tracer.py counts them for
-        # `two_stage`, and it changes only with the benchmark (ROADMAP
-        # item 1). At or above it one call, as in the design pass.
-        step = 1 if ids.size < linalg._DOWNDATE_MIN_BEAMS else ids.size
-        found = [other_gram_tails(ch.h[None], ids[None, i:i + step],
-                                  ch.users_per_beam, lambda c: gram_eigh(ch.h))
-                 for i in range(0, max(ids.size, 1), step)]
-        return tuple(np.concatenate(a, axis=1)[0] for a in zip(*found))
-
-    blocks, codes = _mbim_blocks((ch.beams, ch.users_per_beam, ch.feeds),
-                                 spectra, ids, _power_vector(p_total), shifts)
-    _raise_failure(codes, ids, (ch.feeds, ch.users_per_beam))
-    return _unstack(p_total, blocks)
+    q = users_per_beam
+    beam_ids = np.array([d.beams for d in designs])     # (M, B)
+    rzf = [i for i, d in enumerate(designs) if d.interbeam == "rzf"]
+    mbim = [i for i, d in enumerate(designs) if d.interbeam == "mbim"]
+    if len(rzf) + len(mbim) < len(designs):
+        raise ConfigError("inter-beam design must be 'mbim' or 'rzf'")
+    wa = np.empty((p.size, *beam_ids.shape, designs[0].view.shape[1], q),
+                  dtype=complex)
+    codes = np.zeros((p.size, *beam_ids.shape), dtype=int)
+    for i in rzf:
+        wa[:, i] = _rzf_blocks(designs[i].view, designs[i].beams, q, p, gram)
+    if mbim:
+        wa[:, mbim], codes[:, mbim] = _mbim_blocks([designs[i] for i in mbim],
+                                                   q, p, gram)
+    return wa, codes
 
 
-def _mbim_blocks(dims: tuple[int, int, int], spectra: Callable[[], tuple],
-                 beam_ids: np.ndarray, p: np.ndarray,
-                 shifts: Callable[[np.ndarray], np.ndarray]) -> tuple:
-    """(P, *S, N, Q) interference-mitigation blocks of the beams
-    `beam_ids` (shape S) of channels with `dims` = (K, Q, N), and their
-    failure codes (shape S): SHAPE for every beam when Q > N, SINGULAR
-    where a beam with zero shift has a rank-deficient Gram matrix.
+def _mbim_blocks(designs: list[BlockDesign], users_per_beam: int,
+                 p: np.ndarray, gram: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """(P, M, B, N, Q) interference-mitigation blocks of M mbim designs,
+    as `_interbeam_blocks` takes them, and their (M, B) failure codes:
+    SHAPE for every beam when Q > N, SINGULAR where a beam with zero shift
+    has a rank-deficient Gram matrix.
 
-    `spectra()` returns their trimmed other-beam spectra over S, laid out
-    as `linalg.other_gram_tails` returns them; it is called only
-    once the shape checks pass, and so is `shifts(lam_max)`, which
-    returns the shifts shaped like `beam_ids`. A failed beam's block is
-    finite, so the stages after it run on finite numbers.
+    Only once the shape checks pass are the Gram tails taken, one stacked
+    call for each distinct (view, range) shared by the designs on it, and
+    the shifts. A failed beam's block is finite, so the stages after it
+    run on finite numbers.
     """
-    k, q, n = dims
+    q = users_per_beam
+    rows, n = designs[0].view.shape
+    k = rows // q
+    beam_ids = np.array([d.beams for d in designs])     # (M, B)
     if q > n:
         return (np.zeros((p.size, *beam_ids.shape, n, q), dtype=complex),
                 np.full(beam_ids.shape, SHAPE))
     codes = np.zeros(beam_ids.shape, dtype=int)
     if k == 1:
-        amp = np.sqrt(p / (k * q)).reshape(-1, *[1] * (beam_ids.ndim + 2))
+        amp = np.sqrt(p / (k * q)).reshape(-1, 1, 1, 1, 1)
         return amp * np.eye(n, q, dtype=complex), codes
-    lam_max, tail_values, tail = spectra()
-    shift = shifts(lam_max)
+    slots = {}
+    slot = np.array([slots.setdefault((id(d.view), d.beams), len(slots))
+                     for d in designs])
+    first = np.unique(slot, return_index=True)[1]
+    views = [designs[i].view for i in first]
+    lam_max, tail_values, tail = (a[slot] for a in other_gram_tails(
+        np.stack(views), beam_ids[first], q, lambda c: gram(views[c])))
+    shift = np.stack([d.shifts(lam) for d, lam in zip(designs, lam_max)])
     singular = (shift == 0.0) & (
         tail_values[..., -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
     )
     codes[singular] = SINGULAR
     # A rank-deficient tail may round negative, below the regularizer.
     tail_values = np.where(singular[..., None], 1.0, tail_values)
-    reg = (k * q / p).reshape(-1, *[1] * tail_values.ndim)
+    reg = (k * q / p).reshape(-1, 1, 1, 1)
     scale = 1.0 / np.sqrt(tail_values + reg + shift[..., None])
     return tail * scale[..., None, :], codes
 
@@ -209,10 +227,42 @@ def _blocks(wa: np.ndarray, beams: int) -> np.ndarray:
     return wa.reshape(*wa.shape[:-1], beams, -1).swapaxes(-3, -2)
 
 
+def _design_interbeam(ch: ChannelMatrix, designs: list[BlockDesign],
+                      p_total: float | np.ndarray) -> np.ndarray:
+    """The inter-beam stage of `ch` from block designs on it whose beam
+    ranges follow each other over every beam, one stage call per design,
+    stacked to N x KQ (P x N x KQ for a power vector). A modelled failure
+    raises for the first beam that fails."""
+    p = _power_vector(p_total)
+    found = [_interbeam_blocks([d], ch.users_per_beam, p, gram_eigh)
+             for d in designs]
+    wa = np.concatenate([blocks[:, 0] for blocks, _ in found], axis=1)
+    _raise_failure(np.concatenate([codes[:, 0] for _, codes in found], axis=1),
+                   block=(ch.feeds, ch.users_per_beam))
+    return _unstack(p_total, _columns(wa))
+
+
 def mbim_interbeam(ch: ChannelMatrix,
                    p_total: float | np.ndarray) -> np.ndarray:
-    """All inter-beam blocks, horizontally stacked to N x KQ (P x N x KQ)."""
-    return _columns(mbim_stack(ch, range(ch.beams), p_total))
+    """Inter-beam blocks of the interference-mitigation design, stacked
+    to N x KQ (P x N x KQ for a power vector).
+
+    Block k is built from the low end of beam k's other-beam Gram
+    spectrum (`linalg.other_gram_tails`): ``Wa_k = V (S + (KQ/P_T) I)^(-1/2)``
+    restricted to the Q columns of smallest eigenvalue, i.e. the
+    directions least aligned with the other beams' channels. A
+    rank-deficient Gram matrix is rejected, naming the first such beam.
+    With a single beam there is nothing to mitigate and the block
+    degenerates to a scaled truncated identity.
+    """
+    # Below the crossover one stage call per beam, and so one `eigh_sorted`
+    # call per beam: perfbench/tests/test_tracer.py counts them for
+    # `two_stage`, and it changes only with the benchmark (ROADMAP item 1).
+    # At or above it one call, as in the design pass.
+    step = 1 if ch.beams < linalg._DOWNDATE_MIN_BEAMS else ch.beams
+    return _design_interbeam(
+        ch, [BlockDesign(ch.h, range(i, min(i + step, ch.beams)))
+             for i in range(0, ch.beams, step)], p_total)
 
 
 def _regularized_inverse(h: np.ndarray, reg: np.ndarray) -> np.ndarray:
@@ -237,7 +287,7 @@ def _right_divide_upper(t: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
-                p: np.ndarray, gram: Callable = gram_eigh) -> np.ndarray:
+                p: np.ndarray, gram: Callable) -> np.ndarray:
     """(P, B, N, Q) `rzf_interbeam` blocks of the `beams` of the channel or
     view `h` over the power vector `p`; `gram(h)` decomposes ``h^H h``.
 
@@ -283,9 +333,8 @@ def rzf_interbeam(ch: ChannelMatrix,
     and ``H H^H`` otherwise, serves the whole power sweep (`_rzf_blocks`);
     one beam takes the identity basis.
     """
-    blocks = _rzf_blocks(ch.h, range(ch.beams), ch.users_per_beam,
-                         _power_vector(p_total))
-    return _unstack(p_total, _columns(blocks))
+    return _design_interbeam(
+        ch, [BlockDesign(ch.h, range(ch.beams), interbeam="rzf")], p_total)
 
 
 def intrabeam(z: np.ndarray, beam_ids: np.ndarray | None = None) -> np.ndarray:
@@ -308,6 +357,17 @@ def _intrabeam(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     code of each matrix: DEAD where it is zero."""
     _, _, vh = np.linalg.svd(z)
     return vh[..., 0, :].conj(), np.where(np.any(z, axis=(-2, -1)), 0, DEAD)
+
+
+def _beam_columns(h_blocks: np.ndarray,
+                  wa: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The intra-beam stage of beams with channel blocks `h_blocks`
+    (..., Q, N) and inter-beam blocks `wa` (P, ..., N, Q): their precoder
+    columns ``Wa_k w_k`` (P, ..., N), their intra-beam vectors w_k
+    (P, ..., Q) from one stacked SVD, and their failure codes, DEAD where
+    a beam's effective channel is zero."""
+    vectors, dead = _intrabeam(h_blocks @ wa)
+    return (wa @ vectors[..., None])[..., 0], vectors, dead
 
 
 def power_control(w_unscaled: np.ndarray, p_total: float | np.ndarray,
@@ -372,12 +432,11 @@ def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float | np.ndarray,
     """
     p = _power_vector(p_total)
     wa = np.reshape(wa, (p.size, ch.feeds, ch.beams * ch.users_per_beam))
-    blocks = _blocks(wa, ch.beams)
-    vectors, codes = _intrabeam(ch.beam_blocks() @ blocks)
+    columns, vectors, codes = _beam_columns(ch.beam_blocks(),
+                                            _blocks(wa, ch.beams))
     _raise_failure(codes)
-    columns = (blocks @ vectors[..., None])[..., 0]          # (P, K, N)
-    # Contiguous like the multi-gateway w_bar, so the power norms sum in
-    # the same order and one gateway reproduces this precoder bit for bit.
+    # Contiguous like the design pass's w_bar, so the power norms sum in
+    # the same order and the pass reproduces this precoder bit for bit.
     w_bar = np.ascontiguousarray(columns.swapaxes(-1, -2))   # (P, N, K)
     return _scaled(p_total, w_bar, mode, wa=wa, wb=vectors)
 
@@ -417,6 +476,88 @@ def _avg_mmse_unscaled(ch: ChannelMatrix, p: np.ndarray) -> np.ndarray:
     h_bar = beam_average(ch)
     reg = ch.beams * ch.users_per_beam / p
     return h_bar.conj().T @ _regularized_inverse(h_bar, reg)
+
+
+def _block_diagonals(precoders: list, users_per_beam: int,
+                     p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, P, N, K) unscaled precoders of one channel over the power
+    vector `p`, and their (S, P, K) failure codes. Each is given by its
+    blocks, consecutive in beams and feeds, or as a function of `p` that
+    returns its (P, N, K) stack. An empty list, or precoders of more than
+    one shape (N, K), raise ConfigError.
+
+    Every block joins the group of its view width and beam count, and
+    each group is designed by one call of each stage (`_interbeam_blocks`,
+    `_beam_columns`); each block's columns go on its precoder's
+    diagonal, and every other entry stays structurally zero.
+    """
+    q = users_per_beam
+    dense, groups, shapes = {}, {}, set()
+    for s, precoder in enumerate(precoders):
+        if callable(precoder):
+            dense[s] = precoder(p)
+            shapes.add(dense[s].shape[1:])
+            continue
+        stop = 0
+        for d in precoder:
+            start, stop = stop, stop + d.view.shape[1]
+            groups.setdefault((d.view.shape[1], len(d.beams)), []).append(
+                (s, d, slice(start, stop)))
+        shapes.update((stop, d.view.shape[0] // q) for d in precoder)
+    if len(shapes) != 1:
+        raise ConfigError("a family takes one or more precoders of one shape "
+                          f"(N, K), got {sorted(shapes)}")
+    (shape,) = shapes
+    w_bar = np.zeros((len(precoders), p.size, *shape), dtype=complex)
+    codes = np.zeros((len(precoders), p.size, shape[1]), dtype=int)
+    for s, w in dense.items():
+        w_bar[s] = w
+    grams = {}
+
+    def gram(view):
+        # G = V^H V, decomposed once per view, when a design first takes it.
+        return grams.get(id(view)) or grams.setdefault(id(view), gram_eigh(view))
+
+    for members in groups.values():
+        designs = [d for _, d, _ in members]
+        wa, found = _interbeam_blocks(designs, q, p, gram)
+        beams = [slice(d.beams.start, d.beams.stop) for d in designs]
+        h_blocks = np.stack([d.view.reshape(-1, q, wa.shape[-2])[b]
+                             for d, b in zip(designs, beams)])
+        columns, _, dead = _beam_columns(h_blocks, wa)
+        for i, (s, _, feed_cols) in enumerate(members):
+            w_bar[s, :, feed_cols, beams[i]] = columns[:, i].swapaxes(-1, -2)
+            codes[s, :, beams[i]] = np.maximum(found[:, i], dead[:, i])
+    return w_bar, codes
+
+
+def assemble_multigateway_family(precoders: list, users_per_beam: int,
+                                 p_total: np.ndarray,
+                                 mode: str = "per_feed"
+                                 ) -> tuple[Precoder, np.ndarray]:
+    """S precoders of one channel over the 1-D power vector `p_total`,
+    from one stacked pass, and their (S, P) failure codes. Each is given
+    by its blocks (`gateway.plan_designs` for a gateway plan; one block
+    over every beam for mbim, robust and rzf, whose `interbeam` names it)
+    or as a function of the power vector that returns its (P, N, K)
+    unscaled stack (avg_mmse). Blocks on the same view share its
+    decomposed ``V^H V``.
+
+    Slot ``s*P + i`` of the returned precoder's leading axis is precoder s
+    at power ``p_total[i]``, and one power scaling serves every slot.
+    Where code ``[s, i]`` is 0 the slot is bit for bit what
+    `gateway.assemble_multigateway_precoder`, `two_stage`,
+    `robust.robust_two_stage` or `baseline_avg_mmse` gives at that power;
+    elsewhere that call raises, and the code is the earliest failing stage
+    over all beams, `NO_SCALE` only where no design failed. A failed slot
+    stays finite.
+    """
+    p = _power_vector(p_total)
+    w_bar, codes = _block_diagonals(precoders, users_per_beam, p)
+    failed = codes.max(axis=-1, initial=0).ravel()          # (S P,)
+    pre = _scaled(np.tile(p, len(precoders)),
+                  w_bar.reshape(-1, *w_bar.shape[2:]), mode, failed > 0)
+    return pre, np.maximum(failed, NO_SCALE * (pre.alpha == 0.0)).reshape(-1, p.size)
 
 
 def four_color_precoder(layout: BeamLayout,

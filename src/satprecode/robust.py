@@ -8,7 +8,8 @@ isotropic worst case into the coupler makes the eigenvector correction
 vanish, and the intra-beam correction vanishes for a unitary eigenbasis.
 So the robust precoder is the interference-mitigation design with that
 bound added to its regularizer, followed by the nominal intra-beam
-stage, and no coupling matrix is ever formed.
+stage, and no coupling matrix is ever formed: `robust_design` is that
+block design, and the design pass of `satprecode.precoding` designs it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ import numpy as np
 from .channel import ChannelMatrix, PerturbationBounds
 from .exceptions import ConfigError
 from .linalg import eigh_sorted  # noqa: F401 (re-exported)
-from .precoding import Precoder, _columns, assemble, mbim_stack
+from .precoding import BlockDesign, Precoder, _design_interbeam, assemble
 
 __all__ = [
     "eigen_shift_bound",
+    "robust_design",
     "robust_interbeam",
     "robust_two_stage",
 ]
@@ -43,30 +45,28 @@ def eigen_shift_bound(gamma_hat: float, lam_max: float) -> float:
     return gamma_hat**2 + 2.0 * gamma_hat * float(lam_max)
 
 
-def _shift_bounds(bounds: PerturbationBounds,
-                  lam_max: np.ndarray) -> np.ndarray:
-    """The worst-case eigenvalue shift of every beam, from its largest
-    other-beam Gram eigenvalue."""
+def robust_design(ch: ChannelMatrix, bounds: PerturbationBounds) -> BlockDesign:
+    """The robust design as one block over every beam of `ch`: the
+    interference-mitigation block with beam k's worst-case shift
+    (`eigen_shift_bound`, from its largest other-beam Gram eigenvalue)
+    added to its regularizer KQ/P_T. A zero shift carries no uncertainty,
+    so zero bounds reproduce the nominal design exactly. The shifts come
+    from the design's own spectra, so a channel the design rejects is
+    never decomposed."""
+    if bounds.beams != ch.beams:
+        raise ConfigError("bounds and channel disagree on the number of beams")
     # One scalar call per beam: Python's ``float ** 2`` calls libm pow, which
     # NumPy's elementwise square does not always match bit for bit.
-    return np.array([eigen_shift_bound(float(gamma), lam)
-                     for gamma, lam in zip(bounds.gamma_tilde_k, lam_max)])
+    return BlockDesign(ch.h, range(ch.beams), lambda lam_max: np.array(
+        [eigen_shift_bound(float(gamma), lam)
+         for gamma, lam in zip(bounds.gamma_tilde_k, lam_max)]))
 
 
 def robust_interbeam(ch: ChannelMatrix, bounds: PerturbationBounds,
                      p_total: float | np.ndarray) -> np.ndarray:
-    """All robust inter-beam blocks, stacked to N x KQ (P x N x KQ).
-
-    Block k is the interference-mitigation block with beam k's worst-case
-    shift added to its regularizer KQ/P_T. A zero shift carries no
-    uncertainty, so zero bounds reproduce the nominal design exactly. The
-    shifts come from the design's own spectra, so a channel the design
-    rejects is never decomposed.
-    """
-    if bounds.beams != ch.beams:
-        raise ConfigError("bounds and channel disagree on the number of beams")
-    return _columns(mbim_stack(ch, range(ch.beams), p_total,
-                               lambda lam_max: _shift_bounds(bounds, lam_max)))
+    """All robust inter-beam blocks (`robust_design`), stacked to N x KQ
+    (P x N x KQ for a power vector)."""
+    return _design_interbeam(ch, [robust_design(ch, bounds)], p_total)
 
 
 def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,

@@ -20,7 +20,9 @@ when the library exported them:
   `DEGENERACY_FLOOR` and `DegenerateSpectrumWarning`),
   `first_order_eigvecs`, `weyl_upper_bound` and `intra_penalty_scale`;
 * the one-beam views of the stacked designs: `mbim_block`, `rzf_block`
-  and `rzf_null_basis`;
+  and `rzf_null_basis`, and `mbim_stack`, the mbim blocks of one beam
+  range of a channel alone, from the design pass's inter-beam stage on
+  that one design;
 * `feed_gain`, the scalar path to the feed gain that
   `build_gain_matrix` computes for every user and feed at once,
   `off_axis_angle_deg`, the angle from ground coordinates behind it, and
@@ -101,10 +103,13 @@ from satprecode.evaluate import beam_rate, sinr_matrix
 from satprecode.gateway import GatewayPlan, assemble_multigateway_precoder
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted, gram_eigh
 from satprecode.precoding import (
+    BlockDesign,
     Precoder,
     _blocks,
     _columns,
+    _interbeam_blocks,
     _power_vector,
+    _raise_failure,
     _regularized_inverse,
     _right_divide_upper,
     _rzf_blocks,
@@ -113,10 +118,9 @@ from satprecode.precoding import (
     baseline_avg_mmse,
     baseline_four_color,
     intrabeam,
-    mbim_stack,
     two_stage,
 )
-from satprecode.robust import _shift_bounds, eigen_shift_bound
+from satprecode.robust import eigen_shift_bound, robust_design
 from satprecode.robust import robust_two_stage as robust_two_stage_library
 
 # First-order theory breaks down at eigenvalue crossings; coupler entries
@@ -189,12 +193,24 @@ def intra_penalty_scale(gamma_lower: float, eigenvalues: np.ndarray,
     return float(gamma_lower * np.sum(1.0 / np.sqrt(lam + epsilon)))
 
 
+def mbim_stack(ch: ChannelMatrix, beams: range, p_total: float | np.ndarray,
+               shift: float = 0.0) -> np.ndarray:
+    """(B, N, Q) interference-mitigation blocks of the `beams` of `ch`
+    ((P, B, N, Q) for a power vector), every beam's regularizer raised by
+    `shift`, from one call of the inter-beam stage on that one design. A
+    modelled failure raises, naming the first beam that fails."""
+    design = BlockDesign(ch.h, beams, lambda lam_max: np.full_like(lam_max, shift))
+    blocks, codes = _interbeam_blocks([design], ch.users_per_beam,
+                                      _power_vector(p_total), gram_eigh)
+    _raise_failure(codes, np.arange(beams.start, beams.stop),
+                   (ch.feeds, ch.users_per_beam))
+    return _unstack(p_total, blocks[:, 0])
+
+
 def mbim_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray,
                shift: float = 0.0) -> np.ndarray:
     """Inter-beam block Wa_k (N x Q) of beam k alone; see `mbim_stack`."""
-    block = mbim_stack(ch, range(k, k + 1), p_total,
-                       lambda lam_max: np.array([shift]))
-    return block[..., 0, :, :]
+    return mbim_stack(ch, range(k, k + 1), p_total, shift)[..., 0, :, :]
 
 
 def _null_bases(ch: ChannelMatrix, beams: range,
@@ -237,7 +253,7 @@ def rzf_interbeam_lu(ch: ChannelMatrix, p_total: float | np.ndarray) -> np.ndarr
 def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
     """Inter-beam block (N x Q) of beam k alone; see `rzf_interbeam`."""
     blocks = _rzf_blocks(ch.h, range(k, k + 1), ch.users_per_beam,
-                         _power_vector(p_total))
+                         _power_vector(p_total), gram_eigh)
     return _unstack(p_total, blocks)[..., 0, :, :]
 
 
@@ -633,7 +649,7 @@ def robust_interbeam_per_beam(ch: ChannelMatrix, bounds: PerturbationBounds,
     if bounds.beams != ch.beams:
         raise ConfigError("bounds and channel disagree on the number of beams")
     tails = other_gram_tails(ch, range(ch.beams))
-    shifts = _shift_bounds(bounds, tails[0])
+    shifts = robust_design(ch, bounds).shifts(tails[0])
     return np.hstack(
         [mbim_block_per_beam(ch, k, p_total, shift=shifts[k],
                              tails=[a[k] for a in tails])
@@ -887,7 +903,7 @@ def robust_interbeam_per_power(ch: ChannelMatrix, bounds: PerturbationBounds,
     lam_max = other_gram_tails(ch, range(ch.beams))[0]
     return _columns_per_power(
         mbim_stack_per_power(ch, range(ch.beams), p_total,
-                             _shift_bounds(bounds, lam_max))
+                             robust_design(ch, bounds).shifts(lam_max))
     )
 
 
@@ -968,8 +984,8 @@ def assemble_multigateway_per_view(views: list,
 
     Each gateway's blocks come from `mbim_stack` on its own view, wrapped
     as a channel (`view_channel`), so each view's Gram tails take that
-    view's own path (one dense decomposition per beam, or the downdate),
-    and the first gateway whose design fails is named.
+    view's own path (one stacked dense call over its beams, or the
+    downdate), and the first gateway whose design fails is named.
     """
     p = _power_vector(p_total)
     w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)

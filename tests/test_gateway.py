@@ -1,9 +1,13 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satprecode.gateway
+import satprecode.precoding
 from satprecode.exceptions import ConfigError, SingularChannelError
 from satprecode.gateway import (
     assemble_multigateway_precoder,
@@ -244,10 +248,38 @@ class TestAssemble:
         def broken(*args, **kwargs):
             raise bug
 
-        monkeypatch.setattr(satprecode.gateway, "_mbim_blocks", broken)
+        monkeypatch.setattr(satprecode.precoding, "_mbim_blocks", broken)
         ch = random_channel(6, 2, 6, seed=13)
         plan = make_plan(6, 6, 2, 3, "closest", closest_c=2)
         with pytest.raises(TypeError) as info:
             assemble_multigateway_precoder(share_csi(ch, plan), plan, 5.0)
         assert info.value is bug
         assert str(info.value) == "x"
+
+    @pytest.mark.parametrize("case", ["two_views", "fourth_view",
+                                      "narrow_view"])
+    def test_views_that_do_not_match_the_plan_are_rejected(self, case):
+        # Each is bad input, not a modelled failure: two views left
+        # gateway 2's beams dark, a fourth was designed over every beam,
+        # and a narrow view failed as an inter-beam block of the plan's
+        # width.
+        ch = random_channel(6, 2, 6, seed=14)
+        plan = make_plan(6, 6, 2, 3, "icp")
+        views = share_csi(ch, plan)
+        bad = {"two_views": views[:2],
+               "fourth_view": views + [views[0]],
+               "narrow_view": views[:2] + [views[2][:, :1]]}[case]
+        with pytest.raises(ConfigError, match="views of shapes"):
+            assemble_multigateway_precoder(bad, plan, 5.0)
+
+
+def test_gateway_module_reaches_no_design_internals():
+    # The design pass lives in satprecode.precoding; the gateway layer
+    # holds plans, CSI sharing and overhead, and calls the pass as a whole.
+    tree = ast.parse(inspect.getsource(satprecode.gateway))
+    imported = {(node.module, alias.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not {name for _, name in imported} & {
+        "_intrabeam", "_mbim_blocks", "_rzf_blocks", "linalg"}
+    assert not {module for module, _ in imported} & {"linalg", "satprecode.linalg"}

@@ -28,13 +28,13 @@ from satprecode.exceptions import (
 )
 from satprecode.evaluate import ModcodTable, beam_rate, sinr_matrix
 from satprecode.gateway import (
-    assemble_multigateway_family,
     assemble_multigateway_precoder,
     make_plan,
     plan_designs,
     share_csi,
 )
 from satprecode.linalg import _DOWNDATE_MIN_BEAMS
+from satprecode.precoding import assemble_multigateway_family
 
 import oracles
 from conftest import perturbed, random_channel

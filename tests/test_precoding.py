@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import satprecode.precoding
 from satprecode.channel import BeamLayout, ChannelMatrix
 from satprecode.exceptions import (
     ConfigError,
@@ -345,3 +349,20 @@ class TestFourColor:
         ch = random_channel(3, 2, 7, seed=16)
         with pytest.raises(ConfigError):
             baseline_four_color(ch, desk_layout, 1.0)
+
+
+def test_each_interbeam_kernel_has_one_caller_in_the_library():
+    # The design pass and the single-design functions reach the mbim and
+    # rzf kernels through one inter-beam stage, and no other route.
+    callers = {}
+    for path in Path(satprecode.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id in ("_mbim_blocks", "_rzf_blocks")):
+                        callers.setdefault(node.func.id, []).append(
+                            (path.name, func.name))
+    assert callers == {"_mbim_blocks": [("precoding.py", "_interbeam_blocks")],
+                       "_rzf_blocks": [("precoding.py", "_interbeam_blocks")]}
+    assert not hasattr(satprecode.precoding, "mbim_stack")

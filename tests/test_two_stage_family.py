@@ -49,8 +49,6 @@ from satprecode.exceptions import (
     SingularChannelError,
 )
 from satprecode.gateway import (
-    BlockDesign,
-    assemble_multigateway_family,
     assemble_multigateway_precoder,
     make_plan,
     plan_designs,
@@ -58,8 +56,10 @@ from satprecode.gateway import (
 )
 from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 from satprecode.precoding import (
+    BlockDesign,
     _avg_mmse_unscaled,
     assemble,
+    assemble_multigateway_family,
     baseline_avg_mmse,
     two_stage,
 )
@@ -209,7 +209,7 @@ def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
                            "beam_rate", "two_stage", "robust_two_stage",
                            "assemble_multigateway_precoder", "eigh_sorted"), 0)
     for name in ("_block_diagonals", "_scaled"):
-        _counting(monkeypatch, satprecode.gateway, name, calls)
+        _counting(monkeypatch, satprecode.precoding, name, calls)
     for name in ("sinr_matrix", "beam_rate"):
         _counting(monkeypatch, satprecode.evaluate, name, calls)
     _counting_at_home(monkeypatch, calls)
@@ -234,16 +234,15 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
     calls = dict.fromkeys(("_scaled", "sinr_matrix", "beam_rate", "two_stage",
                            "baseline_avg_mmse", "baseline_four_color",
                            "rzf_interbeam", "_rzf_blocks", "eigh_sorted"), 0)
-    for name in ("_scaled", "_rzf_blocks"):
-        _counting(monkeypatch, satprecode.gateway, name, calls)
     for name in ("sinr_matrix", "beam_rate", "baseline_four_color"):
         _counting(monkeypatch, satprecode.evaluate, name, calls)
     # At their defining module: satprecode.evaluate calls none of them.
     for name in ("two_stage", "baseline_avg_mmse", "rzf_interbeam"):
         _counting(monkeypatch, satprecode.precoding, name, calls)
-    # Every power scaling, wherever it is called from, and every Gram
-    # decomposition.
-    _counting(monkeypatch, satprecode.precoding, "_scaled", calls)
+    # Every power scaling and rzf kernel call, both made in the module
+    # that defines them, and every Gram decomposition.
+    for name in ("_scaled", "_rzf_blocks"):
+        _counting(monkeypatch, satprecode.precoding, name, calls)
     shapes = []
     _counting_everywhere(monkeypatch, "eigh_sorted", calls,
                          lambda a: shapes.append(a.shape))
@@ -388,6 +387,20 @@ def test_an_unknown_interbeam_design_is_rejected():
     with pytest.raises(ConfigError, match="mbim"):
         assemble_multigateway_family(
             [[BlockDesign(ch.h, range(3), interbeam="zf")]], 2, np.array([1.0]))
+
+
+def test_an_empty_family_is_rejected():
+    with pytest.raises(ConfigError, match="one or more precoders"):
+        assemble_multigateway_family([], 2, np.array([1.0]))
+
+
+def test_a_family_of_precoders_of_different_shapes_is_rejected():
+    # A 6-feed and an 8-feed mbim design on K = 6 beams: the 6-feed
+    # precoder must not be padded to 8 feeds.
+    designs = [[BlockDesign(random_channel(6, 2, feeds, seed=feeds).h, range(6))]
+               for feeds in (6, 8)]
+    with pytest.raises(ConfigError, match=r"\(6, 6\), \(8, 6\)"):
+        assemble_multigateway_family(designs, 2, np.array([1.0]))
 
 
 _CODE_CLASS = {SHAPE: InfeasibleChannelError, SINGULAR: SingularChannelError,
