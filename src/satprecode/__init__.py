@@ -50,7 +50,6 @@ from .precoding import (
     intrabeam,
     mbim_interbeam,
     power_control,
-    rzf_interbeam,
     two_stage,
 )
-from .robust import eigen_shift_bound, robust_interbeam, robust_two_stage
+from .robust import eigen_shift_bound, robust_two_stage

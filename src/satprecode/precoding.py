@@ -50,7 +50,6 @@ __all__ = [
     "Precoder",
     "BlockDesign",
     "mbim_interbeam",
-    "rzf_interbeam",
     "intrabeam",
     "power_control",
     "assemble",
@@ -288,11 +287,18 @@ def _right_divide_upper(t: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
                 p: np.ndarray, gram: Callable) -> np.ndarray:
-    """(P, B, N, Q) `rzf_interbeam` blocks of the `beams` of the channel or
-    view `h` over the power vector `p`; `gram(h)` decomposes ``h^H h``.
+    """(P, B, N, Q) regularized zero-forcing blocks of the `beams` of the
+    channel or view `h` over the power vector `p`; `gram(h)` decomposes
+    ``h^H h``.
 
-    With more rows than columns, ``h^H h = V diag(d) V^H`` and ``Y = h V``
-    give ``h^H A^-1 = V diag(1 / (d + r)) Y^H`` and
+    Block k is the conjugated channel projected through the null space of
+    the regularized cross-channel with beam k's rows removed,
+    ``W_k = H^H A^-1 E_k R_k^-1`` with ``A = H H^H + (KQ/P_T) I``, E_k
+    beam k's columns of the identity and R_k the triangular factor of the
+    QR of ``A^-1 E_k``. The design is scale-free, and one
+    eigendecomposition of the smaller Gram matrix serves the whole power
+    sweep. With more rows than columns, ``h^H h = V diag(d) V^H`` and
+    ``Y = h V`` give ``h^H A^-1 = V diag(1 / (d + r)) Y^H`` and
     ``r A^-1 = I - Y diag(1 / (d + r)) Y^H`` (push-through), so ``h^H``
     never cancels the large null-space part of ``A^-1``; otherwise that
     form cancels, and ``h h^H = U diag(s) U^H`` gives ``A^-1``. One
@@ -317,24 +323,6 @@ def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
     right = eig.eigenvectors if wide else h.conj().T @ eig.eigenvectors
     tri = np.linalg.qr(_blocks(scaled, len(beams)), mode="r")
     return _right_divide_upper(_blocks((right * damp) @ tail, len(beams)), tri)
-
-
-def rzf_interbeam(ch: ChannelMatrix,
-                  p_total: float | np.ndarray) -> np.ndarray:
-    """Inter-beam blocks of the regularized zero-forcing design, stacked
-    to N x KQ (P x N x KQ for a power vector).
-
-    Block k is the conjugated channel projected through the null space of
-    the regularized cross-channel with beam k's rows removed,
-    ``W_k = H^H A^-1 E_k R_k^-1`` with ``A = H H^H + (KQ/P_T) I``, E_k
-    beam k's columns of the identity and R_k the triangular factor of the
-    QR of ``A^-1 E_k``. The design is scale-free, and one
-    eigendecomposition of the smaller Gram matrix, ``H^H H`` when KQ > N
-    and ``H H^H`` otherwise, serves the whole power sweep (`_rzf_blocks`);
-    one beam takes the identity basis.
-    """
-    return _design_interbeam(
-        ch, [BlockDesign(ch.h, range(ch.beams), interbeam="rzf")], p_total)
 
 
 def intrabeam(z: np.ndarray, beam_ids: np.ndarray | None = None) -> np.ndarray:
@@ -444,11 +432,14 @@ def assemble(ch: ChannelMatrix, wa: np.ndarray, p_total: float | np.ndarray,
 def two_stage(ch: ChannelMatrix, p_total: float | np.ndarray,
               mode: str = "per_feed", interbeam: str = "mbim") -> Precoder:
     """Full nominal pipeline with the chosen inter-beam design, at one
-    power or over a power vector."""
+    power or over a power vector: `mbim_interbeam`, or for ``"rzf"`` the
+    regularized zero-forcing blocks of every beam (`_rzf_blocks`). The
+    precoder's `wa` holds the inter-beam blocks."""
     if interbeam == "mbim":
         wa = mbim_interbeam(ch, p_total)
     elif interbeam == "rzf":
-        wa = rzf_interbeam(ch, p_total)
+        wa = _design_interbeam(
+            ch, [BlockDesign(ch.h, range(ch.beams), interbeam="rzf")], p_total)
     else:
         raise ConfigError(f"unknown inter-beam design {interbeam!r}")
     return assemble(ch, wa, p_total, mode)
@@ -478,13 +469,23 @@ def _avg_mmse_unscaled(ch: ChannelMatrix, p: np.ndarray) -> np.ndarray:
     return h_bar.conj().T @ _regularized_inverse(h_bar, reg)
 
 
+def _uncovered(blocks: list[BlockDesign], users_per_beam: int) -> ConfigError:
+    """The error for a block precoder whose beam ranges do not run
+    consecutively from 0 to K, the rows of its views over Q."""
+    beams = blocks[0].view.shape[0] // users_per_beam
+    return ConfigError("the beam ranges of a block precoder must run "
+                       f"consecutively from 0 to {beams}, got "
+                       f"{[d.beams for d in blocks]}")
+
+
 def _block_diagonals(precoders: list, users_per_beam: int,
                      p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S, P, N, K) unscaled precoders of one channel over the power
     vector `p`, and their (S, P, K) failure codes. Each is given by its
     blocks, consecutive in beams and feeds, or as a function of `p` that
-    returns its (P, N, K) stack. An empty list, or precoders of more than
-    one shape (N, K), raise ConfigError.
+    returns its (P, N, K) stack. An empty list, precoders of more than
+    one shape (N, K), or blocks whose beam ranges do not run
+    consecutively from 0 to K raise ConfigError.
 
     Every block joins the group of its view width and beam count, and
     each group is designed by one call of each stage (`_interbeam_blocks`,
@@ -498,11 +499,15 @@ def _block_diagonals(precoders: list, users_per_beam: int,
             dense[s] = precoder(p)
             shapes.add(dense[s].shape[1:])
             continue
-        stop = 0
+        stop = beam = 0
         for d in precoder:
-            start, stop = stop, stop + d.view.shape[1]
+            if d.beams.start != beam:
+                raise _uncovered(precoder, q)
+            start, stop, beam = stop, stop + d.view.shape[1], d.beams.stop
             groups.setdefault((d.view.shape[1], len(d.beams)), []).append(
                 (s, d, slice(start, stop)))
+        if any(beam != d.view.shape[0] // q for d in precoder):
+            raise _uncovered(precoder, q)
         shapes.update((stop, d.view.shape[0] // q) for d in precoder)
     if len(shapes) != 1:
         raise ConfigError("a family takes one or more precoders of one shape "

@@ -24,7 +24,6 @@ from .precoding import BlockDesign, Precoder, _design_interbeam, assemble
 __all__ = [
     "eigen_shift_bound",
     "robust_design",
-    "robust_interbeam",
     "robust_two_stage",
 ]
 
@@ -62,16 +61,11 @@ def robust_design(ch: ChannelMatrix, bounds: PerturbationBounds) -> BlockDesign:
          for gamma, lam in zip(bounds.gamma_tilde_k, lam_max)]))
 
 
-def robust_interbeam(ch: ChannelMatrix, bounds: PerturbationBounds,
-                     p_total: float | np.ndarray) -> np.ndarray:
-    """All robust inter-beam blocks (`robust_design`), stacked to N x KQ
-    (P x N x KQ for a power vector)."""
-    return _design_interbeam(ch, [robust_design(ch, bounds)], p_total)
-
-
 def robust_two_stage(ch: ChannelMatrix, bounds: PerturbationBounds,
                      p_total: float | np.ndarray,
                      mode: str = "per_feed") -> Precoder:
-    """Robust inter-beam stage followed by the nominal intra-beam stage, at
-    one power or over a power vector."""
-    return assemble(ch, robust_interbeam(ch, bounds, p_total), p_total, mode)
+    """Robust inter-beam stage (`robust_design`) followed by the nominal
+    intra-beam stage, at one power or over a power vector. The precoder's
+    `wa` holds the robust inter-beam blocks."""
+    wa = _design_interbeam(ch, [robust_design(ch, bounds)], p_total)
+    return assemble(ch, wa, p_total, mode)

@@ -7,6 +7,7 @@ import pytest
 
 import satprecode as sp
 from satprecode.channel import ChannelMatrix
+from satprecode.exceptions import MODELLED_FAILURES
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +77,65 @@ def desk_channel(layout, budget, q_served, seed, pool=None, chi_deg=10.0):
         return ch
     members = np.tile(np.arange(q_served), (layout.beams, 1))
     return sp.extract_users(ch, members)
+
+
+def outcome(func, *args):
+    """`func(*args)`, or the type and message of the modelled failure it
+    raises, and of that failure's cause."""
+    try:
+        return func(*args)
+    except MODELLED_FAILURES as exc:
+        return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
+
+
+def assert_same(got, want, rtol=0.0):
+    """`got` is `want`: the same failure, or a precoder or array equal bit
+    for bit (arrays within `rtol`, when given)."""
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got == want
+    elif isinstance(want, sp.Precoder):
+        assert type(got.alpha) is type(want.alpha)
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.power_mode == want.power_mode
+        for name in ("w", "wa", "wb"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None)
+            assert b is None or np.array_equal(a, b)
+    elif rtol:
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+    else:
+        assert np.array_equal(got, want)
+
+
+def _slot(stacked, i):
+    """Slot i of a result for a power vector, as the result for one power."""
+    if not isinstance(stacked, sp.Precoder):
+        return stacked[i]
+    return sp.Precoder(w=stacked.w[i], alpha=float(stacked.alpha[i]),
+                       power_mode=stacked.power_mode,
+                       wa=None if stacked.wa is None else stacked.wa[i],
+                       wb=None if stacked.wb is None else stacked.wb[i])
+
+
+def assert_design(design, oracle, p, sizes, rtol=0.0):
+    """`design(x)` over the powers `p`: at each float power it is
+    `oracle(x)` (`assert_same`), and for each n in `sizes` slot i of the
+    call over ``p[:n]`` is the call at the float ``p[i]`` bit for bit; a
+    failure at any of those powers fails that call with the first one's
+    failure. Returns the outcome at each float power."""
+    singles = [outcome(design, x) for x in p.tolist()]
+    for x, single in zip(p.tolist(), singles):
+        assert_same(single, outcome(oracle, x), rtol)
+    for n in sizes:
+        stacked = outcome(design, p[:n])
+        failed = [s for s in singles[:n] if isinstance(s, tuple)]
+        if failed:
+            assert stacked == failed[0]
+            continue
+        for i, single in enumerate(singles[:n]):
+            assert_same(_slot(stacked, i), single)
+    return singles
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

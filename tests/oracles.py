@@ -1,17 +1,36 @@
-"""Reference maths behind the fast precoding paths, kept as test oracles.
+"""Reference maths behind the fast paths of the library, kept as test oracles.
 
-These are the direct implementations the library once ran: the SVD null
-space behind the zero-forcing design, the first-order coupler algebra of
-the robust inter- and intra-beam stages, the per-beam doubling search
-for the user-placement box, the per-beam loops of every design stage, the
-one-power-per-call designs and SINR map, and the `np.cross` form of the
-off-axis angle. The library now computes the same designs in closed form
-(one eigendecomposition of the smaller Gram matrix for RZF, whose former
-LU route and null-space bases `rzf_interbeam_lu` and `_null_bases` keep;
-the shifted interference-mitigation design plus the nominal intra-beam
-stage for the robust precoder), every beam's box in one pass, and each
-design stage in one stacked LAPACK call over all beams and powers. The
-tests compare the two.
+Each design has one oracle, written the plainest way: a loop over its
+beams at one float power, one small LAPACK call per beam.
+`mbim_interbeam_per_beam`, `robust_interbeam_per_beam` and
+`rzf_interbeam_per_beam` (the factors `rzf_factors_per_power`, then one
+QR per beam in `rzf_stack_per_beam`) are the inter-beam stages;
+`intrabeam_per_beam` the intra-beam stage, and `assemble_per_beam` the
+assembly over it; `four_color_precoder_per_beam` and
+`baseline_four_color_per_beam` the four-colour baseline; and
+`assemble_multigateway_per_beam` a gateway plan, one gateway at a time
+and stage by stage within it, naming the failure the library names. The
+designs with no loop over beams, the averaging baseline, the power
+control and the SINR map, keep their one-power bodies (`*_per_power`).
+The library runs each stage once over every beam and a leading power
+axis; the tests hold it to these oracles at float powers, and each slot
+of a power-vector call to the call at that float power. The mbim loops
+take their spectra from `other_gram_tails`, the library's spectra of a
+beam range, so they see what the library designs from; the dense
+per-beam eigendecomposition of each other-beam Gram matrix
+(`other_gram_eig_per_beam`) is the reference for those spectra where
+they are downdated.
+
+Other references are the direct implementations the library once ran:
+the SVD null space behind the zero-forcing design (`rzf_interbeam`), its
+former LU route and null-space bases (`rzf_interbeam_lu`, `_null_bases`),
+the first-order coupler algebra of the robust inter- and intra-beam
+stages (`robust_two_stage`), the per-beam doubling search for the
+user-placement box, the `np.exp` form of the phase synthesis
+(`build_phase_matrix_exp`) and the `np.cross` form of the off-axis angle.
+`run_trial_per_cell`, every (scenario, power) cell of a trial designed
+by its public single-design function at that one power, is the
+reference for the cells that the failure codes of the stacked pass skip.
 
 Helpers that no part of the program calls live here too, unchanged from
 when the library exported them:
@@ -35,20 +54,6 @@ when the library exported them:
 * `bootstrap_mean_diff_quantiles`, the paired bootstrap behind the
   statistical acceptance criteria;
 * `random_unitary`, for seeded test spectra.
-
-The dense per-beam eigendecomposition of each other-beam Gram matrix
-(`other_gram_eig_per_beam`) is the reference for the downdated spectra
-that serve wide beam ranges. The per-beam and per-power design loops
-take their spectra from `other_gram_tails`, the library's spectra of a
-beam range, so they see what the library designs from.
-`build_phase_matrix_exp` is the reference for the phase synthesis, and
-`assemble_multigateway_per_view`, one gateway view at a time, the
-reference for the multi-gateway precoder that designs all gateways of
-one view shape together. `view_channel` wraps a gateway view, a plain
-array, as a channel of its own for them. `run_trial_per_cell`, every
-(scenario, power) cell of a trial designed by its public single-design
-function at that one power, is the reference for the cells that the
-failure codes of the stacked pass skip.
 
 The per-cell statistics of a Monte Carlo result (`trial_means`,
 `mean_per_beam`, `std_per_beam`, one NumPy reduction per (scenario,
@@ -113,7 +118,6 @@ from satprecode.precoding import (
     _regularized_inverse,
     _right_divide_upper,
     _rzf_blocks,
-    _scaled,
     _unstack,
     baseline_avg_mmse,
     baseline_four_color,
@@ -251,7 +255,7 @@ def rzf_interbeam_lu(ch: ChannelMatrix, p_total: float | np.ndarray) -> np.ndarr
 
 
 def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
-    """Inter-beam block (N x Q) of beam k alone; see `rzf_interbeam`."""
+    """Inter-beam block (N x Q) of beam k alone; see `precoding._rzf_blocks`."""
     blocks = _rzf_blocks(ch.h, range(k, k + 1), ch.users_per_beam,
                          _power_vector(p_total), gram_eigh)
     return _unstack(p_total, blocks)[..., 0, :, :]
@@ -608,6 +612,15 @@ def intrabeam_per_beam(z: np.ndarray) -> np.ndarray:
     return vh[0].conj()
 
 
+def beam_vector_per_beam(ch: ChannelMatrix, k: int, wa_k: np.ndarray) -> np.ndarray:
+    """Beam k's intra-beam vector through its inter-beam block `wa_k`; a
+    zero effective channel raises naming the beam, as the library does."""
+    try:
+        return intrabeam_per_beam(ch.beam(k) @ wa_k)
+    except DegenerateBeamError as exc:
+        raise DegenerateBeamError(f"beam {k}: {exc}") from None
+
+
 def mbim_block_per_beam(ch: ChannelMatrix, k: int, p_total: float,
                         shift: float = 0.0, tails: tuple | None = None
                         ) -> np.ndarray:
@@ -657,9 +670,26 @@ def robust_interbeam_per_beam(ch: ChannelMatrix, bounds: PerturbationBounds,
     )
 
 
+def rzf_stack_per_beam(ch: ChannelMatrix, beams: range,
+                       p_total: float) -> np.ndarray:
+    """`_rzf_blocks` at one power: one QR and one triangular division per
+    beam, and the identity basis for one beam."""
+    if ch.beams == 1:
+        return ch.h.conj().T[None]
+    q = ch.users_per_beam
+    scaled, image = rzf_factors_per_power(
+        ch, p_total, slice(q * beams.start, q * beams.stop))
+    blocks = []
+    for i in range(len(beams)):
+        cols = slice(q * i, q * (i + 1))
+        tri = np.linalg.qr(scaled[:, cols], mode="r")
+        blocks.append(_right_divide_upper(image[:, cols], tri))
+    return np.stack(blocks)
+
+
 def rzf_interbeam_per_beam(ch: ChannelMatrix, p_total: float) -> np.ndarray:
     """All RZF blocks from one QR and one triangular division per beam."""
-    return np.hstack(list(rzf_stack_per_power(ch, range(ch.beams), p_total)))
+    return np.hstack(list(rzf_stack_per_beam(ch, range(ch.beams), p_total)))
 
 
 def assemble_per_beam(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
@@ -671,10 +701,7 @@ def assemble_per_beam(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
     w_bar = np.zeros((ch.feeds, k_beams), dtype=complex)
     for k in range(k_beams):
         wa_k = wa[:, k * q:(k + 1) * q]
-        try:
-            wb[k] = intrabeam_per_beam(ch.beam(k) @ wa_k)
-        except DegenerateBeamError as exc:
-            raise DegenerateBeamError(f"beam {k}: {exc}") from None
+        wb[k] = beam_vector_per_beam(ch, k, wa_k)
         w_bar[:, k] = wa_k @ wb[k]
     alpha = power_control_per_power(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
@@ -715,31 +742,31 @@ def baseline_four_color_per_beam(ch: ChannelMatrix, layout: BeamLayout,
     return sinr
 
 
-def view_channel(view, plan: GatewayPlan) -> ChannelMatrix:
-    """A gateway view (a `share_csi` array) as a channel of its own; a
-    `ChannelMatrix` is returned as it is."""
-    if isinstance(view, ChannelMatrix):
-        return view
-    return ChannelMatrix(h=view, beams=plan.beams, users_per_beam=plan.users_per_beam)
-
-
 def assemble_multigateway_per_beam(views: list[np.ndarray],
                                    plan: GatewayPlan, p_total: float,
                                    mode: str = "per_feed") -> Precoder:
-    """Block-diagonal multi-gateway precoder, one beam at a time, from the
-    spectra the library takes for each gateway's own-beam range."""
+    """Block-diagonal multi-gateway precoder at one power, one gateway at
+    a time and, within a gateway, stage by stage: the inter-beam blocks of
+    all its own beams, from the spectra the library takes for that range
+    of its view, then their intra-beam vectors, one beam at a time. The
+    first gateway whose design fails raises ``gateway g: ...``, with the
+    failure of its first failing beam in its earliest failing stage as
+    the cause."""
     w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
-    for g, eff in enumerate(view_channel(v, plan) for v in views):
-        beams = plan.beam_slice(g)
-        tails = other_gram_tails(eff, range(beams.start, beams.stop))
-        for k in range(beams.start, beams.stop):
-            try:
-                wa_k = mbim_block_per_beam(
-                    eff, k, p_total, tails=[a[k - beams.start] for a in tails])
-                z = eff.beam(k) @ wa_k
-                w_bar[plan.feed_slice(g), k] = wa_k @ intrabeam_per_beam(z)
-            except MODELLED_FAILURES as exc:
-                raise type(exc)(f"gateway {g}: {exc}") from exc
+    for g, view in enumerate(views):
+        eff = ChannelMatrix(h=view, beams=plan.beams,
+                            users_per_beam=plan.users_per_beam)
+        beams = range(*plan.beam_offsets[g:g + 2])
+        tails = other_gram_tails(eff, beams)
+        try:
+            blocks = [mbim_block_per_beam(eff, k, p_total,
+                                          tails=[a[i] for a in tails])
+                      for i, k in enumerate(beams)]
+            for k, wa_k in zip(beams, blocks):
+                w_bar[plan.feed_slice(g), k] = wa_k @ beam_vector_per_beam(
+                    eff, k, wa_k)
+        except MODELLED_FAILURES as exc:
+            raise type(exc)(f"gateway {g}: {exc}") from exc
     alpha = power_control_per_power(w_bar, p_total, mode)
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
 
@@ -752,53 +779,12 @@ def boresight_angle_deg_cross(bore: np.ndarray, targ: np.ndarray) -> np.ndarray:
     return np.degrees(np.arctan2(sin_part, cos_part))
 
 
-# Per-power bodies of the designs and the SINR map: each call designs
-# and evaluates one float power. The library now takes a power vector and
-# runs every stage once over a leading power axis.
+# One-power bodies of the designs that have no loop over beams (the
+# averaging baseline and the power control), of the rzf factors behind
+# `rzf_interbeam_per_beam`, and of the SINR map.
 
 def regularizer_per_power(ch: ChannelMatrix, p_total: float) -> float:
     return ch.beams * ch.users_per_beam / p_total
-
-
-def mbim_stack_per_power(ch: ChannelMatrix, beams: range, p_total: float,
-                         shifts: np.ndarray | None = None) -> np.ndarray:
-    """(B, N, Q) stack of interference-mitigation blocks at one power."""
-    n = ch.feeds
-    q = ch.users_per_beam
-    if q > n:
-        raise InfeasibleChannelError(
-            f"cannot build an {n} x {q} inter-beam block with fewer feeds "
-            "than served users"
-        )
-    if ch.beams == 1:
-        block = np.sqrt(p_total / (ch.beams * q)) * np.eye(n, q, dtype=complex)
-        return block[None]
-    if shifts is None:
-        shifts = np.zeros(len(beams))
-    lam_max, lam, tails = other_gram_tails(ch, beams)
-    singular = (shifts == 0.0) & (
-        lam[:, -1] <= RANK_TOL * np.maximum(lam_max, 0.0)
-    )
-    if np.any(singular):
-        raise SingularChannelError(
-            f"cross-channel Gram matrix of beam {beams[np.argmax(singular)]} "
-            "is rank deficient"
-        )
-    scale = 1.0 / np.sqrt(lam + regularizer_per_power(ch, p_total)
-                          + shifts[:, None])
-    return tails * scale[:, None, :]
-
-
-def _columns_per_power(blocks: np.ndarray) -> np.ndarray:
-    return blocks.transpose(1, 0, 2).reshape(blocks.shape[1], -1)
-
-
-def _blocks_per_power(wa: np.ndarray, beams: int) -> np.ndarray:
-    return wa.reshape(wa.shape[0], beams, -1).transpose(1, 0, 2)
-
-
-def mbim_interbeam_per_power(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    return _columns_per_power(mbim_stack_per_power(ch, range(ch.beams), p_total))
 
 
 def rzf_factors_per_power(ch: ChannelMatrix, p_total: float,
@@ -825,40 +811,6 @@ def rzf_factors_per_power(ch: ChannelMatrix, p_total: float,
             ((h.conj().T @ eig.eigenvectors) * damp) @ tail)
 
 
-def rzf_stack_per_power(ch: ChannelMatrix, beams: range,
-                        p_total: float) -> np.ndarray:
-    """`_rzf_blocks` at one power: one QR and one triangular division per
-    beam, and the identity basis for one beam."""
-    if ch.beams == 1:
-        return ch.h.conj().T[None]
-    q = ch.users_per_beam
-    scaled, image = rzf_factors_per_power(
-        ch, p_total, slice(q * beams.start, q * beams.stop))
-    blocks = []
-    for i in range(len(beams)):
-        cols = slice(q * i, q * (i + 1))
-        tri = np.linalg.qr(scaled[:, cols], mode="r")
-        blocks.append(_right_divide_upper(image[:, cols], tri))
-    return np.stack(blocks)
-
-
-def rzf_interbeam_per_power(ch: ChannelMatrix, p_total: float) -> np.ndarray:
-    return _columns_per_power(rzf_stack_per_power(ch, range(ch.beams), p_total))
-
-
-def intrabeam_per_power(z: np.ndarray, first_beam: int = 0) -> np.ndarray:
-    """Leading right singular vectors of one (Q, Q) or a (B, Q, Q) stack."""
-    z = np.asarray(z)
-    dead = np.reshape(~np.any(z, axis=(-2, -1)), -1)
-    if np.any(dead):
-        raise DegenerateBeamError(
-            f"beam {first_beam + int(np.argmax(dead))}: "
-            "effective intra-beam channel is zero"
-        )
-    _, _, vh = np.linalg.svd(z)
-    return vh[..., 0, :].conj()
-
-
 def power_control_per_power(w_unscaled: np.ndarray, p_total: float,
                             mode: str) -> float:
     if mode not in ("per_feed", "total"):
@@ -873,47 +825,6 @@ def power_control_per_power(w_unscaled: np.ndarray, p_total: float,
     return float(np.sqrt(p_total / np.sum(np.abs(w) ** 2)))
 
 
-def assemble_per_power(ch: ChannelMatrix, wa: np.ndarray, p_total: float,
-                       mode: str = "per_feed") -> Precoder:
-    blocks = _blocks_per_power(wa, ch.beams)
-    wb = intrabeam_per_power(ch.beam_blocks() @ blocks)
-    w_bar = np.zeros((ch.feeds, ch.beams), dtype=complex)
-    for k in range(ch.beams):
-        w_bar[:, k] = blocks[k] @ wb[k]
-    alpha = power_control_per_power(w_bar, p_total, mode)
-    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode, wa=wa, wb=wb)
-
-
-def two_stage_per_power(ch: ChannelMatrix, p_total: float,
-                        mode: str = "per_feed",
-                        interbeam: str = "mbim") -> Precoder:
-    if interbeam == "mbim":
-        wa = mbim_interbeam_per_power(ch, p_total)
-    elif interbeam == "rzf":
-        wa = rzf_interbeam_per_power(ch, p_total)
-    else:
-        raise ConfigError(f"unknown inter-beam design {interbeam!r}")
-    return assemble_per_power(ch, wa, p_total, mode)
-
-
-def robust_interbeam_per_power(ch: ChannelMatrix, bounds: PerturbationBounds,
-                               p_total: float) -> np.ndarray:
-    if bounds.beams != ch.beams:
-        raise ConfigError("bounds and channel disagree on the number of beams")
-    lam_max = other_gram_tails(ch, range(ch.beams))[0]
-    return _columns_per_power(
-        mbim_stack_per_power(ch, range(ch.beams), p_total,
-                             robust_design(ch, bounds).shifts(lam_max))
-    )
-
-
-def robust_two_stage_per_power(ch: ChannelMatrix, bounds: PerturbationBounds,
-                               p_total: float,
-                               mode: str = "per_feed") -> Precoder:
-    return assemble_per_power(ch, robust_interbeam_per_power(ch, bounds, p_total),
-                              p_total, mode)
-
-
 def baseline_avg_mmse_per_power(ch: ChannelMatrix, p_total: float,
                                 mode: str = "per_feed") -> Precoder:
     k_beams = ch.beams
@@ -926,47 +837,6 @@ def baseline_avg_mmse_per_power(ch: ChannelMatrix, p_total: float,
     return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
 
 
-def four_color_precoder_per_power(layout: BeamLayout,
-                                  p_total: float) -> Precoder:
-    amp = np.sqrt(p_total / layout.feeds)
-    w = np.repeat(amp * np.eye(layout.beams, dtype=complex),
-                  layout.feeds_per_beam, axis=0)
-    return Precoder(w=w, alpha=1.0, power_mode="per_feed")
-
-
-def baseline_four_color_per_power(ch: ChannelMatrix, layout: BeamLayout,
-                                  p_total: float) -> np.ndarray:
-    if layout.beams != ch.beams:
-        raise ConfigError("layout and channel disagree on the number of beams")
-    colors = layout.color_of_beam
-    if colors.min() < 0 or colors.max() > 3:
-        raise ConfigError("invalid four-coloring in layout")
-    w = four_color_precoder_per_power(layout, p_total).w
-    k_beams = ch.beams
-    power = np.abs(ch.h @ w).reshape(k_beams, -1, k_beams) ** 2   # (K, Q, K)
-    beam = np.arange(k_beams)
-    same = (colors[:, None] == colors) & (beam[:, None] != beam)
-    interf = np.sum(power * same[:, None, :], axis=2)
-    return power[beam, :, beam] / (interf + 1.0)
-
-
-def assemble_multigateway_precoder_per_power(views: list[np.ndarray],
-                                             plan: GatewayPlan, p_total: float,
-                                             mode: str = "per_feed") -> Precoder:
-    w_bar = np.zeros((plan.feeds, plan.beams), dtype=complex)
-    for g, eff in enumerate(view_channel(v, plan) for v in views):
-        beams = plan.beam_slice(g)
-        try:
-            wa = mbim_stack_per_power(eff, range(beams.start, beams.stop), p_total)
-            wb = intrabeam_per_power(eff.beam_blocks()[beams] @ wa,
-                                     first_beam=beams.start)
-        except MODELLED_FAILURES as exc:
-            raise type(exc)(f"gateway {g}: {exc}") from exc
-        w_bar[plan.feed_slice(g), beams] = (wa @ wb[:, :, None])[:, :, 0].T
-    alpha = power_control_per_power(w_bar, p_total, mode)
-    return Precoder(w=alpha * w_bar, alpha=alpha, power_mode=mode)
-
-
 def sinr_matrix_per_power(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     """(K, Q) linear SINRs under one (N, K) precoder."""
     amps = np.abs(ch.h @ w) ** 2                     # (KQ, K)
@@ -974,32 +844,6 @@ def sinr_matrix_per_power(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     signal = amps[np.arange(amps.shape[0]), beam_of_row]
     interference = amps.sum(axis=1) - signal
     return (signal / (interference + 1.0)).reshape(ch.beams, ch.users_per_beam)
-
-
-def assemble_multigateway_per_view(views: list,
-                                   plan: GatewayPlan,
-                                   p_total: float | np.ndarray,
-                                   mode: str = "per_feed") -> Precoder:
-    """Block-diagonal multi-gateway precoder, one gateway view at a time.
-
-    Each gateway's blocks come from `mbim_stack` on its own view, wrapped
-    as a channel (`view_channel`), so each view's Gram tails take that
-    view's own path (one stacked dense call over its beams, or the
-    downdate), and the first gateway whose design fails is named.
-    """
-    p = _power_vector(p_total)
-    w_bar = np.zeros((p.size, plan.feeds, plan.beams), dtype=complex)
-    for g, eff in enumerate(view_channel(v, plan) for v in views):
-        beams = plan.beam_slice(g)
-        try:
-            wa = mbim_stack(eff, range(beams.start, beams.stop), p)  # (P, B, N_g, Q)
-            vectors = intrabeam(eff.beam_blocks()[beams] @ wa,
-                                np.arange(beams.start, beams.stop))
-        except MODELLED_FAILURES as exc:
-            raise type(exc)(f"gateway {g}: {exc}") from exc
-        columns = (wa @ vectors[..., None])[..., 0]
-        w_bar[:, plan.feed_slice(g), beams] = columns.swapaxes(-1, -2)
-    return _scaled(p_total, w_bar, mode)
 
 
 # The per-cell path of a Monte Carlo trial, which the run once took after a

@@ -1,10 +1,12 @@
 """The multi-gateway precoder designs all gateways of one view shape in
 one stacked pass, and the family pass all plans of a channel at once.
 
-Its precoder, or its modelled failure (type, message and cause), must
-equal the per-view loop it replaced (`oracles.assemble_multigateway_per_view`)
-bit for bit, on equal and unequal splits, on views below and above the
-downdate crossover, and when several gateways fail in different ways.
+At each float power its precoder, or its modelled failure (type,
+message and cause), must equal the loop over views and beams
+(`oracles.assemble_multigateway_per_beam`) bit for bit, and each slot of
+a power-vector call the call at that power, on equal and unequal splits,
+on views below and above the downdate crossover, and when several
+gateways fail in different ways.
 The family pass's precoders and rates must equal each plan designed and
 evaluated on its own.
 """
@@ -20,7 +22,6 @@ import satprecode
 import satprecode.linalg
 from satprecode.channel import ChannelMatrix
 from satprecode.exceptions import (
-    MODELLED_FAILURES,
     SHAPE,
     DegenerateBeamError,
     InfeasibleChannelError,
@@ -37,36 +38,23 @@ from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 from satprecode.precoding import assemble_multigateway_family
 
 import oracles
-from conftest import perturbed, random_channel
+from conftest import assert_design, perturbed, random_channel
 
-POWERS = (5.0, np.array([0.5, 5.0, 3e3]))
-
-
-def _outcome(views, plan, p_total, mode, design):
-    try:
-        return design(views, plan, p_total, mode)
-    except MODELLED_FAILURES as exc:
-        return type(exc), str(exc), type(exc.__cause__), str(exc.__cause__)
+POWERS = np.array([0.5, 5.0, 3e3])
 
 
 def _assert_equals_per_view(ch, gateways, gw_mode, closest_c=None):
+    """Returns the plan and its outcome at each power, per_feed first."""
     plan = make_plan(ch.beams, ch.feeds, ch.users_per_beam, gateways, gw_mode,
                      closest_c=closest_c)
     views = share_csi(ch, plan)
     outcomes = []
     for mode in ("per_feed", "total"):
-        for p_total in POWERS:
-            fast = _outcome(views, plan, p_total, mode,
-                            assemble_multigateway_precoder)
-            slow = _outcome(views, plan, p_total, mode,
-                            oracles.assemble_multigateway_per_view)
-            if isinstance(slow, tuple):
-                assert fast == slow
-            else:
-                assert np.array_equal(fast.w, slow.w)
-                assert np.array_equal(fast.alpha, slow.alpha)
-                assert type(fast.alpha) is type(slow.alpha)
-            outcomes.append(slow)
+        outcomes += assert_design(
+            lambda x: assemble_multigateway_precoder(views, plan, x, mode),
+            lambda x: oracles.assemble_multigateway_per_beam(views, plan, x,
+                                                             mode),
+            POWERS, (POWERS.size,))
     return plan, outcomes
 
 

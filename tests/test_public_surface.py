@@ -18,8 +18,11 @@ import satprecode
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 # Spans the tracer still lists although no function of that name exists:
-# both go with the next change to the benchmark.
-KNOWN_DEAD_SPANS = {"robust.derive_scalars", "linalg.null_space"}
+# all go with the next change to the benchmark. The rzf and robust
+# inter-beam blocks are the `wa` of `two_stage(..., "rzf")` and
+# `robust_two_stage`.
+KNOWN_DEAD_SPANS = {"robust.derive_scalars", "linalg.null_space",
+                    "precoding.rzf_interbeam", "robust.robust_interbeam"}
 
 
 def _load_spans():

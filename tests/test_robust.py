@@ -10,7 +10,7 @@ from satprecode.evaluate import sinr_matrix
 from satprecode.exceptions import ConfigError, InfeasibleChannelError
 from satprecode.linalg import eigh_sorted
 from satprecode.precoding import intrabeam, mbim_interbeam, two_stage
-from satprecode.robust import eigen_shift_bound, robust_interbeam, robust_two_stage
+from satprecode.robust import eigen_shift_bound, robust_two_stage
 
 import oracles
 from conftest import acceptance_corpus, perturbed, random_channel
@@ -154,7 +154,7 @@ class TestRobustInterbeam:
         ch = random_channel(4, 2, 6, seed=6)
         bounds = PerturbationBounds.zero(4)
         assert np.array_equal(
-            robust_interbeam(ch, bounds, 8.0), mbim_interbeam(ch, 8.0)
+            robust_two_stage(ch, bounds, 8.0).wa, mbim_interbeam(ch, 8.0)
         )
 
     def test_spectrum_regularization_grows_by_shift(self):
@@ -164,7 +164,7 @@ class TestRobustInterbeam:
         ch = random_channel(3, 2, 4, seed=7)
         p = 5.0
         _, bounds = perturbed(ch, 0.05, 1)
-        wa = robust_interbeam(ch, bounds, p)
+        wa = robust_two_stage(ch, bounds, p).wa
         for k in range(3):
             other = oracles.excluding(ch, k)
             eps = eigen_shift_bound(float(bounds.gamma_tilde_k[k]),
@@ -183,7 +183,7 @@ class TestRobustInterbeam:
     def test_mismatched_bounds_rejected(self):
         ch = random_channel(3, 2, 4, seed=8)
         with pytest.raises(ConfigError):
-            robust_interbeam(ch, PerturbationBounds.zero(5), 1.0)
+            robust_two_stage(ch, PerturbationBounds.zero(5), 1.0)
 
     @pytest.mark.parametrize("beams, users, feeds", [(6, 3, 2), (1, 2, 3)],
                              ids=["infeasible", "one_beam"])
@@ -207,9 +207,9 @@ class TestRobustInterbeam:
         bounds = PerturbationBounds(np.full(beams, 0.5), np.full(beams, 2.0))
         if users > feeds:
             with pytest.raises(InfeasibleChannelError):
-                robust_interbeam(ch, bounds, 10.0)
+                robust_two_stage(ch, bounds, 10.0)
         else:
-            assert robust_interbeam(ch, bounds, 10.0).shape == (feeds, users)
+            assert robust_two_stage(ch, bounds, 10.0).wa.shape == (feeds, users)
         assert calls == []
 
 

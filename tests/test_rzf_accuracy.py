@@ -1,6 +1,7 @@
 """The regularized zero-forcing design against a 40-digit reference.
 
-`rzf_interbeam` takes ``A = H H^H + (KQ/P_T) I`` at every power from one
+The rzf precoder (`two_stage(..., "rzf")`) takes its inter-beam blocks
+from ``A = H H^H + (KQ/P_T) I`` at every power, by one
 eigendecomposition of the smaller Gram matrix. With more served users
 than feeds (F = 1), ``A^-1`` holds a null-space part of size P_T/KQ that
 ``H^H`` must cancel, so an LU inverse would lose accuracy as the power
@@ -12,8 +13,8 @@ design, computed to 40 digits, within 1e-12; both SINR maps run in
 mpmath, so the check sees the design's error alone.
 
 After a LAPACK error a trial reruns each (scenario, power) cell alone,
-so a one-power call must equal its slot of the power-vector call bit for
-bit.
+so the inter-beam blocks of a one-power call (the precoder's `wa`) must
+equal their slot of the power-vector call bit for bit.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ mpmath = pytest.importorskip("mpmath")
 
 import satprecode as sp  # noqa: E402
 from satprecode.config import dbw_to_watts  # noqa: E402
-from satprecode.precoding import rzf_interbeam, two_stage  # noqa: E402
+from satprecode.precoding import two_stage  # noqa: E402
 
 from conftest import desk_channel, random_channel  # noqa: E402
 
@@ -102,6 +103,7 @@ def test_sinrs_match_a_40_digit_reference(feeds_per_beam, p_dbw):
                          ids=["F1", "F3", "K12_Q3"])
 def test_one_power_equals_its_slot_of_the_power_vector(ch):
     p = np.array([dbw_to_watts(x) for x in POWERS_DBW])
-    stacked = rzf_interbeam(ch, p)
+    stacked = two_stage(ch, p, "per_feed", "rzf").wa
     for i, p_i in enumerate(p):
-        assert np.array_equal(rzf_interbeam(ch, float(p_i)), stacked[i])
+        assert np.array_equal(two_stage(ch, float(p_i), "per_feed", "rzf").wa,
+                              stacked[i])

@@ -233,11 +233,11 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
         monkeypatch, tmp_path):
     calls = dict.fromkeys(("_scaled", "sinr_matrix", "beam_rate", "two_stage",
                            "baseline_avg_mmse", "baseline_four_color",
-                           "rzf_interbeam", "_rzf_blocks", "eigh_sorted"), 0)
+                           "_rzf_blocks", "eigh_sorted"), 0)
     for name in ("sinr_matrix", "beam_rate", "baseline_four_color"):
         _counting(monkeypatch, satprecode.evaluate, name, calls)
     # At their defining module: satprecode.evaluate calls none of them.
-    for name in ("two_stage", "baseline_avg_mmse", "rzf_interbeam"):
+    for name in ("two_stage", "baseline_avg_mmse"):
         _counting(monkeypatch, satprecode.precoding, name, calls)
     # Every power scaling and rzf kernel call, both made in the module
     # that defines them, and every Gram decomposition.
@@ -255,8 +255,8 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
     # rzf is a design of the pass, which calls its kernel once.
     assert calls == {"_scaled": 1, "sinr_matrix": 1, "beam_rate": 2,
                      "two_stage": 0, "baseline_avg_mmse": 0,
-                     "baseline_four_color": 1, "rzf_interbeam": 0,
-                     "_rzf_blocks": 1, "eigh_sorted": 2}
+                     "baseline_four_color": 1, "_rzf_blocks": 1,
+                     "eigh_sorted": 2}
     # Only mbim's 7 beams take Gram spectra, below the crossover from
     # their own Gram matrices. rzf (14 users on 7 feeds) takes the
     # estimate's H^H H once for its whole power sweep.
@@ -400,6 +400,29 @@ def test_a_family_of_precoders_of_different_shapes_is_rejected():
     designs = [[BlockDesign(random_channel(6, 2, feeds, seed=feeds).h, range(6))]
                for feeds in (6, 8)]
     with pytest.raises(ConfigError, match=r"\(6, 6\), \(8, 6\)"):
+        assemble_multigateway_family(designs, 2, np.array([1.0]))
+
+
+def _icp_views():
+    """The three gateway views of a K = 6, Q = 2, N = 6 icp plan."""
+    plan = make_plan(6, 6, 2, 3, "icp")
+    return share_csi(random_channel(6, 2, 6, seed=27), plan)
+
+
+def test_a_precoder_with_a_beam_gap_is_rejected():
+    # Gateways 0 and 2 alone: beams 2 and 3 have no block.
+    v0, _, v2 = _icp_views()
+    designs = [[BlockDesign(v0, range(0, 2)), BlockDesign(v2, range(4, 6))]]
+    with pytest.raises(ConfigError, match="consecutively from 0 to 6"):
+        assemble_multigateway_family(designs, 2, np.array([1.0]))
+
+
+def test_a_precoder_with_blocks_out_of_beam_order_is_rejected():
+    # Gateway 1's block first would put its view on feeds 0-1.
+    v0, v1, v2 = _icp_views()
+    designs = [[BlockDesign(v1, range(2, 4)), BlockDesign(v0, range(0, 2)),
+                BlockDesign(v2, range(4, 6))]]
+    with pytest.raises(ConfigError, match="consecutively from 0 to 6"):
         assemble_multigateway_family(designs, 2, np.array([1.0]))
 
 
