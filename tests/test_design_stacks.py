@@ -139,12 +139,12 @@ def test_designs_equal_their_oracles_and_power_slots_on_random_channels(
     _assert_designs(ch, POWERS, seed)
 
 
+@pytest.mark.parametrize("seed", range(5))
 def test_designs_equal_their_oracles_and_power_slots_on_link_budget_channels(
-        desk_layout, budget):
+        desk_layout, budget, seed):
     # The shipped desk sweep, 10 to 35 dBW.
     p = 10.0 ** (np.arange(10.0, 40.0, 5.0) / 10.0)
-    for seed in range(5):
-        _assert_designs(desk_channel(desk_layout, budget, 2, seed), p, seed)
+    _assert_designs(desk_channel(desk_layout, budget, 2, seed), p, seed)
 
 
 def _with_dead_beams(ch, dead):
