@@ -7,8 +7,6 @@ produce identical bytes.
 
 from __future__ import annotations
 
-import csv
-
 __all__ = [
     "write_results_csv",
     "write_scenario_curve_csv",
@@ -46,11 +44,8 @@ def write_scenario_curve_csv(power_dbw, means, stds, path) -> None:
 
 def write_overhead_csv(rows, path) -> None:
     """Per-gateway CSI-sharing cost rows."""
+    lines = ["mode,gateways,beams_per_gateway,feeds_per_gateway,"
+             "complex_values_shared_per_gateway\r\n"]
+    lines += [",".join(map(str, row)) + "\r\n" for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["mode", "gateways", "beams_per_gateway", "feeds_per_gateway",
-             "complex_values_shared_per_gateway"]
-        )
-        for row in rows:
-            writer.writerow(list(row))
+        fh.write("".join(lines))

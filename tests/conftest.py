@@ -138,6 +138,27 @@ def assert_design(design, oracle, p, sizes, rtol=0.0):
     return singles
 
 
+def record_calls(monkeypatch, *functions):
+    """Wraps each of `functions` under every name that a `satprecode`
+    module, or the function's own module, binds to it, and returns
+    ``{function name: [the positional arguments of each call]}``."""
+    calls = {}
+    for func in functions:
+        name = func.__name__
+        calls[name] = seen = []
+
+        def recording(*args, _seen=seen, _func=func, **kwargs):
+            _seen.append(args)
+            return _func(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            home = mod_name == func.__module__
+            if ((home or mod_name.startswith("satprecode"))
+                    and vars(mod).get(name) is func):
+                monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 

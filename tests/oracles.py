@@ -29,8 +29,10 @@ stages (`robust_two_stage`), the per-beam doubling search for the
 user-placement box, the `np.exp` form of the phase synthesis
 (`build_phase_matrix_exp`) and the `np.cross` form of the off-axis angle.
 `run_trial_per_cell`, every (scenario, power) cell of a trial designed
-by its public single-design function at that one power, is the
-reference for the cells that the failure codes of the stacked pass skip.
+by its oracle above at that one power, is the reference for the cells
+that the failure codes of the stacked pass skip; it calls none of the
+library's single designs, so it stays a reference when they become
+calls of that pass.
 
 Helpers that no part of the program calls live here too, unchanged from
 when the library exported them:
@@ -105,7 +107,7 @@ from satprecode.exceptions import (
     SingularChannelError,
 )
 from satprecode.evaluate import beam_rate, sinr_matrix
-from satprecode.gateway import GatewayPlan, assemble_multigateway_precoder
+from satprecode.gateway import GatewayPlan
 from satprecode.linalg import RANK_TOL, EigDecomposition, eigh_sorted, gram_eigh
 from satprecode.precoding import (
     BlockDesign,
@@ -119,13 +121,10 @@ from satprecode.precoding import (
     _right_divide_upper,
     _rzf_blocks,
     _unstack,
-    baseline_avg_mmse,
     baseline_four_color,
     intrabeam,
-    two_stage,
 )
 from satprecode.robust import eigen_shift_bound, robust_design
-from satprecode.robust import robust_two_stage as robust_two_stage_library
 
 # First-order theory breaks down at eigenvalue crossings; coupler entries
 # for pairs closer than this (relative to the largest eigenvalue) are zeroed.
@@ -854,9 +853,10 @@ def run_trial_per_cell(trial_seed, cfg, layout: BeamLayout, budget: LinkBudget,
                        table, plans: dict, p_w: np.ndarray,
                        contours: tuple) -> np.ndarray:
     """`evaluate._run_trial` with every (scenario, power) cell designed by
-    its public single-design function at that one power: an (S, P, K)
-    array of beam rates, NaN where the design raised a modelled failure,
-    and at every power of a gateway scenario whose CSI exchange failed.
+    its oracle at that one power (four_color by `baseline_four_color`,
+    which the run calls outside the stacked pass): an (S, P, K) array of
+    beam rates, NaN where the design raised a modelled failure, and at
+    every power of a gateway scenario whose CSI exchange failed.
 
     The channels and views come through `satprecode.evaluate`, so a test
     that patches `_trial_channels` or `share_csi` there patches them here.
@@ -886,14 +886,18 @@ def _scenario_sinrs_at(name: str, ch_true: ChannelMatrix, ch_est: ChannelMatrix,
     factor."""
     if name == "four_color":
         return baseline_four_color(ch_true, layout, p), 0.25
-    if name in ("mbim", "rzf"):
-        pre = two_stage(ch_est, p, cfg.power_mode, interbeam=name)
-    elif name == "avg_mmse":
-        pre = baseline_avg_mmse(ch_est, p, cfg.power_mode)
+    mode = cfg.power_mode
+    if name == "avg_mmse":
+        pre = baseline_avg_mmse_per_power(ch_est, p, mode)
+    elif name in plans:
+        pre = assemble_multigateway_per_beam(views, plans[name], p, mode)
     elif name == "robust":
-        pre = robust_two_stage_library(ch_est, bounds, p, cfg.power_mode)
+        pre = assemble_per_beam(
+            ch_est, robust_interbeam_per_beam(ch_est, bounds, p), p, mode)
     else:
-        pre = assemble_multigateway_precoder(views, plans[name], p, cfg.power_mode)
+        interbeam = (mbim_interbeam_per_beam if name == "mbim"
+                     else rzf_interbeam_per_beam)
+        pre = assemble_per_beam(ch_est, interbeam(ch_est, p), p, mode)
     return sinr_matrix(ch_true, pre.w), 1.0
 
 

@@ -26,6 +26,7 @@ from satprecode.evaluate import run_monte_carlo
 from satprecode.exceptions import ConfigError
 from satprecode.gateway import overhead_per_gateway
 
+from conftest import record_calls
 from oracles import curve_csv_per_cell, results_csv_per_cell
 
 MINIMAL = """
@@ -359,18 +360,12 @@ class TestCliVerbs:
 
     def test_run_builds_layout_and_plans_once(self, unequal_split_cfg,
                                               tmp_path, monkeypatch):
-        calls = {"hex_layout": 0, "make_plan": 0}
-        for name in calls:
-            original = getattr(satprecode.evaluate, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(satprecode.evaluate, name, counting)
+        calls = record_calls(monkeypatch, satprecode.evaluate.hex_layout,
+                             satprecode.evaluate.make_plan)
         assert main(["run", "--config", str(unequal_split_cfg), "--out",
                      str(tmp_path / "out")]) == 0
-        assert calls == {"hex_layout": 1, "make_plan": 3}
+        assert {name: len(args) for name, args in calls.items()} == {
+            "hex_layout": 1, "make_plan": 3}
 
     @pytest.mark.parametrize("body", [
         # A cooperation count needs that many peers besides the gateway.
@@ -754,18 +749,15 @@ class TestOutputsMatchPerCellReference:
         (11, {0, 6}),
     ])
     def test_skipped_trials(self, tmp_path, monkeypatch, trials, failing):
-        trial = iter(range(trials))
-        current = []
-        original_channels = satprecode.evaluate._trial_channels
+        # One channel draw per trial: the trial under way is the last.
+        channels = record_calls(monkeypatch,
+                                satprecode.evaluate._trial_channels)
         original_avg = satprecode.precoding._avg_mmse_unscaled
         original_four = satprecode.evaluate.baseline_four_color
 
-        def counting_channels(*args):
-            current[:] = [next(trial)]
-            return original_channels(*args)
-
         def avg_failing_at_25_dbw(ch, p_w):
-            if current[0] in failing and np.any(p_w == 10.0 ** 2.5):
+            trial = len(channels["_trial_channels"]) - 1
+            if trial in failing and np.any(p_w == 10.0 ** 2.5):
                 raise np.linalg.LinAlgError("modelled failure")
             return original_avg(ch, p_w)
 
@@ -774,8 +766,6 @@ class TestOutputsMatchPerCellReference:
                 raise np.linalg.LinAlgError("modelled failure")
             return original_four(ch, layout, p_w)
 
-        monkeypatch.setattr(satprecode.evaluate, "_trial_channels",
-                            counting_channels)
         # avg_mmse's precoder, in the stacked pass and on its own.
         for module in (satprecode.evaluate, satprecode.precoding):
             monkeypatch.setattr(module, "_avg_mmse_unscaled",

@@ -9,9 +9,17 @@ four-colour baseline; the four-colour SINRs sum their interference over
 a same-colour mask, so zero terms regroup the pairwise sum and they agree
 within a relative 1e-12. Given a power vector, slot i of each design
 equals the design at the float p_i bit for bit, and a failure at any
-power fails the call; so do the SINR map and the rates. A Monte Carlo
-trial makes one design call per scenario, and a modelled failure at one
-power skips only that (scenario, power) cell.
+power fails the call; so do the SINR map and the rates.
+
+The gateway plans (`oracles.assemble_multigateway_per_beam`) are held
+in every cooperation mode on the inputs above over three gateways, on
+equal and unequal splits of beams and feeds over two to four gateways,
+on views at and above the downdate crossover, and on Hypothesis channels
+over one to four gateways. A failing plan names its first failing
+gateway, and within it the first failing beam of the earliest failing
+stage, and the plan decomposes one stacked Gram matrix per view shape.
+A Monte Carlo trial makes one design call per scenario, and a modelled
+failure at one power skips only that (scenario, power) cell.
 """
 
 import numpy as np
@@ -21,11 +29,18 @@ from hypothesis import strategies as st
 
 import satprecode as sp
 import satprecode.evaluate
+import satprecode.linalg
 import satprecode.precoding
 from satprecode.channel import ChannelMatrix
 from satprecode.evaluate import ModcodTable, beam_rate, run_monte_carlo, sinr_matrix
-from satprecode.exceptions import ConfigError, DegenerateBeamError
+from satprecode.exceptions import (
+    ConfigError,
+    DegenerateBeamError,
+    InfeasibleChannelError,
+    SingularChannelError,
+)
 from satprecode.gateway import assemble_multigateway_precoder, make_plan, share_csi
+from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 from satprecode.precoding import (
     assemble,
     baseline_avg_mmse,
@@ -46,6 +61,7 @@ from conftest import (
     outcome,
     perturbed,
     random_channel,
+    record_calls,
 )
 
 # (beams, users per beam, feeds per beam)
@@ -54,6 +70,7 @@ SHAPES = [(1, 1, 1), (1, 2, 3), (7, 1, 1), (7, 2, 1), (12, 2, 1), (19, 3, 3),
 POWERS = np.array([0.5, 10.0, 316.25, 1e4, 3.0, 2.5e5])
 P_SIZES = (1, 2, 6)
 MODES = ("per_feed", "total")
+GATEWAY_POWERS = np.array([0.5, 5.0, 3e3])
 
 
 def _assert_designs(ch, p, seed):
@@ -82,19 +99,31 @@ def _assert_designs(ch, p, seed):
         return
     gateways = min(3, ch.beams)
     for gw_mode in ["icp", "msvdgc", "ref"] + (["closest"] if gateways > 1 else []):
-        plan = make_plan(ch.beams, ch.feeds, ch.users_per_beam, gateways,
-                         gw_mode, closest_c=1 if gw_mode == "closest" else None)
-        views = share_csi(ch, plan)
-        for mode in MODES:
-            check(lambda x: assemble_multigateway_precoder(views, plan, x, mode),
-                  lambda x: oracles.assemble_multigateway_per_beam(
-                      views, plan, x, mode))
+        _assert_gateway_plan(ch, gateways, gw_mode, p, sizes)
     layout = sp.hex_layout(ch.beams, 47.0, 10.0, 0.25, 4.0, ch.feeds // ch.beams)
     check(lambda x: four_color_precoder(layout, x).w,
           lambda x: oracles.four_color_precoder_per_beam(layout, x).w)
     check(lambda x: baseline_four_color(ch, layout, x),
           lambda x: oracles.baseline_four_color_per_beam(ch, layout, x),
           rtol=1e-12)
+
+
+def _assert_gateway_plan(ch, gateways, gw_mode, p=GATEWAY_POWERS,
+                         sizes=(GATEWAY_POWERS.size,)):
+    """The `gw_mode` plan of `ch` over `gateways` against its oracle, as
+    `assert_design` holds a design, per_feed then total. Returns the plan
+    and its outcome at each power, per_feed first."""
+    plan = make_plan(ch.beams, ch.feeds, ch.users_per_beam, gateways, gw_mode,
+                     closest_c=1 if gw_mode == "closest" else None)
+    views = share_csi(ch, plan)
+    outcomes = []
+    for mode in MODES:
+        outcomes += assert_design(
+            lambda x: assemble_multigateway_precoder(views, plan, x, mode),
+            lambda x: oracles.assemble_multigateway_per_beam(views, plan, x,
+                                                             mode),
+            p, sizes)
+    return plan, outcomes
 
 
 def _assert_sinrs_match(ch, w_stack):
@@ -147,6 +176,48 @@ def test_designs_equal_their_oracles_and_power_slots_on_link_budget_channels(
     _assert_designs(desk_channel(desk_layout, budget, 2, seed), p, seed)
 
 
+@pytest.mark.parametrize("gw_mode", ["icp", "closest", "msvdgc", "ref"])
+@pytest.mark.parametrize("beams, gateways, users, feeds_per_beam", [
+    (12, 3, 2, 1),     # one block size
+    (13, 3, 2, 1),     # 5, 4, 4 beams: two block sizes
+    (7, 2, 1, 2),      # 4, 3 beams, two feeds per beam
+    (10, 4, 3, 2),     # 3, 3, 2, 2 beams, Q = 3
+])
+def test_gateway_plans_equal_their_oracle_on_equal_and_unequal_splits(
+        beams, gateways, users, feeds_per_beam, gw_mode):
+    ch = random_channel(beams, users, beams * feeds_per_beam, seed=beams + users)
+    plan, _ = _assert_gateway_plan(ch, gateways, gw_mode)
+    if gw_mode != "ref":
+        assert len(set(plan.beams_per_gateway.tolist())) == (
+            1 if beams % gateways == 0 else 2)
+
+
+@pytest.mark.parametrize("gw_mode", ["icp", "closest", "msvdgc"])
+@pytest.mark.parametrize("beams", [61, 43])
+def test_gateway_plans_equal_their_oracle_at_the_downdate_crossover(beams,
+                                                                     gw_mode):
+    # 61 beams: 31 and 30 per gateway, both views downdate. 43 beams: 22
+    # and 21, so one run downdates and the other takes the stacked tails.
+    ch = random_channel(beams, 2, beams, seed=beams)
+    plan, outcomes = _assert_gateway_plan(ch, 2, gw_mode)
+    assert max(plan.beams_per_gateway) >= _DOWNDATE_MIN_BEAMS
+    assert not any(isinstance(o, tuple) for o in outcomes)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 9), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 4), st.sampled_from(["icp", "closest", "msvdgc", "ref"]),
+       st.integers(0, 2**16))
+def test_gateway_plans_equal_their_oracle_on_random_channels(
+        beams, users, feeds_per_beam, gateways, gw_mode, seed):
+    # Includes K = 1, Q > N_g and singular views (few feeds, no sharing).
+    gateways = min(gateways, beams)
+    if gw_mode == "closest" and gateways < 2:
+        gw_mode = "icp"
+    ch = random_channel(beams, users, beams * feeds_per_beam, seed=seed)
+    _assert_gateway_plan(ch, gateways, gw_mode)
+
+
 def _with_dead_beams(ch, dead):
     h = ch.h.copy()
     for k in dead:
@@ -168,6 +239,82 @@ def test_gateway_error_names_the_gateway_and_the_dead_beam():
     plan = make_plan(6, 6, 2, 3, "closest", closest_c=2)
     with pytest.raises(DegenerateBeamError, match=r"^gateway 1: beam 3: "):
         assemble_multigateway_precoder(share_csi(ch, plan), plan, 10.0)
+
+
+def _private_feed(h, beam, feed, q):
+    """`h` with `feed` reaching only `beam`'s users: every other beam's
+    Gram matrix, seen without `beam`, then misses that feed."""
+    own = h[q * beam:q * (beam + 1), feed].copy()
+    h[:, feed] = 0.0
+    h[q * beam:q * (beam + 1), feed] = own
+
+
+def test_first_failing_gateway_is_reported_whatever_stage_fails():
+    # Gateway 1 (beams 4-7) has a dead beam 5; gateway 2 (beams 8-11) a
+    # rank-deficient Gram matrix at beam 9, a check the stacked pass makes
+    # before any beam's intra-beam stage. The loop reports gateway 1.
+    h = random_channel(12, 2, 12, seed=21).h.copy()
+    h[10:12] = 0.0
+    _private_feed(h, 9, 9, 2)
+    ch = ChannelMatrix(h=h.copy(), beams=12, users_per_beam=2)
+    plan, outcomes = _assert_gateway_plan(ch, 3, "icp")
+    assert outcomes[0][:3] == (
+        DegenerateBeamError,
+        "gateway 1: beam 5: effective intra-beam channel is zero",
+        DegenerateBeamError)
+    # Without the dead beam, gateway 2's own failure is reported.
+    h[10:12] = random_channel(12, 2, 12, seed=21).h[10:12]
+    ch = ChannelMatrix(h=h.copy(), beams=12, users_per_beam=2)
+    _, outcomes = _assert_gateway_plan(ch, 3, "icp")
+    assert outcomes[0][:2] == (
+        SingularChannelError,
+        "gateway 2: cross-channel Gram matrix of beam 9 is rank deficient")
+
+
+def test_first_failing_gateway_is_reported_across_block_sizes():
+    # 13 beams over 3 gateways: 5, 4 and 4, designed in two passes.
+    # Gateway 0 has a dead beam 2, gateway 1 a rank-deficient Gram matrix
+    # at beam 6 and gateway 2 a dead beam 11.
+    clean = random_channel(13, 2, 13, seed=22).h
+    h = clean.copy()
+    h[4:6] = 0.0
+    h[22:24] = 0.0
+    _private_feed(h, 6, 6, 2)
+    ch = ChannelMatrix(h=h.copy(), beams=13, users_per_beam=2)
+    _, outcomes = _assert_gateway_plan(ch, 3, "icp")
+    assert outcomes[0][:2] == (
+        DegenerateBeamError,
+        "gateway 0: beam 2: effective intra-beam channel is zero")
+    h[4:6] = clean[4:6]
+    ch = ChannelMatrix(h=h.copy(), beams=13, users_per_beam=2)
+    _, outcomes = _assert_gateway_plan(ch, 3, "icp")
+    assert outcomes[0][:2] == (
+        SingularChannelError,
+        "gateway 1: cross-channel Gram matrix of beam 6 is rank deficient")
+
+
+def test_fewer_feeds_than_users_names_the_first_gateway():
+    ch = random_channel(4, 3, 4, seed=23)
+    _, outcomes = _assert_gateway_plan(ch, 2, "closest")
+    assert outcomes[0][:2] == (
+        InfeasibleChannelError,
+        "gateway 0: cannot build an 2 x 3 inter-beam block with fewer feeds "
+        "than served users")
+
+
+def test_one_decomposition_per_view_shape(monkeypatch):
+    ch = random_channel(13, 2, 13, seed=24)
+    plan = make_plan(13, 13, 2, 3, "msvdgc")
+    views = share_csi(ch, plan)
+    calls = record_calls(monkeypatch, satprecode.linalg.eigh_sorted)
+    shapes = calls["eigh_sorted"]
+    assemble_multigateway_precoder(views, plan, np.array([1.0, 10.0]))
+    # 5 own beams of one view, then 4 of each of the other two: one call
+    # per view shape, one 5 x 5 (or 4 x 4) Gram matrix per (view, beam).
+    assert [a.shape for a, in shapes] == [(5, 5, 5), (8, 4, 4)]
+    # The views hold no memo: a rerun decomposes again, in the same calls.
+    assemble_multigateway_precoder(views, plan, 10.0)
+    assert [a.shape for a, in shapes] == [(5, 5, 5), (8, 4, 4)] * 2
 
 
 def test_intrabeam_of_a_stack_equals_each_matrix_alone():
@@ -240,15 +387,8 @@ def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
 ])
 def test_one_design_sinr_and_rate_call_per_trial_and_scenario(
         monkeypatch, scenarios, design):
-    calls = {design: 0, "sinr_matrix": 0, "beam_rate": 0}
-    for name in calls:
-        original = getattr(satprecode.evaluate, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(satprecode.evaluate, name, counting)
+    calls = record_calls(monkeypatch, getattr(satprecode.evaluate, design),
+                         sinr_matrix, beam_rate)
     cfg = _small_config(scenarios=scenarios, beams=12, gateways=3,
                         power_sweep_dbw=(20.0, 25.0, 30.0, 35.0),
                         csi_error_ratio=0.05)
@@ -259,5 +399,6 @@ def test_one_design_sinr_and_rate_call_per_trial_and_scenario(
     family = design == "assemble_multigateway_family"
     cells = cfg.trials * (1 if family else len(scenarios))
     four_color = design == "baseline_four_color"
-    assert calls == {design: cells, "sinr_matrix": 0 if four_color else cells,
-                     "beam_rate": cells}
+    assert {name: len(args) for name, args in calls.items()} == {
+        design: cells, "sinr_matrix": 0 if four_color else cells,
+        "beam_rate": cells}

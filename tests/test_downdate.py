@@ -39,7 +39,7 @@ from satprecode.linalg import (
 from satprecode.robust import robust_two_stage
 
 import oracles
-from conftest import desk_channel, perturbed, random_channel
+from conftest import desk_channel, perturbed, random_channel, record_calls
 
 SHAPES = st.tuples(st.integers(2, 9), st.integers(1, 3), st.integers(1, 3))
 
@@ -129,21 +129,14 @@ def test_downdate_certifies_every_beam_of_a_link_budget_channel(beams, budget):
 @pytest.mark.parametrize("beams", [_DOWNDATE_MIN_BEAMS, 37, 61])
 def test_downdate_takes_few_secular_sweeps_on_a_link_budget_channel(
         beams, budget, monkeypatch):
-    counts = []
-    original = satprecode.linalg._inertia_and_log_derivatives
-
-    def counting(m):
-        counts.append(m.shape)
-        return original(m)
-
-    monkeypatch.setattr(satprecode.linalg, "_inertia_and_log_derivatives",
-                        counting)
+    calls = record_calls(monkeypatch,
+                         satprecode.linalg._inertia_and_log_derivatives)
     layout = sp.hex_layout(beams, 47.0, 10.0, 0.09, 1.1, budget=budget)
     ch = desk_channel(layout, budget, 2, seed=beams)
     *_, ok = downdated_tails(gram_eigh(ch.h), ch.beam_blocks())
     assert ok.all()
     # One count per sweep, then one at mu -/+ DOWNDATE_TOL that certifies.
-    assert 2 <= len(counts) <= MAX_SWEEPS + 1
+    assert 2 <= len(calls["_inertia_and_log_derivatives"]) <= MAX_SWEEPS + 1
 
 
 @contextlib.contextmanager
@@ -299,7 +292,7 @@ def test_uncertified_beams_of_a_stack_share_one_dense_call(monkeypatch):
     beams, users = _DOWNDATE_MIN_BEAMS + 2, 2
     chans = [random_channel(beams, users, beams, seed=s) for s in (3, 4, 5)]
     cleared = {0: [1, 7], 2: [0, beams - 1]}
-    downdates, dense_pairs = [], []
+    downdates = []
 
     def uncertain(gram, blocks):
         *found, ok = downdated_tails(gram, blocks)
@@ -309,18 +302,15 @@ def test_uncertified_beams_of_a_stack_share_one_dense_call(monkeypatch):
         downdates.append(found)
         return (*found, ok)
 
-    def dense(h, channel, beam, q):
-        dense_pairs.append(list(zip(channel.tolist(), beam.tolist())))
-        return _dense_other_gram_tails(h, channel, beam, q)
-
     monkeypatch.setattr(satprecode.linalg, "downdated_tails", uncertain)
-    monkeypatch.setattr(satprecode.linalg, "_dense_other_gram_tails", dense)
+    dense = record_calls(monkeypatch, _dense_other_gram_tails)
     h = np.stack([ch.h for ch in chans])
     got = other_gram_tails(h, np.tile(np.arange(beams), (3, 1)), users,
                            lambda c: gram_eigh(h[c]))
     assert len(downdates) == 3
-    assert dense_pairs == [[(c, k) for c in sorted(cleared)
-                            for k in cleared[c]]]
+    pairs = [list(zip(channel.tolist(), beam.tolist()))
+             for _, channel, beam, _ in dense["_dense_other_gram_tails"]]
+    assert pairs == [[(c, k) for c in sorted(cleared) for k in cleared[c]]]
     for c, found in enumerate(downdates):
         for k in range(beams):
             want = (_dense_rows(chans[c], k, users) if k in cleared.get(c, [])

@@ -1,5 +1,4 @@
 import csv
-import sys
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from satprecode.exceptions import ConfigError
 from satprecode.io import write_results_csv
 from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 
-from conftest import random_channel
+from conftest import random_channel, record_calls
 from oracles import (
     bootstrap_mean_diff_quantiles,
     cell_skipped,
@@ -234,25 +233,14 @@ class TestMonteCarlo:
     def _robust_trial_eigh_shapes(monkeypatch, beams):
         """Shapes of every `eigh_sorted` call in a one-trial mbim + robust
         run on estimated CSI."""
-        original = satprecode.linalg.eigh_sorted
-        shapes = []
-
-        def counting(a):
-            shapes.append(a.shape)
-            return original(a)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("satprecode") and vars(mod).get(
-                "eigh_sorted"
-            ) is original:
-                monkeypatch.setattr(mod, "eigh_sorted", counting)
+        calls = record_calls(monkeypatch, satprecode.linalg.eigh_sorted)
         cfg = small_config(
             beams=beams, scenarios=("mbim", "robust"), trials=1,
             pool_per_beam=6, grouping="robust", csi_error_ratio=0.1,
             power_sweep_dbw=(25.0, 30.0),
         )
         assert run_monte_carlo(cfg).total_skipped() == 0
-        return shapes
+        return [a.shape for a, in calls["eigh_sorted"]]
 
     def test_each_beam_gram_decomposed_once_per_trial(self, monkeypatch):
         # One stacked call over the 7 beams, one 7 x 7 Gram matrix each,
@@ -269,44 +257,24 @@ class TestMonteCarlo:
 
     def test_gateway_views_and_decompositions_shared_across_powers(
             self, monkeypatch):
-        original_eigh = satprecode.linalg.eigh_sorted
-        original_share = satprecode.evaluate.share_csi
-        original_assemble = satprecode.gateway.assemble_multigateway_precoder
-        calls = {"eigh": 0, "share": 0, "assemble": 0}
-
-        def counting_eigh(a):
-            calls["eigh"] += 1
-            return original_eigh(a)
-
-        def counting_share(*args):
-            calls["share"] += 1
-            return original_share(*args)
-
-        def counting_assemble(*args):
-            calls["assemble"] += 1
-            return original_assemble(*args)
-
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("satprecode") and vars(mod).get(
-                "eigh_sorted"
-            ) is original_eigh:
-                monkeypatch.setattr(mod, "eigh_sorted", counting_eigh)
-        monkeypatch.setattr(satprecode.evaluate, "share_csi", counting_share)
-        monkeypatch.setattr(satprecode.gateway,
-                            "assemble_multigateway_precoder", counting_assemble)
         scenarios = ("gw_ref", "gw_closest:1", "gw_icp", "gw_msvdgc")
         counts = []
         for powers in ((40.0,), (40.0, 45.0)):
-            calls.update(eigh=0, share=0, assemble=0)
-            cfg = small_config(beams=12, gateways=3, scenarios=scenarios,
-                               trials=2, power_sweep_dbw=powers)
-            assert run_monte_carlo(cfg).total_skipped() == 0
-            counts.append(dict(calls))
+            with monkeypatch.context() as mp:
+                calls = record_calls(
+                    mp, satprecode.linalg.eigh_sorted,
+                    satprecode.evaluate.share_csi,
+                    satprecode.gateway.assemble_multigateway_precoder)
+                cfg = small_config(beams=12, gateways=3, scenarios=scenarios,
+                                   trials=2, power_sweep_dbw=powers)
+                assert run_monte_carlo(cfg).total_skipped() == 0
+            counts.append({name: len(args) for name, args in calls.items()})
         # One exchange per (trial, scenario) and one stacked decomposition
         # per (trial, view shape), whatever the number of power points:
         # gw_ref's one 12-feed view, and the 4-feed views of the other
         # three scenarios' 3 gateways. No scenario is designed on its own.
-        expected = {"share": 2 * len(scenarios), "eigh": 2 * 2, "assemble": 0}
+        expected = {"share_csi": 2 * len(scenarios), "eigh_sorted": 2 * 2,
+                    "assemble_multigateway_precoder": 0}
         assert counts == [expected, expected]
 
     def test_failed_csi_exchange_skips_every_power(self, monkeypatch):
@@ -357,17 +325,10 @@ class TestMonteCarlo:
                                       clean.throughput[s])
 
     def test_contour_boxes_worked_out_once_per_run(self, monkeypatch):
-        original = satprecode.channel._ground_halfwidths_deg
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(satprecode.channel, "_ground_halfwidths_deg",
-                            counting)
+        calls = record_calls(monkeypatch,
+                             satprecode.channel._ground_halfwidths_deg)
         assert run_monte_carlo(small_config(trials=4)).total_skipped() == 0
-        assert len(calls) == 1
+        assert len(calls["_ground_halfwidths_deg"]) == 1
 
     def test_robust_and_grouping_scenarios_run(self):
         cfg = small_config(

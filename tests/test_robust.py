@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import satprecode.linalg
-import satprecode.precoding
 from satprecode.channel import PerturbationBounds
 from satprecode.evaluate import sinr_matrix
 from satprecode.exceptions import ConfigError, InfeasibleChannelError
@@ -13,7 +12,7 @@ from satprecode.precoding import intrabeam, mbim_interbeam, two_stage
 from satprecode.robust import eigen_shift_bound, robust_two_stage
 
 import oracles
-from conftest import acceptance_corpus, perturbed, random_channel
+from conftest import acceptance_corpus, perturbed, random_channel, record_calls
 from oracles import (
     DegenerateSpectrumWarning,
     coupling_matrix,
@@ -191,18 +190,9 @@ class TestRobustInterbeam:
                                                   users, feeds):
         # Q > N is rejected and a single beam has no other-beam Gram
         # matrix, so neither may decompose anything for its shifts.
-        calls = []
-        for module, name in ((satprecode.linalg, "eigh_sorted"),
-                             (satprecode.linalg, "gram_eigh"),
-                             (satprecode.linalg, "downdated_tails"),
-                             (satprecode.precoding, "gram_eigh")):
-            original = getattr(module, name)
-
-            def counting(*args, _name=name, _original=original):
-                calls.append(_name)
-                return _original(*args)
-
-            monkeypatch.setattr(module, name, counting)
+        calls = record_calls(monkeypatch, satprecode.linalg.eigh_sorted,
+                             satprecode.linalg.gram_eigh,
+                             satprecode.linalg.downdated_tails)
         ch = random_channel(beams, users, feeds, seed=9)
         bounds = PerturbationBounds(np.full(beams, 0.5), np.full(beams, 2.0))
         if users > feeds:
@@ -210,7 +200,7 @@ class TestRobustInterbeam:
                 robust_two_stage(ch, bounds, 10.0)
         else:
             assert robust_two_stage(ch, bounds, 10.0).wa.shape == (feeds, users)
-        assert calls == []
+        assert not any(calls.values())
 
 
 class TestRobustIntrabeam:

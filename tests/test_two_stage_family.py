@@ -7,13 +7,16 @@ precoder. The family pass must give `two_stage` (mbim and rzf),
 `robust_two_stage` and `baseline_avg_mmse` bit for bit (`w` and
 `alpha`, in both power modes) on the first-trial channels of the
 shipped configs and of every benchmark workload config, below and above
-the downdate crossover. A trial designs every precoded scenario in one
-pass, with one power scaling, one SINR and one rate call. A
-rank-deficient estimate skips mbim, and the scenarios that share its
-view, through that pass's failure codes: every cell is as designing its
-scenario on its own at that power gives it (`oracles.run_trial_per_cell`),
-and no scenario is designed a second time. The files under
-``perfbench/`` are only read.
+the downdate crossover. The gateway plans of a channel, designed in one
+pass, must give `assemble_multigateway_precoder` and its rates bit for
+bit on equal and unequal splits and above the crossover, and fail only
+where a plan leaves fewer feeds than users. A trial designs every
+precoded scenario in one pass, with one power scaling, one SINR and one
+rate call. A rank-deficient estimate skips mbim, and the scenarios that
+share its view, through that pass's failure codes: every cell is as its
+oracle designs it at that power (`oracles.run_trial_per_cell`), and no
+scenario is designed a second time. The files under ``perfbench/`` are
+only read.
 """
 
 import sys
@@ -23,17 +26,17 @@ import numpy as np
 import pytest
 
 import satprecode.evaluate
-import satprecode.gateway
 import satprecode.linalg
 import satprecode.precoding
-import satprecode.robust
 from satprecode.channel import ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts, parse_config
 from satprecode.evaluate import (
+    ModcodTable,
     _build_budget,
     _build_layout,
     _trial_channels,
     _trial_designs,
+    beam_rate,
     run_monte_carlo,
     sinr_matrix,
 )
@@ -66,7 +69,12 @@ from satprecode.precoding import (
 from satprecode.robust import robust_two_stage
 
 import oracles
-from conftest import load_perfbench_workloads, random_channel
+from conftest import (
+    load_perfbench_workloads,
+    perturbed,
+    random_channel,
+    record_calls,
+)
 
 WORKLOADS = load_perfbench_workloads()
 
@@ -135,6 +143,65 @@ def test_family_equals_each_design_on_every_workload_config(name, tmp_path):
     assert (min(beams) >= _DOWNDATE_MIN_BEAMS) == (name == "wide_robust")
 
 
+def _family_plans(beams, feeds, users, gateways):
+    modes = [("icp", None), ("msvdgc", None), ("ref", None)]
+    modes += [("closest", c) for c in range(1, min(gateways, 3))]
+    return [make_plan(beams, feeds, users, gateways, mode, closest_c=c)
+            for mode, c in modes]
+
+
+@pytest.mark.parametrize("beams, gateways, users", [
+    (12, 3, 2),     # equal split: 4 beams per gateway
+    (13, 3, 2),     # unequal split: 5, 4 and 4 beams
+    (50, 2, 2),     # 25 beams per view, at or above the downdate crossover
+])
+@pytest.mark.parametrize("mode", ["per_feed", "total"])
+def test_family_pass_equals_each_plan_alone(beams, gateways, users, mode,
+                                            budget):
+    ch_true = random_channel(beams, users, beams, seed=beams)
+    ch_est, _ = perturbed(ch_true, 0.05, beams + 1)
+    plans = _family_plans(beams, beams, users, gateways)
+    designs = [(share_csi(ch_est, plan), plan) for plan in plans]
+    assert (beams // gateways >= _DOWNDATE_MIN_BEAMS) == (beams == 50)
+    table = ModcodTable.default()
+    p = np.array([0.5, 5.0, 3e3])
+    family, codes = assemble_multigateway_family(
+        [plan_designs(*design) for design in designs], users, p, mode)
+    assert not codes.any()
+    w = family.w.reshape(len(plans), p.size, *family.w.shape[1:])
+    alpha = family.alpha.reshape(len(plans), p.size)
+    rates = beam_rate(sinr_matrix(ch_true, family.w), table, budget).reshape(
+        len(plans), p.size, beams)
+    for i, (views, plan) in enumerate(designs):
+        alone = assemble_multigateway_precoder(views, plan, p, mode)
+        assert np.array_equal(w[i], alone.w)
+        assert np.array_equal(alpha[i], alone.alpha)
+        assert np.array_equal(
+            rates[i], beam_rate(sinr_matrix(ch_true, alone.w), table, budget))
+
+
+def test_family_pass_fails_where_a_plan_has_fewer_feeds_than_users():
+    # Q = 3 users per beam, but 6 feeds over 3 gateways leave N_g = 2:
+    # every split plan is infeasible, the one-gateway reference is not.
+    ch = random_channel(6, 3, 6, seed=26)
+    plans = _family_plans(6, 6, 3, 3)
+    designs = [(share_csi(ch, plan), plan) for plan in plans]
+    p = np.array([1.0, 10.0])
+    family, codes = assemble_multigateway_family(
+        [plan_designs(*design) for design in designs], 3, p)
+    assert codes.tolist() == [[0 if plan.mode == "ref" else SHAPE] * 2
+                              for plan in plans]
+    w = family.w.reshape(len(plans), p.size, *family.w.shape[1:])
+    for i, (views, plan) in enumerate(designs):
+        if plan.mode == "ref":
+            assert np.array_equal(w[i],
+                                  assemble_multigateway_precoder(views, plan, p).w)
+        else:
+            assert np.all(np.isfinite(w[i]))
+            with pytest.raises(InfeasibleChannelError, match="^gateway 0: "):
+                assemble_multigateway_precoder(views, plan, p)
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
 def test_sinrs_match_the_dense_spectra_and_lu_designs(name, tmp_path,
                                                       monkeypatch):
@@ -173,79 +240,39 @@ def _small_config(**overrides):
     return ScenarioConfig(**base)
 
 
-def _counting(monkeypatch, module, name, calls, record=None):
-    original = getattr(module, name)
-
-    def counting(*args, **kwargs):
-        calls[name] += 1
-        if record is not None:
-            record(*args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
+def _counts(calls, trials=1):
+    return {name: len(args) // trials for name, args in calls.items()}
 
 
-def _counting_at_home(monkeypatch, calls):
-    """Counts `two_stage`, `robust_two_stage` and
-    `assemble_multigateway_precoder` calls at their defining modules:
-    `satprecode.evaluate` calls none of them."""
-    for module, name in ((satprecode.precoding, "two_stage"),
-                         (satprecode.robust, "robust_two_stage"),
-                         (satprecode.gateway, "assemble_multigateway_precoder")):
-        _counting(monkeypatch, module, name, calls)
-
-
-def _counting_everywhere(monkeypatch, name, calls, record=None):
-    """Counts calls to `satprecode.linalg.<name>` from every package module
-    that imported it."""
-    original = getattr(satprecode.linalg, name)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("satprecode") and vars(mod).get(name) is original:
-            _counting(monkeypatch, mod, name, calls, record)
+def _eigh_shapes(calls):
+    return [a.shape for a, in calls["eigh_sorted"]]
 
 
 def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
-    calls = dict.fromkeys(("_block_diagonals", "_scaled", "sinr_matrix",
-                           "beam_rate", "two_stage", "robust_two_stage",
-                           "assemble_multigateway_precoder", "eigh_sorted"), 0)
-    for name in ("_block_diagonals", "_scaled"):
-        _counting(monkeypatch, satprecode.precoding, name, calls)
-    for name in ("sinr_matrix", "beam_rate"):
-        _counting(monkeypatch, satprecode.evaluate, name, calls)
-    _counting_at_home(monkeypatch, calls)
-    shapes = []
-    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
-                         lambda a: shapes.append(a.shape))
+    calls = record_calls(
+        monkeypatch, satprecode.precoding._block_diagonals,
+        satprecode.precoding._scaled, sinr_matrix, beam_rate, two_stage,
+        robust_two_stage, assemble_multigateway_precoder,
+        satprecode.linalg.eigh_sorted)
     cfg = _small_config()
     assert run_monte_carlo(cfg).total_skipped() == 0
-    per_trial = {name: count // cfg.trials for name, count in calls.items()}
-    assert per_trial == {
+    assert _counts(calls, cfg.trials) == {
         "_block_diagonals": 1, "_scaled": 1, "sinr_matrix": 1, "beam_rate": 1,
         "two_stage": 0, "robust_two_stage": 0,
         "assemble_multigateway_precoder": 0, "eigh_sorted": 2}
     # mbim, robust and gw_ref, whose one view is the estimate itself, share
     # its 12 beam spectra; the 3 split plans' 3 gateways have 4 own beams
     # each.
-    assert shapes == [(12, 12, 12), (36, 4, 4)] * cfg.trials
+    assert _eigh_shapes(calls) == [(12, 12, 12), (36, 4, 4)] * cfg.trials
 
 
 def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
         monkeypatch, tmp_path):
-    calls = dict.fromkeys(("_scaled", "sinr_matrix", "beam_rate", "two_stage",
-                           "baseline_avg_mmse", "baseline_four_color",
-                           "_rzf_blocks", "eigh_sorted"), 0)
-    for name in ("sinr_matrix", "beam_rate", "baseline_four_color"):
-        _counting(monkeypatch, satprecode.evaluate, name, calls)
-    # At their defining module: satprecode.evaluate calls none of them.
-    for name in ("two_stage", "baseline_avg_mmse"):
-        _counting(monkeypatch, satprecode.precoding, name, calls)
-    # Every power scaling and rzf kernel call, both made in the module
-    # that defines them, and every Gram decomposition.
-    for name in ("_scaled", "_rzf_blocks"):
-        _counting(monkeypatch, satprecode.precoding, name, calls)
-    shapes = []
-    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
-                         lambda a: shapes.append(a.shape))
+    calls = record_calls(
+        monkeypatch, satprecode.precoding._scaled, sinr_matrix, beam_rate,
+        two_stage, baseline_avg_mmse,
+        satprecode.precoding.baseline_four_color,
+        satprecode.precoding._rzf_blocks, satprecode.linalg.eigh_sorted)
     path = WORKLOADS.WORKLOADS["desk_sweep"].write_config(0, tmp_path / "w.cfg")
     cfg = parse_config(path)
     cfg.trials = 1
@@ -253,14 +280,14 @@ def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
     assert run_monte_carlo(cfg).total_skipped() == 0
     # four_color keeps its own SINR and its own rate call (quarter band).
     # rzf is a design of the pass, which calls its kernel once.
-    assert calls == {"_scaled": 1, "sinr_matrix": 1, "beam_rate": 2,
-                     "two_stage": 0, "baseline_avg_mmse": 0,
-                     "baseline_four_color": 1, "_rzf_blocks": 1,
-                     "eigh_sorted": 2}
+    assert _counts(calls) == {"_scaled": 1, "sinr_matrix": 1, "beam_rate": 2,
+                              "two_stage": 0, "baseline_avg_mmse": 0,
+                              "baseline_four_color": 1, "_rzf_blocks": 1,
+                              "eigh_sorted": 2}
     # Only mbim's 7 beams take Gram spectra, below the crossover from
     # their own Gram matrices. rzf (14 users on 7 feeds) takes the
     # estimate's H^H H once for its whole power sweep.
-    assert shapes == [(7, 7), (7, 7, 7)]
+    assert _eigh_shapes(calls) == [(7, 7), (7, 7, 7)]
 
 
 def test_wide_robust_trial_decomposes_the_estimate_gram_once(monkeypatch,
@@ -269,16 +296,14 @@ def test_wide_robust_trial_decomposes_the_estimate_gram_once(monkeypatch,
     # above the crossover), and rzf (122 users on 61 feeds) factors the
     # same G: the pass decomposes it once, and every downdated beam is
     # certified, so no other Gram matrix is decomposed.
-    calls, shapes = {"eigh_sorted": 0}, []
-    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
-                         lambda a: shapes.append(a.shape))
+    calls = record_calls(monkeypatch, satprecode.linalg.eigh_sorted)
     path = WORKLOADS.WORKLOADS["wide_robust"].write_config(0, tmp_path / "w.cfg")
     cfg = parse_config(path)
     cfg.trials = 1
     assert cfg.beams >= _DOWNDATE_MIN_BEAMS
     assert {"mbim", "robust", "rzf"} <= set(cfg.scenarios)
     assert run_monte_carlo(cfg).total_skipped() == 0
-    assert shapes == [(cfg.beams, cfg.beams)]
+    assert _eigh_shapes(calls) == [(cfg.beams, cfg.beams)]
 
 
 def _rank_deficient_estimates(monkeypatch):
@@ -336,30 +361,23 @@ def test_rank_deficient_estimate_takes_one_family_call_per_trial(monkeypatch):
     # A failing design costs no redesign: the failure codes of the stacked
     # pass skip its cells, and no scenario is designed a second time.
     _rank_deficient_estimates(monkeypatch)
-    calls = dict.fromkeys(("assemble_multigateway_family", "two_stage",
-                           "robust_two_stage",
-                           "assemble_multigateway_precoder"), 0)
-    _counting(monkeypatch, satprecode.evaluate, "assemble_multigateway_family",
-              calls)
-    _counting_at_home(monkeypatch, calls)
+    calls = record_calls(monkeypatch, assemble_multigateway_family, two_stage,
+                         robust_two_stage, assemble_multigateway_precoder)
     cfg = _small_config()
     assert run_monte_carlo(cfg).total_skipped() == 2 * 2 * cfg.trials
-    per_trial = {name: count // cfg.trials for name, count in calls.items()}
-    assert per_trial == {"assemble_multigateway_family": 1, "two_stage": 0,
-                         "robust_two_stage": 0,
-                         "assemble_multigateway_precoder": 0}
+    assert _counts(calls, cfg.trials) == {
+        "assemble_multigateway_family": 1, "two_stage": 0,
+        "robust_two_stage": 0, "assemble_multigateway_precoder": 0}
 
 
 def test_rzf_and_avg_mmse_take_no_gram_spectra(monkeypatch):
     # No other-beam Gram matrix is decomposed; rzf (24 users on 12 feeds)
     # decomposes H^H H once per estimate for its whole power sweep.
-    calls, shapes = {"eigh_sorted": 0}, []
-    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
-                         lambda a: shapes.append(a.shape))
+    calls = record_calls(monkeypatch, satprecode.linalg.eigh_sorted)
     cfg = _small_config(scenarios=("rzf", "avg_mmse"))
     assert run_monte_carlo(cfg).total_skipped() == 0
-    assert calls == {"eigh_sorted": cfg.trials}
-    assert shapes == [(12, 12)] * cfg.trials
+    assert _counts(calls) == {"eigh_sorted": cfg.trials}
+    assert _eigh_shapes(calls) == [(12, 12)] * cfg.trials
 
 
 def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
@@ -370,11 +388,9 @@ def test_a_block_with_its_own_interbeam_stage_takes_no_spectra(monkeypatch):
     p = np.array([3.0, 300.0])
     designs = [[BlockDesign(ch.h, range(5))],
                [BlockDesign(other.h, range(5), interbeam="rzf")]]
-    calls, shapes = {"eigh_sorted": 0}, []
-    _counting_everywhere(monkeypatch, "eigh_sorted", calls,
-                         lambda a: shapes.append(a.shape))
+    calls = record_calls(monkeypatch, satprecode.linalg.eigh_sorted)
     family, codes = assemble_multigateway_family(designs, 2, p)
-    assert sorted(shapes) == [(5, 6, 6), (6, 6)]
+    assert sorted(_eigh_shapes(calls)) == [(5, 6, 6), (6, 6)]
     assert not codes.any()
     w = family.w.reshape(2, p.size, *family.w.shape[1:])
     for i, alone in enumerate((two_stage(ch, p, interbeam="mbim"),

@@ -24,7 +24,7 @@ from satprecode.evaluate import _build_budget, _build_layout
 from satprecode.exceptions import GeometryError
 
 import oracles
-from conftest import load_perfbench_workloads
+from conftest import load_perfbench_workloads, record_calls
 
 WORKLOADS = load_perfbench_workloads()
 
@@ -140,23 +140,16 @@ def test_the_attempt_limit_falls_on_the_same_attempt(budget, monkeypatch):
     layout = sp.hex_layout(1, 47.0, 10.0, 0.25, 4.0, budget=budget)
     halfwidths, bores = beam_contours(layout, budget)
     contours = (32.0 * halfwidths, bores)
-    original = oracles.boresight_angle_deg
-    attempts = []
-
-    def counting(*args):
-        attempts[-1] += 1
-        return original(*args)
-
     for seed, filled_at in seeds.items():
-        attempts.append(0)
         with monkeypatch.context() as patch:
-            patch.setattr(oracles, "boresight_angle_deg", counting)
+            calls = record_calls(patch, oracles.boresight_angle_deg)
             slow = _outcome(oracles.place_users_per_attempt, layout, 1, seed,
                             budget=budget, contours=contours)
+        attempts = len(calls["boresight_angle_deg"])
         if filled_at is None:
             assert slow == ("beam 0 contour accepts no samples "
                             "(degenerate contour?)")
-            assert attempts[-1] == 200
+            assert attempts == 200
         else:
-            assert attempts[-1] == filled_at
+            assert attempts == filled_at
         _assert_same_draws(layout, budget, contours, 1, seed)
