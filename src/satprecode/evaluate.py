@@ -129,20 +129,24 @@ class ModcodTable:
             return cls.from_file(path)
 
 
-def sinr_matrix(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
+def sinr_matrix(ch: ChannelMatrix | np.ndarray, w: np.ndarray) -> np.ndarray:
     """Linear SINR of every user under precoder W, as a (K, Q) array.
 
     Signal is the user's own beam column, interference the other beams'
     columns, noise power one (the channel is noise-normalized). A
-    (P, N, K) stack of precoders gives a (P, K, Q) array.
+    (P, N, K) stack of precoders gives a (P, K, Q) array. `ch` may also
+    be stacked channel rows (..., KQ, N), beam-major as in a
+    `ChannelMatrix`, which broadcast against the precoders (..., N, K):
+    each channel and precoder pair gets the bits it gets alone.
     """
-    amps = np.abs(ch.h @ w) ** 2                     # (..., KQ, K)
-    rows = amps.shape[-2]
-    beam_of_row = np.repeat(np.arange(ch.beams), ch.users_per_beam)
+    h = ch.h if isinstance(ch, ChannelMatrix) else ch
+    amps = np.abs(h @ w) ** 2                        # (..., KQ, K)
+    rows, beams = amps.shape[-2:]
+    beam_of_row = np.repeat(np.arange(beams), rows // beams)
     signal = amps[..., np.arange(rows), beam_of_row]
     interference = amps.sum(axis=-1) - signal
     return (signal / (interference + 1.0)).reshape(
-        *amps.shape[:-2], ch.beams, ch.users_per_beam)
+        *amps.shape[:-2], beams, rows // beams)
 
 
 def beam_rate(sinrs, table: ModcodTable, budget: LinkBudget,
@@ -347,47 +351,89 @@ def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
     return ch_true, extract_users(pool_est, members), bounds
 
 
-def _run_trial(trial_seed: np.random.SeedSequence,
-               cfg: ScenarioConfig, layout: BeamLayout, budget: LinkBudget,
-               table: ModcodTable, plans: dict, p_w: np.ndarray,
-               contours: tuple):
-    """One channel realization evaluated under every scenario and at every
-    power of `p_w`, the power sweep in Watts: an (S, P, K) array of beam
-    rates, with an all-NaN K-row where a (scenario, power) cell was
-    skipped."""
-    ch_true, ch_est, bounds = _trial_channels(trial_seed, cfg, layout, budget,
-                                              contours)
-    designs = _trial_designs(cfg.scenarios, ch_est, bounds, plans)
+# Bytes a batch of trials may hold in its design pass and SINR map. Each
+# precoded scenario of a trial holds about K + P copies of the trial's
+# (KQ, N) channel rows: every beam's other-beam rows and Gram matrix, and
+# the precoders and SINR products of every power. The trial's channels,
+# designs and their Python objects add about 16 KiB whatever its size.
+# Measured with tracemalloc, a trial of desk.cfg holds 56 KB (51 KB
+# estimated), one of figure3_recipe.cfg 77 KB (78 KB) and one of
+# gateway_desk.cfg 265 KB (339 KB), so a batch of 20, 13 and 3 trials
+# holds about 1.1, 1.0 and 0.8 MB. Larger batches save little time, but
+# they add to the peak RSS; a paper-scale trial alone is far above the
+# cap, so every batch there is one trial.
+_BATCH_BYTES = 2**20
 
-    def rates(names, p):
-        # One stacked pass, one SINR and one rate call for every precoded
-        # scenario; four_color keeps its own SINR and its quarter band.
-        out = np.full((len(names), p.size, cfg.beams), np.nan)
-        precoded = [s for s, name in enumerate(names) if name in designs]
-        if precoded:
+
+def _trial_bytes(cfg: ScenarioConfig, feeds: int, powers: int) -> int:
+    """The estimated working set of one trial in a batch."""
+    precoded = max(1, sum(name != "four_color" for name in cfg.scenarios))
+    rows = 16 * cfg.beams * cfg.users_per_beam * feeds
+    return rows * precoded * (cfg.beams + powers) + 2**14
+
+
+def _batch_trials(cfg: ScenarioConfig, feeds: int, powers: int) -> int:
+    """Trials per batch: as many as `_BATCH_BYTES` holds, at least one."""
+    return max(1, _BATCH_BYTES // _trial_bytes(cfg, feeds, powers))
+
+
+def _run_batch(trial_seeds: list, cfg: ScenarioConfig, layout: BeamLayout,
+               budget: LinkBudget, table: ModcodTable, plans: dict,
+               p_w: np.ndarray, contours: tuple) -> np.ndarray:
+    """Consecutive trials, one per seed of `trial_seeds`, evaluated under
+    every scenario and at every power of `p_w`, the power sweep in Watts:
+    an (S, P, T, K) array of beam rates, with an all-NaN K-row where a
+    (scenario, power) cell of a trial was skipped.
+
+    Each trial draws its own channels. Every precoded (trial, scenario)
+    of the batch is designed in one stacked pass, and one SINR and one
+    rate call cover them all; four_color keeps its own SINRs per trial
+    and its quarter band. Each matrix of a stacked call gets the bits it
+    gets alone, so a trial's rates do not depend on its batch.
+    """
+    channels = [_trial_channels(seed, cfg, layout, budget, contours)
+                for seed in trial_seeds]
+    designs = [_trial_designs(cfg.scenarios, ch_est, bounds, plans)
+               for _, ch_est, bounds in channels]
+
+    def rates(trials, scenarios, powers):
+        names = [cfg.scenarios[s] for s in scenarios]
+        p = p_w[powers]
+        out = np.full((len(names), p.size, len(trials), cfg.beams), np.nan)
+        jobs = [(s, i, t) for i, t in enumerate(trials)
+                for s, name in enumerate(names) if name in designs[t]]
+        if jobs:
             pre, codes = assemble_multigateway_family(
-                [designs[names[s]] for s in precoded], ch_true.users_per_beam,
+                [designs[t][names[s]] for s, _, t in jobs], cfg.users_per_beam,
                 p, cfg.power_mode)
-            found = beam_rate(sinr_matrix(ch_true, pre.w), table, budget)
-            out[precoded] = np.where(codes[..., None] > 0, np.nan,
-                                     found.reshape(len(precoded), p.size, -1))
+            rows = np.stack([channels[t][0].h for _, _, t in jobs])
+            w = pre.w.reshape(len(jobs), p.size, *pre.w.shape[1:])
+            found = beam_rate(sinr_matrix(rows[:, None], w), table, budget)
+            at, col, _ = zip(*jobs)
+            out[at, :, col] = np.where(codes[..., None] > 0, np.nan, found)
         if "four_color" in names:
             out[names.index("four_color")] = beam_rate(
-                baseline_four_color(ch_true, layout, p), table, budget, 0.25)
+                np.stack([baseline_four_color(channels[t][0], layout, p)
+                          for t in trials], axis=1),
+                table, budget, 0.25)
         return out
 
     # A LinAlgError from a stacked LAPACK call is the one failure without a
-    # code: then every (scenario, power) cell runs once more on its own.
-    out = np.full((len(cfg.scenarios), p_w.size, cfg.beams), np.nan)
-    cells = [(slice(None), slice(None))]
-    for at in cells:
+    # code: then each trial of the batch runs again alone, and a trial that
+    # fails alone runs each (scenario, power) cell on its own.
+    out = np.full((len(cfg.scenarios), p_w.size, len(channels), cfg.beams),
+                  np.nan)
+    parts = [(range(len(channels)), range(len(cfg.scenarios)), range(p_w.size))]
+    for trials, scenarios, powers in parts:
         try:
-            out[at] = rates(cfg.scenarios[at[0]], p_w[at[1]])
+            out[np.ix_(scenarios, powers, trials)] = rates(trials, scenarios,
+                                                           powers)
         except np.linalg.LinAlgError:
-            if len(cells) == 1:
-                cells += [(slice(s, s + 1), slice(i, i + 1))
-                          for s in range(len(cfg.scenarios))
-                          for i in range(p_w.size)]
+            if len(trials) > 1:
+                parts += [([t], scenarios, powers) for t in trials]
+            elif len(scenarios) * len(powers) > 1:
+                parts += [(trials, [s], [i])
+                          for s in scenarios for i in powers]
     return out
 
 
@@ -429,12 +475,19 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
 
     Deterministic for a fixed master seed: each trial owns spawned seed
     streams, so a trial's results do not depend on the trials run before
-    it. The trials run one after another in this thread.
+    it. The trials run in this thread, in batches of consecutive trials:
+    a batch draws each trial's channels in turn, then designs every
+    precoded (trial, scenario) in one stacked pass and maps them to
+    SINRs and rates in one call each (`_run_batch`). A batch holds as
+    many trials as fit in `_BATCH_BYTES` of estimated working set, at
+    least one; every matrix of a stacked call gets the bits it gets
+    alone, so a trial's results do not depend on its batch either.
     Modelled numerical failures skip their cell and are counted: a cell
     whose failure code the stacked design pass sets, every power of a
     gateway scenario whose CSI exchange fails, and, after a LAPACK error
-    when the trial's cells run again one at a time, a cell that fails on
-    its own. Any other exception propagates. `layout` and `table` are the
+    when each trial of the batch runs again alone and a trial that fails
+    alone runs its cells one at a time, a cell that fails on its own.
+    Any other exception propagates. `layout` and `table` are the
     configured beam layout and MODCOD table when the caller has built
     them already (the CLI does, inside its error boundary).
     """
@@ -453,9 +506,11 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     contours = beam_contours(layout, budget) if trial_seeds else None
     throughput = np.empty((len(cfg.scenarios), p_w.size, len(trial_seeds),
                            cfg.beams))
-    for t, trial_seed in enumerate(trial_seeds):
-        throughput[:, :, t] = _run_trial(trial_seed, cfg, layout, budget, table,
-                                         plans, p_w, contours)
+    size = _batch_trials(cfg, layout.feeds, p_w.size)
+    for t in range(0, len(trial_seeds), size):
+        batch = trial_seeds[t:t + size]
+        throughput[:, :, t:t + len(batch)] = _run_batch(
+            batch, cfg, layout, budget, table, plans, p_w, contours)
     throughput.flags.writeable = False
     return MonteCarloResult(
         scenarios=cfg.scenarios,

@@ -18,8 +18,8 @@ designs (`BlockDesign`), with the mbim blocks from the spectra of
 `linalg.other_gram_tails` and the rzf blocks from one decomposition of
 the smaller Gram matrix, and `_beam_columns`, one stacked SVD. The
 design pass (`assemble_multigateway_family`) runs both over every
-precoder of a channel; the library's single designs run them on one
-design. A modelled failure is a failure code per (precoder, power,
+precoder of a batch of channels; the library's single designs run them
+on one design. A modelled failure is a failure code per (precoder, power,
 beam), from which the single designs raise.
 """
 
@@ -480,8 +480,8 @@ def _uncovered(blocks: list[BlockDesign], users_per_beam: int) -> ConfigError:
 
 def _block_diagonals(precoders: list, users_per_beam: int,
                      p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, P, N, K) unscaled precoders of one channel over the power
-    vector `p`, and their (S, P, K) failure codes. Each is given by its
+    """(S, P, N, K) unscaled precoders over the power vector `p`, and
+    their (S, P, K) failure codes. Each is given by its
     blocks, consecutive in beams and feeds, or as a function of `p` that
     returns its (P, N, K) stack. An empty list, precoders of more than
     one shape (N, K), or blocks whose beam ranges do not run
@@ -540,13 +540,17 @@ def assemble_multigateway_family(precoders: list, users_per_beam: int,
                                  p_total: np.ndarray,
                                  mode: str = "per_feed"
                                  ) -> tuple[Precoder, np.ndarray]:
-    """S precoders of one channel over the 1-D power vector `p_total`,
-    from one stacked pass, and their (S, P) failure codes. Each is given
-    by its blocks (`gateway.plan_designs` for a gateway plan; one block
-    over every beam for mbim, robust and rzf, whose `interbeam` names it)
-    or as a function of the power vector that returns its (P, N, K)
-    unscaled stack (avg_mmse). Blocks on the same view share its
-    decomposed ``V^H V``.
+    """S precoders of one shape (N, K) over the 1-D power vector
+    `p_total`, from one stacked pass, and their (S, P) failure codes.
+    They may be designed on one channel or on several, as the precoded
+    scenarios of a batch of trials are. Each is given by its blocks
+    (`gateway.plan_designs` for a gateway plan; one block over every beam
+    for mbim, robust and rzf, whose `interbeam` names it) or as a
+    function of the power vector that returns its (P, N, K) unscaled
+    stack (avg_mmse). Blocks on the same view share its decomposed
+    ``V^H V``; views are told apart by identity, so blocks on different
+    channels share nothing, and each precoder gets the bits it gets in a
+    pass of its own.
 
     Slot ``s*P + i`` of the returned precoder's leading axis is precoder s
     at power ``p_total[i]``, and one power scaling serves every slot.

@@ -4,10 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 import satprecode as sp
 from satprecode.channel import ChannelMatrix
+from satprecode.evaluate import _batch_trials
 from satprecode.exceptions import MODELLED_FAILURES
+
+# Hypothesis without its shrink phase, selected only by pytest's own
+# ``--hypothesis-profile=no-shrink``: a mutation check wants to know that
+# a property fails, not its smallest counterexample, and shrinking one
+# can take minutes. The default profile is left as it is.
+settings.register_profile(
+    "no-shrink", phases=[phase for phase in Phase if phase is not Phase.shrink])
 
 
 @pytest.fixture(scope="session")
@@ -136,6 +145,14 @@ def assert_design(design, oracle, p, sizes, rtol=0.0):
         for i, single in enumerate(singles[:n]):
             assert_same(_slot(stacked, i), single)
     return singles
+
+
+def trial_batches(cfg):
+    """The number of trials in each batch that `run_monte_carlo` runs for
+    `cfg`, in order."""
+    size = _batch_trials(cfg, cfg.beams * cfg.feeds_per_beam,
+                         len(cfg.power_sweep_dbw))
+    return [min(size, cfg.trials - t) for t in range(0, cfg.trials, size)]
 
 
 def record_calls(monkeypatch, *functions):

@@ -30,9 +30,10 @@ user-placement box, the `np.exp` form of the phase synthesis
 (`build_phase_matrix_exp`) and the `np.cross` form of the off-axis angle.
 `run_trial_per_cell`, every (scenario, power) cell of a trial designed
 by its oracle above at that one power, is the reference for the cells
-that the failure codes of the stacked pass skip; it calls none of the
-library's single designs, so it stays a reference when they become
-calls of that pass.
+that the failure codes of the stacked pass skip, and
+`run_batch_per_cell` runs it over each trial of a batch; it calls none
+of the library's single designs, so it stays a reference when they
+become calls of that pass.
 
 Helpers that no part of the program calls live here too, unchanged from
 when the library exported them:
@@ -849,14 +850,26 @@ def sinr_matrix_per_power(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
 # modelled failure in its stacked design pass. The run now reads its
 # skipped cells from that pass's failure codes.
 
+def run_batch_per_cell(trial_seeds, cfg, layout: BeamLayout, budget: LinkBudget,
+                       table, plans: dict, p_w: np.ndarray,
+                       contours: tuple) -> np.ndarray:
+    """`evaluate._run_batch`, a batch of consecutive trials, as each trial
+    alone (`run_trial_per_cell`): an (S, P, T, K) array of beam rates."""
+    return np.stack([run_trial_per_cell(seed, cfg, layout, budget, table,
+                                        plans, p_w, contours)
+                     for seed in trial_seeds], axis=2)
+
+
 def run_trial_per_cell(trial_seed, cfg, layout: BeamLayout, budget: LinkBudget,
                        table, plans: dict, p_w: np.ndarray,
                        contours: tuple) -> np.ndarray:
-    """`evaluate._run_trial` with every (scenario, power) cell designed by
-    its oracle at that one power (four_color by `baseline_four_color`,
-    which the run calls outside the stacked pass): an (S, P, K) array of
-    beam rates, NaN where the design raised a modelled failure, and at
-    every power of a gateway scenario whose CSI exchange failed.
+    """One trial of `evaluate._run_batch` with every (scenario, power) cell
+    designed by its oracle at that one power (four_color by
+    `baseline_four_color`, which the run calls outside the stacked pass):
+    an (S, P, K) array of beam rates, NaN where the design raised a
+    modelled failure, and at every power of a gateway scenario whose CSI
+    exchange failed. The run designs a whole batch of trials in one pass;
+    this designs one trial, and each of its cells, on its own.
 
     The channels and views come through `satprecode.evaluate`, so a test
     that patches `_trial_channels` or `share_csi` there patches them here.

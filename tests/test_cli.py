@@ -749,14 +749,21 @@ class TestOutputsMatchPerCellReference:
         (11, {0, 6}),
     ])
     def test_skipped_trials(self, tmp_path, monkeypatch, trials, failing):
-        # One channel draw per trial: the trial under way is the last.
-        channels = record_calls(monkeypatch,
-                                satprecode.evaluate._trial_channels)
+        # A batch draws every trial's channels before it designs any, so
+        # the last draw is not the trial under way: avg_mmse's estimate
+        # names it (estimates[t] is trial t's).
+        estimates = []
+        original_channels = satprecode.evaluate._trial_channels
         original_avg = satprecode.precoding._avg_mmse_unscaled
         original_four = satprecode.evaluate.baseline_four_color
 
+        def recorded_channels(*args):
+            channels = original_channels(*args)
+            estimates.append(channels[1])
+            return channels
+
         def avg_failing_at_25_dbw(ch, p_w):
-            trial = len(channels["_trial_channels"]) - 1
+            trial = next(t for t, est in enumerate(estimates) if est is ch)
             if trial in failing and np.any(p_w == 10.0 ** 2.5):
                 raise np.linalg.LinAlgError("modelled failure")
             return original_avg(ch, p_w)
@@ -766,6 +773,8 @@ class TestOutputsMatchPerCellReference:
                 raise np.linalg.LinAlgError("modelled failure")
             return original_four(ch, layout, p_w)
 
+        monkeypatch.setattr(satprecode.evaluate, "_trial_channels",
+                            recorded_channels)
         # avg_mmse's precoder, in the stacked pass and on its own.
         for module in (satprecode.evaluate, satprecode.precoding):
             monkeypatch.setattr(module, "_avg_mmse_unscaled",

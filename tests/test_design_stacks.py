@@ -62,6 +62,7 @@ from conftest import (
     perturbed,
     random_channel,
     record_calls,
+    trial_batches,
 )
 
 # (beams, users per beam, feeds per beam)
@@ -385,20 +386,22 @@ def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
     (("four_color",), "baseline_four_color"),
     (("mbim", "robust", "gw_ref", "gw_icp"), "assemble_multigateway_family"),
 ])
-def test_one_design_sinr_and_rate_call_per_trial_and_scenario(
+def test_one_design_sinr_and_rate_call_per_batch_and_scenario(
         monkeypatch, scenarios, design):
     calls = record_calls(monkeypatch, getattr(satprecode.evaluate, design),
                          sinr_matrix, beam_rate)
     cfg = _small_config(scenarios=scenarios, beams=12, gateways=3,
                         power_sweep_dbw=(20.0, 25.0, 30.0, 35.0),
                         csi_error_ratio=0.05)
+    batches = len(trial_batches(cfg))
+    assert batches < cfg.trials
     res = run_monte_carlo(cfg)
     assert res.total_skipped() == 0
-    # All precoded scenarios of a trial (every one but four_color) are
-    # designed and evaluated together.
+    # All precoded scenarios of a batch of trials (every one but
+    # four_color) are designed and evaluated together; four_color takes
+    # each trial's SINRs on its own and one rate call per batch.
     family = design == "assemble_multigateway_family"
-    cells = cfg.trials * (1 if family else len(scenarios))
     four_color = design == "baseline_four_color"
     assert {name: len(args) for name, args in calls.items()} == {
-        design: cells, "sinr_matrix": 0 if four_color else cells,
-        "beam_rate": cells}
+        design: batches if family else cfg.trials,
+        "sinr_matrix": 0 if four_color else batches, "beam_rate": batches}

@@ -16,7 +16,7 @@ from satprecode.evaluate import (
     _build_budget,
     _build_layout,
     _build_table,
-    _run_trial,
+    _run_batch,
     beam_rate,
     gateway_plans,
     run_monte_carlo,
@@ -26,12 +26,12 @@ from satprecode.exceptions import ConfigError
 from satprecode.io import write_results_csv
 from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 
+import oracles
 from conftest import random_channel, record_calls
 from oracles import (
     bootstrap_mean_diff_quantiles,
     cell_skipped,
     cell_throughput,
-    run_trial_per_cell,
 )
 
 
@@ -201,10 +201,10 @@ class TestMonteCarlo:
         budget = _build_budget(cfg)
         layout = _build_layout(cfg, budget)
         p_w = np.array([dbw_to_watts(p) for p in cfg.power_sweep_dbw])
-        rows = _run_trial(np.random.SeedSequence(cfg.seed).spawn(4)[2], cfg,
+        rows = _run_batch(np.random.SeedSequence(cfg.seed).spawn(4)[2:3], cfg,
                           layout, budget, _build_table(cfg),
                           gateway_plans(cfg, layout), p_w,
-                          beam_contours(layout, budget))
+                          beam_contours(layout, budget))[:, :, 0]
         assert rows.shape == (4, 2, 7)
         assert np.all(np.isfinite(rows))
         assert np.array_equal(rows, res.throughput[:, :, 2])
@@ -269,11 +269,14 @@ class TestMonteCarlo:
                                    trials=2, power_sweep_dbw=powers)
                 assert run_monte_carlo(cfg).total_skipped() == 0
             counts.append({name: len(args) for name, args in calls.items()})
-        # One exchange per (trial, scenario) and one stacked decomposition
-        # per (trial, view shape), whatever the number of power points:
-        # gw_ref's one 12-feed view, and the 4-feed views of the other
+            counts[-1]["eigh_sorted"] = [a.shape for a, in calls["eigh_sorted"]]
+        # One exchange per (trial, scenario) and, for the batch of both
+        # trials, one stacked decomposition per view shape, whatever the
+        # number of power points: each trial's 12 beams of gw_ref's one
+        # 12-feed view, and the 4 own beams of each 4-feed view of the other
         # three scenarios' 3 gateways. No scenario is designed on its own.
-        expected = {"share_csi": 2 * len(scenarios), "eigh_sorted": 2 * 2,
+        expected = {"share_csi": 2 * len(scenarios),
+                    "eigh_sorted": [(2 * 12, 12, 12), (2 * 3 * 3 * 4, 4, 4)],
                     "assemble_multigateway_precoder": 0}
         assert counts == [expected, expected]
 
@@ -310,9 +313,11 @@ class TestMonteCarlo:
         monkeypatch.setattr(satprecode.evaluate, "share_csi", blind_icp)
         failing = run_monte_carlo(cfg)
 
-        monkeypatch.setattr(satprecode.evaluate, "_run_trial",
-                            run_trial_per_cell)
+        oracle = record_calls(monkeypatch, oracles.run_trial_per_cell)
+        monkeypatch.setattr(satprecode.evaluate, "_run_batch",
+                            oracles.run_batch_per_cell)
         per_scenario = run_monte_carlo(cfg)
+        assert len(oracle["run_trial_per_cell"]) == cfg.trials
         assert np.array_equal(failing.skipped, per_scenario.skipped)
         assert failing.skipped.tolist() == [
             [3 if name == "gw_icp" else 0] * len(cfg.power_sweep_dbw)

@@ -1,0 +1,121 @@
+"""A Monte Carlo run's trials go through the design pass in batches, and
+no trial's bits depend on its batch.
+
+Seven trials of the ``desk_sweep`` and ``gateway_coop`` benchmark
+templates run in batches of 1, of 3 (3, 3 and 1) and of all 7, the cap
+`evaluate._BATCH_BYTES` set to give each size: the throughput and the
+skipped counts agree bit for bit. A modelled failure in one trial, a
+LAPACK error in its averaging precoder at one power or a failed CSI
+exchange of one gateway scenario, skips that trial's cells and no
+other, as when every trial runs alone. The files under ``perfbench/``
+are only read.
+"""
+
+import numpy as np
+import pytest
+
+import satprecode.evaluate
+from satprecode.config import parse_config
+from satprecode.evaluate import _batch_trials, _trial_bytes, run_monte_carlo
+
+from conftest import load_perfbench_workloads, trial_batches
+
+WORKLOADS = load_perfbench_workloads()
+
+TRIALS = 7
+SIZES = (1, 3, TRIALS)
+
+
+def _config(tmp_path, workload):
+    path = WORKLOADS.WORKLOADS[workload].write_config(3, tmp_path / "w.cfg")
+    cfg = parse_config(path)
+    cfg.trials = TRIALS
+    return cfg
+
+
+def _runs(monkeypatch, cfg):
+    """`run_monte_carlo(cfg)` in batches of each of `SIZES` trials."""
+    args = (cfg, cfg.beams * cfg.feeds_per_beam, len(cfg.power_sweep_dbw))
+    results = []
+    for size in SIZES:
+        monkeypatch.setattr(satprecode.evaluate, "_BATCH_BYTES",
+                            size * _trial_bytes(*args))
+        assert _batch_trials(*args) == size
+        assert trial_batches(cfg) == [min(size, TRIALS - t)
+                                      for t in range(0, TRIALS, size)]
+        results.append(run_monte_carlo(cfg))
+    return results
+
+
+def _assert_batch_independent(results):
+    alone, *batched = results
+    for res in batched:
+        assert np.array_equal(res.throughput, alone.throughput, equal_nan=True)
+        assert np.array_equal(res.skipped, alone.skipped)
+
+
+def _estimates(monkeypatch):
+    """Records each trial's estimated channel as the run draws it:
+    ``estimates[t]`` is trial t's in the run under way."""
+    estimates = {}
+    original = satprecode.evaluate._trial_channels
+
+    def recorded(trial_seed, *args):
+        channels = original(trial_seed, *args)
+        # Trial t's seed is spawn t of the run's master seed.
+        estimates[trial_seed.spawn_key[-1]] = channels[1]
+        return channels
+
+    monkeypatch.setattr(satprecode.evaluate, "_trial_channels", recorded)
+    return estimates
+
+
+@pytest.mark.parametrize("workload", ["desk_sweep", "gateway_coop"])
+def test_trial_bits_do_not_depend_on_the_batch(tmp_path, monkeypatch,
+                                               workload):
+    results = _runs(monkeypatch, _config(tmp_path, workload))
+    assert results[0].total_skipped() == 0
+    _assert_batch_independent(results)
+
+
+def test_linalg_error_in_one_trial_skips_only_its_cell(tmp_path, monkeypatch):
+    cfg = _config(tmp_path, "desk_sweep")
+    estimates = _estimates(monkeypatch)
+    original = satprecode.evaluate._avg_mmse_unscaled
+    bad_power = 10.0 ** 2.0
+
+    def failing(ch, p):
+        if ch is estimates.get(4) and np.any(p == bad_power):
+            raise np.linalg.LinAlgError("singular in trial 4")
+        return original(ch, p)
+
+    monkeypatch.setattr(satprecode.evaluate, "_avg_mmse_unscaled", failing)
+    results = _runs(monkeypatch, cfg)
+    _assert_batch_independent(results)
+    s = cfg.scenarios.index("avg_mmse")
+    i = cfg.power_sweep_dbw.index(20.0)
+    expected = np.zeros_like(results[0].skipped)
+    expected[s, i] = 1
+    assert np.array_equal(results[0].skipped, expected)
+    assert np.all(np.isnan(results[0].throughput[s, i, 4]))
+
+
+def test_failed_csi_exchange_in_one_trial_skips_only_its_scenario(
+        tmp_path, monkeypatch):
+    cfg = _config(tmp_path, "gateway_coop")
+    estimates = _estimates(monkeypatch)
+    original = satprecode.evaluate.share_csi
+
+    def failing(ch, plan):
+        if ch is estimates.get(2) and plan.mode == "icp":
+            raise np.linalg.LinAlgError("exchange failed in trial 2")
+        return original(ch, plan)
+
+    monkeypatch.setattr(satprecode.evaluate, "share_csi", failing)
+    results = _runs(monkeypatch, cfg)
+    _assert_batch_independent(results)
+    s = cfg.scenarios.index("gw_icp")
+    expected = np.zeros_like(results[0].skipped)
+    expected[s] = 1
+    assert np.array_equal(results[0].skipped, expected)
+    assert np.all(np.isnan(results[0].throughput[s, :, 2]))

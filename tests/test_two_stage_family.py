@@ -1,5 +1,5 @@
 """Every precoded scenario is designed in the stacked family pass of a
-trial.
+batch of trials.
 
 mbim, robust and rzf are each one block design over every beam of the
 estimated channel, and avg_mmse joins the pass as its unscaled
@@ -10,12 +10,13 @@ shipped configs and of every benchmark workload config, below and above
 the downdate crossover. The gateway plans of a channel, designed in one
 pass, must give `assemble_multigateway_precoder` and its rates bit for
 bit on equal and unequal splits and above the crossover, and fail only
-where a plan leaves fewer feeds than users. A trial designs every
-precoded scenario in one pass, with one power scaling, one SINR and one
-rate call. A rank-deficient estimate skips mbim, and the scenarios that
-share its view, through that pass's failure codes: every cell is as its
-oracle designs it at that power (`oracles.run_trial_per_cell`), and no
-scenario is designed a second time. The files under ``perfbench/`` are
+where a plan leaves fewer feeds than users. A batch of trials designs
+every precoded scenario of every trial in one pass, with one power
+scaling, one SINR and one rate call. A rank-deficient estimate skips
+mbim, and the scenarios that share its view, through that pass's failure
+codes: every cell is as its oracle designs it at that power
+(`oracles.run_batch_per_cell`), and no scenario is designed a second
+time. The files under ``perfbench/`` are
 only read.
 """
 
@@ -74,6 +75,7 @@ from conftest import (
     perturbed,
     random_channel,
     record_calls,
+    trial_batches,
 )
 
 WORKLOADS = load_perfbench_workloads()
@@ -240,30 +242,33 @@ def _small_config(**overrides):
     return ScenarioConfig(**base)
 
 
-def _counts(calls, trials=1):
-    return {name: len(args) // trials for name, args in calls.items()}
+def _counts(calls, batches=1):
+    return {name: len(args) // batches for name, args in calls.items()}
 
 
 def _eigh_shapes(calls):
     return [a.shape for a, in calls["eigh_sorted"]]
 
 
-def test_every_two_stage_scenario_in_one_pass_per_trial(monkeypatch):
+def test_every_two_stage_scenario_in_one_pass_per_batch(monkeypatch):
     calls = record_calls(
         monkeypatch, satprecode.precoding._block_diagonals,
         satprecode.precoding._scaled, sinr_matrix, beam_rate, two_stage,
         robust_two_stage, assemble_multigateway_precoder,
         satprecode.linalg.eigh_sorted)
-    cfg = _small_config()
+    cfg = _small_config(trials=5)
+    batches = trial_batches(cfg)
+    assert len(batches) < cfg.trials
     assert run_monte_carlo(cfg).total_skipped() == 0
-    assert _counts(calls, cfg.trials) == {
+    assert _counts(calls, len(batches)) == {
         "_block_diagonals": 1, "_scaled": 1, "sinr_matrix": 1, "beam_rate": 1,
         "two_stage": 0, "robust_two_stage": 0,
         "assemble_multigateway_precoder": 0, "eigh_sorted": 2}
-    # mbim, robust and gw_ref, whose one view is the estimate itself, share
-    # its 12 beam spectra; the 3 split plans' 3 gateways have 4 own beams
-    # each.
-    assert _eigh_shapes(calls) == [(12, 12, 12), (36, 4, 4)] * cfg.trials
+    # In each trial, mbim, robust and gw_ref, whose one view is the
+    # estimate itself, share its 12 beam spectra; the 3 split plans' 3
+    # gateways have 4 own beams each.
+    assert _eigh_shapes(calls) == [shape for trials in batches for shape in
+                                   ((trials * 12, 12, 12), (trials * 36, 4, 4))]
 
 
 def test_desk_sweep_trial_designs_every_precoded_scenario_in_one_pass(
@@ -329,10 +334,13 @@ def _rank_deficient_estimates(monkeypatch):
 def _assert_rank_deficient_run_skips_as_each_cell_alone(monkeypatch, powers):
     _rank_deficient_estimates(monkeypatch)
     cfg = _small_config(trials=3, power_sweep_dbw=powers)
+    assert len(trial_batches(cfg)) < cfg.trials
     stacked = run_monte_carlo(cfg)
-    monkeypatch.setattr(satprecode.evaluate, "_run_trial",
-                        oracles.run_trial_per_cell)
+    oracle = record_calls(monkeypatch, oracles.run_trial_per_cell)
+    monkeypatch.setattr(satprecode.evaluate, "_run_batch",
+                        oracles.run_batch_per_cell)
     alone = run_monte_carlo(cfg)
+    assert len(oracle["run_trial_per_cell"]) == cfg.trials
     assert stacked.skipped.tolist() == [
         [cfg.trials if name in ("mbim", "gw_ref") else 0] * 2
         for name in cfg.scenarios]
@@ -357,15 +365,17 @@ def test_rank_deficient_beam_stays_finite_where_its_tail_rounds_negative(
                                                         (40.0, 170.0))
 
 
-def test_rank_deficient_estimate_takes_one_family_call_per_trial(monkeypatch):
+def test_rank_deficient_estimate_takes_one_family_call_per_batch(monkeypatch):
     # A failing design costs no redesign: the failure codes of the stacked
     # pass skip its cells, and no scenario is designed a second time.
     _rank_deficient_estimates(monkeypatch)
     calls = record_calls(monkeypatch, assemble_multigateway_family, two_stage,
                          robust_two_stage, assemble_multigateway_precoder)
-    cfg = _small_config()
+    cfg = _small_config(trials=5)
+    batches = trial_batches(cfg)
+    assert len(batches) < cfg.trials
     assert run_monte_carlo(cfg).total_skipped() == 2 * 2 * cfg.trials
-    assert _counts(calls, cfg.trials) == {
+    assert _counts(calls, len(batches)) == {
         "assemble_multigateway_family": 1, "two_stage": 0,
         "robust_two_stage": 0, "assemble_multigateway_precoder": 0}
 
