@@ -315,14 +315,16 @@ def beam_contours(layout: BeamLayout, budget: LinkBudget) -> tuple:
 
 def place_users(layout: BeamLayout, q_sched: int, rng_seed,
                 budget: LinkBudget | None = None,
-                contours: tuple | None = None) -> UserSet:
+                contours: tuple | None = None) -> UserSet | list[UserSet]:
     """Draw `q_sched` users uniformly inside each beam's 3 dB contour.
 
     The contour is the set of ground points whose off-axis angle from the
     beam center direction, seen from the satellite, is at most the beam
     radius. Sampling is by rejection from a bounding box; deterministic
     for a fixed seed. `contours` is `beam_contours(layout, budget)` when
-    the caller has worked it out already.
+    the caller has worked it out already. `rng_seed` is one seed, or a
+    list of seeds, one per trial of a batch: then the result is a list
+    of user sets, each bit for bit the set of one call with its seed.
 
     The stream contract: beam by beam, an attempt that still needs r
     users draws n = max(4r, 16) latitude offsets and then n longitude
@@ -330,61 +332,87 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     a beam that needs more than 200 attempts raises GeometryError. While
     n is 16, `_WINDOW` attempts are drawn in one call, the same values as
     one call per attempt. When the beam fills before the window is used
-    up, the unused draws are put back: the PCG64 state saved before the
-    window is restored and advanced past the draws used, so the next beam
-    starts where one call per attempt leaves the stream. A generator
-    whose bit generator is not PCG64 draws one attempt per call.
+    up, the unused draws are put back: the PCG64 generator steps back
+    over them (an advance by minus their count), so the next beam starts
+    where one call per attempt leaves the stream. A generator whose bit
+    generator is not PCG64 draws one attempt per call. The
+    trials of a batch step through each beam together, each on its own
+    generator with its own attempt sizes, window and put-back, so each
+    trial's stream is the stream of a call of its own. When trials of a
+    batch fail, the earliest one's GeometryError is raised; the trials
+    after a failed one stop drawing.
 
-    Each beam's unit boresight is taken once. Each call fills its points'
-    satellite-to-ground vectors one component at a time, projects them on
-    the boresight by one gemv over the (window, n, 3) vectors and takes
-    their off-axis angles in one `geometry.off_axis_deg` pass: the angles
-    of one `np.cross` form per attempt, bit for bit.
+    Each beam's unit boresight is taken once. Each step fills the
+    satellite-to-ground vectors of every trial's points one component at
+    a time, projects them on the boresight by one gemv and takes their
+    off-axis angles in one `geometry.off_axis_deg` pass: the angles of
+    one `np.cross` form per attempt, bit for bit (a gemv row with other
+    rows around it rounds as it does alone).
     """
     if q_sched < 1:
         raise ConfigError("q_sched must be >= 1")
+    seeds = rng_seed if isinstance(rng_seed, list) else [rng_seed]
     budget = budget or LinkBudget()
     sat = budget.satellite_position()
     sat_col = sat[:, None, None]
-    rng = np.random.default_rng(rng_seed)
-    bit_gen = rng.bit_generator
-    window_size = _WINDOW if isinstance(bit_gen, np.random.PCG64) else 1
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    uniforms = [rng.uniform for rng in rngs]
+    window_sizes = [_WINDOW if isinstance(rng.bit_generator, np.random.PCG64)
+                    else 1 for rng in rngs]
     radius = layout.beam_radius_3db_deg
     earth_radius = budget.earth_radius_m
 
     if contours is None:
         contours = beam_contours(layout, budget)
     halfwidths, bores = contours
-    positions = np.empty((layout.beams, q_sched, 2))
+    positions = np.empty((len(seeds), layout.beams, q_sched, 2))
+    errors = {}
+    # The trials still drawing: a trial that fails and every later one stop.
+    live = list(range(len(seeds)))
     for k in range(layout.beams):
+        if not live:
+            break
         lat0, lon0 = layout.beam_centers[k]
         half = halfwidths[k]
         cos_lat = math.cos(math.radians(lat0))
         if cos_lat <= 0.0:
-            raise GeometryError(f"beam {k} center at the pole is unsupported")
+            errors[live[0]] = GeometryError(
+                f"beam {k} center at the pole is unsupported")
+            break
         # The norm of the 1-D vector is a BLAS dot; a norm along an axis
         # may round differently.
         bu = bores[k] / np.linalg.norm(bores[k])
-        got = 0
-        attempts = 0
-        while got < q_sched:
-            n_draw = max(4 * (q_sched - got), 16)
-            window = window_size if n_draw == 16 else 1
-            if window > 1:
-                saved = bit_gen.state
-            # Row i holds attempt i's latitude offsets, then its longitude
-            # offsets.
-            box = rng.uniform(-half, half, 2 * n_draw * window).reshape(
-                window, 2, n_draw)
+        got = [0] * len(seeds)
+        attempts = [0] * len(seeds)
+        steps = live
+        while steps:
+            draws = []
+            for t in steps:
+                n_draw = max(4 * (q_sched - got[t]), 16)
+                window = window_sizes[t] if n_draw == 16 else 1
+                # Row i holds attempt i's latitude offsets, then its
+                # longitude offsets.
+                box = uniforms[t](-half, half, 2 * n_draw * window).reshape(
+                    window, 2, n_draw)
+                draws.append((t, n_draw, window, box))
+            # One trial's offsets are used as drawn, (window, 2, n); a
+            # batch's are joined, by attempt where every n is the same and
+            # otherwise in one row.
+            if len(draws) > 1:
+                if all(d[1] == draws[0][1] for d in draws):
+                    box = np.concatenate([d[-1] for d in draws])
+                else:
+                    box = np.concatenate([d[-1].swapaxes(0, 1).reshape(1, 2, -1)
+                                          for d in draws], axis=2)
             lat = lat0 + box[:, 0]
             lon = box[:, 1] / cos_lat
             lon += lon0
             # The satellite-to-ground vectors, filled one contiguous
             # component at a time: the arithmetic of
             # `geometry.latlon_to_ecef` without its stack. The projections
-            # are the gemv `targ @ bu` on the C-contiguous (window, n, 3)
-            # copy, the product one call per attempt makes.
-            comps = np.empty((3, window, n_draw))
+            # are the gemv `targ @ bu` on the C-contiguous (..., 3) copy,
+            # the product one call per attempt makes.
+            comps = np.empty((3, *lat.shape))
             x, y, z = comps
             rad_lat = np.radians(lat)
             rad_lon = np.radians(lon)
@@ -397,24 +425,47 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
             comps *= earth_radius
             comps -= sat_col
             proj = comps.transpose(1, 2, 0).copy() @ bu
-            ang = geometry.off_axis_deg(x, y, z, bu, proj)
-            # The accepted points in attempt order, as many as the beam
-            # still needs; the attempts used end with the last one taken.
-            taken = (ang.ravel() <= radius).nonzero()[0][:q_sched - got]
-            full = got + taken.size == q_sched
-            used = int(taken[-1]) // n_draw + 1 if full else window
-            if attempts + used > 200:
-                raise GeometryError(
-                    f"beam {k} contour accepts no samples (degenerate contour?)"
-                )
-            attempts += used
-            positions[k, got:got + taken.size, 0] = lat.ravel()[taken]
-            positions[k, got:got + taken.size, 1] = lon.ravel()[taken]
-            got += taken.size
-            if used < window:
-                bit_gen.state = saved
-                bit_gen.advance(2 * n_draw * used)
-    return UserSet(positions=positions)
+            accepted = geometry.off_axis_deg(x, y, z, bu, proj).ravel() <= radius
+            lat = lat.ravel()
+            lon = lon.ravel()
+            steps = []
+            start = 0
+            for t, n_draw, window, _ in draws:
+                # A trial's flags and points: a batch's are sliced out, one
+                # trial's are used whole, so a one-trial step slices nothing.
+                if len(draws) == 1:
+                    trial_accepted, trial_lat, trial_lon = accepted, lat, lon
+                else:
+                    stop = start + n_draw * window
+                    trial_accepted = accepted[start:stop]
+                    trial_lat, trial_lon = lat[start:stop], lon[start:stop]
+                    start = stop
+                # The accepted points in attempt order, as many as the beam
+                # still needs; the attempts used end with the last one taken.
+                need = q_sched - got[t]
+                taken = trial_accepted.nonzero()[0][:need]
+                full = taken.size == need
+                used = int(taken[-1]) // n_draw + 1 if full else window
+                if attempts[t] + used > 200:
+                    errors[t] = GeometryError(
+                        f"beam {k} contour accepts no samples (degenerate contour?)"
+                    )
+                    live = [s for s in live if s < t]
+                    break
+                attempts[t] += used
+                positions[t, k, got[t]:got[t] + taken.size, 0] = trial_lat[taken]
+                positions[t, k, got[t]:got[t] + taken.size, 1] = trial_lon[taken]
+                got[t] += taken.size
+                if used < window:
+                    # PCG64 steps back over the unused draws: the state one
+                    # call per attempt leaves.
+                    rngs[t].bit_generator.advance(-2 * n_draw * (window - used))
+                if not full:
+                    steps.append(t)
+    if errors:
+        raise errors[min(errors)]
+    users = [UserSet(positions=trial) for trial in positions]
+    return users if isinstance(rng_seed, list) else users[0]
 
 
 def _ground_halfwidths_deg(sat: np.ndarray, bores: np.ndarray,
@@ -454,9 +505,13 @@ def pattern_gain(theta_deg, radius_3db_deg: float):
     return k_a**2 * taper
 
 
-def build_gain_matrix(layout: BeamLayout, users: UserSet,
+def build_gain_matrix(layout: BeamLayout, users: UserSet | list[UserSet],
                       budget: LinkBudget) -> np.ndarray:
     """Real gain matrix F = A*G of shape (K*pool, N).
+
+    A list of user sets, the trials of a batch, gives their matrices in
+    one call, stacked in order: each trial's rows are the bits of a call
+    of its own.
 
     Entry (kq, n) is ``G_R * a_kqn / (4*pi*(d_kq/lambda) * sqrt(K_B*T_R*B_W))``:
     receive antenna amplitude gain, feed amplitude gain, spreading loss at
@@ -475,10 +530,12 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
     place. The angles are those of one ``targ @ bu`` product and one
     cross-product norm per feed, bit for bit.
     """
-    if users.beams != layout.beams:
+    sets = users if isinstance(users, list) else [users]
+    if any(user_set.beams != layout.beams for user_set in sets):
         raise ConfigError("users and layout disagree on the number of beams")
     sat = budget.satellite_position()
-    flat = users.flat_positions()
+    flat = (np.concatenate([user_set.flat_positions() for user_set in sets])
+            if len(sets) > 1 else sets[0].flat_positions())
     rows = flat.shape[0]
     targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],
                                    budget.earth_radius_m) - sat
@@ -496,7 +553,8 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet,
     bu = np.array([bore / np.linalg.norm(bore) for bore in bores])
     gains = np.empty((rows, layout.feeds))
     # NumPy takes a one-row product by its dot path, not by gemv, so a
-    # one-row tail joins the block before it.
+    # one-row tail joins the block before it. Any other row of a gemv
+    # rounds as it does alone, so the blocks may cross trial boundaries.
     starts = list(range(0, rows, _GAIN_ROWS))
     if rows > 1 and rows - starts[-1] == 1:
         starts.pop()

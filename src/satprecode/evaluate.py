@@ -36,7 +36,6 @@ from .exceptions import MODELLED_FAILURES, ConfigError
 from .gateway import GatewayPlan, make_plan, plan_designs, share_csi
 from .precoding import (
     BlockDesign,
-    _avg_mmse_unscaled,
     assemble_multigateway_family,
     baseline_four_color,
 )
@@ -310,58 +309,74 @@ def _select_members(cfg: ScenarioConfig, pool_est: ChannelMatrix,
     )
 
 
-def _trial_channels(trial_seed: np.random.SeedSequence, cfg: ScenarioConfig,
-                    layout: BeamLayout, budget: LinkBudget, contours: tuple):
-    """One channel realization: the served users' true and estimated
-    channels and the estimate's error bounds. `contours` is
-    `beam_contours(layout, budget)`.
+def _batch_channels(trial_seeds: list, cfg: ScenarioConfig,
+                    layout: BeamLayout, budget: LinkBudget,
+                    contours: tuple) -> list:
+    """One channel realization per seed of `trial_seeds`: each trial's
+    served users' true and estimated channels and the estimate's error
+    bounds. `contours` is `beam_contours(layout, budget)`.
 
-    The pool-sized intermediates are released when this returns, so they
-    are not held while the designs run.
+    The users of every trial are drawn in one `place_users` call and
+    their gains built in one `build_gain_matrix` call, each trial's the
+    bits of a call of its own; the phases, the CSI error, the grouping and
+    the extraction run per trial. A trial's pool-sized intermediates are
+    released once its served channels are extracted.
     """
-    users_seed, phase_seed, perturb_seed, select_seed = trial_seed.spawn(4)
-    users = place_users(layout, cfg.pool_per_beam, users_seed, budget=budget,
-                        contours=contours)
-    gain = build_gain_matrix(layout, users, budget)
-    phase = build_phase_matrix(
-        PhaseModel(variant=cfg.phase_model, chi_deg=cfg.phase_sigma_deg,
-                   rng_seed=phase_seed),
-        gain.shape[0],
-        gain.shape[1],
-    )
-    # The phase array is this function's own: the pool channel is formed
-    # in it, with no third pool-sized matrix.
-    pool_true = assemble_channel(gain, phase, cfg.beams, cfg.pool_per_beam)
-    del gain, phase
-
-    if cfg.csi_error_ratio > 0.0:
-        pool_est, delta_pool = perturb_channel(
-            pool_true, cfg.csi_error_ratio, perturb_seed
+    streams = [seed.spawn(4) for seed in trial_seeds]
+    users = place_users(layout, cfg.pool_per_beam,
+                        [users_seed for users_seed, *_ in streams],
+                        budget=budget, contours=contours)
+    rows = cfg.beams * cfg.pool_per_beam
+    # One view per trial: the batch's gains are released with the last
+    # trial's view, once its pool channel is formed.
+    gains = list(build_gain_matrix(layout, users, budget).reshape(
+        len(streams), rows, -1))
+    channels = []
+    for t, (_, phase_seed, perturb_seed, select_seed) in enumerate(streams):
+        gain, gains[t] = gains[t], None
+        phase = build_phase_matrix(
+            PhaseModel(variant=cfg.phase_model, chi_deg=cfg.phase_sigma_deg,
+                       rng_seed=phase_seed),
+            gain.shape[0],
+            gain.shape[1],
         )
-    else:
-        pool_est, delta_pool = pool_true, None
+        # The phase array is the trial's own: the pool channel is formed
+        # in it, with no third pool-sized matrix.
+        pool_true = assemble_channel(gain, phase, cfg.beams, cfg.pool_per_beam)
+        del gain, phase
 
-    members = _select_members(cfg, pool_est, delta_pool, select_seed)
-    ch_true = extract_users(pool_true, members)
-    if delta_pool is None:
-        # Perfect CSI: the estimate is the true channel itself.
-        return ch_true, ch_true, PerturbationBounds.zero(cfg.beams)
-    bounds = PerturbationBounds.from_delta(_served_rows(delta_pool, members),
-                                           cfg.beams, cfg.users_per_beam)
-    return ch_true, extract_users(pool_est, members), bounds
+        if cfg.csi_error_ratio > 0.0:
+            pool_est, delta_pool = perturb_channel(
+                pool_true, cfg.csi_error_ratio, perturb_seed
+            )
+        else:
+            pool_est, delta_pool = pool_true, None
+
+        members = _select_members(cfg, pool_est, delta_pool, select_seed)
+        ch_true = extract_users(pool_true, members)
+        if delta_pool is None:
+            # Perfect CSI: the estimate is the true channel itself.
+            channels.append((ch_true, ch_true, PerturbationBounds.zero(cfg.beams)))
+            continue
+        bounds = PerturbationBounds.from_delta(
+            _served_rows(delta_pool, members), cfg.beams, cfg.users_per_beam)
+        channels.append((ch_true, extract_users(pool_est, members), bounds))
+    return channels
 
 
-# Bytes a batch of trials may hold in its design pass and SINR map. Each
-# precoded scenario of a trial holds about K + P copies of the trial's
-# (KQ, N) channel rows: every beam's other-beam rows and Gram matrix, and
-# the precoders and SINR products of every power. The trial's channels,
-# designs and their Python objects add about 16 KiB whatever its size.
-# Measured with tracemalloc, a trial of desk.cfg holds 56 KB (51 KB
-# estimated), one of figure3_recipe.cfg 77 KB (78 KB) and one of
-# gateway_desk.cfg 265 KB (339 KB), so a batch of 20, 13 and 3 trials
-# holds about 1.1, 1.0 and 0.8 MB. Larger batches save little time, but
-# they add to the peak RSS; a paper-scale trial alone is far above the
-# cap, so every batch there is one trial.
+# Bytes a batch of trials may hold in its channel draw, design pass and
+# SINR map. Each precoded scenario of a trial holds about K + P copies of
+# the trial's (KQ, N) channel rows: every beam's other-beam rows and Gram
+# matrix, and the precoders and SINR products of every power. The
+# trial's channels, designs and their Python objects add about 16 KiB
+# whatever its size. The batch's users and gains are drawn in one call,
+# so every trial's (K*pool, N) pool gains are alive at once. Measured with
+# tracemalloc, a trial of desk.cfg holds 56 KB (52 KB estimated), one of
+# figure3_recipe.cfg 77 KB (78 KB) and one of gateway_desk.cfg 265 KB
+# (341 KB), so a batch of 20, 13 and 3 trials holds about 1.1, 1.0 and
+# 0.8 MB. Larger batches save little time, but they add to the peak RSS;
+# a paper-scale trial alone is far above the cap, so every batch there
+# is one trial.
 _BATCH_BYTES = 2**20
 
 
@@ -369,7 +384,8 @@ def _trial_bytes(cfg: ScenarioConfig, feeds: int, powers: int) -> int:
     """The estimated working set of one trial in a batch."""
     precoded = max(1, sum(name != "four_color" for name in cfg.scenarios))
     rows = 16 * cfg.beams * cfg.users_per_beam * feeds
-    return rows * precoded * (cfg.beams + powers) + 2**14
+    pool_gains = 8 * cfg.beams * cfg.pool_per_beam * feeds
+    return rows * precoded * (cfg.beams + powers) + pool_gains + 2**14
 
 
 def _batch_trials(cfg: ScenarioConfig, feeds: int, powers: int) -> int:
@@ -385,14 +401,16 @@ def _run_batch(trial_seeds: list, cfg: ScenarioConfig, layout: BeamLayout,
     an (S, P, T, K) array of beam rates, with an all-NaN K-row where a
     (scenario, power) cell of a trial was skipped.
 
-    Each trial draws its own channels. Every precoded (trial, scenario)
-    of the batch is designed in one stacked pass, and one SINR and one
-    rate call cover them all; four_color keeps its own SINRs per trial
-    and its quarter band. Each matrix of a stacked call gets the bits it
-    gets alone, so a trial's rates do not depend on its batch.
+    The batch's users and gains are drawn in one call each, and each
+    trial's phases, CSI error and grouping on its own (`_batch_channels`).
+    Every precoded (trial, scenario) of the batch is designed in one
+    stacked pass, and one SINR and one rate call cover them all;
+    four_color takes the SINRs of every trial's true channel in one call
+    of its own and a rate call on its quarter band. Each matrix of a
+    stacked call gets the bits it gets alone, so a trial's rates do not
+    depend on its batch.
     """
-    channels = [_trial_channels(seed, cfg, layout, budget, contours)
-                for seed in trial_seeds]
+    channels = _batch_channels(trial_seeds, cfg, layout, budget, contours)
     designs = [_trial_designs(cfg.scenarios, ch_est, bounds, plans)
                for _, ch_est, bounds in channels]
 
@@ -412,10 +430,10 @@ def _run_batch(trial_seeds: list, cfg: ScenarioConfig, layout: BeamLayout,
             at, col, _ = zip(*jobs)
             out[at, :, col] = np.where(codes[..., None] > 0, np.nan, found)
         if "four_color" in names:
+            rows = np.stack([channels[t][0].h for t in trials])
             out[names.index("four_color")] = beam_rate(
-                np.stack([baseline_four_color(channels[t][0], layout, p)
-                          for t in trials], axis=1),
-                table, budget, 0.25)
+                baseline_four_color(rows, layout, p).swapaxes(0, 1), table,
+                budget, 0.25)
         return out
 
     # A LinAlgError from a stacked LAPACK call is the one failure without a
@@ -445,7 +463,7 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
 
     mbim, robust and rzf are one block over every beam of the estimate
     (rzf by its design name), each gateway scenario one block per view,
-    and avg_mmse its unscaled precoder. The CSI exchange does not depend
+    and avg_mmse the estimate it averages. The CSI exchange does not depend
     on power: one set of views per gateway scenario. four_color is not
     among them: it keeps its own SINR and its quarter band.
     """
@@ -459,7 +477,7 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
         elif name == "robust":
             designs[name] = [robust_design(ch_est, bounds)]
         elif name == "avg_mmse":
-            designs[name] = lambda p: _avg_mmse_unscaled(ch_est, p)
+            designs[name] = ch_est
         elif name in plans:
             try:
                 designs[name] = plan_designs(share_csi(ch_est, plans[name]),
@@ -476,12 +494,15 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     Deterministic for a fixed master seed: each trial owns spawned seed
     streams, so a trial's results do not depend on the trials run before
     it. The trials run in this thread, in batches of consecutive trials:
-    a batch draws each trial's channels in turn, then designs every
-    precoded (trial, scenario) in one stacked pass and maps them to
-    SINRs and rates in one call each (`_run_batch`). A batch holds as
-    many trials as fit in `_BATCH_BYTES` of estimated working set, at
-    least one; every matrix of a stacked call gets the bits it gets
-    alone, so a trial's results do not depend on its batch either.
+    a batch draws every trial's users in one call and builds their gains
+    in one call, takes each trial's phases, CSI error and grouping in
+    turn, then designs every precoded (trial, scenario) in one stacked
+    pass and maps them to SINRs and rates in one call each, with one
+    four_color call (`_run_batch`). A batch holds as many trials as fit
+    in `_BATCH_BYTES` of estimated working set, at least one; every
+    matrix of a stacked call gets the bits it gets alone, and every
+    trial draws from its own streams, so a trial's results do not depend
+    on its batch either.
     Modelled numerical failures skip their cell and are counted: a cell
     whose failure code the stacked design pass sets, every power of a
     gateway scenario whose CSI exchange fails, and, after a LAPACK error

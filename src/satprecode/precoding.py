@@ -152,7 +152,7 @@ def _interbeam_blocks(designs: list[BlockDesign], users_per_beam: int,
     """The inter-beam stage: (P, M, B, N_b, Q) blocks of M block designs
     whose views share their shape (KQ, N_b) and whose beam ranges hold B
     beams, over the power vector `p`, and their (P, M, B) failure codes.
-    Each rzf design is one `_rzf_blocks` call, and all mbim designs one
+    All rzf designs are one `_rzf_blocks` call, and all mbim designs one
     `_mbim_blocks` call. `gram(view)` decomposes the view's ``V^H V`` for
     rzf and the downdated tails.
     """
@@ -165,8 +165,9 @@ def _interbeam_blocks(designs: list[BlockDesign], users_per_beam: int,
     wa = np.empty((p.size, *beam_ids.shape, designs[0].view.shape[1], q),
                   dtype=complex)
     codes = np.zeros((p.size, *beam_ids.shape), dtype=int)
-    for i in rzf:
-        wa[:, i] = _rzf_blocks(designs[i].view, designs[i].beams, q, p, gram)
+    if rzf:
+        wa[:, rzf] = _rzf_blocks([designs[i].view for i in rzf], beam_ids[rzf],
+                                 q, p, gram)
     if mbim:
         wa[:, mbim], codes[:, mbim] = _mbim_blocks([designs[i] for i in mbim],
                                                    q, p, gram)
@@ -265,13 +266,15 @@ def mbim_interbeam(ch: ChannelMatrix,
 
 
 def _regularized_inverse(h: np.ndarray, reg: np.ndarray) -> np.ndarray:
-    """``inv(h h^H + reg_p I)`` for each entry of `reg`: the averaging
-    baseline's one (P, n, n) LU inverse. The stack is P copies of
-    ``h h^H`` with reg_p added on the diagonal; no scaled identity or
-    other copy of ``h h^H`` is kept, which keeps its working set small."""
-    stack = np.repeat((h @ h.conj().T)[None], reg.size, axis=0)
-    diag = np.arange(h.shape[0])
-    stack[:, diag, diag] += reg[:, None]
+    """``inv(h h^H + reg_p I)`` for each matrix of the stack `h` (..., n, N)
+    and each entry of `reg`: the averaging baseline's one (..., P, n, n)
+    LU inverse. The stack is P copies of each ``h h^H`` with reg_p added
+    on the diagonal; no scaled identity or other copy of ``h h^H`` is
+    kept, which keeps its working set small."""
+    gram = h @ h.conj().swapaxes(-1, -2)
+    stack = np.repeat(gram[..., None, :, :], reg.size, axis=-3)
+    diag = np.arange(h.shape[-2])
+    stack[..., diag, diag] += reg[:, None]
     return np.linalg.inv(stack)
 
 
@@ -285,11 +288,15 @@ def _right_divide_upper(t: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
-                p: np.ndarray, gram: Callable) -> np.ndarray:
-    """(P, B, N, Q) regularized zero-forcing blocks of the `beams` of the
-    channel or view `h` over the power vector `p`; `gram(h)` decomposes
-    ``h^H h``.
+def _rzf_blocks(views: list[np.ndarray], beam_ids: np.ndarray,
+                users_per_beam: int, p: np.ndarray,
+                gram: Callable) -> np.ndarray:
+    """(P, M, B, N, Q) regularized zero-forcing blocks of M designs over
+    the power vector `p`: design m's beams `beam_ids[m]` (B consecutive
+    beams) of its channel or view `views[m]`, the views of one shape.
+    `gram(view)` decomposes ``view^H view``. Past the decompositions, one
+    per view, every step is one stacked call over the designs, and each
+    design gets the bits of a call of its own.
 
     Block k is the conjugated channel projected through the null space of
     the regularized cross-channel with beam k's rows removed,
@@ -307,22 +314,29 @@ def _rzf_blocks(h: np.ndarray, beams: range, users_per_beam: int,
     beam has nothing to null: its block is ``h^H`` (the identity basis),
     where a QR would rotate it and lose accuracy with more users than feeds.
     """
-    rows, n = h.shape
+    h = np.stack(views)                                       # (M, KQ, N)
+    rows, n = views[0].shape
     q = users_per_beam
     if rows == q:
-        return np.repeat(h.conj().T[None, None], p.size, axis=0)
+        return np.repeat(h.conj().swapaxes(-1, -2)[None, :, None], p.size,
+                         axis=0)
     wide = rows > n
-    eig = gram(h) if wide else gram_eigh(h.conj().T)
-    damp = 1.0 / (eig.eigenvalues + (rows / p)[:, None])[:, None, :]
-    left = h @ eig.eigenvectors if wide else eig.eigenvectors
-    tail = left[q * beams.start:q * beams.stop].conj().T
-    scaled = ((-left if wide else left) * damp) @ tail          # (P, KQ, C)
+    eigs = [gram(view) if wide else gram_eigh(view.conj().T) for view in views]
+    vectors = np.stack([eig.eigenvectors for eig in eigs])
+    values = np.stack([eig.eigenvalues for eig in eigs])
+    damp = 1.0 / (values + (rows / p)[:, None, None])[:, :, None, :]
+    left = h @ vectors if wide else vectors
+    # Each design's own beams' rows, (M, BQ).
+    own_rows = (q * beam_ids[..., None] + np.arange(q)).reshape(len(views), -1)
+    design = np.arange(len(views))[:, None]
+    tail = left[design, own_rows].conj().swapaxes(-1, -2)    # (M, C, BQ)
+    scaled = ((-left if wide else left) * damp) @ tail        # (P, M, KQ, BQ)
     if wide:
-        own = np.arange(tail.shape[-1])
-        scaled[:, own + q * beams.start, own] += 1.0
-    right = eig.eigenvectors if wide else h.conj().T @ eig.eigenvectors
-    tri = np.linalg.qr(_blocks(scaled, len(beams)), mode="r")
-    return _right_divide_upper(_blocks((right * damp) @ tail, len(beams)), tri)
+        scaled[:, design, own_rows, np.arange(own_rows.shape[1])] += 1.0
+    right = vectors if wide else h.conj().swapaxes(-1, -2) @ vectors
+    beams = beam_ids.shape[1]
+    tri = np.linalg.qr(_blocks(scaled, beams), mode="r")
+    return _right_divide_upper(_blocks((right * damp) @ tail, beams), tri)
 
 
 def intrabeam(z: np.ndarray, beam_ids: np.ndarray | None = None) -> np.ndarray:
@@ -458,15 +472,18 @@ def baseline_avg_mmse(ch: ChannelMatrix, p_total: float | np.ndarray,
     and applies a regularized inverse (one batched inverse over a power
     vector), then the usual power scaling.
     """
-    return _scaled(p_total, _avg_mmse_unscaled(ch, _power_vector(p_total)), mode)
+    w_bar = _avg_mmse_unscaled([ch], _power_vector(p_total))[0]
+    return _scaled(p_total, w_bar, mode)
 
 
-def _avg_mmse_unscaled(ch: ChannelMatrix, p: np.ndarray) -> np.ndarray:
-    """(P, N, K) unscaled channel-averaging MMSE precoders over the power
-    vector `p`: ``h_bar^H (h_bar h_bar^H + KQ/P_T I)^(-1)``."""
-    h_bar = beam_average(ch)
-    reg = ch.beams * ch.users_per_beam / p
-    return h_bar.conj().T @ _regularized_inverse(h_bar, reg)
+def _avg_mmse_unscaled(chs: list[ChannelMatrix], p: np.ndarray) -> np.ndarray:
+    """(M, P, N, K) unscaled channel-averaging MMSE precoders of M
+    channels of one shape over the power vector `p`:
+    ``h_bar^H (h_bar h_bar^H + KQ/P_T I)^(-1)``, from one stacked
+    product and inverse, each channel's the bits of its own."""
+    h_bar = np.stack([beam_average(ch) for ch in chs])       # (M, K, N)
+    reg = chs[0].beams * chs[0].users_per_beam / p
+    return h_bar.conj().swapaxes(-1, -2)[:, None] @ _regularized_inverse(h_bar, reg)
 
 
 def _uncovered(blocks: list[BlockDesign], users_per_beam: int) -> ConfigError:
@@ -482,22 +499,23 @@ def _block_diagonals(precoders: list, users_per_beam: int,
                      p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S, P, N, K) unscaled precoders over the power vector `p`, and
     their (S, P, K) failure codes. Each is given by its
-    blocks, consecutive in beams and feeds, or as a function of `p` that
-    returns its (P, N, K) stack. An empty list, precoders of more than
-    one shape (N, K), or blocks whose beam ranges do not run
+    blocks, consecutive in beams and feeds, or as a channel, whose
+    channel-averaging MMSE precoder it is. An empty list, precoders of
+    more than one shape (N, K), or blocks whose beam ranges do not run
     consecutively from 0 to K raise ConfigError.
 
     Every block joins the group of its view width and beam count, and
     each group is designed by one call of each stage (`_interbeam_blocks`,
     `_beam_columns`); each block's columns go on its precoder's
-    diagonal, and every other entry stays structurally zero.
+    diagonal, and every other entry stays structurally zero. The
+    averaging precoders are one `_avg_mmse_unscaled` call.
     """
     q = users_per_beam
-    dense, groups, shapes = {}, {}, set()
+    averaged, groups, shapes = {}, {}, set()
     for s, precoder in enumerate(precoders):
-        if callable(precoder):
-            dense[s] = precoder(p)
-            shapes.add(dense[s].shape[1:])
+        if isinstance(precoder, ChannelMatrix):
+            averaged[s] = precoder
+            shapes.add((precoder.feeds, precoder.beams))
             continue
         stop = beam = 0
         for d in precoder:
@@ -515,8 +533,8 @@ def _block_diagonals(precoders: list, users_per_beam: int,
     (shape,) = shapes
     w_bar = np.zeros((len(precoders), p.size, *shape), dtype=complex)
     codes = np.zeros((len(precoders), p.size, shape[1]), dtype=int)
-    for s, w in dense.items():
-        w_bar[s] = w
+    if averaged:
+        w_bar[list(averaged)] = _avg_mmse_unscaled(list(averaged.values()), p)
     grams = {}
 
     def gram(view):
@@ -545,9 +563,10 @@ def assemble_multigateway_family(precoders: list, users_per_beam: int,
     They may be designed on one channel or on several, as the precoded
     scenarios of a batch of trials are. Each is given by its blocks
     (`gateway.plan_designs` for a gateway plan; one block over every beam
-    for mbim, robust and rzf, whose `interbeam` names it) or as a
-    function of the power vector that returns its (P, N, K) unscaled
-    stack (avg_mmse). Blocks on the same view share its decomposed
+    for mbim, robust and rzf, whose `interbeam` names it) or, for
+    avg_mmse, as the channel it averages. The rzf blocks of a group are
+    one `_rzf_blocks` call and the averaging precoders one
+    `_avg_mmse_unscaled` call. Blocks on the same view share its decomposed
     ``V^H V``; views are told apart by identity, so blocks on different
     channels share nothing, and each precoder gets the bits it gets in a
     pass of its own.
@@ -582,7 +601,7 @@ def four_color_precoder(layout: BeamLayout,
     return Precoder(w=_unstack(p_total, w), alpha=1.0, power_mode="per_feed")
 
 
-def baseline_four_color(ch: ChannelMatrix, layout: BeamLayout,
+def baseline_four_color(ch: ChannelMatrix | np.ndarray, layout: BeamLayout,
                         p_total: float | np.ndarray) -> np.ndarray:
     """Per-user SINRs of the four-coloring frequency-reuse baseline.
 
@@ -590,17 +609,25 @@ def baseline_four_color(ch: ChannelMatrix, layout: BeamLayout,
     victim's color (the other colors use disjoint quarters of the band).
     The quarter-bandwidth factor enters in the rate mapping, not here.
     Returns a (K, Q) array of linear SINRs, (P, K, Q) for a power vector.
+    `ch` may also be stacked channel rows (..., KQ, N), beam-major as in
+    a `ChannelMatrix`, such as the true channels of a batch of trials:
+    the result then has their leading axes, and each channel gets the
+    bits it gets alone.
     """
-    if layout.beams != ch.beams:
+    h = ch.h if isinstance(ch, ChannelMatrix) else np.asarray(ch)
+    k_beams = layout.beams
+    if h.shape[-2] % k_beams or (isinstance(ch, ChannelMatrix)
+                                 and ch.beams != k_beams):
         raise ConfigError("layout and channel disagree on the number of beams")
     colors = layout.color_of_beam
     if colors.min() < 0 or colors.max() > 3:
         raise ConfigError("invalid four-coloring in layout")
     w = four_color_precoder(layout, _power_vector(p_total)).w
-    k_beams = ch.beams
-    power = np.abs(ch.h @ w).reshape(w.shape[0], k_beams, -1, k_beams) ** 2
+    power = np.abs(h[..., None, :, :] @ w) ** 2                # (..., P, KQ, K)
+    power = power.reshape(*power.shape[:-2], k_beams, -1, k_beams)
     beam = np.arange(k_beams)
     same = (colors[:, None] == colors) & (beam[:, None] != beam)
     interf = np.sum(power * same[:, None, :], axis=-1)
-    signal = np.einsum("pkqk->pkq", power)                # (P, K, Q)
-    return _unstack(p_total, signal / (interf + 1.0))
+    signal = np.einsum("...kqk->...kq", power)                # (..., P, K, Q)
+    sinrs = signal / (interf + 1.0)
+    return sinrs if np.ndim(p_total) else sinrs[..., 0, :, :]

@@ -256,9 +256,9 @@ def rzf_interbeam_lu(ch: ChannelMatrix, p_total: float | np.ndarray) -> np.ndarr
 
 def rzf_block(ch: ChannelMatrix, k: int, p_total: float | np.ndarray) -> np.ndarray:
     """Inter-beam block (N x Q) of beam k alone; see `precoding._rzf_blocks`."""
-    blocks = _rzf_blocks(ch.h, range(k, k + 1), ch.users_per_beam,
+    blocks = _rzf_blocks([ch.h], np.array([[k]]), ch.users_per_beam,
                          _power_vector(p_total), gram_eigh)
-    return _unstack(p_total, blocks)[..., 0, :, :]
+    return _unstack(p_total, blocks[:, 0])[..., 0, :, :]
 
 
 def off_axis_angle_deg(sat_pos: np.ndarray, bore_lat, bore_lon,
@@ -871,11 +871,12 @@ def run_trial_per_cell(trial_seed, cfg, layout: BeamLayout, budget: LinkBudget,
     exchange failed. The run designs a whole batch of trials in one pass;
     this designs one trial, and each of its cells, on its own.
 
-    The channels and views come through `satprecode.evaluate`, so a test
-    that patches `_trial_channels` or `share_csi` there patches them here.
+    The channels and views come through `satprecode.evaluate`, the
+    channels as a one-trial batch, so a test that patches
+    `_batch_channels` or `share_csi` there patches them here.
     """
-    ch_true, ch_est, bounds = evaluate._trial_channels(trial_seed, cfg, layout,
-                                                       budget, contours)
+    (ch_true, ch_est, bounds), = evaluate._batch_channels(
+        [trial_seed], cfg, layout, budget, contours)
     out = np.full((len(cfg.scenarios), p_w.size, cfg.beams), np.nan)
     for s, name in enumerate(cfg.scenarios):
         try:
@@ -1099,8 +1100,9 @@ def place_users_per_attempt(layout: BeamLayout, q_sched: int, rng_seed,
 
 def trial_channels_per_beam(trial_seed, cfg, layout: BeamLayout,
                             budget: LinkBudget, contours: tuple) -> tuple:
-    """`evaluate._trial_channels` through the per-beam and per-feed loops
-    above, extracting the estimate separately even with perfect CSI."""
+    """One trial of `evaluate._batch_channels` through the per-beam and
+    per-feed loops above, extracting the estimate separately even with
+    perfect CSI."""
     users_seed, phase_seed, perturb_seed, select_seed = trial_seed.spawn(4)
     users = place_users_per_attempt(layout, cfg.pool_per_beam, users_seed,
                                     budget=budget, contours=contours)

@@ -24,8 +24,8 @@ from satprecode.config import ScenarioConfig, parse_config
 from satprecode.evaluate import (
     _build_budget,
     _build_layout,
+    _batch_channels,
     _select_members,
-    _trial_channels,
 )
 from satprecode.exceptions import ConfigError, GeometryError
 from satprecode.grouping import group_users, robust_group_users
@@ -85,8 +85,8 @@ def assert_trial_matches_per_beam_loops(cfg):
         # A fresh sequence each time: spawning advances it.
         return np.random.SeedSequence(cfg.seed).spawn(1)[0]
 
-    ch_true, ch_est, bounds = _trial_channels(first_trial(), cfg, layout,
-                                              budget, contours)
+    (ch_true, ch_est, bounds), = _batch_channels([first_trial()], cfg, layout,
+                                                 budget, contours)
     want = trial_channels_per_beam(first_trial(), cfg, layout, budget, contours)
     assert np.array_equal(ch_true.h, want[0].h)
     assert np.array_equal(ch_est.h, want[1].h)
@@ -112,8 +112,8 @@ class TestConfigs:
         assert cfg.csi_error_ratio == 0.0
         budget = _build_budget(cfg)
         layout = _build_layout(cfg, budget)
-        ch_true, ch_est, bounds = _trial_channels(
-            np.random.SeedSequence(1), cfg, layout, budget,
+        (ch_true, ch_est, bounds), = _batch_channels(
+            [np.random.SeedSequence(1)], cfg, layout, budget,
             beam_contours(layout, budget))
         assert ch_est is ch_true
         assert not np.any(bounds.gamma_k) and not np.any(bounds.gamma_tilde_k)

@@ -753,32 +753,32 @@ class TestOutputsMatchPerCellReference:
         # the last draw is not the trial under way: avg_mmse's estimate
         # names it (estimates[t] is trial t's).
         estimates = []
-        original_channels = satprecode.evaluate._trial_channels
+        original_channels = satprecode.evaluate._batch_channels
         original_avg = satprecode.precoding._avg_mmse_unscaled
         original_four = satprecode.evaluate.baseline_four_color
 
         def recorded_channels(*args):
             channels = original_channels(*args)
-            estimates.append(channels[1])
+            estimates.extend(est for _, est, _ in channels)
             return channels
 
-        def avg_failing_at_25_dbw(ch, p_w):
-            trial = next(t for t, est in enumerate(estimates) if est is ch)
-            if trial in failing and np.any(p_w == 10.0 ** 2.5):
+        def avg_failing_at_25_dbw(chs, p_w):
+            trials = {t for t, est in enumerate(estimates)
+                      if any(est is ch for ch in chs)}
+            if trials & failing and np.any(p_w == 10.0 ** 2.5):
                 raise np.linalg.LinAlgError("modelled failure")
-            return original_avg(ch, p_w)
+            return original_avg(chs, p_w)
 
         def four_color_failing_at_30_dbw(ch, layout, p_w):
             if np.any(p_w == 1000.0):
                 raise np.linalg.LinAlgError("modelled failure")
             return original_four(ch, layout, p_w)
 
-        monkeypatch.setattr(satprecode.evaluate, "_trial_channels",
+        monkeypatch.setattr(satprecode.evaluate, "_batch_channels",
                             recorded_channels)
-        # avg_mmse's precoder, in the stacked pass and on its own.
-        for module in (satprecode.evaluate, satprecode.precoding):
-            monkeypatch.setattr(module, "_avg_mmse_unscaled",
-                                avg_failing_at_25_dbw)
+        # avg_mmse's precoders, stacked over the trials of a batch.
+        monkeypatch.setattr(satprecode.precoding, "_avg_mmse_unscaled",
+                            avg_failing_at_25_dbw)
         monkeypatch.setattr(satprecode.evaluate, "baseline_four_color",
                             four_color_failing_at_30_dbw)
         code, result = self._run(tmp_path, monkeypatch, trials)

@@ -399,9 +399,8 @@ def test_one_design_sinr_and_rate_call_per_batch_and_scenario(
     assert res.total_skipped() == 0
     # All precoded scenarios of a batch of trials (every one but
     # four_color) are designed and evaluated together; four_color takes
-    # each trial's SINRs on its own and one rate call per batch.
-    family = design == "assemble_multigateway_family"
+    # the batch's SINRs in one call of its own and one rate call.
     four_color = design == "baseline_four_color"
     assert {name: len(args) for name, args in calls.items()} == {
-        design: batches if family else cfg.trials,
-        "sinr_matrix": 0 if four_color else batches, "beam_rate": batches}
+        design: batches, "sinr_matrix": 0 if four_color else batches,
+        "beam_rate": batches}

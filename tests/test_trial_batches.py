@@ -7,14 +7,19 @@ templates run in batches of 1, of 3 (3, 3 and 1) and of all 7, the cap
 skipped counts agree bit for bit. A modelled failure in one trial, a
 LAPACK error in its averaging precoder at one power or a failed CSI
 exchange of one gateway scenario, skips that trial's cells and no
-other, as when every trial runs alone. The files under ``perfbench/``
-are only read.
+other, as when every trial runs alone. The batch sizes of the shipped
+configs and the benchmark workloads are pinned: the working-set estimate
+counts the pool gains a batch draws at once, and that leaves them as
+they were. The files under ``perfbench/`` are only read.
 """
+
+from importlib import resources
 
 import numpy as np
 import pytest
 
 import satprecode.evaluate
+import satprecode.precoding
 from satprecode.config import parse_config
 from satprecode.evaluate import _batch_trials, _trial_bytes, run_monte_carlo
 
@@ -58,15 +63,16 @@ def _estimates(monkeypatch):
     """Records each trial's estimated channel as the run draws it:
     ``estimates[t]`` is trial t's in the run under way."""
     estimates = {}
-    original = satprecode.evaluate._trial_channels
+    original = satprecode.evaluate._batch_channels
 
-    def recorded(trial_seed, *args):
-        channels = original(trial_seed, *args)
+    def recorded(trial_seeds, *args):
+        channels = original(trial_seeds, *args)
         # Trial t's seed is spawn t of the run's master seed.
-        estimates[trial_seed.spawn_key[-1]] = channels[1]
+        for seed, (_, est, _) in zip(trial_seeds, channels):
+            estimates[seed.spawn_key[-1]] = est
         return channels
 
-    monkeypatch.setattr(satprecode.evaluate, "_trial_channels", recorded)
+    monkeypatch.setattr(satprecode.evaluate, "_batch_channels", recorded)
     return estimates
 
 
@@ -81,15 +87,15 @@ def test_trial_bits_do_not_depend_on_the_batch(tmp_path, monkeypatch,
 def test_linalg_error_in_one_trial_skips_only_its_cell(tmp_path, monkeypatch):
     cfg = _config(tmp_path, "desk_sweep")
     estimates = _estimates(monkeypatch)
-    original = satprecode.evaluate._avg_mmse_unscaled
+    original = satprecode.precoding._avg_mmse_unscaled
     bad_power = 10.0 ** 2.0
 
-    def failing(ch, p):
-        if ch is estimates.get(4) and np.any(p == bad_power):
+    def failing(chs, p):
+        if any(ch is estimates.get(4) for ch in chs) and np.any(p == bad_power):
             raise np.linalg.LinAlgError("singular in trial 4")
-        return original(ch, p)
+        return original(chs, p)
 
-    monkeypatch.setattr(satprecode.evaluate, "_avg_mmse_unscaled", failing)
+    monkeypatch.setattr(satprecode.precoding, "_avg_mmse_unscaled", failing)
     results = _runs(monkeypatch, cfg)
     _assert_batch_independent(results)
     s = cfg.scenarios.index("avg_mmse")
@@ -119,3 +125,34 @@ def test_failed_csi_exchange_in_one_trial_skips_only_its_scenario(
     expected[s] = 1
     assert np.array_equal(results[0].skipped, expected)
     assert np.all(np.isnan(results[0].throughput[s, :, 2]))
+
+
+def _shipped_config(name):
+    ref = resources.files("satprecode.data").joinpath(f"configs/{name}")
+    with resources.as_file(ref) as path:
+        return parse_config(path)
+
+
+@pytest.mark.parametrize("name, size", [
+    ("desk.cfg", 20),
+    ("figure3_recipe.cfg", 13),
+    ("gateway_desk.cfg", 3),
+    ("paper_scale.cfg", 1),
+    # desk_sweep runs its 3 trials in one batch under a cap of 13.
+    ("desk_sweep", 13),
+    ("gateway_coop", 3),
+    ("wide_robust", 1),
+])
+def test_batch_sizes(tmp_path, name, size):
+    if name.endswith(".cfg"):
+        cfg = _shipped_config(name)
+    else:
+        cfg = parse_config(WORKLOADS.WORKLOADS[name].write_config(
+            0, tmp_path / "w.cfg"))
+    feeds = cfg.beams * cfg.feeds_per_beam
+    assert _batch_trials(cfg, feeds, len(cfg.power_sweep_dbw)) == size
+    # Each pool row of a trial adds its 8-byte gains on every feed.
+    before = _trial_bytes(cfg, feeds, len(cfg.power_sweep_dbw))
+    cfg.pool_per_beam += 1
+    assert (_trial_bytes(cfg, feeds, len(cfg.power_sweep_dbw)) - before
+            == 8 * cfg.beams * feeds)

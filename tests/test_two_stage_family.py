@@ -33,9 +33,9 @@ from satprecode.channel import ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts, parse_config
 from satprecode.evaluate import (
     ModcodTable,
+    _batch_channels,
     _build_budget,
     _build_layout,
-    _trial_channels,
     _trial_designs,
     beam_rate,
     run_monte_carlo,
@@ -61,7 +61,6 @@ from satprecode.gateway import (
 from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 from satprecode.precoding import (
     BlockDesign,
-    _avg_mmse_unscaled,
     assemble,
     assemble_multigateway_family,
     baseline_avg_mmse,
@@ -101,8 +100,8 @@ def _first_trial_channels(cfg):
     budget = _build_budget(cfg)
     layout = _build_layout(cfg, budget)
     seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
-    channels = _trial_channels(seed, cfg, layout, budget,
-                               beam_contours(layout, budget))
+    (channels,) = _batch_channels([seed], cfg, layout, budget,
+                                  beam_contours(layout, budget))
     return np.array([dbw_to_watts(p) for p in cfg.power_sweep_dbw]), *channels
 
 
@@ -316,19 +315,21 @@ def _rank_deficient_estimates(monkeypatch):
     # null space of beam 5's other-beam Gram matrix on the estimate. No
     # gateway view of a split plan holds both feeds; gw_ref's view is the
     # whole estimate; robust's positive shift keeps its design regular.
-    original = satprecode.evaluate._trial_channels
+    original = satprecode.evaluate._batch_channels
 
     def rank_deficient(*args):
-        ch_true, ch_est, bounds = original(*args)
-        h = ch_est.h.copy()
-        others = np.ones(h.shape[0], dtype=bool)
-        others[ch_est.beam_rows(5)] = False
-        h[others, 8] = h[others, 0]
-        est = ChannelMatrix(h=h, beams=ch_est.beams,
-                            users_per_beam=ch_est.users_per_beam)
-        return ch_true, est, bounds
+        channels = []
+        for ch_true, ch_est, bounds in original(*args):
+            h = ch_est.h.copy()
+            others = np.ones(h.shape[0], dtype=bool)
+            others[ch_est.beam_rows(5)] = False
+            h[others, 8] = h[others, 0]
+            est = ChannelMatrix(h=h, beams=ch_est.beams,
+                                users_per_beam=ch_est.users_per_beam)
+            channels.append((ch_true, est, bounds))
+        return channels
 
-    monkeypatch.setattr(satprecode.evaluate, "_trial_channels", rank_deficient)
+    monkeypatch.setattr(satprecode.evaluate, "_batch_channels", rank_deficient)
 
 
 def _assert_rank_deficient_run_skips_as_each_cell_alone(monkeypatch, powers):
@@ -487,8 +488,7 @@ def test_failure_codes_are_where_each_design_alone_raises(mode):
         ([BlockDesign(ch.h, range(6))], lambda p: two_stage(ch, p, mode)),
         gateway("icp2"),
         gateway("icp3"),
-        (lambda p: _avg_mmse_unscaled(ch, p),
-         lambda p: baseline_avg_mmse(ch, p, mode)),
+        (ch, lambda p: baseline_avg_mmse(ch, p, mode)),
         gateway("msvdgc"),
         ([BlockDesign(ch.h, range(6), interbeam="rzf")],
          lambda p: two_stage(ch, p, mode, "rzf")),

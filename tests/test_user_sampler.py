@@ -8,8 +8,11 @@ three benchmark workloads and the three shipped desk configs, for pool
 sizes 1 to 25 (so the window switches on within a beam, or is on from
 the start) and for the trial seeds a run draws. A caller's PCG64
 generator must be left where the oracle leaves it, and the 200-attempt
-limit must fall on the same attempt. The files under ``perfbench/`` are
-only read.
+limit must fall on the same attempt. A list of seeds, the trials of a
+batch stepping through each beam together, must give each trial the
+positions of a call with its seed alone, leave each generator where the
+oracle leaves it, and raise the earliest failing trial's error. The
+files under ``perfbench/`` are only read.
 """
 
 from importlib import resources
@@ -153,3 +156,106 @@ def test_the_attempt_limit_falls_on_the_same_attempt(budget, monkeypatch):
         else:
             assert attempts == filled_at
         _assert_same_draws(layout, budget, contours, 1, seed)
+
+
+BATCH_SIZES = (1, 2, 3, 7)
+
+
+def _assert_batch_matches_each_seed(layout, budget, contours, pool, seeds):
+    kwargs = dict(budget=budget, contours=contours)
+    batch = place_users(layout, pool, list(seeds), **kwargs)
+    assert isinstance(batch, list) and len(batch) == len(seeds)
+    for users, seed in zip(batch, seeds):
+        alone = place_users(layout, pool, seed, **kwargs).positions
+        assert np.array_equal(users.positions, alone)
+        assert np.array_equal(
+            users.positions,
+            oracles.place_users_per_attempt(layout, pool, seed, **kwargs).positions)
+
+
+def _assert_batches_match(cfg, wide=False):
+    layout, budget, contours = _sampler_inputs(cfg)
+    for pool in range(1, 26):
+        # Pools of 5 and more leave the trials of a step needing different
+        # numbers of users, so they draw different n and windows.
+        sizes = BATCH_SIZES[pool % 4:pool % 4 + 1] if wide else BATCH_SIZES
+        for size in sizes:
+            seeds = [100_000 * size + 1000 * pool + i for i in range(size)]
+            _assert_batch_matches_each_seed(layout, budget, contours, pool, seeds)
+    # A batch of a run's first trials' users seeds, at the configured pool.
+    streams = np.random.SeedSequence(cfg.seed).spawn(7)
+    _assert_batch_matches_each_seed(layout, budget, contours, cfg.pool_per_beam,
+                                    [stream.spawn(4)[0] for stream in streams])
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_a_batch_gives_each_trial_its_own_positions_on_every_workload(
+        name, tmp_path):
+    cfg = _workload_config(name, tmp_path)
+    # wide_robust's 61 beams make each call about a hundred times dearer:
+    # each pool takes one of the batch sizes there.
+    _assert_batches_match(cfg, wide=cfg.beams > 24)
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_a_batch_gives_each_trial_its_own_positions_on_the_shipped_configs(
+        name):
+    _assert_batches_match(_shipped_config(name))
+
+
+def test_a_batch_leaves_each_generator_where_one_attempt_per_call_leaves_it(
+        desk_layout, budget):
+    for pool in (1, 3, 6, 13):
+        for size in BATCH_SIZES:
+            seeds = range(10 * size, 11 * size)
+            fast = [np.random.default_rng(seed) for seed in seeds]
+            slow = [np.random.default_rng(seed) for seed in seeds]
+            batch = place_users(desk_layout, pool, fast, budget=budget)
+            for users, fast_rng, slow_rng in zip(batch, fast, slow):
+                alone = oracles.place_users_per_attempt(desk_layout, pool,
+                                                        slow_rng, budget=budget)
+                assert np.array_equal(users.positions, alone.positions)
+                assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_a_batch_mixes_generators_that_cannot_advance(desk_layout, budget):
+    def generators():
+        return [np.random.default_rng(1), np.random.Generator(np.random.MT19937(2)),
+                np.random.default_rng(3)]
+
+    fast, slow = generators(), generators()
+    batch = place_users(desk_layout, 3, fast, budget=budget)
+    for users, fast_rng, slow_rng in zip(batch, fast, slow):
+        alone = oracles.place_users_per_attempt(desk_layout, 3, slow_rng,
+                                                budget=budget)
+        assert np.array_equal(users.positions, alone.positions)
+        assert np.array_equal(fast_rng.random(4), slow_rng.random(4))
+
+
+def test_a_batch_raises_the_earliest_failing_trials_error(budget):
+    # Three beams, each box 32 times wider than it needs to be, so a beam
+    # accepts about one attempt in a hundred and a pool of 2 often needs
+    # more than 200 attempts. Find seeds that fail on their own at
+    # different beams, and one that fills every beam.
+    layout = sp.hex_layout(3, 47.0, 10.0, 0.25, 4.0, budget=budget)
+    halfwidths, bores = beam_contours(layout, budget)
+    kwargs = dict(budget=budget, contours=(32.0 * halfwidths, bores))
+    alone = {seed: _outcome(place_users, layout, 2, seed, **kwargs)
+             for seed in range(40)}
+    failed_at = {seed: int(got.split()[1]) for seed, got in alone.items()
+                 if isinstance(got, str)}
+    filled = [seed for seed, got in alone.items() if not isinstance(got, str)]
+    late = next(seed for seed, beam in failed_at.items() if beam > 0)
+    early = next(seed for seed, beam in failed_at.items()
+                 if beam < failed_at[late])
+    assert filled
+    # The earlier trial fails at a later beam than the trial after it.
+    for seeds, want in (([filled[0], late, early], late),
+                        ([late, early], late),
+                        ([early, late], early),
+                        ([filled[0], early], early)):
+        for sampler in (place_users, oracles.place_users_per_attempt):
+            assert _outcome(sampler, layout, 2, want, **kwargs) == alone[want]
+        with pytest.raises(GeometryError) as exc:
+            place_users(layout, 2, seeds, **kwargs)
+        assert str(exc.value) == alone[want]
