@@ -315,16 +315,18 @@ def beam_contours(layout: BeamLayout, budget: LinkBudget) -> tuple:
 
 def place_users(layout: BeamLayout, q_sched: int, rng_seed,
                 budget: LinkBudget | None = None,
-                contours: tuple | None = None) -> UserSet | list[UserSet]:
+                contours: tuple | None = None, *,
+                batch: bool = False) -> UserSet | list[UserSet]:
     """Draw `q_sched` users uniformly inside each beam's 3 dB contour.
 
     The contour is the set of ground points whose off-axis angle from the
     beam center direction, seen from the satellite, is at most the beam
     radius. Sampling is by rejection from a bounding box; deterministic
     for a fixed seed. `contours` is `beam_contours(layout, budget)` when
-    the caller has worked it out already. `rng_seed` is one seed, or a
-    list of seeds, one per trial of a batch: then the result is a list
-    of user sets, each bit for bit the set of one call with its seed.
+    the caller has worked it out already. `rng_seed` is one seed, as
+    `np.random.default_rng` takes it; with `batch=True` it is a sequence
+    of seeds, one per trial of a batch, and the result is a list of user
+    sets, each bit for bit the set of one call with its seed.
 
     The stream contract: beam by beam, an attempt that still needs r
     users draws n = max(4r, 16) latitude offsets and then n longitude
@@ -351,7 +353,7 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     """
     if q_sched < 1:
         raise ConfigError("q_sched must be >= 1")
-    seeds = rng_seed if isinstance(rng_seed, list) else [rng_seed]
+    seeds = list(rng_seed) if batch else [rng_seed]
     budget = budget or LinkBudget()
     sat = budget.satellite_position()
     sat_col = sat[:, None, None]
@@ -397,7 +399,8 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
                 draws.append((t, n_draw, window, box))
             # One trial's offsets are used as drawn, (window, 2, n); a
             # batch's are joined, by attempt where every n is the same and
-            # otherwise in one row.
+            # otherwise in one row. Either way a trial's flags and points
+            # are the slice of its n * window draws.
             if len(draws) > 1:
                 if all(d[1] == draws[0][1] for d in draws):
                     box = np.concatenate([d[-1] for d in draws])
@@ -431,15 +434,10 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
             steps = []
             start = 0
             for t, n_draw, window, _ in draws:
-                # A trial's flags and points: a batch's are sliced out, one
-                # trial's are used whole, so a one-trial step slices nothing.
-                if len(draws) == 1:
-                    trial_accepted, trial_lat, trial_lon = accepted, lat, lon
-                else:
-                    stop = start + n_draw * window
-                    trial_accepted = accepted[start:stop]
-                    trial_lat, trial_lon = lat[start:stop], lon[start:stop]
-                    start = stop
+                stop = start + n_draw * window
+                trial_accepted = accepted[start:stop]
+                trial_lat, trial_lon = lat[start:stop], lon[start:stop]
+                start = stop
                 # The accepted points in attempt order, as many as the beam
                 # still needs; the attempts used end with the last one taken.
                 need = q_sched - got[t]
@@ -465,7 +463,7 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     if errors:
         raise errors[min(errors)]
     users = [UserSet(positions=trial) for trial in positions]
-    return users if isinstance(rng_seed, list) else users[0]
+    return users if batch else users[0]
 
 
 def _ground_halfwidths_deg(sat: np.ndarray, bores: np.ndarray,

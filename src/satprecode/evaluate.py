@@ -325,7 +325,7 @@ def _batch_channels(trial_seeds: list, cfg: ScenarioConfig,
     streams = [seed.spawn(4) for seed in trial_seeds]
     users = place_users(layout, cfg.pool_per_beam,
                         [users_seed for users_seed, *_ in streams],
-                        budget=budget, contours=contours)
+                        budget=budget, contours=contours, batch=True)
     rows = cfg.beams * cfg.pool_per_beam
     # One view per trial: the batch's gains are released with the last
     # trial's view, once its pool channel is formed.

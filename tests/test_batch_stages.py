@@ -61,7 +61,8 @@ def test_batch_gains_equal_each_trials_per_feed_oracle(budget, beams, pool,
     layout = sp.hex_layout(beams, 47.0, 10.0, 0.25, 4.0, budget=budget)
     rows = beams * pool
     assert any(0 < t * rows % _GAIN_ROWS for t in range(1, trials))
-    users = place_users(layout, pool, list(range(trials)), budget=budget)
+    users = place_users(layout, pool, range(trials), budget=budget,
+                        batch=True)
     gains = build_gain_matrix(layout, users, budget)
     assert gains.shape == (trials * rows, layout.feeds)
     for t, user_set in enumerate(users):

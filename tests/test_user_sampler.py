@@ -8,11 +8,12 @@ three benchmark workloads and the three shipped desk configs, for pool
 sizes 1 to 25 (so the window switches on within a beam, or is on from
 the start) and for the trial seeds a run draws. A caller's PCG64
 generator must be left where the oracle leaves it, and the 200-attempt
-limit must fall on the same attempt. A list of seeds, the trials of a
-batch stepping through each beam together, must give each trial the
-positions of a call with its seed alone, leave each generator where the
-oracle leaves it, and raise the earliest failing trial's error. The
-files under ``perfbench/`` are only read.
+limit must fall on the same attempt. A batch of seeds (`batch=True`),
+the trials stepping through each beam together, must give each trial
+the positions of a call with its seed alone, leave each generator where
+the oracle leaves it, and raise the earliest failing trial's error;
+without the flag a list is one NumPy seed. The files under
+``perfbench/`` are only read.
 """
 
 from importlib import resources
@@ -163,7 +164,7 @@ BATCH_SIZES = (1, 2, 3, 7)
 
 def _assert_batch_matches_each_seed(layout, budget, contours, pool, seeds):
     kwargs = dict(budget=budget, contours=contours)
-    batch = place_users(layout, pool, list(seeds), **kwargs)
+    batch = place_users(layout, pool, seeds, batch=True, **kwargs)
     assert isinstance(batch, list) and len(batch) == len(seeds)
     for users, seed in zip(batch, seeds):
         alone = place_users(layout, pool, seed, **kwargs).positions
@@ -203,6 +204,15 @@ def test_a_batch_gives_each_trial_its_own_positions_on_the_shipped_configs(
     _assert_batches_match(_shipped_config(name))
 
 
+def test_a_list_seed_without_the_batch_flag_is_one_numpy_seed(desk_layout,
+                                                              budget):
+    users = place_users(desk_layout, 3, [1, 2, 3], budget=budget)
+    assert isinstance(users, sp.UserSet)
+    alone = oracles.place_users_per_attempt(
+        desk_layout, 3, np.random.default_rng([1, 2, 3]), budget=budget)
+    assert np.array_equal(users.positions, alone.positions)
+
+
 def test_a_batch_leaves_each_generator_where_one_attempt_per_call_leaves_it(
         desk_layout, budget):
     for pool in (1, 3, 6, 13):
@@ -210,7 +220,8 @@ def test_a_batch_leaves_each_generator_where_one_attempt_per_call_leaves_it(
             seeds = range(10 * size, 11 * size)
             fast = [np.random.default_rng(seed) for seed in seeds]
             slow = [np.random.default_rng(seed) for seed in seeds]
-            batch = place_users(desk_layout, pool, fast, budget=budget)
+            batch = place_users(desk_layout, pool, fast, budget=budget,
+                                batch=True)
             for users, fast_rng, slow_rng in zip(batch, fast, slow):
                 alone = oracles.place_users_per_attempt(desk_layout, pool,
                                                         slow_rng, budget=budget)
@@ -224,7 +235,7 @@ def test_a_batch_mixes_generators_that_cannot_advance(desk_layout, budget):
                 np.random.default_rng(3)]
 
     fast, slow = generators(), generators()
-    batch = place_users(desk_layout, 3, fast, budget=budget)
+    batch = place_users(desk_layout, 3, fast, budget=budget, batch=True)
     for users, fast_rng, slow_rng in zip(batch, fast, slow):
         alone = oracles.place_users_per_attempt(desk_layout, 3, slow_rng,
                                                 budget=budget)
@@ -257,5 +268,5 @@ def test_a_batch_raises_the_earliest_failing_trials_error(budget):
         for sampler in (place_users, oracles.place_users_per_attempt):
             assert _outcome(sampler, layout, 2, want, **kwargs) == alone[want]
         with pytest.raises(GeometryError) as exc:
-            place_users(layout, 2, seeds, **kwargs)
+            place_users(layout, 2, seeds, batch=True, **kwargs)
         assert str(exc.value) == alone[want]
