@@ -32,7 +32,7 @@ from .channel import (
     place_users,
 )
 from .config import _SCHEMA, ScenarioConfig, dbw_to_watts
-from .exceptions import MODELLED_FAILURES, ConfigError
+from .exceptions import ConfigError
 from .gateway import GatewayPlan, make_plan, plan_designs, share_csi
 from .precoding import (
     BlockDesign,
@@ -398,68 +398,45 @@ def _run_batch(trial_seeds: list, cfg: ScenarioConfig, layout: BeamLayout,
                p_w: np.ndarray, contours: tuple) -> np.ndarray:
     """Consecutive trials, one per seed of `trial_seeds`, evaluated under
     every scenario and at every power of `p_w`, the power sweep in Watts:
-    an (S, P, T, K) array of beam rates, with an all-NaN K-row where a
-    (scenario, power) cell of a trial was skipped.
+    an (S, P, T, K) array of beam rates, with an all-NaN K-row where the
+    design pass set a failure code for a (scenario, power) cell of a trial.
 
     The batch's users and gains are drawn in one call each, and each
     trial's phases, CSI error and grouping on its own (`_batch_channels`).
     Every precoded (trial, scenario) of the batch is designed in one
-    stacked pass, and one SINR and one rate call cover them all;
-    four_color takes the SINRs of every trial's true channel in one call
-    of its own and a rate call on its quarter band. Each matrix of a
-    stacked call gets the bits it gets alone, so a trial's rates do not
-    depend on its batch.
+    stacked pass, and one SINR and one rate call cover them all against
+    one stack of the trials' true channel rows; four_color takes the
+    SINRs of the same stack in one call of its own and a rate call on its
+    quarter band. Each matrix of a stacked call gets the bits it gets
+    alone, so a trial's rates do not depend on its batch.
     """
     channels = _batch_channels(trial_seeds, cfg, layout, budget, contours)
-    designs = [_trial_designs(cfg.scenarios, ch_est, bounds, plans)
-               for _, ch_est, bounds in channels]
-
-    def rates(trials, scenarios, powers):
-        names = [cfg.scenarios[s] for s in scenarios]
-        p = p_w[powers]
-        out = np.full((len(names), p.size, len(trials), cfg.beams), np.nan)
-        jobs = [(s, i, t) for i, t in enumerate(trials)
-                for s, name in enumerate(names) if name in designs[t]]
-        if jobs:
-            pre, codes = assemble_multigateway_family(
-                [designs[t][names[s]] for s, _, t in jobs], cfg.users_per_beam,
-                p, cfg.power_mode)
-            rows = np.stack([channels[t][0].h for _, _, t in jobs])
-            w = pre.w.reshape(len(jobs), p.size, *pre.w.shape[1:])
-            found = beam_rate(sinr_matrix(rows[:, None], w), table, budget)
-            at, col, _ = zip(*jobs)
-            out[at, :, col] = np.where(codes[..., None] > 0, np.nan, found)
-        if "four_color" in names:
-            rows = np.stack([channels[t][0].h for t in trials])
-            out[names.index("four_color")] = beam_rate(
-                baseline_four_color(rows, layout, p).swapaxes(0, 1), table,
-                budget, 0.25)
-        return out
-
-    # A LinAlgError from a stacked LAPACK call is the one failure without a
-    # code: then each trial of the batch runs again alone, and a trial that
-    # fails alone runs each (scenario, power) cell on its own.
-    out = np.full((len(cfg.scenarios), p_w.size, len(channels), cfg.beams),
-                  np.nan)
-    parts = [(range(len(channels)), range(len(cfg.scenarios)), range(p_w.size))]
-    for trials, scenarios, powers in parts:
-        try:
-            out[np.ix_(scenarios, powers, trials)] = rates(trials, scenarios,
-                                                           powers)
-        except np.linalg.LinAlgError:
-            if len(trials) > 1:
-                parts += [([t], scenarios, powers) for t in trials]
-            elif len(scenarios) * len(powers) > 1:
-                parts += [(trials, [s], [i])
-                          for s in scenarios for i in powers]
+    rows = np.stack([ch_true.h for ch_true, _, _ in channels])  # (T, KQ, N)
+    out = np.empty((len(cfg.scenarios), p_w.size, len(channels), cfg.beams))
+    precoded = [s for s, name in enumerate(cfg.scenarios)
+                if name != "four_color"]
+    if precoded:
+        designs = [design for _, ch_est, bounds in channels
+                   for design in _trial_designs(cfg.scenarios, ch_est,
+                                                bounds, plans).values()]
+        pre, codes = assemble_multigateway_family(designs, cfg.users_per_beam,
+                                                  p_w, cfg.power_mode)
+        w = pre.w.reshape(len(channels), len(precoded), p_w.size,
+                          *pre.w.shape[1:])
+        found = beam_rate(sinr_matrix(rows[:, None, None], w), table, budget)
+        failed = codes.reshape(len(channels), len(precoded), p_w.size, 1) > 0
+        out[precoded] = np.where(failed, np.nan, found).transpose(1, 2, 0, 3)
+    if "four_color" in cfg.scenarios:
+        out[cfg.scenarios.index("four_color")] = beam_rate(
+            baseline_four_color(rows, layout, p_w).swapaxes(0, 1), table,
+            budget, 0.25)
     return out
 
 
 def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
                    bounds: PerturbationBounds, plans: dict) -> dict:
     """The precoded scenarios of a trial as `assemble_multigateway_family`
-    takes them, by name; a gateway scenario whose CSI exchange failed is
-    left out.
+    takes them, by name, in the order of `scenarios`.
 
     mbim, robust and rzf are one block over every beam of the estimate
     (rzf by its design name), each gateway scenario one block per view,
@@ -479,11 +456,8 @@ def _trial_designs(scenarios: tuple, ch_est: ChannelMatrix,
         elif name == "avg_mmse":
             designs[name] = ch_est
         elif name in plans:
-            try:
-                designs[name] = plan_designs(share_csi(ch_est, plans[name]),
-                                             plans[name])
-            except MODELLED_FAILURES:
-                pass
+            designs[name] = plan_designs(share_csi(ch_est, plans[name]),
+                                         plans[name])
     return designs
 
 
@@ -503,12 +477,10 @@ def run_monte_carlo(cfg: ScenarioConfig, layout: BeamLayout | None = None,
     matrix of a stacked call gets the bits it gets alone, and every
     trial draws from its own streams, so a trial's results do not depend
     on its batch either.
-    Modelled numerical failures skip their cell and are counted: a cell
-    whose failure code the stacked design pass sets, every power of a
-    gateway scenario whose CSI exchange fails, and, after a LAPACK error
-    when each trial of the batch runs again alone and a trial that fails
-    alone runs its cells one at a time, a cell that fails on its own.
-    Any other exception propagates. `layout` and `table` are the
+    A cell is skipped, and counted, only where the stacked design pass
+    sets its failure code: too few feeds, a singular cross-Gram matrix, a
+    vanished beam or no power scale. Any other exception, a LAPACK error
+    among them, propagates. `layout` and `table` are the
     configured beam layout and MODCOD table when the caller has built
     them already (the CLI does, inside its error boundary).
     """

@@ -846,9 +846,9 @@ def sinr_matrix_per_power(ch: ChannelMatrix, w: np.ndarray) -> np.ndarray:
     return (signal / (interference + 1.0)).reshape(ch.beams, ch.users_per_beam)
 
 
-# The per-cell path of a Monte Carlo trial, which the run once took after a
-# modelled failure in its stacked design pass. The run now reads its
-# skipped cells from that pass's failure codes.
+# The per-cell reference of a Monte Carlo trial: each cell designed on its
+# own, skipped where its design raises a modelled failure. The run reads
+# its skipped cells from the stacked design pass's failure codes instead.
 
 def run_batch_per_cell(trial_seeds, cfg, layout: BeamLayout, budget: LinkBudget,
                        table, plans: dict, p_w: np.ndarray,
@@ -867,8 +867,7 @@ def run_trial_per_cell(trial_seed, cfg, layout: BeamLayout, budget: LinkBudget,
     designed by its oracle at that one power (four_color by
     `baseline_four_color`, which the run calls outside the stacked pass):
     an (S, P, K) array of beam rates, NaN where the design raised a
-    modelled failure, and at every power of a gateway scenario whose CSI
-    exchange failed. The run designs a whole batch of trials in one pass;
+    modelled failure. The run designs a whole batch of trials in one pass;
     this designs one trial, and each of its cells, on its own.
 
     The channels and views come through `satprecode.evaluate`, the
@@ -879,10 +878,7 @@ def run_trial_per_cell(trial_seed, cfg, layout: BeamLayout, budget: LinkBudget,
         [trial_seed], cfg, layout, budget, contours)
     out = np.full((len(cfg.scenarios), p_w.size, cfg.beams), np.nan)
     for s, name in enumerate(cfg.scenarios):
-        try:
-            views = evaluate.share_csi(ch_est, plans[name]) if name in plans else None
-        except MODELLED_FAILURES:
-            continue
+        views = evaluate.share_csi(ch_est, plans[name]) if name in plans else None
         for i, p in enumerate(p_w.tolist()):
             try:
                 sinrs, factor = _scenario_sinrs_at(name, ch_true, ch_est, bounds,

@@ -19,11 +19,10 @@ from hypothesis import strategies as st
 
 import satprecode.cli
 import satprecode.evaluate
-import satprecode.precoding
 from satprecode.cli import main
 from satprecode.config import _SCHEMA, ScenarioConfig, config_echo, parse_config
 from satprecode.evaluate import run_monte_carlo
-from satprecode.exceptions import ConfigError
+from satprecode.exceptions import SINGULAR, ConfigError
 from satprecode.gateway import overhead_per_gateway
 
 from conftest import record_calls
@@ -750,41 +749,36 @@ class TestOutputsMatchPerCellReference:
     ])
     def test_skipped_trials(self, tmp_path, monkeypatch, trials, failing):
         # A batch draws every trial's channels before it designs any, so
-        # the last draw is not the trial under way: avg_mmse's estimate
-        # names it (estimates[t] is trial t's).
+        # the last draw is not the trial under way: avg_mmse's design is
+        # the estimate it averages, which names its trial (estimates[t] is
+        # trial t's). mbim fails in every trial at 30 dBW.
         estimates = []
         original_channels = satprecode.evaluate._batch_channels
-        original_avg = satprecode.precoding._avg_mmse_unscaled
-        original_four = satprecode.evaluate.baseline_four_color
+        original_family = satprecode.evaluate.assemble_multigateway_family
 
         def recorded_channels(*args):
             channels = original_channels(*args)
             estimates.extend(est for _, est, _ in channels)
             return channels
 
-        def avg_failing_at_25_dbw(chs, p_w):
-            trials = {t for t, est in enumerate(estimates)
-                      if any(est is ch for ch in chs)}
-            if trials & failing and np.any(p_w == 10.0 ** 2.5):
-                raise np.linalg.LinAlgError("modelled failure")
-            return original_avg(chs, p_w)
-
-        def four_color_failing_at_30_dbw(ch, layout, p_w):
-            if np.any(p_w == 1000.0):
-                raise np.linalg.LinAlgError("modelled failure")
-            return original_four(ch, layout, p_w)
+        def family_failing(precoders, users_per_beam, p_w, mode):
+            pre, codes = original_family(precoders, users_per_beam, p_w, mode)
+            for s, design in enumerate(precoders):
+                if isinstance(design, list):  # mbim's one block
+                    codes[s, p_w == 1000.0] = SINGULAR
+                elif any(design is estimates[t] for t in failing):
+                    codes[s, p_w == 10.0 ** 2.5] = SINGULAR
+            return pre, codes
 
         monkeypatch.setattr(satprecode.evaluate, "_batch_channels",
                             recorded_channels)
-        # avg_mmse's precoders, stacked over the trials of a batch.
-        monkeypatch.setattr(satprecode.precoding, "_avg_mmse_unscaled",
-                            avg_failing_at_25_dbw)
-        monkeypatch.setattr(satprecode.evaluate, "baseline_four_color",
-                            four_color_failing_at_30_dbw)
+        # Every precoded design of a batch, stacked over its trials.
+        monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
+                            family_failing)
         code, result = self._run(tmp_path, monkeypatch, trials)
         # Rows mbim, avg_mmse, four_color; columns 20, 25, 30 dBW.
         assert result.skipped.tolist() == [
-            [0, 0, 0], [0, len(failing), 0], [0, 0, trials]]
+            [0, 0, trials], [0, len(failing), 0], [0, 0, 0]]
         assert code == 1
 
     def test_zero_trials(self, tmp_path, monkeypatch):

@@ -18,8 +18,7 @@ on views at and above the downdate crossover, and on Hypothesis channels
 over one to four gateways. A failing plan names its first failing
 gateway, and within it the first failing beam of the earliest failing
 stage, and the plan decomposes one stacked Gram matrix per view shape.
-A Monte Carlo trial makes one design call per scenario, and a modelled
-failure at one power skips only that (scenario, power) cell.
+A batch of Monte Carlo trials makes one design call per scenario.
 """
 
 import numpy as np
@@ -30,7 +29,6 @@ from hypothesis import strategies as st
 import satprecode as sp
 import satprecode.evaluate
 import satprecode.linalg
-import satprecode.precoding
 from satprecode.channel import ChannelMatrix
 from satprecode.evaluate import ModcodTable, beam_rate, run_monte_carlo, sinr_matrix
 from satprecode.exceptions import (
@@ -344,40 +342,6 @@ def _small_config(**overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
-
-
-def _failing_at(p_fail, design, power_arg):
-    """`design`, failing whenever its power argument `power_arg` holds
-    `p_fail`."""
-    def failing(*args, **kwargs):
-        if np.any(np.asarray(args[power_arg]) == p_fail):
-            raise np.linalg.LinAlgError("singular at one power")
-        return design(*args, **kwargs)
-
-    return failing
-
-
-def test_failure_at_one_power_skips_only_that_cell(monkeypatch):
-    bad_power = 10.0 ** (20.0 / 10.0)
-    cfg = _small_config()
-    clean = run_monte_carlo(cfg)
-    # The inter-beam kernels of rzf and mbim, which the stacked pass and
-    # the designs on their own both reach through the inter-beam stage.
-    for module, name, power_arg in (
-            (satprecode.precoding, "_rzf_blocks", 3),
-            (satprecode.precoding, "_mbim_blocks", 2)):
-        monkeypatch.setattr(module, name, _failing_at(
-            bad_power, getattr(module, name), power_arg))
-    res = run_monte_carlo(cfg)
-    for s, name in enumerate(cfg.scenarios):
-        for i, p in enumerate(cfg.power_sweep_dbw):
-            failed = name in ("mbim", "rzf") and p == 20.0
-            assert res.skipped[s, i] == (cfg.trials if failed else 0)
-            if failed:
-                assert np.all(np.isnan(res.throughput[s, i]))
-            else:
-                assert np.array_equal(res.throughput[s, i],
-                                      clean.throughput[s, i])
 
 
 @pytest.mark.parametrize("scenarios, design", [

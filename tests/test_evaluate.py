@@ -9,6 +9,7 @@ import satprecode.channel
 import satprecode.evaluate
 import satprecode.gateway
 import satprecode.linalg
+import satprecode.precoding
 from satprecode.channel import ChannelMatrix, beam_contours
 from satprecode.config import ScenarioConfig, dbw_to_watts
 from satprecode.evaluate import (
@@ -27,7 +28,7 @@ from satprecode.io import write_results_csv
 from satprecode.linalg import _DOWNDATE_MIN_BEAMS
 
 import oracles
-from conftest import random_channel, record_calls
+from conftest import random_channel, record_calls, trial_batches
 from oracles import (
     bootstrap_mean_diff_quantiles,
     cell_skipped,
@@ -229,6 +230,19 @@ class TestMonteCarlo:
         with pytest.raises(TypeError, match="design bug"):
             run_monte_carlo(small_config(trials=1))
 
+    def test_linalg_error_in_a_batch_propagates(self, monkeypatch):
+        # Only the design pass's failure codes skip cells: a LAPACK error
+        # in the stacked rzf kernel of a batch of trials is a bug, and it
+        # leaves the run rather than coming back as skipped cells.
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(satprecode.precoding, "_rzf_blocks", singular)
+        cfg = small_config(scenarios=("mbim", "rzf", "four_color"), trials=4)
+        assert trial_batches(cfg) == [4]
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            run_monte_carlo(cfg)
+
     @staticmethod
     def _robust_trial_eigh_shapes(monkeypatch, beams):
         """Shapes of every `eigh_sorted` call in a one-trial mbim + robust
@@ -279,17 +293,6 @@ class TestMonteCarlo:
                     "eigh_sorted": [(2 * 12, 12, 12), (2 * 3 * 3 * 4, 4, 4)],
                     "assemble_multigateway_precoder": 0}
         assert counts == [expected, expected]
-
-    def test_failed_csi_exchange_skips_every_power(self, monkeypatch):
-        def broken(*args):
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        monkeypatch.setattr(satprecode.evaluate, "share_csi", broken)
-        cfg = small_config(beams=12, gateways=3, scenarios=("mbim", "gw_icp"),
-                           trials=2, power_sweep_dbw=(40.0, 45.0))
-        res = run_monte_carlo(cfg)
-        # Rows are scenarios (mbim, gw_icp), columns powers (40, 45 dBW).
-        assert res.skipped.tolist() == [[0, 0], [2, 2]]
 
     def test_failing_gateway_scenario_leaves_the_others_bit_for_bit(
             self, monkeypatch):

@@ -4,13 +4,13 @@ no trial's bits depend on its batch.
 Seven trials of the ``desk_sweep`` and ``gateway_coop`` benchmark
 templates run in batches of 1, of 3 (3, 3 and 1) and of all 7, the cap
 `evaluate._BATCH_BYTES` set to give each size: the throughput and the
-skipped counts agree bit for bit. A modelled failure in one trial, a
-LAPACK error in its averaging precoder at one power or a failed CSI
-exchange of one gateway scenario, skips that trial's cells and no
-other, as when every trial runs alone. The batch sizes of the shipped
-configs and the benchmark workloads are pinned: the working-set estimate
-counts the pool gains a batch draws at once, and that leaves them as
-they were. The files under ``perfbench/`` are only read.
+skipped counts agree bit for bit. A failure code that the design pass
+sets for one trial's averaging precoder at one power skips that cell
+and no other, as when every trial runs alone; no exception skips a
+cell. The batch sizes of the shipped configs and the benchmark
+workloads are pinned: the working-set estimate counts the pool gains a
+batch draws at once, and that leaves them as they were. The files under
+``perfbench/`` are only read.
 """
 
 from importlib import resources
@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 import satprecode.evaluate
-import satprecode.precoding
 from satprecode.config import parse_config
 from satprecode.evaluate import _batch_trials, _trial_bytes, run_monte_carlo
+from satprecode.exceptions import SINGULAR
 
 from conftest import load_perfbench_workloads, trial_batches
 
@@ -84,18 +84,22 @@ def test_trial_bits_do_not_depend_on_the_batch(tmp_path, monkeypatch,
     _assert_batch_independent(results)
 
 
-def test_linalg_error_in_one_trial_skips_only_its_cell(tmp_path, monkeypatch):
+def test_failure_code_in_one_trial_skips_only_its_cell(tmp_path, monkeypatch):
     cfg = _config(tmp_path, "desk_sweep")
     estimates = _estimates(monkeypatch)
-    original = satprecode.precoding._avg_mmse_unscaled
+    original = satprecode.evaluate.assemble_multigateway_family
     bad_power = 10.0 ** 2.0
 
-    def failing(chs, p):
-        if any(ch is estimates.get(4) for ch in chs) and np.any(p == bad_power):
-            raise np.linalg.LinAlgError("singular in trial 4")
-        return original(chs, p)
+    def failing(precoders, users_per_beam, p, mode):
+        # avg_mmse's design is the estimate it averages.
+        pre, codes = original(precoders, users_per_beam, p, mode)
+        for s, design in enumerate(precoders):
+            if design is estimates.get(4):
+                codes[s, p == bad_power] = SINGULAR
+        return pre, codes
 
-    monkeypatch.setattr(satprecode.precoding, "_avg_mmse_unscaled", failing)
+    monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
+                        failing)
     results = _runs(monkeypatch, cfg)
     _assert_batch_independent(results)
     s = cfg.scenarios.index("avg_mmse")
@@ -104,27 +108,6 @@ def test_linalg_error_in_one_trial_skips_only_its_cell(tmp_path, monkeypatch):
     expected[s, i] = 1
     assert np.array_equal(results[0].skipped, expected)
     assert np.all(np.isnan(results[0].throughput[s, i, 4]))
-
-
-def test_failed_csi_exchange_in_one_trial_skips_only_its_scenario(
-        tmp_path, monkeypatch):
-    cfg = _config(tmp_path, "gateway_coop")
-    estimates = _estimates(monkeypatch)
-    original = satprecode.evaluate.share_csi
-
-    def failing(ch, plan):
-        if ch is estimates.get(2) and plan.mode == "icp":
-            raise np.linalg.LinAlgError("exchange failed in trial 2")
-        return original(ch, plan)
-
-    monkeypatch.setattr(satprecode.evaluate, "share_csi", failing)
-    results = _runs(monkeypatch, cfg)
-    _assert_batch_independent(results)
-    s = cfg.scenarios.index("gw_icp")
-    expected = np.zeros_like(results[0].skipped)
-    expected[s] = 1
-    assert np.array_equal(results[0].skipped, expected)
-    assert np.all(np.isnan(results[0].throughput[s, :, 2]))
 
 
 def _shipped_config(name):

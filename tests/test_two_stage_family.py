@@ -14,10 +14,9 @@ where a plan leaves fewer feeds than users. A batch of trials designs
 every precoded scenario of every trial in one pass, with one power
 scaling, one SINR and one rate call. A rank-deficient estimate skips
 mbim, and the scenarios that share its view, through that pass's failure
-codes: every cell is as its oracle designs it at that power
-(`oracles.run_batch_per_cell`), and no scenario is designed a second
-time. The files under ``perfbench/`` are
-only read.
+codes, the only way a run skips a cell: every cell is as its oracle
+designs it at that power (`oracles.run_batch_per_cell`), and no scenario
+is designed a second time. The files under ``perfbench/`` are only read.
 """
 
 import sys
