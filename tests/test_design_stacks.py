@@ -18,7 +18,8 @@ on views at and above the downdate crossover, and on Hypothesis channels
 over one to four gateways. A failing plan names its first failing
 gateway, and within it the first failing beam of the earliest failing
 stage, and the plan decomposes one stacked Gram matrix per view shape.
-A batch of Monte Carlo trials makes one design call per scenario.
+A batch of Monte Carlo trials makes one design call per scenario, and a
+failure code at one power skips only that (scenario, power) cell.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from satprecode.evaluate import ModcodTable, beam_rate, run_monte_carlo, sinr_ma
 from satprecode.exceptions import (
     ConfigError,
     DegenerateBeamError,
+    SINGULAR,
     InfeasibleChannelError,
     SingularChannelError,
 )
@@ -342,6 +344,35 @@ def _small_config(**overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def test_failure_code_at_one_power_skips_only_that_cell(monkeypatch):
+    bad_power = 10.0 ** (20.0 / 10.0)
+    cfg = _small_config()
+    clean = run_monte_carlo(cfg)
+    original = satprecode.evaluate.assemble_multigateway_family
+
+    def failing(precoders, users_per_beam, p, mode):
+        # mbim and rzf are each one block over every beam; avg_mmse is the
+        # estimate it averages.
+        pre, codes = original(precoders, users_per_beam, p, mode)
+        for s, design in enumerate(precoders):
+            if isinstance(design, list):
+                codes[s, p == bad_power] = SINGULAR
+        return pre, codes
+
+    monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
+                        failing)
+    res = run_monte_carlo(cfg)
+    for s, name in enumerate(cfg.scenarios):
+        for i, p in enumerate(cfg.power_sweep_dbw):
+            failed = name in ("mbim", "rzf") and p == 20.0
+            assert res.skipped[s, i] == (cfg.trials if failed else 0)
+            if failed:
+                assert np.all(np.isnan(res.throughput[s, i]))
+            else:
+                assert np.array_equal(res.throughput[s, i],
+                                      clean.throughput[s, i])
 
 
 @pytest.mark.parametrize("scenarios, design", [

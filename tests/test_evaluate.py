@@ -243,6 +243,19 @@ class TestMonteCarlo:
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             run_monte_carlo(cfg)
 
+    def test_linalg_error_in_the_csi_exchange_propagates(self, monkeypatch):
+        # A CSI exchange that fails (an msvdgc SVD that does not converge)
+        # is not a modelled failure: it leaves the run rather than skipping
+        # the gateway scenario's cells.
+        def broken(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(satprecode.evaluate, "share_csi", broken)
+        cfg = small_config(beams=12, gateways=3, scenarios=("mbim", "gw_icp"),
+                           trials=2, power_sweep_dbw=(40.0, 45.0))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            run_monte_carlo(cfg)
+
     @staticmethod
     def _robust_trial_eigh_shapes(monkeypatch, beams):
         """Shapes of every `eigh_sorted` call in a one-trial mbim + robust

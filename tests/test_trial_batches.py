@@ -5,9 +5,9 @@ Seven trials of the ``desk_sweep`` and ``gateway_coop`` benchmark
 templates run in batches of 1, of 3 (3, 3 and 1) and of all 7, the cap
 `evaluate._BATCH_BYTES` set to give each size: the throughput and the
 skipped counts agree bit for bit. A failure code that the design pass
-sets for one trial's averaging precoder at one power skips that cell
-and no other, as when every trial runs alone; no exception skips a
-cell. The batch sizes of the shipped configs and the benchmark
+sets for one trial's averaging precoder at one power, or for one
+trial's gateway scenario at every power, skips those cells and no other,
+as when every trial runs alone; no exception skips a cell. The batch sizes of the shipped configs and the benchmark
 workloads are pinned: the working-set estimate counts the pool gains a
 batch draws at once, and that leaves them as they were. The files under
 ``perfbench/`` are only read.
@@ -108,6 +108,40 @@ def test_failure_code_in_one_trial_skips_only_its_cell(tmp_path, monkeypatch):
     expected[s, i] = 1
     assert np.array_equal(results[0].skipped, expected)
     assert np.all(np.isnan(results[0].throughput[s, i, 4]))
+
+
+def test_failure_code_in_one_trial_skips_only_its_gateway_scenario(
+        tmp_path, monkeypatch):
+    cfg = _config(tmp_path, "gateway_coop")
+    estimates = _estimates(monkeypatch)
+    original_designs = satprecode.evaluate._trial_designs
+    original_family = satprecode.evaluate.assemble_multigateway_family
+    icp = []  # trial 2's gw_icp blocks, one list per run
+
+    def recorded(scenarios, ch_est, *args):
+        designs = original_designs(scenarios, ch_est, *args)
+        if ch_est is estimates.get(2):
+            icp.append(designs["gw_icp"])
+        return designs
+
+    def failing(precoders, users_per_beam, p, mode):
+        pre, codes = original_family(precoders, users_per_beam, p, mode)
+        for s, design in enumerate(precoders):
+            if any(design is blocks for blocks in icp):
+                codes[s] = SINGULAR
+        return pre, codes
+
+    monkeypatch.setattr(satprecode.evaluate, "_trial_designs", recorded)
+    monkeypatch.setattr(satprecode.evaluate, "assemble_multigateway_family",
+                        failing)
+    results = _runs(monkeypatch, cfg)
+    assert len(icp) == len(SIZES)
+    _assert_batch_independent(results)
+    s = cfg.scenarios.index("gw_icp")
+    expected = np.zeros_like(results[0].skipped)
+    expected[s] = 1
+    assert np.array_equal(results[0].skipped, expected)
+    assert np.all(np.isnan(results[0].throughput[s, :, 2]))
 
 
 def _shipped_config(name):
