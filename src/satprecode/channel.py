@@ -344,9 +344,11 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     batch fail, the earliest one's GeometryError is raised; the trials
     after a failed one stop drawing.
 
-    Each beam's unit boresight is taken once. Each step fills the
-    satellite-to-ground vectors of every trial's points one component at
-    a time, projects them on the boresight by one gemv and takes their
+    Each beam's unit boresight is taken once. Each step joins the draws
+    of every trial still drawing, whatever its n and window, into one row
+    of points, in trial and then attempt order; a single call is a batch
+    of one. It fills their satellite-to-ground vectors one component at a
+    time, projects them on the boresight by one gemv and takes their
     off-axis angles in one `geometry.off_axis_deg` pass: the angles of
     one `np.cross` form per attempt, bit for bit (a gemv row with other
     rows around it rounds as it does alone).
@@ -356,7 +358,7 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
     seeds = list(rng_seed) if batch else [rng_seed]
     budget = budget or LinkBudget()
     sat = budget.satellite_position()
-    sat_col = sat[:, None, None]
+    sat_col = sat[:, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     uniforms = [rng.uniform for rng in rngs]
     window_sizes = [_WINDOW if isinstance(rng.bit_generator, np.random.PCG64)
@@ -392,30 +394,24 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
             for t in steps:
                 n_draw = max(4 * (q_sched - got[t]), 16)
                 window = window_sizes[t] if n_draw == 16 else 1
-                # Row i holds attempt i's latitude offsets, then its
-                # longitude offsets.
+                # Each attempt draws its latitude offsets, then its
+                # longitude offsets; row 0 holds the latitudes in attempt
+                # order, row 1 the longitudes.
                 box = uniforms[t](-half, half, 2 * n_draw * window).reshape(
-                    window, 2, n_draw)
+                    window, 2, n_draw).swapaxes(0, 1).reshape(2, -1)
                 draws.append((t, n_draw, window, box))
-            # One trial's offsets are used as drawn, (window, 2, n); a
-            # batch's are joined, by attempt where every n is the same and
-            # otherwise in one row. Either way a trial's flags and points
-            # are the slice of its n * window draws.
-            if len(draws) > 1:
-                if all(d[1] == draws[0][1] for d in draws):
-                    box = np.concatenate([d[-1] for d in draws])
-                else:
-                    box = np.concatenate([d[-1].swapaxes(0, 1).reshape(1, 2, -1)
-                                          for d in draws], axis=2)
-            lat = lat0 + box[:, 0]
-            lon = box[:, 1] / cos_lat
+            # Every trial's offsets joined in one row, so a trial's flags
+            # and points are the slice of its n * window draws.
+            box = np.concatenate([d[-1] for d in draws], axis=1)
+            lat = lat0 + box[0]
+            lon = box[1] / cos_lat
             lon += lon0
             # The satellite-to-ground vectors, filled one contiguous
             # component at a time: the arithmetic of
             # `geometry.latlon_to_ecef` without its stack. The projections
-            # are the gemv `targ @ bu` on the C-contiguous (..., 3) copy,
+            # are the gemv `targ @ bu` on the C-contiguous (points, 3) copy,
             # the product one call per attempt makes.
-            comps = np.empty((3, *lat.shape))
+            comps = np.empty((3, lat.size))
             x, y, z = comps
             rad_lat = np.radians(lat)
             rad_lon = np.radians(lon)
@@ -427,10 +423,8 @@ def place_users(layout: BeamLayout, q_sched: int, rng_seed,
             np.sin(rad_lat, out=z)
             comps *= earth_radius
             comps -= sat_col
-            proj = comps.transpose(1, 2, 0).copy() @ bu
-            accepted = geometry.off_axis_deg(x, y, z, bu, proj).ravel() <= radius
-            lat = lat.ravel()
-            lon = lon.ravel()
+            proj = comps.T.copy() @ bu
+            accepted = geometry.off_axis_deg(x, y, z, bu, proj) <= radius
             steps = []
             start = 0
             for t, n_draw, window, _ in draws:
@@ -532,8 +526,7 @@ def build_gain_matrix(layout: BeamLayout, users: UserSet | list[UserSet],
     if any(user_set.beams != layout.beams for user_set in sets):
         raise ConfigError("users and layout disagree on the number of beams")
     sat = budget.satellite_position()
-    flat = (np.concatenate([user_set.flat_positions() for user_set in sets])
-            if len(sets) > 1 else sets[0].flat_positions())
+    flat = np.concatenate([user_set.flat_positions() for user_set in sets])
     rows = flat.shape[0]
     targ = geometry.latlon_to_ecef(flat[:, 0], flat[:, 1],
                                    budget.earth_radius_m) - sat

@@ -104,7 +104,7 @@ def _load(args) -> ScenarioConfig:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "power_dbw", None):
+    if getattr(args, "power_dbw", None) is not None:
         cfg.power_sweep_dbw = _parse_floats(args.power_dbw)
     cfg.validate()
     return cfg

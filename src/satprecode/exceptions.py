@@ -25,13 +25,3 @@ class DegenerateBeamError(RuntimeError):
 # none. A larger code is an earlier stage: fewer feeds than users, a singular
 # cross-Gram matrix, a vanished beam, no finite positive power scale.
 NO_SCALE, DEAD, SINGULAR, SHAPE = 1, 2, 3, 4
-
-# The design failures the channel model can produce, which the public
-# designs raise where the stacked pass sets a code: a Monte Carlo run skips
-# the cell by that code. Any other exception, a LAPACK error among them, is
-# a bug and propagates.
-MODELLED_FAILURES = (
-    SingularChannelError,
-    InfeasibleChannelError,
-    DegenerateBeamError,
-)

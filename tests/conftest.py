@@ -9,7 +9,8 @@ from hypothesis import Phase, settings
 import satprecode as sp
 from satprecode.channel import ChannelMatrix
 from satprecode.evaluate import _batch_trials
-from satprecode.exceptions import MODELLED_FAILURES
+
+from oracles import MODELLED_FAILURES
 
 # Hypothesis without its shrink phase, selected only by pytest's own
 # ``--hypothesis-profile=no-shrink``: a mutation check wants to know that

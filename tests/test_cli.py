@@ -292,7 +292,7 @@ class TestCliVerbs:
         assert ",25.0," not in text
 
     @pytest.mark.parametrize("points", ["20,abc", "20,nan", "20,20", "20,4000",
-                                        "20,-4000"])
+                                        "20,-4000", ""])
     def test_sweep_rejects_bad_power_points(self, minimal_cfg, tmp_path,
                                             capsys, points):
         out_dir = tmp_path / "out"

@@ -42,7 +42,6 @@ from satprecode.evaluate import (
 )
 from satprecode.exceptions import (
     DEAD,
-    MODELLED_FAILURES,
     NO_SCALE,
     SHAPE,
     SINGULAR,
@@ -504,7 +503,7 @@ def test_failure_codes_are_where_each_design_alone_raises(mode):
         for i, power in enumerate(p.tolist()):
             try:
                 pre = alone(power)
-            except MODELLED_FAILURES as exc:
+            except oracles.MODELLED_FAILURES as exc:
                 assert type(exc) is _CODE_CLASS[codes[s, i]]
                 continue
             assert codes[s, i] == 0

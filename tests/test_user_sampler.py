@@ -2,26 +2,31 @@
 
 `place_users` draws up to `channel._WINDOW` rejection attempts in one
 call while each attempt draws 16 points, and puts back the draws it did
-not use. Its positions must equal `oracles.place_users_per_attempt`,
-which draws one attempt per call, bit for bit: on the layouts of the
-three benchmark workloads and the three shipped desk configs, for pool
-sizes 1 to 25 (so the window switches on within a beam, or is on from
-the start) and for the trial seeds a run draws. A caller's PCG64
-generator must be left where the oracle leaves it, and the 200-attempt
-limit must fall on the same attempt. A batch of seeds (`batch=True`),
-the trials stepping through each beam together, must give each trial
-the positions of a call with its seed alone, leave each generator where
-the oracle leaves it, and raise the earliest failing trial's error;
+not use. A batch of seeds (`batch=True`) steps its trials through each
+beam together, and a single seed is a batch of one. Each trial's
+positions must equal `oracles.place_users_per_attempt`, which draws one
+attempt per call, bit for bit. The pool grid (pools 1 to 25, so the
+window switches on within a beam or is on from the start, at batch sizes
+1, 2, 3 and 7) runs once per distinct sampler input among the three
+benchmark workloads and the three shipped desk configs: configs that
+share a layout, link budget and contour boxes draw the same positions
+for a seed. Each config's run seeds are checked at its configured pool.
+Each generator must be left where the oracle leaves it, the 200-attempt
+limit must fall on the same attempt, and a failing batch must raise the
+earliest failing trial's error, its later trials drawing no more;
 without the flag a list is one NumPy seed. The files under
 ``perfbench/`` are only read.
 """
 
+import tempfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import satprecode as sp
+from satprecode import geometry
 from satprecode.channel import _WINDOW, beam_contours, place_users
 from satprecode.config import parse_config
 from satprecode.evaluate import _build_budget, _build_layout
@@ -35,21 +40,43 @@ WORKLOADS = load_perfbench_workloads()
 SHIPPED_CONFIGS = ("desk.cfg", "figure3_recipe.cfg", "gateway_desk.cfg")
 
 
-def _workload_config(name, tmp_path):
-    return parse_config(
-        WORKLOADS.WORKLOADS[name].write_config(0, tmp_path / f"{name}.cfg"))
+def _configs():
+    """Each workload's seed-0 config and each shipped desk config, parsed,
+    by name."""
+    configs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in sorted(WORKLOADS.WORKLOADS.items()):
+            configs[name] = parse_config(
+                workload.write_config(0, Path(tmp) / f"{name}.cfg"))
+    for name in SHIPPED_CONFIGS:
+        ref = resources.files("satprecode.data").joinpath(f"configs/{name}")
+        with resources.as_file(ref) as path:
+            configs[name] = parse_config(path)
+    return configs
 
 
-def _shipped_config(name):
-    ref = resources.files("satprecode.data").joinpath(f"configs/{name}")
-    with resources.as_file(ref) as path:
-        return parse_config(path)
+CONFIGS = _configs()
 
 
 def _sampler_inputs(cfg):
     budget = _build_budget(cfg)
     layout = _build_layout(cfg, budget)
     return layout, budget, beam_contours(layout, budget)
+
+
+def _distinct_sampler_inputs():
+    """One case per distinct (layout, link budget, contour boxes), named
+    after every config that has it."""
+    groups = {}
+    for name, cfg in CONFIGS.items():
+        layout, budget, contours = inputs = _sampler_inputs(cfg)
+        key = (budget, layout.feeds_per_beam, layout.beam_radius_3db_deg,
+               *(a.tobytes() for a in (layout.beam_centers,
+                                       layout.feed_boresights,
+                                       layout.color_of_beam, *contours)))
+        groups.setdefault(key, (inputs, []))[1].append(name)
+    return [pytest.param(inputs, id="+".join(names))
+            for inputs, names in groups.values()]
 
 
 def _outcome(sampler, *args, **kwargs):
@@ -69,55 +96,6 @@ def _assert_same_draws(layout, budget, contours, pool, seed):
         assert fast == slow
     else:
         assert np.array_equal(fast, slow)
-
-
-def _assert_matches_oracle(cfg, seeds_per_pool, trial_seeds):
-    layout, budget, contours = _sampler_inputs(cfg)
-    for pool in range(1, 26):
-        for seed in range(seeds_per_pool):
-            _assert_same_draws(layout, budget, contours, pool, 1000 * pool + seed)
-    # The users seeds of a run's first trials, at the configured pool.
-    for trial_seed in np.random.SeedSequence(cfg.seed).spawn(trial_seeds):
-        _assert_same_draws(layout, budget, contours, cfg.pool_per_beam,
-                           trial_seed.spawn(4)[0])
-
-
-@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
-def test_positions_equal_one_attempt_per_call_on_every_workload(name, tmp_path):
-    cfg = _workload_config(name, tmp_path)
-    # wide_robust's 61 beams make each call about a hundred times dearer.
-    wide = cfg.beams > 24
-    _assert_matches_oracle(cfg, 1 if wide else 6, 10 if wide else 60)
-
-
-@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
-def test_positions_equal_one_attempt_per_call_on_the_shipped_configs(name):
-    _assert_matches_oracle(_shipped_config(name), 6, 60)
-
-
-def test_a_callers_generator_is_left_where_one_attempt_per_call_leaves_it(
-        desk_layout, budget):
-    for pool in (1, 3, 6, 13):
-        for seed in range(8):
-            fast_rng = np.random.default_rng(seed)
-            slow_rng = np.random.default_rng(seed)
-            fast = place_users(desk_layout, pool, fast_rng, budget=budget)
-            slow = oracles.place_users_per_attempt(desk_layout, pool, slow_rng,
-                                                   budget=budget)
-            assert np.array_equal(fast.positions, slow.positions)
-            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-
-
-def test_generators_that_cannot_advance_draw_one_attempt_per_call(
-        desk_layout, budget):
-    for seed in range(4):
-        fast_rng = np.random.Generator(np.random.MT19937(seed))
-        slow_rng = np.random.Generator(np.random.MT19937(seed))
-        fast = place_users(desk_layout, 3, fast_rng, budget=budget)
-        slow = oracles.place_users_per_attempt(desk_layout, 3, slow_rng,
-                                               budget=budget)
-        assert np.array_equal(fast.positions, slow.positions)
-        assert np.array_equal(fast_rng.random(4), slow_rng.random(4))
 
 
 def test_a_contour_that_accepts_no_samples_is_named(desk_layout, budget):
@@ -167,15 +145,18 @@ def _assert_batch_matches_each_seed(layout, budget, contours, pool, seeds):
     batch = place_users(layout, pool, seeds, batch=True, **kwargs)
     assert isinstance(batch, list) and len(batch) == len(seeds)
     for users, seed in zip(batch, seeds):
-        alone = place_users(layout, pool, seed, **kwargs).positions
-        assert np.array_equal(users.positions, alone)
         assert np.array_equal(
             users.positions,
             oracles.place_users_per_attempt(layout, pool, seed, **kwargs).positions)
 
 
-def _assert_batches_match(cfg, wide=False):
-    layout, budget, contours = _sampler_inputs(cfg)
+@pytest.mark.parametrize("inputs", _distinct_sampler_inputs())
+def test_a_batch_gives_each_trial_its_own_positions_on_each_distinct_layout(
+        inputs):
+    layout, budget, contours = inputs
+    # wide_robust's 61 beams make each call about a hundred times dearer:
+    # each pool takes one of the batch sizes there.
+    wide = layout.beams > 24
     for pool in range(1, 26):
         # Pools of 5 and more leave the trials of a step needing different
         # numbers of users, so they draw different n and windows.
@@ -183,25 +164,16 @@ def _assert_batches_match(cfg, wide=False):
         for size in sizes:
             seeds = [100_000 * size + 1000 * pool + i for i in range(size)]
             _assert_batch_matches_each_seed(layout, budget, contours, pool, seeds)
-    # A batch of a run's first trials' users seeds, at the configured pool.
-    streams = np.random.SeedSequence(cfg.seed).spawn(7)
-    _assert_batch_matches_each_seed(layout, budget, contours, cfg.pool_per_beam,
-                                    [stream.spawn(4)[0] for stream in streams])
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
-def test_a_batch_gives_each_trial_its_own_positions_on_every_workload(
-        name, tmp_path):
-    cfg = _workload_config(name, tmp_path)
-    # wide_robust's 61 beams make each call about a hundred times dearer:
-    # each pool takes one of the batch sizes there.
-    _assert_batches_match(cfg, wide=cfg.beams > 24)
-
-
-@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
-def test_a_batch_gives_each_trial_its_own_positions_on_the_shipped_configs(
+@pytest.mark.parametrize("name", CONFIGS)
+def test_a_batch_of_a_runs_users_seeds_gives_each_trial_its_own_positions(
         name):
-    _assert_batches_match(_shipped_config(name))
+    # The users seeds of a run's first trials, at the configured pool.
+    cfg = CONFIGS[name]
+    streams = np.random.SeedSequence(cfg.seed).spawn(7)
+    _assert_batch_matches_each_seed(*_sampler_inputs(cfg), cfg.pool_per_beam,
+                                    [stream.spawn(4)[0] for stream in streams])
 
 
 def test_a_list_seed_without_the_batch_flag_is_one_numpy_seed(desk_layout,
@@ -243,7 +215,7 @@ def test_a_batch_mixes_generators_that_cannot_advance(desk_layout, budget):
         assert np.array_equal(fast_rng.random(4), slow_rng.random(4))
 
 
-def test_a_batch_raises_the_earliest_failing_trials_error(budget):
+def test_a_batch_raises_the_earliest_failing_trials_error(budget, monkeypatch):
     # Three beams, each box 32 times wider than it needs to be, so a beam
     # accepts about one attempt in a hundred and a pool of 2 often needs
     # more than 200 attempts. Find seeds that fail on their own at
@@ -270,3 +242,14 @@ def test_a_batch_raises_the_earliest_failing_trials_error(budget):
         with pytest.raises(GeometryError) as exc:
             place_users(layout, 2, seeds, batch=True, **kwargs)
         assert str(exc.value) == alone[want]
+    # A trial that fails at beam 0 stops the trial after it there: the
+    # batch takes as many steps, one angle pass each, as that trial alone.
+    first = next(seed for seed, beam in failed_at.items() if beam == 0)
+    steps = []
+    for seeds in ([first], [first, filled[0]]):
+        with monkeypatch.context() as patch:
+            calls = record_calls(patch, geometry.off_axis_deg)
+            with pytest.raises(GeometryError, match="^beam 0 "):
+                place_users(layout, 2, seeds, batch=True, **kwargs)
+        steps.append(len(calls["off_axis_deg"]))
+    assert steps[0] == steps[1]
