@@ -10,8 +10,9 @@ window switches on within a beam or is on from the start, at batch sizes
 1, 2, 3 and 7) runs once per distinct sampler input among the three
 benchmark workloads and the three shipped desk configs: configs that
 share a layout, link budget and contour boxes draw the same positions
-for a seed. Each config's run seeds are checked at its configured pool.
-Each generator must be left where the oracle leaves it, the 200-attempt
+for a seed. Each config's run seeds are checked at its configured pool,
+each seed in a call of its own and seven of them in one batch. Each
+generator must be left where the oracle leaves it, the 200-attempt
 limit must fall on the same attempt, and a failing batch must raise the
 earliest failing trial's error, its later trials drawing no more;
 without the flag a list is one NumPy seed. The files under
@@ -96,6 +97,27 @@ def _assert_same_draws(layout, budget, contours, pool, seed):
         assert fast == slow
     else:
         assert np.array_equal(fast, slow)
+
+
+def _assert_run_seeds_match(cfg, trial_seeds):
+    # The users seeds of a run's first trials, at the configured pool, each
+    # in a call of its own.
+    layout, budget, contours = _sampler_inputs(cfg)
+    for trial_seed in np.random.SeedSequence(cfg.seed).spawn(trial_seeds):
+        _assert_same_draws(layout, budget, contours, cfg.pool_per_beam,
+                           trial_seed.spawn(4)[0])
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_positions_equal_one_attempt_per_call_on_every_workload(name):
+    cfg = CONFIGS[name]
+    # wide_robust's 61 beams make each call about a hundred times dearer.
+    _assert_run_seeds_match(cfg, 10 if cfg.beams > 24 else 60)
+
+
+@pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+def test_positions_equal_one_attempt_per_call_on_the_shipped_configs(name):
+    _assert_run_seeds_match(CONFIGS[name], 60)
 
 
 def test_a_contour_that_accepts_no_samples_is_named(desk_layout, budget):
